@@ -46,41 +46,6 @@ class Value:
     def __repr__(self):
         return f"Value(op={self.op!r}, shape={self.data.shape})"
 
-    # Sugar; every method defers to the module-level op.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Value):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def relu(self):
-        return relu(self)
-
-    def sum(self):
-        return reduce_sum(self)
-
-    def mean(self):
-        return reduce_mean(self)
-
-    def norm(self):
-        return l2norm(self)
-
-    def norm_rows(self):
-        return norm_rows(self)
-
-    def reshape(self, rows, cols):
-        return reshape(self, rows, cols)
-
 
 class Tape:
     """Records Values; creation order doubles as topological order."""
@@ -100,7 +65,7 @@ class Tape:
             raise ShapeMismatch(f"leaf must be 2D, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("leaf holds non-finite entries")
-        return self._record(arr.copy(), "leaf")
+        return self._record(arr.copy(), op)
 
     def scalar(self, x):
         """A 1x1 leaf."""

@@ -44,8 +44,8 @@ class FrameMismatch(CvposeError):
     """Two poses are expressed in different coordinate frames."""
 
 
-class UnsupportedViewCount(CvposeError):
-    """Only two views are supported here."""
+class NonFiniteLoss(CvposeError):
+    """Training produced a NaN or infinite loss or gradient."""
 
 
 class SchemaError(CvposeError):

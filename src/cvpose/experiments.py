@@ -1,5 +1,12 @@
 """Built-in studies: noise robustness, component ablations, unseen pairs.
 
+The ablation study compares five variants: "full" (the CV-UGCN),
+"no_refine" (the untrained identity, i.e. triangulation alone),
+"no_spatial" (kinematic, two-hop and symmetry kernels masked),
+"no_crossview" (cross-view kernel masked, so the views never exchange
+information) and "fc" (a fully connected baseline with a matched
+parameter budget).
+
 Each study returns plain rows (lists of dicts) that the CLI prints as an
 aligned table and writes as JSON, so results are easy to diff across runs.
 """
@@ -75,8 +82,7 @@ class FCBaseline:
 
 # -- variants -----------------------------------------------------------------
 
-ABLATION_VARIANTS = ("full", "no_refine", "no_spatial", "no_crossview",
-                     "no_fusion", "fc")
+ABLATION_VARIANTS = ("full", "no_refine", "no_spatial", "no_crossview", "fc")
 
 
 def build_variant(name, topo, net_cfg):
@@ -88,9 +94,6 @@ def build_variant(name, topo, net_cfg):
     if name == "no_crossview":
         return CVUGCN(topo, net_cfg, weights=init_weights(net_cfg),
                       kernel_mask=(4,))
-    if name == "no_fusion":
-        return CVUGCN(topo, net_cfg, weights=init_weights(net_cfg),
-                      fuse_views=False)
     if name == "fc":
         return FCBaseline(topo, net_cfg)
     raise ValueError(f"unknown ablation variant {name!r}")

@@ -22,6 +22,7 @@ from .errors import (
     SchemaError,
     ShapeMismatch,
 )
+from .jsonl import read_records
 
 # Numerical guards, all in the units of the quantity they test.
 DEPTH_EPS = 1e-6          # mm, minimum positive depth for projection
@@ -383,15 +384,8 @@ def triangulate_joint(u1, u2, cam1: CameraModel, cam2: CameraModel):
     DegenerateGeometry when the baseline vanishes or the linear system
     does not isolate a unique direction.
     """
-    p1 = np.asarray(u1, dtype=np.float64).reshape(1, 2)
-    p2 = np.asarray(u2, dtype=np.float64).reshape(1, 2)
-    A, rel = _dlt_systems(p1, p2, cam1, cam2)
-    if np.linalg.norm(rel.t) < BASELINE_EPS:
-        raise DegenerateGeometry("camera baseline is numerically zero")
-    pts, gap, bad_w = _solve_dlt(A)
-    if gap[0] < SIGMA_GAP_EPS or bad_w[0]:
-        raise DegenerateGeometry("DLT system has no unique solution")
-    return pts[0]
+    return _triangulate_arrays(np.reshape(u1, (1, 2)), np.reshape(u2, (1, 2)),
+                               cam1, cam2)[0]
 
 
 def _triangulate_arrays(u1, u2, cam1, cam2):
@@ -502,26 +496,10 @@ def load_rig(path):
     Malformed JSON, missing fields or invalid rotations raise SchemaError
     tagged with the offending line number.
     """
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    lines = [(i + 1, s) for i, s in enumerate(raw) if s.strip()]
-    if not lines:
-        raise SchemaError("empty rig file", line=1)
-    lineno, head = lines[0]
-    try:
-        header = json.loads(head)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"line {lineno}: invalid JSON ({exc.msg})", line=lineno)
-    if not isinstance(header, dict) or header.get("schema") != RIG_SCHEMA:
-        raise SchemaError(f"line {lineno}: expected schema header {RIG_SCHEMA!r}",
-                          line=lineno)
+    lineno, _, records = read_records(path, RIG_SCHEMA, "rig")
     cams = []
     seen = set()
-    for lineno, text in lines[1:]:
-        try:
-            rec = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"line {lineno}: invalid JSON ({exc.msg})", line=lineno)
+    for lineno, rec in records:
         for key in ("id", "K", "R", "t", "width", "height"):
             if key not in rec:
                 raise MissingField(f"line {lineno}: camera record lacks {key!r}",
@@ -543,5 +521,5 @@ def load_rig(path):
         seen.add(cam.cam_id)
         cams.append(cam)
     if not cams:
-        raise SchemaError("rig file declares no cameras", line=lineno if lines else 1)
+        raise SchemaError("rig file declares no cameras", line=lineno)
     return cams

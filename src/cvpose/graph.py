@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MissingField, SchemaError, ShapeMismatch, UnsupportedViewCount
+from .errors import MissingField, SchemaError, ShapeMismatch
 from .geometry import Pose3D
-
-KERNEL_NAMES = ("self", "kinematic", "second_order", "symmetric", "cross_view")
+from .jsonl import read_records
 
 
 @dataclass
@@ -189,25 +188,9 @@ def build_single_view_kernels(topo: SkeletonTopology) -> AdjacencyKernelSet:
     return AdjacencyKernelSet(J, [k0, k1, k2, k3, k4])
 
 
-def build_multi_view_kernels(topo: SkeletonTopology, n_views=2) -> AdjacencyKernelSet:
+def build_multi_view_kernels(topo: SkeletonTopology) -> AdjacencyKernelSet:
     """Kernels over both views' joints stacked view-major."""
-    if n_views != 2:
-        raise UnsupportedViewCount(f"expected 2 views, got {n_views}")
-    single = build_single_view_kernels(topo)
-    J = topo.n_joints
-    n = 2 * J
-    kernels = []
-    for k in range(4):
-        A = np.zeros((n, n))
-        A[:J, :J] = single.kernels[k]
-        A[J:, J:] = single.kernels[k]
-        kernels.append(A)
-    k4 = np.zeros((n, n))
-    for j in range(J):
-        k4[j, J + j] = 1.0
-        k4[J + j, j] = 1.0
-    kernels.append(k4)
-    return AdjacencyKernelSet(n, kernels)
+    return _two_view(build_single_view_kernels(topo).kernels, topo.n_joints)
 
 
 # ---------------------------------------------------------------------------
@@ -295,25 +278,34 @@ class GraphLevels:
     pool: list
     unpool: list
     group_names: tuple
-    membership01: np.ndarray   # level-0 node -> level-1 node
-    membership12: np.ndarray   # level-1 node -> level-2 node
 
 
-def build_graph_levels(topo: SkeletonTopology, groups=None, n_views=2) -> GraphLevels:
-    if n_views != 2:
-        raise UnsupportedViewCount(f"expected 2 views, got {n_views}")
+def _mean_pool(membership, n_coarse):
+    """(coarse, fine) operator averaging each coarse node's members."""
+    P = np.zeros((n_coarse, membership.shape[0]))
+    for i, g in enumerate(membership):
+        P[g, i] = 1.0
+    return P / P.sum(axis=1, keepdims=True)
+
+
+def _unpool(membership, n_coarse):
+    """(fine, coarse) operator copying each coarse value to its members."""
+    U = np.zeros((membership.shape[0], n_coarse))
+    for i, g in enumerate(membership):
+        U[i, g] = 1.0
+    return U
+
+
+def build_graph_levels(topo: SkeletonTopology, groups=None) -> GraphLevels:
     if groups is None:
         groups = default_pool_groups(topo)
     J = topo.n_joints
     G = len(groups)
-    level0 = build_multi_view_kernels(topo, n_views)
+    level0 = build_multi_view_kernels(topo)
     group_kernels, member = _group_kernels(topo, groups)
     level1 = _two_view(group_kernels, G)
     # Level 2: one node per view, linked only through the cross-view kernel.
-    level2 = AdjacencyKernelSet(2, [
-        np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)),
-        np.array([[0.0, 1.0], [1.0, 0.0]]),
-    ])
+    level2 = _two_view([np.eye(1)] + [np.zeros((1, 1))] * 3, 1)
 
     m01 = np.zeros(2 * J, dtype=np.int64)
     for v in range(2):
@@ -322,68 +314,11 @@ def build_graph_levels(topo: SkeletonTopology, groups=None, n_views=2) -> GraphL
     m12 = np.zeros(2 * G, dtype=np.int64)
     m12[G:] = 1
 
-    def mean_pool(membership, n_coarse):
-        n_fine = membership.shape[0]
-        P = np.zeros((n_coarse, n_fine))
-        for i, g in enumerate(membership):
-            P[g, i] = 1.0
-        P /= P.sum(axis=1, keepdims=True)
-        return P
-
-    def unpool(membership, n_coarse):
-        n_fine = membership.shape[0]
-        U = np.zeros((n_fine, n_coarse))
-        for i, g in enumerate(membership):
-            U[i, g] = 1.0
-        return U
-
     return GraphLevels(
         levels=[level0, level1, level2],
-        pool=[mean_pool(m01, 2 * G), mean_pool(m12, 2)],
-        unpool=[unpool(m01, 2 * G), unpool(m12, 2)],
+        pool=[_mean_pool(m01, 2 * G), _mean_pool(m12, 2)],
+        unpool=[_unpool(m01, 2 * G), _unpool(m12, 2)],
         group_names=tuple(name for name, _ in groups),
-        membership01=m01,
-        membership12=m12,
-    )
-
-
-def build_graph_levels_single(topo: SkeletonTopology, groups=None) -> GraphLevels:
-    """Coarsening levels over one view's joints (no cross-view kernel).
-
-    Used when the views are refined independently: level sizes J, G, 1.
-    """
-    if groups is None:
-        groups = default_pool_groups(topo)
-    J = topo.n_joints
-    G = len(groups)
-    level0 = build_single_view_kernels(topo)
-    group_kernels, member = _group_kernels(topo, groups)
-    group_kernels = group_kernels + [np.zeros((G, G))]
-    level1 = AdjacencyKernelSet(G, group_kernels)
-    level2 = AdjacencyKernelSet(1, [np.eye(1)] + [np.zeros((1, 1))] * 4)
-
-    m01 = np.array([member[j] for j in range(J)], dtype=np.int64)
-    m12 = np.zeros(G, dtype=np.int64)
-
-    def mean_pool(membership, n_coarse):
-        P = np.zeros((n_coarse, membership.shape[0]))
-        for i, g in enumerate(membership):
-            P[g, i] = 1.0
-        return P / P.sum(axis=1, keepdims=True)
-
-    def unpool(membership, n_coarse):
-        U = np.zeros((membership.shape[0], n_coarse))
-        for i, g in enumerate(membership):
-            U[i, g] = 1.0
-        return U
-
-    return GraphLevels(
-        levels=[level0, level1, level2],
-        pool=[mean_pool(m01, G), mean_pool(m12, 1)],
-        unpool=[unpool(m01, G), unpool(m12, 1)],
-        group_names=tuple(name for name, _ in groups),
-        membership01=m01,
-        membership12=m12,
     )
 
 
@@ -421,24 +356,11 @@ def save_topology(path, topo: SkeletonTopology):
 
 
 def load_topology(path) -> SkeletonTopology:
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    lines = [(i + 1, s) for i, s in enumerate(raw) if s.strip()]
-    if len(lines) < 2:
+    _, _, records = read_records(path, TOPO_SCHEMA, "topology")
+    first = next(records, None)
+    if first is None:
         raise SchemaError("topology file needs a header and a body", line=1)
-    lineno, head = lines[0]
-    try:
-        header = json.loads(head)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"line {lineno}: invalid JSON ({exc.msg})", line=lineno)
-    if not isinstance(header, dict) or header.get("schema") != TOPO_SCHEMA:
-        raise SchemaError(f"line {lineno}: expected schema header {TOPO_SCHEMA!r}",
-                          line=lineno)
-    lineno, text = lines[1]
-    try:
-        body = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"line {lineno}: invalid JSON ({exc.msg})", line=lineno)
+    lineno, body = first
     for key in ("joints", "parents", "left_right_pairs"):
         if key not in body:
             raise MissingField(f"line {lineno}: topology lacks {key!r}", line=lineno)

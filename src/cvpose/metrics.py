@@ -16,7 +16,7 @@ from .errors import FrameMismatch, MissingGroundTruth, ShapeMismatch
 from .geometry import Pose3D, procrustes_align
 from .graph import default_topology
 from .network import CVUGCN
-from .training import precompute_coarse
+from .training import _pair_batches, precompute_coarse
 
 from . import autodiff as ad
 
@@ -74,23 +74,21 @@ class EvalReport:
 def _refine_batches(samples, coarse, model, batch_size):
     """Refined (X1, X2) per sample id, deterministic order, no updates."""
     J = model.topo.n_joints
-    usable = [s for s in samples if s.sample_id in coarse]
+    usable = [i for i, s in enumerate(samples) if s.sample_id in coarse]
     refined = {}
-    groups = {}
-    for s in usable:
-        groups.setdefault(s.pair, []).append(s)
-    for pair, members in groups.items():
-        for k in range(0, len(members), batch_size):
-            chunk = members[k:k + batch_size]
-            x1 = np.vstack([coarse[s.sample_id][0] for s in chunk])
-            x2 = np.vstack([coarse[s.sample_id][1] for s in chunk])
-            tape = ad.Tape()
-            X1, X2, _ = model.refine_batch(tape, x1, x2)
-            r1, r2 = X1.data, X2.data
-            for j, s in enumerate(chunk):
-                refined[s.sample_id] = (r1[j * J:(j + 1) * J].copy(),
-                                        r2[j * J:(j + 1) * J].copy())
+    for _, idxs in _pair_batches(samples, usable, batch_size):
+        ids = [samples[i].sample_id for i in idxs]
+        tape = ad.Tape()
+        try:
+            X1, X2, _ = model.refine_batch(
+                tape, np.vstack([coarse[sid][0] for sid in ids]),
+                np.vstack([coarse[sid][1] for sid in ids]))
+        finally:
             tape.release()
+        r1, r2 = X1.data, X2.data
+        for j, sid in enumerate(ids):
+            refined[sid] = (r1[j * J:(j + 1) * J].copy(),
+                            r2[j * J:(j + 1) * J].copy())
     return refined
 
 

@@ -2,9 +2,12 @@
 
 Per-view spatial layers share weights across views, the views are then
 fused into one 2J-node graph and passed through an encoder/decoder over
-three graph resolutions with additive skip connections. A zero-initialized
-output head makes the network an exact identity at initialization: the
-residual it adds to the coarse pose starts at zero.
+three graph resolutions with additive skip connections. The fused graph is
+the only network path: the cross-view kernel (class 4) is the one place
+where the views exchange information, so masking it (kernel_mask={4}) is
+the no-cross-view ablation and refines each view on its own. A
+zero-initialized output head makes the network an exact identity at
+initialization: the residual it adds to the coarse pose starts at zero.
 
 Inputs and outputs are in millimetres; each pose is centred on its joint
 centroid and scaled by coord_scale before the convolutions, and the
@@ -16,6 +19,7 @@ swamp every feature channel.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +29,6 @@ from .errors import SchemaError, ShapeMismatch
 from .geometry import Pose3D
 from .graph import (
     build_graph_levels,
-    build_graph_levels_single,
     build_single_view_kernels,
     topology_fingerprint,
 )
@@ -145,17 +148,18 @@ def _conv_entries(kernel_set, mask):
 
 
 class CVUGCN:
-    """The refiner. kernel_mask zeroes kernel classes (for ablations);
-    fuse_views=False keeps the two views in separate single-view graphs
-    through the encoder/decoder instead of joining them."""
+    """The refiner over the fused two-view 2J-node graph.
+
+    kernel_mask zeroes kernel classes for ablations; kernel_mask={4} drops
+    the cross-view kernel, which leaves each view refined independently.
+    """
 
     def __init__(self, topo, config: NetworkConfig, weights=None,
-                 kernel_mask=(), fuse_views=True):
+                 kernel_mask=()):
         self.topo = topo
         self.config = config
         self.weights = init_weights(config) if weights is None else weights
         self.kernel_mask = frozenset(int(k) for k in kernel_mask)
-        self.fuse_views = bool(fuse_views)
         mask = self.kernel_mask
         single = build_single_view_kernels(topo)
         self._sgcn_entries = _conv_entries(single, mask)
@@ -168,10 +172,9 @@ class CVUGCN:
         # channel with zero mean over the nodes of each sample.
         center = np.eye(topo.n_joints) - 1.0 / topo.n_joints
         self._center = center
-        levels = (build_graph_levels(topo) if self.fuse_views
-                  else build_graph_levels_single(topo))
-        self._levels = levels
-        self._level_entries = [_conv_entries(ks, mask) for ks in levels.levels]
+        self._levels = build_graph_levels(topo)
+        self._level_entries = [_conv_entries(ks, mask)
+                               for ks in self._levels.levels]
 
     # -- weight access -----------------------------------------------------
 
@@ -179,12 +182,6 @@ class CVUGCN:
         """One leaf per weight, in canonical order."""
         return {name: tape.leaf(arr, op=f"param:{name}")
                 for name, arr in self.weights.items()}
-
-    def apply_arrays(self, arrays):
-        for name, arr in arrays.items():
-            if self.weights[name].shape != arr.shape:
-                raise ShapeMismatch(f"weight {name}: shape {arr.shape}")
-            self.weights.arrays[name] = np.asarray(arr, dtype=np.float64)
 
     # -- forward -----------------------------------------------------------
 
@@ -249,14 +246,11 @@ class CVUGCN:
         unpool = self._levels.unpool
         ent = self._level_entries
 
-        if self.fuse_views:
-            f1 = ad.slice_rows(h, 0, BJ)
-            f2 = ad.slice_rows(h, BJ, 2 * BJ)
-            h = ad.concat_blocks(f1, f2, J, J)
-            coarse = ad.concat_blocks(ad.slice_rows(xin, 0, BJ),
-                                      ad.slice_rows(xin, BJ, 2 * BJ), J, J)
-        else:
-            coarse = xin
+        # View-major rows become per-sample 2J-node blocks of the fused graph.
+        h = ad.concat_blocks(ad.slice_rows(h, 0, BJ),
+                             ad.slice_rows(h, BJ, 2 * BJ), J, J)
+        coarse = ad.concat_blocks(ad.slice_rows(xin, 0, BJ),
+                                  ad.slice_rows(xin, BJ, 2 * BJ), J, J)
 
         e0 = self._stage(h, ent[0], stage_ws["enc0"])
         e1 = self._stage(ad.block_left_matmul(pool[0], e0), ent[1], stage_ws["enc1"])
@@ -268,14 +262,8 @@ class CVUGCN:
                          ent[0], stage_ws["dec0"])
         res = ad.matmul(d0, params["head"])
         refined = ad.add(coarse, ad.scale(res, 1.0 / cfg.coord_scale))
-
-        if self.fuse_views:
-            X1 = ad.slice_blocks(refined, 2 * J, 0, J)
-            X2 = ad.slice_blocks(refined, 2 * J, J, 2 * J)
-        else:
-            X1 = ad.slice_rows(refined, 0, BJ)
-            X2 = ad.slice_rows(refined, BJ, 2 * BJ)
-        return X1, X2
+        return (ad.slice_blocks(refined, 2 * J, 0, J),
+                ad.slice_blocks(refined, 2 * J, J, 2 * J))
 
     def refine_batch(self, tape, x1_mm, x2_mm, params=None):
         """Refine B stacked coarse poses per view, each (B*J, 3) in mm.
@@ -331,19 +319,34 @@ def _write_array(fh, tag, arr):
 
 def save_checkpoint(path, topo, config: NetworkConfig, weights: ModelWeights,
                     step: int, opt_state=None, train_state=None):
+    """Write a checkpoint atomically.
+
+    The text goes to a temporary file in the target's directory that then
+    replaces the target, so a failed or interrupted write leaves any
+    previous checkpoint at `path` intact and no partial file behind.
+    """
     opt_state = opt_state or {}
     train_state = train_state or {}
-    with open(path, "w") as fh:
-        fh.write(f"{CKPT_SCHEMA}\n")
-        fh.write(f"topology {topology_fingerprint(topo)}\n")
-        fh.write(f"config {config.to_json()}\n")
-        fh.write(f"step {int(step)}\n")
-        fh.write(f"train {json.dumps(train_state, sort_keys=True)}\n")
-        for name, arr in weights.items():
-            _write_array(fh, f"weight:{name}", arr)
-        for kind in sorted(opt_state):
-            for name, arr in opt_state[kind].items():
-                _write_array(fh, f"opt:{kind}:{name}", arr)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(f"{CKPT_SCHEMA}\n")
+            fh.write(f"topology {topology_fingerprint(topo)}\n")
+            fh.write(f"config {config.to_json()}\n")
+            fh.write(f"step {int(step)}\n")
+            fh.write(f"train {json.dumps(train_state, sort_keys=True)}\n")
+            for name, arr in weights.items():
+                _write_array(fh, f"weight:{name}", arr)
+            for kind in sorted(opt_state):
+                for name, arr in opt_state[kind].items():
+                    _write_array(fh, f"opt:{kind}:{name}", arr)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path, topo) -> Checkpoint:

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import MissingField, PoseOutOfView, SchemaError, ShapeMismatch
 from .geometry import CameraModel, Pose3D, project
 from .graph import SkeletonTopology, default_topology
+from .jsonl import read_records
 
 MIN_DEPTH_MM = 100.0
 RIG_SEED_SALT = 999983
@@ -288,19 +289,7 @@ def save_dataset(path, samples, topo=None):
 def load_dataset(path, topo=None):
     topo = topo or default_topology()
     J = topo.n_joints
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    lines = [(i + 1, s) for i, s in enumerate(raw) if s.strip()]
-    if not lines:
-        raise SchemaError("empty dataset file", line=1)
-    lineno, head = lines[0]
-    try:
-        header = json.loads(head)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"line {lineno}: invalid JSON ({exc.msg})", line=lineno)
-    if not isinstance(header, dict) or header.get("schema") != DATA_SCHEMA:
-        raise SchemaError(f"line {lineno}: expected schema header {DATA_SCHEMA!r}",
-                          line=lineno)
+    lineno, header, records = read_records(path, DATA_SCHEMA, "dataset")
     if header.get("n_joints") != J:
         raise SchemaError(
             f"line {lineno}: dataset is for {header.get('n_joints')} joints, "
@@ -322,11 +311,7 @@ def load_dataset(path, topo=None):
         return arr
 
     samples = []
-    for lineno, text in lines[1:]:
-        try:
-            rec = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"line {lineno}: invalid JSON ({exc.msg})", line=lineno)
+    for lineno, rec in records:
         for key in ("id", "views", "joints_2d", "joints_2d_clean"):
             if key not in rec:
                 raise MissingField(f"line {lineno}: sample lacks {key!r}",

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DegenerateGeometry, NonPositiveDepth, SchemaError
+from .errors import (DegenerateGeometry, NonFiniteLoss, NonPositiveDepth,
+                     SchemaError)
 from .geometry import Pose2D, relative_transform, triangulate_pose
 from .graph import default_topology
 from .losses import LossWeights, total_loss
@@ -217,6 +218,26 @@ def _batch_arrays(samples, coarse, idxs, pair):
     return x1, x2, y1, y2
 
 
+def _pair_transforms(samples, idxs, by_id):
+    """Relative transform from view 2 to view 1 for every pair in idxs."""
+    rels = {}
+    for i in idxs:
+        pair = samples[i].pair
+        if pair not in rels:
+            rels[pair] = relative_transform(by_id[pair[1]], by_id[pair[0]])
+    return rels
+
+
+def _check_finite(loss, grads, epoch, pair):
+    """Raise before an update that would write NaN or inf into the weights."""
+    bad = next((name for name, g in grads.items() if not np.isfinite(g).all()),
+               None)
+    if bad is not None or not math.isfinite(loss):
+        raise NonFiniteLoss(
+            f"epoch {epoch}, pair {pair[0]}/{pair[1]}: loss {loss!r}, "
+            f"first non-finite gradient: {bad or 'none'}")
+
+
 def _batch_loss(model, cams, rels, pair, x1, x2, y1, y2, weights_cfg,
                 double_count, with_grad):
     tape = ad.Tape()
@@ -246,11 +267,7 @@ def train_epoch(samples, coarse, cameras, model, optimizer, lr,
     usable = [i for i, s in enumerate(samples) if s.sample_id in coarse]
     rng = np.random.default_rng((config.seed, epoch))
     order = [usable[j] for j in rng.permutation(len(usable))]
-    rels = {}
-    for i in usable:
-        pair = samples[i].pair
-        if pair not in rels:
-            rels[pair] = relative_transform(by_id[pair[1]], by_id[pair[0]])
+    rels = _pair_transforms(samples, usable, by_id)
     sums = {"loss": 0.0, "reproj": 0.0, "sym": 0.0, "transform": 0.0,
             "bonedir": 0.0}
     seen = 0
@@ -267,6 +284,7 @@ def train_epoch(samples, coarse, cameras, model, optimizer, lr,
             # usable reprojection; drop the batch rather than the run.
             behind += len(idxs)
             continue
+        _check_finite(loss, grads, epoch, pair)
         optimizer.step(model.weights, grads, lr)
         sums["loss"] += loss * B
         for key in ("reproj", "sym", "transform", "bonedir"):
@@ -282,11 +300,7 @@ def eval_loss(samples, coarse, cameras, model, config: TrainConfig):
     """Per-sample mean training objective, no parameter updates."""
     by_id = {c.cam_id: c for c in cameras}
     usable = [i for i, s in enumerate(samples) if s.sample_id in coarse]
-    rels = {}
-    for i in usable:
-        pair = samples[i].pair
-        if pair not in rels:
-            rels[pair] = relative_transform(by_id[pair[1]], by_id[pair[0]])
+    rels = _pair_transforms(samples, usable, by_id)
     total = 0.0
     seen = 0
     weights_cfg = config.loss_weights()
@@ -304,6 +318,23 @@ def eval_loss(samples, coarse, cameras, model, config: TrainConfig):
 
 
 LOG_HEADER = "epoch,loss,reproj,sym,transform,bonedir,lr,skipped"
+
+
+def _open_log(path, start_epoch):
+    """Open the CSV log for the rows of epochs start_epoch onward.
+
+    A resumed run keeps the rows of earlier epochs from the existing log and
+    drops later ones, so epochs repeated after the checkpoint are not logged
+    twice.
+    """
+    rows = []
+    if start_epoch and os.path.exists(path):
+        with open(path) as fh:
+            rows = [r for r in fh.read().splitlines()[1:]
+                    if int(r.split(",", 1)[0]) < start_epoch]
+    log = open(path, "w")
+    log.write("\n".join([LOG_HEADER, *rows]) + "\n")
+    return log
 
 
 def _log_row(epoch, stats, lr, skipped):
@@ -336,25 +367,21 @@ def fit(train_samples, val_samples, cameras, config: TrainConfig,
     os.makedirs(out_dir, exist_ok=True)
     log_path = log_path or os.path.join(out_dir, "train_log.csv")
 
-    net_cfg = config.network()
-    if resume_from is not None:
-        ckpt = load_checkpoint(resume_from, topo)
-        net_cfg = ckpt.config
-        model = CVUGCN(topo, net_cfg, weights=ckpt.weights)
-        optimizer = AmsGrad({k: v.shape for k, v in model.weights.items()},
-                            config.beta1, config.beta2, config.epsilon)
+    ckpt = None if resume_from is None else load_checkpoint(resume_from, topo)
+    net_cfg = config.network() if ckpt is None else ckpt.config
+    weights = init_weights(net_cfg) if ckpt is None else ckpt.weights
+    model = CVUGCN(topo, net_cfg, weights=weights)
+    optimizer = AmsGrad({k: v.shape for k, v in model.weights.items()},
+                        config.beta1, config.beta2, config.epsilon)
+    start_epoch = 0
+    history = []
+    best_val = math.inf
+    if ckpt is not None:
         optimizer.load_state(ckpt.opt_state)
         start_epoch = int(ckpt.train_state["next_epoch"])
         history = [float(x) for x in ckpt.train_state["loss_history"]]
         best_val = ckpt.train_state.get("best_val")
         best_val = math.inf if best_val is None else float(best_val)
-    else:
-        model = CVUGCN(topo, net_cfg, weights=init_weights(net_cfg))
-        optimizer = AmsGrad({k: v.shape for k, v in model.weights.items()},
-                            config.beta1, config.beta2, config.epsilon)
-        start_epoch = 0
-        history = []
-        best_val = math.inf
 
     coarse_train, skipped_train = precompute_coarse(
         train_samples, cameras, topo, mode=config.tri_mode)
@@ -362,10 +389,7 @@ def fit(train_samples, val_samples, cameras, config: TrainConfig,
         val_samples, cameras, topo, mode=config.tri_mode) if val_samples \
         else ({}, [])
 
-    mode = "a" if (resume_from is not None and os.path.exists(log_path)) else "w"
-    log = open(log_path, mode)
-    if mode == "w":
-        log.write(LOG_HEADER + "\n")
+    log = _open_log(log_path, start_epoch)
 
     def snapshot_state(next_epoch):
         return {"next_epoch": next_epoch,

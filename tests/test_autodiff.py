@@ -257,22 +257,6 @@ def test_grad_check_reports_structure():
         assert row.analytic == pytest.approx(2.0 * a[row.index], rel=1e-9)
 
 
-def test_value_operator_sugar():
-    tape = ad.Tape()
-    a = tape.leaf([[1.0, 2.0]])
-    b = tape.leaf([[3.0, 4.0]])
-    c = (a + b) * 2.0 - b
-    assert np.allclose(c.data, [[5.0, 8.0]])
-    d = 0.5 * a
-    assert np.allclose(d.data, [[0.5, 1.0]])
-    w = tape.leaf([[1.0], [1.0]])
-    e = a @ w
-    assert np.allclose(e.data, [[3.0]])
-    assert np.allclose((a * b).data, [[3.0, 8.0]])
-    assert a.sum().data[0, 0] == 3.0
-    assert a.mean().data[0, 0] == 1.5
-
-
 def test_release_frees_graph_but_keeps_held_values():
     tape = ad.Tape()
     a = tape.leaf(np.ones((2, 2)))

@@ -75,14 +75,14 @@ def test_build_variant_kernel_masks_and_fusion():
     full = build_variant("full", topo, cfg)
     assert isinstance(full, CVUGCN)
     assert full.kernel_mask == frozenset()
-    assert full.fuse_views
 
     no_spatial = build_variant("no_spatial", topo, cfg)
     assert no_spatial.kernel_mask == frozenset({1, 2, 3})
     no_crossview = build_variant("no_crossview", topo, cfg)
     assert no_crossview.kernel_mask == frozenset({4})
-    no_fusion = build_variant("no_fusion", topo, cfg)
-    assert not no_fusion.fuse_views
+    # no_crossview is the unfused model; no second name for it
+    with pytest.raises(ValueError, match="unknown"):
+        build_variant("no_fusion", topo, cfg)
     assert isinstance(build_variant("fc", topo, cfg), FCBaseline)
     with pytest.raises(ValueError):
         build_variant("kitchen_sink", topo, cfg)
@@ -133,7 +133,7 @@ def test_ablation_study_rows_and_no_refine_baseline():
 def test_ablation_variant_list_is_exposed():
     assert "full" in ABLATION_VARIANTS
     assert "no_refine" in ABLATION_VARIANTS
-    assert len(ABLATION_VARIANTS) == 6
+    assert len(ABLATION_VARIANTS) == 5
 
 
 # -- table formatting -------------------------------------------------------------

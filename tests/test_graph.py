@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cvpose.errors import SchemaError, ShapeMismatch, UnsupportedViewCount
+from cvpose.errors import SchemaError, ShapeMismatch
 from cvpose.geometry import Pose3D
 from cvpose.graph import (
     AdjacencyKernelSet,
@@ -148,8 +148,6 @@ def test_multi_view_kernels():
     assert not k4[:J, :J].any()
     # Cross-view rows have degree 1: normalization keeps the unit weight.
     assert np.array_equal(multi.normalized[4], k4)
-    with pytest.raises(UnsupportedViewCount):
-        build_multi_view_kernels(topo, n_views=3)
 
 
 def test_graph_levels_structure():

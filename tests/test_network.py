@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cvpose import autodiff as ad
+from cvpose import network
 from cvpose.errors import SchemaError, ShapeMismatch
 from cvpose.geometry import Pose3D
 from cvpose.graph import default_topology
@@ -152,20 +153,16 @@ def test_cross_view_mask_decouples_views():
     assert not np.array_equal(C1.data, D1.data)
 
 
-def test_unfused_variant_runs_and_decouples():
-    topo = default_topology()
-    model = CVUGCN(topo, small_config(), fuse_views=False)
-    rng = np.random.default_rng(5)
-    model.weights.arrays["head"] = rng.normal(0, 0.05, size=(8, 3))
-    x1 = rand_coarse(rng, 2)
-    x2 = rand_coarse(rng, 2)
+def test_param_leaves_carry_weight_names():
+    cfg = small_config()
+    model = CVUGCN(default_topology(), cfg)
     tape = ad.Tape()
-    X1, X2, _ = model.refine_batch(tape, x1, x2)
-    assert X1.shape == x1.shape
-    # Without fusion or cross-view kernels view 1 ignores view 2.
-    t2 = ad.Tape()
-    Y1, _, _ = model.refine_batch(t2, x1, rand_coarse(rng, 2))
-    assert np.array_equal(X1.data, Y1.data)
+    params = model.param_leaves(tape)
+    assert [v.op for v in params.values()] == [
+        f"param:{name}" for name, _ in weight_shapes(cfg)]
+    rng = np.random.default_rng(6)
+    model.refine_batch(tape, rand_coarse(rng, 1), rand_coarse(rng, 1), params)
+    assert tape.nodes[len(params)].op == "coarse"
 
 
 def test_refine_batch_validates_shapes():
@@ -241,6 +238,30 @@ def test_checkpoint_corruption(tmp_path):
     (tmp_path / "miss.ckpt").write_text("\n".join(kept) + "\n")
     with pytest.raises(SchemaError):
         load_checkpoint(tmp_path / "miss.ckpt", topo)
+
+
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    topo = default_topology()
+    cfg = small_config()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, topo, cfg, init_weights(cfg), step=1)
+    original = path.read_bytes()
+    real_write = network._write_array
+    written = []
+
+    def failing_write(fh, tag, arr):
+        written.append(tag)
+        if len(written) == 3:
+            raise OSError("disk full")
+        real_write(fh, tag, arr)
+
+    monkeypatch.setattr(network, "_write_array", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, topo, cfg, init_weights(small_config(init_seed=1)),
+                        step=2)
+    assert path.read_bytes() == original
+    assert load_checkpoint(path, topo).step == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_model_weights_copy_independent():

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from cvpose.errors import SchemaError
+from cvpose import autodiff as ad
+from cvpose import training
+from cvpose.errors import CvposeError, SchemaError
 from cvpose.geometry import CameraModel
-from cvpose.network import load_checkpoint
+from cvpose.graph import default_topology
+from cvpose.network import CVUGCN, load_checkpoint
 from cvpose.syndata import SyntheticConfig, default_rig, generate_dataset
 from cvpose.training import (LOG_HEADER, AmsGrad, TrainConfig, eval_loss,
                              fit, load_train_config, precompute_coarse,
-                             save_train_config, schedule_lr)
+                             save_train_config, schedule_lr, train_epoch)
 
 
 def small_config(**kw):
@@ -231,6 +234,42 @@ def test_resume_matches_uninterrupted(tmp_path):
         assert np.array_equal(arr, again.weights[name])
     assert full.train_state["loss_history"] == again.train_state["loss_history"]
     assert resumed.history == full.train_state["loss_history"]
+
+
+def test_resume_keeps_one_log_row_per_epoch(tmp_path):
+    samples, rig, assumed = small_dataset(n=16)
+    cfg = small_config(epochs=4, batch_size=8, checkpoint_every=1)
+    fit(samples, [], assumed, cfg, out_dir=tmp_path)
+    log_path = tmp_path / "train_log.csv"
+    uninterrupted = log_path.read_text()
+    fit(samples, [], assumed, cfg, out_dir=tmp_path,
+        resume_from=tmp_path / "epoch_0002.ckpt")
+    resumed = log_path.read_text()
+    assert [row.split(",")[0] for row in resumed.splitlines()[1:]] == [
+        "0", "1", "2", "3"]
+    assert resumed == uninterrupted
+
+
+def test_nonfinite_loss_stops_before_weight_update(monkeypatch):
+    samples, rig, assumed = small_dataset(n=8)
+    cfg = small_config()
+    topo = default_topology()
+    model = CVUGCN(topo, cfg.network())
+    coarse, _ = precompute_coarse(samples, assumed, topo)
+    optimizer = AmsGrad({k: v.shape for k, v in model.weights.items()})
+    before = model.weights.copy()
+    real_loss = training.total_loss
+
+    def poisoned_loss(*args, **kwargs):
+        total, parts = real_loss(*args, **kwargs)
+        return ad.scale(total, float("nan")), parts
+
+    monkeypatch.setattr(training, "total_loss", poisoned_loss)
+    with pytest.raises(CvposeError,
+                       match=r"epoch 3, pair cam1/cam2: .*sgcn\.0\.k0"):
+        train_epoch(samples, coarse, assumed, model, optimizer, 1e-3, cfg, 3)
+    for name, arr in model.weights.items():
+        assert np.array_equal(arr, before[name]), name
 
 
 def test_eval_loss_is_side_effect_free(tmp_path):
