@@ -163,18 +163,6 @@ def sub(a: Value, b: Value) -> Value:
     return tape._record(a.data - b.data, "sub", backward)
 
 
-def mul(a: Value, b: Value) -> Value:
-    """Elementwise product."""
-    tape = _same_tape(a, b)
-    _same_shape(a, b, "mul")
-
-    def backward(g):
-        a.grad += g * b.data
-        b.grad += g * a.data
-
-    return tape._record(a.data * b.data, "mul", backward)
-
-
 def scale(a: Value, c: float) -> Value:
     c = float(c)
 
@@ -257,26 +245,6 @@ def reduce_sum(a: Value) -> Value:
     return a.tape._record(np.array([[a.data.sum()]]), "sum", backward)
 
 
-def reduce_mean(a: Value) -> Value:
-    inv = 1.0 / a.data.size
-
-    def backward(g):
-        a.grad += g[0, 0] * inv
-
-    return a.tape._record(np.array([[a.data.mean()]]), "mean", backward)
-
-
-def l2norm(a: Value) -> Value:
-    """Frobenius norm as a 1x1 value; subgradient 0 at the origin."""
-    n = float(np.sqrt(np.sum(a.data * a.data)))
-
-    def backward(g):
-        if n > 0.0:
-            a.grad += (g[0, 0] / n) * a.data
-
-    return a.tape._record(np.array([[n]]), "l2norm", backward)
-
-
 def norm_rows(a: Value) -> Value:
     """Euclidean norm of each row, (m, n) -> (m, 1); zero rows get grad 0."""
     n = np.sqrt(np.sum(a.data * a.data, axis=1, keepdims=True))
@@ -302,20 +270,6 @@ def reshape(a: Value, rows, cols) -> Value:
         a.grad += g.reshape(shape)
 
     return a.tape._record(a.data.reshape(rows, cols), "reshape", backward)
-
-
-def concat_rows(a: Value, b: Value) -> Value:
-    tape = _same_tape(a, b)
-    if a.data.shape[1] != b.data.shape[1]:
-        raise ShapeMismatch(
-            f"concat_rows: widths {a.data.shape} vs {b.data.shape}")
-    na = a.data.shape[0]
-
-    def backward(g):
-        a.grad += g[:na]
-        b.grad += g[na:]
-
-    return tape._record(np.vstack([a.data, b.data]), "concat_rows", backward)
 
 
 def concat_blocks(a: Value, b: Value, rows_a: int, rows_b: int) -> Value:

@@ -32,10 +32,6 @@ class DegenerateGeometry(CvposeError):
         self.joint = joint
 
 
-class NoConvergence(CvposeError):
-    """An iterative solver hit its sweep cap before converging."""
-
-
 class DegenerateCloud(CvposeError):
     """A point cloud collapses to a single point, alignment is undefined."""
 

@@ -2,13 +2,14 @@
 
 Conventions: millimetres for 3D coordinates and translations, pixels for 2D.
 A camera maps a world point X through x = K (R X + t); the first camera of a
-pair acts as the world frame for triangulated points.
+pair acts as the world frame for triangulated points. The DLT null vectors
+and the Procrustes rotation both come from numpy's LAPACK SVD
+(`np.linalg.svd`), which takes stacks of small matrices.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,6 @@ from .errors import (
     DegenerateCloud,
     DegenerateGeometry,
     MissingField,
-    NoConvergence,
     NonPositiveDepth,
     SchemaError,
     ShapeMismatch,
@@ -29,7 +29,6 @@ DEPTH_EPS = 1e-6          # mm, minimum positive depth for projection
 BASELINE_EPS = 1e-6       # mm, minimum camera separation for triangulation
 SIGMA_GAP_EPS = 1e-12     # relative gap between the two smallest singular values
 ORTHO_TOL = 1e-9          # max deviation of R^T R from identity
-JACOBI_TOL = 1e-15        # off-diagonal convergence threshold, relative
 
 
 def _as_matrix(a, shape, name):
@@ -161,14 +160,20 @@ def project(cam: CameraModel, pose: Pose3D) -> Pose2D:
     the depth guard.
     """
     X = pose.joints
+    _require_depth(X, cam.cam_id)
+    h = X @ cam.K.T
+    return Pose2D(h[:, :2] / h[:, 2:3], view_id=cam.cam_id)
+
+
+def _require_depth(X, view_id):
+    """Raise NonPositiveDepth naming the first joint of the (J, 3) camera-frame
+    array X whose depth is at or below the guard."""
     bad = np.nonzero(X[:, 2] <= DEPTH_EPS)[0]
     if bad.size:
         j = int(bad[0])
         raise NonPositiveDepth(
-            f"joint {j} has depth {X[j, 2]:.6g} mm in view {cam.cam_id!r}", joint=j
+            f"joint {j} has depth {X[j, 2]:.6g} mm in view {view_id!r}", joint=j
         )
-    h = X @ cam.K.T
-    return Pose2D(h[:, :2] / h[:, 2:3], view_id=cam.cam_id)
 
 
 def _normalized_coords(K, uv):
@@ -181,154 +186,6 @@ def _normalized_coords(K, uv):
     y = (uv[:, 1] - cy) / fy
     x = (uv[:, 0] - cx - s * y) / fx
     return np.stack([x, y], axis=1)
-
-
-# ---------------------------------------------------------------------------
-# Small-matrix SVD (one-sided Jacobi).
-
-
-def svd_small(m, max_sweeps=60):
-    """SVD of a dense matrix with both sides at most 8.
-
-    Returns (U, s, Vt) with M = U @ diag(s) @ Vt, singular values sorted in
-    descending order, thin U. Deterministic sign: the largest-magnitude entry
-    of each right singular vector (row of Vt) is non-negative, ties resolved
-    by the lowest index. Raises NoConvergence if the off-diagonal mass does
-    not drop below tolerance within max_sweeps sweeps.
-    """
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeMismatch(f"expected a matrix, got shape {a.shape}")
-    if a.shape[0] > 8 or a.shape[1] > 8 or a.shape[0] == 0 or a.shape[1] == 0:
-        raise ShapeMismatch(f"sides must be in 1..8, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite entries")
-
-    transposed = a.shape[0] < a.shape[1]
-    w = np.array(a.T if transposed else a, dtype=np.float64)
-    nrow, ncol = w.shape
-    v = np.eye(ncol)
-
-    # Rotations preserve the Frobenius norm; columns below this threshold
-    # carry only rounding noise and are treated as zero.
-    zero2 = float(np.sum(w * w)) * JACOBI_TOL**2
-    done = False
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(ncol - 1):
-            for q in range(p + 1, ncol):
-                up, uq = w[:, p], w[:, q]
-                app = float(up @ up)
-                aqq = float(uq @ uq)
-                apq = float(up @ uq)
-                if app <= zero2 or aqq <= zero2:
-                    continue
-                if abs(apq) <= JACOBI_TOL * math.sqrt(app * aqq):
-                    continue
-                rotated = True
-                zeta = (aqq - app) / (2.0 * apq)
-                sgn = 1.0 if zeta >= 0.0 else -1.0
-                tan = sgn / (abs(zeta) + math.hypot(1.0, zeta))
-                cos = 1.0 / math.hypot(1.0, tan)
-                sin = cos * tan
-                wp = cos * up - sin * uq
-                wq = sin * up + cos * uq
-                w[:, p], w[:, q] = wp, wq
-                vp = cos * v[:, p] - sin * v[:, q]
-                vq = sin * v[:, p] + cos * v[:, q]
-                v[:, p], v[:, q] = vp, vq
-        if not rotated:
-            done = True
-            break
-    if not done:
-        raise NoConvergence(f"Jacobi SVD did not converge in {max_sweeps} sweeps")
-
-    sig = np.sqrt(np.sum(w * w, axis=0))
-    order = np.argsort(-sig, kind="stable")
-    sig = sig[order]
-    w = w[:, order]
-    v = v[:, order]
-
-    # Normalize left vectors; complete zero-sigma columns to an orthonormal
-    # basis deterministically (first canonical axis with a large residual).
-    # Sigmas below the rounding-noise floor count as zero.
-    u = np.zeros_like(w)
-    tiny = math.sqrt(zero2)
-    for k in range(ncol):
-        if sig[k] > tiny:
-            u[:, k] = w[:, k] / sig[k]
-        else:
-            sig[k] = 0.0
-            for i in range(nrow):
-                cand = np.zeros(nrow)
-                cand[i] = 1.0
-                cand -= u @ (u.T @ cand)
-                nrm = np.linalg.norm(cand)
-                if nrm > 0.5:
-                    u[:, k] = cand / nrm
-                    break
-
-    if transposed:
-        u_final, vt_final = v, u.T
-    else:
-        u_final, vt_final = u, v.T
-
-    for k in range(vt_final.shape[0]):
-        row = vt_final[k]
-        if row[np.argmax(np.abs(row))] < 0.0:
-            vt_final[k] = -row
-            u_final[:, k] = -u_final[:, k]
-    return u_final, sig, vt_final
-
-
-def _jacobi_right_batch(mats, max_sweeps=30):
-    """Right singular vectors and singular values for a stack of matrices.
-
-    mats is (n, r, c) with c <= r <= 8. Same one-sided Jacobi rotations as
-    svd_small applied to all matrices in lockstep. Returns (sig (n, c)
-    descending, V (n, c, c) with matching column order).
-    """
-    w = np.array(mats, dtype=np.float64)
-    n, _, ncol = w.shape
-    v = np.broadcast_to(np.eye(ncol), (n, ncol, ncol)).copy()
-    zero2 = np.einsum("ijk,ijk->i", w, w) * JACOBI_TOL**2
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(ncol - 1):
-            for q in range(p + 1, ncol):
-                up, uq = w[:, :, p], w[:, :, q]
-                app = np.einsum("ij,ij->i", up, up)
-                aqq = np.einsum("ij,ij->i", uq, uq)
-                apq = np.einsum("ij,ij->i", up, uq)
-                need = ((np.abs(apq) > JACOBI_TOL * np.sqrt(app * aqq))
-                        & (app > zero2) & (aqq > zero2))
-                if not need.any():
-                    continue
-                rotated = True
-                denom = np.where(need, 2.0 * apq, 1.0)
-                zeta = np.where(need, (aqq - app) / denom, 0.0)
-                sgn = np.where(zeta >= 0.0, 1.0, -1.0)
-                tan = np.where(need, sgn / (np.abs(zeta) + np.hypot(1.0, zeta)), 0.0)
-                cos = 1.0 / np.hypot(1.0, tan)
-                sin = cos * tan
-                cos = cos[:, None]
-                sin = sin[:, None]
-                wp = cos * up - sin * uq
-                wq = sin * up + cos * uq
-                w[:, :, p], w[:, :, q] = wp, wq
-                vp_, vq_ = v[:, :, p], v[:, :, q]
-                vp = cos * vp_ - sin * vq_
-                vq = sin * vp_ + cos * vq_
-                v[:, :, p], v[:, :, q] = vp, vq
-        if not rotated:
-            break
-    else:
-        raise NoConvergence(f"batched Jacobi SVD did not converge in {max_sweeps} sweeps")
-    sig = np.sqrt(np.einsum("ijk,ijk->ik", w, w))
-    order = np.argsort(-sig, axis=1, kind="stable")
-    sig = np.take_along_axis(sig, order, axis=1)
-    v = np.take_along_axis(v, order[:, None, :], axis=2)
-    return sig, v
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +218,13 @@ def _dlt_systems(u1, u2, cam1, cam2):
 def _solve_dlt(A):
     """Least singular vectors of a stack of 4x4 systems, dehomogenized.
 
-    Returns (points (J, 3), gap (J,)) where gap is the relative separation
-    of the two smallest singular values, used for degeneracy detection.
+    Returns (points (J, 3), gap (J,), bad_w (J,)): gap is the relative
+    separation of the two smallest singular values and bad_w flags points at
+    infinity, both used for degeneracy detection. The sign of a singular
+    vector is arbitrary and cancels in the division by w.
     """
-    sig, v = _jacobi_right_batch(A)
-    x = v[:, :, 3]
+    _, sig, vt = np.linalg.svd(A)
+    x = vt[:, 3, :]
     scale = np.maximum(sig[:, 0], 1.0)
     gap = (sig[:, 2] - sig[:, 3]) / scale
     w = x[:, 3]
@@ -382,7 +241,8 @@ def triangulate_joint(u1, u2, cam1: CameraModel, cam2: CameraModel):
 
     Returns the 3D point (mm) in the first camera's frame. Raises
     DegenerateGeometry when the baseline vanishes or the linear system
-    does not isolate a unique direction.
+    does not isolate a unique direction, and NonPositiveDepth when the
+    point lies at or behind the first camera.
     """
     return _triangulate_arrays(np.reshape(u1, (1, 2)), np.reshape(u2, (1, 2)),
                                cam1, cam2)[0]
@@ -398,6 +258,7 @@ def _triangulate_arrays(u1, u2, cam1, cam2):
     if bad.size:
         j = int(bad[0])
         raise DegenerateGeometry(f"joint {j}: DLT system has no unique solution", joint=j)
+    _require_depth(pts, cam1.cam_id)
     return pts
 
 
@@ -408,7 +269,8 @@ def triangulate_pose(x1: Pose2D, x2: Pose2D, cam1: CameraModel, cam2: CameraMode
     mode "dual" solves the DLT once per ordering (each camera in turn as the
     frame origin) and returns (pose_in_cam1, pose_in_cam2). mode "single"
     solves only with cam1 as origin and maps the result into cam2's frame
-    with the relative transform.
+    with the relative transform. Either pose having a joint at or behind
+    its camera raises NonPositiveDepth.
     """
     if x1.joints.shape != x2.joints.shape:
         raise ShapeMismatch(
@@ -421,6 +283,7 @@ def triangulate_pose(x1: Pose2D, x2: Pose2D, cam1: CameraModel, cam2: CameraMode
         X2 = _triangulate_arrays(x2.joints, x1.joints, cam2, cam1)
     else:
         X2 = relative_transform(cam1, cam2).apply(X1)
+        _require_depth(X2, cam2.cam_id)
     return (Pose3D(X1, frame_id=cam1.cam_id), Pose3D(X2, frame_id=cam2.cam_id))
 
 
@@ -457,7 +320,7 @@ def procrustes_align(pred: Pose3D, gt: Pose3D) -> Pose3D:
     if norm_p <= 1e-12 * max(np.linalg.norm(P), 1.0):
         return Pose3D(np.tile(mu_g, (P.shape[0], 1)), frame_id=gt.frame_id)
     H = P0.T @ G0
-    U, sig, Vt = svd_small(H)
+    U, sig, Vt = np.linalg.svd(H)
     d = np.sign(np.linalg.det(U @ Vt))
     if d == 0.0:
         d = 1.0

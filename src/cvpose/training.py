@@ -262,7 +262,8 @@ def _batch_loss(model, cams, rels, pair, x1, x2, y1, y2, weights_cfg,
 
 def train_epoch(samples, coarse, cameras, model, optimizer, lr,
                 config: TrainConfig, epoch):
-    """One pass over the usable samples. Returns per-sample mean losses."""
+    """One pass over the usable samples. Returns per-sample mean losses,
+    NaN when no batch could be scored."""
     by_id = {c.cam_id: c for c in cameras}
     usable = [i for i, s in enumerate(samples) if s.sample_id in coarse]
     rng = np.random.default_rng((config.seed, epoch))
@@ -290,14 +291,16 @@ def train_epoch(samples, coarse, cameras, model, optimizer, lr,
         for key in ("reproj", "sym", "transform", "bonedir"):
             sums[key] += parts[key]
         seen += B
-    n = max(seen, 1)
-    stats = {k: v / n for k, v in sums.items()}
+    # An epoch that scored no batch has no loss; NaN compares false, so it
+    # never counts as an improvement.
+    stats = {k: v / seen if seen else math.nan for k, v in sums.items()}
     stats["depth_skipped"] = behind
     return stats
 
 
 def eval_loss(samples, coarse, cameras, model, config: TrainConfig):
-    """Per-sample mean training objective, no parameter updates."""
+    """Per-sample mean training objective, no parameter updates; NaN when
+    no batch could be scored."""
     by_id = {c.cam_id: c for c in cameras}
     usable = [i for i, s in enumerate(samples) if s.sample_id in coarse]
     rels = _pair_transforms(samples, usable, by_id)
@@ -314,7 +317,7 @@ def eval_loss(samples, coarse, cameras, model, config: TrainConfig):
             continue
         total += loss * B
         seen += B
-    return total / max(seen, 1)
+    return total / seen if seen else math.nan
 
 
 LOG_HEADER = "epoch,loss,reproj,sym,transform,bonedir,lr,skipped"

@@ -1,4 +1,4 @@
-"""Cameras, SVD, triangulation, Procrustes."""
+"""Cameras, triangulation, Procrustes, rig files."""
 
 import json
 import math
@@ -10,7 +10,6 @@ from cvpose.errors import (
     DegenerateCloud,
     DegenerateGeometry,
     MissingField,
-    NoConvergence,
     NonPositiveDepth,
     SchemaError,
     ShapeMismatch,
@@ -20,13 +19,11 @@ from cvpose.geometry import (
     Pose2D,
     Pose3D,
     RigidTransform,
-    _jacobi_right_batch,
     load_rig,
     procrustes_align,
     project,
     relative_transform,
     save_rig,
-    svd_small,
     transform_pose,
     triangulate_joint,
     triangulate_pose,
@@ -131,88 +128,6 @@ def test_project_rejects_nonpositive_depth():
 
 
 # ---------------------------------------------------------------------------
-# svd_small
-
-
-def test_svd_small_reconstructs():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        r = rng.integers(1, 9)
-        c = rng.integers(1, 9)
-        m = rng.standard_normal((r, c)) * 10.0 ** rng.integers(-3, 4)
-        U, s, Vt = svd_small(m)
-        k = min(r, c)
-        assert U.shape == (r, k) and s.shape == (k,) and Vt.shape == (k, c)
-        scale = max(1.0, np.abs(m).max())
-        assert np.abs(U @ np.diag(s) @ Vt - m).max() < 1e-10 * scale
-        assert np.abs(U.T @ U - np.eye(k)).max() < 1e-10
-        assert np.abs(Vt @ Vt.T - np.eye(k)).max() < 1e-10
-        assert np.all(np.diff(s) <= 1e-12 * max(1.0, s[0]))
-        assert np.all(s >= 0.0)
-
-
-def test_svd_small_matches_lapack_values():
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        m = rng.standard_normal((rng.integers(1, 9), rng.integers(1, 9)))
-        _, s, _ = svd_small(m)
-        ref = np.linalg.svd(m, compute_uv=False)
-        assert np.allclose(s, ref, atol=1e-10 * max(1.0, ref[0]))
-
-
-def test_svd_small_sign_convention():
-    rng = np.random.default_rng(13)
-    for _ in range(100):
-        m = rng.standard_normal((rng.integers(2, 9), rng.integers(2, 9)))
-        _, _, Vt = svd_small(m)
-        for row in Vt:
-            assert row[np.argmax(np.abs(row))] >= 0.0
-
-
-def test_svd_small_rank_deficient():
-    # Rank-1 3x3: two zero singular values, U still orthonormal.
-    m = np.outer([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
-    U, s, Vt = svd_small(m)
-    assert s[1] < 1e-12 * s[0] and s[2] < 1e-12 * s[0]
-    assert np.abs(U.T @ U - np.eye(3)).max() < 1e-10
-    assert np.abs(U @ np.diag(s) @ Vt - m).max() < 1e-10 * s[0]
-    z = np.zeros((4, 3))
-    U, s, Vt = svd_small(z)
-    assert np.all(s == 0.0)
-    assert np.abs(U.T @ U - np.eye(3)).max() < 1e-12
-
-
-def test_svd_small_input_validation():
-    with pytest.raises(ShapeMismatch):
-        svd_small(np.zeros((9, 3)))
-    with pytest.raises(ShapeMismatch):
-        svd_small(np.zeros(4))
-    with pytest.raises(NoConvergence):
-        svd_small(np.array([[1.0, 2.0], [3.0, 4.0]]), max_sweeps=0)
-
-
-def test_svd_small_deterministic():
-    rng = np.random.default_rng(14)
-    m = rng.standard_normal((5, 4))
-    a = svd_small(m)
-    b = svd_small(m.copy())
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
-
-
-def test_jacobi_batch_matches_scalar():
-    rng = np.random.default_rng(15)
-    mats = rng.standard_normal((64, 4, 4))
-    sig, v = _jacobi_right_batch(mats)
-    for i in range(64):
-        _, s_ref, Vt_ref = svd_small(mats[i])
-        assert np.allclose(sig[i], s_ref, atol=1e-10 * max(1.0, s_ref[0]))
-        # Same subspaces: columns agree up to sign.
-        dots = np.abs(np.sum(v[i] * Vt_ref.T, axis=0))
-        assert np.allclose(dots, 1.0, atol=1e-9)
-
-
-# ---------------------------------------------------------------------------
 # Triangulation
 
 
@@ -223,6 +138,46 @@ def test_triangulate_joint_worked_example():
     cam2 = make_cam("cam2", t=np.array([-1.0, 0.0, 0.0]))
     X = triangulate_joint([0.1, 0.05], [-0.4, 0.05], cam1, cam2)
     assert np.allclose(X, [0.2, 0.1, 2.0], atol=1e-9)
+
+
+def test_triangulate_rejects_point_behind_cameras():
+    # The rays through (0.1, 0.05) and (0.6, 0.05) meet at z = -2, behind
+    # both cameras.
+    cam1 = make_cam("cam1")
+    cam2 = make_cam("cam2", t=np.array([-1.0, 0.0, 0.0]))
+    with pytest.raises(NonPositiveDepth) as exc:
+        triangulate_joint([0.1, 0.05], [0.6, 0.05], cam1, cam2)
+    assert exc.value.joint == 0
+    # Joint 0 lies in front of both cameras, joint 1 in front of cam1 but
+    # behind cam3: the single-mode pose mapped into cam3 must be rejected too.
+    t3 = np.array([-1.0, 0.0, -3.0])
+    cam3 = make_cam("cam3", t=t3)
+    X = np.array([[0.2, 0.1, 6.0], [0.2, 0.1, 2.0]])
+    X3 = X + t3
+    assert X3[0, 2] > 0 > X3[1, 2]
+    u1 = Pose2D(X[:, :2] / X[:, 2:], "cam1")
+    u3 = Pose2D(X3[:, :2] / X3[:, 2:], "cam3")
+    for mode in ("dual", "single"):
+        with pytest.raises(NonPositiveDepth) as exc:
+            triangulate_pose(u1, u3, cam1, cam3, mode=mode)
+        assert exc.value.joint == 1
+
+
+def test_triangulate_pose_is_deterministic():
+    rng = np.random.default_rng(24)
+    c1 = random_cam(rng, "cam1")
+    c2 = random_cam(rng, "cam2")
+    X_world = rng.uniform(-300, 300, size=(17, 3)) + np.array([0, 0, 4000.0])
+    u1 = project(c1, Pose3D(X_world @ c1.R.T + c1.t, "cam1"))
+    u2 = project(c2, Pose3D(X_world @ c2.R.T + c2.t, "cam2"))
+    u1.joints += rng.normal(0, 5.0, u1.joints.shape)
+    u2.joints += rng.normal(0, 5.0, u2.joints.shape)
+    for mode in ("dual", "single"):
+        a = triangulate_pose(u1, u2, c1, c2, mode=mode)
+        b = triangulate_pose(Pose2D(u1.joints.copy(), "cam1"),
+                             Pose2D(u2.joints.copy(), "cam2"), c1, c2, mode=mode)
+        for x, y in zip(a, b):
+            assert np.array_equal(x.joints, y.joints)
 
 
 def test_triangulate_exact_roundtrip():
@@ -356,6 +311,22 @@ def test_procrustes_beats_random_transforms():
             s, R, t = rand_similarity(rng)
             cand = s * (P0 @ R.T) + G.mean(0) + t * 0.01
             assert np.linalg.norm(cand - G) >= best_err - 1e-9
+
+
+def test_procrustes_recovers_similarity_on_flat_clouds():
+    # Rank-deficient cross-covariance: a planar cloud leaves one singular
+    # value at zero, a collinear cloud two.
+    rng = np.random.default_rng(34)
+    for rank in (2, 1):
+        for _ in range(20):
+            G = rng.uniform(-100, 100, size=(17, 3))
+            G[:, rank:] = 0.0
+            R0 = rot_y(rng.uniform(-180, 180)) @ rot_x(rng.uniform(-90, 90))
+            G = G @ R0.T + rng.uniform(-100, 100, 3)
+            s, R, t = rand_similarity(rng)
+            P = (G @ R.T) / s - t
+            aligned = procrustes_align(Pose3D(P, "a"), Pose3D(G, "b"))
+            assert np.abs(aligned.joints - G).max() < 1e-8 * max(1.0, np.abs(G).max())
 
 
 def test_procrustes_no_reflection():

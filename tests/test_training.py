@@ -3,11 +3,12 @@ import pytest
 
 from cvpose import autodiff as ad
 from cvpose import training
-from cvpose.errors import CvposeError, SchemaError
+from cvpose.errors import CvposeError, NonPositiveDepth, SchemaError
 from cvpose.geometry import CameraModel
 from cvpose.graph import default_topology
 from cvpose.network import CVUGCN, load_checkpoint
-from cvpose.syndata import SyntheticConfig, default_rig, generate_dataset
+from cvpose.syndata import (Sample, SyntheticConfig, default_rig,
+                            generate_dataset)
 from cvpose.training import (LOG_HEADER, AmsGrad, TrainConfig, eval_loss,
                              fit, load_train_config, precompute_coarse,
                              save_train_config, schedule_lr, train_epoch)
@@ -136,6 +137,22 @@ def test_precompute_coarse_skips_degenerate():
     coarse, skipped = precompute_coarse(samples, [cam1, twin])
     assert coarse == {}
     assert skipped == [s.sample_id for s in samples]
+
+
+def test_precompute_coarse_skips_sample_behind_cameras():
+    cam1 = CameraModel("cam1", np.eye(3), np.eye(3), np.zeros(3), 10, 10)
+    cam2 = CameraModel("cam2", np.eye(3), np.eye(3), [-1.0, 0.0, 0.0], 10, 10)
+    # The second view's pixel makes the rays meet at z = 2 (in front) or
+    # z = -2 (behind both cameras).
+    samples = [Sample(sid, ("cam1", "cam2"),
+                      {"cam1": np.array([[0.1, 0.05]]),
+                       "cam2": np.array([[u, 0.05]])}, {})
+               for sid, u in (("front", -0.4), ("behind", 0.6))]
+    for mode in ("dual", "single"):
+        coarse, skipped = precompute_coarse(samples, [cam1, cam2], mode=mode)
+        assert list(coarse) == ["front"]
+        assert np.allclose(coarse["front"][0], [[0.2, 0.1, 2.0]])
+        assert skipped == ["behind"]
 
 
 # -- config files --------------------------------------------------------------
@@ -300,3 +317,26 @@ def test_monitor_uses_validation_set(tmp_path):
     train_losses = [float(r.split(",")[1]) for r in log[1:]]
     assert result.history != train_losses
     assert result.best_val == min(result.history)
+
+
+def test_epoch_without_scored_batch_has_no_loss(tmp_path, monkeypatch):
+    samples, rig, assumed = small_dataset(n=12)
+    cfg = small_config(epochs=2, batch_size=4)
+    topo = default_topology()
+    model = CVUGCN(topo, cfg.network())
+    coarse, _ = precompute_coarse(samples, assumed, topo)
+
+    def behind(*args, **kwargs):
+        raise NonPositiveDepth("joint 0 behind the camera", joint=0)
+
+    monkeypatch.setattr(training, "_batch_loss", behind)
+    assert np.isnan(eval_loss(samples, coarse, assumed, model, cfg))
+    optimizer = AmsGrad({k: v.shape for k, v in model.weights.items()})
+    stats = train_epoch(samples, coarse, assumed, model, optimizer, 1e-3, cfg, 0)
+    assert np.isnan(stats["loss"])
+    assert stats["depth_skipped"] == len(samples)
+    # a diverged epoch is never the best one
+    result = fit(samples[:8], samples[8:], assumed, cfg, out_dir=tmp_path)
+    assert "best" not in result.checkpoints
+    assert not (tmp_path / "best.ckpt").exists()
+    assert all(np.isnan(result.history))
