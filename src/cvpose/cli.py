@@ -389,9 +389,9 @@ def main(argv=None):
     except CvposeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc.strerror or exc}: "
-              f"{getattr(exc, 'filename', '')}", file=sys.stderr)
+    except OSError as exc:
+        where = f": {exc.filename}" if exc.filename else ""
+        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
         return 1
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,9 +297,12 @@ class CVUGCN:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: plain text, exact float round trips via %.17g.
+# Checkpoints, ckpt-v2: five UTF-8 header lines (`ckpt-v2`, `topology <fp>`,
+# `config <json>`, `step <int>`, `train <json>`), then per array the line
+# `array <tag> <rows> <cols>` and exactly rows*cols*8 bytes of little-endian
+# float64, C order (tags `weight:<name>`, then `opt:<kind>:<name>`).
 
-CKPT_SCHEMA = "ckpt-v1"
+CKPT_SCHEMA = "ckpt-v2"
 
 
 @dataclass
@@ -311,17 +315,15 @@ class Checkpoint:
 
 
 def _write_array(fh, tag, arr):
-    fh.write(f"array {tag} {arr.shape[0]} {arr.shape[1]}\n")
-    for row in arr:
-        fh.write(" ".join("%.17g" % x for x in row))
-        fh.write("\n")
+    fh.write(f"array {tag} {arr.shape[0]} {arr.shape[1]}\n".encode())
+    fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def save_checkpoint(path, topo, config: NetworkConfig, weights: ModelWeights,
                     step: int, opt_state=None, train_state=None):
     """Write a checkpoint atomically.
 
-    The text goes to a temporary file in the target's directory that then
+    The bytes go to a temporary file in the target's directory that then
     replaces the target, so a failed or interrupted write leaves any
     previous checkpoint at `path` intact and no partial file behind.
     """
@@ -329,12 +331,13 @@ def save_checkpoint(path, topo, config: NetworkConfig, weights: ModelWeights,
     train_state = train_state or {}
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            fh.write(f"{CKPT_SCHEMA}\n")
-            fh.write(f"topology {topology_fingerprint(topo)}\n")
-            fh.write(f"config {config.to_json()}\n")
-            fh.write(f"step {int(step)}\n")
-            fh.write(f"train {json.dumps(train_state, sort_keys=True)}\n")
+        with open(tmp, "wb") as fh:
+            fh.write(f"{CKPT_SCHEMA}\n"
+                     f"topology {topology_fingerprint(topo)}\n"
+                     f"config {config.to_json()}\n"
+                     f"step {int(step)}\n"
+                     f"train {json.dumps(train_state, sort_keys=True)}\n"
+                     .encode())
             for name, arr in weights.items():
                 _write_array(fh, f"weight:{name}", arr)
             for kind in sorted(opt_state):
@@ -351,52 +354,49 @@ def save_checkpoint(path, topo, config: NetworkConfig, weights: ModelWeights,
 
 def load_checkpoint(path, topo) -> Checkpoint:
     """Read a checkpoint; the topology fingerprint must match `topo`."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-
     def fail(i, msg):
         raise SchemaError(f"line {i + 1}: {msg}", line=i + 1)
 
-    if not lines or lines[0] != CKPT_SCHEMA:
-        fail(0, f"expected header {CKPT_SCHEMA!r}")
-    fields = {}
-    i = 1
-    for key in ("topology", "config", "step", "train"):
-        if i >= len(lines) or not lines[i].startswith(key + " "):
-            fail(i, f"expected {key!r} line")
-        fields[key] = lines[i][len(key) + 1:]
-        i += 1
-    if fields["topology"] != topology_fingerprint(topo):
-        raise SchemaError("checkpoint topology fingerprint does not match")
-    try:
-        config = NetworkConfig.from_json(fields["config"])
-        step = int(fields["step"])
-        train_state = json.loads(fields["train"])
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise SchemaError(f"bad checkpoint metadata: {exc}")
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.readline() != f"{CKPT_SCHEMA}\n".encode():
+            fail(0, f"expected header {CKPT_SCHEMA!r}")
+        fields = {}
+        for i, key in enumerate(("topology", "config", "step", "train"), 1):
+            raw = fh.readline()
+            if not raw.startswith(f"{key} ".encode()) or raw[-1:] != b"\n":
+                fail(i, f"expected {key!r} line")
+            fields[key] = raw[len(key) + 1:-1]
+        if fields["topology"] != topology_fingerprint(topo).encode():
+            raise SchemaError("checkpoint topology fingerprint does not match")
+        try:  # json.loads and int take the UTF-8 bytes as they are
+            config = NetworkConfig.from_json(fields["config"])
+            step = int(fields["step"])
+            train_state = json.loads(fields["train"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"bad checkpoint metadata: {exc}")
 
-    arrays = {}
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
-        parts = lines[i].split()
-        if len(parts) != 4 or parts[0] != "array":
-            fail(i, f"expected an array header, got {lines[i][:40]!r}")
-        tag, rows, cols = parts[1], int(parts[2]), int(parts[3])
-        if i + rows >= len(lines):
-            fail(i, f"array {tag} truncated")
-        try:
-            block = np.array(
-                [[float(x) for x in lines[i + 1 + r].split()] for r in range(rows)])
-        except ValueError as exc:
-            fail(i, f"array {tag}: {exc}")
-        if block.shape != (rows, cols):
-            fail(i, f"array {tag}: expected {(rows, cols)}, got {block.shape}")
-        if tag in arrays:
-            fail(i, f"duplicate array {tag}")
-        arrays[tag] = block
-        i += 1 + rows
+        # Own writable buffers: AmsGrad updates loaded arrays in place.
+        arrays = {}
+        while (offset := fh.tell()) < size:
+            raw = fh.readline()
+            m = re.fullmatch(rb"array ([!-~]+) (\d+) (\d+)\n", raw)
+            if m is None:
+                raise SchemaError(f"byte {offset}: expected an array header, "
+                                  f"got {raw[:40]!r}")
+            tag, rows, cols = m[1].decode(), int(m[2]), int(m[3])
+            where = f"byte {offset}: array {tag}"
+            if tag in arrays:
+                raise SchemaError(f"{where}: duplicate array")
+            if rows * cols * 8 > size - fh.tell():
+                raise SchemaError(f"{where}: truncated, {rows * cols * 8} "
+                                  f"bytes needed, {size - fh.tell()} left")
+            arr = np.empty((rows, cols), dtype="<f8")
+            if fh.readinto(arr) != arr.nbytes:
+                raise SchemaError(f"{where}: file shrank while reading")
+            if not np.isfinite(arr).all():
+                raise SchemaError(f"{where}: holds non-finite values")
+            arrays[tag] = arr.astype(np.float64, copy=False)
 
     expected = dict(weight_shapes(config))
     weights = {}
@@ -411,7 +411,7 @@ def load_checkpoint(path, topo) -> Checkpoint:
     opt_state = {}
     for tag, arr in arrays.items():
         if tag.startswith("opt:"):
-            _, kind, name = tag.split(":", 2)
+            kind, _, name = tag[4:].partition(":")
             if name not in expected:
                 raise SchemaError(f"optimizer state for unknown weight {name}")
             opt_state.setdefault(kind, {})[name] = arr

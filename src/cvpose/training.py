@@ -320,7 +320,10 @@ def eval_loss(samples, coarse, cameras, model, config: TrainConfig):
     return total / seen if seen else math.nan
 
 
-LOG_HEADER = "epoch,loss,reproj,sym,transform,bonedir,lr,skipped"
+# skipped_tri: training samples precompute_coarse could not triangulate;
+# dropped_depth: samples of this epoch's batches dropped for NonPositiveDepth.
+LOG_HEADER = ("epoch,loss,reproj,sym,transform,bonedir,lr,skipped_tri,"
+              "dropped_depth")
 
 
 def _open_log(path, start_epoch):
@@ -340,10 +343,11 @@ def _open_log(path, start_epoch):
     return log
 
 
-def _log_row(epoch, stats, lr, skipped):
+def _log_row(epoch, stats, lr, skipped_tri):
     vals = [stats["loss"], stats["reproj"], stats["sym"], stats["transform"],
             stats["bonedir"], lr]
-    return f"{epoch}," + ",".join(repr(float(v)) for v in vals) + f",{skipped}"
+    return (f"{epoch}," + ",".join(repr(float(v)) for v in vals)
+            + f",{skipped_tri},{stats['depth_skipped']}")
 
 
 @dataclass
@@ -412,8 +416,7 @@ def fit(train_samples, val_samples, cameras, config: TrainConfig,
             else:
                 monitor = stats["loss"]
             history.append(monitor)
-            skipped = len(skipped_train) + stats.get("depth_skipped", 0)
-            log.write(_log_row(epoch, stats, lr, skipped) + "\n")
+            log.write(_log_row(epoch, stats, lr, len(skipped_train)) + "\n")
             log.flush()
             if monitor < best_val:
                 best_val = monitor

@@ -33,6 +33,26 @@ def test_missing_input_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unreadable_input_exits_1(tmp_path, capsys):
+    out = run_synth(tmp_path, n=2)
+    code = main(["eval", "--data", str(tmp_path),
+                 "--rig", str(out / "rig_assumed.jsonl"),
+                 "--checkpoint", str(tmp_path / "none.ckpt")])
+    assert code == 1
+    assert "error: Is a directory" in capsys.readouterr().err
+
+
+def test_eval_garbage_checkpoint_exits_1(tmp_path, capsys):
+    out = run_synth(tmp_path, n=2)
+    ckpt = tmp_path / "garbage.ckpt"
+    ckpt.write_bytes(bytes(range(256)) * 16)
+    code = main(["eval", "--data", str(out / "dataset.jsonl"),
+                 "--rig", str(out / "rig_assumed.jsonl"),
+                 "--checkpoint", str(ckpt)])
+    assert code == 1
+    assert "error: line 1: expected header" in capsys.readouterr().err
+
+
 def test_synth_writes_dataset_and_manifest(tmp_path):
     out = run_synth(tmp_path)
     for fname in ("dataset.jsonl", "rig_true.jsonl", "rig_assumed.jsonl",

@@ -182,6 +182,8 @@ def test_checkpoint_roundtrip(tmp_path):
     w = init_weights(cfg)
     rng = np.random.default_rng(8)
     w.arrays["head"] = rng.normal(size=(8, 3)) * 1e-7  # exercise tiny floats
+    # Signed zero, the smallest subnormal and the largest finite double.
+    w.arrays["head"][0] = [-0.0, 5e-324, 1.7976931348623157e308]
     opt = {
         "m": {n: rng.normal(size=a.shape) for n, a in w.items()},
         "v": {n: np.abs(rng.normal(size=a.shape)) for n, a in w.items()},
@@ -196,11 +198,20 @@ def test_checkpoint_roundtrip(tmp_path):
     assert ck.step == 12
     assert ck.config == cfg
     assert ck.train_state == train
-    for name, arr in w.items():
-        assert np.array_equal(ck.weights[name], arr), name
-    for kind in ("m", "v", "vhat"):
-        for name, arr in opt[kind].items():
-            assert np.array_equal(ck.opt_state[kind][name], arr)
+    loaded = [(f"weight:{n}", ck.weights[n], a) for n, a in w.items()]
+    loaded += [(f"opt:{kind}:{n}", ck.opt_state[kind][n], a)
+               for kind in ("m", "v", "vhat") for n, a in opt[kind].items()]
+    for tag, got, arr in loaded:
+        assert got.dtype == np.float64, tag
+        assert np.array_equal(got.view(np.uint64), arr.view(np.uint64)), tag
+        assert got.flags.writeable, tag
+    # The file is the text header lines plus 8 bytes per element.
+    data = path.read_bytes()
+    header = b"".join(data.splitlines(keepends=True)[:5])
+    array_lines = sum(len(f"array {tag} {a.shape[0]} {a.shape[1]}\n")
+                      for tag, _, a in loaded)
+    assert len(data) == (len(header) + array_lines
+                         + 8 * sum(a.size for _, _, a in loaded))
     # Writing twice gives identical bytes.
     path2 = tmp_path / "model2.ckpt"
     save_checkpoint(path2, topo, cfg, w, step=12, opt_state=opt, train_state=train)
@@ -223,21 +234,69 @@ def test_checkpoint_corruption(tmp_path):
     cfg = small_config()
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, topo, cfg, init_weights(cfg), step=3)
-    text = path.read_text().splitlines()
-    # Truncate the last array.
-    (tmp_path / "trunc.ckpt").write_text("\n".join(text[:-1]) + "\n")
-    with pytest.raises(SchemaError):
-        load_checkpoint(tmp_path / "trunc.ckpt", topo)
-    # Corrupt the header.
-    (tmp_path / "hdr.ckpt").write_text("nope\n" + "\n".join(text[1:]) + "\n")
-    with pytest.raises(SchemaError):
-        load_checkpoint(tmp_path / "hdr.ckpt", topo)
-    # Drop a weight array block entirely.
-    start = next(i for i, l in enumerate(text) if l.startswith("array weight:head"))
-    kept = text[:start]
-    (tmp_path / "miss.ckpt").write_text("\n".join(kept) + "\n")
-    with pytest.raises(SchemaError):
-        load_checkpoint(tmp_path / "miss.ckpt", topo)
+    data = path.read_bytes()
+    head = data.index(b"array weight:head 8 3\n")
+    cases = {
+        # The last array loses its last value.
+        "trunc": (data[:-8], "byte %d: array weight:head: truncated" % head),
+        # The header is replaced, or is the old text format's.
+        "hdr": (b"nope\n" + data[data.index(b"\n") + 1:],
+                "line 1: expected header 'ckpt-v2'"),
+        "v1": (b"ckpt-v1\n" + data[data.index(b"\n") + 1:], "'ckpt-v2'"),
+        # The weight:head block is dropped entirely.
+        "miss": (data[:head], "lacks weight head"),
+        # Bytes follow the last array.
+        "trail": (data + b"garbage\n",
+                  "byte %d: expected an array header" % len(data)),
+        # An array header claims more bytes than remain.
+        "long": (data[:head] + b"array weight:head 800 3\n"
+                 + data[head + len(b"array weight:head 8 3\n"):],
+                 "byte %d: array weight:head: truncated" % head),
+        # An array appears twice, or optimizer state names no weight.
+        "dup": (data + data[head:],
+                "byte %d: array weight:head: duplicate" % len(data)),
+        "opt": (data + b"array opt:m:bogus 1 1\n" + bytes(8),
+                "unknown weight bogus"),
+    }
+    for name, (blob, match) in cases.items():
+        (tmp_path / f"{name}.ckpt").write_bytes(blob)
+        with pytest.raises(SchemaError, match=match):
+            load_checkpoint(tmp_path / f"{name}.ckpt", topo)
+
+
+def test_checkpoint_garbage_raises_schema_error(tmp_path):
+    topo = default_topology()
+    cfg = small_config()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, topo, cfg, init_weights(cfg), step=3)
+    data = path.read_bytes()
+    head = data.index(b"array weight:head 8 3\n")
+    blobs = [
+        np.random.default_rng(0).bytes(4096),
+        data[:head] + b"array weight:x a b\n",
+        data[:head] + b"array weight:\xff\xfe 8 3\n"
+        + data[head + len(b"array weight:head 8 3\n"):],
+        data.replace(b"step 3\n", b"step \xff\n"),
+    ]
+    for k, blob in enumerate(blobs):
+        (tmp_path / f"bad{k}.ckpt").write_bytes(blob)
+        with pytest.raises(SchemaError):
+            load_checkpoint(tmp_path / f"bad{k}.ckpt", topo)
+
+
+def test_checkpoint_rejects_non_finite_arrays(tmp_path):
+    topo = default_topology()
+    cfg = small_config()
+    w = init_weights(cfg)
+    w.arrays["sgcn.1.k2"][3, 4] = np.nan
+    save_checkpoint(tmp_path / "nan.ckpt", topo, cfg, w, step=1)
+    with pytest.raises(SchemaError, match=r"weight:sgcn\.1\.k2.*non-finite"):
+        load_checkpoint(tmp_path / "nan.ckpt", topo)
+    w = init_weights(cfg)
+    opt = {"v": {"head": np.full((8, 3), np.inf)}}
+    save_checkpoint(tmp_path / "inf.ckpt", topo, cfg, w, step=1, opt_state=opt)
+    with pytest.raises(SchemaError, match=r"opt:v:head.*non-finite"):
+        load_checkpoint(tmp_path / "inf.ckpt", topo)
 
 
 def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):

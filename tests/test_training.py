@@ -228,6 +228,31 @@ def test_fit_deterministic(tmp_path):
     assert la == lb
 
 
+def test_log_separates_triangulation_skips_from_depth_drops(tmp_path,
+                                                           monkeypatch):
+    samples, rig, assumed = small_dataset(n=12)
+    real_coarse, real_loss = training.precompute_coarse, training._batch_loss
+
+    def untriangulable_first(samples, *args, **kwargs):
+        coarse, skipped = real_coarse(samples, *args, **kwargs)
+        del coarse[samples[0].sample_id]
+        return coarse, skipped + [samples[0].sample_id]
+
+    def behind_in_short_batch(model, cams, rels, pair, x1, *args, **kwargs):
+        if x1.shape[0] == 3 * model.topo.n_joints:
+            raise NonPositiveDepth("joint 0 behind the camera", joint=0)
+        return real_loss(model, cams, rels, pair, x1, *args, **kwargs)
+
+    monkeypatch.setattr(training, "precompute_coarse", untriangulable_first)
+    monkeypatch.setattr(training, "_batch_loss", behind_in_short_batch)
+    # 11 usable samples in batches of 4, 4 and 3; the batch of 3 is dropped.
+    fit(samples, [], assumed, small_config(epochs=2, batch_size=4),
+        out_dir=tmp_path)
+    log = (tmp_path / "train_log.csv").read_text().splitlines()
+    assert log[0].endswith(",lr,skipped_tri,dropped_depth")
+    assert [row.split(",")[-2:] for row in log[1:]] == [["1", "3"]] * 2
+
+
 def test_resume_matches_uninterrupted(tmp_path):
     samples, rig, assumed = small_dataset(n=24)
     val = samples[16:]
