@@ -272,44 +272,6 @@ def reshape(a: Value, rows, cols) -> Value:
     return a.tape._record(a.data.reshape(rows, cols), "reshape", backward)
 
 
-def concat_blocks(a: Value, b: Value, rows_a: int, rows_b: int) -> Value:
-    """Interleave per-sample row blocks of two batched matrices.
-
-    a is (B*rows_a, C), b is (B*rows_b, C); the result is
-    (B*(rows_a+rows_b), C) where sample s holds a's block then b's block.
-    """
-    tape = _same_tape(a, b)
-    if a.data.shape[1] != b.data.shape[1]:
-        raise ShapeMismatch(f"concat_blocks: widths {a.data.shape} vs {b.data.shape}")
-    C = a.data.shape[1]
-    if a.data.shape[0] % rows_a or b.data.shape[0] % rows_b:
-        raise ShapeMismatch("concat_blocks: rows not divisible by block size")
-    B = a.data.shape[0] // rows_a
-    if b.data.shape[0] // rows_b != B:
-        raise ShapeMismatch("concat_blocks: batch sizes differ")
-    out = np.concatenate(
-        [a.data.reshape(B, rows_a, C), b.data.reshape(B, rows_b, C)], axis=1
-    ).reshape(B * (rows_a + rows_b), C)
-
-    def backward(g):
-        g3 = g.reshape(B, rows_a + rows_b, C)
-        a.grad += g3[:, :rows_a].reshape(B * rows_a, C)
-        b.grad += g3[:, rows_a:].reshape(B * rows_b, C)
-
-    return tape._record(out, "concat_blocks", backward)
-
-
-def slice_rows(a: Value, start: int, stop: int) -> Value:
-    if not 0 <= start <= stop <= a.data.shape[0]:
-        raise ShapeMismatch(
-            f"slice_rows: [{start}:{stop}] out of {a.data.shape[0]} rows")
-
-    def backward(g):
-        a.grad[start:stop] += g
-
-    return a.tape._record(a.data[start:stop].copy(), "slice_rows", backward)
-
-
 def slice_blocks(a: Value, block_rows: int, start: int, stop: int) -> Value:
     """Slice rows [start:stop] out of every block of block_rows rows."""
     rows, C = a.data.shape

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import CvposeError
 from .experiments import (ABLATION_VARIANTS, ablation_study, format_table,
                           noise_robustness, unseen_pair_study)
-from .geometry import Pose2D, load_rig, save_rig, triangulate_pose
+from .geometry import TRI_MODES, Pose2D, load_rig, save_rig, triangulate_pose
 from .graph import default_topology, load_topology, save_topology
 from .metrics import evaluate
 from .network import CVUGCN, load_checkpoint
@@ -24,13 +24,22 @@ from .syndata import (SyntheticConfig, default_rig, file_sha256,
                       generate_dataset, load_dataset, save_dataset,
                       save_manifest)
 from .training import (TrainConfig, fit, load_train_config, precompute_coarse,
-                       save_train_config)
+                       save_train_config, setting_problem)
 
 
 def _topo(args):
     if getattr(args, "topology", None):
         return load_topology(args.topology)
     return default_topology()
+
+
+def batch_size(text):
+    """argparse type of --batch-size; the name shows in its messages."""
+    value = int(text)
+    problem = setting_problem("batch_size", value)
+    if problem:
+        raise argparse.ArgumentTypeError(problem)
+    return value
 
 
 def _model(args, topo):
@@ -303,7 +312,7 @@ def build_parser():
     sp = sub.add_parser("triangulate", help="coarse poses from 2D detections")
     sp.add_argument("--data", required=True)
     sp.add_argument("--rig", required=True)
-    sp.add_argument("--mode", choices=("dual", "single"), default="dual")
+    sp.add_argument("--mode", choices=TRI_MODES, default="dual")
     sp.add_argument("--out")
     sp.add_argument("--topology")
     sp.set_defaults(func=cmd_triangulate)
@@ -316,7 +325,7 @@ def build_parser():
     sp.add_argument("--config")
     sp.add_argument("--epochs", type=int)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--batch-size", type=int)
+    sp.add_argument("--batch-size", type=batch_size)
     sp.add_argument("--resume")
     sp.add_argument("--quiet", action="store_true")
     sp.add_argument("--topology")
@@ -326,7 +335,7 @@ def build_parser():
     sp.add_argument("--data", required=True)
     sp.add_argument("--rig", required=True)
     sp.add_argument("--checkpoint", required=True)
-    sp.add_argument("--mode", choices=("dual", "single"), default="dual")
+    sp.add_argument("--mode", choices=TRI_MODES, default="dual")
     sp.add_argument("--report")
     sp.add_argument("--topology")
     sp.set_defaults(func=cmd_eval)
@@ -357,7 +366,7 @@ def build_parser():
     sp.add_argument("--n-train", type=int, default=2000)
     sp.add_argument("--n-test", type=int, default=500)
     sp.add_argument("--epochs", type=int, default=20)
-    sp.add_argument("--batch-size", type=int, default=256)
+    sp.add_argument("--batch-size", type=batch_size, default=256)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--sigma-px", type=float, default=5.0)
     sp.add_argument("--perturb-rot-deg", type=float, default=0.0)
@@ -374,7 +383,7 @@ def build_parser():
     sp.add_argument("--sample-id")
     sp.add_argument("--index", type=int, default=0)
     sp.add_argument("--checkpoint")
-    sp.add_argument("--mode", choices=("dual", "single"), default="dual")
+    sp.add_argument("--mode", choices=TRI_MODES, default="dual")
     sp.add_argument("--topology")
     sp.set_defaults(func=cmd_render)
 

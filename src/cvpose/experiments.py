@@ -16,11 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .errors import MissingGroundTruth, ShapeMismatch
+from .errors import MissingGroundTruth
 from .geometry import Pose3D
 from .graph import default_topology
 from .metrics import _refine_batches, evaluate, p_mpjpe
-from .network import CVUGCN, ModelWeights, init_weights, param_count
+from .network import (CVUGCN, ModelWeights, coarse_pair_leaf, init_weights,
+                      param_count, split_views)
 from .training import (AmsGrad, TrainConfig, precompute_coarse, schedule_lr,
                        train_epoch)
 
@@ -58,25 +59,17 @@ class FCBaseline:
 
     def refine_batch(self, tape, x1_mm, x2_mm, params=None):
         J = self.topo.n_joints
-        x1 = np.asarray(x1_mm, dtype=np.float64)
-        x2 = np.asarray(x2_mm, dtype=np.float64)
-        if x1.shape != x2.shape or x1.ndim != 2 or x1.shape[1] != 3:
-            raise ShapeMismatch(f"coarse inputs: {x1.shape} vs {x2.shape}")
-        if x1.shape[0] % J:
-            raise ShapeMismatch(f"{x1.shape[0]} rows is not a whole number of poses")
-        B = x1.shape[0] // J
+        xin = coarse_pair_leaf(tape, x1_mm, x2_mm, J)
+        B = xin.shape[0] // (2 * J)
         if params is None:
             params = self.param_leaves(tape)
-        flat = np.hstack([x1.reshape(B, 3 * J), x2.reshape(B, 3 * J)])
-        xin = tape.leaf(flat, op="coarse")
-        h = ad.relu(ad.matmul(ad.scale(xin, self.config.coord_scale),
+        # Per-sample two-view blocks flatten to one (B, 6J) row per sample.
+        flat = ad.reshape(xin, B, 6 * J)
+        h = ad.relu(ad.matmul(ad.scale(flat, self.config.coord_scale),
                               params["fc.w1"]))
         res = ad.matmul(h, params["fc.w2"])
-        refined = ad.add(xin, ad.scale(res, 1.0 / self.config.coord_scale))
-        # (B, 6J) rows reshape to per-sample blocks of 2J joints
-        out = ad.reshape(refined, B * 2 * J, 3)
-        X1 = ad.slice_blocks(out, 2 * J, 0, J)
-        X2 = ad.slice_blocks(out, 2 * J, J, 2 * J)
+        refined = ad.add(flat, ad.scale(res, 1.0 / self.config.coord_scale))
+        X1, X2 = split_views(ad.reshape(refined, 2 * B * J, 3), J)
         return X1, X2, params
 
 

@@ -29,6 +29,7 @@ DEPTH_EPS = 1e-6          # mm, minimum positive depth for projection
 BASELINE_EPS = 1e-6       # mm, minimum camera separation for triangulation
 SIGMA_GAP_EPS = 1e-12     # relative gap between the two smallest singular values
 ORTHO_TOL = 1e-9          # max deviation of R^T R from identity
+TRI_MODES = ("dual", "single")   # triangulate_pose modes
 
 
 def _as_matrix(a, shape, name):
@@ -276,7 +277,7 @@ def triangulate_pose(x1: Pose2D, x2: Pose2D, cam1: CameraModel, cam2: CameraMode
         raise ShapeMismatch(
             f"views disagree on joint count: {x1.joints.shape} vs {x2.joints.shape}"
         )
-    if mode not in ("dual", "single"):
+    if mode not in TRI_MODES:
         raise ValueError(f"unknown triangulation mode {mode!r}")
     X1 = _triangulate_arrays(x1.joints, x2.joints, cam1, cam2)
     if mode == "dual":

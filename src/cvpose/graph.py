@@ -99,13 +99,6 @@ class SkeletonTopology:
         left = {l for l, _ in self.left_right_pairs}
         return tuple(k for k, (_, child) in enumerate(self.bones) if child in left)
 
-    def kinematic_adjacency(self):
-        A = np.zeros((self.n_joints, self.n_joints))
-        for p, c in self.bones:
-            A[p, c] = 1.0
-            A[c, p] = 1.0
-        return A
-
 
 def default_topology() -> SkeletonTopology:
     """17-joint human skeleton (pelvis-rooted, torso chain, two arms, two legs)."""
@@ -175,17 +168,24 @@ def _second_order_pairs(adjacency):
     return [(int(a), int(b)) for a, b in idx if a < b]
 
 
+def _kernel_classes(n, links, mirrors):
+    """Kernels 0-3 over n nodes from linked and left/right node pairs.
+
+    A pair keeps one class: a kinematic link beats a left/right relation,
+    and both beat two hops apart.
+    """
+    k1 = _pairs_to_matrix(n, links)
+    k3 = np.where(k1 > 0.5, 0.0, _pairs_to_matrix(n, mirrors))
+    k2 = _pairs_to_matrix(n, _second_order_pairs(k1))
+    k2 = np.where((k1 > 0.5) | (k3 > 0.5), 0.0, k2)
+    return [np.eye(n), k1, k2, k3]
+
+
 def build_single_view_kernels(topo: SkeletonTopology) -> AdjacencyKernelSet:
     """Kernels over one view's joints; the cross-view kernel is all zero."""
     J = topo.n_joints
-    k0 = np.eye(J)
-    k1 = topo.kinematic_adjacency()
-    k3 = _pairs_to_matrix(J, topo.left_right_pairs)
-    k3 = np.where(k1 > 0.5, 0.0, k3)  # kinematic relation wins
-    k2 = _pairs_to_matrix(J, _second_order_pairs(k1))
-    k2 = np.where((k1 > 0.5) | (k3 > 0.5), 0.0, k2)  # symmetry wins over two-hop
-    k4 = np.zeros((J, J))
-    return AdjacencyKernelSet(J, [k0, k1, k2, k3, k4])
+    kernels = _kernel_classes(J, topo.bones, topo.left_right_pairs)
+    return AdjacencyKernelSet(J, kernels + [np.zeros((J, J))])
 
 
 def build_multi_view_kernels(topo: SkeletonTopology) -> AdjacencyKernelSet:
@@ -240,13 +240,7 @@ def _group_kernels(topo, groups):
         for h, (_, other) in enumerate(groups):
             if h != g and image == set(other):
                 k3_pairs.add((min(g, h), max(g, h)))
-    k0 = np.eye(G)
-    k1 = _pairs_to_matrix(G, k1_pairs)
-    k3 = _pairs_to_matrix(G, k3_pairs)
-    k3 = np.where(k1 > 0.5, 0.0, k3)
-    k2 = _pairs_to_matrix(G, _second_order_pairs(k1))
-    k2 = np.where((k1 > 0.5) | (k3 > 0.5), 0.0, k2)
-    return [k0, k1, k2, k3], member
+    return _kernel_classes(G, k1_pairs, k3_pairs), member
 
 
 def _two_view(kernels_single, n):

@@ -39,20 +39,17 @@ def _tiled(indices, B, block):
     return (np.arange(B, dtype=np.int64)[:, None] * block + idx[None, :]).ravel()
 
 
-def _bone_lengths(X, topo, B):
-    """(B*K, 1) bone lengths of B stacked poses."""
-    bones = np.asarray(topo.bones, dtype=np.int64)
-    par = ad.gather_rows(X, _tiled(bones[:, 0], B, topo.n_joints))
-    chi = ad.gather_rows(X, _tiled(bones[:, 1], B, topo.n_joints))
-    return ad.norm_rows(ad.sub(par, chi))
-
-
 def _bone_vecs(X, topo, B):
     """(B*K, 3) bone vectors parent - child of B stacked poses."""
     bones = np.asarray(topo.bones, dtype=np.int64)
     par = ad.gather_rows(X, _tiled(bones[:, 0], B, topo.n_joints))
     chi = ad.gather_rows(X, _tiled(bones[:, 1], B, topo.n_joints))
     return ad.sub(par, chi)
+
+
+def _bone_lengths(X, topo, B):
+    """(B*K, 1) bone lengths of B stacked poses."""
+    return ad.norm_rows(_bone_vecs(X, topo, B))
 
 
 def reprojection_loss(X1, X2, y1, y2, cam1: CameraModel, cam2: CameraModel):
@@ -89,13 +86,12 @@ def symmetry_loss(X1, X2, topo):
     return total
 
 
-def transform_consistency_loss(X1, X2, t12: RigidTransform, double_count=False):
+def transform_consistency_loss(X1, X2, t12: RigidTransform):
     """Cross-view agreement: X1 vs the transform of X2 into view 1 and the
     reverse, summed over joints (mm).
 
     t12 maps view-2 coordinates into view 1. Each direction is counted
-    once; double_count=True doubles the sum, reproducing a formulation
-    whose outer sum repeats both directions per view.
+    once; a formulation that counts both twice is w_transform doubled.
     """
     if X1.shape != X2.shape:
         raise ShapeMismatch(f"pose stacks differ: {X1.shape} vs {X2.shape}")
@@ -104,10 +100,7 @@ def transform_consistency_loss(X1, X2, t12: RigidTransform, double_count=False):
     x2_from_1 = ad.affine_rows(X1, inv.R.T, inv.t)
     fwd = ad.reduce_sum(ad.norm_rows(ad.sub(X1, x1_from_2)))
     bwd = ad.reduce_sum(ad.norm_rows(ad.sub(X2, x2_from_1)))
-    out = ad.add(fwd, bwd)
-    if double_count:
-        out = ad.scale(out, 2.0)
-    return out
+    return ad.add(fwd, bwd)
 
 
 def bone_direction_loss(X1, X2, t12: RigidTransform, topo):
@@ -130,8 +123,7 @@ def bone_direction_loss(X1, X2, t12: RigidTransform, topo):
     return total
 
 
-def total_loss(X1, X2, y1, y2, cam1, cam2, t12, topo, weights: LossWeights,
-               legacy_transform_double=False):
+def total_loss(X1, X2, y1, y2, cam1, cam2, t12, topo, weights: LossWeights):
     """Weighted sum of the four objectives.
 
     Returns (total, parts) where parts maps term names to their raw
@@ -140,8 +132,7 @@ def total_loss(X1, X2, y1, y2, cam1, cam2, t12, topo, weights: LossWeights,
     parts = {
         "reproj": reprojection_loss(X1, X2, y1, y2, cam1, cam2),
         "sym": symmetry_loss(X1, X2, topo),
-        "transform": transform_consistency_loss(
-            X1, X2, t12, double_count=legacy_transform_double),
+        "transform": transform_consistency_loss(X1, X2, t12),
         "bonedir": bone_direction_loss(X1, X2, t12, topo),
     }
     total = ad.add_n([

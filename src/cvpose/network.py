@@ -14,6 +14,12 @@ centroid and scaled by coord_scale before the convolutions, and the
 learned residual is added back onto the uncentred coarse pose. Centering
 matters: without biases, a camera-frame depth offset of metres would
 swamp every feature channel.
+
+A batch of B pose pairs enters as one (2BJ, 3) matrix of per-sample
+blocks: sample s's J view-1 joints, then its J view-2 joints. That is the
+node order of the fused graph, so every stage, the per-view spatial one
+included, runs on the input as it is; coarse_pair_leaf builds it and
+split_views cuts a result back into the two (BJ, 3) views.
 """
 
 from __future__ import annotations
@@ -148,6 +154,33 @@ def _conv_entries(kernel_set, mask):
     return entries
 
 
+def coarse_pair_leaf(tape, x1_mm, x2_mm, n_joints):
+    """B coarse poses per view, each (B*J, 3) in mm, as one (2BJ, 3) leaf.
+
+    Row blocks are per sample: sample s's J view-1 joints, then its J view-2
+    joints, the node order of the fused 2J-node graph. Reshaped to (B, 6J)
+    each row is one sample's two poses, flattened.
+    """
+    x1 = np.asarray(x1_mm, dtype=np.float64)
+    x2 = np.asarray(x2_mm, dtype=np.float64)
+    if x1.shape != x2.shape or x1.ndim != 2 or x1.shape[1] != 3:
+        raise ShapeMismatch(f"coarse inputs: {x1.shape} vs {x2.shape}")
+    if x1.shape[0] % n_joints:
+        raise ShapeMismatch(
+            f"{x1.shape[0]} rows is not a whole number of poses")
+    B = x1.shape[0] // n_joints
+    pair = np.concatenate([x1.reshape(B, n_joints, 3),
+                           x2.reshape(B, n_joints, 3)], axis=1)
+    return tape.leaf(pair.reshape(2 * B * n_joints, 3), op="coarse")
+
+
+def split_views(X, n_joints):
+    """(X1, X2), each (BJ, cols), from a (2BJ, cols) Value laid out like
+    coarse_pair_leaf."""
+    return (ad.slice_blocks(X, 2 * n_joints, 0, n_joints),
+            ad.slice_blocks(X, 2 * n_joints, n_joints, 2 * n_joints))
+
+
 class CVUGCN:
     """The refiner over the fused two-view 2J-node graph.
 
@@ -221,7 +254,9 @@ class CVUGCN:
         return h
 
     def refine_from_leaf(self, xin, params):
-        """Forward pass from an existing (2BJ, 3) leaf in view-major order.
+        """Forward pass from an existing (2BJ, 3) leaf of per-sample 2J-node
+        blocks: rows [2Js, 2J(s+1)) hold sample s's view-1 joints, then its
+        view-2 joints (see coarse_pair_leaf).
 
         Each pose is centroid-centred before entering the convolutions;
         the residual is added back onto the uncentred coarse pose, so
@@ -233,9 +268,10 @@ class CVUGCN:
         rows = xin.shape[0]
         if rows % (2 * J):
             raise ShapeMismatch(f"input rows {rows} not a multiple of 2J={2 * J}")
-        BJ = rows // 2
         cfg = self.config
 
+        # The J-node centering and spatial kernels act on every J-row block:
+        # each view of each sample.
         h = ad.scale(ad.block_left_matmul(self._center, xin), cfg.coord_scale)
         sgcn = self._stage_weights(params, "sgcn", cfg.sgcn_layers)
         h = self._stage(h, self._sgcn_entries, sgcn)
@@ -247,12 +283,6 @@ class CVUGCN:
         unpool = self._levels.unpool
         ent = self._level_entries
 
-        # View-major rows become per-sample 2J-node blocks of the fused graph.
-        h = ad.concat_blocks(ad.slice_rows(h, 0, BJ),
-                             ad.slice_rows(h, BJ, 2 * BJ), J, J)
-        coarse = ad.concat_blocks(ad.slice_rows(xin, 0, BJ),
-                                  ad.slice_rows(xin, BJ, 2 * BJ), J, J)
-
         e0 = self._stage(h, ent[0], stage_ws["enc0"])
         e1 = self._stage(ad.block_left_matmul(pool[0], e0), ent[1], stage_ws["enc1"])
         bn = self._stage(ad.block_left_matmul(pool[1], e1), ent[2],
@@ -262,26 +292,20 @@ class CVUGCN:
         d0 = self._stage(ad.add(ad.block_left_matmul(unpool[0], d1), e0),
                          ent[0], stage_ws["dec0"])
         res = ad.matmul(d0, params["head"])
-        refined = ad.add(coarse, ad.scale(res, 1.0 / cfg.coord_scale))
-        return (ad.slice_blocks(refined, 2 * J, 0, J),
-                ad.slice_blocks(refined, 2 * J, J, 2 * J))
+        refined = ad.add(xin, ad.scale(res, 1.0 / cfg.coord_scale))
+        return split_views(refined, J)
 
     def refine_batch(self, tape, x1_mm, x2_mm, params=None):
         """Refine B stacked coarse poses per view, each (B*J, 3) in mm.
 
-        Returns (X1, X2, params) where params maps weight names to the leaf
-        Values used, for gradient collection.
+        The pair enters as one leaf of per-sample 2J-node blocks
+        (coarse_pair_leaf). Returns (X1, X2, params): the refined views,
+        each (B*J, 3), and the weight-name -> leaf Values used, for
+        gradient collection.
         """
-        x1 = np.asarray(x1_mm, dtype=np.float64)
-        x2 = np.asarray(x2_mm, dtype=np.float64)
-        if x1.shape != x2.shape or x1.ndim != 2 or x1.shape[1] != 3:
-            raise ShapeMismatch(f"coarse inputs: {x1.shape} vs {x2.shape}")
-        if x1.shape[0] % self.topo.n_joints:
-            raise ShapeMismatch(
-                f"{x1.shape[0]} rows is not a whole number of poses")
+        xin = coarse_pair_leaf(tape, x1_mm, x2_mm, self.topo.n_joints)
         if params is None:
             params = self.param_leaves(tape)
-        xin = tape.leaf(np.vstack([x1, x2]), op="coarse")
         X1, X2 = self.refine_from_leaf(xin, params)
         return X1, X2, params
 

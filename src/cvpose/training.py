@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import (DegenerateGeometry, NonFiniteLoss, NonPositiveDepth,
                      SchemaError)
-from .geometry import Pose2D, relative_transform, triangulate_pose
+from .geometry import TRI_MODES, Pose2D, relative_transform, triangulate_pose
 from .graph import default_topology
 from .losses import LossWeights, total_loss
 from .network import (CVUGCN, NetworkConfig, init_weights, load_checkpoint,
@@ -39,7 +39,6 @@ class TrainConfig:
     plateau_epochs: int = 10
     seed: int = 0
     tri_mode: str = "dual"
-    legacy_transform_double: bool = False
     w_reproj: float = 1.0
     w_sym: float = 1.0
     w_transform: float = 1.0
@@ -91,15 +90,7 @@ def load_train_config(path) -> TrainConfig:
                                   line=lineno)
             kind = fields[key]
             try:
-                if kind in ("bool", bool):
-                    low = val.strip("'\"").lower()
-                    if low in ("true", "1"):
-                        values[key] = True
-                    elif low in ("false", "0"):
-                        values[key] = False
-                    else:
-                        raise ValueError(val)
-                elif kind in ("int", int):
+                if kind in ("int", int):
                     values[key] = int(val)
                 elif kind in ("float", float):
                     values[key] = float(val)
@@ -108,7 +99,23 @@ def load_train_config(path) -> TrainConfig:
             except ValueError:
                 raise SchemaError(
                     f"line {lineno}: bad value {val!r} for {key}", line=lineno)
+            problem = setting_problem(key, values[key])
+            if problem:
+                raise SchemaError(f"line {lineno}: {problem}", line=lineno)
     return TrainConfig(**values)
+
+
+def setting_problem(key, value):
+    """Why a TrainConfig value would fail inside a run, or None.
+
+    Checked where a value enters (a config file, the CLI), so a bad setting
+    is reported by name instead of surfacing as an error mid-training.
+    """
+    if key == "tri_mode" and value not in TRI_MODES:
+        return f"tri_mode must be one of {', '.join(TRI_MODES)}, got {value!r}"
+    if key in ("batch_size", "plateau_epochs") and value < 1:
+        return f"{key} must be at least 1, got {value}"
+    return None
 
 
 class AmsGrad:
@@ -144,7 +151,13 @@ class AmsGrad:
 
     def load_state(self, state):
         for kind in ("m", "v", "vhat"):
+            if kind not in state:
+                raise SchemaError(f"optimizer state lacks {kind!r}")
             slot = getattr(self, kind)
+            missing = slot.keys() - state[kind].keys()
+            if missing:
+                raise SchemaError(f"optimizer state {kind!r} lacks "
+                                  f"{', '.join(sorted(missing))}")
             for name, arr in state[kind].items():
                 if name not in slot:
                     raise SchemaError(f"optimizer state names unknown array {name!r}")
@@ -239,13 +252,13 @@ def _check_finite(loss, grads, epoch, pair):
 
 
 def _batch_loss(model, cams, rels, pair, x1, x2, y1, y2, weights_cfg,
-                double_count, with_grad):
+                with_grad):
     tape = ad.Tape()
     try:
         X1, X2, params = model.refine_batch(tape, x1, x2)
         total, parts = total_loss(
             X1, X2, y1, y2, cams[pair[0]], cams[pair[1]], rels[pair],
-            model.topo, weights_cfg, legacy_transform_double=double_count)
+            model.topo, weights_cfg)
         B = x1.shape[0] // model.topo.n_joints
         loss = ad.scale(total, 1.0 / B)
         if with_grad:
@@ -279,7 +292,7 @@ def train_epoch(samples, coarse, cameras, model, optimizer, lr,
         try:
             loss, parts, B, grads = _batch_loss(
                 model, by_id, rels, pair, x1, x2, y1, y2, weights_cfg,
-                config.legacy_transform_double, with_grad=True)
+                with_grad=True)
         except NonPositiveDepth:
             # A refinement that throws a joint behind a camera has no
             # usable reprojection; drop the batch rather than the run.
@@ -312,7 +325,7 @@ def eval_loss(samples, coarse, cameras, model, config: TrainConfig):
         try:
             loss, _, B, _ = _batch_loss(
                 model, by_id, rels, pair, x1, x2, y1, y2, weights_cfg,
-                config.legacy_transform_double, with_grad=False)
+                with_grad=False)
         except NonPositiveDepth:
             continue
         total += loss * B
@@ -384,7 +397,13 @@ def fit(train_samples, val_samples, cameras, config: TrainConfig,
     history = []
     best_val = math.inf
     if ckpt is not None:
+        # A checkpoint saved without training progress can seed weights but
+        # cannot continue a run; reject it before anything is written.
         optimizer.load_state(ckpt.opt_state)
+        for key in ("next_epoch", "loss_history"):
+            if key not in ckpt.train_state:
+                raise SchemaError(f"checkpoint lacks training state {key!r}; "
+                                  "it cannot resume a run")
         start_epoch = int(ckpt.train_state["next_epoch"])
         history = [float(x) for x in ckpt.train_state["loss_history"]]
         best_val = ckpt.train_state.get("best_val")

@@ -151,6 +151,38 @@ def test_train_resume_from_checkpoint(tmp_path):
     assert (second / "final.ckpt").exists()
 
 
+def test_train_resume_without_training_state_exits_1(tmp_path, capsys):
+    from cvpose.graph import default_topology
+    from cvpose.network import NetworkConfig, init_weights, save_checkpoint
+    out = run_synth(tmp_path, n=4)
+    net = NetworkConfig(channels=8)
+    ckpt = tmp_path / "w.ckpt"
+    save_checkpoint(ckpt, default_topology(), net, init_weights(net), step=0)
+    code = main(["train", "--data", str(out / "dataset.jsonl"),
+                 "--rig", str(out / "rig_assumed.jsonl"),
+                 "--out-dir", str(tmp_path / "run"), "--epochs", "1",
+                 "--resume", str(ckpt), "--quiet"])
+    assert code == 1
+    assert "error: optimizer state lacks 'm'" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "train_log.csv").exists()
+
+
+def test_train_rejects_out_of_range_settings(tmp_path, capsys):
+    out = run_synth(tmp_path, n=4)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs = 1\nplateau_epochs = 0\n")
+    args = ["train", "--data", str(out / "dataset.jsonl"),
+            "--rig", str(out / "rig_assumed.jsonl"),
+            "--out-dir", str(tmp_path / "run"), "--quiet"]
+    assert main(args + ["--config", str(cfg)]) == 1
+    assert "error: line 2: plateau_epochs must be at least 1" in \
+        capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--batch-size", "0"])
+    assert exc.value.code == 2
+    assert "batch_size must be at least 1" in capsys.readouterr().err
+
+
 def test_eval_without_gt_exits_1(tmp_path, capsys):
     out = run_synth(tmp_path, n=4, extra=("--no-gt",))
     run_dir = tmp_path / "run"

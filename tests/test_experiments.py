@@ -50,6 +50,32 @@ def test_fc_baseline_identity_at_init():
     assert np.array_equal(X2.data, x2)
 
 
+def test_fc_baseline_layout_matches_formula():
+    # Row s of the MLP input is sample s's view-1 joints, then its view-2
+    # joints; the refined row splits back the same way.
+    topo = default_topology()
+    J = topo.n_joints
+    cfg = NetworkConfig(channels=8)
+    fc = FCBaseline(topo, cfg)
+    rng = np.random.default_rng(5)
+    w1 = rng.normal(0, 0.1, size=fc.weights["fc.w1"].shape)
+    w2 = rng.normal(0, 0.1, size=fc.weights["fc.w2"].shape)
+    fc.weights.arrays.update({"fc.w1": w1, "fc.w2": w2})
+    B = 3
+    x1 = rng.standard_normal((B * J, 3)) * 100
+    x2 = rng.standard_normal((B * J, 3)) * 100
+    X1, X2, _ = fc.refine_batch(ad.Tape(), x1, x2)
+
+    s = cfg.coord_scale
+    flat = np.hstack([x1.reshape(B, 3 * J), x2.reshape(B, 3 * J)])
+    out = flat + (np.maximum(s * flat @ w1, 0.0) @ w2) / s
+    assert np.abs(out - flat).max() > 1.0
+    assert np.allclose(X1.data, out[:, :3 * J].reshape(B * J, 3),
+                       rtol=1e-12, atol=1e-9)
+    assert np.allclose(X2.data, out[:, 3 * J:].reshape(B * J, 3),
+                       rtol=1e-12, atol=1e-9)
+
+
 def test_fc_baseline_trains_through_shared_loop():
     # gradient flows into both layers once the head moves off zero
     topo = default_topology()

@@ -6,7 +6,8 @@ from cvpose import training
 from cvpose.errors import CvposeError, NonPositiveDepth, SchemaError
 from cvpose.geometry import CameraModel
 from cvpose.graph import default_topology
-from cvpose.network import CVUGCN, load_checkpoint
+from cvpose.network import (CVUGCN, init_weights, load_checkpoint,
+                            save_checkpoint)
 from cvpose.syndata import (Sample, SyntheticConfig, default_rig,
                             generate_dataset)
 from cvpose.training import (LOG_HEADER, AmsGrad, TrainConfig, eval_loss,
@@ -80,6 +81,16 @@ def test_amsgrad_state_roundtrip():
     assert np.array_equal(w["p"], w2["p"])
     with pytest.raises(SchemaError):
         clone.load_state({"m": {"zz": np.zeros(2)}, "v": {}, "vhat": {}})
+
+
+def test_amsgrad_load_state_needs_every_array():
+    opt = AmsGrad({"p": (2,), "q": (3,)})
+    state = opt.state()
+    with pytest.raises(SchemaError, match="lacks 'vhat'"):
+        opt.load_state({"m": state["m"], "v": state["v"]})
+    del state["v"]["q"]
+    with pytest.raises(SchemaError, match="'v' lacks q"):
+        opt.load_state(state)
 
 
 # -- learning-rate schedule ---------------------------------------------------
@@ -159,8 +170,7 @@ def test_precompute_coarse_skips_sample_behind_cameras():
 
 def test_train_config_roundtrip(tmp_path):
     cfg = TrainConfig(epochs=12, batch_size=64, initial_lr=2e-3,
-                      legacy_transform_double=True, tri_mode="single",
-                      channels=16, w_bonedir=0.25)
+                      tri_mode="single", channels=16, w_bonedir=0.25)
     path = tmp_path / "train.cfg"
     save_train_config(path, cfg)
     assert load_train_config(path) == cfg
@@ -169,12 +179,11 @@ def test_train_config_roundtrip(tmp_path):
 def test_train_config_parsing(tmp_path):
     path = tmp_path / "train.cfg"
     path.write_text("# comment\n\nepochs = 5\nbatch_size=32  # inline\n"
-                    "initial_lr = 5e-4\nlegacy_transform_double = true\n")
+                    "initial_lr = 5e-4\n")
     cfg = load_train_config(path)
     assert cfg.epochs == 5
     assert cfg.batch_size == 32
     assert cfg.initial_lr == 5e-4
-    assert cfg.legacy_transform_double is True
 
     path.write_text("epochs = 5\nnot_a_key = 1\n")
     with pytest.raises(SchemaError, match="line 2"):
@@ -186,6 +195,18 @@ def test_train_config_parsing(tmp_path):
 
     path.write_text("just some words\n")
     with pytest.raises(SchemaError, match="key = value"):
+        load_train_config(path)
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("tri_mode = triple", "tri_mode must be one of dual, single"),
+    ("batch_size = 0", "batch_size must be at least 1"),
+    ("plateau_epochs = 0", "plateau_epochs must be at least 1"),
+])
+def test_train_config_rejects_out_of_range_values(tmp_path, setting, message):
+    path = tmp_path / "train.cfg"
+    path.write_text(f"epochs = 2\n{setting}\n")
+    with pytest.raises(SchemaError, match=f"line 2: {message}"):
         load_train_config(path)
 
 
@@ -276,6 +297,28 @@ def test_resume_matches_uninterrupted(tmp_path):
         assert np.array_equal(arr, again.weights[name])
     assert full.train_state["loss_history"] == again.train_state["loss_history"]
     assert resumed.history == full.train_state["loss_history"]
+
+
+def test_resume_needs_optimizer_and_training_state(tmp_path):
+    samples, rig, assumed = small_dataset(n=8)
+    cfg = small_config(epochs=2)
+    topo = default_topology()
+    weights = init_weights(cfg.network())
+    bare = tmp_path / "weights_only.ckpt"
+    save_checkpoint(bare, topo, cfg.network(), weights, step=0)
+    with pytest.raises(SchemaError, match="lacks 'm'"):
+        fit(samples, [], assumed, cfg, out_dir=tmp_path / "a",
+            resume_from=bare)
+    assert list((tmp_path / "a").iterdir()) == []
+
+    opt = AmsGrad({k: v.shape for k, v in weights.items()})
+    no_progress = tmp_path / "no_progress.ckpt"
+    save_checkpoint(no_progress, topo, cfg.network(), weights, step=0,
+                    opt_state=opt.state())
+    with pytest.raises(SchemaError, match="'next_epoch'"):
+        fit(samples, [], assumed, cfg, out_dir=tmp_path / "b",
+            resume_from=no_progress)
+    assert list((tmp_path / "b").iterdir()) == []
 
 
 def test_resume_keeps_one_log_row_per_epoch(tmp_path):
