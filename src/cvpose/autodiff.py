@@ -67,10 +67,6 @@ class Tape:
             raise ValueError("leaf holds non-finite entries")
         return self._record(arr.copy(), op)
 
-    def scalar(self, x):
-        """A 1x1 leaf."""
-        return self.leaf(np.array([[float(x)]]))
-
     def backward(self, loss):
         """Seed d loss/d loss = 1 and sweep the tape in reverse."""
         if loss.tape is not self:
@@ -82,10 +78,6 @@ class Tape:
             # Untouched grads mean the node does not feed the loss.
             if v._backward is not None and v._grad is not None:
                 v._backward(v._grad)
-
-    def zero_grads(self):
-        for v in self.nodes:
-            v._grad = None
 
     def release(self):
         """Drop the recorded graph so node arrays free by refcount.
@@ -225,13 +217,66 @@ def block_left_matmul(M, h: Value) -> Value:
     return h.tape._record(out, "block_left_matmul", backward)
 
 
+def graph_conv(h: Value, kernels, weights, n: int) -> Value:
+    """Graph convolution sum_k N_k h W_k on every n-row block of h.
+
+    h is (B*n, C_in); kernels are constant (n, n) matrices, or None for the
+    identity, which skips the node mixing; weights are the matching
+    (C_in, C_out) Values. Terms are added in list order. One tape node
+    whose backward needs only h, the weights and the kernels: no per-kernel
+    product is kept.
+    """
+    kernels = [None if N is None else np.asarray(N, dtype=np.float64)
+               for N in kernels]
+    weights = list(weights)
+    rows, C_in = h.data.shape
+    if not weights or len(kernels) != len(weights):
+        raise ShapeMismatch(f"graph_conv: {len(kernels)} kernels, "
+                            f"{len(weights)} weights")
+    if rows % n:
+        raise ShapeMismatch(f"graph_conv: {rows} rows not divisible by {n}")
+    C_out = weights[0].data.shape[1]
+    for N, W in zip(kernels, weights):
+        if W.data.shape != (C_in, C_out):
+            raise ShapeMismatch(f"graph_conv: weight {W.data.shape}, "
+                                f"expected {(C_in, C_out)}")
+        if N is not None and N.shape != (n, n):
+            raise ShapeMismatch(f"graph_conv: kernel {N.shape}, expected {(n, n)}")
+    tape = _same_tape(h, *weights)
+    B = rows // n
+
+    def mix(N, x, buf):
+        """N applied to every n-row block of x (rows, C), into buf."""
+        C = x.shape[1]
+        np.matmul(N, x.reshape(B, n, C), out=buf.reshape(B, n, C))
+        return buf
+
+    out = np.zeros((rows, C_out))
+    hw = np.empty((rows, C_out))
+    mixed = np.empty((rows, C_out))
+    for N, W in zip(kernels, weights):
+        np.matmul(h.data, W.data, out=hw)
+        out += hw if N is None else mix(N, hw, mixed)
+
+    def backward(g):
+        dp = np.empty((rows, C_out))
+        dh = np.zeros((rows, C_in))
+        for N, W in zip(kernels, weights):
+            dpk = g if N is None else mix(N.T, g, dp)
+            W.grad += h.data.T @ dpk
+            dh += dpk @ W.data.T
+        h.grad += dh
+
+    return tape._record(out, "graph_conv", backward)
+
+
 def relu(a: Value) -> Value:
     mask = a.data > 0.0
 
     def backward(g):
         a.grad += g * mask
 
-    return a.tape._record(np.where(mask, a.data, 0.0), "relu", backward)
+    return a.tape._record(np.maximum(a.data, 0.0), "relu", backward)
 
 
 # ---------------------------------------------------------------------------

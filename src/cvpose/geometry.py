@@ -288,11 +288,6 @@ def triangulate_pose(x1: Pose2D, x2: Pose2D, cam1: CameraModel, cam2: CameraMode
     return (Pose3D(X1, frame_id=cam1.cam_id), Pose3D(X2, frame_id=cam2.cam_id))
 
 
-def transform_pose(pose: Pose3D, transform: RigidTransform, frame_id: str) -> Pose3D:
-    """Map a pose through a rigid transform into a new frame."""
-    return Pose3D(transform.apply(pose.joints), frame_id=frame_id)
-
-
 # ---------------------------------------------------------------------------
 # Procrustes alignment.
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MissingField, SchemaError, ShapeMismatch
-from .geometry import Pose3D
 from .jsonl import read_records
 
 
@@ -314,20 +313,6 @@ def build_graph_levels(topo: SkeletonTopology, groups=None) -> GraphLevels:
         unpool=[_unpool(m01, 2 * G), _unpool(m12, 2)],
         group_names=tuple(name for name, _ in groups),
     )
-
-
-# ---------------------------------------------------------------------------
-# Bone vectors.
-
-
-def bone_vectors(pose: Pose3D, topo: SkeletonTopology):
-    """Per-bone vectors X[parent] - X[child], shape (n_bones, 3)."""
-    X = pose.joints
-    if X.shape[0] != topo.n_joints:
-        raise ShapeMismatch(
-            f"pose has {X.shape[0]} joints, topology has {topo.n_joints}")
-    idx = np.asarray(topo.bones, dtype=np.int64)
-    return X[idx[:, 0]] - X[idx[:, 1]]
 
 
 # ---------------------------------------------------------------------------

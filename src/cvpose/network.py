@@ -20,6 +20,13 @@ blocks: sample s's J view-1 joints, then its J view-2 joints. That is the
 node order of the fused graph, so every stage, the per-view spatial one
 included, runs on the input as it is; coarse_pair_leaf builds it and
 split_views cuts a result back into the two (BJ, 3) views.
+
+Each of the seven graph convolutions (two spatial, one per U-stage) is
+sum_k N_k H W_k over its unmasked kernel classes k, the AXW form of Kipf &
+Welling with the kernel classes of Cai et al., and records one
+autodiff.graph_conv tape node. That node keeps its input, its weights and
+its kernels, none of the per-kernel products, so at B=256, C=128 a
+forward's tape holds about 150 MB.
 """
 
 from __future__ import annotations
@@ -136,10 +143,10 @@ def init_weights(config: NetworkConfig) -> ModelWeights:
 
 
 def _conv_entries(kernel_set, mask):
-    """(kernel index, matrix-or-None) pairs actually applied by a conv.
+    """(n_nodes, [(kernel index, matrix-or-None), ...]) for one conv.
 
     All-zero kernels and masked kernel classes are dropped; an identity
-    kernel skips its block multiply. Ascending kernel order keeps the
+    kernel skips its node mixing. Ascending kernel order keeps the
     summation deterministic.
     """
     entries = []
@@ -151,7 +158,7 @@ def _conv_entries(kernel_set, mask):
         if not N.any():
             continue
         entries.append((k, None if np.array_equal(N, eye) else N))
-    return entries
+    return kernel_set.n_nodes, entries
 
 
 def coarse_pair_leaf(tape, x1_mm, x2_mm, n_joints):
@@ -186,6 +193,8 @@ class CVUGCN:
 
     kernel_mask zeroes kernel classes for ablations; kernel_mask={4} drops
     the cross-view kernel, which leaves each view refined independently.
+    A class outside 0-4, or a mask that leaves some convolution with no
+    kernel at all, raises ValueError.
     """
 
     def __init__(self, topo, config: NetworkConfig, weights=None,
@@ -195,8 +204,11 @@ class CVUGCN:
         self.weights = init_weights(config) if weights is None else weights
         self.kernel_mask = frozenset(int(k) for k in kernel_mask)
         mask = self.kernel_mask
+        if not mask <= set(range(N_KERNELS)):
+            raise ValueError(f"kernel_mask {sorted(mask)}: kernel classes "
+                             f"are 0-{N_KERNELS - 1}")
         single = build_single_view_kernels(topo)
-        self._sgcn_entries = _conv_entries(single, mask)
+        self._sgcn_conv = _conv_entries(single, mask)
         # Centering matrix: row i of (C @ X) is X_i minus the pose centroid.
         # The convolutions carry no bias terms, so an uncentred camera-frame
         # input would put a metre-scale depth offset on every node; that
@@ -207,8 +219,14 @@ class CVUGCN:
         center = np.eye(topo.n_joints) - 1.0 / topo.n_joints
         self._center = center
         self._levels = build_graph_levels(topo)
-        self._level_entries = [_conv_entries(ks, mask)
-                               for ks in self._levels.levels]
+        self._level_convs = [_conv_entries(ks, mask)
+                             for ks in self._levels.levels]
+        convs = [("spatial", self._sgcn_conv)] + [
+            (f"level-{i}", e) for i, e in enumerate(self._level_convs)]
+        for where, (_, entries) in convs:
+            if not entries:
+                raise ValueError(f"kernel_mask {sorted(mask)} leaves the "
+                                 f"{where} convolutions with no kernel")
 
     # -- weight access -----------------------------------------------------
 
@@ -219,18 +237,17 @@ class CVUGCN:
 
     # -- forward -----------------------------------------------------------
 
-    def _conv(self, h, entries, weights_by_kernel):
-        terms = []
-        for k, N in entries:
-            hk = h if N is None else ad.block_left_matmul(N, h)
-            terms.append(ad.matmul(hk, weights_by_kernel[k]))
-        return terms[0] if len(terms) == 1 else ad.add_n(terms)
+    def _conv(self, h, conv, weights_by_kernel):
+        """sum_k N_k h W_k over the conv's unmasked kernels, one tape node."""
+        n, entries = conv
+        return ad.graph_conv(h, [N for _, N in entries],
+                             [weights_by_kernel[k] for k, _ in entries], n)
 
     def _stage_weights(self, params, prefix, n_layers):
         return [[params[f"{prefix}.{layer}.k{k}"] for k in range(N_KERNELS)]
                 for layer in range(n_layers)]
 
-    def _stage(self, h, entries, layer_weights):
+    def _stage(self, h, conv, layer_weights):
         """A stage of graph-conv units in pre-activation residual form.
 
         Width-preserving units compute h + conv(relu(h)); the one
@@ -248,9 +265,9 @@ class CVUGCN:
         """
         for ws in layer_weights:
             if ws[0].shape[0] == ws[0].shape[1]:
-                h = ad.add(h, self._conv(ad.relu(h), entries, ws))
+                h = ad.add(h, self._conv(ad.relu(h), conv, ws))
             else:
-                h = ad.relu(self._conv(h, entries, ws))
+                h = ad.relu(self._conv(h, conv, ws))
         return h
 
     def refine_from_leaf(self, xin, params):
@@ -274,23 +291,24 @@ class CVUGCN:
         # each view of each sample.
         h = ad.scale(ad.block_left_matmul(self._center, xin), cfg.coord_scale)
         sgcn = self._stage_weights(params, "sgcn", cfg.sgcn_layers)
-        h = self._stage(h, self._sgcn_entries, sgcn)
+        h = self._stage(h, self._sgcn_conv, sgcn)
 
         stage_ws = {s: self._stage_weights(params, f"mgcn.{s}",
                                            cfg.mgcn_layers_per_stage)
                     for s in STAGES}
         pool = self._levels.pool
         unpool = self._levels.unpool
-        ent = self._level_entries
+        conv = self._level_convs
 
-        e0 = self._stage(h, ent[0], stage_ws["enc0"])
-        e1 = self._stage(ad.block_left_matmul(pool[0], e0), ent[1], stage_ws["enc1"])
-        bn = self._stage(ad.block_left_matmul(pool[1], e1), ent[2],
+        e0 = self._stage(h, conv[0], stage_ws["enc0"])
+        e1 = self._stage(ad.block_left_matmul(pool[0], e0), conv[1],
+                         stage_ws["enc1"])
+        bn = self._stage(ad.block_left_matmul(pool[1], e1), conv[2],
                          stage_ws["bottleneck"])
         d1 = self._stage(ad.add(ad.block_left_matmul(unpool[1], bn), e1),
-                         ent[1], stage_ws["dec1"])
+                         conv[1], stage_ws["dec1"])
         d0 = self._stage(ad.add(ad.block_left_matmul(unpool[0], d1), e0),
-                         ent[0], stage_ws["dec0"])
+                         conv[0], stage_ws["dec0"])
         res = ad.matmul(d0, params["head"])
         refined = ad.add(xin, ad.scale(res, 1.0 / cfg.coord_scale))
         return split_views(refined, J)

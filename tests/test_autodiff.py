@@ -46,13 +46,12 @@ def test_simple_chain_gradient():
 
 
 def test_grad_accumulates_on_reuse():
+    # a feeds three uses, both matmul operands and the scale: a^2 + 3a.
     tape = ad.Tape()
     a = tape.leaf([[2.0]])
-    f = ad.reduce_sum(ad.matmul(a, a))   # a^2
+    f = ad.reduce_sum(ad.add(ad.matmul(a, a), ad.scale(a, 3.0)))
     tape.backward(f)
-    assert a.grad[0, 0] == pytest.approx(4.0)
-    tape.zero_grads()
-    assert a._grad is None
+    assert a.grad[0, 0] == pytest.approx(7.0)
 
 
 def test_relu_subgradient_at_zero():
@@ -61,6 +60,18 @@ def test_relu_subgradient_at_zero():
     y = ad.reduce_sum(ad.relu(x))
     tape.backward(y)
     assert np.array_equal(x.grad, [[0.0, 0.0, 1.0]])
+
+
+def test_relu_propagates_nan():
+    # A NaN must reach the loss, where the non-finite check catches it,
+    # not be rectified to zero on the way.
+    tape = ad.Tape()
+    x = tape.leaf([[-1.0, 0.0, 2.0, -0.0]])
+    x.data[0, 1] = np.nan
+    y = ad.relu(x)
+    assert np.isnan(y.data[0, 1])
+    assert np.array_equal(y.data[0, [0, 2, 3]], [0.0, 2.0, 0.0])
+    assert not np.signbit(y.data[0, 3])
 
 
 def test_norms_at_zero():
@@ -130,6 +141,56 @@ def test_block_left_matmul_matches_loop():
     assert out.shape == (6, 5)
     for s in range(3):
         assert np.allclose(out.data[2 * s:2 * s + 2], M @ h[4 * s:4 * s + 4])
+
+
+def _graph_conv_reference(h, kernels, weights, n):
+    """sum_k N_k h W_k block by block, straight from the definition."""
+    out = np.zeros((h.shape[0], weights[0].shape[1]))
+    for s in range(h.shape[0] // n):
+        blk = h[s * n:(s + 1) * n]
+        for N, W in zip(kernels, weights):
+            out[s * n:(s + 1) * n] += (blk if N is None else N @ blk) @ W
+    return out
+
+
+def test_graph_conv_matches_definition():
+    rng = np.random.default_rng(4)
+    n, B = 4, 3
+    N1, N2 = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+    h = rng.normal(size=(B * n, 5))
+    cases = [
+        ([None, N1, N2], [rng.normal(size=(5, 6)) for _ in range(3)]),
+        ([None], [rng.normal(size=(5, 2))]),          # identity only
+        ([N1, N2], [rng.normal(size=(5, 6)) for _ in range(2)]),  # no identity
+    ]
+    for kernels, ws in cases:
+        tape = ad.Tape()
+        W = [tape.leaf(w) for w in ws]
+        out = ad.graph_conv(tape.leaf(h), kernels, W, n)
+        assert out.op == "graph_conv" and len(tape) == 1 + len(W) + 1
+        assert np.allclose(out.data, _graph_conv_reference(h, kernels, ws, n),
+                           rtol=1e-13, atol=1e-13)
+
+
+def test_graph_conv_shape_errors():
+    tape = ad.Tape()
+    h = tape.leaf(np.ones((8, 3)))
+    N = np.eye(4)
+    W = tape.leaf(np.ones((3, 2)))
+    with pytest.raises(ShapeMismatch, match="not divisible"):
+        ad.graph_conv(h, [N], [W], 3)
+    with pytest.raises(ShapeMismatch, match="2 kernels, 1 weights"):
+        ad.graph_conv(h, [None, N], [W], 4)
+    with pytest.raises(ShapeMismatch, match="0 kernels"):
+        ad.graph_conv(h, [], [], 4)
+    with pytest.raises(ShapeMismatch, match="kernel"):
+        ad.graph_conv(h, [np.eye(2)], [W], 4)
+    with pytest.raises(ShapeMismatch, match="weight"):
+        ad.graph_conv(h, [None], [tape.leaf(np.ones((2, 2)))], 4)
+    with pytest.raises(ShapeMismatch, match="weight"):
+        ad.graph_conv(h, [None, N], [W, tape.leaf(np.ones((3, 5)))], 4)
+    with pytest.raises(ValueError, match="different tapes"):
+        ad.graph_conv(h, [N], [ad.Tape().leaf(np.ones((3, 2)))], 4)
 
 
 def test_slice_blocks_selects_rows_of_every_block():
@@ -202,6 +263,30 @@ def test_grad_block_and_affine_ops():
     shift = rng.normal(size=2)
     _check(lambda t, p: ad.reduce_sum(ad.norm_rows(ad.affine_rows(p[0], A, shift))),
            [h])
+
+
+def test_grad_graph_conv():
+    rng = np.random.default_rng(17)
+    n, B = 4, 3
+    N = [rng.normal(size=(n, n)) for _ in range(3)]
+    h = rng.normal(size=(B * n, 5))
+
+    def check(kernels, c_in, c_out):
+        x = h[:, :c_in]
+        ws = [rng.normal(size=(c_in, c_out)) for _ in kernels]
+        _check(lambda t, p: ad.reduce_sum(ad.norm_rows(
+            ad.graph_conv(p[0], kernels, p[1:], n))), [x] + ws)
+
+    check([None, N[0], N[1], N[2]], 5, 6)   # identity plus mixing kernels
+    check([None], 5, 6)                     # identity only
+    check([None, N[0], N[1]], 3, 6)         # a C_in=3 -> C_out lift
+    check([None, N[0], N[2]], 5, 6)         # one class masked
+    # h also feeds a matmul and one weight serves two kernels: both
+    # gradients accumulate onto what is already there.
+    _check(lambda t, p: ad.reduce_sum(ad.norm_rows(ad.add(
+        ad.matmul(p[0], p[2]),
+        ad.graph_conv(p[0], [None, N[0]], [p[1], p[1]], n)))),
+        [h, rng.normal(size=(5, 6)), rng.normal(size=(5, 6))])
 
 
 def test_grad_geometry_ops():

@@ -24,7 +24,6 @@ from cvpose.geometry import (
     project,
     relative_transform,
     save_rig,
-    transform_pose,
     triangulate_joint,
     triangulate_pose,
 )
@@ -353,14 +352,6 @@ def test_procrustes_degenerate_cases():
     out = procrustes_align(Pose3D(np.tile([4.0, 4.0, 4.0], (5, 1)), "a"),
                            Pose3D(G2, "b"))
     assert np.allclose(out.joints, G2.mean(0))
-
-
-def test_transform_pose_frames():
-    pose = Pose3D(np.array([[1.0, 2.0, 3.0]]), frame_id="cam1")
-    tr = RigidTransform(rot_y(90), np.array([0.0, 0.0, 1.0]))
-    out = transform_pose(pose, tr, frame_id="cam2")
-    assert out.frame_id == "cam2"
-    assert np.allclose(out.joints, tr.apply(pose.joints))
 
 
 # ---------------------------------------------------------------------------

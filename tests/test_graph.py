@@ -3,12 +3,10 @@
 import numpy as np
 import pytest
 
-from cvpose.errors import SchemaError, ShapeMismatch
-from cvpose.geometry import Pose3D
+from cvpose.errors import SchemaError
 from cvpose.graph import (
     AdjacencyKernelSet,
     SkeletonTopology,
-    bone_vectors,
     build_graph_levels,
     build_multi_view_kernels,
     build_single_view_kernels,
@@ -219,18 +217,6 @@ def test_default_pool_groups_partition():
     groups = default_pool_groups(topo)
     seen = sorted(j for _, js in groups for j in js)
     assert seen == list(range(17))
-
-
-def test_bone_vectors():
-    topo = default_topology()
-    rng = np.random.default_rng(5)
-    X = rng.normal(size=(17, 3))
-    vecs = bone_vectors(Pose3D(X, "f"), topo)
-    assert vecs.shape == (16, 3)
-    for k, (p, c) in enumerate(topo.bones):
-        assert np.array_equal(vecs[k], X[p] - X[c])
-    with pytest.raises(ShapeMismatch):
-        bone_vectors(Pose3D(X[:5], "f"), topo)
 
 
 def test_topology_file_roundtrip(tmp_path):

@@ -131,6 +131,62 @@ def test_forward_gradients_against_finite_differences():
     assert report.ok, f"max rel err {report.max_rel_err:.2e}"
 
 
+def test_batched_gradients_against_finite_differences():
+    # B = 2 in the per-sample block layout of coarse_pair_leaf: a kernel or
+    # pooling operator applied to the wrong block shows here, not at B = 1.
+    topo = default_topology()
+    B, J = 2, topo.n_joints
+    model = CVUGCN(topo, small_config())
+    rng = np.random.default_rng(9)
+    model.weights.arrays["head"] = rng.normal(0, 0.05, size=(8, 3))
+    xin = network.coarse_pair_leaf(ad.Tape(), rand_coarse(rng, B),
+                                   rand_coarse(rng, B), J).data
+    names = list(model.weights.arrays)
+    # Rows weigh unequally, so swapped blocks would change the loss.
+    row_w = np.linspace(0.5, 2.0, B * J).reshape(1, -1)
+
+    def loss(tape, xin_leaf, params):
+        X1, X2 = model.refine_from_leaf(xin_leaf, params)
+        w = tape.leaf(row_w)
+        return ad.reduce_sum(ad.add(ad.matmul(w, ad.norm_rows(X1)),
+                                    ad.matmul(w, ad.norm_rows(X2))))
+
+    report = ad.grad_check(
+        lambda t, p: loss(t, p[-1], dict(zip(names, p[:-1]))),
+        [model.weights[n] for n in names] + [xin], n_samples=3, rng=0)
+    assert report.ok, f"weights: max rel err {report.max_rel_err:.2e}"
+    # The input is in mm around 3000 and the loss near 1e5: a 1e-5 mm step
+    # drowns in round-off, 1e-3 mm does not.
+    report = ad.grad_check(
+        lambda t, p: loss(t, p[0], model.param_leaves(t)), [xin],
+        eps=1e-3, n_samples=12, rng=0)
+    assert report.ok, f"input: max rel err {report.max_rel_err:.2e}"
+    assert {r.index[0] // (2 * J) for r in report.rows} == {0, 1}
+
+
+def test_default_forward_records_one_node_per_conv():
+    cfg = NetworkConfig()
+    model = CVUGCN(default_topology(), cfg)
+    rng = np.random.default_rng(10)
+    tape = ad.Tape()
+    model.refine_batch(tape, rand_coarse(rng, 2), rand_coarse(rng, 2))
+    ops = [v.op for v in tape.nodes]
+    assert ops.count("graph_conv") == cfg.sgcn_layers + len(network.STAGES) == 7
+    assert len(ops) == 70
+    assert "add_n" not in ops and ops.count("matmul") == 1   # the head
+
+
+def test_kernel_mask_is_validated():
+    topo = default_topology()
+    for mask in ((5,), (-1,), (0, 4), (0, 1, 2, 3, 4)):
+        with pytest.raises(ValueError, match="kernel_mask"):
+            CVUGCN(topo, small_config(), kernel_mask=mask)
+    with pytest.raises(ValueError, match="level-2"):
+        CVUGCN(topo, small_config(), kernel_mask={0, 4})
+    for mask in ((), (4,), (1, 2, 3)):
+        CVUGCN(topo, small_config(), kernel_mask=mask)
+
+
 def test_cross_view_mask_decouples_views():
     topo = default_topology()
     model = CVUGCN(topo, small_config(), kernel_mask={4})
