@@ -16,9 +16,9 @@ import numpy as np
 from .errors import CvposeError
 from .experiments import (ABLATION_VARIANTS, ablation_study, format_table,
                           noise_robustness, unseen_pair_study)
-from .geometry import TRI_MODES, Pose2D, load_rig, save_rig, triangulate_pose
+from .geometry import TRI_MODES, load_rig, save_rig
 from .graph import default_topology, load_topology, save_topology
-from .metrics import evaluate
+from .metrics import evaluate, mpjpe_rows
 from .network import CVUGCN, load_checkpoint
 from .syndata import (SyntheticConfig, default_rig, file_sha256,
                       generate_dataset, load_dataset, save_dataset,
@@ -108,13 +108,10 @@ def cmd_triangulate(args):
     print(f"triangulated {len(coarse)} of {len(samples)} samples "
           f"({len(skipped)} skipped, mode={args.mode})")
     if have_gt and coarse:
-        errs = []
-        for s in samples:
-            if s.sample_id not in coarse:
-                continue
-            for v, x in zip(s.pair, coarse[s.sample_id]):
-                errs.append(np.linalg.norm(
-                    x - s.joints_3d_gt[v], axis=1).mean())
+        kept = [s for s in samples if s.sample_id in coarse]
+        errs = mpjpe_rows(
+            np.stack([coarse[s.sample_id] for s in kept]),
+            np.stack([[s.joints_3d_gt[v] for v in s.pair] for s in kept]))
         print(f"MPJPE vs ground truth: {np.mean(errs):.4f} mm")
     return 0
 

@@ -17,9 +17,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import MissingGroundTruth
-from .geometry import Pose3D
 from .graph import default_topology
-from .metrics import _refine_batches, evaluate, p_mpjpe
+from .metrics import _refine_batches, evaluate, p_mpjpe_rows
 from .network import (CVUGCN, ModelWeights, coarse_pair_leaf, init_weights,
                       param_count, split_views)
 from .training import (AmsGrad, TrainConfig, precompute_coarse, schedule_lr,
@@ -174,6 +173,7 @@ def noise_robustness(samples, cameras, model, topo=None,
             raise MissingGroundTruth(
                 f"sample {s.sample_id} carries no ground truth")
     coarse, _ = precompute_coarse(samples, cameras, topo, mode=tri_mode)
+    n = sum(s.sample_id in coarse for s in samples)
     rows = []
     for si, sigma in enumerate(sigmas_mm):
         rng = np.random.default_rng((seed, si))
@@ -181,16 +181,13 @@ def noise_robustness(samples, cameras, model, topo=None,
         for sid, (x1, x2) in coarse.items():
             noisy[sid] = (x1 + rng.standard_normal(x1.shape) * sigma,
                           x2 + rng.standard_normal(x2.shape) * sigma)
-        refined = _refine_batches(samples, noisy, model, batch_size)
-        p_in, p_out = [], []
-        for s in samples:
-            if s.sample_id not in noisy:
-                continue
-            for v, nx, rx in zip(s.pair, noisy[s.sample_id],
-                                 refined[s.sample_id]):
-                gt = Pose3D(s.joints_3d_gt[v], frame_id=v)
-                p_in.append(p_mpjpe(Pose3D(nx, frame_id=v), gt))
-                p_out.append(p_mpjpe(Pose3D(rx, frame_id=v), gt))
+        # (samples, views) errors, in sample order.
+        p_in = np.empty((n, 2))
+        p_out = np.empty((n, 2))
+        for at, x, r, gt in _refine_batches(samples, noisy, model,
+                                            batch_size):
+            p_in[at] = p_mpjpe_rows(x, gt)
+            p_out[at] = p_mpjpe_rows(r, gt)
         rows.append({"sigma_mm": float(sigma),
                      "pmpjpe_coarse_mm": float(np.mean(p_in)),
                      "pmpjpe_refined_mm": float(np.mean(p_out))})

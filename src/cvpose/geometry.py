@@ -2,9 +2,16 @@
 
 Conventions: millimetres for 3D coordinates and translations, pixels for 2D.
 A camera maps a world point X through x = K (R X + t); the first camera of a
-pair acts as the world frame for triangulated points. The DLT null vectors
-and the Procrustes rotation both come from numpy's LAPACK SVD
-(`np.linalg.svd`), which takes stacks of small matrices.
+pair acts as the world frame for triangulated points.
+
+Both solvers work on stacks. `triangulate_stack` triangulates N poses of
+one camera pair with one `np.linalg.svd` call over the (N*J, 4, 4) DLT
+systems per ordering, and reports per sample the error it fails with;
+`procrustes_align_stack` aligns N pose pairs with one SVD of the (N, 3, 3)
+cross-covariance stack. `triangulate_pose` and `procrustes_align` are the
+N = 1 calls for a single pose. numpy's LAPACK SVD solves each matrix of a
+stack on its own, so a pose's result does not depend on what it is stacked
+with.
 """
 
 from __future__ import annotations
@@ -161,20 +168,22 @@ def project(cam: CameraModel, pose: Pose3D) -> Pose2D:
     the depth guard.
     """
     X = pose.joints
-    _require_depth(X, cam.cam_id)
+    err = _depth_error(X, cam.cam_id)
+    if err is not None:
+        raise err
     h = X @ cam.K.T
     return Pose2D(h[:, :2] / h[:, 2:3], view_id=cam.cam_id)
 
 
-def _require_depth(X, view_id):
-    """Raise NonPositiveDepth naming the first joint of the (J, 3) camera-frame
-    array X whose depth is at or below the guard."""
+def _depth_error(X, view_id):
+    """NonPositiveDepth naming the first joint of the (J, 3) camera-frame
+    array X whose depth is at or below the guard, or None."""
     bad = np.nonzero(X[:, 2] <= DEPTH_EPS)[0]
-    if bad.size:
-        j = int(bad[0])
-        raise NonPositiveDepth(
-            f"joint {j} has depth {X[j, 2]:.6g} mm in view {view_id!r}", joint=j
-        )
+    if not bad.size:
+        return None
+    j = int(bad[0])
+    return NonPositiveDepth(
+        f"joint {j} has depth {X[j, 2]:.6g} mm in view {view_id!r}", joint=j)
 
 
 def _normalized_coords(K, uv):
@@ -193,19 +202,15 @@ def _normalized_coords(K, uv):
 # Triangulation.
 
 
-def _dlt_systems(u1, u2, cam1, cam2):
-    """Stack the 4x4 DLT systems for J joint correspondences.
+def _dlt_systems(n1, n2, rel):
+    """Stack the 4x4 DLT systems for n normalized correspondences.
 
     Rows come from the cross product of normalized image coordinates with
     the projective mapping of [I|0] (first camera) and [R|t] (relative
-    motion to the second camera).
+    motion `rel` to the second camera).
     """
-    n1 = _normalized_coords(cam1.K, u1)
-    n2 = _normalized_coords(cam2.K, u2)
-    rel = relative_transform(cam1, cam2)
-    J = n1.shape[0]
     P2 = np.hstack([rel.R, rel.t[:, None]])  # (3, 4)
-    A = np.zeros((J, 4, 4))
+    A = np.zeros((n1.shape[0], 4, 4))
     # First camera: [I|0] keeps the rows sparse.
     A[:, 0, 0] = -1.0
     A[:, 0, 2] = n1[:, 0]
@@ -213,15 +218,15 @@ def _dlt_systems(u1, u2, cam1, cam2):
     A[:, 1, 2] = n1[:, 1]
     A[:, 2, :] = n2[:, 0:1] * P2[2] - P2[0]
     A[:, 3, :] = n2[:, 1:2] * P2[2] - P2[1]
-    return A, rel
+    return A
 
 
 def _solve_dlt(A):
     """Least singular vectors of a stack of 4x4 systems, dehomogenized.
 
-    Returns (points (J, 3), gap (J,), bad_w (J,)): gap is the relative
-    separation of the two smallest singular values and bad_w flags points at
-    infinity, both used for degeneracy detection. The sign of a singular
+    Returns (points (n, 3), degenerate (n,)): a system is degenerate when
+    the two smallest singular values are not separated (relative gap below
+    SIGMA_GAP_EPS) or its solution lies at infinity. The sign of a singular
     vector is arbitrary and cancels in the division by w.
     """
     _, sig, vt = np.linalg.svd(A)
@@ -231,100 +236,160 @@ def _solve_dlt(A):
     w = x[:, 3]
     xyz_abs = np.max(np.abs(x[:, :3]), axis=1)
     bad_w = np.abs(w) <= 1e-12 * np.maximum(1.0, xyz_abs)
-    pts = np.empty((x.shape[0], 3))
-    safe_w = np.where(bad_w, 1.0, w)
-    pts[:] = x[:, :3] / safe_w[:, None]
-    return pts, gap, bad_w
+    pts = x[:, :3] / np.where(bad_w, 1.0, w)[:, None]
+    return pts, (gap < SIGMA_GAP_EPS) | bad_w
 
 
-def triangulate_joint(u1, u2, cam1: CameraModel, cam2: CameraModel):
-    """Triangulate one joint from its pixel coordinates in two views.
+def _solve_ordering(n_a, n_b, cam_a, cam_b, shape):
+    """DLT with cam_a as the frame origin for (n, 2) normalized coordinates.
 
-    Returns the 3D point (mm) in the first camera's frame. Raises
-    DegenerateGeometry when the baseline vanishes or the linear system
-    does not isolate a unique direction, and NonPositiveDepth when the
-    point lies at or behind the first camera.
+    Returns (points reshaped to `shape`, degenerate joints of that shape
+    minus its last axis), or (NaN points, None) when the baseline vanishes;
+    the SVD is then skipped.
     """
-    return _triangulate_arrays(np.reshape(u1, (1, 2)), np.reshape(u2, (1, 2)),
-                               cam1, cam2)[0]
-
-
-def _triangulate_arrays(u1, u2, cam1, cam2):
-    """Triangulate J correspondences into cam1's frame. Internal fast path."""
-    A, rel = _dlt_systems(u1, u2, cam1, cam2)
+    rel = relative_transform(cam_a, cam_b)
     if np.linalg.norm(rel.t) < BASELINE_EPS:
-        raise DegenerateGeometry("camera baseline is numerically zero")
-    pts, gap, bad_w = _solve_dlt(A)
-    bad = np.nonzero((gap < SIGMA_GAP_EPS) | bad_w)[0]
-    if bad.size:
-        j = int(bad[0])
-        raise DegenerateGeometry(f"joint {j}: DLT system has no unique solution", joint=j)
-    _require_depth(pts, cam1.cam_id)
-    return pts
+        return np.full(shape, np.nan), None
+    pts, degenerate = _solve_dlt(_dlt_systems(n_a, n_b, rel))
+    return pts.reshape(shape), degenerate.reshape(shape[:-1])
+
+
+def _first_error(n, steps):
+    """The error sample n fails with: the first rule it breaks, in order."""
+    for X, degenerate, view_id in steps:
+        if degenerate is None:
+            return DegenerateGeometry("camera baseline is numerically zero")
+        bad = np.nonzero(degenerate[n])[0]
+        if bad.size:
+            j = int(bad[0])
+            return DegenerateGeometry(
+                f"joint {j}: DLT system has no unique solution", joint=j)
+        err = _depth_error(X[n], view_id)
+        if err is not None:
+            return err
+    return None
+
+
+def triangulate_stack(u1, u2, cam1: CameraModel, cam2: CameraModel,
+                      mode="dual"):
+    """Triangulate N poses seen by one camera pair in one stacked DLT solve.
+
+    u1 and u2 are (N, J, 2) pixel arrays of the two views. mode "dual"
+    solves the DLT once per ordering (each camera in turn as the frame
+    origin); mode "single" solves only with cam1 as origin and maps the
+    result into cam2's frame with the relative transform. Each ordering
+    is one `np.linalg.svd` call over all N*J systems.
+
+    Returns (X1, X2, errors): the (N, J, 3) poses in cam1's and cam2's
+    frames, and per sample None or the error it fails with. A sample fails
+    with DegenerateGeometry when the baseline vanishes or a joint's system
+    has no unique solution, and with NonPositiveDepth when a joint lies at
+    or behind either camera; the first failure in the order cam1's solve,
+    cam1's depth, cam2's solve, cam2's depth is reported, with its joint.
+    A failed sample's rows carry no meaning.
+    """
+    u1 = np.asarray(u1, dtype=np.float64)
+    u2 = np.asarray(u2, dtype=np.float64)
+    if u1.shape != u2.shape:
+        raise ShapeMismatch(f"views disagree on shape: {u1.shape} vs {u2.shape}")
+    if u1.ndim != 3 or u1.shape[2] != 2:
+        raise ShapeMismatch(f"pixels: expected (N, J, 2), got {u1.shape}")
+    if mode not in TRI_MODES:
+        raise ValueError(f"unknown triangulation mode {mode!r}")
+    if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
+        raise ValueError("joints: non-finite entries")
+    N, J, _ = u1.shape
+    shape = (N, J, 3)
+    n1 = _normalized_coords(cam1.K, u1.reshape(-1, 2))
+    n2 = _normalized_coords(cam2.K, u2.reshape(-1, 2))
+    X1, deg1 = _solve_ordering(n1, n2, cam1, cam2, shape)
+    if mode == "dual":
+        X2, deg2 = _solve_ordering(n2, n1, cam2, cam1, shape)
+    else:
+        # A stacked matmul runs one (J, 3) product per pose, exactly as for
+        # a single pose.
+        rel = relative_transform(cam1, cam2)
+        X2 = X1 @ rel.R.T + rel.t
+        deg2 = np.zeros((N, J), dtype=bool)
+    steps = ((X1, deg1, cam1.cam_id), (X2, deg2, cam2.cam_id))
+    failed = np.zeros(N, dtype=bool)
+    for X, degenerate, _ in steps:
+        if degenerate is None:
+            failed[:] = True
+            break
+        failed |= degenerate.any(axis=1) | (X[..., 2] <= DEPTH_EPS).any(axis=1)
+    errors = [None] * N
+    for n in np.nonzero(failed)[0]:
+        errors[n] = _first_error(n, steps)
+    return X1, X2, errors
 
 
 def triangulate_pose(x1: Pose2D, x2: Pose2D, cam1: CameraModel, cam2: CameraModel,
                      mode="dual"):
-    """Triangulate a full pose from two views.
+    """Triangulate a full pose from two views: `triangulate_stack` for N = 1.
 
-    mode "dual" solves the DLT once per ordering (each camera in turn as the
-    frame origin) and returns (pose_in_cam1, pose_in_cam2). mode "single"
-    solves only with cam1 as origin and maps the result into cam2's frame
-    with the relative transform. Either pose having a joint at or behind
-    its camera raises NonPositiveDepth.
+    Returns (pose_in_cam1, pose_in_cam2) and raises the sample's
+    DegenerateGeometry or NonPositiveDepth, tagged with the joint.
     """
-    if x1.joints.shape != x2.joints.shape:
-        raise ShapeMismatch(
-            f"views disagree on joint count: {x1.joints.shape} vs {x2.joints.shape}"
-        )
-    if mode not in TRI_MODES:
-        raise ValueError(f"unknown triangulation mode {mode!r}")
-    X1 = _triangulate_arrays(x1.joints, x2.joints, cam1, cam2)
-    if mode == "dual":
-        X2 = _triangulate_arrays(x2.joints, x1.joints, cam2, cam1)
-    else:
-        X2 = relative_transform(cam1, cam2).apply(X1)
-        _require_depth(X2, cam2.cam_id)
-    return (Pose3D(X1, frame_id=cam1.cam_id), Pose3D(X2, frame_id=cam2.cam_id))
+    X1, X2, errors = triangulate_stack(x1.joints[None], x2.joints[None],
+                                       cam1, cam2, mode=mode)
+    if errors[0] is not None:
+        raise errors[0]
+    return (Pose3D(X1[0], frame_id=cam1.cam_id), Pose3D(X2[0], frame_id=cam2.cam_id))
 
 
 # ---------------------------------------------------------------------------
 # Procrustes alignment.
 
 
-def procrustes_align(pred: Pose3D, gt: Pose3D) -> Pose3D:
-    """Similarity-align pred onto gt (closed form, least squares optimal).
+def procrustes_align_stack(pred, gt):
+    """Similarity-align every pose of pred onto the matching pose of gt.
 
-    Finds scale s, rotation R and translation t minimizing
-    ||s pred R + t - gt||_F and returns the aligned pose in gt's frame.
-    A collapsed ground truth raises DegenerateCloud; a collapsed prediction
-    aligns to the gt centroid (scale 0).
+    pred and gt are (..., J, 3) stacks of N poses. Per pose, finds scale s,
+    rotation R and translation t minimizing ||s pred R + t - gt||_F
+    (Umeyama, TPAMI 1991): one SVD of the (N, 3, 3) cross-covariance stack,
+    with the determinant sign fix that rules out reflections. Returns the
+    aligned poses, shaped like pred. A collapsed ground truth anywhere in
+    the stack raises DegenerateCloud naming its flat row; a collapsed
+    prediction aligns to its gt centroid (scale 0).
     """
-    P = pred.joints
-    G = gt.joints
+    P = np.asarray(pred, dtype=np.float64)
+    G = np.asarray(gt, dtype=np.float64)
     if P.shape != G.shape:
         raise ShapeMismatch(f"joint counts differ: {P.shape} vs {G.shape}")
-    mu_p = P.mean(axis=0)
-    mu_g = G.mean(axis=0)
+    if P.ndim < 2 or P.shape[-1] != 3:
+        raise ShapeMismatch(f"poses: expected (..., J, 3), got {P.shape}")
+    shape = P.shape
+    P = P.reshape(-1, *shape[-2:])
+    G = G.reshape(P.shape)
+    mu_p = P.mean(axis=1, keepdims=True)
+    mu_g = G.mean(axis=1, keepdims=True)
     P0 = P - mu_p
     G0 = G - mu_g
-    norm_g = np.linalg.norm(G0)
-    norm_p = np.linalg.norm(P0)
-    scale_ref = max(np.linalg.norm(G), 1.0)
-    if norm_g <= 1e-12 * scale_ref:
-        raise DegenerateCloud("ground-truth cloud collapses to a point")
-    if norm_p <= 1e-12 * max(np.linalg.norm(P), 1.0):
-        return Pose3D(np.tile(mu_g, (P.shape[0], 1)), frame_id=gt.frame_id)
-    H = P0.T @ G0
+    norm_p = np.linalg.norm(P0, axis=(1, 2))
+    scale_g = np.maximum(np.linalg.norm(G, axis=(1, 2)), 1.0)
+    flat_g = np.nonzero(np.linalg.norm(G0, axis=(1, 2)) <= 1e-12 * scale_g)[0]
+    if flat_g.size:
+        raise DegenerateCloud(
+            f"ground-truth cloud {int(flat_g[0])} collapses to a point")
+    flat_p = norm_p <= 1e-12 * np.maximum(np.linalg.norm(P, axis=(1, 2)), 1.0)
+    H = np.swapaxes(P0, 1, 2) @ G0
     U, sig, Vt = np.linalg.svd(H)
-    d = np.sign(np.linalg.det(U @ Vt))
-    if d == 0.0:
-        d = 1.0
-    D = np.ones(3)
-    D[2] = d
-    R = (U * D) @ Vt  # maps centred pred onto centred gt: P0 @ R
-    s = float((sig * D).sum()) / float(norm_p**2)
-    return Pose3D(s * (P0 @ R) + mu_g, frame_id=gt.frame_id)
+    D = np.ones_like(sig)
+    D[:, 2] = np.where(np.linalg.det(U @ Vt) < 0, -1.0, 1.0)
+    R = (U * D[:, None, :]) @ Vt  # maps centred pred onto centred gt: P0 @ R
+    s = (sig * D).sum(axis=1) / np.where(flat_p, 1.0, norm_p**2)
+    s[flat_p] = 0.0
+    return (s[:, None, None] * (P0 @ R) + mu_g).reshape(shape)
+
+
+def procrustes_align(pred: Pose3D, gt: Pose3D) -> Pose3D:
+    """Similarity-align one pose onto gt: `procrustes_align_stack` for N = 1.
+
+    Returns the aligned pose in gt's frame.
+    """
+    return Pose3D(procrustes_align_stack(pred.joints, gt.joints),
+                  frame_id=gt.frame_id)
 
 
 # ---------------------------------------------------------------------------

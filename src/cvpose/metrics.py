@@ -3,6 +3,12 @@
 Errors are reported in millimetres. MPJPE compares poses in a shared
 camera frame; P-MPJPE first similarity-aligns the prediction onto the
 ground truth, removing global rotation, translation and scale.
+
+The metrics work on stacks: `mpjpe_rows` and `p_mpjpe_rows` give one error
+per (J, 3) pose of a stack, the latter through the batched Umeyama
+alignment `geometry.procrustes_align_stack`. `mpjpe` and `p_mpjpe` are the
+one-pose forms. `evaluate` scores each refined batch as (B, 2, J, 3) stacks
+(both views at once) and reports errors per sample, per joint and overall.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FrameMismatch, MissingGroundTruth, ShapeMismatch
-from .geometry import Pose3D, procrustes_align
+from .geometry import Pose3D, procrustes_align_stack
 from .graph import default_topology
 from .network import CVUGCN
 from .training import _pair_batches, precompute_coarse
@@ -21,12 +27,27 @@ from .training import _pair_batches, precompute_coarse
 from . import autodiff as ad
 
 
-def mpjpe_arrays(pred, gt) -> float:
+def joint_errors(pred, gt):
+    """Per-joint Euclidean distances of two (..., J, 3) stacks: (..., J)."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
         raise ShapeMismatch(f"joint arrays differ: {pred.shape} vs {gt.shape}")
-    return float(np.linalg.norm(pred - gt, axis=-1).mean())
+    return np.linalg.norm(pred - gt, axis=-1)
+
+
+def mpjpe_rows(pred, gt):
+    """MPJPE of every pose of two (..., J, 3) stacks: (...)."""
+    return joint_errors(pred, gt).mean(axis=-1)
+
+
+def p_mpjpe_rows(pred, gt):
+    """MPJPE after similarity alignment, per pose of two (..., J, 3) stacks."""
+    return mpjpe_rows(procrustes_align_stack(pred, gt), gt)
+
+
+def mpjpe_arrays(pred, gt) -> float:
+    return float(joint_errors(pred, gt).mean())
 
 
 def mpjpe(pred: Pose3D, gt: Pose3D) -> float:
@@ -39,8 +60,7 @@ def mpjpe(pred: Pose3D, gt: Pose3D) -> float:
 
 def p_mpjpe(pred: Pose3D, gt: Pose3D) -> float:
     """MPJPE after similarity (Procrustes) alignment of pred onto gt."""
-    aligned = procrustes_align(pred, gt)
-    return mpjpe_arrays(aligned.joints, gt.joints)
+    return float(p_mpjpe_rows(pred.joints, gt.joints))
 
 
 @dataclass
@@ -53,6 +73,10 @@ class EvalReport:
     per_sample_tri: list = field(default_factory=list)
     per_sample_refined: list = field(default_factory=list)
     skipped: list = field(default_factory=list)
+    # {"tri": [J floats], "refined": [J floats]}: per joint, the mean over
+    # the evaluated samples and both views.
+    per_joint_mpjpe_mm: dict = field(default_factory=dict)
+    per_joint_pmpjpe_mm: dict = field(default_factory=dict)
 
     def to_json(self):
         return json.dumps({
@@ -64,6 +88,8 @@ class EvalReport:
             "per_sample_tri": self.per_sample_tri,
             "per_sample_refined": self.per_sample_refined,
             "skipped": self.skipped,
+            "per_joint_mpjpe_mm": self.per_joint_mpjpe_mm,
+            "per_joint_pmpjpe_mm": self.per_joint_pmpjpe_mm,
         }, indent=2, sort_keys=True)
 
     def save(self, path):
@@ -72,24 +98,28 @@ class EvalReport:
 
 
 def _refine_batches(samples, coarse, model, batch_size):
-    """Refined (X1, X2) per sample id, deterministic order, no updates."""
-    J = model.topo.n_joints
+    """Refine every sample in `coarse` in same-pair batches, no updates.
+
+    Yields (rows, coarse, refined, gt) per batch: rows are the batch's
+    positions among the samples in `coarse`, in sample order; the three
+    stacks are (B, 2, J, 3), view 1 then view 2, each in its camera's
+    frame. Every sample must carry ground truth.
+    """
     usable = [i for i, s in enumerate(samples) if s.sample_id in coarse]
-    refined = {}
+    row = {i: r for r, i in enumerate(usable)}
     for _, idxs in _pair_batches(samples, usable, batch_size):
-        ids = [samples[i].sample_id for i in idxs]
+        batch = [samples[i] for i in idxs]
+        x = np.stack([coarse[s.sample_id] for s in batch])
         tape = ad.Tape()
         try:
-            X1, X2, _ = model.refine_batch(
-                tape, np.vstack([coarse[sid][0] for sid in ids]),
-                np.vstack([coarse[sid][1] for sid in ids]))
+            X1, X2, _ = model.refine_batch(tape, x[:, 0].reshape(-1, 3),
+                                           x[:, 1].reshape(-1, 3))
         finally:
             tape.release()
-        r1, r2 = X1.data, X2.data
-        for j, sid in enumerate(ids):
-            refined[sid] = (r1[j * J:(j + 1) * J].copy(),
-                            r2[j * J:(j + 1) * J].copy())
-    return refined
+        refined = np.stack([X.data.reshape(x[:, 0].shape) for X in (X1, X2)],
+                           axis=1)
+        gt = np.stack([[s.joints_3d_gt[v] for v in s.pair] for s in batch])
+        yield [row[i] for i in idxs], x, refined, gt
 
 
 def evaluate(samples, cameras, model: CVUGCN, topo=None, batch_size=256,
@@ -97,8 +127,9 @@ def evaluate(samples, cameras, model: CVUGCN, topo=None, batch_size=256,
     """Score triangulated and refined poses against per-view ground truth.
 
     Per-sample errors average the two views; report-level numbers average
-    the per-sample errors. Samples whose triangulation fails are skipped
-    and listed. Ground truth is read here and nowhere else.
+    the per-sample errors, and per-joint errors average samples and views.
+    Samples whose triangulation fails are skipped and listed. Ground truth
+    is read here and nowhere else.
     """
     topo = topo or model.topo or default_topology()
     for s in samples:
@@ -106,39 +137,40 @@ def evaluate(samples, cameras, model: CVUGCN, topo=None, batch_size=256,
             raise MissingGroundTruth(
                 f"sample {s.sample_id} carries no ground truth")
     coarse, skipped = precompute_coarse(samples, cameras, topo, mode=tri_mode)
-    refined = _refine_batches(samples, coarse, model, batch_size)
-
-    tri_errs, ref_errs = [], []
-    tri_p, ref_p = [], []
-    for s in samples:
-        if s.sample_id not in coarse:
-            continue
-        views = s.pair
-        t_mm, r_mm, t_pm, r_pm = 0.0, 0.0, 0.0, 0.0
-        for v, tri_x, ref_x in zip(views, coarse[s.sample_id],
-                                   refined[s.sample_id]):
-            gt = Pose3D(s.joints_3d_gt[v], frame_id=v)
-            tri_pose = Pose3D(tri_x, frame_id=v)
-            ref_pose = Pose3D(ref_x, frame_id=v)
-            t_mm += mpjpe(tri_pose, gt)
-            r_mm += mpjpe(ref_pose, gt)
-            t_pm += p_mpjpe(tri_pose, gt)
-            r_pm += p_mpjpe(ref_pose, gt)
-        tri_errs.append(t_mm / 2.0)
-        ref_errs.append(r_mm / 2.0)
-        tri_p.append(t_pm / 2.0)
-        ref_p.append(r_pm / 2.0)
+    J = topo.n_joints
+    n = sum(s.sample_id in coarse for s in samples)
+    # (samples, views, joints) errors, in sample order.
+    errs = {k: np.empty((n, 2, J))
+            for k in ("tri", "refined", "tri_p", "refined_p")}
+    for rows, tri, ref, gt in _refine_batches(samples, coarse, model,
+                                              batch_size):
+        for name, pred in (("tri", tri), ("refined", ref)):
+            errs[name][rows] = joint_errors(pred, gt)
+            errs[name + "_p"][rows] = joint_errors(
+                procrustes_align_stack(pred, gt), gt)
+    per_sample = {}
+    for k, e in errs.items():
+        per_view = e.mean(axis=-1)
+        per_sample[k] = (per_view[:, 0] + per_view[:, 1]) / 2.0
 
     def mean(xs):
-        return float(np.mean(xs)) if xs else float("nan")
+        return float(np.mean(xs)) if len(xs) else float("nan")
+
+    def per_joint(a, b):
+        if not n:
+            return {"tri": [float("nan")] * J, "refined": [float("nan")] * J}
+        return {"tri": errs[a].mean(axis=(0, 1)).tolist(),
+                "refined": errs[b].mean(axis=(0, 1)).tolist()}
 
     return EvalReport(
-        n_samples=len(tri_errs),
-        mpjpe_tri_mm=mean(tri_errs),
-        mpjpe_refined_mm=mean(ref_errs),
-        pmpjpe_tri_mm=mean(tri_p),
-        pmpjpe_refined_mm=mean(ref_p),
-        per_sample_tri=[float(x) for x in tri_errs],
-        per_sample_refined=[float(x) for x in ref_errs],
+        n_samples=n,
+        mpjpe_tri_mm=mean(per_sample["tri"]),
+        mpjpe_refined_mm=mean(per_sample["refined"]),
+        pmpjpe_tri_mm=mean(per_sample["tri_p"]),
+        pmpjpe_refined_mm=mean(per_sample["refined_p"]),
+        per_sample_tri=per_sample["tri"].tolist(),
+        per_sample_refined=per_sample["refined"].tolist(),
         skipped=list(skipped),
+        per_joint_mpjpe_mm=per_joint("tri", "refined"),
+        per_joint_pmpjpe_mm=per_joint("tri_p", "refined_p"),
     )

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import (DegenerateGeometry, NonFiniteLoss, NonPositiveDepth,
-                     SchemaError)
-from .geometry import TRI_MODES, Pose2D, relative_transform, triangulate_pose
+from .errors import NonFiniteLoss, NonPositiveDepth, SchemaError
+from .geometry import TRI_MODES, relative_transform, triangulate_stack
 from .graph import default_topology
 from .losses import LossWeights, total_loss
 from .network import (CVUGCN, NetworkConfig, init_weights, load_checkpoint,
@@ -187,28 +186,39 @@ def schedule_lr(history, config: TrainConfig) -> float:
     return lr
 
 
+# Samples per stacked triangulation solve in precompute_coarse, so the
+# solver's temporaries (about 7 MB at 17 joints) do not grow with the dataset.
+COARSE_CHUNK = 1024
+
+
 def precompute_coarse(samples, cameras, topo=None, mode="dual"):
     """Triangulate every sample once from its noisy 2D detections.
 
-    Returns (coarse, skipped): coarse maps sample id to the pair of
-    camera-frame joint arrays in mm, skipped lists ids of samples whose
-    triangulation failed (degenerate geometry or non-positive depth).
+    Samples are solved per camera pair, COARSE_CHUNK at a time, with
+    `triangulate_stack`. Returns (coarse, skipped): coarse maps sample id to
+    the pair of camera-frame joint arrays in mm, skipped lists ids of
+    samples whose triangulation failed (degenerate geometry or non-positive
+    depth); both are in sample order.
     """
     topo = topo or default_topology()
     by_id = {c.cam_id: c for c in cameras}
+    solved = [None] * len(samples)
+    for (a, b), idxs in _pair_batches(samples, range(len(samples)),
+                                      COARSE_CHUNK):
+        X1, X2, errors = triangulate_stack(
+            np.stack([samples[i].joints_2d[a] for i in idxs]),
+            np.stack([samples[i].joints_2d[b] for i in idxs]),
+            by_id[a], by_id[b], mode=mode)
+        for n, i in enumerate(idxs):
+            if errors[n] is None:
+                solved[i] = (X1[n], X2[n])
     coarse = {}
     skipped = []
-    for s in samples:
-        cam1, cam2 = by_id[s.pair[0]], by_id[s.pair[1]]
-        try:
-            p1, p2 = triangulate_pose(
-                Pose2D(s.joints_2d[s.pair[0]], view_id=s.pair[0]),
-                Pose2D(s.joints_2d[s.pair[1]], view_id=s.pair[1]),
-                cam1, cam2, mode=mode)
-        except (DegenerateGeometry, NonPositiveDepth):
+    for s, x in zip(samples, solved):
+        if x is None:
             skipped.append(s.sample_id)
-            continue
-        coarse[s.sample_id] = (p1.joints, p2.joints)
+        else:
+            coarse[s.sample_id] = x
     return coarse, skipped
 
 

@@ -24,7 +24,6 @@ from cvpose.geometry import (
     project,
     relative_transform,
     save_rig,
-    triangulate_joint,
     triangulate_pose,
 )
 
@@ -135,8 +134,9 @@ def test_triangulate_joint_worked_example():
     # The point (0.2, 0.1, 2.0) projects to (0.1, 0.05) and (-0.4, 0.05).
     cam1 = make_cam("cam1")
     cam2 = make_cam("cam2", t=np.array([-1.0, 0.0, 0.0]))
-    X = triangulate_joint([0.1, 0.05], [-0.4, 0.05], cam1, cam2)
-    assert np.allclose(X, [0.2, 0.1, 2.0], atol=1e-9)
+    X, _ = triangulate_pose(Pose2D([[0.1, 0.05]], "cam1"),
+                            Pose2D([[-0.4, 0.05]], "cam2"), cam1, cam2)
+    assert np.allclose(X.joints[0], [0.2, 0.1, 2.0], atol=1e-9)
 
 
 def test_triangulate_rejects_point_behind_cameras():
@@ -145,7 +145,8 @@ def test_triangulate_rejects_point_behind_cameras():
     cam1 = make_cam("cam1")
     cam2 = make_cam("cam2", t=np.array([-1.0, 0.0, 0.0]))
     with pytest.raises(NonPositiveDepth) as exc:
-        triangulate_joint([0.1, 0.05], [0.6, 0.05], cam1, cam2)
+        triangulate_pose(Pose2D([[0.1, 0.05]], "cam1"),
+                         Pose2D([[0.6, 0.05]], "cam2"), cam1, cam2)
     assert exc.value.joint == 0
     # Joint 0 lies in front of both cameras, joint 1 in front of cam1 but
     # behind cam3: the single-mode pose mapped into cam3 must be rejected too.
@@ -216,7 +217,8 @@ def test_triangulate_degenerate_baseline():
     cam1 = make_cam("cam1")
     cam2 = make_cam("cam2", t=np.array([0.0, 0.0, 0.0]))
     with pytest.raises(DegenerateGeometry):
-        triangulate_joint([0.1, 0.2], [0.1, 0.2], cam1, cam2)
+        triangulate_pose(Pose2D([[0.1, 0.2]], "cam1"),
+                         Pose2D([[0.1, 0.2]], "cam2"), cam1, cam2)
 
 
 def test_triangulate_pose_joint_tagged():
@@ -268,7 +270,8 @@ def test_triangulation_noise_close_to_reprojection_optimum():
         u2 = project(c2, Pose3D(rel.apply(X_true.reshape(1, 3)), "cam2")).joints[0]
         u1n = u1 + rng.normal(0, 2.0, 2)
         u2n = u2 + rng.normal(0, 2.0, 2)
-        X_dlt = triangulate_joint(u1n, u2n, c1, c2)
+        X_dlt = triangulate_pose(Pose2D(u1n[None], "cam1"),
+                                 Pose2D(u2n[None], "cam2"), c1, c2)[0].joints[0]
         sol = scipy_opt.least_squares(reproj_resid, X_dlt, args=(u1n, u2n))
         # DLT is not the reprojection optimum but must land close to it.
         assert np.linalg.norm(X_dlt - sol.x) < 5.0  # mm

@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from cvpose.errors import FrameMismatch
-from cvpose.geometry import Pose3D
+from cvpose.errors import DegenerateCloud, FrameMismatch
+from cvpose.geometry import Pose3D, procrustes_align
 from cvpose.graph import default_topology
-from cvpose.metrics import EvalReport, evaluate, mpjpe, mpjpe_arrays, p_mpjpe
+from cvpose.metrics import (EvalReport, evaluate, mpjpe, mpjpe_arrays,
+                            mpjpe_rows, p_mpjpe, p_mpjpe_rows)
 from cvpose.network import CVUGCN, NetworkConfig, init_weights
-from cvpose.syndata import SyntheticConfig, generate_dataset
+from cvpose.syndata import SyntheticConfig, default_rig, generate_dataset
 
 
 def test_mpjpe_hand_example():
@@ -106,5 +107,95 @@ def test_report_json_keys(tmp_path):
     body = json.loads(path.read_text())
     assert set(body) == {"n_samples", "mpjpe_tri_mm", "mpjpe_refined_mm",
                          "pmpjpe_tri_mm", "pmpjpe_refined_mm",
-                         "per_sample_tri", "per_sample_refined", "skipped"}
+                         "per_sample_tri", "per_sample_refined", "skipped",
+                         "per_joint_mpjpe_mm", "per_joint_pmpjpe_mm"}
     assert body["mpjpe_refined_mm"] == 1.0
+
+
+# -- stacked metrics --------------------------------------------------------------
+
+def _clouds(rng):
+    """Full-rank, planar and collinear gt clouds with noisy similarity copies,
+    plus a collapsed prediction; (N, J, 3) pred and gt stacks."""
+    preds, gts = [], []
+    for rank in (3, 2, 1, 3):
+        G = rng.uniform(-300, 300, size=(17, 3))
+        G[:, rank:] = 0.0
+        G += rng.uniform(-100, 100, 3)
+        angle = rng.uniform(-3, 3)
+        R = np.array([[np.cos(angle), 0, np.sin(angle)], [0, 1.0, 0],
+                      [-np.sin(angle), 0, np.cos(angle)]])
+        preds.append(0.8 * G @ R.T + rng.normal(0, 20.0, G.shape) + 50.0)
+        gts.append(G)
+    preds[-1] = np.tile([4.0, -2.0, 3000.0], (17, 1))   # collapsed prediction
+    return np.stack(preds), np.stack(gts)
+
+
+def test_stacked_p_mpjpe_matches_one_pose_alignment():
+    pred, gt = _clouds(np.random.default_rng(40))
+    want = [mpjpe_arrays(procrustes_align(Pose3D(p, "a"), Pose3D(g, "a")).joints, g)
+            for p, g in zip(pred, gt)]
+    got = p_mpjpe_rows(pred, gt)
+    assert got.shape == (4,)
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    # The collapsed prediction aligns to the gt centroid.
+    centroid = gt[-1].mean(axis=0)
+    assert got[-1] == pytest.approx(
+        np.linalg.norm(gt[-1] - centroid, axis=1).mean(), rel=1e-12)
+    assert np.array_equal(mpjpe_rows(pred, gt),
+                          [mpjpe_arrays(p, g) for p, g in zip(pred, gt)])
+
+
+def test_stacked_p_mpjpe_rejects_collapsed_ground_truth():
+    pred, gt = _clouds(np.random.default_rng(41))
+    gt[2] = np.tile([1.0, 2.0, 3.0], (17, 1))
+    with pytest.raises(DegenerateCloud, match="cloud 2"):
+        p_mpjpe_rows(pred, gt)
+
+
+def _two_pair_set(n, seed=12):
+    cameras = default_rig(n_cameras=3, separation_deg=40.0)
+    samples, _, assumed = generate_dataset(
+        SyntheticConfig(n_samples=n, seed=seed, sigma_px=3.0), cameras=cameras)
+    topo = default_topology()
+    cfg = NetworkConfig(channels=8, init_seed=2)
+    w = init_weights(cfg)
+    w.arrays["head"] = np.random.default_rng(1).standard_normal(
+        w["head"].shape) * 0.05
+    return samples, assumed, CVUGCN(topo, cfg, weights=w)
+
+
+def test_per_joint_errors_average_to_report_numbers():
+    samples, rig, model = _two_pair_set(12)
+    report = evaluate(samples, rig, model, batch_size=5)
+    J = model.topo.n_joints
+    for per_joint, tri, refined in (
+            (report.per_joint_mpjpe_mm, report.mpjpe_tri_mm,
+             report.mpjpe_refined_mm),
+            (report.per_joint_pmpjpe_mm, report.pmpjpe_tri_mm,
+             report.pmpjpe_refined_mm)):
+        assert len(per_joint["tri"]) == len(per_joint["refined"]) == J
+        assert abs(np.mean(per_joint["tri"]) - tri) <= 1e-9
+        assert abs(np.mean(per_joint["refined"]) - refined) <= 1e-9
+    assert report.mpjpe_refined_mm != report.mpjpe_tri_mm
+
+
+def test_evaluate_svd_calls_do_not_scale_with_samples(monkeypatch):
+    # One SVD per camera pair and DLT ordering, two per refined batch (the
+    # triangulated and the refined stack): a per-pose loop would make 80
+    # or more calls here.
+    samples, rig, model = _two_pair_set(40)
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    report = evaluate(samples, rig, model, batch_size=8)
+    pairs = {s.pair for s in samples}
+    assert len(pairs) == 2 and report.n_samples == 40
+    batches = sum(-(-sum(s.pair == p for s in samples) // 8) for p in pairs)
+    assert batches == 6
+    assert len(calls) <= len(pairs) * 2 + batches * 2

@@ -131,6 +131,26 @@ def test_forward_gradients_against_finite_differences():
     assert report.ok, f"max rel err {report.max_rel_err:.2e}"
 
 
+def test_input_gradients_at_mm_scale_over_every_coordinate():
+    # The coarse input sits near 3000 mm and the loss near 1e5: a step that
+    # does not scale with the coordinate leaves mostly round-off in the
+    # central difference. Every one of the 102 input coordinates must pass.
+    topo = default_topology()
+    model = CVUGCN(topo, small_config())
+    rng = np.random.default_rng(3)
+    model.weights.arrays["head"] = rng.normal(0, 0.05, size=(8, 3))
+    xin = np.vstack([rand_coarse(rng, 1), rand_coarse(rng, 1)])
+
+    def build(tape, leaves):
+        X1, X2 = model.refine_from_leaf(leaves[0], model.param_leaves(tape))
+        return ad.reduce_sum(ad.add(ad.norm_rows(X1), ad.norm_rows(X2)))
+
+    report = ad.grad_check(build, [xin], n_samples=xin.size, tol=1e-4, rng=0)
+    assert len(report.rows) == 102
+    assert report.ok, (f"max rel err {report.max_rel_err:.2e} at "
+                       f"{[r.index for r in report.failures()]}")
+
+
 def test_batched_gradients_against_finite_differences():
     # B = 2 in the per-sample block layout of coarse_pair_leaf: a kernel or
     # pooling operator applied to the wrong block shows here, not at B = 1.
@@ -155,11 +175,10 @@ def test_batched_gradients_against_finite_differences():
         lambda t, p: loss(t, p[-1], dict(zip(names, p[:-1]))),
         [model.weights[n] for n in names] + [xin], n_samples=3, rng=0)
     assert report.ok, f"weights: max rel err {report.max_rel_err:.2e}"
-    # The input is in mm around 3000 and the loss near 1e5: a 1e-5 mm step
-    # drowns in round-off, 1e-3 mm does not.
+    # The input is in mm around 3000: grad_check's step scales with it.
     report = ad.grad_check(
         lambda t, p: loss(t, p[0], model.param_leaves(t)), [xin],
-        eps=1e-3, n_samples=12, rng=0)
+        n_samples=12, rng=0)
     assert report.ok, f"input: max rel err {report.max_rel_err:.2e}"
     assert {r.index[0] // (2 * J) for r in report.rows} == {0, 1}
 

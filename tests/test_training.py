@@ -3,8 +3,9 @@ import pytest
 
 from cvpose import autodiff as ad
 from cvpose import training
-from cvpose.errors import CvposeError, NonPositiveDepth, SchemaError
-from cvpose.geometry import CameraModel
+from cvpose.errors import (CvposeError, DegenerateGeometry, NonPositiveDepth,
+                           SchemaError)
+from cvpose.geometry import CameraModel, Pose2D, triangulate_pose
 from cvpose.graph import default_topology
 from cvpose.network import (CVUGCN, init_weights, load_checkpoint,
                             save_checkpoint)
@@ -164,6 +165,57 @@ def test_precompute_coarse_skips_sample_behind_cameras():
         assert list(coarse) == ["front"]
         assert np.allclose(coarse["front"][0], [[0.2, 0.1, 2.0]])
         assert skipped == ["behind"]
+
+
+def _pixels(cam, X_cam):
+    """Project camera-frame points, also those behind the camera."""
+    h = X_cam @ cam.K.T
+    return h[:, :2] / h[:, 2:]
+
+
+def test_precompute_coarse_matches_per_sample_triangulation(monkeypatch):
+    # Two interleaved camera pairs, a zero-baseline pair and a sample with
+    # one joint behind its cameras, solved three samples per stack.
+    monkeypatch.setattr(training, "COARSE_CHUNK", 3)
+    cfg = SyntheticConfig(n_samples=14, seed=8, sigma_px=3.0)
+    samples, _, rig = generate_dataset(cfg, cameras=default_rig(n_cameras=3))
+    c1 = rig[0]
+    twin = CameraModel("twin", c1.K.copy(), c1.R.copy(), c1.t.copy(),
+                       c1.width, c1.height)
+    cameras = rig + [twin]
+    by_id = {c.cam_id: c for c in cameras}
+    for i in (4, 9):
+        px = samples[i].joints_2d[samples[i].pair[0]]
+        samples[i] = Sample(samples[i].sample_id, (c1.cam_id, "twin"),
+                            {c1.cam_id: px, "twin": px.copy()}, {})
+    s = samples[6]
+    a, b = by_id[s.pair[0]], by_id[s.pair[1]]
+    X_a = s.joints_3d_gt[a.cam_id].copy()
+    X_a[5] *= -1.0                      # joint 5 behind the first camera
+    X_b = (X_a - a.t) @ a.R @ b.R.T + b.t
+    s.joints_2d[a.cam_id] = _pixels(a, X_a)
+    s.joints_2d[b.cam_id] = _pixels(b, X_b)
+    assert len({x.pair for x in samples}) == 3
+
+    for mode in ("dual", "single"):
+        want, want_skipped = {}, []
+        for x in samples:
+            u, v = x.pair
+            try:
+                p1, p2 = triangulate_pose(Pose2D(x.joints_2d[u], u),
+                                          Pose2D(x.joints_2d[v], v),
+                                          by_id[u], by_id[v], mode=mode)
+            except (DegenerateGeometry, NonPositiveDepth):
+                want_skipped.append(x.sample_id)
+                continue
+            want[x.sample_id] = (p1.joints, p2.joints)
+        coarse, skipped = precompute_coarse(samples, cameras, mode=mode)
+        assert want_skipped == [samples[i].sample_id for i in (4, 6, 9)]
+        assert skipped == want_skipped
+        assert list(coarse) == list(want)
+        for sid, (x1, x2) in want.items():
+            assert np.array_equal(coarse[sid][0], x1)
+            assert np.array_equal(coarse[sid][1], x2)
 
 
 # -- config files --------------------------------------------------------------
