@@ -4,6 +4,15 @@ A Tape records every Value in creation order, which is already a valid
 topological order, and the backward sweep walks it in reverse. Gradient
 buffers are allocated lazily so forward-only tapes (evaluation) carry no
 gradient memory.
+
+Every Value, gradient and loss is float64. The one exception to float64
+arithmetic is graph_conv: its matrix products run in the tape's
+conv_dtype, float64 by default or float32 (mixed precision in the sense of
+Micikevicius et al., ICLR 2018). On a float32 tape graph_conv casts its
+input, weights and kernels down, multiplies and accumulates in float32,
+and hands back a float64 Value; its backward adds float32 products into
+the float64 gradients. Finite-difference checks (grad_check) always run on
+float64 tapes.
 """
 
 from __future__ import annotations
@@ -48,9 +57,22 @@ class Value:
 
 
 class Tape:
-    """Records Values; creation order doubles as topological order."""
+    """Records Values; creation order doubles as topological order.
 
-    def __init__(self):
+    conv_dtype is the precision graph_conv multiplies in: float64 (exact,
+    the default) or float32 (about twice the GEMM throughput). Every
+    Value on the tape stays float64 either way.
+    """
+
+    def __init__(self, conv_dtype=np.float64):
+        try:  # np.dtype(None) would silently mean float64
+            dtype = None if conv_dtype is None else np.dtype(conv_dtype)
+        except TypeError:
+            dtype = None
+        if dtype not in (np.float32, np.float64):
+            raise ValueError(f"conv_dtype must be float32 or float64, "
+                             f"got {conv_dtype!r}")
+        self.conv_dtype = dtype
         self.nodes = []
 
     def _record(self, data, op, backward=None):
@@ -225,6 +247,10 @@ def graph_conv(h: Value, kernels, weights, n: int) -> Value:
     (C_in, C_out) Values. Terms are added in list order. One tape node
     whose backward needs only h, the weights and the kernels: no per-kernel
     product is kept.
+
+    The products and their sum run in the tape's conv_dtype; the result
+    and the gradients are float64. On a float32 tape the backward casts
+    g and h down again rather than keeping a float32 copy of h alive.
     """
     kernels = [None if N is None else np.asarray(N, dtype=np.float64)
                for N in kernels]
@@ -244,6 +270,11 @@ def graph_conv(h: Value, kernels, weights, n: int) -> Value:
             raise ShapeMismatch(f"graph_conv: kernel {N.shape}, expected {(n, n)}")
     tape = _same_tape(h, *weights)
     B = rows // n
+    dt = tape.conv_dtype
+    kernels = [None if N is None else N.astype(dt, copy=False)
+               for N in kernels]
+    # The weights are small (C_in, C_out), so the closure keeps their cast.
+    ws = [W.data.astype(dt, copy=False) for W in weights]
 
     def mix(N, x, buf):
         """N applied to every n-row block of x (rows, C), into buf."""
@@ -251,20 +282,23 @@ def graph_conv(h: Value, kernels, weights, n: int) -> Value:
         np.matmul(N, x.reshape(B, n, C), out=buf.reshape(B, n, C))
         return buf
 
-    out = np.zeros((rows, C_out))
-    hw = np.empty((rows, C_out))
-    mixed = np.empty((rows, C_out))
-    for N, W in zip(kernels, weights):
-        np.matmul(h.data, W.data, out=hw)
+    x = h.data.astype(dt, copy=False)
+    out = np.zeros((rows, C_out), dtype=dt)
+    hw = np.empty((rows, C_out), dtype=dt)
+    mixed = np.empty((rows, C_out), dtype=dt)
+    for N, w in zip(kernels, ws):
+        np.matmul(x, w, out=hw)
         out += hw if N is None else mix(N, hw, mixed)
 
     def backward(g):
-        dp = np.empty((rows, C_out))
-        dh = np.zeros((rows, C_in))
-        for N, W in zip(kernels, weights):
+        g = g.astype(dt, copy=False)
+        x = h.data.astype(dt, copy=False)
+        dp = np.empty((rows, C_out), dtype=dt)
+        dh = np.zeros((rows, C_in), dtype=dt)
+        for N, W, w in zip(kernels, weights, ws):
             dpk = g if N is None else mix(N.T, g, dp)
-            W.grad += h.data.T @ dpk
-            dh += dpk @ W.data.T
+            W.grad += x.T @ dpk
+            dh += dpk @ w.T
         h.grad += dh
 
     return tape._record(out, "graph_conv", backward)

@@ -3,7 +3,10 @@
 Nodes are joints; five disjoint kernel classes split the neighbourhood by
 relation: 0 self, 1 kinematic link, 2 two hops apart in the kinematic tree,
 3 left/right counterpart, 4 same node in the other view. Multi-view node
-order is view-major: all joints of view 1 first, then view 2.
+order is view-major within each sample's 2J-node block: that sample's J
+joints of view 1 first, then its J joints of view 2. A batch stacks these
+blocks sample by sample (network.coarse_pair_leaf), so the kernels here
+act on one block at a time and never mix samples.
 """
 
 from __future__ import annotations
@@ -188,7 +191,7 @@ def build_single_view_kernels(topo: SkeletonTopology) -> AdjacencyKernelSet:
 
 
 def build_multi_view_kernels(topo: SkeletonTopology) -> AdjacencyKernelSet:
-    """Kernels over both views' joints stacked view-major."""
+    """Kernels over one sample's 2J-node block, its views stacked view-major."""
     return _two_view(build_single_view_kernels(topo).kernels, topo.n_joints)
 
 

@@ -8,7 +8,8 @@ The metrics work on stacks: `mpjpe_rows` and `p_mpjpe_rows` give one error
 per (J, 3) pose of a stack, the latter through the batched Umeyama
 alignment `geometry.procrustes_align_stack`. `mpjpe` and `p_mpjpe` are the
 one-pose forms. `evaluate` scores each refined batch as (B, 2, J, 3) stacks
-(both views at once) and reports errors per sample, per joint and overall.
+(both views at once) and reports errors per sample, per joint, per camera
+pair, as percentiles over samples and overall.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import FrameMismatch, MissingGroundTruth, ShapeMismatch
 from .geometry import Pose3D, procrustes_align_stack
 from .graph import default_topology
-from .network import CVUGCN
+from .network import CONV_DTYPE, CVUGCN
 from .training import _pair_batches, precompute_coarse
 
 from . import autodiff as ad
@@ -63,6 +64,11 @@ def p_mpjpe(pred: Pose3D, gt: Pose3D) -> float:
     return float(p_mpjpe_rows(pred.joints, gt.joints))
 
 
+# EvalReport's mean-error fields -> the per-sample errors they average.
+_MEAN_FIELDS = {"mpjpe_tri_mm": "tri", "mpjpe_refined_mm": "refined",
+                "pmpjpe_tri_mm": "tri_p", "pmpjpe_refined_mm": "refined_p"}
+
+
 @dataclass
 class EvalReport:
     n_samples: int
@@ -77,6 +83,12 @@ class EvalReport:
     # the evaluated samples and both views.
     per_joint_mpjpe_mm: dict = field(default_factory=dict)
     per_joint_pmpjpe_mm: dict = field(default_factory=dict)
+    # {"camA+camB": {"n": int, and the four mean-error fields}}: the
+    # evaluated samples of each camera pair, pairs by first appearance.
+    per_pair_mm: dict = field(default_factory=dict)
+    # {"tri": {"p50", "p90", "p99"}, "refined": {...}}: percentiles of the
+    # per-sample MPJPE (linear interpolation).
+    mpjpe_percentiles_mm: dict = field(default_factory=dict)
 
     def to_json(self):
         return json.dumps({
@@ -90,6 +102,8 @@ class EvalReport:
             "skipped": self.skipped,
             "per_joint_mpjpe_mm": self.per_joint_mpjpe_mm,
             "per_joint_pmpjpe_mm": self.per_joint_pmpjpe_mm,
+            "per_pair_mm": self.per_pair_mm,
+            "mpjpe_percentiles_mm": self.mpjpe_percentiles_mm,
         }, indent=2, sort_keys=True)
 
     def save(self, path):
@@ -110,7 +124,7 @@ def _refine_batches(samples, coarse, model, batch_size):
     for _, idxs in _pair_batches(samples, usable, batch_size):
         batch = [samples[i] for i in idxs]
         x = np.stack([coarse[s.sample_id] for s in batch])
-        tape = ad.Tape()
+        tape = ad.Tape(conv_dtype=CONV_DTYPE)
         try:
             X1, X2, _ = model.refine_batch(tape, x[:, 0].reshape(-1, 3),
                                            x[:, 1].reshape(-1, 3))
@@ -127,7 +141,9 @@ def evaluate(samples, cameras, model: CVUGCN, topo=None, batch_size=256,
     """Score triangulated and refined poses against per-view ground truth.
 
     Per-sample errors average the two views; report-level numbers average
-    the per-sample errors, and per-joint errors average samples and views.
+    the per-sample errors, per-pair numbers average those of the pair's
+    samples, per-joint errors average samples and views, and percentiles
+    are taken over the per-sample MPJPE.
     Samples whose triangulation fails are skipped and listed. Ground truth
     is read here and nowhere else.
     """
@@ -156,21 +172,34 @@ def evaluate(samples, cameras, model: CVUGCN, topo=None, batch_size=256,
     def mean(xs):
         return float(np.mean(xs)) if len(xs) else float("nan")
 
+    def means(rows=slice(None)):
+        return {f: mean(per_sample[k][rows]) for f, k in _MEAN_FIELDS.items()}
+
     def per_joint(a, b):
         if not n:
             return {"tri": [float("nan")] * J, "refined": [float("nan")] * J}
         return {"tri": errs[a].mean(axis=(0, 1)).tolist(),
                 "refined": errs[b].mean(axis=(0, 1)).tolist()}
 
+    def percentiles(xs):
+        return {f"p{q}": float(np.percentile(xs, q)) if n else float("nan")
+                for q in (50, 90, 99)}
+
+    pairs = ["+".join(s.pair) for s in samples if s.sample_id in coarse]
+    per_pair = {}
+    for pair in dict.fromkeys(pairs):
+        rows = [r for r, p in enumerate(pairs) if p == pair]
+        per_pair[pair] = {"n": len(rows), **means(rows)}
+
     return EvalReport(
         n_samples=n,
-        mpjpe_tri_mm=mean(per_sample["tri"]),
-        mpjpe_refined_mm=mean(per_sample["refined"]),
-        pmpjpe_tri_mm=mean(per_sample["tri_p"]),
-        pmpjpe_refined_mm=mean(per_sample["refined_p"]),
+        **means(),
         per_sample_tri=per_sample["tri"].tolist(),
         per_sample_refined=per_sample["refined"].tolist(),
         skipped=list(skipped),
         per_joint_mpjpe_mm=per_joint("tri", "refined"),
         per_joint_pmpjpe_mm=per_joint("tri_p", "refined_p"),
+        per_pair_mm=per_pair,
+        mpjpe_percentiles_mm={k: percentiles(per_sample[k])
+                              for k in ("tri", "refined")},
     )

@@ -27,6 +27,14 @@ Welling with the kernel classes of Cai et al., and records one
 autodiff.graph_conv tape node. That node keeps its input, its weights and
 its kernels, none of the per-kernel products, so at B=256, C=128 a
 forward's tape holds about 150 MB.
+
+Precision: training, evaluation and refine open their tapes with
+conv_dtype=CONV_DTYPE (float32), so the graph-conv products run in
+float32, which roughly halves their cost. Everything else stays float64:
+the weights and optimizer state, the conv outputs as stored on the tape,
+the head, the losses and the residual added back onto the coarse pose. A
+plain autodiff.Tape() runs the whole network in float64, which is what
+the finite-difference gradient checks use.
 """
 
 from __future__ import annotations
@@ -49,6 +57,8 @@ from .graph import (
 
 N_KERNELS = 5
 STAGES = ("enc0", "enc1", "bottleneck", "dec1", "dec0")
+# conv_dtype of every tape that trains, evaluates or refines (see above).
+CONV_DTYPE = np.float32
 
 
 @dataclass
@@ -332,7 +342,7 @@ class CVUGCN:
         J = self.topo.n_joints
         if pose1.joints.shape[0] != J or pose2.joints.shape[0] != J:
             raise ShapeMismatch("pose joint count does not match the topology")
-        tape = ad.Tape()
+        tape = ad.Tape(conv_dtype=CONV_DTYPE)
         X1, X2, _ = self.refine_batch(tape, pose1.joints, pose2.joints)
         return (Pose3D(X1.data.copy(), frame_id=pose1.frame_id),
                 Pose3D(X2.data.copy(), frame_id=pose2.frame_id))

@@ -287,6 +287,8 @@ def save_dataset(path, samples, topo=None):
 
 
 def load_dataset(path, topo=None):
+    """Read a data-v1 file. Sample ids must be unique: a repeat raises
+    SchemaError naming its line and the line of the first occurrence."""
     topo = topo or default_topology()
     J = topo.n_joints
     lineno, header, records = read_records(path, DATA_SCHEMA, "dataset")
@@ -311,11 +313,17 @@ def load_dataset(path, topo=None):
         return arr
 
     samples = []
+    first_line = {}   # sample id -> line it first appeared on
     for lineno, rec in records:
         for key in ("id", "views", "joints_2d", "joints_2d_clean"):
             if key not in rec:
                 raise MissingField(f"line {lineno}: sample lacks {key!r}",
                                    line=lineno)
+        sid = str(rec["id"])
+        if sid in first_line:
+            raise SchemaError(f"line {lineno}: sample id {sid!r} repeats "
+                              f"line {first_line[sid]}", line=lineno)
+        first_line[sid] = lineno
         views = rec["views"]
         if not isinstance(views, list) or len(views) != 2:
             raise SchemaError(f"line {lineno}: views must list two cameras",
@@ -327,7 +335,7 @@ def load_dataset(path, topo=None):
         if "joints_3d_gt" in rec:
             gt = {v: as_array(rec, "joints_3d_gt", v, (J, 3), lineno)
                   for v in views}
-        samples.append(Sample(sample_id=str(rec["id"]), pair=tuple(views),
+        samples.append(Sample(sample_id=sid, pair=tuple(views),
                               joints_2d=noisy, joints_2d_clean=clean,
                               joints_3d_gt=gt))
     return samples

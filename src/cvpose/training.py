@@ -25,8 +25,8 @@ from .errors import NonFiniteLoss, NonPositiveDepth, SchemaError
 from .geometry import TRI_MODES, relative_transform, triangulate_stack
 from .graph import default_topology
 from .losses import LossWeights, total_loss
-from .network import (CVUGCN, NetworkConfig, init_weights, load_checkpoint,
-                      save_checkpoint)
+from .network import (CONV_DTYPE, CVUGCN, NetworkConfig, init_weights,
+                      load_checkpoint, save_checkpoint)
 
 
 @dataclass
@@ -198,9 +198,16 @@ def precompute_coarse(samples, cameras, topo=None, mode="dual"):
     `triangulate_stack`. Returns (coarse, skipped): coarse maps sample id to
     the pair of camera-frame joint arrays in mm, skipped lists ids of
     samples whose triangulation failed (degenerate geometry or non-positive
-    depth); both are in sample order.
+    depth); both are in sample order. Sample ids must be unique: a repeated
+    id raises ValueError, since its pose would overwrite the earlier one's.
     """
     topo = topo or default_topology()
+    seen = set()
+    for s in samples:
+        if s.sample_id in seen:
+            raise ValueError(f"sample id {s.sample_id!r} repeats; coarse "
+                             f"poses are keyed by id")
+        seen.add(s.sample_id)
     by_id = {c.cam_id: c for c in cameras}
     solved = [None] * len(samples)
     for (a, b), idxs in _pair_batches(samples, range(len(samples)),
@@ -263,7 +270,7 @@ def _check_finite(loss, grads, epoch, pair):
 
 def _batch_loss(model, cams, rels, pair, x1, x2, y1, y2, weights_cfg,
                 with_grad):
-    tape = ad.Tape()
+    tape = ad.Tape(conv_dtype=CONV_DTYPE)
     try:
         X1, X2, params = model.refine_batch(tape, x1, x2)
         total, parts = total_loss(

@@ -172,6 +172,69 @@ def test_graph_conv_matches_definition():
                            rtol=1e-13, atol=1e-13)
 
 
+# float32 products of length L are off by about L units of float32
+# epsilon (1.2e-7) of their largest term; 1e-5 of the largest entry leaves
+# headroom over the sums of at most 3 kernels x 5 channels below.
+F32_TOL = 1e-5
+
+
+def _graph_conv_reference_grads(h, kernels, weights, n, g):
+    """d/dh and d/dW_k of sum(g * out), block by block from the definition."""
+    dh = np.zeros_like(h)
+    dws = [np.zeros_like(W) for W in weights]
+    for s in range(h.shape[0] // n):
+        rows = slice(s * n, (s + 1) * n)
+        for k, (N, W) in enumerate(zip(kernels, weights)):
+            mixed = h[rows] if N is None else N @ h[rows]
+            dws[k] += mixed.T @ g[rows]
+            gw = g[rows] @ W.T
+            dh[rows] += gw if N is None else N.T @ gw
+    return dh, dws
+
+
+def test_graph_conv_float32_tape_matches_definition():
+    rng = np.random.default_rng(4)
+    n, B = 4, 3
+    N1, N2 = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+    h = rng.normal(size=(B * n, 5))
+    cases = [
+        ([None, N1, N2], [rng.normal(size=(5, 6)) for _ in range(3)]),
+        ([None], [rng.normal(size=(5, 2))]),          # identity only
+        ([N1, N2], [rng.normal(size=(5, 6)) for _ in range(2)]),  # no identity
+    ]
+
+    def close(got, want):
+        assert got.dtype == np.float64
+        err = np.abs(got - want).max()
+        assert err <= F32_TOL * np.abs(want).max(), err
+
+    for kernels, ws in cases:
+        tape = ad.Tape(conv_dtype=np.float32)
+        hv = tape.leaf(h)
+        W = [tape.leaf(w) for w in ws]
+        out = ad.graph_conv(hv, kernels, W, n)
+        want = _graph_conv_reference(h, kernels, ws, n)
+        close(out.data, want)
+        # Rounded in float32, so not the float64 result bit for bit.
+        assert not np.array_equal(out.data, want)
+        # sum of row norms: a full-rank upstream gradient out / |out|.
+        tape.backward(ad.reduce_sum(ad.norm_rows(out)))
+        g = want / np.linalg.norm(want, axis=1, keepdims=True)
+        dh, dws = _graph_conv_reference_grads(h, kernels, ws, n, g)
+        close(hv.grad, dh)
+        for Wv, dw in zip(W, dws):
+            close(Wv.grad, dw)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.int32, np.complex128,
+                                   "float128", "bogus", None])
+def test_tape_rejects_conv_dtypes_other_than_float32_and_float64(dtype):
+    with pytest.raises(ValueError, match="float32 or float64"):
+        ad.Tape(conv_dtype=dtype)
+    assert ad.Tape().conv_dtype == np.float64
+    assert ad.Tape(conv_dtype=np.float32).conv_dtype == np.float32
+
+
 def test_graph_conv_shape_errors():
     tape = ad.Tape()
     h = tape.leaf(np.ones((8, 3)))

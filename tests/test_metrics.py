@@ -83,6 +83,17 @@ def test_evaluate_requires_gt():
         evaluate(samples, rig, model, topo)
 
 
+def test_evaluate_rejects_duplicate_sample_ids():
+    samples, rig, _ = generate_dataset(SyntheticConfig(n_samples=4, seed=3))
+    topo = default_topology()
+    cfg = NetworkConfig(channels=8)
+    model = CVUGCN(topo, cfg, weights=init_weights(cfg))
+    assert evaluate(samples, rig, model, topo).per_sample_tri[0] < 50.0
+    samples[2].sample_id = samples[0].sample_id
+    with pytest.raises(ValueError, match="repeat"):
+        evaluate(samples, rig, model, topo)
+
+
 def test_evaluate_batch_size_does_not_change_result():
     samples, rig, _ = generate_dataset(SyntheticConfig(n_samples=9, seed=5,
                                                        sigma_px=3.0))
@@ -108,7 +119,8 @@ def test_report_json_keys(tmp_path):
     assert set(body) == {"n_samples", "mpjpe_tri_mm", "mpjpe_refined_mm",
                          "pmpjpe_tri_mm", "pmpjpe_refined_mm",
                          "per_sample_tri", "per_sample_refined", "skipped",
-                         "per_joint_mpjpe_mm", "per_joint_pmpjpe_mm"}
+                         "per_joint_mpjpe_mm", "per_joint_pmpjpe_mm",
+                         "per_pair_mm", "mpjpe_percentiles_mm"}
     assert body["mpjpe_refined_mm"] == 1.0
 
 
@@ -178,6 +190,42 @@ def test_per_joint_errors_average_to_report_numbers():
         assert abs(np.mean(per_joint["tri"]) - tri) <= 1e-9
         assert abs(np.mean(per_joint["refined"]) - refined) <= 1e-9
     assert report.mpjpe_refined_mm != report.mpjpe_tri_mm
+
+
+def test_per_pair_and_percentile_errors_reduce_per_sample_errors():
+    samples, rig, model = _two_pair_set(12)
+    report = evaluate(samples, rig, model, batch_size=5)
+    pairs = ["+".join(s.pair) for s in samples]
+    assert list(report.per_pair_mm) == list(dict.fromkeys(pairs))
+    assert len(report.per_pair_mm) == 2 and report.skipped == []
+    tri = np.array(report.per_sample_tri)
+    ref = np.array(report.per_sample_refined)
+    for pair, row in report.per_pair_mm.items():
+        mine = np.array(pairs) == pair
+        assert row["n"] == mine.sum() > 0
+        assert row["mpjpe_tri_mm"] == pytest.approx(tri[mine].mean(), abs=1e-9)
+        assert row["mpjpe_refined_mm"] == pytest.approx(ref[mine].mean(),
+                                                        abs=1e-9)
+        assert set(row) == {"n", "mpjpe_tri_mm", "mpjpe_refined_mm",
+                            "pmpjpe_tri_mm", "pmpjpe_refined_mm"}
+    # The pairs' sample-weighted means are the report numbers.
+    for key in ("mpjpe_tri_mm", "mpjpe_refined_mm", "pmpjpe_tri_mm",
+                "pmpjpe_refined_mm"):
+        pooled = sum(r["n"] * r[key] for r in report.per_pair_mm.values())
+        assert pooled / 12 == pytest.approx(getattr(report, key), abs=1e-9)
+    for name, errs in (("tri", tri), ("refined", ref)):
+        pct = report.mpjpe_percentiles_mm[name]
+        assert list(pct) == ["p50", "p90", "p99"]
+        srt = np.sort(errs)
+        for q in (50, 90, 99):
+            # Linear interpolation between the order statistics.
+            pos = q / 100 * (len(srt) - 1)
+            lo = int(pos)
+            want = srt[lo] + (pos - lo) * (srt[lo + 1] - srt[lo])
+            assert pct[f"p{q}"] == pytest.approx(want, abs=1e-9)
+    body = json.loads(report.to_json())
+    assert body["per_pair_mm"] == report.per_pair_mm
+    assert body["mpjpe_percentiles_mm"] == report.mpjpe_percentiles_mm
 
 
 def test_evaluate_svd_calls_do_not_scale_with_samples(monkeypatch):

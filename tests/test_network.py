@@ -109,6 +109,79 @@ def test_batch_matches_single():
         assert np.allclose(X2.data[s * J:(s + 1) * J], r2.joints, atol=1e-9)
 
 
+def test_single_frame_refine_matches_batched_rows_exactly():
+    # Both sides run the float32 graph conv; a batch-size dependence of the
+    # float32 products would show here at about 1e-5 mm, far above 1e-9.
+    topo = default_topology()
+    cfg = small_config(channels=32)
+    model = CVUGCN(topo, cfg)
+    rng = np.random.default_rng(5)
+    model.weights.arrays["head"] = rng.normal(0, 0.05, size=(32, 3))
+    B, J = 8, 17
+    x1 = rand_coarse(rng, B)
+    x2 = rand_coarse(rng, B)
+    X1, X2, _ = model.refine_batch(ad.Tape(conv_dtype=network.CONV_DTYPE),
+                                   x1, x2)
+    assert np.abs(X1.data - x1).max() > 1.0   # the residual is not trivial
+    for s in range(B):
+        rows = slice(s * J, (s + 1) * J)
+        r1, r2 = model.refine(Pose3D(x1[rows], "cam1"),
+                              Pose3D(x2[rows], "cam2"))
+        assert np.abs(r1.joints - X1.data[rows]).max() <= 1e-9
+        assert np.abs(r2.joints - X2.data[rows]).max() <= 1e-9
+
+
+def test_refining_callers_open_float32_tapes(monkeypatch):
+    # Training, evaluation and refine must multiply in float32, and the
+    # finite-difference check in float64; a plain Tape() in any of them
+    # would silently lose the speed or the exactness.
+    from cvpose import metrics, training
+    from cvpose.syndata import SyntheticConfig, generate_dataset
+
+    opened = []
+
+    class RecordingTape(ad.Tape):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.conv_nodes = 0
+            opened.append(self)
+
+        def _record(self, data, op, backward=None):
+            self.conv_nodes += op == "graph_conv"
+            return super()._record(data, op, backward)
+
+    monkeypatch.setattr(ad, "Tape", RecordingTape)
+    F32 = np.dtype(np.float32)
+
+    def conv_dtypes(run):
+        opened.clear()
+        run()
+        dtypes = {t.conv_dtype for t in opened if t.conv_nodes}
+        assert dtypes, "no tape recorded a graph_conv"
+        return dtypes
+
+    samples, _, rig = generate_dataset(SyntheticConfig(n_samples=6, seed=1))
+    topo = default_topology()
+    tcfg = training.TrainConfig(epochs=1, batch_size=4, channels=8)
+    model = CVUGCN(topo, tcfg.network())
+    coarse, _ = training.precompute_coarse(samples, rig, topo)
+    opt = training.AmsGrad({k: v.shape for k, v in model.weights.items()})
+    assert conv_dtypes(lambda: training.train_epoch(
+        samples, coarse, rig, model, opt, 1e-3, tcfg, 0)) == {F32}
+    assert conv_dtypes(lambda: metrics.evaluate(
+        samples, rig, model, topo, batch_size=4)) == {F32}
+    x = rand_coarse(np.random.default_rng(0), 1)
+    assert conv_dtypes(lambda: model.refine(Pose3D(x, "cam1"),
+                                            Pose3D(x, "cam2"))) == {F32}
+
+    def build(tape, leaves):
+        X1, X2 = model.refine_from_leaf(leaves[0], model.param_leaves(tape))
+        return ad.reduce_sum(ad.add(ad.norm_rows(X1), ad.norm_rows(X2)))
+
+    assert conv_dtypes(lambda: ad.grad_check(
+        build, [np.vstack([x, x])], n_samples=1)) == {np.dtype(np.float64)}
+
+
 def test_forward_gradients_against_finite_differences():
     topo = default_topology()
     cfg = small_config()

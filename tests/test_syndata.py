@@ -194,6 +194,17 @@ def test_dataset_schema_errors(tmp_path):
         load_dataset(path)
 
 
+def test_dataset_rejects_repeated_sample_id(tmp_path):
+    samples, _, _ = generate_dataset(SyntheticConfig(n_samples=4, seed=3))
+    samples[2].sample_id = samples[0].sample_id
+    path = tmp_path / "data.jsonl"
+    save_dataset(path, samples)
+    # Header on line 1, so the third sample (the repeat) is on line 4.
+    with pytest.raises(SchemaError, match="line 4: .*repeats") as exc:
+        load_dataset(path)
+    assert exc.value.line == 4
+
+
 def test_manifest_and_hash(tmp_path):
     cfg = SyntheticConfig(n_samples=3, seed=2)
     samples, _, _ = generate_dataset(cfg)

@@ -167,6 +167,15 @@ def test_precompute_coarse_skips_sample_behind_cameras():
         assert skipped == ["behind"]
 
 
+def test_precompute_coarse_rejects_duplicate_ids():
+    # Coarse poses are keyed by id: a repeat would silently overwrite the
+    # earlier sample's pose and pair it with the wrong ground truth.
+    samples, rig, _ = small_dataset(n=4, seed=3)
+    samples[2].sample_id = samples[0].sample_id
+    with pytest.raises(ValueError, match="repeat"):
+        precompute_coarse(samples, rig)
+
+
 def _pixels(cam, X_cam):
     """Project camera-frame points, also those behind the camera."""
     h = X_cam @ cam.K.T
