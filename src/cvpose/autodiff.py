@@ -5,14 +5,22 @@ topological order, and the backward sweep walks it in reverse. Gradient
 buffers are allocated lazily so forward-only tapes (evaluation) carry no
 gradient memory.
 
+The backward sweep lets go of what it has passed. It pops each interior
+node (a Value with a backward closure) off the tape and drops the node's
+closure and gradient before running the closure, so an array that only
+the tape held is freed by refcount as soon as the sweep is past it: no
+earlier closure can read a later node. Leaves (Values with no closure:
+inputs, weights) stay on the tape with their gradients until release().
+Values the caller holds keep their data. A tape can be swept once.
+
 Every Value, gradient and loss is float64. The one exception to float64
-arithmetic is graph_conv: its matrix products run in the tape's
-conv_dtype, float64 by default or float32 (mixed precision in the sense of
-Micikevicius et al., ICLR 2018). On a float32 tape graph_conv casts its
-input, weights and kernels down, multiplies and accumulates in float32,
-and hands back a float64 Value; its backward adds float32 products into
-the float64 gradients. Finite-difference checks (grad_check) always run on
-float64 tapes.
+arithmetic is the graph convolution (graph_conv, residual_graph_conv):
+its matrix products run in the tape's conv_dtype, float64 by default or
+float32 (mixed precision in the sense of Micikevicius et al., ICLR 2018).
+On a float32 tape it casts its input, weights and kernels down,
+multiplies and accumulates in float32, and hands back a float64 Value;
+its backward adds float32 products into the float64 gradients.
+Finite-difference checks (grad_check) always run on float64 tapes.
 """
 
 from __future__ import annotations
@@ -23,13 +31,13 @@ import numpy as np
 
 from .errors import NonPositiveDepth, NotScalar, ShapeMismatch
 
-_DEPTH_EPS = 1e-6   # mm, same guard as the projection in geometry
+DEPTH_EPS = 1e-6   # mm, same guard as the projection in geometry
 
 
 class Value:
     """A matrix on a tape. data is (rows, cols) float64, grad matches."""
 
-    __slots__ = ("data", "_grad", "tape", "op", "_backward")
+    __slots__ = ("data", "_grad", "tape", "op", "_backward", "__weakref__")
 
     def __init__(self, data, tape, op, backward=None):
         self.data = data
@@ -74,6 +82,7 @@ class Tape:
                              f"got {conv_dtype!r}")
         self.conv_dtype = dtype
         self.nodes = []
+        self._swept = False
 
     def _record(self, data, op, backward=None):
         v = Value(np.ascontiguousarray(data, dtype=np.float64), self, op, backward)
@@ -90,29 +99,55 @@ class Tape:
         return self._record(arr.copy(), op)
 
     def backward(self, loss):
-        """Seed d loss/d loss = 1 and sweep the tape in reverse."""
+        """Seed d loss/d loss = 1 and sweep the tape in reverse, once.
+
+        Each interior node is popped off the tape, and its closure and
+        gradient are dropped before the closure runs, so the sweep frees
+        what it has passed. Afterwards the tape holds only its leaves,
+        whose gradients stay readable until release(). A second sweep of
+        the same tape raises ValueError.
+        """
         if loss.tape is not self:
             raise ValueError("loss lives on another tape")
         if loss.data.shape != (1, 1):
             raise NotScalar(f"loss must be 1x1, got {loss.data.shape}")
+        if self._swept:
+            raise ValueError("tape was already swept or released")
+        self._swept = True
         loss.grad[0, 0] += 1.0
-        for v in reversed(self.nodes):
+        nodes = self.nodes
+        leaves = []
+        while nodes:
+            v = nodes.pop()
+            if v._backward is None:
+                leaves.append(v)
+                continue
+            step, g = v._backward, v._grad
+            v._backward = v._grad = None
+            # No closure reads its own node, so the node may go first.
+            del v
             # Untouched grads mean the node does not feed the loss.
-            if v._backward is not None and v._grad is not None:
-                v._backward(v._grad)
+            if g is not None:
+                step(g)
+            del step, g
+        leaves.reverse()
+        self.nodes = leaves
 
     def release(self):
         """Drop the recorded graph so node arrays free by refcount.
 
         Value and Tape reference each other (and backward closures hold the
         operands), so a finished tape otherwise lingers until the cyclic
-        collector runs; at batch sizes that is gigabytes. Values the caller
-        still holds stay usable, but no further backward sweep is possible.
+        collector runs; at batch sizes that is gigabytes. After a backward
+        sweep only the leaves and their gradients are left to drop. Values
+        the caller still holds stay usable, but no further backward sweep
+        is possible.
         """
         for v in self.nodes:
             v._backward = None
             v._grad = None
         self.nodes.clear()
+        self._swept = True
 
     def __len__(self):
         return len(self.nodes)
@@ -239,6 +274,70 @@ def block_left_matmul(M, h: Value) -> Value:
     return h.tape._record(out, "block_left_matmul", backward)
 
 
+class _ConvPlan:
+    """The checked, cast operands of one graph convolution and its products.
+
+    Shared by graph_conv and residual_graph_conv: forward(x) is
+    sum_k N_k x W_k, and backward(g, x) adds each d/dW_k into the weight
+    gradients and returns d/dx, both in the tape's conv_dtype.
+    """
+
+    def __init__(self, h, kernels, weights, n, opname):
+        kernels = [None if N is None else np.asarray(N, dtype=np.float64)
+                   for N in kernels]
+        weights = list(weights)
+        rows, C_in = h.data.shape
+        if not weights or len(kernels) != len(weights):
+            raise ShapeMismatch(f"{opname}: {len(kernels)} kernels, "
+                                f"{len(weights)} weights")
+        if rows % n:
+            raise ShapeMismatch(f"{opname}: {rows} rows not divisible by {n}")
+        C_out = weights[0].data.shape[1]
+        for N, W in zip(kernels, weights):
+            if W.data.shape != (C_in, C_out):
+                raise ShapeMismatch(f"{opname}: weight {W.data.shape}, "
+                                    f"expected {(C_in, C_out)}")
+            if N is not None and N.shape != (n, n):
+                raise ShapeMismatch(f"{opname}: kernel {N.shape}, "
+                                    f"expected {(n, n)}")
+        self.tape = _same_tape(h, *weights)
+        self.dt = dt = self.tape.conv_dtype
+        self.kernels = [None if N is None else N.astype(dt, copy=False)
+                        for N in kernels]
+        self.weights = weights
+        # The weights are small (C_in, C_out), so the plan keeps their cast.
+        self.ws = [W.data.astype(dt, copy=False) for W in weights]
+        self.B, self.n = rows // n, n
+        self.rows, self.C_in, self.C_out = rows, C_in, C_out
+
+    def _mix(self, N, x, buf):
+        """N applied to every n-row block of x (rows, C), into buf."""
+        shape = (self.B, self.n, x.shape[1])
+        np.matmul(N, x.reshape(shape), out=buf.reshape(shape))
+        return buf
+
+    def forward(self, x):
+        dt = self.dt
+        out = np.zeros((self.rows, self.C_out), dtype=dt)
+        hw = np.empty((self.rows, self.C_out), dtype=dt)
+        mixed = np.empty((self.rows, self.C_out), dtype=dt)
+        for N, w in zip(self.kernels, self.ws):
+            np.matmul(x, w, out=hw)
+            out += hw if N is None else self._mix(N, hw, mixed)
+        return out
+
+    def backward(self, g, x):
+        dt = self.dt
+        g = g.astype(dt, copy=False)
+        dp = np.empty((self.rows, self.C_out), dtype=dt)
+        dx = np.zeros((self.rows, self.C_in), dtype=dt)
+        for N, W, w in zip(self.kernels, self.weights, self.ws):
+            dpk = g if N is None else self._mix(N.T, g, dp)
+            W.grad += x.T @ dpk
+            dx += dpk @ w.T
+        return dx
+
+
 def graph_conv(h: Value, kernels, weights, n: int) -> Value:
     """Graph convolution sum_k N_k h W_k on every n-row block of h.
 
@@ -252,56 +351,45 @@ def graph_conv(h: Value, kernels, weights, n: int) -> Value:
     and the gradients are float64. On a float32 tape the backward casts
     g and h down again rather than keeping a float32 copy of h alive.
     """
-    kernels = [None if N is None else np.asarray(N, dtype=np.float64)
-               for N in kernels]
-    weights = list(weights)
-    rows, C_in = h.data.shape
-    if not weights or len(kernels) != len(weights):
-        raise ShapeMismatch(f"graph_conv: {len(kernels)} kernels, "
-                            f"{len(weights)} weights")
-    if rows % n:
-        raise ShapeMismatch(f"graph_conv: {rows} rows not divisible by {n}")
-    C_out = weights[0].data.shape[1]
-    for N, W in zip(kernels, weights):
-        if W.data.shape != (C_in, C_out):
-            raise ShapeMismatch(f"graph_conv: weight {W.data.shape}, "
-                                f"expected {(C_in, C_out)}")
-        if N is not None and N.shape != (n, n):
-            raise ShapeMismatch(f"graph_conv: kernel {N.shape}, expected {(n, n)}")
-    tape = _same_tape(h, *weights)
-    B = rows // n
-    dt = tape.conv_dtype
-    kernels = [None if N is None else N.astype(dt, copy=False)
-               for N in kernels]
-    # The weights are small (C_in, C_out), so the closure keeps their cast.
-    ws = [W.data.astype(dt, copy=False) for W in weights]
-
-    def mix(N, x, buf):
-        """N applied to every n-row block of x (rows, C), into buf."""
-        C = x.shape[1]
-        np.matmul(N, x.reshape(B, n, C), out=buf.reshape(B, n, C))
-        return buf
-
-    x = h.data.astype(dt, copy=False)
-    out = np.zeros((rows, C_out), dtype=dt)
-    hw = np.empty((rows, C_out), dtype=dt)
-    mixed = np.empty((rows, C_out), dtype=dt)
-    for N, w in zip(kernels, ws):
-        np.matmul(x, w, out=hw)
-        out += hw if N is None else mix(N, hw, mixed)
+    plan = _ConvPlan(h, kernels, weights, n, "graph_conv")
+    out = plan.forward(h.data.astype(plan.dt, copy=False))
 
     def backward(g):
-        g = g.astype(dt, copy=False)
-        x = h.data.astype(dt, copy=False)
-        dp = np.empty((rows, C_out), dtype=dt)
-        dh = np.zeros((rows, C_in), dtype=dt)
-        for N, W, w in zip(kernels, weights, ws):
-            dpk = g if N is None else mix(N.T, g, dp)
-            W.grad += x.T @ dpk
-            dh += dpk @ w.T
-        h.grad += dh
+        h.grad += plan.backward(g, h.data.astype(plan.dt, copy=False))
 
-    return tape._record(out, "graph_conv", backward)
+    return plan.tape._record(out, "graph_conv", backward)
+
+
+def residual_graph_conv(h: Value, kernels, weights, n: int) -> Value:
+    """The pre-activation residual unit h + graph_conv(relu(h)), one node.
+
+    Same arithmetic as add(h, graph_conv(relu(h), kernels, weights, n)),
+    bit for bit on either conv_dtype, but the tape keeps neither the relu
+    output, nor its mask, nor the conv output: the backward recomputes
+    relu(h) from h, which it needs anyway. The weights map C_in to C_in.
+    NaN passes the relu, and its subgradient at 0 is 0, as in relu.
+    """
+    plan = _ConvPlan(h, kernels, weights, n, "residual_graph_conv")
+    if plan.C_out != plan.C_in:
+        raise ShapeMismatch(f"residual_graph_conv: weights map {plan.C_in} "
+                            f"to {plan.C_out} channels")
+
+    def rectified():
+        # A copy in conv_dtype, rectified in place: the same bits as
+        # casting np.maximum(h.data, 0.0) down.
+        x = h.data.astype(plan.dt)
+        return np.maximum(x, 0.0, out=x)
+
+    out = plan.forward(rectified()).astype(np.float64, copy=False)
+    out += h.data
+
+    def backward(g):
+        h.grad += g
+        dx = plan.backward(g, rectified())
+        dx *= h.data > 0.0
+        h.grad += dx
+
+    return plan.tape._record(out, "residual_graph_conv", backward)
 
 
 def relu(a: Value) -> Value:
@@ -395,7 +483,7 @@ def perspective_divide(p: Value) -> Value:
     if p.data.shape[1] != 3:
         raise ShapeMismatch(f"perspective_divide: expected (m, 3), got {p.data.shape}")
     z = p.data[:, 2:3]
-    bad = np.nonzero(z[:, 0] <= _DEPTH_EPS)[0]
+    bad = np.nonzero(z[:, 0] <= DEPTH_EPS)[0]
     if bad.size:
         r = int(bad[0])
         raise NonPositiveDepth(f"row {r} has depth {z[r, 0]:.6g}", joint=r)

@@ -52,6 +52,16 @@ def _bone_lengths(X, topo, B):
     return ad.norm_rows(_bone_vecs(X, topo, B))
 
 
+def behind_camera(X, cam: CameraModel, n_joints):
+    """(B,) bool: which of the B stacked poses in X, a (B*J, 3) Value in
+    cam's frame, has a joint whose projective depth is at or below the
+    guard of perspective_divide, so that reprojection_loss would raise
+    NonPositiveDepth on it. NaN depths do not count: they reach the loss.
+    """
+    z = (X.data @ np.asarray(cam.K.T, dtype=np.float64))[:, 2]
+    return (z <= ad.DEPTH_EPS).reshape(-1, n_joints).any(axis=1)
+
+
 def reprojection_loss(X1, X2, y1, y2, cam1: CameraModel, cam2: CameraModel):
     """Sum over views and joints of the pixel distance between the
     projected refinement and the 2D annotation.

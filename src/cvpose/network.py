@@ -23,10 +23,13 @@ split_views cuts a result back into the two (BJ, 3) views.
 
 Each of the seven graph convolutions (two spatial, one per U-stage) is
 sum_k N_k H W_k over its unmasked kernel classes k, the AXW form of Kipf &
-Welling with the kernel classes of Cai et al., and records one
-autodiff.graph_conv tape node. That node keeps its input, its weights and
-its kernels, none of the per-kernel products, so at B=256, C=128 a
-forward's tape holds about 150 MB.
+Welling with the kernel classes of Cai et al., and records one tape node.
+The 3 -> C lift is relu(autodiff.graph_conv(h)); each of the six
+width-preserving residual units h + conv(relu(h)) is one
+autodiff.residual_graph_conv node, which keeps only h, its weights and
+its kernels: no relu output, conv output or per-kernel product. At
+B=256, C=128 a forward records 58 nodes and its tape holds about 88 MB,
+and the backward sweep frees each node once it has passed it.
 
 Precision: training, evaluation and refine open their tapes with
 conv_dtype=CONV_DTYPE (float32), so the graph-conv products run in
@@ -247,11 +250,12 @@ class CVUGCN:
 
     # -- forward -----------------------------------------------------------
 
-    def _conv(self, h, conv, weights_by_kernel):
-        """sum_k N_k h W_k over the conv's unmasked kernels, one tape node."""
+    def _conv(self, op, h, conv, weights_by_kernel):
+        """op (ad.graph_conv or ad.residual_graph_conv) over the conv's
+        unmasked kernels: one tape node."""
         n, entries = conv
-        return ad.graph_conv(h, [N for _, N in entries],
-                             [weights_by_kernel[k] for k, _ in entries], n)
+        return op(h, [N for _, N in entries],
+                  [weights_by_kernel[k] for k, _ in entries], n)
 
     def _stage_weights(self, params, prefix, n_layers):
         return [[params[f"{prefix}.{layer}.k{k}"] for k in range(N_KERNELS)]
@@ -260,8 +264,9 @@ class CVUGCN:
     def _stage(self, h, conv, layer_weights):
         """A stage of graph-conv units in pre-activation residual form.
 
-        Width-preserving units compute h + conv(relu(h)); the one
-        width-changing unit (the leading 3 -> C lift) is relu(conv(h)).
+        Width-preserving units compute h + conv(relu(h)), one
+        autodiff.residual_graph_conv node each; the one width-changing
+        unit (the leading 3 -> C lift) is relu(conv(h)).
         The residual form is what keeps training alive under the
         scale-invariant optimizer: its earliest steps move every weight
         by the same fixed quantum regardless of gradient size, and the
@@ -275,9 +280,9 @@ class CVUGCN:
         """
         for ws in layer_weights:
             if ws[0].shape[0] == ws[0].shape[1]:
-                h = ad.add(h, self._conv(ad.relu(h), conv, ws))
+                h = self._conv(ad.residual_graph_conv, h, conv, ws)
             else:
-                h = ad.relu(self._conv(h, conv, ws))
+                h = ad.relu(self._conv(ad.graph_conv, h, conv, ws))
         return h
 
     def refine_from_leaf(self, xin, params):

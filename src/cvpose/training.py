@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .errors import NonFiniteLoss, NonPositiveDepth, SchemaError
 from .geometry import TRI_MODES, relative_transform, triangulate_stack
 from .graph import default_topology
-from .losses import LossWeights, total_loss
+from .losses import LossWeights, behind_camera, total_loss
 from .network import (CONV_DTYPE, CVUGCN, NetworkConfig, init_weights,
                       load_checkpoint, save_checkpoint)
 
@@ -270,13 +270,30 @@ def _check_finite(loss, grads, epoch, pair):
 
 def _batch_loss(model, cams, rels, pair, x1, x2, y1, y2, weights_cfg,
                 with_grad):
+    """Refine and score one batch; returns (loss, parts, B, grads).
+
+    A sample whose refined pose has a joint behind either camera has no
+    reprojection, so it is left out of the loss: the rest are scored
+    through gather_rows and B counts them. A batch with no such sample
+    takes no gather. NonPositiveDepth is raised only when no sample is
+    left.
+    """
     tape = ad.Tape(conv_dtype=CONV_DTYPE)
     try:
         X1, X2, params = model.refine_batch(tape, x1, x2)
-        total, parts = total_loss(
-            X1, X2, y1, y2, cams[pair[0]], cams[pair[1]], rels[pair],
-            model.topo, weights_cfg)
-        B = x1.shape[0] // model.topo.n_joints
+        J = model.topo.n_joints
+        cam1, cam2 = cams[pair[0]], cams[pair[1]]
+        behind = behind_camera(X1, cam1, J) | behind_camera(X2, cam2, J)
+        B = int(behind.size - behind.sum())
+        if not B:
+            raise NonPositiveDepth(f"all {behind.size} refined samples have "
+                                   f"a joint behind a camera")
+        if B < behind.size:
+            rows = np.arange(behind.size * J).reshape(-1, J)[~behind].ravel()
+            X1, X2 = ad.gather_rows(X1, rows), ad.gather_rows(X2, rows)
+            y1, y2 = y1[rows], y2[rows]
+        total, parts = total_loss(X1, X2, y1, y2, cam1, cam2, rels[pair],
+                                  model.topo, weights_cfg)
         loss = ad.scale(total, 1.0 / B)
         if with_grad:
             tape.backward(loss)
@@ -311,10 +328,11 @@ def train_epoch(samples, coarse, cameras, model, optimizer, lr,
                 model, by_id, rels, pair, x1, x2, y1, y2, weights_cfg,
                 with_grad=True)
         except NonPositiveDepth:
-            # A refinement that throws a joint behind a camera has no
-            # usable reprojection; drop the batch rather than the run.
+            # Every refinement threw a joint behind a camera: no sample
+            # has a usable reprojection; drop the batch rather than the run.
             behind += len(idxs)
             continue
+        behind += len(idxs) - B
         _check_finite(loss, grads, epoch, pair)
         optimizer.step(model.weights, grads, lr)
         sums["loss"] += loss * B
@@ -351,7 +369,8 @@ def eval_loss(samples, coarse, cameras, model, config: TrainConfig):
 
 
 # skipped_tri: training samples precompute_coarse could not triangulate;
-# dropped_depth: samples of this epoch's batches dropped for NonPositiveDepth.
+# dropped_depth: samples of this epoch's batches left out of the loss because
+# their refined pose has a joint behind a camera.
 LOG_HEADER = ("epoch,loss,reproj,sym,transform,bonedir,lr,skipped_tri,"
               "dropped_depth")
 

@@ -1,5 +1,7 @@
 """Tape mechanics and finite-difference validation of every op."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,72 @@ def test_graph_conv_shape_errors():
         ad.graph_conv(h, [N], [ad.Tape().leaf(np.ones((3, 2)))], 4)
 
 
+def _residual_cases(rng, n, C):
+    """(kernels, weights) lists: mixed, identity-only and identity-free."""
+    N1, N2 = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+    return [([None, N1, N2], [rng.normal(size=(C, C)) for _ in range(3)]),
+            ([None], [rng.normal(size=(C, C))]),
+            ([N1, N2], [rng.normal(size=(C, C)) for _ in range(2)])]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_residual_graph_conv_is_the_composite_bit_for_bit(dtype):
+    # add(h, graph_conv(relu(h))) on three nodes, the same arithmetic on one;
+    # exact zeros of h (either sign) meet the relu's subgradient 0 on both.
+    rng = np.random.default_rng(21)
+    n, B, C = 4, 3, 5
+    h = rng.normal(size=(B * n, C))
+    h[rng.random(h.shape) < 0.2] = 0.0
+    h[0, :2] = -0.0
+    for kernels, ws in _residual_cases(rng, n, C):
+        grads = []
+        for fused in (False, True):
+            tape = ad.Tape(conv_dtype=dtype)
+            hv = tape.leaf(h)
+            W = [tape.leaf(w) for w in ws]
+            if fused:
+                out = ad.residual_graph_conv(hv, kernels, W, n)
+                assert out.op == "residual_graph_conv"
+                assert len(tape) == 1 + len(W) + 1
+            else:
+                out = ad.add(hv, ad.graph_conv(ad.relu(hv), kernels, W, n))
+            tape.backward(ad.reduce_sum(ad.norm_rows(out)))
+            grads.append([out.data, hv.grad] + [w.grad for w in W])
+        for got, want in zip(grads[1], grads[0]):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+
+
+def test_residual_graph_conv_subgradient_and_nan():
+    # Identity kernel, W = I: out = h + relu(h), so d sum(out)/dh = 1 + [h > 0]
+    # and 1 exactly where h is 0.
+    tape = ad.Tape()
+    h = tape.leaf([[-1.0, 0.0, 2.0], [0.0, -0.0, 3.0]])
+    out = ad.residual_graph_conv(h, [None], [tape.leaf(np.eye(3))], 2)
+    assert np.array_equal(out.data, [[-1.0, 0.0, 4.0], [0.0, 0.0, 6.0]])
+    tape.backward(ad.reduce_sum(out))
+    assert np.array_equal(h.grad, [[1.0, 1.0, 2.0], [1.0, 1.0, 2.0]])
+    # A NaN in h is not rectified away: it reaches every channel of its
+    # block through the conv, and no other block.
+    rng = np.random.default_rng(22)
+    N = rng.normal(size=(2, 2))
+    tape = ad.Tape()
+    h = tape.leaf(rng.normal(size=(4, 3)))
+    h.data[1, 2] = np.nan
+    out = ad.residual_graph_conv(h, [None, N], [tape.leaf(np.eye(3))] * 2, 2)
+    assert np.isnan(out.data[:2]).all()
+    assert np.isfinite(out.data[2:]).all()
+
+
+def test_residual_graph_conv_shape_errors():
+    tape = ad.Tape()
+    h = tape.leaf(np.ones((8, 3)))
+    with pytest.raises(ShapeMismatch, match="residual_graph_conv"):
+        ad.residual_graph_conv(h, [None], [tape.leaf(np.ones((3, 4)))], 4)
+    with pytest.raises(ShapeMismatch, match="residual_graph_conv"):
+        ad.residual_graph_conv(h, [None], [tape.leaf(np.ones((3, 3)))], 3)
+
+
 def test_slice_blocks_selects_rows_of_every_block():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(2 * 5, 4))   # B=2 blocks of 5 rows
@@ -352,6 +420,20 @@ def test_grad_graph_conv():
         [h, rng.normal(size=(5, 6)), rng.normal(size=(5, 6))])
 
 
+def test_grad_residual_graph_conv():
+    rng = np.random.default_rng(18)
+    n, B, C = 4, 3, 5
+    for kernels, ws in _residual_cases(rng, n, C):
+        h = rng.normal(size=(B * n, C))
+        _check(lambda t, p: ad.reduce_sum(ad.norm_rows(
+            ad.residual_graph_conv(p[0], kernels, p[1:], n))), [h] + ws)
+        # With exact zeros in h the kink is at a sampled coordinate, so h is
+        # held constant there and only the weights are checked.
+        h[rng.random(h.shape) < 0.3] = 0.0
+        _check(lambda t, p: ad.reduce_sum(ad.norm_rows(
+            ad.residual_graph_conv(t.leaf(h), kernels, p, n))), ws)
+
+
 def test_grad_geometry_ops():
     rng = np.random.default_rng(14)
     p = rng.normal(size=(6, 3))
@@ -416,3 +498,56 @@ def test_release_breaks_reference_cycles():
     # both cycle edges are cut: tape -> Value and closure -> operands
     assert tape.nodes == []
     assert out._backward is None and a._backward is None
+
+
+def _swept_chain():
+    """A small tape swept once; returns (tape, leaves, held interior Values)."""
+    tape = ad.Tape()
+    a = tape.leaf(np.ones((3, 2)))
+    w = tape.leaf(np.full((2, 2), 0.5))
+    mid = ad.relu(ad.matmul(a, w))
+    loss = ad.reduce_sum(ad.norm_rows(ad.add(mid, a)))
+    tape.backward(loss)
+    return tape, [a, w], [mid, loss]
+
+
+def test_backward_keeps_leaves_and_their_gradients():
+    tape, leaves, interior = _swept_chain()
+    assert len(tape) == len(leaves) == 2
+    assert tape.nodes[0] is leaves[0] and tape.nodes[1] is leaves[1]
+    for leaf in leaves:
+        assert leaf._grad is not None and np.abs(leaf.grad).max() > 0
+    for v in interior:
+        assert v._backward is None and v._grad is None
+    # Values the caller holds keep their data.
+    mid, loss = interior
+    assert np.array_equal(mid.data, np.ones((3, 2)))
+    assert loss.data.shape == (1, 1) and loss.data[0, 0] > 0
+
+
+def test_backward_frees_interior_values_nobody_holds():
+    tape = ad.Tape()
+    a = tape.leaf(np.ones((4, 4)))
+    mid = ad.relu(ad.matmul(a, a))
+    gone, gone_data = weakref.ref(mid), weakref.ref(mid.data)
+    loss = ad.reduce_sum(mid)
+    del mid
+    assert gone() is not None     # the tape holds it until the sweep
+    tape.backward(loss)
+    # Freed by refcount alone, without the cyclic collector.
+    assert gone() is None and gone_data() is None
+    assert np.array_equal(a.grad, np.full((4, 4), 8.0))
+
+
+def test_tape_sweeps_once():
+    tape, leaves, (mid, loss) = _swept_chain()
+    grad = leaves[0].grad.copy()
+    with pytest.raises(ValueError, match="already swept"):
+        tape.backward(loss)
+    assert np.array_equal(leaves[0].grad, grad)
+    tape = ad.Tape()
+    x = tape.leaf([[2.0]])
+    loss = ad.reduce_sum(x)
+    tape.release()
+    with pytest.raises(ValueError, match="already swept or released"):
+        tape.backward(loss)

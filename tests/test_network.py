@@ -1,5 +1,7 @@
 """Refiner wiring: init, identity property, batching, masks, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,14 +101,17 @@ def test_batch_matches_single():
     B, J = 3, 17
     x1 = rand_coarse(rng, B)
     x2 = rand_coarse(rng, B)
-    tape = ad.Tape()
+    # refine opens a CONV_DTYPE tape; compare like with like, in mm.
+    tape = ad.Tape(conv_dtype=network.CONV_DTYPE)
     X1, X2, _ = model.refine_batch(tape, x1, x2)
     assert X1.shape == (B * J, 3) and X2.shape == (B * J, 3)
     for s in range(B):
         r1, r2 = model.refine(Pose3D(x1[s * J:(s + 1) * J], "cam1"),
                               Pose3D(x2[s * J:(s + 1) * J], "cam2"))
-        assert np.allclose(X1.data[s * J:(s + 1) * J], r1.joints, atol=1e-9)
-        assert np.allclose(X2.data[s * J:(s + 1) * J], r2.joints, atol=1e-9)
+        assert np.allclose(X1.data[s * J:(s + 1) * J], r1.joints,
+                           rtol=0, atol=1e-9)
+        assert np.allclose(X2.data[s * J:(s + 1) * J], r2.joints,
+                           rtol=0, atol=1e-9)
 
 
 def test_single_frame_refine_matches_batched_rows_exactly():
@@ -147,7 +152,7 @@ def test_refining_callers_open_float32_tapes(monkeypatch):
             opened.append(self)
 
         def _record(self, data, op, backward=None):
-            self.conv_nodes += op == "graph_conv"
+            self.conv_nodes += op in ("graph_conv", "residual_graph_conv")
             return super()._record(data, op, backward)
 
     monkeypatch.setattr(ad, "Tape", RecordingTape)
@@ -180,6 +185,8 @@ def test_refining_callers_open_float32_tapes(monkeypatch):
 
     assert conv_dtypes(lambda: ad.grad_check(
         build, [np.vstack([x, x])], n_samples=1)) == {np.dtype(np.float64)}
+    # 2 spatial convs and one per U-stage; all but the 3 -> C lift residual.
+    assert opened[0].conv_nodes == 7
 
 
 def test_forward_gradients_against_finite_differences():
@@ -263,9 +270,45 @@ def test_default_forward_records_one_node_per_conv():
     tape = ad.Tape()
     model.refine_batch(tape, rand_coarse(rng, 2), rand_coarse(rng, 2))
     ops = [v.op for v in tape.nodes]
-    assert ops.count("graph_conv") == cfg.sgcn_layers + len(network.STAGES) == 7
-    assert len(ops) == 70
+    # The 3 -> C lift is relu(graph_conv); every width-preserving unit is
+    # one residual_graph_conv node, with no relu or add of its own.
+    assert ops.count("graph_conv") == 1
+    units = cfg.sgcn_layers - 1 + len(network.STAGES)
+    assert ops.count("residual_graph_conv") == units == 6
+    assert ops.count("relu") == 1
+    assert len(ops) == 58
     assert "add_n" not in ops and ops.count("matmul") == 1   # the head
+
+
+def test_forward_and_backward_memory_stay_bounded():
+    # Deterministic memory guard, in units of one (2BJ, C) float64 array:
+    # what a forward leaves on the tape, and how far the backward sweep
+    # rises above that. A tape that kept the relu, conv and add of every
+    # residual unit held 19.8 units, and a sweep that kept each node until
+    # release() added 20.0; now the forward holds 11.8 and the sweep 5.0.
+    topo = default_topology()
+    B, C, J = 16, 32, topo.n_joints
+    model = CVUGCN(topo, small_config(channels=C))
+    rng = np.random.default_rng(0)
+    model.weights.arrays["head"] = rng.normal(0, 0.05, size=(C, 3))
+    x1, x2 = rand_coarse(rng, B), rand_coarse(rng, B)
+    unit = 2 * B * J * C * 8
+    tape = ad.Tape()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        X1, X2, params = model.refine_batch(tape, x1, x2)
+        loss = ad.reduce_sum(ad.add(ad.norm_rows(X1), ad.norm_rows(X2)))
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    forward, sweep = (held - base) / unit, (peak - held) / unit
+    assert forward <= 13.0, f"forward holds {forward:.2f} units"
+    assert sweep <= 6.0, f"backward adds {sweep:.2f} units"
+    assert np.abs(params["head"].grad).max() > 0
 
 
 def test_kernel_mask_is_validated():

@@ -469,3 +469,28 @@ def test_epoch_without_scored_batch_has_no_loss(tmp_path, monkeypatch):
     assert "best" not in result.checkpoints
     assert not (tmp_path / "best.ckpt").exists()
     assert all(np.isnan(result.history))
+
+
+def test_sample_behind_camera_drops_only_itself():
+    # One sample of a batch of 4 sits behind both cameras. The other 3
+    # still train: the batch loss is theirs alone and the head moves.
+    samples, rig, assumed = small_dataset(n=24)
+    batch = [s for s in samples if s.pair == samples[0].pair][:4]
+    assert len(batch) == 4
+    topo = default_topology()
+    cfg = small_config(batch_size=4)
+    coarse, _ = precompute_coarse(batch, assumed, topo)
+    bad = batch[1].sample_id
+    coarse[bad] = tuple(x * [1.0, 1.0, -1.0] for x in coarse[bad])
+    good = [s for s in batch if s.sample_id != bad]
+    model = CVUGCN(topo, cfg.network())
+
+    alone = eval_loss(good, coarse, assumed, model, cfg)
+    assert np.isfinite(alone)
+    assert eval_loss(batch, coarse, assumed, model, cfg) == alone
+    head = model.weights["head"].copy()
+    optimizer = AmsGrad({k: v.shape for k, v in model.weights.items()})
+    stats = train_epoch(batch, coarse, assumed, model, optimizer, 1e-3, cfg, 0)
+    assert stats["depth_skipped"] == 1
+    assert stats["loss"] == pytest.approx(alone, rel=1e-12)
+    assert not np.array_equal(model.weights["head"], head)
