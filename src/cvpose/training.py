@@ -200,15 +200,21 @@ def precompute_coarse(samples, cameras, topo=None, mode="dual"):
     samples whose triangulation failed (degenerate geometry or non-positive
     depth); both are in sample order. Sample ids must be unique: a repeated
     id raises ValueError, since its pose would overwrite the earlier one's.
+    A sample that names a camera the rig lacks raises SchemaError before
+    anything is solved.
     """
     topo = topo or default_topology()
+    by_id = {c.cam_id: c for c in cameras}
     seen = set()
     for s in samples:
         if s.sample_id in seen:
             raise ValueError(f"sample id {s.sample_id!r} repeats; coarse "
                              f"poses are keyed by id")
         seen.add(s.sample_id)
-    by_id = {c.cam_id: c for c in cameras}
+        for cam in s.pair:
+            if cam not in by_id:
+                raise SchemaError(f"sample {s.sample_id!r} names camera "
+                                  f"{cam!r}, which the rig does not have")
     solved = [None] * len(samples)
     for (a, b), idxs in _pair_batches(samples, range(len(samples)),
                                       COARSE_CHUNK):

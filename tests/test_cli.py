@@ -53,6 +53,28 @@ def test_eval_garbage_checkpoint_exits_1(tmp_path, capsys):
     assert "error: line 1: expected header" in capsys.readouterr().err
 
 
+def test_camera_missing_from_rig_exits_1(tmp_path, capsys):
+    data = run_synth(tmp_path, "three", n=4,
+                     extra=("--cameras", "3", "--pairs", "cam1:cam3"))
+    two = run_synth(tmp_path, "two", n=4)
+    rig = two / "rig_assumed.jsonl"
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs = 1\nbatch_size = 4\nchannels = 8\n")
+    assert main(["train", "--data", str(two / "dataset.jsonl"),
+                 "--rig", str(rig), "--out-dir", str(tmp_path / "ok"),
+                 "--config", str(cfg), "--quiet"]) == 0
+    capsys.readouterr()
+    for command in (["triangulate"],
+                    ["train", "--out-dir", str(tmp_path / "run"),
+                     "--config", str(cfg), "--quiet"],
+                    ["eval", "--checkpoint", str(tmp_path / "ok" / "final.ckpt")]):
+        code = main([*command, "--data", str(data / "dataset.jsonl"),
+                     "--rig", str(rig)])
+        assert code == 1, command
+        err = capsys.readouterr().err
+        assert "s000000" in err and "cam3" in err, command
+
+
 def test_synth_writes_dataset_and_manifest(tmp_path):
     out = run_synth(tmp_path)
     for fname in ("dataset.jsonl", "rig_true.jsonl", "rig_assumed.jsonl",

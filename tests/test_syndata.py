@@ -1,9 +1,10 @@
+import base64
 import json
 
 import numpy as np
 import pytest
 
-from cvpose.errors import PoseOutOfView, SchemaError
+from cvpose.errors import PoseOutOfView, SchemaError, ShapeMismatch
 from cvpose.geometry import Pose3D, project, relative_transform
 from cvpose.graph import default_topology
 from cvpose.syndata import (ANGLE_RANGES_DEG, REST_OFFSETS_MM, Sample,
@@ -176,21 +177,19 @@ def test_dataset_schema_errors(tmp_path):
     with pytest.raises(SchemaError):
         load_dataset(path)
 
-    path.write_text('{"schema": "data-v1", "n_joints": 5}\n')
+    path.write_text('{"schema": "data-v2", "n_joints": 5, "n_samples": 0}\n')
     with pytest.raises(SchemaError, match="topology has 17"):
         load_dataset(path)
 
-    head = '{"schema": "data-v1", "n_joints": 17}\n'
+    head = '{"schema": "data-v2", "n_joints": 17, "n_samples": 1}\n'
     path.write_text(head + '{"id": "s0", "views": ["a", "b"]}\n')
     with pytest.raises(SchemaError, match="line 2"):
         load_dataset(path)
 
-    bad_rec = {"id": "s0", "views": ["a", "b"],
-               "joints_2d": {"a": [[0.0, 0.0]] * 17, "b": [[0.0, 0.0]] * 16},
-               "joints_2d_clean": {"a": [[0.0, 0.0]] * 17,
-                                   "b": [[0.0, 0.0]] * 17}}
+    bad_rec = _v2_record(17)
+    bad_rec["joints_2d"] = _b64(np.zeros((2, 16, 2)))
     path.write_text(head + json.dumps(bad_rec) + "\n")
-    with pytest.raises(SchemaError, match="shape"):
+    with pytest.raises(SchemaError, match="line 2: .*bytes"):
         load_dataset(path)
 
 
@@ -219,3 +218,190 @@ def test_manifest_and_hash(tmp_path):
     assert body["schema"] == "manifest-v1"
     assert body["sha256"]["dataset"] == h1
     assert body["config"]["n_samples"] == 3
+
+
+# -- data-v2 -------------------------------------------------------------------
+
+def _b64(block):
+    return base64.b64encode(np.ascontiguousarray(block, dtype="<f8")
+                            .tobytes()).decode("ascii")
+
+
+def _v2_record(J, sid="s0", views=("a", "b"), gt=True):
+    rec = {"id": sid, "views": list(views),
+           "joints_2d": _b64(np.zeros((2, J, 2))),
+           "joints_2d_clean": _b64(np.zeros((2, J, 2)))}
+    if gt:
+        rec["joints_3d_gt"] = _b64(np.ones((2, J, 3)))
+    return rec
+
+
+def _write_v2(path, records, **header):
+    head = {"schema": "data-v2", "n_joints": 17, "n_samples": len(records)}
+    head.update(header)
+    lines = [json.dumps(head)]
+    lines += [json.dumps(r) for r in records]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_dataset_v2_layout(tmp_path):
+    samples, _, _ = generate_dataset(SyntheticConfig(n_samples=2, seed=4))
+    path = tmp_path / "data.jsonl"
+    save_dataset(path, samples)
+    lines = path.read_text().splitlines()
+    assert json.loads(lines[0]) == {"schema": "data-v2", "n_joints": 17,
+                                    "n_samples": 2}
+    rec = json.loads(lines[1])
+    assert rec["views"] == ["cam1", "cam2"]
+    for key, d in (("joints_2d", 2), ("joints_2d_clean", 2),
+                   ("joints_3d_gt", 3)):
+        raw = base64.b64decode(rec[key], validate=True)
+        block = np.frombuffer(raw, dtype="<f8").reshape(2, 17, d)
+        for row, view in enumerate(rec["views"]):
+            assert np.array_equal(block[row],
+                                  getattr(samples[0], key)[view])
+
+
+def test_dataset_roundtrip_is_bit_exact_for_extreme_values(tmp_path):
+    specials = np.array([-0.0, 5e-324, 1.7976931348623157e308,
+                         -1.7976931348623157e308, 0.1, -2.5e-310])
+    J = 17
+    block2 = np.resize(specials, 2 * J * 2).reshape(2, J, 2)
+    block3 = np.resize(specials[::-1], 2 * J * 3).reshape(2, J, 3)
+    sample = Sample("x", ("cam2", "cam1"),
+                    {"cam2": block2[0], "cam1": block2[1]},
+                    {"cam2": -block2[0], "cam1": -block2[1]},
+                    {"cam2": block3[0], "cam1": block3[1]})
+    path = tmp_path / "data.jsonl"
+    save_dataset(path, [sample])
+    (got,) = load_dataset(path)
+    assert got.pair == ("cam2", "cam1")
+    for key in ("joints_2d", "joints_2d_clean", "joints_3d_gt"):
+        for view in got.pair:
+            want = getattr(sample, key)[view]
+            arr = getattr(got, key)[view]
+            assert arr.dtype == np.float64 and arr.shape == want.shape
+            assert np.array_equal(arr.view(np.uint64), want.view(np.uint64))
+            assert arr.flags.owndata and arr.flags.writeable
+    # the views of one field share no memory: writing one leaves the other
+    got.joints_2d["cam2"][0, 0] = 7.0
+    assert got.joints_2d["cam1"][0, 0] == block2[1, 0, 0]
+
+
+@pytest.mark.parametrize("key", ["joints_2d", "joints_2d_clean",
+                                 "joints_3d_gt"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_values(tmp_path, key, bad):
+    rec = _v2_record(17, sid="s1")
+    d = 3 if key == "joints_3d_gt" else 2
+    block = np.zeros((2, 17, d))
+    block[1, 16, d - 1] = bad
+    rec[key] = _b64(block)
+    path = tmp_path / "data.jsonl"
+    _write_v2(path, [_v2_record(17), rec])
+    with pytest.raises(SchemaError, match=f"line 3: non-finite .*{key}") as exc:
+        load_dataset(path)
+    assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("value, message", [
+    (_b64(np.zeros((2, 17, 2)))[:-4], "bytes"),       # one float short
+    (_b64(np.zeros((2, 17, 3))), "bytes"),            # a 3D block
+    ("!!" + _b64(np.zeros((2, 17, 2)))[2:], "base64"),
+    (_b64(np.zeros((2, 17, 2))) + "\n", "base64"),
+    ("AAAA\u00e9" + _b64(np.zeros((2, 17, 2)))[5:], "base64"),
+    ({"a": [[0.0, 0.0]] * 17, "b": [[0.0, 0.0]] * 17}, "base64"),
+    ([[[0.0, 0.0]] * 17] * 2, "base64"),
+], ids=["short", "3d-block", "bad-chars", "newline", "non-ascii",
+        "v1-dict", "nested-list"])
+def test_dataset_rejects_malformed_array_fields(tmp_path, value, message):
+    rec = _v2_record(17)
+    rec["joints_2d_clean"] = value
+    path = tmp_path / "data.jsonl"
+    _write_v2(path, [rec])
+    with pytest.raises(SchemaError, match=f"line 2: .*{message}") as exc:
+        load_dataset(path)
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("views", [["a", "a"], ["a", 3], ["a", None],
+                                   ["a"], ["a", "b", "c"], "ab"],
+                         ids=["repeat", "int", "null", "one", "three",
+                              "string"])
+def test_dataset_views_must_be_two_distinct_cameras(tmp_path, views):
+    rec = _v2_record(17)
+    rec["views"] = views
+    path = tmp_path / "data.jsonl"
+    _write_v2(path, [rec])
+    with pytest.raises(SchemaError, match="line 2: views") as exc:
+        load_dataset(path)
+    assert exc.value.line == 2
+
+
+def test_dataset_v1_file_names_v2(tmp_path):
+    path = tmp_path / "old.jsonl"
+    rec = {"id": "s0", "views": ["a", "b"],
+           "joints_2d": {"a": [[0.0, 0.0]] * 17, "b": [[0.0, 0.0]] * 17},
+           "joints_2d_clean": {"a": [[0.0, 0.0]] * 17,
+                               "b": [[0.0, 0.0]] * 17}}
+    path.write_text('{"schema": "data-v1", "n_joints": 17, "n_samples": 1}\n'
+                    + json.dumps(rec) + "\n")
+    with pytest.raises(SchemaError, match="data-v2"):
+        load_dataset(path)
+
+
+def test_truncated_dataset_is_rejected(tmp_path):
+    samples, _, _ = generate_dataset(SyntheticConfig(n_samples=5, seed=1))
+    path = tmp_path / "data.jsonl"
+    save_dataset(path, samples)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-2]))     # cut at a record boundary
+    with pytest.raises(SchemaError, match="5 samples.*3"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("n_samples", [2, 0, -1, "1", 1.0, True, None])
+def test_dataset_header_sample_count_must_match(tmp_path, n_samples):
+    path = tmp_path / "data.jsonl"
+    _write_v2(path, [_v2_record(17)], n_samples=n_samples)
+    with pytest.raises(SchemaError, match="line 1: n_samples") as exc:
+        load_dataset(path)
+    assert exc.value.line == 1
+
+
+def test_dataset_header_needs_sample_count(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"schema": "data-v2", "n_joints": 17}\n')
+    with pytest.raises(SchemaError, match="n_samples"):
+        load_dataset(path)
+
+
+def test_empty_dataset_loads(tmp_path):
+    path = tmp_path / "data.jsonl"
+    save_dataset(path, [])
+    assert load_dataset(path) == []
+
+
+def test_dataset_record_size(tmp_path):
+    # Base64 float64 takes 4/3 of the raw 8 bytes per value: 2·17·(2+2+3)
+    # values make 2544 characters of arrays per record, plus keys and id.
+    # Decimal text took about 5 KB.
+    samples, _, _ = generate_dataset(SyntheticConfig(n_samples=64, seed=0,
+                                                     sigma_px=5.0))
+    path = tmp_path / "data.jsonl"
+    save_dataset(path, samples)
+    assert path.stat().st_size / len(samples) <= 2700
+
+
+def test_save_refuses_what_the_loader_would_reject(tmp_path):
+    samples, _, _ = generate_dataset(SyntheticConfig(n_samples=1, seed=0))
+    s = samples[0]
+    path = tmp_path / "data.jsonl"
+    twin = Sample("t", ("cam1", "cam1"), s.joints_2d, s.joints_2d_clean)
+    with pytest.raises(SchemaError, match="distinct"):
+        save_dataset(path, [twin])
+    short = Sample("short", s.pair,
+                   {v: a[:16] for v, a in s.joints_2d.items()},
+                   s.joints_2d_clean)
+    with pytest.raises(ShapeMismatch, match="joints_2d"):
+        save_dataset(path, [short])

@@ -176,6 +176,17 @@ def test_precompute_coarse_rejects_duplicate_ids():
         precompute_coarse(samples, rig)
 
 
+def test_precompute_coarse_rejects_camera_missing_from_rig():
+    samples, rig, _ = small_dataset(n=4)
+    samples[2].pair = ("cam1", "cam3")
+    with pytest.raises(SchemaError, match=f"{samples[2].sample_id}.*cam3"):
+        precompute_coarse(samples, rig)
+    # the first view's camera is checked too
+    samples[2].pair = ("cam0", "cam2")
+    with pytest.raises(SchemaError, match="cam0"):
+        precompute_coarse(samples, rig)
+
+
 def _pixels(cam, X_cam):
     """Project camera-frame points, also those behind the camera."""
     h = X_cam @ cam.K.T
