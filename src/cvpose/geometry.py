@@ -5,13 +5,15 @@ A camera maps a world point X through x = K (R X + t); the first camera of a
 pair acts as the world frame for triangulated points.
 
 Both solvers work on stacks. `triangulate_stack` triangulates N poses of
-one camera pair with one `np.linalg.svd` call over the (N*J, 4, 4) DLT
-systems per ordering, and reports per sample the error it fails with;
-`procrustes_align_stack` aligns N pose pairs with one SVD of the (N, 3, 3)
-cross-covariance stack. `triangulate_pose` and `procrustes_align` are the
-N = 1 calls for a single pose. numpy's LAPACK SVD solves each matrix of a
-stack on its own, so a pose's result does not depend on what it is stacked
-with.
+one camera pair with a one-sided Jacobi SVD of the (N*J, 4, 4) DLT
+systems per ordering, run elementwise across the stack, and reports per
+sample the error it fails with; `procrustes_align_stack` aligns N pose
+pairs with one `np.linalg.svd` call on the (N, 3, 3) cross-covariance
+stack. `triangulate_pose` and `procrustes_align` are the N = 1 calls for a
+single pose. Both SVDs solve each matrix of a stack on its own (the Jacobi
+rotations of a system depend on that system alone, and LAPACK takes the
+matrices one by one), so a pose's result does not depend on what it is
+stacked with.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .jsonl import read_records
 DEPTH_EPS = 1e-6          # mm, minimum positive depth for projection
 BASELINE_EPS = 1e-6       # mm, minimum camera separation for triangulation
 SIGMA_GAP_EPS = 1e-12     # relative gap between the two smallest singular values
+JACOBI_TOL = 1e-15        # column cosine at or below which Jacobi skips a pair
+JACOBI_SWEEPS = 30        # Jacobi sweep cap; a system still rotating then fails
 ORTHO_TOL = 1e-9          # max deviation of R^T R from identity
 TRI_MODES = ("dual", "single")   # triangulate_pose modes
 
@@ -221,49 +225,122 @@ def _dlt_systems(n1, n2, rel):
     return A
 
 
+# The column pairs of one cyclic Jacobi sweep over a 4x4 system.
+_JACOBI_PAIRS = tuple((p, q) for p in range(3) for q in range(p + 1, 4))
+
+# Codes of `_solve_dlt`'s failure array; 0 means solved.
+_NO_UNIQUE_SOLUTION = 1
+_NOT_CONVERGED = 2
+
+
+def _jacobi_svd(A):
+    """Singular values and right singular vectors of a stack of 4x4 systems.
+
+    One-sided (Hestenes) Jacobi: rotate pairs of columns of A, and the same
+    columns of V = I, until the columns of A V are mutually orthogonal. The
+    column norms of A V are then the singular values and the columns of V
+    the right singular vectors; small singular values come out to high
+    relative accuracy (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 1992).
+    Each column is a (4, n) array and every step is elementwise over the
+    stack. A pair is skipped per system once its cosine |gamma|/sqrt(alpha
+    beta) is at most JACOBI_TOL, or once either column's norm is at most
+    JACOBI_TOL**2 times the Frobenius norm of A. Such a column is the null
+    direction of an exactly singular system: each rotation would shrink it
+    further without end, and V's column for it is already good to that
+    residual. A skipped rotation is exactly the identity and the sweeps
+    stop when no system rotates, so the rotations a system gets depend on
+    that system alone.
+
+    Returns (sig (n, 4), V (n, 4, 4), unconverged (n,)): sig in no
+    particular order, V[:, :, k] the right singular vector of sig[:, k],
+    and unconverged marking the systems still rotating in sweep
+    JACOBI_SWEEPS.
+    """
+    n = A.shape[0]
+    a = list(np.ascontiguousarray(A.transpose(2, 1, 0)))
+    v = list(np.zeros((4, 4, n)))
+    for k in range(4):
+        v[k][k] = 1.0
+    floor = JACOBI_TOL**4 * sum((x * x).sum(axis=0) for x in a)
+    rotating = np.ones(n, dtype=bool)
+    for _ in range(JACOBI_SWEEPS):
+        rotating = np.zeros(n, dtype=bool)
+        for p, q in _JACOBI_PAIRS:
+            alpha = (a[p] * a[p]).sum(axis=0)
+            beta = (a[q] * a[q]).sum(axis=0)
+            gamma = (a[p] * a[q]).sum(axis=0)
+            rotate = ((np.abs(gamma) > JACOBI_TOL * np.sqrt(alpha) * np.sqrt(beta))
+                      & (alpha > floor) & (beta > floor))
+            if not rotate.any():
+                continue
+            rotating |= rotate
+            # tan of the angle that makes columns p and q orthogonal, the
+            # smaller root; hypot keeps a large zeta from overflowing zeta**2.
+            zeta = (beta - alpha) / np.where(rotate, 2.0 * gamma, 1.0)
+            t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
+            t = np.where(rotate, t, 0.0)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = c * t
+            for x in (a, v):
+                x[p], x[q] = c * x[p] - s * x[q], s * x[p] + c * x[q]
+        if not rotating.any():
+            break
+    sig = np.sqrt(np.stack([(x * x).sum(axis=0) for x in a], axis=1))
+    return sig, np.stack(v).transpose(2, 1, 0), rotating
+
+
 def _solve_dlt(A):
     """Least singular vectors of a stack of 4x4 systems, dehomogenized.
 
-    Returns (points (n, 3), degenerate (n,)): a system is degenerate when
-    the two smallest singular values are not separated (relative gap below
-    SIGMA_GAP_EPS) or its solution lies at infinity. The sign of a singular
-    vector is arbitrary and cancels in the division by w.
+    The singular vectors come from `_jacobi_svd`. Returns (points (n, 3),
+    failure (n,)): failure is _NOT_CONVERGED for a system the Jacobi sweeps
+    did not settle within JACOBI_SWEEPS, _NO_UNIQUE_SOLUTION when the two
+    smallest singular values are not separated (relative gap below
+    SIGMA_GAP_EPS) or the solution lies at infinity, and 0 otherwise. The
+    sign of a singular vector is arbitrary and cancels in the division by w.
     """
-    _, sig, vt = np.linalg.svd(A)
-    x = vt[:, 3, :]
-    scale = np.maximum(sig[:, 0], 1.0)
-    gap = (sig[:, 2] - sig[:, 3]) / scale
+    sig, V, unconverged = _jacobi_svd(A)
+    order = np.argsort(sig, axis=1)
+    sig = np.take_along_axis(sig, order, axis=1)   # ascending
+    x = V[np.arange(len(V)), :, order[:, 0]]
+    scale = np.maximum(sig[:, 3], 1.0)
+    gap = (sig[:, 1] - sig[:, 0]) / scale
     w = x[:, 3]
     xyz_abs = np.max(np.abs(x[:, :3]), axis=1)
     bad_w = np.abs(w) <= 1e-12 * np.maximum(1.0, xyz_abs)
     pts = x[:, :3] / np.where(bad_w, 1.0, w)[:, None]
-    return pts, (gap < SIGMA_GAP_EPS) | bad_w
+    failure = np.where((gap < SIGMA_GAP_EPS) | bad_w, _NO_UNIQUE_SOLUTION, 0)
+    failure[unconverged] = _NOT_CONVERGED
+    return pts, failure
 
 
 def _solve_ordering(n_a, n_b, cam_a, cam_b, shape):
     """DLT with cam_a as the frame origin for (n, 2) normalized coordinates.
 
-    Returns (points reshaped to `shape`, degenerate joints of that shape
-    minus its last axis), or (NaN points, None) when the baseline vanishes;
-    the SVD is then skipped.
+    Returns (points reshaped to `shape`, `_solve_dlt`'s failure codes
+    shaped like `shape` minus its last axis), or (NaN points, None) when
+    the baseline vanishes; the SVD is then skipped.
     """
     rel = relative_transform(cam_a, cam_b)
     if np.linalg.norm(rel.t) < BASELINE_EPS:
         return np.full(shape, np.nan), None
-    pts, degenerate = _solve_dlt(_dlt_systems(n_a, n_b, rel))
-    return pts.reshape(shape), degenerate.reshape(shape[:-1])
+    pts, failure = _solve_dlt(_dlt_systems(n_a, n_b, rel))
+    return pts.reshape(shape), failure.reshape(shape[:-1])
 
 
 def _first_error(n, steps):
     """The error sample n fails with: the first rule it breaks, in order."""
-    for X, degenerate, view_id in steps:
-        if degenerate is None:
+    for X, failure, view_id in steps:
+        if failure is None:
             return DegenerateGeometry("camera baseline is numerically zero")
-        bad = np.nonzero(degenerate[n])[0]
+        bad = np.nonzero(failure[n])[0]
         if bad.size:
             j = int(bad[0])
-            return DegenerateGeometry(
-                f"joint {j}: DLT system has no unique solution", joint=j)
+            if failure[n, j] == _NOT_CONVERGED:
+                why = f"Jacobi SVD did not converge in {JACOBI_SWEEPS} sweeps"
+            else:
+                why = "DLT system has no unique solution"
+            return DegenerateGeometry(f"joint {j}: {why}", joint=j)
         err = _depth_error(X[n], view_id)
         if err is not None:
             return err
@@ -278,12 +355,13 @@ def triangulate_stack(u1, u2, cam1: CameraModel, cam2: CameraModel,
     solves the DLT once per ordering (each camera in turn as the frame
     origin); mode "single" solves only with cam1 as origin and maps the
     result into cam2's frame with the relative transform. Each ordering
-    is one `np.linalg.svd` call over all N*J systems.
+    is one `_jacobi_svd` over all N*J systems, elementwise across them.
 
     Returns (X1, X2, errors): the (N, J, 3) poses in cam1's and cam2's
     frames, and per sample None or the error it fails with. A sample fails
     with DegenerateGeometry when the baseline vanishes or a joint's system
-    has no unique solution, and with NonPositiveDepth when a joint lies at
+    has no unique solution or its Jacobi SVD does not converge within
+    JACOBI_SWEEPS sweeps, and with NonPositiveDepth when a joint lies at
     or behind either camera; the first failure in the order cam1's solve,
     cam1's depth, cam2's solve, cam2's depth is reported, with its joint.
     A failed sample's rows carry no meaning.
@@ -302,22 +380,22 @@ def triangulate_stack(u1, u2, cam1: CameraModel, cam2: CameraModel,
     shape = (N, J, 3)
     n1 = _normalized_coords(cam1.K, u1.reshape(-1, 2))
     n2 = _normalized_coords(cam2.K, u2.reshape(-1, 2))
-    X1, deg1 = _solve_ordering(n1, n2, cam1, cam2, shape)
+    X1, fail1 = _solve_ordering(n1, n2, cam1, cam2, shape)
     if mode == "dual":
-        X2, deg2 = _solve_ordering(n2, n1, cam2, cam1, shape)
+        X2, fail2 = _solve_ordering(n2, n1, cam2, cam1, shape)
     else:
         # A stacked matmul runs one (J, 3) product per pose, exactly as for
         # a single pose.
         rel = relative_transform(cam1, cam2)
         X2 = X1 @ rel.R.T + rel.t
-        deg2 = np.zeros((N, J), dtype=bool)
-    steps = ((X1, deg1, cam1.cam_id), (X2, deg2, cam2.cam_id))
+        fail2 = np.zeros((N, J), dtype=int)
+    steps = ((X1, fail1, cam1.cam_id), (X2, fail2, cam2.cam_id))
     failed = np.zeros(N, dtype=bool)
-    for X, degenerate, _ in steps:
-        if degenerate is None:
+    for X, failure, _ in steps:
+        if failure is None:
             failed[:] = True
             break
-        failed |= degenerate.any(axis=1) | (X[..., 2] <= DEPTH_EPS).any(axis=1)
+        failed |= failure.any(axis=1) | (X[..., 2] <= DEPTH_EPS).any(axis=1)
     errors = [None] * N
     for n in np.nonzero(failed)[0]:
         errors[n] = _first_error(n, steps)

@@ -25,14 +25,22 @@ def _parse(lineno, text):
         raise SchemaError(f"line {lineno}: invalid JSON ({exc.msg})", line=lineno)
 
 
+def _record(lineno, text):
+    rec = _parse(lineno, text)
+    if not isinstance(rec, dict):
+        raise SchemaError(f"line {lineno}: a record must be a JSON object, "
+                          f"got {type(rec).__name__}", line=lineno)
+    return rec
+
+
 def read_records(path, schema, what):
     """Check a file's header and return (header line, header, records).
 
     The header must be a JSON object whose "schema" field equals `schema`;
     `what` names the file kind in the error for an empty file. records
     yields (line number, parsed record) pairs lazily, so a large file is
-    never held in memory whole; invalid JSON raises SchemaError when the
-    offending line is reached.
+    never held in memory whole; invalid JSON, or a record that is not a
+    JSON object, raises SchemaError when the offending line is reached.
     """
     lines = _nonblank_lines(path)
     first = next(lines, None)
@@ -43,4 +51,4 @@ def read_records(path, schema, what):
     if not isinstance(header, dict) or header.get("schema") != schema:
         raise SchemaError(f"line {lineno}: expected schema header {schema!r}",
                           line=lineno)
-    return lineno, header, ((n, _parse(n, t)) for n, t in lines)
+    return lineno, header, ((n, _record(n, t)) for n, t in lines)

@@ -187,7 +187,7 @@ def schedule_lr(history, config: TrainConfig) -> float:
 
 
 # Samples per stacked triangulation solve in precompute_coarse, so the
-# solver's temporaries (about 7 MB at 17 joints) do not grow with the dataset.
+# solver's temporaries (about 14 MB at 17 joints) do not grow with the dataset.
 COARSE_CHUNK = 1024
 
 

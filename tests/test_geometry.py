@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cvpose import geometry
 from cvpose.errors import (
     DegenerateCloud,
     DegenerateGeometry,
@@ -25,7 +26,9 @@ from cvpose.geometry import (
     relative_transform,
     save_rig,
     triangulate_pose,
+    triangulate_stack,
 )
+from cvpose.syndata import SyntheticConfig, default_rig, generate_dataset
 
 
 def rot_y(deg):
@@ -279,6 +282,139 @@ def test_triangulation_noise_close_to_reprojection_optimum():
 
 
 # ---------------------------------------------------------------------------
+# The Jacobi DLT solve, against numpy's LAPACK SVD as the reference
+
+
+def lapack_dlt(A):
+    """The DLT solve with `np.linalg.svd`: same gap and w rules."""
+    _, sig, vt = np.linalg.svd(A)
+    x = vt[:, 3, :]
+    gap = (sig[:, 2] - sig[:, 3]) / np.maximum(sig[:, 0], 1.0)
+    w = x[:, 3]
+    bad_w = np.abs(w) <= 1e-12 * np.maximum(1.0, np.abs(x[:, :3]).max(axis=1))
+    pts = x[:, :3] / np.where(bad_w, 1.0, w)[:, None]
+    return pts, (gap < geometry.SIGMA_GAP_EPS) | bad_w
+
+
+def pair_systems(cam_a, cam_b, u_a, u_b):
+    """Both orderings' DLT systems of one camera pair's pixels."""
+    n_a = geometry._normalized_coords(cam_a.K, u_a)
+    n_b = geometry._normalized_coords(cam_b.K, u_b)
+    return np.concatenate([
+        geometry._dlt_systems(n_a, n_b, relative_transform(cam_a, cam_b)),
+        geometry._dlt_systems(n_b, n_a, relative_transform(cam_b, cam_a))])
+
+
+def test_dlt_solve_matches_lapack():
+    # Noisy synthetic poses on all three pairs of a three-camera rig,
+    # triangulated with a miscalibrated copy of it.
+    cfg = SyntheticConfig(n_samples=9, seed=31, sigma_px=5.0,
+                          perturb_rot_deg=2.0, perturb_trans_mm=20.0)
+    samples, _, rig = generate_dataset(
+        cfg, cameras=default_rig(n_cameras=3),
+        pairs=[("cam1", "cam2"), ("cam1", "cam3"), ("cam2", "cam3")])
+    by_id = {c.cam_id: c for c in rig}
+    A = np.concatenate([
+        pair_systems(by_id[a], by_id[b], s.joints_2d[a], s.joints_2d[b])
+        for s in samples for a, b in [s.pair]])
+    pts, failure = geometry._solve_dlt(A)
+    want, degenerate = lapack_dlt(A)
+    assert not degenerate.any()
+    assert not failure.any()
+    assert np.linalg.norm(pts - want, axis=1).max() < 1e-9    # mm
+    # A system's result does not depend on what it is stacked with.
+    for idx in (slice(0, 1), slice(7, 30), np.arange(3, len(A), 11)):
+        sub_pts, sub_failure = geometry._solve_dlt(A[idx])
+        assert np.array_equal(sub_pts, pts[idx])
+        assert np.array_equal(sub_failure, failure[idx])
+
+
+def test_dlt_solve_is_accurate_where_lapack_is_not():
+    # Short random baselines: LAPACK's null vectors are off by about
+    # eps * sigma_1 / sigma_3 * |X|, over 1e-9 mm here. On the systems where
+    # the two solves disagree most, a 40-digit SVD says which one is right.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(32)
+    stacks = []
+    for _ in range(4):
+        cams = [random_cam(rng, "cam1"), random_cam(rng, "cam2")]
+        X = rng.uniform(-400, 400, size=(12, 3)) + np.array([0, 0, 4000.0])
+        u = [project(c, Pose3D(X @ c.R.T + c.t, c.cam_id)).joints
+             + rng.normal(0, 5.0, (12, 2)) for c in cams]
+        stacks.append(pair_systems(*cams, *u))
+    A = np.concatenate(stacks)
+    pts, _ = geometry._solve_dlt(A)
+    want, _ = lapack_dlt(A)
+    worst = np.argsort(-np.linalg.norm(pts - want, axis=1))[:6]
+    with mpmath.workdps(40):
+        for i in worst:
+            _, _, V = mpmath.svd_r(mpmath.matrix(A[i].tolist()))
+            exact = np.array([float(V[3, k] / V[3, 3]) for k in range(3)])
+            assert np.linalg.norm(pts[i] - exact) < 1e-10          # mm
+            assert np.linalg.norm(want[i] - exact) > 1e-10
+
+
+def test_dlt_solve_flags_what_lapack_flags():
+    rng = np.random.default_rng(33)
+    cams = [random_cam(rng, "cam1"), random_cam(rng, "cam2")]
+    X = rng.uniform(-400, 400, size=(6, 3)) + np.array([0, 0, 4000.0])
+    good = pair_systems(*cams, *(
+        project(c, Pose3D(X @ c.R.T + c.t, c.cam_id)).joints for c in cams))
+    # Rank 2: sigma_3 = sigma_4 = 0.
+    rank2 = rng.normal(size=(3, 4, 2)) @ rng.normal(size=(3, 2, 4))
+    # Equal nonzero sigma_3 and sigma_4.
+    U, _ = np.linalg.qr(rng.normal(size=(2, 4, 4)))
+    V, _ = np.linalg.qr(rng.normal(size=(2, 4, 4)))
+    tied = U * np.array([3.0, 2.0, 1.0, 1.0]) @ V
+    # Parallel rays (same direction, sideways baseline) meet at infinity:
+    # rank 3, but the null vector has w = 0.
+    n = np.array([[0.1, 0.05], [-0.3, 0.2]])
+    at_infinity = geometry._dlt_systems(
+        n, n, relative_transform(make_cam("cam1"),
+                                 make_cam("cam2", t=np.array([-1.0, 0.0, 0.0]))))
+    A = np.concatenate([good, rank2, tied, at_infinity])
+    _, failure = geometry._solve_dlt(A)
+    _, degenerate = lapack_dlt(A)
+    expect = np.arange(len(A)) >= len(good)
+    assert np.array_equal(degenerate, expect)
+    assert np.array_equal(failure, np.where(expect, 1, 0))
+
+
+@pytest.mark.parametrize("spread, degenerate", [(1e12, False), (1e100, True)])
+def test_dlt_solve_takes_badly_scaled_columns(spread, degenerate):
+    # Column k is scaled by spread**((3 - k) / 3), so sigma_3 / sigma_1 is
+    # about spread**(-2/3): above SIGMA_GAP_EPS at 1e12, far below it at
+    # 1e100. An overflow or a division by zero would raise here as well as
+    # under the test run's warning filter.
+    rng = np.random.default_rng(34)
+    A = rng.normal(size=(32, 4, 4)) * spread ** (np.arange(3, -1, -1) / 3.0)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        pts, failure = geometry._solve_dlt(A)
+    want, flagged = lapack_dlt(A)
+    assert (flagged == degenerate).all()
+    assert np.array_equal(failure, np.where(flagged, 1, 0))
+    if not degenerate:
+        # LAPACK's null vector is good to about eps * sigma_1 / sigma_3 = 2e-8.
+        assert np.abs(pts - want).max() < 1e-6
+
+
+def test_unconverged_dlt_is_reported_with_its_joint(monkeypatch):
+    monkeypatch.setattr(geometry, "JACOBI_SWEEPS", 1)
+    cam1 = make_cam("cam1")
+    cam2 = make_cam("cam2", t=np.array([-1.0, 0.0, 0.0]))
+    u1 = Pose2D([[0.1, 0.05], [0.2, -0.1]], "cam1")
+    u2 = Pose2D([[-0.4, 0.05], [-0.3, -0.1]], "cam2")
+    with pytest.raises(DegenerateGeometry,
+                       match="joint 0: .*did not converge in 1 sweeps") as exc:
+        triangulate_pose(u1, u2, cam1, cam2)
+    assert exc.value.joint == 0
+    _, _, errors = triangulate_stack(u1.joints[None], u2.joints[None],
+                                     cam1, cam2, mode="single")
+    assert isinstance(errors[0], DegenerateGeometry)
+    assert errors[0].joint == 0
+
+
+# ---------------------------------------------------------------------------
 # Procrustes
 
 
@@ -406,3 +542,11 @@ def test_rig_missing_field_and_header(tmp_path):
     with pytest.raises(SchemaError) as exc:
         load_rig(path)
     assert exc.value.line == 1
+
+
+def test_rig_record_must_be_an_object(tmp_path):
+    path = tmp_path / "rig.jsonl"
+    path.write_text(json.dumps({"schema": "rig-v1"}) + "\n[]\n")
+    with pytest.raises(SchemaError, match="line 2: .*JSON object") as exc:
+        load_rig(path)
+    assert exc.value.line == 2

@@ -193,6 +193,15 @@ def test_dataset_schema_errors(tmp_path):
         load_dataset(path)
 
 
+def test_dataset_record_must_be_an_object(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"schema": "data-v2", "n_joints": 17, "n_samples": 1}\n'
+                    "5\n")
+    with pytest.raises(SchemaError, match="line 2: .*JSON object") as exc:
+        load_dataset(path)
+    assert exc.value.line == 2
+
+
 def test_dataset_rejects_repeated_sample_id(tmp_path):
     samples, _, _ = generate_dataset(SyntheticConfig(n_samples=4, seed=3))
     samples[2].sample_id = samples[0].sample_id
