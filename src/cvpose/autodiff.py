@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense 2D float64 matrices.
+"""Reverse-mode automatic differentiation over dense 2D matrices.
 
 A Tape records every Value in creation order, which is already a valid
 topological order, and the backward sweep walks it in reverse. Gradient
@@ -13,14 +13,18 @@ earlier closure can read a later node. Leaves (Values with no closure:
 inputs, weights) stay on the tape with their gradients until release().
 Values the caller holds keep their data. A tape can be swept once.
 
-Every Value, gradient and loss is float64. The one exception to float64
-arithmetic is the graph convolution (graph_conv, residual_graph_conv):
-its matrix products run in the tape's conv_dtype, float64 by default or
-float32 (mixed precision in the sense of Micikevicius et al., ICLR 2018).
-On a float32 tape it casts its input, weights and kernels down,
-multiplies and accumulates in float32, and hands back a float64 Value;
-its backward adds float32 products into the float64 gradients.
-Finite-difference checks (grad_check) always run on float64 tapes.
+Precision follows the tape's conv_dtype, float64 by default or float32
+(mixed precision in the sense of Micikevicius et al., ICLR 2018). A
+Value is stored in conv_dtype when its data already has that dtype and
+as float64 otherwise, and its gradient has the dtype of its data. Leaves
+are always float64. The graph convolutions (graph_conv,
+residual_graph_conv) cast their input, weights and kernels to conv_dtype
+and hand back a conv_dtype result, so on a float32 tape a chain of
+convolutions, relus, block_left_matmuls and adds stays float32 from end
+to end; numpy promotion brings it back to float64 wherever it meets a
+float64 operand, such as a matmul with a float64 weight leaf. A float64
+tape computes everything in float64. Finite-difference checks
+(grad_check) always run on float64 tapes.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ DEPTH_EPS = 1e-6   # mm, same guard as the projection in geometry
 
 
 class Value:
-    """A matrix on a tape. data is (rows, cols) float64, grad matches."""
+    """A matrix on a tape. data is (rows, cols), float64 or the tape's
+    conv_dtype; grad matches its shape and dtype."""
 
     __slots__ = ("data", "_grad", "tape", "op", "_backward", "__weakref__")
 
@@ -68,8 +73,9 @@ class Tape:
     """Records Values; creation order doubles as topological order.
 
     conv_dtype is the precision graph_conv multiplies in: float64 (exact,
-    the default) or float32 (about twice the GEMM throughput). Every
-    Value on the tape stays float64 either way.
+    the default) or float32 (about twice the GEMM throughput). A Value
+    whose data comes out in conv_dtype is kept in it; any other is stored
+    as float64.
     """
 
     def __init__(self, conv_dtype=np.float64):
@@ -85,7 +91,9 @@ class Tape:
         self._swept = False
 
     def _record(self, data, op, backward=None):
-        v = Value(np.ascontiguousarray(data, dtype=np.float64), self, op, backward)
+        dtype = (self.conv_dtype if getattr(data, "dtype", None) == self.conv_dtype
+                 else np.float64)
+        v = Value(np.ascontiguousarray(data, dtype=dtype), self, op, backward)
         self.nodes.append(v)
         return v
 
@@ -228,8 +236,10 @@ def matmul(a: Value, b: Value) -> Value:
             f"matmul: inner sizes {a.data.shape} x {b.data.shape}")
 
     def backward(g):
-        a.grad += g @ b.data.T
-        b.grad += a.data.T @ g
+        # g has the promoted dtype; numpy would multiply a mixed pair
+        # outside BLAS, several times slower than casting first.
+        a.grad += g @ b.data.astype(g.dtype, copy=False).T
+        b.grad += a.data.astype(g.dtype, copy=False).T @ g
 
     return tape._record(a.data @ b.data, "matmul", backward)
 
@@ -256,11 +266,11 @@ def affine_rows(a: Value, M, shift=None) -> Value:
 def block_left_matmul(M, h: Value) -> Value:
     """Apply a constant (r, n) matrix to every n-row block of h.
 
-    h is (B*n, C) for some whole B; the result is (B*r, C). Used for graph
-    kernels and pooling operators where the same small matrix acts on each
-    sample of a batch.
+    h is (B*n, C) for some whole B; the result is (B*r, C), in h's dtype.
+    Used for graph kernels and pooling operators where the same small
+    matrix acts on each sample of a batch.
     """
-    M = np.asarray(M, dtype=np.float64)
+    M = np.asarray(M, dtype=h.data.dtype)
     r, n = M.shape
     rows, C = h.data.shape
     if rows % n != 0:
@@ -280,6 +290,14 @@ class _ConvPlan:
     Shared by graph_conv and residual_graph_conv: forward(x) is
     sum_k N_k x W_k, and backward(g, x) adds each d/dW_k into the weight
     gradients and returns d/dx, both in the tape's conv_dtype.
+
+    Which side of x W_k the node mixing N_k goes on follows the widths. A
+    conv that widens its input (C_in < C_out, the 3 -> C lift) mixes the
+    narrow input first, into the (rows, K*C_in) array [N_1 x | ... | N_K x],
+    and multiplies that by the stacked weights [W_1; ...; W_K] in one
+    GEMM; it keeps the array for the backward. Any other conv multiplies
+    first and mixes each (rows, C_out) product, with the first product
+    written straight into the result.
     """
 
     def __init__(self, h, kernels, weights, n, opname):
@@ -305,10 +323,15 @@ class _ConvPlan:
         self.kernels = [None if N is None else N.astype(dt, copy=False)
                         for N in kernels]
         self.weights = weights
-        # The weights are small (C_in, C_out), so the plan keeps their cast.
-        self.ws = [W.data.astype(dt, copy=False) for W in weights]
         self.B, self.n = rows // n, n
         self.rows, self.C_in, self.C_out = rows, C_in, C_out
+        self.mix_first = C_in < C_out
+        self.stacked = None
+
+    def _ws(self):
+        """The weights in conv_dtype. Cast on each use, not kept: the tape
+        already holds them, and a float32 copy would outlive the forward."""
+        return [W.data.astype(self.dt, copy=False) for W in self.weights]
 
     def _mix(self, N, x, buf):
         """N applied to every n-row block of x (rows, C), into buf."""
@@ -316,25 +339,66 @@ class _ConvPlan:
         np.matmul(N, x.reshape(shape), out=buf.reshape(shape))
         return buf
 
+    def _kernel_stack(self):
+        """[N_1; ...; N_K] as (K*n, n), the identity for None."""
+        eye = np.eye(self.n, dtype=self.dt)
+        return np.concatenate([eye if N is None else N for N in self.kernels])
+
+    def _stack(self, x):
+        """[N_1 x | ... | N_K x] as (rows, K*C_in): every kernel's mixing
+        of every sample in one GEMM."""
+        B, n, c, K = self.B, self.n, self.C_in, len(self.kernels)
+        # One column per sample and channel, so one GEMM mixes them all.
+        cols = x.reshape(B, n, c).transpose(1, 0, 2).reshape(n, B * c)
+        m = self._kernel_stack() @ cols                      # (K*n, B*c)
+        return m.reshape(K, n, B, c).transpose(2, 1, 0, 3).reshape(
+            self.rows, K * c)
+
+    def _unstack(self, dX):
+        """sum_k N_k^T dX_k for dX = [dX_1 | ... | dX_K], (rows, K*C_in)."""
+        B, n, c, K = self.B, self.n, self.C_in, len(self.kernels)
+        cols = dX.reshape(B, n, K, c).transpose(2, 1, 0, 3).reshape(K * n,
+                                                                   B * c)
+        dx = self._kernel_stack().T @ cols                   # (n, B*c)
+        return dx.reshape(n, B, c).transpose(1, 0, 2).reshape(self.rows, c)
+
     def forward(self, x):
-        dt = self.dt
-        out = np.zeros((self.rows, self.C_out), dtype=dt)
-        hw = np.empty((self.rows, self.C_out), dtype=dt)
-        mixed = np.empty((self.rows, self.C_out), dtype=dt)
-        for N, w in zip(self.kernels, self.ws):
-            np.matmul(x, w, out=hw)
-            out += hw if N is None else self._mix(N, hw, mixed)
+        ws = self._ws()
+        if self.mix_first:
+            self.stacked = self._stack(x)
+            return self.stacked @ np.concatenate(ws)
+        shape = (self.rows, self.C_out)
+        out, hw, term = (np.empty(shape, dtype=self.dt) for _ in range(3))
+        for k, (N, w) in enumerate(zip(self.kernels, ws)):
+            dst = term if k else out
+            if N is None:
+                np.matmul(x, w, out=dst)
+            else:
+                self._mix(N, np.matmul(x, w, out=hw), dst)
+            if k:
+                out += term
         return out
 
     def backward(self, g, x):
-        dt = self.dt
-        g = g.astype(dt, copy=False)
-        dp = np.empty((self.rows, self.C_out), dtype=dt)
-        dx = np.zeros((self.rows, self.C_in), dtype=dt)
-        for N, W, w in zip(self.kernels, self.weights, self.ws):
+        """x is the forward's input; a mix-first plan reads its stacked
+        copy instead."""
+        g = g.astype(self.dt, copy=False)
+        ws = self._ws()
+        if self.mix_first:
+            dW = self.stacked.T @ g
+            for k, W in enumerate(self.weights):
+                W.grad += dW[k * self.C_in:(k + 1) * self.C_in]
+            return self._unstack(g @ np.concatenate(ws).T)
+        x = x.astype(self.dt, copy=False)
+        dp = np.empty((self.rows, self.C_out), dtype=self.dt)
+        dx, term = (np.empty((self.rows, self.C_in), dtype=self.dt)
+                    for _ in range(2))
+        for k, (N, W, w) in enumerate(zip(self.kernels, self.weights, ws)):
             dpk = g if N is None else self._mix(N.T, g, dp)
             W.grad += x.T @ dpk
-            dx += dpk @ w.T
+            np.matmul(dpk, w.T, out=term if k else dx)
+            if k:
+                dx += term
         return dx
 
 
@@ -344,18 +408,20 @@ def graph_conv(h: Value, kernels, weights, n: int) -> Value:
     h is (B*n, C_in); kernels are constant (n, n) matrices, or None for the
     identity, which skips the node mixing; weights are the matching
     (C_in, C_out) Values. Terms are added in list order. One tape node
-    whose backward needs only h, the weights and the kernels: no per-kernel
-    product is kept.
+    whose backward needs only h, the weights and the kernels, plus the
+    (B*n, K*C_in) mixed input when the conv widens (see _ConvPlan): no
+    per-kernel product is kept.
 
-    The products and their sum run in the tape's conv_dtype; the result
-    and the gradients are float64. On a float32 tape the backward casts
-    g and h down again rather than keeping a float32 copy of h alive.
+    The products, their sum and the result are in the tape's conv_dtype;
+    the weight gradients stay in the weights' float64. On a float32 tape
+    the backward casts g and h down again rather than keeping a float32
+    copy of h alive.
     """
     plan = _ConvPlan(h, kernels, weights, n, "graph_conv")
     out = plan.forward(h.data.astype(plan.dt, copy=False))
 
     def backward(g):
-        h.grad += plan.backward(g, h.data.astype(plan.dt, copy=False))
+        h.grad += plan.backward(g, h.data)
 
     return plan.tape._record(out, "graph_conv", backward)
 
@@ -367,6 +433,7 @@ def residual_graph_conv(h: Value, kernels, weights, n: int) -> Value:
     bit for bit on either conv_dtype, but the tape keeps neither the relu
     output, nor its mask, nor the conv output: the backward recomputes
     relu(h) from h, which it needs anyway. The weights map C_in to C_in.
+    The sum takes numpy's promotion of the conv_dtype product and h.
     NaN passes the relu, and its subgradient at 0 is 0, as in relu.
     """
     plan = _ConvPlan(h, kernels, weights, n, "residual_graph_conv")
@@ -375,13 +442,15 @@ def residual_graph_conv(h: Value, kernels, weights, n: int) -> Value:
                             f"to {plan.C_out} channels")
 
     def rectified():
-        # A copy in conv_dtype, rectified in place: the same bits as
-        # casting np.maximum(h.data, 0.0) down.
-        x = h.data.astype(plan.dt)
-        return np.maximum(x, 0.0, out=x)
+        # h cast to conv_dtype, then rectified, in one pass: the same bits
+        # as casting np.maximum(h.data, 0.0) down.
+        return np.maximum(h.data, 0.0, dtype=plan.dt)
 
-    out = plan.forward(rectified()).astype(np.float64, copy=False)
-    out += h.data
+    out = plan.forward(rectified())
+    if out.dtype == h.data.dtype:
+        out += h.data
+    else:
+        out = out + h.data
 
     def backward(g):
         h.grad += g

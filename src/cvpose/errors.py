@@ -41,7 +41,8 @@ class FrameMismatch(CvposeError):
 
 
 class NonFiniteLoss(CvposeError):
-    """Training produced a NaN or infinite loss or gradient."""
+    """Training produced a NaN or infinite loss or gradient, or an epoch
+    that scored no sample and so has no loss at all."""
 
 
 class SchemaError(CvposeError):

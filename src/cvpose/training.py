@@ -315,8 +315,12 @@ def _batch_loss(model, cams, rels, pair, x1, x2, y1, y2, weights_cfg,
 
 def train_epoch(samples, coarse, cameras, model, optimizer, lr,
                 config: TrainConfig, epoch):
-    """One pass over the usable samples. Returns per-sample mean losses,
-    NaN when no batch could be scored."""
+    """One pass over the usable samples. Returns per-sample mean losses.
+
+    An epoch that scores no sample has no loss and no update to show, so
+    it raises NonFiniteLoss naming the epoch, how many samples were
+    dropped behind a camera and how many were left untriangulated.
+    """
     by_id = {c.cam_id: c for c in cameras}
     usable = [i for i, s in enumerate(samples) if s.sample_id in coarse]
     rng = np.random.default_rng((config.seed, epoch))
@@ -345,9 +349,11 @@ def train_epoch(samples, coarse, cameras, model, optimizer, lr,
         for key in ("reproj", "sym", "transform", "bonedir"):
             sums[key] += parts[key]
         seen += B
-    # An epoch that scored no batch has no loss; NaN compares false, so it
-    # never counts as an improvement.
-    stats = {k: v / seen if seen else math.nan for k, v in sums.items()}
+    if not seen:
+        raise NonFiniteLoss(
+            f"epoch {epoch}: no sample scored; {behind} dropped behind a "
+            f"camera, {len(samples) - len(usable)} untriangulated")
+    stats = {k: v / seen for k, v in sums.items()}
     stats["depth_skipped"] = behind
     return stats
 
@@ -423,7 +429,9 @@ def fit(train_samples, val_samples, cameras, config: TrainConfig,
     The plateau schedule and the best-checkpoint decision monitor the
     validation objective (the training objective when val_samples is
     empty). Resuming from a checkpoint written by this function continues
-    as if the run had never stopped.
+    as if the run had never stopped. An epoch that scores no sample stops
+    the run with NonFiniteLoss (see train_epoch), and no final checkpoint
+    is written.
     """
     topo = topo or default_topology()
     os.makedirs(out_dir, exist_ok=True)

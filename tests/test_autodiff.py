@@ -205,8 +205,8 @@ def test_graph_conv_float32_tape_matches_definition():
         ([N1, N2], [rng.normal(size=(5, 6)) for _ in range(2)]),  # no identity
     ]
 
-    def close(got, want):
-        assert got.dtype == np.float64
+    def close(got, want, dtype=np.float64):
+        assert got.dtype == dtype
         err = np.abs(got - want).max()
         assert err <= F32_TOL * np.abs(want).max(), err
 
@@ -216,7 +216,7 @@ def test_graph_conv_float32_tape_matches_definition():
         W = [tape.leaf(w) for w in ws]
         out = ad.graph_conv(hv, kernels, W, n)
         want = _graph_conv_reference(h, kernels, ws, n)
-        close(out.data, want)
+        close(out.data, want, np.float32)
         # Rounded in float32, so not the float64 result bit for bit.
         assert not np.array_equal(out.data, want)
         # sum of row norms: a full-rank upstream gradient out / |out|.
@@ -226,6 +226,54 @@ def test_graph_conv_float32_tape_matches_definition():
         close(hv.grad, dh)
         for Wv, dw in zip(W, dws):
             close(Wv.grad, dw)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_widening_graph_conv_mixes_first_and_matches_definition(dtype):
+    # C_in < C_out (the 3 -> C lift) mixes the narrow input before one
+    # GEMM over the stacked weights; values and both gradients still match
+    # the per-block definition, to rounding on a float64 tape.
+    rng = np.random.default_rng(9)
+    n, B, C_in, C_out = 4, 3, 3, 8
+    N1, N2 = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+    h = rng.normal(size=(B * n, C_in))
+    tol = 1e-12 if dtype == np.float64 else F32_TOL
+    for kernels in ([None, N1, N2], [N1, N2], [None]):
+        ws = [rng.normal(size=(C_in, C_out)) for _ in kernels]
+        tape = ad.Tape(conv_dtype=dtype)
+        hv = tape.leaf(h)
+        W = [tape.leaf(w) for w in ws]
+        out = ad.graph_conv(hv, kernels, W, n)
+        assert out.data.dtype == dtype
+        want = _graph_conv_reference(h, kernels, ws, n)
+        tape.backward(ad.reduce_sum(ad.norm_rows(out)))
+        g = want / np.linalg.norm(want, axis=1, keepdims=True)
+        dh, dws = _graph_conv_reference_grads(h, kernels, ws, n, g)
+        for got, ref in [(out.data, want), (hv.grad, dh)] + [
+                (Wv.grad, dw) for Wv, dw in zip(W, dws)]:
+            err = np.abs(got - ref).max()
+            assert err <= tol * np.abs(ref).max(), err
+
+
+def test_tape_keeps_conv_dtype_values_and_grads_in_it():
+    # A float32 tape stores float32 data as it is and anything else as
+    # float64; a float64 tape stores everything as float64. Leaves are
+    # float64 on both, and a gradient has its Value's dtype.
+    f32 = np.ones((2, 2), dtype=np.float32)
+    tape = ad.Tape(conv_dtype=np.float32)
+    assert tape._record(f32, "x").data.dtype == np.float32
+    assert tape._record(f32.astype(np.float64), "x").data.dtype == np.float64
+    assert tape._record(np.ones((2, 2), dtype=int), "x").data.dtype == np.float64
+    assert tape.leaf(f32).data.dtype == np.float64
+    v = tape._record(f32, "x")
+    assert v.grad.dtype == np.float32
+    a = ad.relu(v)
+    b = ad.block_left_matmul(np.eye(2), a)
+    assert a.data.dtype == b.data.dtype == np.float32
+    # numpy promotion takes a float32 Value back to float64.
+    c = ad.matmul(b, tape.leaf(np.ones((2, 1))))
+    assert c.data.dtype == np.float64
+    assert ad.Tape()._record(f32, "x").data.dtype == np.float64
 
 
 @pytest.mark.parametrize("dtype", [np.float16, np.int32, np.complex128,

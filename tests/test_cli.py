@@ -189,6 +189,26 @@ def test_train_resume_without_training_state_exits_1(tmp_path, capsys):
     assert not (tmp_path / "run" / "train_log.csv").exists()
 
 
+def test_train_that_scores_nothing_exits_1(tmp_path, capsys, monkeypatch):
+    from cvpose import training
+    from cvpose.errors import NonPositiveDepth
+
+    def behind(*args, **kwargs):
+        raise NonPositiveDepth("joint 0 behind the camera", joint=0)
+
+    monkeypatch.setattr(training, "_batch_loss", behind)
+    out = run_synth(tmp_path, n=4)
+    run_dir = tmp_path / "run"
+    code = main(["train", "--data", str(out / "dataset.jsonl"),
+                 "--rig", str(out / "rig_assumed.jsonl"),
+                 "--out-dir", str(run_dir), "--epochs", "2",
+                 "--batch-size", "4", "--quiet"])
+    assert code == 1
+    assert ("error: epoch 0: no sample scored; 4 dropped behind a camera"
+            in capsys.readouterr().err)
+    assert not (run_dir / "final.ckpt").exists()
+
+
 def test_train_rejects_out_of_range_settings(tmp_path, capsys):
     out = run_synth(tmp_path, n=4)
     cfg = tmp_path / "train.cfg"

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from cvpose import autodiff as ad
+from cvpose import training
+from cvpose.errors import NonFiniteLoss, NonPositiveDepth
 from cvpose.experiments import (ABLATION_VARIANTS, FCBaseline, ablation_study,
                                 build_variant, format_table, noise_robustness,
-                                unseen_pair_study)
+                                train_model, unseen_pair_study)
 from cvpose.graph import default_topology
 from cvpose.network import CVUGCN, NetworkConfig, init_weights, param_count
 from cvpose.syndata import SyntheticConfig, default_rig, generate_dataset
@@ -154,6 +156,24 @@ def test_ablation_study_rows_and_no_refine_baseline():
     # every variant is scored on the same coarse baseline
     tri = {r["mpjpe_tri_mm"] for r in rows}
     assert len(tri) == 1
+
+
+def test_train_model_stops_when_an_epoch_scores_nothing(monkeypatch):
+    # A variant whose refinements all land behind a camera has no loss to
+    # train on; the study must stop rather than report a model that never
+    # trained.
+    train, rig, assumed = small_dataset(n=8)
+    topo = default_topology()
+    cfg = small_train_config(epochs=3)
+    coarse, _ = precompute_coarse(train, assumed, topo)
+    model = build_variant("full", topo, cfg.network())
+
+    def behind(*args, **kwargs):
+        raise NonPositiveDepth("joint 0 behind the camera", joint=0)
+
+    monkeypatch.setattr(training, "_batch_loss", behind)
+    with pytest.raises(NonFiniteLoss, match="epoch 0: no sample scored"):
+        train_model(model, train, coarse, assumed, cfg)
 
 
 def test_ablation_variant_list_is_exposed():

@@ -3,8 +3,8 @@ import pytest
 
 from cvpose import autodiff as ad
 from cvpose import training
-from cvpose.errors import (CvposeError, DegenerateGeometry, NonPositiveDepth,
-                           SchemaError)
+from cvpose.errors import (CvposeError, DegenerateGeometry, NonFiniteLoss,
+                           NonPositiveDepth, SchemaError)
 from cvpose.geometry import CameraModel, Pose2D, triangulate_pose
 from cvpose.graph import default_topology
 from cvpose.network import (CVUGCN, init_weights, load_checkpoint,
@@ -465,21 +465,24 @@ def test_epoch_without_scored_batch_has_no_loss(tmp_path, monkeypatch):
     topo = default_topology()
     model = CVUGCN(topo, cfg.network())
     coarse, _ = precompute_coarse(samples, assumed, topo)
+    del coarse[samples[0].sample_id]    # one sample left untriangulated
 
     def behind(*args, **kwargs):
         raise NonPositiveDepth("joint 0 behind the camera", joint=0)
 
     monkeypatch.setattr(training, "_batch_loss", behind)
+    # Scoring alone has no loss to give, and says so with NaN.
     assert np.isnan(eval_loss(samples, coarse, assumed, model, cfg))
+    # Training on nothing stops, naming the epoch and why nothing scored.
     optimizer = AmsGrad({k: v.shape for k, v in model.weights.items()})
-    stats = train_epoch(samples, coarse, assumed, model, optimizer, 1e-3, cfg, 0)
-    assert np.isnan(stats["loss"])
-    assert stats["depth_skipped"] == len(samples)
-    # a diverged epoch is never the best one
-    result = fit(samples[:8], samples[8:], assumed, cfg, out_dir=tmp_path)
-    assert "best" not in result.checkpoints
+    with pytest.raises(NonFiniteLoss, match=r"epoch 5: no sample scored; "
+                       r"11 dropped behind a camera, 1 untriangulated"):
+        train_epoch(samples, coarse, assumed, model, optimizer, 1e-3, cfg, 5)
+    # fit stops in its first epoch and leaves no checkpoint behind.
+    with pytest.raises(NonFiniteLoss, match=r"epoch 0: .* 8 dropped"):
+        fit(samples[:8], samples[8:], assumed, cfg, out_dir=tmp_path)
+    assert not (tmp_path / "final.ckpt").exists()
     assert not (tmp_path / "best.ckpt").exists()
-    assert all(np.isnan(result.history))
 
 
 def test_sample_behind_camera_drops_only_itself():
