@@ -16,7 +16,7 @@ import numpy as np
 from .errors import CvposeError
 from .experiments import (ABLATION_VARIANTS, ablation_study, format_table,
                           noise_robustness, unseen_pair_study)
-from .geometry import TRI_MODES, load_rig, save_rig
+from .geometry import TRI_MODES, Pose3D, load_rig, save_rig
 from .graph import default_topology, load_topology, save_topology
 from .metrics import evaluate, mpjpe_rows
 from .network import CVUGCN, load_checkpoint
@@ -45,6 +45,16 @@ def batch_size(text):
 def _model(args, topo):
     ckpt = load_checkpoint(args.checkpoint, topo)
     return CVUGCN(topo, ckpt.config, weights=ckpt.weights)
+
+
+def _print_rows(rows, out):
+    """Print a study's rows as a table and, given a path, dump them as JSON."""
+    print(format_table(rows))
+    if out:
+        with open(out, "w") as fh:
+            json.dump(rows, fh, indent=2)
+            fh.write("\n")
+        print(f"rows written to {out}")
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -89,8 +99,7 @@ def cmd_triangulate(args):
     topo = _topo(args)
     samples = load_dataset(args.data, topo)
     cameras = load_rig(args.rig)
-    coarse, skipped = precompute_coarse(samples, cameras, topo,
-                                        mode=args.mode)
+    coarse, skipped = precompute_coarse(samples, cameras, mode=args.mode)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(json.dumps({"schema": "coarse-v1",
@@ -136,7 +145,6 @@ def cmd_train(args):
     result = fit(train_samples, val_samples, cameras, cfg, topo=topo,
                  out_dir=args.out_dir, resume_from=args.resume,
                  progress=progress if not args.quiet else None)
-    os.makedirs(args.out_dir, exist_ok=True)
     save_train_config(os.path.join(args.out_dir, "train.cfg"), cfg)
     print(f"finished {cfg.epochs} epochs; best monitored loss "
           f"{result.best_val:.6f}")
@@ -187,12 +195,7 @@ def cmd_ablate(args):
     rows = ablation_study(train_samples, test_samples, cameras, cfg, topo,
                           variants=variants,
                           progress=progress if not args.quiet else None)
-    print(format_table(rows))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
-        print(f"rows written to {args.out}")
+    _print_rows(rows, args.out)
     return 0
 
 
@@ -204,12 +207,7 @@ def cmd_noise(args):
     sigmas = tuple(float(s) for s in args.sigmas.split(","))
     rows = noise_robustness(samples, cameras, model, topo, sigmas_mm=sigmas,
                             seed=args.seed)
-    print(format_table(rows))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
-        print(f"rows written to {args.out}")
+    _print_rows(rows, args.out)
     return 0
 
 
@@ -234,12 +232,7 @@ def cmd_unseen(args):
                       batch_size=args.batch_size)
     rows, _ = unseen_pair_study(train_samples, seen_test, unseen_test,
                                 assumed, cfg, topo)
-    print(format_table(rows))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
-        print(f"rows written to {args.out}")
+    _print_rows(rows, args.out)
     return 0
 
 
@@ -261,8 +254,7 @@ def cmd_render(args):
             raise CvposeError(f"index {args.index} out of range "
                               f"(dataset has {len(samples)} samples)")
         wanted = samples[args.index]
-    coarse_map, skipped = precompute_coarse([wanted], cameras, topo,
-                                            mode=args.mode)
+    coarse_map, skipped = precompute_coarse([wanted], cameras, mode=args.mode)
     coarse = coarse_map.get(wanted.sample_id)
     if coarse is None:
         raise CvposeError(f"sample {wanted.sample_id} cannot be triangulated")
@@ -270,18 +262,13 @@ def cmd_render(args):
     if args.checkpoint:
         model = _model(args, topo)
         p1, p2 = model.refine(
-            _as_pose3d(coarse[0], wanted.pair[0]),
-            _as_pose3d(coarse[1], wanted.pair[1]))
+            Pose3D(coarse[0], frame_id=wanted.pair[0]),
+            Pose3D(coarse[1], frame_id=wanted.pair[1]))
         refined = (p1.joints, p2.joints)
     svg = render_sample(wanted, cameras, topo, coarse=coarse, refined=refined)
     save_svg(args.out, svg)
     print(f"wrote {args.out}")
     return 0
-
-
-def _as_pose3d(arr, frame):
-    from .geometry import Pose3D
-    return Pose3D(arr, frame_id=frame)
 
 
 # -- parser ----------------------------------------------------------------------

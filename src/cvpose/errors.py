@@ -64,6 +64,11 @@ class PoseOutOfView(CvposeError):
     """Pose sampling failed to place a skeleton inside every camera view."""
 
 
+class NoPoolGroups(CvposeError, ValueError):
+    """A custom topology has no built-in pooling groups for the U-shaped
+    network. Also a ValueError, as MissingGroundTruth is."""
+
+
 class MissingGroundTruth(CvposeError, ValueError):
     """An evaluation was asked of samples that carry no 3D ground truth.
 

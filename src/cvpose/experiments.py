@@ -7,7 +7,9 @@ The ablation study compares five variants: "full" (the CV-UGCN),
 information) and "fc" (a fully connected baseline with a matched
 parameter budget).
 
-Each study returns plain rows (lists of dicts) that the CLI prints as an
+The ablation and unseen-pair studies train through `training.train_epochs`,
+the loop `fit` runs, with the training objective as the monitor. Each
+study returns plain rows (lists of dicts) that the CLI prints as an
 aligned table and writes as JSON, so results are easy to diff across runs.
 """
 
@@ -21,8 +23,7 @@ from .graph import default_topology
 from .metrics import _refine_batches, evaluate, p_mpjpe_rows
 from .network import (CVUGCN, ModelWeights, coarse_pair_leaf, init_weights,
                       param_count, split_views)
-from .training import (AmsGrad, TrainConfig, precompute_coarse, schedule_lr,
-                       train_epoch)
+from .training import TrainConfig, precompute_coarse, train_epochs
 
 
 # -- matched-budget fully connected baseline ---------------------------------
@@ -32,25 +33,21 @@ class FCBaseline:
 
     The hidden width is chosen so the parameter count lands within a
     fraction of a percent of the graph model it stands in for. Interface
-    matches CVUGCN.refine_batch so the training loop is reused as is.
+    matches CVUGCN.refine_batch so `train_epochs` trains it as is.
     """
 
-    def __init__(self, topo, config, hidden=None, weights=None):
+    def __init__(self, topo, config):
         self.topo = topo
         self.config = config
         d = 2 * topo.n_joints * 3
-        if hidden is None:
-            # d * h + h * d parameters: solve 2 d h ~ budget
-            hidden = int(round(param_count(config) / (2 * d)))
-        self.hidden = hidden
-        if weights is None:
-            rng = np.random.default_rng(config.init_seed)
-            lim = np.sqrt(1.0 / d)
-            weights = ModelWeights({
-                "fc.w1": rng.uniform(-lim, lim, size=(d, hidden)),
-                "fc.w2": np.zeros((hidden, d)),
-            })
-        self.weights = weights
+        # d * h + h * d parameters: solve 2 d h ~ budget
+        self.hidden = int(round(param_count(config) / (2 * d)))
+        rng = np.random.default_rng(config.init_seed)
+        lim = np.sqrt(1.0 / d)
+        self.weights = ModelWeights({
+            "fc.w1": rng.uniform(-lim, lim, size=(d, self.hidden)),
+            "fc.w2": np.zeros((self.hidden, d)),
+        })
 
     def param_leaves(self, tape):
         return {name: tape.leaf(arr, op=f"param:{name}")
@@ -91,23 +88,6 @@ def build_variant(name, topo, net_cfg):
     raise ValueError(f"unknown ablation variant {name!r}")
 
 
-def train_model(model, train_samples, coarse, cameras, config: TrainConfig,
-                progress=None):
-    """Plain training loop on precomputed coarse poses; returns the loss
-    history. The plateau schedule monitors the training objective."""
-    optimizer = AmsGrad({k: v.shape for k, v in model.weights.items()},
-                        config.beta1, config.beta2, config.epsilon)
-    history = []
-    for epoch in range(config.epochs):
-        lr = schedule_lr(history, config)
-        stats = train_epoch(train_samples, coarse, cameras, model, optimizer,
-                            lr, config, epoch)
-        history.append(stats["loss"])
-        if progress is not None:
-            progress(epoch, stats, lr)
-    return history
-
-
 def ablation_study(train_samples, test_samples, cameras,
                    config: TrainConfig, topo=None,
                    variants=ABLATION_VARIANTS, progress=None):
@@ -117,15 +97,17 @@ def ablation_study(train_samples, test_samples, cameras,
     identity, so its refined numbers equal the triangulation baseline.
     """
     topo = topo or default_topology()
-    coarse, _ = precompute_coarse(train_samples, cameras, topo,
+    coarse, _ = precompute_coarse(train_samples, cameras,
                                   mode=config.tri_mode)
     rows = []
     for name in variants:
         model = build_variant(name, topo, config.network())
         if name != "no_refine":
-            train_model(model, train_samples, coarse, cameras, config,
-                        progress=(lambda e, s, lr, n=name: progress(n, e, s, lr))
-                        if progress else None)
+            for epoch, lr, stats in train_epochs(
+                    model, config.optimizer(model.weights), train_samples,
+                    coarse, cameras, config, []):
+                if progress is not None:
+                    progress(name, epoch, stats, lr)
         report = evaluate(test_samples, cameras, model, topo,
                           tri_mode=config.tri_mode)
         rows.append({
@@ -160,19 +142,17 @@ def format_table(rows, columns=None):
 # -- noise robustness ----------------------------------------------------------
 
 def noise_robustness(samples, cameras, model, topo=None,
-                     sigmas_mm=(5.0, 10.0, 15.0, 20.0), seed=0,
-                     batch_size=256, tri_mode="dual"):
+                     sigmas_mm=(5.0, 10.0, 15.0, 20.0), seed=0):
     """Corrupt the coarse poses with isotropic 3D noise and re-refine.
 
     Returns one row per noise level with Procrustes-aligned errors of the
     corrupted input and of the refinement, averaged over samples and views.
     """
-    topo = topo or default_topology()
     for s in samples:
         if not s.joints_3d_gt:
             raise MissingGroundTruth(
                 f"sample {s.sample_id} carries no ground truth")
-    coarse, _ = precompute_coarse(samples, cameras, topo, mode=tri_mode)
+    coarse, _ = precompute_coarse(samples, cameras)
     n = sum(s.sample_id in coarse for s in samples)
     rows = []
     for si, sigma in enumerate(sigmas_mm):
@@ -184,8 +164,7 @@ def noise_robustness(samples, cameras, model, topo=None,
         # (samples, views) errors, in sample order.
         p_in = np.empty((n, 2))
         p_out = np.empty((n, 2))
-        for at, x, r, gt in _refine_batches(samples, noisy, model,
-                                            batch_size):
+        for at, x, r, gt in _refine_batches(samples, noisy, model, 256):
             p_in[at] = p_mpjpe_rows(x, gt)
             p_out[at] = p_mpjpe_rows(r, gt)
         rows.append({"sigma_mm": float(sigma),
@@ -197,18 +176,19 @@ def noise_robustness(samples, cameras, model, topo=None,
 # -- unseen camera pairs ---------------------------------------------------------
 
 def unseen_pair_study(train_samples, seen_samples, unseen_samples, cameras,
-                      config: TrainConfig, topo=None, progress=None):
+                      config: TrainConfig, topo=None):
     """Train on one camera pair, evaluate on a pair never seen in training.
 
     Returns rows for the seen and unseen test sets; the refinement is
     expected to keep improving on triangulation for the new geometry.
     """
     topo = topo or default_topology()
-    coarse, _ = precompute_coarse(train_samples, cameras, topo,
+    coarse, _ = precompute_coarse(train_samples, cameras,
                                   mode=config.tri_mode)
     model = build_variant("full", topo, config.network())
-    train_model(model, train_samples, coarse, cameras, config,
-                progress=progress)
+    for _ in train_epochs(model, config.optimizer(model.weights),
+                          train_samples, coarse, cameras, config, []):
+        pass
     rows = []
     for split, samples in (("seen", seen_samples), ("unseen", unseen_samples)):
         report = evaluate(samples, cameras, model, topo,

@@ -9,11 +9,10 @@ one camera pair with a one-sided Jacobi SVD of the (N*J, 4, 4) DLT
 systems per ordering, run elementwise across the stack, and reports per
 sample the error it fails with; `procrustes_align_stack` aligns N pose
 pairs with one `np.linalg.svd` call on the (N, 3, 3) cross-covariance
-stack. `triangulate_pose` and `procrustes_align` are the N = 1 calls for a
-single pose. Both SVDs solve each matrix of a stack on its own (the Jacobi
-rotations of a system depend on that system alone, and LAPACK takes the
-matrices one by one), so a pose's result does not depend on what it is
-stacked with.
+stack. `triangulate_pose` is the N = 1 call for a single pose. Both SVDs
+solve each matrix of a stack on its own (the Jacobi rotations of a system
+depend on that system alone, and LAPACK takes the matrices one by one), so
+a pose's result does not depend on what it is stacked with.
 """
 
 from __future__ import annotations
@@ -109,20 +108,12 @@ class RigidTransform:
         self.t = np.asarray(self.t, dtype=np.float64).reshape(3)
         _check_rotation(self.R, "transform R")
 
-    @staticmethod
-    def identity():
-        return RigidTransform(np.eye(3), np.zeros(3))
-
     def apply(self, points):
         """Apply to an (n, 3) array of points."""
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ShapeMismatch(f"points: expected (n, 3), got {pts.shape}")
         return pts @ self.R.T + self.t
-
-    def compose(self, other):
-        """self o other: apply `other` first, then `self`."""
-        return RigidTransform(self.R @ other.R, self.R @ other.t + self.t)
 
     def inverse(self):
         return RigidTransform(self.R.T, -self.R.T @ self.t)
@@ -459,15 +450,6 @@ def procrustes_align_stack(pred, gt):
     s = (sig * D).sum(axis=1) / np.where(flat_p, 1.0, norm_p**2)
     s[flat_p] = 0.0
     return (s[:, None, None] * (P0 @ R) + mu_g).reshape(shape)
-
-
-def procrustes_align(pred: Pose3D, gt: Pose3D) -> Pose3D:
-    """Similarity-align one pose onto gt: `procrustes_align_stack` for N = 1.
-
-    Returns the aligned pose in gt's frame.
-    """
-    return Pose3D(procrustes_align_stack(pred.joints, gt.joints),
-                  frame_id=gt.frame_id)
 
 
 # ---------------------------------------------------------------------------

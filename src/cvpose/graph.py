@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MissingField, SchemaError, ShapeMismatch
+from .errors import MissingField, NoPoolGroups, SchemaError, ShapeMismatch
 from .jsonl import read_records
 
 
@@ -208,7 +208,7 @@ def default_pool_groups(topo: SkeletonTopology):
     expected = default_topology()
     if (topo.joint_names != expected.joint_names
             or topo.parents != expected.parents):
-        raise ValueError("no default pooling groups for a custom topology")
+        raise NoPoolGroups("no default pooling groups for a custom topology")
     return [
         ("torso", (0, 7, 8)),
         ("head", (9, 10)),

@@ -47,16 +47,12 @@ def p_mpjpe_rows(pred, gt):
     return mpjpe_rows(procrustes_align_stack(pred, gt), gt)
 
 
-def mpjpe_arrays(pred, gt) -> float:
-    return float(joint_errors(pred, gt).mean())
-
-
 def mpjpe(pred: Pose3D, gt: Pose3D) -> float:
     """Mean per-joint position error; both poses must share a frame."""
     if pred.frame_id != gt.frame_id:
         raise FrameMismatch(
             f"poses live in different frames: {pred.frame_id!r} vs {gt.frame_id!r}")
-    return mpjpe_arrays(pred.joints, gt.joints)
+    return float(joint_errors(pred.joints, gt.joints).mean())
 
 
 def p_mpjpe(pred: Pose3D, gt: Pose3D) -> float:
@@ -152,7 +148,7 @@ def evaluate(samples, cameras, model: CVUGCN, topo=None, batch_size=256,
         if not s.joints_3d_gt:
             raise MissingGroundTruth(
                 f"sample {s.sample_id} carries no ground truth")
-    coarse, skipped = precompute_coarse(samples, cameras, topo, mode=tri_mode)
+    coarse, skipped = precompute_coarse(samples, cameras, mode=tri_mode)
     J = topo.n_joints
     n = sum(s.sample_id in coarse for s in samples)
     # (samples, views, joints) errors, in sample order.

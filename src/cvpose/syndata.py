@@ -151,21 +151,16 @@ def perturb_rig(cameras, rot_deg, trans_mm, rng):
     return out
 
 
-def generate_skeleton_pose(topo: SkeletonTopology, rng,
-                           rest_offsets=None, angle_ranges=None,
-                           angle_scale=1.0, workspace_mm=(300.0, 200.0, 300.0),
+def generate_skeleton_pose(topo: SkeletonTopology, rng, angle_scale=1.0,
+                           workspace_mm=(300.0, 200.0, 300.0),
                            root_yaw_deg=180.0) -> Pose3D:
     """One world-frame pose by forward kinematics.
 
     Draw order per sample: root position (3), yaw (1), then per non-root
     joint an axis (3 normals) and an angle (1 uniform).
     """
-    if rest_offsets is None:
-        rest_offsets = REST_OFFSETS_MM
-    if angle_ranges is None:
-        angle_ranges = ANGLE_RANGES_DEG
     J = topo.n_joints
-    if rest_offsets.shape != (J, 3) or len(angle_ranges) != J:
+    if REST_OFFSETS_MM.shape != (J, 3) or len(ANGLE_RANGES_DEG) != J:
         raise ShapeMismatch("template does not match the topology")
     half = np.asarray(workspace_mm, dtype=np.float64)
     root_pos = rng.uniform(-half, half)
@@ -178,10 +173,10 @@ def generate_skeleton_pose(topo: SkeletonTopology, rng,
         if j == topo.root:
             continue
         axis = rng.standard_normal(3)
-        angle = math.radians(angle_scale * angle_ranges[j]) * rng.uniform(-1.0, 1.0)
+        angle = math.radians(angle_scale * ANGLE_RANGES_DEG[j]) * rng.uniform(-1.0, 1.0)
         parent = topo.parents[j]
         rot[j] = rot[parent] @ _rodrigues(axis, angle)
-        pos[j] = pos[parent] + rot[j] @ rest_offsets[j]
+        pos[j] = pos[parent] + rot[j] @ REST_OFFSETS_MM[j]
     return Pose3D(pos, frame_id="world")
 
 

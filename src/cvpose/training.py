@@ -6,6 +6,11 @@ refined on a single tape, scored by the 2D reprojection / symmetry /
 transform-consistency / bone-direction objective, and the shared weights
 are updated with AMSGrad (no bias correction).
 
+`train_epochs` is the one epoch loop: it schedules the learning rate,
+runs `train_epoch` and records the monitored loss, yielding after each
+epoch. `fit` drives it with a validation monitor, the CSV log and the
+checkpoints; the studies in `experiments` drive it directly.
+
 Every source of randomness is derived from (seed, epoch), so a run is a
 pure function of its inputs and an interrupted run resumed from the last
 checkpoint reproduces the uninterrupted one exactly.
@@ -62,6 +67,11 @@ class TrainConfig:
     def loss_weights(self) -> LossWeights:
         return LossWeights(reproj=self.w_reproj, sym=self.w_sym,
                            transform=self.w_transform, bonedir=self.w_bonedir)
+
+    def optimizer(self, weights) -> AmsGrad:
+        """A fresh AmsGrad for these weights."""
+        return AmsGrad({k: v.shape for k, v in weights.items()},
+                       self.beta1, self.beta2, self.epsilon)
 
 
 def save_train_config(path, config: TrainConfig):
@@ -191,7 +201,7 @@ def schedule_lr(history, config: TrainConfig) -> float:
 COARSE_CHUNK = 1024
 
 
-def precompute_coarse(samples, cameras, topo=None, mode="dual"):
+def precompute_coarse(samples, cameras, mode="dual"):
     """Triangulate every sample once from its noisy 2D detections.
 
     Samples are solved per camera pair, COARSE_CHUNK at a time, with
@@ -203,7 +213,6 @@ def precompute_coarse(samples, cameras, topo=None, mode="dual"):
     A sample that names a camera the rig lacks raises SchemaError before
     anything is solved.
     """
-    topo = topo or default_topology()
     by_id = {c.cam_id: c for c in cameras}
     seen = set()
     for s in samples:
@@ -358,6 +367,24 @@ def train_epoch(samples, coarse, cameras, model, optimizer, lr,
     return stats
 
 
+def train_epochs(model, optimizer, samples, coarse, cameras,
+                 config: TrainConfig, history, monitor=None):
+    """Train epochs len(history) to config.epochs - 1; yield (epoch, lr,
+    stats) after each.
+
+    Before each yield the epoch's monitored loss is appended to `history`:
+    monitor() when given, the epoch's training loss otherwise. The plateau
+    schedule reads that list, so a resumed run passes the history it
+    stopped with and continues where it left off.
+    """
+    for epoch in range(len(history), config.epochs):
+        lr = schedule_lr(history, config)
+        stats = train_epoch(samples, coarse, cameras, model, optimizer, lr,
+                            config, epoch)
+        history.append(stats["loss"] if monitor is None else monitor())
+        yield epoch, lr, stats
+
+
 def eval_loss(samples, coarse, cameras, model, config: TrainConfig):
     """Per-sample mean training objective, no parameter updates; NaN when
     no batch could be scored."""
@@ -418,32 +445,28 @@ class TrainResult:
     best_val: float
     checkpoints: dict = field(default_factory=dict)
     skipped_train: list = field(default_factory=list)
-    skipped_val: list = field(default_factory=list)
 
 
 def fit(train_samples, val_samples, cameras, config: TrainConfig,
-        topo=None, out_dir=".", log_path=None, resume_from=None,
-        progress=None):
+        topo=None, out_dir=".", resume_from=None, progress=None):
     """Full training run; writes checkpoints and a CSV log under out_dir.
 
     The plateau schedule and the best-checkpoint decision monitor the
     validation objective (the training objective when val_samples is
     empty). Resuming from a checkpoint written by this function continues
-    as if the run had never stopped. An epoch that scores no sample stops
-    the run with NonFiniteLoss (see train_epoch), and no final checkpoint
-    is written.
+    as if the run had never stopped: the run picks up at epoch
+    len(loss_history), and a checkpoint whose next_epoch disagrees is
+    rejected. An epoch that scores no sample stops the run with
+    NonFiniteLoss (see train_epoch), and no final checkpoint is written.
     """
     topo = topo or default_topology()
     os.makedirs(out_dir, exist_ok=True)
-    log_path = log_path or os.path.join(out_dir, "train_log.csv")
 
     ckpt = None if resume_from is None else load_checkpoint(resume_from, topo)
     net_cfg = config.network() if ckpt is None else ckpt.config
     weights = init_weights(net_cfg) if ckpt is None else ckpt.weights
     model = CVUGCN(topo, net_cfg, weights=weights)
-    optimizer = AmsGrad({k: v.shape for k, v in model.weights.items()},
-                        config.beta1, config.beta2, config.epsilon)
-    start_epoch = 0
+    optimizer = config.optimizer(model.weights)
     history = []
     best_val = math.inf
     if ckpt is not None:
@@ -454,62 +477,57 @@ def fit(train_samples, val_samples, cameras, config: TrainConfig,
             if key not in ckpt.train_state:
                 raise SchemaError(f"checkpoint lacks training state {key!r}; "
                                   "it cannot resume a run")
-        start_epoch = int(ckpt.train_state["next_epoch"])
         history = [float(x) for x in ckpt.train_state["loss_history"]]
+        next_epoch = int(ckpt.train_state["next_epoch"])
+        if next_epoch != len(history):
+            raise SchemaError(f"checkpoint resumes at epoch {next_epoch} but "
+                              f"holds {len(history)} epochs of loss history")
         best_val = ckpt.train_state.get("best_val")
         best_val = math.inf if best_val is None else float(best_val)
 
     coarse_train, skipped_train = precompute_coarse(
-        train_samples, cameras, topo, mode=config.tri_mode)
-    coarse_val, skipped_val = precompute_coarse(
-        val_samples, cameras, topo, mode=config.tri_mode) if val_samples \
-        else ({}, [])
+        train_samples, cameras, mode=config.tri_mode)
+    monitor = None
+    if val_samples:
+        coarse_val, _ = precompute_coarse(val_samples, cameras,
+                                          mode=config.tri_mode)
 
-    log = _open_log(log_path, start_epoch)
+        def monitor():
+            return eval_loss(val_samples, coarse_val, cameras, model, config)
 
-    def snapshot_state(next_epoch):
-        return {"next_epoch": next_epoch,
-                "loss_history": list(history),
+    log = _open_log(os.path.join(out_dir, "train_log.csv"), len(history))
+    paths = {}
+
+    def train_state():
+        return {"next_epoch": len(history), "loss_history": list(history),
                 "best_val": None if math.isinf(best_val) else best_val}
 
-    best_snap = None
-    paths = {}
+    def save(name, weights, opt_state, state):
+        paths[name] = os.path.join(out_dir, f"{name}.ckpt")
+        save_checkpoint(paths[name], topo, net_cfg, weights,
+                        state["next_epoch"], opt_state, state)
+
+    best = None
     try:
-        for epoch in range(start_epoch, config.epochs):
-            lr = schedule_lr(history, config)
-            stats = train_epoch(train_samples, coarse_train, cameras, model,
-                                optimizer, lr, config, epoch)
-            if val_samples:
-                monitor = eval_loss(val_samples, coarse_val, cameras, model,
-                                    config)
-            else:
-                monitor = stats["loss"]
-            history.append(monitor)
+        for epoch, lr, stats in train_epochs(
+                model, optimizer, train_samples, coarse_train, cameras,
+                config, history, monitor):
             log.write(_log_row(epoch, stats, lr, len(skipped_train)) + "\n")
             log.flush()
-            if monitor < best_val:
-                best_val = monitor
-                best_snap = (model.weights.copy(), optimizer.state(),
-                             epoch + 1, snapshot_state(epoch + 1))
+            if history[-1] < best_val:
+                best_val = history[-1]
+                best = (model.weights.copy(), optimizer.state(), train_state())
             if config.checkpoint_every and (epoch + 1) % config.checkpoint_every == 0:
-                path = os.path.join(out_dir, f"epoch_{epoch + 1:04d}.ckpt")
-                save_checkpoint(path, topo, net_cfg, model.weights, epoch + 1,
-                                optimizer.state(), snapshot_state(epoch + 1))
-                paths[f"epoch_{epoch + 1:04d}"] = path
+                save(f"epoch_{epoch + 1:04d}", model.weights,
+                     optimizer.state(), train_state())
             if progress is not None:
-                progress(epoch, stats, lr, monitor)
+                progress(epoch, stats, lr, history[-1])
     finally:
         log.close()
 
-    final_path = os.path.join(out_dir, "final.ckpt")
-    save_checkpoint(final_path, topo, net_cfg, model.weights, config.epochs,
-                    optimizer.state(), snapshot_state(config.epochs))
-    paths["final"] = final_path
-    if best_snap is not None:
-        w, opt_state, step, state = best_snap
-        best_path = os.path.join(out_dir, "best.ckpt")
-        save_checkpoint(best_path, topo, net_cfg, w, step, opt_state, state)
-        paths["best"] = best_path
+    save("final", model.weights, optimizer.state(), train_state())
+    if best is not None:
+        save("best", *best)
     return TrainResult(weights=model.weights, history=history,
                        best_val=best_val, checkpoints=paths,
-                       skipped_train=skipped_train, skipped_val=skipped_val)
+                       skipped_train=skipped_train)

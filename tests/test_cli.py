@@ -276,3 +276,42 @@ def test_ablate_command_writes_rows(tmp_path, capsys):
     rows = json.loads(table.read_text())
     assert [r["variant"] for r in rows] == ["full", "no_refine"]
     assert "variant" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_custom_topology_without_pool_groups_exits_1(tmp_path, capsys,
+                                                      command):
+    import numpy as np
+
+    from cvpose.geometry import save_rig
+    from cvpose.graph import SkeletonTopology, save_topology
+    from cvpose.syndata import Sample, default_rig, save_dataset
+
+    topo = SkeletonTopology(("root", "spine", "left", "right"), (0, 0, 1, 1),
+                            ((2, 3),))
+    cameras = default_rig()
+    pose = np.array([[0.0, 0.0, 0.0], [0.0, -200.0, 0.0],
+                     [-150.0, -300.0, 0.0], [150.0, -300.0, 0.0]])
+    samples = []
+    for i in range(4):
+        px = {}
+        for cam in cameras:
+            X = (pose + 10.0 * i) @ cam.R.T + cam.t
+            uv = X @ cam.K.T
+            px[cam.cam_id] = uv[:, :2] / uv[:, 2:]
+        samples.append(Sample(f"s{i}", ("cam1", "cam2"), px, px))
+    data, rig, topo_path = (tmp_path / "data.jsonl", tmp_path / "rig.jsonl",
+                            tmp_path / "topology.jsonl")
+    save_dataset(data, samples, topo)
+    save_rig(rig, cameras)
+    save_topology(topo_path, topo)
+    common = ["--rig", str(rig), "--topology", str(topo_path), "--quiet"]
+    if command == "train":
+        args = ["train", "--data", str(data), "--out-dir",
+                str(tmp_path / "run"), "--epochs", "1"]
+    else:
+        args = ["ablate", "--train-data", str(data), "--test-data",
+                str(data), "--epochs", "1", "--variants", "full"]
+    assert main(args + common) == 1
+    assert ("error: no default pooling groups for a custom topology"
+            in capsys.readouterr().err)

@@ -6,11 +6,11 @@ from cvpose import training
 from cvpose.errors import NonFiniteLoss, NonPositiveDepth
 from cvpose.experiments import (ABLATION_VARIANTS, FCBaseline, ablation_study,
                                 build_variant, format_table, noise_robustness,
-                                train_model, unseen_pair_study)
+                                unseen_pair_study)
 from cvpose.graph import default_topology
 from cvpose.network import CVUGCN, NetworkConfig, init_weights, param_count
 from cvpose.syndata import SyntheticConfig, default_rig, generate_dataset
-from cvpose.training import TrainConfig, precompute_coarse
+from cvpose.training import TrainConfig, precompute_coarse, train_epochs
 
 
 def small_train_config(**kw):
@@ -160,20 +160,24 @@ def test_ablation_study_rows_and_no_refine_baseline():
 
 def test_train_model_stops_when_an_epoch_scores_nothing(monkeypatch):
     # A variant whose refinements all land behind a camera has no loss to
-    # train on; the study must stop rather than report a model that never
-    # trained.
+    # train on; the loop the studies drive must stop rather than report a
+    # model that never trained.
     train, rig, assumed = small_dataset(n=8)
     topo = default_topology()
     cfg = small_train_config(epochs=3)
-    coarse, _ = precompute_coarse(train, assumed, topo)
+    coarse, _ = precompute_coarse(train, assumed)
     model = build_variant("full", topo, cfg.network())
 
     def behind(*args, **kwargs):
         raise NonPositiveDepth("joint 0 behind the camera", joint=0)
 
     monkeypatch.setattr(training, "_batch_loss", behind)
+    history = []
     with pytest.raises(NonFiniteLoss, match="epoch 0: no sample scored"):
-        train_model(model, train, coarse, assumed, cfg)
+        for _ in train_epochs(model, cfg.optimizer(model.weights), train,
+                              coarse, assumed, cfg, history):
+            pass
+    assert history == []
 
 
 def test_ablation_variant_list_is_exposed():

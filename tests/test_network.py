@@ -169,7 +169,7 @@ def test_refining_callers_open_float32_tapes(monkeypatch):
     topo = default_topology()
     tcfg = training.TrainConfig(epochs=1, batch_size=4, channels=8)
     model = CVUGCN(topo, tcfg.network())
-    coarse, _ = training.precompute_coarse(samples, rig, topo)
+    coarse, _ = training.precompute_coarse(samples, rig)
     opt = training.AmsGrad({k: v.shape for k, v in model.weights.items()})
     assert conv_dtypes(lambda: training.train_epoch(
         samples, coarse, rig, model, opt, 1e-3, tcfg, 0)) == {F32}

@@ -13,7 +13,8 @@ from cvpose.syndata import (Sample, SyntheticConfig, default_rig,
                             generate_dataset)
 from cvpose.training import (LOG_HEADER, AmsGrad, TrainConfig, eval_loss,
                              fit, load_train_config, precompute_coarse,
-                             save_train_config, schedule_lr, train_epoch)
+                             save_train_config, schedule_lr, train_epoch,
+                             train_epochs)
 
 
 def small_config(**kw):
@@ -371,6 +372,43 @@ def test_resume_matches_uninterrupted(tmp_path):
     assert resumed.history == full.train_state["loss_history"]
 
 
+def test_fit_runs_the_one_epoch_loop(tmp_path):
+    # fit adds the log and checkpoints around train_epochs and nothing else:
+    # driving the generator by hand trains the same weights bit for bit.
+    samples, rig, assumed = small_dataset(n=16)
+    cfg = small_config(epochs=3, batch_size=8)
+    result = fit(samples, [], assumed, cfg, out_dir=tmp_path)
+    model = CVUGCN(default_topology(), cfg.network())
+    optimizer = cfg.optimizer(model.weights)
+    coarse, _ = precompute_coarse(samples, assumed, mode=cfg.tri_mode)
+    history = []
+    epochs = [epoch for epoch, _, _ in train_epochs(
+        model, optimizer, samples, coarse, assumed, cfg, history)]
+    assert epochs == [0, 1, 2]
+    assert history == result.history
+    for name, arr in result.weights.items():
+        assert np.array_equal(arr, model.weights[name]), name
+    # A history as long as the run leaves no epoch to train.
+    assert list(train_epochs(model, optimizer, samples, coarse, assumed, cfg,
+                             history)) == []
+
+
+def test_resume_rejects_next_epoch_that_disagrees_with_history(tmp_path):
+    samples, rig, assumed = small_dataset(n=8)
+    cfg = small_config(epochs=2, batch_size=8, checkpoint_every=1)
+    fit(samples, [], assumed, cfg, out_dir=tmp_path / "run")
+    topo = default_topology()
+    ckpt = load_checkpoint(tmp_path / "run" / "epoch_0002.ckpt", topo)
+    state = dict(ckpt.train_state, next_epoch=1)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, topo, ckpt.config, ckpt.weights, 1, ckpt.opt_state,
+                    state)
+    with pytest.raises(SchemaError, match="epoch 1 but holds 2 epochs"):
+        fit(samples, [], assumed, small_config(epochs=4, batch_size=8),
+            out_dir=tmp_path / "resumed", resume_from=bad)
+    assert list((tmp_path / "resumed").iterdir()) == []
+
+
 def test_resume_needs_optimizer_and_training_state(tmp_path):
     samples, rig, assumed = small_dataset(n=8)
     cfg = small_config(epochs=2)
@@ -412,7 +450,7 @@ def test_nonfinite_loss_stops_before_weight_update(monkeypatch):
     cfg = small_config()
     topo = default_topology()
     model = CVUGCN(topo, cfg.network())
-    coarse, _ = precompute_coarse(samples, assumed, topo)
+    coarse, _ = precompute_coarse(samples, assumed)
     optimizer = AmsGrad({k: v.shape for k, v in model.weights.items()})
     before = model.weights.copy()
     real_loss = training.total_loss
@@ -439,7 +477,7 @@ def test_eval_loss_is_side_effect_free(tmp_path):
     ckpt = load_checkpoint(tmp_path / "final.ckpt", topo)
     model = CVUGCN(topo, ckpt.config, weights=ckpt.weights)
     before = {k: v.copy() for k, v in model.weights.items()}
-    coarse, _ = precompute_coarse(samples, assumed, topo)
+    coarse, _ = precompute_coarse(samples, assumed)
     v1 = eval_loss(samples, coarse, assumed, model, cfg)
     v2 = eval_loss(samples, coarse, assumed, model, cfg)
     assert v1 == v2
@@ -464,7 +502,7 @@ def test_epoch_without_scored_batch_has_no_loss(tmp_path, monkeypatch):
     cfg = small_config(epochs=2, batch_size=4)
     topo = default_topology()
     model = CVUGCN(topo, cfg.network())
-    coarse, _ = precompute_coarse(samples, assumed, topo)
+    coarse, _ = precompute_coarse(samples, assumed)
     del coarse[samples[0].sample_id]    # one sample left untriangulated
 
     def behind(*args, **kwargs):
@@ -493,7 +531,7 @@ def test_sample_behind_camera_drops_only_itself():
     assert len(batch) == 4
     topo = default_topology()
     cfg = small_config(batch_size=4)
-    coarse, _ = precompute_coarse(batch, assumed, topo)
+    coarse, _ = precompute_coarse(batch, assumed)
     bad = batch[1].sample_id
     coarse[bad] = tuple(x * [1.0, 1.0, -1.0] for x in coarse[bad])
     good = [s for s in batch if s.sample_id != bad]
