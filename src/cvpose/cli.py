@@ -100,26 +100,23 @@ def cmd_triangulate(args):
     samples = load_dataset(args.data, topo)
     cameras = load_rig(args.rig)
     coarse, skipped = precompute_coarse(samples, cameras, mode=args.mode)
+    kept = [samples[i] for i in coarse.index]
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(json.dumps({"schema": "coarse-v1",
                                  "n_joints": topo.n_joints}) + "\n")
-            for s in samples:
-                if s.sample_id not in coarse:
-                    continue
-                x1, x2 = coarse[s.sample_id]
+            for s, (x1, x2) in zip(kept, coarse.poses):
                 fh.write(json.dumps({
                     "id": s.sample_id, "views": list(s.pair),
                     "joints_3d": {s.pair[0]: x1.tolist(),
                                   s.pair[1]: x2.tolist()}},
                     sort_keys=True) + "\n")
     have_gt = all(s.joints_3d_gt for s in samples)
-    print(f"triangulated {len(coarse)} of {len(samples)} samples "
+    print(f"triangulated {len(kept)} of {len(samples)} samples "
           f"({len(skipped)} skipped, mode={args.mode})")
-    if have_gt and coarse:
-        kept = [s for s in samples if s.sample_id in coarse]
+    if have_gt and kept:
         errs = mpjpe_rows(
-            np.stack([coarse[s.sample_id] for s in kept]),
+            coarse.poses,
             np.stack([[s.joints_3d_gt[v] for v in s.pair] for s in kept]))
         print(f"MPJPE vs ground truth: {np.mean(errs):.4f} mm")
     return 0
@@ -205,7 +202,7 @@ def cmd_noise(args):
     cameras = load_rig(args.rig)
     model = _model(args, topo)
     sigmas = tuple(float(s) for s in args.sigmas.split(","))
-    rows = noise_robustness(samples, cameras, model, topo, sigmas_mm=sigmas,
+    rows = noise_robustness(samples, cameras, model, sigmas_mm=sigmas,
                             seed=args.seed)
     _print_rows(rows, args.out)
     return 0
@@ -254,18 +251,18 @@ def cmd_render(args):
             raise CvposeError(f"index {args.index} out of range "
                               f"(dataset has {len(samples)} samples)")
         wanted = samples[args.index]
-    coarse_map, skipped = precompute_coarse([wanted], cameras, mode=args.mode)
-    coarse = coarse_map.get(wanted.sample_id)
-    if coarse is None:
+    coarse, _ = precompute_coarse([wanted], cameras, mode=args.mode)
+    if not len(coarse.index):
         raise CvposeError(f"sample {wanted.sample_id} cannot be triangulated")
     refined = None
     if args.checkpoint:
         model = _model(args, topo)
         p1, p2 = model.refine(
-            Pose3D(coarse[0], frame_id=wanted.pair[0]),
-            Pose3D(coarse[1], frame_id=wanted.pair[1]))
+            Pose3D(coarse.poses[0, 0], frame_id=wanted.pair[0]),
+            Pose3D(coarse.poses[0, 1], frame_id=wanted.pair[1]))
         refined = (p1.joints, p2.joints)
-    svg = render_sample(wanted, cameras, topo, coarse=coarse, refined=refined)
+    svg = render_sample(wanted, cameras, topo, coarse=coarse.poses[0],
+                        refined=refined)
     save_svg(args.out, svg)
     print(f"wrote {args.out}")
     return 0

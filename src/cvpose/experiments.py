@@ -20,10 +20,11 @@ import numpy as np
 from . import autodiff as ad
 from .errors import MissingGroundTruth
 from .graph import default_topology
-from .metrics import _refine_batches, evaluate, p_mpjpe_rows
+from .metrics import _refine_batches, evaluate, mean_or_nan, p_mpjpe_rows
 from .network import (CVUGCN, ModelWeights, coarse_pair_leaf, init_weights,
                       param_count, split_views)
-from .training import TrainConfig, precompute_coarse, train_epochs
+from .training import (CoarsePoses, TrainConfig, precompute_coarse,
+                       train_epochs)
 
 
 # -- matched-budget fully connected baseline ---------------------------------
@@ -141,26 +142,25 @@ def format_table(rows, columns=None):
 
 # -- noise robustness ----------------------------------------------------------
 
-def noise_robustness(samples, cameras, model, topo=None,
+def noise_robustness(samples, cameras, model,
                      sigmas_mm=(5.0, 10.0, 15.0, 20.0), seed=0):
     """Corrupt the coarse poses with isotropic 3D noise and re-refine.
 
     Returns one row per noise level with Procrustes-aligned errors of the
-    corrupted input and of the refinement, averaged over samples and views.
+    corrupted input and of the refinement, averaged over samples and views
+    (NaN when no sample triangulates).
     """
     for s in samples:
         if not s.joints_3d_gt:
             raise MissingGroundTruth(
                 f"sample {s.sample_id} carries no ground truth")
     coarse, _ = precompute_coarse(samples, cameras)
-    n = sum(s.sample_id in coarse for s in samples)
+    n = len(coarse.index)
     rows = []
     for si, sigma in enumerate(sigmas_mm):
         rng = np.random.default_rng((seed, si))
-        noisy = {}
-        for sid, (x1, x2) in coarse.items():
-            noisy[sid] = (x1 + rng.standard_normal(x1.shape) * sigma,
-                          x2 + rng.standard_normal(x2.shape) * sigma)
+        noise = rng.standard_normal(coarse.poses.shape) * sigma
+        noisy = CoarsePoses(coarse.index, coarse.poses + noise)
         # (samples, views) errors, in sample order.
         p_in = np.empty((n, 2))
         p_out = np.empty((n, 2))
@@ -168,8 +168,8 @@ def noise_robustness(samples, cameras, model, topo=None,
             p_in[at] = p_mpjpe_rows(x, gt)
             p_out[at] = p_mpjpe_rows(r, gt)
         rows.append({"sigma_mm": float(sigma),
-                     "pmpjpe_coarse_mm": float(np.mean(p_in)),
-                     "pmpjpe_refined_mm": float(np.mean(p_out))})
+                     "pmpjpe_coarse_mm": mean_or_nan(p_in),
+                     "pmpjpe_refined_mm": mean_or_nan(p_out)})
     return rows
 
 

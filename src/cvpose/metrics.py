@@ -7,9 +7,10 @@ ground truth, removing global rotation, translation and scale.
 The metrics work on stacks: `mpjpe_rows` and `p_mpjpe_rows` give one error
 per (J, 3) pose of a stack, the latter through the batched Umeyama
 alignment `geometry.procrustes_align_stack`. `mpjpe` and `p_mpjpe` are the
-one-pose forms. `evaluate` scores each refined batch as (B, 2, J, 3) stacks
-(both views at once) and reports errors per sample, per joint, per camera
-pair, as percentiles over samples and overall.
+one-pose forms. `evaluate` triangulates once, refines row slices of the
+(n, 2, J, 3) coarse stack (`training.pair_batches`), scores each batch as
+(B, 2, J, 3) stacks (both views at once) and reports errors per sample, per
+joint, per camera pair, as percentiles over samples and overall.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import FrameMismatch, MissingGroundTruth, ShapeMismatch
 from .geometry import Pose3D, procrustes_align_stack
 from .graph import default_topology
 from .network import CONV_DTYPE, CVUGCN
-from .training import _pair_batches, precompute_coarse
+from .training import pair_batches, precompute_coarse
 
 from . import autodiff as ad
 
@@ -110,16 +111,12 @@ class EvalReport:
 def _refine_batches(samples, coarse, model, batch_size):
     """Refine every sample in `coarse` in same-pair batches, no updates.
 
-    Yields (rows, coarse, refined, gt) per batch: rows are the batch's
-    positions among the samples in `coarse`, in sample order; the three
-    stacks are (B, 2, J, 3), view 1 then view 2, each in its camera's
-    frame. Every sample must carry ground truth.
+    Yields (rows, coarse, refined, gt) per batch: rows index `coarse`, in
+    sample order; the three stacks are (B, 2, J, 3), view 1 then view 2,
+    each in its camera's frame. Every sample must carry ground truth.
     """
-    usable = [i for i, s in enumerate(samples) if s.sample_id in coarse]
-    row = {i: r for r, i in enumerate(usable)}
-    for _, idxs in _pair_batches(samples, usable, batch_size):
-        batch = [samples[i] for i in idxs]
-        x = np.stack([coarse[s.sample_id] for s in batch])
+    for pair, rows, batch in pair_batches(samples, coarse.index, batch_size):
+        x = coarse.poses[rows]
         tape = ad.Tape(conv_dtype=CONV_DTYPE)
         try:
             X1, X2, _ = model.refine_batch(tape, x[:, 0].reshape(-1, 3),
@@ -128,8 +125,13 @@ def _refine_batches(samples, coarse, model, batch_size):
             tape.release()
         refined = np.stack([X.data.reshape(x[:, 0].shape) for X in (X1, X2)],
                            axis=1)
-        gt = np.stack([[s.joints_3d_gt[v] for v in s.pair] for s in batch])
-        yield [row[i] for i in idxs], x, refined, gt
+        gt = np.stack([[s.joints_3d_gt[v] for v in pair] for s in batch])
+        yield rows, x, refined, gt
+
+
+def mean_or_nan(xs):
+    """float mean of xs; NaN, with no warning, when xs is empty."""
+    return float(np.mean(xs)) if np.size(xs) else float("nan")
 
 
 def evaluate(samples, cameras, model: CVUGCN, topo=None, batch_size=256,
@@ -150,7 +152,7 @@ def evaluate(samples, cameras, model: CVUGCN, topo=None, batch_size=256,
                 f"sample {s.sample_id} carries no ground truth")
     coarse, skipped = precompute_coarse(samples, cameras, mode=tri_mode)
     J = topo.n_joints
-    n = sum(s.sample_id in coarse for s in samples)
+    n = len(coarse.index)
     # (samples, views, joints) errors, in sample order.
     errs = {k: np.empty((n, 2, J))
             for k in ("tri", "refined", "tri_p", "refined_p")}
@@ -165,11 +167,9 @@ def evaluate(samples, cameras, model: CVUGCN, topo=None, batch_size=256,
         per_view = e.mean(axis=-1)
         per_sample[k] = (per_view[:, 0] + per_view[:, 1]) / 2.0
 
-    def mean(xs):
-        return float(np.mean(xs)) if len(xs) else float("nan")
-
     def means(rows=slice(None)):
-        return {f: mean(per_sample[k][rows]) for f, k in _MEAN_FIELDS.items()}
+        return {f: mean_or_nan(per_sample[k][rows])
+                for f, k in _MEAN_FIELDS.items()}
 
     def per_joint(a, b):
         if not n:
@@ -181,7 +181,7 @@ def evaluate(samples, cameras, model: CVUGCN, topo=None, batch_size=256,
         return {f"p{q}": float(np.percentile(xs, q)) if n else float("nan")
                 for q in (50, 90, 99)}
 
-    pairs = ["+".join(s.pair) for s in samples if s.sample_id in coarse]
+    pairs = ["+".join(samples[i].pair) for i in coarse.index]
     per_pair = {}
     for pair in dict.fromkeys(pairs):
         rows = [r for r, p in enumerate(pairs) if p == pair]

@@ -70,8 +70,10 @@ def render_sample(sample, cameras, topo=None, coarse=None, refined=None,
                   title=None):
     """One SVG figure for a dataset sample.
 
-    coarse and refined, when given, are (X1, X2) camera-frame joint arrays
-    matching the sample's view order. Ground truth is drawn when present.
+    coarse and refined, when given, hold the sample's two camera-frame
+    (J, 3) joint arrays in its view order: a (2, J, 3) stack, such as a row
+    of `CoarsePoses.poses`, or an (X1, X2) pair. Ground truth is drawn
+    when present.
     """
     topo = topo or default_topology()
     by_id = {c.cam_id: c for c in cameras}

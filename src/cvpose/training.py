@@ -4,7 +4,9 @@ The loop never sees 3D labels. Each sample is triangulated once up front
 from its noisy detections and the assumed rig; batches of coarse poses are
 refined on a single tape, scored by the 2D reprojection / symmetry /
 transform-consistency / bone-direction objective, and the shared weights
-are updated with AMSGrad (no bias correction).
+are updated with AMSGrad (no bias correction). The coarse poses travel as
+one (n, 2, J, 3) stack (`CoarsePoses`); training, validation and
+evaluation refine row slices of it in the batches `pair_batches` makes.
 
 `train_epochs` is the one epoch loop: it schedules the learning rate,
 runs `train_epoch` and records the monitored loss, yielding after each
@@ -201,76 +203,68 @@ def schedule_lr(history, config: TrainConfig) -> float:
 COARSE_CHUNK = 1024
 
 
+@dataclass(frozen=True)
+class CoarsePoses:
+    """Coarse poses of the samples that triangulated: `index`, their
+    increasing positions in the sample list, and `poses`, an (n, 2, J, 3)
+    stack in mm, view 1 then view 2, each in its camera's frame (the block
+    order of `network.coarse_pair_leaf`)."""
+    index: np.ndarray
+    poses: np.ndarray
+
+
 def precompute_coarse(samples, cameras, mode="dual"):
     """Triangulate every sample once from its noisy 2D detections.
 
     Samples are solved per camera pair, COARSE_CHUNK at a time, with
-    `triangulate_stack`. Returns (coarse, skipped): coarse maps sample id to
-    the pair of camera-frame joint arrays in mm, skipped lists ids of
-    samples whose triangulation failed (degenerate geometry or non-positive
-    depth); both are in sample order. Sample ids must be unique: a repeated
-    id raises ValueError, since its pose would overwrite the earlier one's.
-    A sample that names a camera the rig lacks raises SchemaError before
-    anything is solved.
+    `triangulate_stack`. Returns (coarse, skipped): the CoarsePoses of the
+    samples that triangulated, and the ids of those whose triangulation
+    failed (degenerate geometry or non-positive depth), in sample order.
+    Sample ids must be unique, since reports name samples by id: a
+    repeated id raises ValueError. A sample that names a camera the rig
+    lacks raises SchemaError before anything is solved.
     """
     by_id = {c.cam_id: c for c in cameras}
     seen = set()
     for s in samples:
         if s.sample_id in seen:
-            raise ValueError(f"sample id {s.sample_id!r} repeats; coarse "
-                             f"poses are keyed by id")
+            raise ValueError(f"sample id {s.sample_id!r} repeats; reports "
+                             f"name samples by id")
         seen.add(s.sample_id)
         for cam in s.pair:
             if cam not in by_id:
                 raise SchemaError(f"sample {s.sample_id!r} names camera "
                                   f"{cam!r}, which the rig does not have")
-    solved = [None] * len(samples)
-    for (a, b), idxs in _pair_batches(samples, range(len(samples)),
-                                      COARSE_CHUNK):
+    J = len(samples[0].joints_2d[samples[0].pair[0]]) if samples else 0
+    poses = np.empty((len(samples), 2, J, 3))
+    solved = np.zeros(len(samples), dtype=bool)
+    for (a, b), idxs, batch in pair_batches(samples, range(len(samples)),
+                                            COARSE_CHUNK):
         X1, X2, errors = triangulate_stack(
-            np.stack([samples[i].joints_2d[a] for i in idxs]),
-            np.stack([samples[i].joints_2d[b] for i in idxs]),
+            np.stack([s.joints_2d[a] for s in batch]),
+            np.stack([s.joints_2d[b] for s in batch]),
             by_id[a], by_id[b], mode=mode)
-        for n, i in enumerate(idxs):
-            if errors[n] is None:
-                solved[i] = (X1[n], X2[n])
-    coarse = {}
-    skipped = []
-    for s, x in zip(samples, solved):
-        if x is None:
-            skipped.append(s.sample_id)
-        else:
-            coarse[s.sample_id] = x
-    return coarse, skipped
+        poses[idxs, 0], poses[idxs, 1] = X1, X2
+        solved[idxs] = [e is None for e in errors]
+    index = np.flatnonzero(solved)
+    skipped = [samples[i].sample_id for i in np.flatnonzero(~solved)]
+    return CoarsePoses(index, poses[index]), skipped
 
 
-def _pair_batches(samples, order, batch_size):
-    """Chunk `order` (indices into samples) into same-pair batches,
-    pairs keyed by first appearance, sample order preserved."""
+def pair_batches(samples, index, batch_size, order=None):
+    """Same-pair batches of samples[index], at most batch_size each.
+
+    Yields (pair, rows, batch): rows are positions in `index`, taken in
+    `order` (default ascending), and batch their samples. Pairs come by
+    first appearance.
+    """
     groups = {}
-    for idx in order:
-        groups.setdefault(samples[idx].pair, []).append(idx)
-    for pair, idxs in groups.items():
-        for k in range(0, len(idxs), batch_size):
-            yield pair, idxs[k:k + batch_size]
-
-
-def _batch_arrays(samples, coarse, idxs, pair):
-    x1 = np.vstack([coarse[samples[i].sample_id][0] for i in idxs])
-    x2 = np.vstack([coarse[samples[i].sample_id][1] for i in idxs])
-    y1 = np.vstack([samples[i].joints_2d_clean[pair[0]] for i in idxs])
-    y2 = np.vstack([samples[i].joints_2d_clean[pair[1]] for i in idxs])
-    return x1, x2, y1, y2
-
-
-def _pair_transforms(samples, idxs, by_id):
-    """Relative transform from view 2 to view 1 for every pair in idxs."""
-    rels = {}
-    for i in idxs:
-        pair = samples[i].pair
-        if pair not in rels:
-            rels[pair] = relative_transform(by_id[pair[1]], by_id[pair[0]])
-    return rels
+    for r in range(len(index)) if order is None else order:
+        groups.setdefault(samples[index[r]].pair, []).append(r)
+    for pair, rows in groups.items():
+        for k in range(0, len(rows), batch_size):
+            chunk = rows[k:k + batch_size]
+            yield pair, chunk, [samples[index[r]] for r in chunk]
 
 
 def _check_finite(loss, grads, epoch, pair):
@@ -283,9 +277,9 @@ def _check_finite(loss, grads, epoch, pair):
             f"first non-finite gradient: {bad or 'none'}")
 
 
-def _batch_loss(model, cams, rels, pair, x1, x2, y1, y2, weights_cfg,
-                with_grad):
-    """Refine and score one batch; returns (loss, parts, B, grads).
+def _batch_loss(model, cams, pair, batch, x, weights_cfg, with_grad):
+    """Refine and score one batch of coarse poses x, (B, 2, J, 3), against
+    the clean 2D joints of its samples; returns (loss, parts, B, grads).
 
     A sample whose refined pose has a joint behind either camera has no
     reprojection, so it is left out of the loss: the rest are scored
@@ -293,11 +287,13 @@ def _batch_loss(model, cams, rels, pair, x1, x2, y1, y2, weights_cfg,
     takes no gather. NonPositiveDepth is raised only when no sample is
     left.
     """
+    cam1, cam2 = cams[pair[0]], cams[pair[1]]
+    y1, y2 = (np.vstack([s.joints_2d_clean[v] for s in batch]) for v in pair)
     tape = ad.Tape(conv_dtype=CONV_DTYPE)
     try:
-        X1, X2, params = model.refine_batch(tape, x1, x2)
+        X1, X2, params = model.refine_batch(tape, x[:, 0].reshape(-1, 3),
+                                            x[:, 1].reshape(-1, 3))
         J = model.topo.n_joints
-        cam1, cam2 = cams[pair[0]], cams[pair[1]]
         behind = behind_camera(X1, cam1, J) | behind_camera(X2, cam2, J)
         B = int(behind.size - behind.sum())
         if not B:
@@ -307,7 +303,8 @@ def _batch_loss(model, cams, rels, pair, x1, x2, y1, y2, weights_cfg,
             rows = np.arange(behind.size * J).reshape(-1, J)[~behind].ravel()
             X1, X2 = ad.gather_rows(X1, rows), ad.gather_rows(X2, rows)
             y1, y2 = y1[rows], y2[rows]
-        total, parts = total_loss(X1, X2, y1, y2, cam1, cam2, rels[pair],
+        total, parts = total_loss(X1, X2, y1, y2, cam1, cam2,
+                                  relative_transform(cam2, cam1),
                                   model.topo, weights_cfg)
         loss = ad.scale(total, 1.0 / B)
         if with_grad:
@@ -324,34 +321,32 @@ def _batch_loss(model, cams, rels, pair, x1, x2, y1, y2, weights_cfg,
 
 def train_epoch(samples, coarse, cameras, model, optimizer, lr,
                 config: TrainConfig, epoch):
-    """One pass over the usable samples. Returns per-sample mean losses.
+    """One pass over the triangulated samples. Returns per-sample mean losses.
 
     An epoch that scores no sample has no loss and no update to show, so
     it raises NonFiniteLoss naming the epoch, how many samples were
     dropped behind a camera and how many were left untriangulated.
     """
     by_id = {c.cam_id: c for c in cameras}
-    usable = [i for i, s in enumerate(samples) if s.sample_id in coarse]
     rng = np.random.default_rng((config.seed, epoch))
-    order = [usable[j] for j in rng.permutation(len(usable))]
-    rels = _pair_transforms(samples, usable, by_id)
+    order = rng.permutation(len(coarse.index))
     sums = {"loss": 0.0, "reproj": 0.0, "sym": 0.0, "transform": 0.0,
             "bonedir": 0.0}
     seen = 0
     behind = 0
     weights_cfg = config.loss_weights()
-    for pair, idxs in _pair_batches(samples, order, config.batch_size):
-        x1, x2, y1, y2 = _batch_arrays(samples, coarse, idxs, pair)
+    for pair, rows, batch in pair_batches(samples, coarse.index,
+                                          config.batch_size, order):
         try:
             loss, parts, B, grads = _batch_loss(
-                model, by_id, rels, pair, x1, x2, y1, y2, weights_cfg,
+                model, by_id, pair, batch, coarse.poses[rows], weights_cfg,
                 with_grad=True)
         except NonPositiveDepth:
             # Every refinement threw a joint behind a camera: no sample
             # has a usable reprojection; drop the batch rather than the run.
-            behind += len(idxs)
+            behind += len(batch)
             continue
-        behind += len(idxs) - B
+        behind += len(batch) - B
         _check_finite(loss, grads, epoch, pair)
         optimizer.step(model.weights, grads, lr)
         sums["loss"] += loss * B
@@ -361,7 +356,7 @@ def train_epoch(samples, coarse, cameras, model, optimizer, lr,
     if not seen:
         raise NonFiniteLoss(
             f"epoch {epoch}: no sample scored; {behind} dropped behind a "
-            f"camera, {len(samples) - len(usable)} untriangulated")
+            f"camera, {len(samples) - len(coarse.index)} untriangulated")
     stats = {k: v / seen for k, v in sums.items()}
     stats["depth_skipped"] = behind
     return stats
@@ -389,17 +384,15 @@ def eval_loss(samples, coarse, cameras, model, config: TrainConfig):
     """Per-sample mean training objective, no parameter updates; NaN when
     no batch could be scored."""
     by_id = {c.cam_id: c for c in cameras}
-    usable = [i for i, s in enumerate(samples) if s.sample_id in coarse]
-    rels = _pair_transforms(samples, usable, by_id)
     total = 0.0
     seen = 0
     weights_cfg = config.loss_weights()
-    for pair, idxs in _pair_batches(samples, usable, config.batch_size):
-        x1, x2, y1, y2 = _batch_arrays(samples, coarse, idxs, pair)
+    for pair, rows, batch in pair_batches(samples, coarse.index,
+                                          config.batch_size):
         try:
-            loss, _, B, _ = _batch_loss(
-                model, by_id, rels, pair, x1, x2, y1, y2, weights_cfg,
-                with_grad=False)
+            loss, _, B, _ = _batch_loss(model, by_id, pair, batch,
+                                        coarse.poses[rows], weights_cfg,
+                                        with_grad=False)
         except NonPositiveDepth:
             continue
         total += loss * B

@@ -215,7 +215,7 @@ def test_noise_robustness_identity_model_tracks_input_noise():
     topo = default_topology()
     cfg = NetworkConfig(channels=8)
     model = CVUGCN(topo, cfg, weights=init_weights(cfg))  # head at zero
-    rows = noise_robustness(samples, assumed, model, topo,
+    rows = noise_robustness(samples, assumed, model,
                             sigmas_mm=(5.0, 10.0, 20.0), seed=0)
     assert [r["sigma_mm"] for r in rows] == [5.0, 10.0, 20.0]
     for r in rows:
@@ -231,9 +231,22 @@ def test_noise_robustness_is_seed_deterministic():
     topo = default_topology()
     cfg = NetworkConfig(channels=8)
     model = CVUGCN(topo, cfg, weights=init_weights(cfg))
-    a = noise_robustness(samples, assumed, model, topo, sigmas_mm=(10.0,))
-    b = noise_robustness(samples, assumed, model, topo, sigmas_mm=(10.0,))
+    a = noise_robustness(samples, assumed, model, sigmas_mm=(10.0,))
+    b = noise_robustness(samples, assumed, model, sigmas_mm=(10.0,))
     assert a == b
+
+
+def test_noise_robustness_without_coarse_poses_gives_nan_rows():
+    # Nothing triangulated means nothing to corrupt: each level's means are
+    # NaN, as in evaluate, and no "Mean of empty slice" warning escapes.
+    _, rig, assumed = small_dataset(n=1, seed=7)
+    cfg = NetworkConfig(channels=8)
+    model = CVUGCN(default_topology(), cfg, weights=init_weights(cfg))
+    rows = noise_robustness([], assumed, model, sigmas_mm=(5.0, 10.0))
+    assert [r["sigma_mm"] for r in rows] == [5.0, 10.0]
+    for r in rows:
+        assert np.isnan(r["pmpjpe_coarse_mm"])
+        assert np.isnan(r["pmpjpe_refined_mm"])
 
 
 def test_noise_robustness_requires_ground_truth():
@@ -242,7 +255,7 @@ def test_noise_robustness_requires_ground_truth():
     cfg = NetworkConfig(channels=8)
     model = CVUGCN(topo, cfg, weights=init_weights(cfg))
     with pytest.raises(ValueError):
-        noise_robustness(samples, assumed, model, topo)
+        noise_robustness(samples, assumed, model)
 
 
 # -- unseen pair study -------------------------------------------------------------

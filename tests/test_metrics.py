@@ -10,6 +10,7 @@ from cvpose.metrics import (EvalReport, evaluate, mpjpe, mpjpe_rows, p_mpjpe,
                             p_mpjpe_rows)
 from cvpose.network import CVUGCN, NetworkConfig, init_weights
 from cvpose.syndata import SyntheticConfig, default_rig, generate_dataset
+from cvpose.training import precompute_coarse
 
 
 def test_mpjpe_hand_example():
@@ -93,6 +94,26 @@ def test_evaluate_rejects_duplicate_sample_ids():
     samples[2].sample_id = samples[0].sample_id
     with pytest.raises(ValueError, match="repeat"):
         evaluate(samples, rig, model, topo)
+
+
+def test_empty_dataset_evaluates_to_nan_means():
+    # No sample means an empty coarse stack; evaluate still reports, with
+    # NaN means and no warning (warnings are errors in this suite).
+    _, rig, _ = generate_dataset(SyntheticConfig(n_samples=1, seed=3))
+    coarse, skipped = precompute_coarse([], rig)
+    assert coarse.index.size == 0 and coarse.poses.shape[:2] == (0, 2)
+    assert skipped == []
+    topo = default_topology()
+    cfg = NetworkConfig(channels=8)
+    model = CVUGCN(topo, cfg, weights=init_weights(cfg))
+    report = evaluate([], rig, model, topo)
+    assert report.n_samples == 0
+    assert report.per_sample_tri == report.skipped == []
+    for name in ("mpjpe_tri_mm", "mpjpe_refined_mm", "pmpjpe_tri_mm",
+                 "pmpjpe_refined_mm"):
+        assert np.isnan(getattr(report, name))
+    assert report.per_pair_mm == {}
+    assert np.isnan(report.mpjpe_percentiles_mm["tri"]["p50"])
 
 
 def test_evaluate_batch_size_does_not_change_result():

@@ -32,7 +32,7 @@ def test_render_sample_draws_all_layers():
     sample, rig, assumed = one_sample()
     topo = default_topology()
     coarse, _ = precompute_coarse([sample], assumed)
-    x1, x2 = coarse[sample.sample_id]
+    x1, x2 = coarse.poses[0]
     svg = render_sample(sample, rig, topo, coarse=(x1, x2),
                         refined=(x1 + 1.0, x2 + 1.0), title="check")
     ET.fromstring(svg)

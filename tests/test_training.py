@@ -7,14 +7,14 @@ from cvpose.errors import (CvposeError, DegenerateGeometry, NonFiniteLoss,
                            NonPositiveDepth, SchemaError)
 from cvpose.geometry import CameraModel, Pose2D, triangulate_pose
 from cvpose.graph import default_topology
-from cvpose.network import (CVUGCN, init_weights, load_checkpoint,
-                            save_checkpoint)
+from cvpose.network import (CVUGCN, coarse_pair_leaf, init_weights,
+                            load_checkpoint, save_checkpoint)
 from cvpose.syndata import (Sample, SyntheticConfig, default_rig,
                             generate_dataset)
-from cvpose.training import (LOG_HEADER, AmsGrad, TrainConfig, eval_loss,
-                             fit, load_train_config, precompute_coarse,
-                             save_train_config, schedule_lr, train_epoch,
-                             train_epochs)
+from cvpose.training import (LOG_HEADER, AmsGrad, CoarsePoses, TrainConfig,
+                             eval_loss, fit, load_train_config,
+                             precompute_coarse, save_train_config,
+                             schedule_lr, train_epoch, train_epochs)
 
 
 def small_config(**kw):
@@ -134,8 +134,8 @@ def test_precompute_coarse_recovers_gt_without_noise():
     samples, rig, _ = small_dataset(n=6, sigma=0.0)
     coarse, skipped = precompute_coarse(samples, rig)
     assert skipped == []
-    for s in samples:
-        x1, x2 = coarse[s.sample_id]
+    assert coarse.index.tolist() == list(range(len(samples)))
+    for s, (x1, x2) in zip(samples, coarse.poses):
         err1 = np.linalg.norm(x1 - s.joints_3d_gt[s.pair[0]], axis=1).mean()
         err2 = np.linalg.norm(x2 - s.joints_3d_gt[s.pair[1]], axis=1).mean()
         assert err1 < 1e-6 and err2 < 1e-6
@@ -148,7 +148,8 @@ def test_precompute_coarse_skips_degenerate():
     twin = CameraModel("cam2", cam1.K.copy(), cam1.R.copy(), cam1.t.copy(),
                        cam1.width, cam1.height)
     coarse, skipped = precompute_coarse(samples, [cam1, twin])
-    assert coarse == {}
+    assert coarse.index.size == 0
+    assert coarse.poses.shape == (0, 2, 17, 3)
     assert skipped == [s.sample_id for s in samples]
 
 
@@ -163,14 +164,14 @@ def test_precompute_coarse_skips_sample_behind_cameras():
                for sid, u in (("front", -0.4), ("behind", 0.6))]
     for mode in ("dual", "single"):
         coarse, skipped = precompute_coarse(samples, [cam1, cam2], mode=mode)
-        assert list(coarse) == ["front"]
-        assert np.allclose(coarse["front"][0], [[0.2, 0.1, 2.0]])
+        assert coarse.index.tolist() == [0]
+        assert np.allclose(coarse.poses[0, 0], [[0.2, 0.1, 2.0]])
         assert skipped == ["behind"]
 
 
 def test_precompute_coarse_rejects_duplicate_ids():
-    # Coarse poses are keyed by id: a repeat would silently overwrite the
-    # earlier sample's pose and pair it with the wrong ground truth.
+    # Reports name samples by id (EvalReport.skipped,
+    # TrainResult.skipped_train): a repeat would make those names ambiguous.
     samples, rig, _ = small_dataset(n=4, seed=3)
     samples[2].sample_id = samples[0].sample_id
     with pytest.raises(ValueError, match="repeat"):
@@ -233,10 +234,16 @@ def test_precompute_coarse_matches_per_sample_triangulation(monkeypatch):
         coarse, skipped = precompute_coarse(samples, cameras, mode=mode)
         assert want_skipped == [samples[i].sample_id for i in (4, 6, 9)]
         assert skipped == want_skipped
-        assert list(coarse) == list(want)
-        for sid, (x1, x2) in want.items():
-            assert np.array_equal(coarse[sid][0], x1)
-            assert np.array_equal(coarse[sid][1], x2)
+        assert [samples[i].sample_id for i in coarse.index] == list(want)
+        assert np.all(np.diff(coarse.index) > 0)
+        for (x1, x2), got in zip(want.values(), coarse.poses):
+            assert np.array_equal(got[0], x1)
+            assert np.array_equal(got[1], x2)
+        # The stack is the network's block order: sample by sample, view 1's
+        # J joints then view 2's.
+        leaf = coarse_pair_leaf(ad.Tape(), coarse.poses[:, 0].reshape(-1, 3),
+                                coarse.poses[:, 1].reshape(-1, 3), 17)
+        assert np.array_equal(coarse.poses.reshape(-1, 3), leaf.data)
 
 
 # -- config files --------------------------------------------------------------
@@ -329,13 +336,13 @@ def test_log_separates_triangulation_skips_from_depth_drops(tmp_path,
 
     def untriangulable_first(samples, *args, **kwargs):
         coarse, skipped = real_coarse(samples, *args, **kwargs)
-        del coarse[samples[0].sample_id]
-        return coarse, skipped + [samples[0].sample_id]
+        return (CoarsePoses(coarse.index[1:], coarse.poses[1:]),
+                skipped + [samples[0].sample_id])
 
-    def behind_in_short_batch(model, cams, rels, pair, x1, *args, **kwargs):
-        if x1.shape[0] == 3 * model.topo.n_joints:
+    def behind_in_short_batch(model, cams, pair, batch, *args, **kwargs):
+        if len(batch) == 3:
             raise NonPositiveDepth("joint 0 behind the camera", joint=0)
-        return real_loss(model, cams, rels, pair, x1, *args, **kwargs)
+        return real_loss(model, cams, pair, batch, *args, **kwargs)
 
     monkeypatch.setattr(training, "precompute_coarse", untriangulable_first)
     monkeypatch.setattr(training, "_batch_loss", behind_in_short_batch)
@@ -503,7 +510,8 @@ def test_epoch_without_scored_batch_has_no_loss(tmp_path, monkeypatch):
     topo = default_topology()
     model = CVUGCN(topo, cfg.network())
     coarse, _ = precompute_coarse(samples, assumed)
-    del coarse[samples[0].sample_id]    # one sample left untriangulated
+    # one sample left untriangulated
+    coarse = CoarsePoses(coarse.index[1:], coarse.poses[1:])
 
     def behind(*args, **kwargs):
         raise NonPositiveDepth("joint 0 behind the camera", joint=0)
@@ -532,12 +540,13 @@ def test_sample_behind_camera_drops_only_itself():
     topo = default_topology()
     cfg = small_config(batch_size=4)
     coarse, _ = precompute_coarse(batch, assumed)
-    bad = batch[1].sample_id
-    coarse[bad] = tuple(x * [1.0, 1.0, -1.0] for x in coarse[bad])
-    good = [s for s in batch if s.sample_id != bad]
+    good = batch[:1] + batch[2:]
+    alone_coarse, _ = precompute_coarse(good, assumed)
+    assert coarse.index.tolist() == [0, 1, 2, 3]
+    coarse.poses[1] *= [1.0, 1.0, -1.0]
     model = CVUGCN(topo, cfg.network())
 
-    alone = eval_loss(good, coarse, assumed, model, cfg)
+    alone = eval_loss(good, alone_coarse, assumed, model, cfg)
     assert np.isfinite(alone)
     assert eval_loss(batch, coarse, assumed, model, cfg) == alone
     head = model.weights["head"].copy()
