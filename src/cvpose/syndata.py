@@ -10,6 +10,18 @@ imperfect calibration.
 World and camera frames share orientation conventions (y grows downward),
 so the template's head points toward negative y.
 
+Sample i of a dataset draws from its own generator, default_rng((seed, i)),
+always in this order. Each attempt at its pose draws the root position
+(uniform over the workspace box, 3 values), the root yaw (uniform, in
+degrees), then for each non-root joint in index order a rotation axis
+(standard_normal(3)) and an angle as a fraction of the joint's limit
+(uniform(-1, 1)). Attempts repeat until the pose is fully in view of both
+cameras of its pair. Then the pixel noise of view 1, then of view 2, is
+drawn (standard_normal((J, 2)) each). No draw of one sample depends on
+another, which is what lets `generate_dataset` run every pending sample's
+attempt as one batched round and still give each sample the values the
+one-pose-at-a-time loop gave it.
+
 Datasets are stored as data-v2 JSONL files: a header line
 {"schema": "data-v2", "n_joints": J, "n_samples": N}, then one record per
 sample with its id, its two camera ids under "views", and each keypoint
@@ -31,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MissingField, PoseOutOfView, SchemaError, ShapeMismatch
-from .geometry import CameraModel, Pose3D, project
+from .geometry import CameraModel, Pose3D
 from .graph import SkeletonTopology, default_topology
 from .jsonl import read_records
 
@@ -89,15 +101,18 @@ ANGLE_RANGES_DEG = np.array([
 ])
 
 
-def _rodrigues(axis, angle):
-    k = axis / np.linalg.norm(axis)
-    K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
-    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
-
-
-def _rot_y(angle):
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+def _axis_angle(axes, angles):
+    """(m, 3, 3) rotations about the m rows of `axes` (any non-zero length)
+    by m angles in radians, by Rodrigues' formula."""
+    # sqrt(vecdot) rounds exactly as np.linalg.norm of one vector does; an
+    # einsum or a summed square can differ in the last bit.
+    k = axes / np.sqrt(np.vecdot(axes, axes))[:, None]
+    K = np.zeros((len(k), 3, 3))
+    K[:, 0, 1], K[:, 0, 2] = -k[:, 2], k[:, 1]
+    K[:, 1, 0], K[:, 1, 2] = k[:, 2], -k[:, 0]
+    K[:, 2, 0], K[:, 2, 1] = -k[:, 1], k[:, 0]
+    s, c = np.sin(angles)[:, None, None], np.cos(angles)[:, None, None]
+    return np.eye(3) + s * K + (1.0 - c) * (K @ K)
 
 
 def _look_at(center, target):
@@ -143,7 +158,8 @@ def perturb_rig(cameras, rot_deg, trans_mm, rng):
     direction of length trans_mm."""
     out = [cameras[0]]
     for cam in cameras[1:]:
-        dR = _rodrigues(rng.standard_normal(3), math.radians(rot_deg))
+        dR = _axis_angle(rng.standard_normal((1, 3)),
+                         np.radians([rot_deg]))[0]
         dt = rng.standard_normal(3)
         dt = dt / np.linalg.norm(dt) * trans_mm
         out.append(CameraModel(cam.cam_id, cam.K.copy(), dR @ cam.R,
@@ -151,33 +167,68 @@ def perturb_rig(cameras, rot_deg, trans_mm, rng):
     return out
 
 
+def _draw_attempts(rngs, n_joints, workspace_mm, root_yaw_deg):
+    """One pose attempt from each generator, in the module's draw order.
+
+    Returns the root positions (m, 3), the root yaws in degrees (m,), and
+    for the non-root joints in index order the axes (m, J - 1, 3) and the
+    angle fractions in [-1, 1) (m, J - 1).
+    """
+    half = np.asarray(workspace_mm, dtype=np.float64)
+    m = len(rngs)
+    root = np.empty((m, 3))
+    yaw = np.empty(m)
+    axes = np.empty((m, n_joints - 1, 3))
+    frac = np.empty((m, n_joints - 1))
+    for i, rng in enumerate(rngs):
+        root[i] = rng.uniform(-half, half)
+        yaw[i] = rng.uniform(-root_yaw_deg, root_yaw_deg)
+        for k, axis in enumerate(axes[i]):
+            rng.standard_normal(out=axis)
+            frac[i, k] = rng.random()
+    # uniform(-1, 1) is -1 + 2 * random(), and the doubling is exact, so
+    # this is the uniform draw bit for bit at under half the call's cost.
+    return root, yaw, axes, 2.0 * frac - 1.0
+
+
+def _forward_kinematics(topo, root, yaw_deg, axes, frac, angle_scale):
+    """World-frame joints (m, J, 3) of the m attempts `_draw_attempts`
+    returned: rotations compose from the root down, one (m, 3, 3) stack
+    per joint, so every parent must be the root or precede its child."""
+    J = topo.n_joints
+    if (REST_OFFSETS_MM.shape != (J, 3) or len(ANGLE_RANGES_DEG) != J
+            or any(p > j and p != topo.root
+                   for j, p in enumerate(topo.parents))):
+        raise ShapeMismatch("template does not match the topology")
+    m = len(root)
+    others = [j for j in range(J) if j != topo.root]
+    angles = np.radians(angle_scale * ANGLE_RANGES_DEG[others]) * frac
+    bend = _axis_angle(axes.reshape(-1, 3),
+                       angles.reshape(-1)).reshape(m, J - 1, 3, 3)
+    yaw = np.radians(yaw_deg)
+    c, s = np.cos(yaw), np.sin(yaw)
+    rot = np.empty((m, J, 3, 3))
+    pos = np.empty((m, J, 3))
+    rot[:, topo.root] = np.eye(3)          # rotation about y by the yaw
+    rot[:, topo.root, 0, 0] = rot[:, topo.root, 2, 2] = c
+    rot[:, topo.root, 0, 2] = s
+    rot[:, topo.root, 2, 0] = -s
+    pos[:, topo.root] = root
+    for k, j in enumerate(others):
+        parent = topo.parents[j]
+        rot[:, j] = rot[:, parent] @ bend[:, k]
+        pos[:, j] = pos[:, parent] + rot[:, j] @ REST_OFFSETS_MM[j]
+    return pos
+
+
 def generate_skeleton_pose(topo: SkeletonTopology, rng, angle_scale=1.0,
                            workspace_mm=(300.0, 200.0, 300.0),
                            root_yaw_deg=180.0) -> Pose3D:
-    """One world-frame pose by forward kinematics.
-
-    Draw order per sample: root position (3), yaw (1), then per non-root
-    joint an axis (3 normals) and an angle (1 uniform).
-    """
-    J = topo.n_joints
-    if REST_OFFSETS_MM.shape != (J, 3) or len(ANGLE_RANGES_DEG) != J:
-        raise ShapeMismatch("template does not match the topology")
-    half = np.asarray(workspace_mm, dtype=np.float64)
-    root_pos = rng.uniform(-half, half)
-    yaw = math.radians(rng.uniform(-root_yaw_deg, root_yaw_deg))
-    rot = [None] * J
-    pos = np.zeros((J, 3))
-    rot[topo.root] = _rot_y(yaw)
-    pos[topo.root] = root_pos
-    for j in range(J):
-        if j == topo.root:
-            continue
-        axis = rng.standard_normal(3)
-        angle = math.radians(angle_scale * ANGLE_RANGES_DEG[j]) * rng.uniform(-1.0, 1.0)
-        parent = topo.parents[j]
-        rot[j] = rot[parent] @ _rodrigues(axis, angle)
-        pos[j] = pos[parent] + rot[j] @ REST_OFFSETS_MM[j]
-    return Pose3D(pos, frame_id="world")
+    """One world-frame pose by forward kinematics, drawn from `rng` as one
+    attempt of `generate_dataset` is (order in the module docstring)."""
+    draws = _draw_attempts([rng], topo.n_joints, workspace_mm, root_yaw_deg)
+    return Pose3D(_forward_kinematics(topo, *draws, angle_scale)[0],
+                  frame_id="world")
 
 
 @dataclass
@@ -189,26 +240,36 @@ class Sample:
     joints_3d_gt: dict = field(default_factory=dict)  # view id -> (J, 3) mm
 
 
-def _world_to_cam(cam: CameraModel, pose: Pose3D) -> Pose3D:
-    return Pose3D(pose.joints @ cam.R.T + cam.t, frame_id=cam.cam_id)
+def _camera_view(cam: CameraModel, world):
+    """Camera-frame joints (m, J, 3), pixels (m, J, 2) and in-view flags
+    (m,) of a stack of world poses.
 
-
-def _in_view(cam: CameraModel, cam_pose: Pose3D):
-    X = cam_pose.joints
-    if (X[:, 2] <= MIN_DEPTH_MM).any():
-        return False
-    px = project(cam, cam_pose).joints
-    return bool(((px[:, 0] >= 0.0) & (px[:, 0] <= cam.width)
-                 & (px[:, 1] >= 0.0) & (px[:, 1] <= cam.height)).all())
+    A pose is in view when every joint lies deeper than MIN_DEPTH_MM and
+    projects inside the image, edges included. Only poses past the depth
+    test are projected; the others' pixels read 0.
+    """
+    X = world @ cam.R.T + cam.t
+    ok = (X[..., 2] > MIN_DEPTH_MM).all(axis=1)
+    h = X[ok] @ cam.K.T
+    px = np.zeros(X.shape[:2] + (2,))
+    px[ok] = uv = h[..., :2] / h[..., 2:]
+    ok[ok] = ((uv >= 0.0) & (uv <= (cam.width, cam.height))).all(axis=(1, 2))
+    return X, px, ok
 
 
 def generate_dataset(config: SyntheticConfig, topo=None, cameras=None, pairs=None):
     """Returns (samples, true_rig, assumed_rig).
 
+    Sample i draws from its own generator, default_rng((seed, i)), in the
+    order the module docstring gives, and takes camera pair i % len(pairs).
     Pose sampling retries until the skeleton is fully visible in both views
-    of its camera pair, up to max_resample attempts (then PoseOutOfView).
-    Sample i draws from an rng seeded by (seed, i), so the dataset is
-    reproducible record by record.
+    of its pair, up to max_resample attempts, then raises PoseOutOfView
+    naming the sample. The attempts run in rounds: each round draws one
+    attempt for every sample still pending, in index order, and runs
+    forward kinematics, the camera transforms, the projections and the
+    in-view tests once over all of them. A sample's draws depend on no
+    other sample, so the dataset is reproducible record by record: the
+    first k samples of any larger set are the k-sample set.
     """
     topo = topo or default_topology()
     cameras = cameras if cameras is not None else default_rig()
@@ -228,33 +289,49 @@ def generate_dataset(config: SyntheticConfig, topo=None, cameras=None, pairs=Non
         assumed = [CameraModel(c.cam_id, c.K.copy(), c.R.copy(), c.t.copy(),
                                c.width, c.height) for c in cameras]
 
+    n, J = config.n_samples, topo.n_joints
+    # Python's modulo: with no pair to cycle through, a sample raises
+    # ZeroDivisionError rather than numpy's warning and a pair index of 0.
+    pair_index = np.array([i % len(pairs) for i in range(n)], dtype=np.intp)
+    rngs = [np.random.default_rng((config.seed, i)) for i in range(n)]
+    cam_joints = np.empty((n, 2, J, 3))      # the pose in each view's frame
+    pixels = np.empty((n, 2, J, 2))
+    pending = np.arange(n)
+    for _ in range(config.max_resample):
+        if not pending.size:
+            break
+        world = _forward_kinematics(
+            topo, *_draw_attempts([rngs[i] for i in pending], J,
+                                  config.workspace_mm, config.root_yaw_deg),
+            config.angle_scale)
+        placed = np.zeros(pending.size, dtype=bool)
+        for p, pair in enumerate(pairs):
+            rows = np.flatnonzero(pair_index[pending] == p)
+            views = [_camera_view(by_id[cam_id], world[rows])
+                     for cam_id in pair]
+            ok = views[0][2] & views[1][2]
+            done = pending[rows[ok]]
+            for v, (X, px, _) in enumerate(views):
+                cam_joints[done, v] = X[ok]
+                pixels[done, v] = px[ok]
+            placed[rows[ok]] = True
+        pending = pending[~placed]
+    if pending.size:
+        raise PoseOutOfView(f"sample {pending[0]}: no fully visible pose in "
+                            f"{config.max_resample} tries")
+
     samples = []
-    for i in range(config.n_samples):
-        rng = np.random.default_rng((config.seed, i))
-        pair = pairs[i % len(pairs)]
-        cam_a, cam_b = by_id[pair[0]], by_id[pair[1]]
-        for _ in range(config.max_resample):
-            world = generate_skeleton_pose(
-                topo, rng, angle_scale=config.angle_scale,
-                workspace_mm=config.workspace_mm,
-                root_yaw_deg=config.root_yaw_deg)
-            pose_a = _world_to_cam(cam_a, world)
-            pose_b = _world_to_cam(cam_b, world)
-            if _in_view(cam_a, pose_a) and _in_view(cam_b, pose_b):
-                break
-        else:
-            raise PoseOutOfView(
-                f"sample {i}: no fully visible pose in {config.max_resample} tries")
+    for i, rng in enumerate(rngs):
+        pair = pairs[pair_index[i]]
         clean = {}
         noisy = {}
         gt = {}
-        for cam, pose in ((cam_a, pose_a), (cam_b, pose_b)):
-            px = project(cam, pose).joints
-            clean[cam.cam_id] = px
-            noise = rng.standard_normal(px.shape) * config.sigma_px
-            noisy[cam.cam_id] = px + noise
+        for v, cam_id in enumerate(pair):
+            clean[cam_id] = pixels[i, v]
+            noise = rng.standard_normal((J, 2)) * config.sigma_px
+            noisy[cam_id] = pixels[i, v] + noise
             if config.include_gt:
-                gt[cam.cam_id] = pose.joints
+                gt[cam_id] = cam_joints[i, v]
         samples.append(Sample(sample_id=f"s{i:06d}", pair=pair,
                               joints_2d=noisy, joints_2d_clean=clean,
                               joints_3d_gt=gt))

@@ -370,13 +370,21 @@ def train_epochs(model, optimizer, samples, coarse, cameras,
     Before each yield the epoch's monitored loss is appended to `history`:
     monitor() when given, the epoch's training loss otherwise. The plateau
     schedule reads that list, so a resumed run passes the history it
-    stopped with and continues where it left off.
+    stopped with and continues where it left off. A monitor that reads NaN
+    (no validation sample could be scored) gives the schedule and the best
+    checkpoint nothing to go on, so it raises NonFiniteLoss naming the
+    epoch.
     """
     for epoch in range(len(history), config.epochs):
         lr = schedule_lr(history, config)
         stats = train_epoch(samples, coarse, cameras, model, optimizer, lr,
                             config, epoch)
-        history.append(stats["loss"] if monitor is None else monitor())
+        loss = stats["loss"] if monitor is None else monitor()
+        if math.isnan(loss):
+            raise NonFiniteLoss(f"epoch {epoch}: monitored validation loss "
+                                "is nan; no validation sample could be "
+                                "scored")
+        history.append(loss)
         yield epoch, lr, stats
 
 
@@ -449,8 +457,9 @@ def fit(train_samples, val_samples, cameras, config: TrainConfig,
     empty). Resuming from a checkpoint written by this function continues
     as if the run had never stopped: the run picks up at epoch
     len(loss_history), and a checkpoint whose next_epoch disagrees is
-    rejected. An epoch that scores no sample stops the run with
-    NonFiniteLoss (see train_epoch), and no final checkpoint is written.
+    rejected. An epoch that scores no training sample, or no validation
+    sample, stops the run with NonFiniteLoss (see train_epoch and
+    train_epochs), and no final checkpoint is written.
     """
     topo = topo or default_topology()
     os.makedirs(out_dir, exist_ok=True)

@@ -1,12 +1,14 @@
 import base64
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 
 from cvpose.errors import PoseOutOfView, SchemaError, ShapeMismatch
-from cvpose.geometry import Pose3D, project, relative_transform
-from cvpose.graph import default_topology
+from cvpose.geometry import Pose3D, project, relative_transform, save_rig
+from cvpose.graph import SkeletonTopology, default_topology
 from cvpose.syndata import (ANGLE_RANGES_DEG, REST_OFFSETS_MM, Sample,
                             SyntheticConfig, default_rig, file_sha256,
                             generate_dataset, generate_skeleton_pose,
@@ -68,6 +70,112 @@ def test_fk_is_deterministic():
     a = generate_skeleton_pose(topo, np.random.default_rng(7)).joints
     b = generate_skeleton_pose(topo, np.random.default_rng(7)).joints
     assert np.array_equal(a, b)
+
+
+def _reference_pose(topo, rng, angle_scale=1.0,
+                    workspace_mm=(300.0, 200.0, 300.0), root_yaw_deg=180.0):
+    """Forward kinematics one joint at a time, in the documented draw order:
+    root position, yaw, then per non-root joint an axis and an angle."""
+    def rodrigues(axis, angle):
+        k = axis / np.linalg.norm(axis)
+        K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]],
+                      [-k[1], k[0], 0.0]])
+        return (np.eye(3) + math.sin(angle) * K
+                + (1.0 - math.cos(angle)) * (K @ K))
+
+    root_pos = rng.uniform(-np.asarray(workspace_mm), np.asarray(workspace_mm))
+    yaw = math.radians(rng.uniform(-root_yaw_deg, root_yaw_deg))
+    c, s = math.cos(yaw), math.sin(yaw)
+    rot = {topo.root: np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])}
+    pos = np.zeros((topo.n_joints, 3))
+    pos[topo.root] = root_pos
+    for j in range(topo.n_joints):
+        if j == topo.root:
+            continue
+        axis = rng.standard_normal(3)
+        angle = (math.radians(angle_scale * ANGLE_RANGES_DEG[j])
+                 * rng.uniform(-1.0, 1.0))
+        rot[j] = rot[topo.parents[j]] @ rodrigues(axis, angle)
+        pos[j] = pos[topo.parents[j]] + rot[j] @ REST_OFFSETS_MM[j]
+    return pos
+
+
+@pytest.mark.parametrize("kw", [{}, {"angle_scale": 1.7, "root_yaw_deg": 30.0,
+                                     "workspace_mm": (900.0, 600.0, 900.0)}])
+def test_fk_matches_the_per_joint_reference_bit_for_bit(kw):
+    topo = default_topology()
+    for seed in range(10):
+        rng, ref_rng = (np.random.default_rng((seed, 5)) for _ in range(2))
+        got = generate_skeleton_pose(topo, rng, **kw).joints
+        want = _reference_pose(topo, ref_rng, **kw)
+        assert got.tobytes() == want.tobytes()
+        # both consumed the same draws
+        assert rng.random() == ref_rng.random()
+
+
+def test_template_must_match_the_topology():
+    small = SkeletonTopology(("a", "b"), (0, 0), ())
+    with pytest.raises(ShapeMismatch, match="template"):
+        generate_skeleton_pose(small, np.random.default_rng(0))
+    with pytest.raises(ShapeMismatch, match="template"):
+        generate_dataset(SyntheticConfig(n_samples=3, seed=0), topo=small)
+    # 17 joints, but the thorax (8) hangs from the neck (9) that follows it:
+    # the rest offsets cannot be composed down this tree in index order.
+    topo = default_topology()
+    parents = list(topo.parents)
+    parents[8], parents[9] = 9, 7
+    swapped = SkeletonTopology(topo.joint_names, parents,
+                               topo.left_right_pairs)
+    with pytest.raises(ShapeMismatch, match="template"):
+        generate_dataset(SyntheticConfig(n_samples=3, seed=0), topo=swapped)
+
+
+# Resamples 17 times over 48 samples and cycles both pairs of a 3-camera rig.
+RESAMPLING = SyntheticConfig(n_samples=48, seed=1000, sigma_px=5.0,
+                             perturb_rot_deg=1.0, perturb_trans_mm=5.0,
+                             workspace_mm=(1200.0, 800.0, 1200.0))
+
+
+def test_generated_files_match_recorded_hashes(tmp_path):
+    # Recorded from the per-pose generator the batched one replaced; a
+    # change here changes every dataset made from a seed.
+    samples, _, assumed = generate_dataset(RESAMPLING,
+                                           cameras=default_rig(n_cameras=3))
+    assert {s.pair for s in samples} == {("cam1", "cam2"), ("cam2", "cam3")}
+    save_dataset(tmp_path / "data.jsonl", samples)
+    save_rig(tmp_path / "rig.jsonl", assumed)
+    assert file_sha256(tmp_path / "data.jsonl") == (
+        "e3f7f63ef20449be260848d686e784f9a9566cfd9291e7d82f73d30f92c0561d")
+    assert file_sha256(tmp_path / "rig.jsonl") == (
+        "71952d5a18c77df9432820965804c651ef1b7ffad71c8eb1cef238455b3176b3")
+
+
+def test_dataset_is_reproducible_record_by_record():
+    # Batched resample rounds must not let one sample's retries shift
+    # another's draws: a prefix of a set is the smaller set.
+    cams = default_rig(n_cameras=3)
+    few, _, rig_few = generate_dataset(
+        SyntheticConfig(**{**RESAMPLING.__dict__, "n_samples": 5}),
+        cameras=cams)
+    many, _, rig_many = generate_dataset(RESAMPLING, cameras=cams)
+    assert len(few) == 5
+    for a, b in zip(few, many):
+        assert (a.sample_id, a.pair) == (b.sample_id, b.pair)
+        for key in ("joints_2d", "joints_2d_clean", "joints_3d_gt"):
+            for view in a.pair:
+                assert (getattr(a, key)[view].tobytes()
+                        == getattr(b, key)[view].tobytes())
+    for c1, c2 in zip(rig_few, rig_many):
+        assert np.array_equal(c1.R, c2.R) and np.array_equal(c1.t, c2.t)
+
+
+def test_empty_dataset_generates_nothing_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        samples, true_rig, assumed = generate_dataset(
+            SyntheticConfig(n_samples=0, seed=0))
+    assert samples == []
+    assert len(true_rig) == len(assumed) == 2
 
 
 def test_generate_dataset_clean_matches_gt_projection():
@@ -142,7 +250,8 @@ def test_unperturbed_assumed_rig_equals_true():
 def test_pose_out_of_view_when_unviewable():
     cams = default_rig(width=10, height=10, focal_px=1146.0)
     cfg = SyntheticConfig(n_samples=1, seed=0, max_resample=5)
-    with pytest.raises(PoseOutOfView):
+    with pytest.raises(PoseOutOfView,
+                       match=r"^sample 0: no fully visible pose in 5 tries$"):
         generate_dataset(cfg, cameras=cams)
 
 

@@ -531,6 +531,23 @@ def test_epoch_without_scored_batch_has_no_loss(tmp_path, monkeypatch):
     assert not (tmp_path / "best.ckpt").exists()
 
 
+def test_unscorable_validation_set_stops_the_run(tmp_path):
+    # Validation samples seen twice by one camera never triangulate, so no
+    # validation sample can be scored and the monitored loss would be NaN
+    # every epoch: the plateau schedule would decay on it and no best
+    # checkpoint would ever be written.
+    train, _, assumed = small_dataset(n=16)
+    val, _, _ = generate_dataset(SyntheticConfig(n_samples=8, seed=3,
+                                                 sigma_px=3.0),
+                                 pairs=[("cam1", "cam1")])
+    cfg = TrainConfig(epochs=12, batch_size=8, channels=8, plateau_epochs=3)
+    with pytest.raises(NonFiniteLoss, match=r"epoch 0: monitored validation "
+                       r"loss is nan; no validation sample could be scored"):
+        fit(train, val, assumed, cfg, out_dir=tmp_path)
+    assert not (tmp_path / "final.ckpt").exists()
+    assert not (tmp_path / "best.ckpt").exists()
+
+
 def test_sample_behind_camera_drops_only_itself():
     # One sample of a batch of 4 sits behind both cameras. The other 3
     # still train: the batch loss is theirs alone and the head moves.
