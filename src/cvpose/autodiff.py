@@ -18,10 +18,11 @@ Precision follows the tape's conv_dtype, float64 by default or float32
 Value is stored in conv_dtype when its data already has that dtype and
 as float64 otherwise, and its gradient has the dtype of its data. Leaves
 are always float64. The graph convolutions (graph_conv,
-residual_graph_conv) cast their input, weights and kernels to conv_dtype
-and hand back a conv_dtype result, so on a float32 tape a chain of
-convolutions, relus, block_left_matmuls and adds stays float32 from end
-to end; numpy promotion brings it back to float64 wherever it meets a
+graph_conv_relu, residual_graph_conv) cast their input, weights and
+kernels to conv_dtype and hand back a conv_dtype result, so on a float32
+tape a chain of convolutions, relus, block_left_matmuls (with or without
+their adds) and adds stays float32 from end to end; numpy promotion
+brings it back to float64 wherever it meets a
 float64 operand, such as a matmul with a float64 weight leaf. A float64
 tape computes everything in float64. Finite-difference checks
 (grad_check) always run on float64 tapes.
@@ -263,6 +264,24 @@ def affine_rows(a: Value, M, shift=None) -> Value:
     return a.tape._record(out, "affine_rows", backward)
 
 
+def _block_product(M, h, opname):
+    """(M, B, out): the constant (r, n) matrix M in h's dtype, the number
+    B of n-row blocks in h, and the (B*r, C) product of M with each."""
+    M = np.asarray(M, dtype=h.data.dtype)
+    r, n = M.shape
+    rows, C = h.data.shape
+    if rows % n != 0:
+        raise ShapeMismatch(f"{opname}: {rows} rows not divisible by {n}")
+    B = rows // n
+    return M, B, np.matmul(M, h.data.reshape(B, n, C)).reshape(B * r, C)
+
+
+def _block_product_grad(M, B, g):
+    """The gradient on h's (B*n, C) rows from g, one of the product's."""
+    (r, n), C = M.shape, g.shape[1]
+    return np.matmul(M.T, g.reshape(B, r, C)).reshape(B * n, C)
+
+
 def block_left_matmul(M, h: Value) -> Value:
     """Apply a constant (r, n) matrix to every n-row block of h.
 
@@ -270,34 +289,62 @@ def block_left_matmul(M, h: Value) -> Value:
     Used for graph kernels and pooling operators where the same small
     matrix acts on each sample of a batch.
     """
-    M = np.asarray(M, dtype=h.data.dtype)
-    r, n = M.shape
-    rows, C = h.data.shape
-    if rows % n != 0:
-        raise ShapeMismatch(f"block_left_matmul: {rows} rows not divisible by {n}")
-    B = rows // n
-    out = np.matmul(M, h.data.reshape(B, n, C)).reshape(B * r, C)
+    M, B, out = _block_product(M, h, "block_left_matmul")
 
     def backward(g):
-        h.grad += np.matmul(M.T, g.reshape(B, r, C)).reshape(B * n, C)
+        h.grad += _block_product_grad(M, B, g)
 
     return h.tape._record(out, "block_left_matmul", backward)
+
+
+def block_left_matmul_add(M, h: Value, skip: Value) -> Value:
+    """add(block_left_matmul(M, h), skip) as one node, with the same bits.
+
+    The tape keeps the sum only, not the product: the decoder's unpooling
+    and its skip connection in one step.
+    """
+    tape = _same_tape(h, skip)
+    M, B, out = _block_product(M, h, "block_left_matmul_add")
+    if skip.data.shape != out.shape:
+        raise ShapeMismatch(f"block_left_matmul_add: skip {skip.data.shape}, "
+                            f"expected {out.shape}")
+    if out.dtype == np.result_type(out, skip.data):
+        out += skip.data
+    else:
+        out = out + skip.data
+
+    def backward(g):
+        skip.grad += g
+        # In h's dtype, as the product's own gradient would be.
+        h.grad += _block_product_grad(M, B, g.astype(h.data.dtype,
+                                                     copy=False))
+
+    return tape._record(out, "block_left_matmul_add", backward)
+
+
+# Rows of whole samples in one tile of a graph convolution's scratch.
+TILE_ROWS = 2048
 
 
 class _ConvPlan:
     """The checked, cast operands of one graph convolution and its products.
 
-    Shared by graph_conv and residual_graph_conv: forward(x) is
-    sum_k N_k x W_k, and backward(g, x) adds each d/dW_k into the weight
-    gradients and returns d/dx, both in the tape's conv_dtype.
+    Shared by graph_conv, graph_conv_relu and residual_graph_conv:
+    forward(h) is sum_k N_k x W_k with x = h (or x = relu(h) for a
+    residual unit, which also adds h), and backward(g, x) adds each d/dW_k
+    into the weight gradients and returns d/dx, both in the tape's
+    conv_dtype.
 
     Which side of x W_k the node mixing N_k goes on follows the widths. A
     conv that widens its input (C_in < C_out, the 3 -> C lift) mixes the
     narrow input first, into the (rows, K*C_in) array [N_1 x | ... | N_K x],
     and multiplies that by the stacked weights [W_1; ...; W_K] in one
     GEMM; it keeps the array for the backward. Any other conv multiplies
-    first and mixes each (rows, C_out) product, with the first product
-    written straight into the result.
+    first and mixes each product, tile by tile (_tiles): per tile, x, the
+    K products, their mixing and their sum live in tile-sized scratch, and
+    only the result is full height. Its backward keeps each d/dW_k one
+    full-height GEMM, so the weight gradients do not depend on the tiling,
+    and sums d/dx through a tile-sized buffer.
     """
 
     def __init__(self, h, kernels, weights, n, opname):
@@ -333,9 +380,23 @@ class _ConvPlan:
         already holds them, and a float32 copy would outlive the forward."""
         return [W.data.astype(self.dt, copy=False) for W in self.weights]
 
+    def _tiles(self):
+        """Row slices of whole samples that cover the rows in order.
+
+        As many tiles as TILE_ROWS rows need, split as numpy's array_split
+        splits, so the first is the largest and each holds at least half a
+        tile: a short tile could fall into BLAS's small-matrix kernels,
+        which round differently from the full-height product. One slice
+        when every row fits in one tile.
+        """
+        per = max(1, TILE_ROWS // self.n)
+        count = max(1, -(-self.B // per))
+        ends = [self.n * -(-self.B * i // count) for i in range(count + 1)]
+        return [slice(a, b) for a, b in zip(ends, ends[1:])]
+
     def _mix(self, N, x, buf):
         """N applied to every n-row block of x (rows, C), into buf."""
-        shape = (self.B, self.n, x.shape[1])
+        shape = (x.shape[0] // self.n, self.n, x.shape[1])
         np.matmul(N, x.reshape(shape), out=buf.reshape(shape))
         return buf
 
@@ -362,13 +423,10 @@ class _ConvPlan:
         dx = self._kernel_stack().T @ cols                   # (n, B*c)
         return dx.reshape(n, B, c).transpose(1, 0, 2).reshape(self.rows, c)
 
-    def forward(self, x):
-        ws = self._ws()
-        if self.mix_first:
-            self.stacked = self._stack(x)
-            return self.stacked @ np.concatenate(ws)
-        shape = (self.rows, self.C_out)
-        out, hw, term = (np.empty(shape, dtype=self.dt) for _ in range(3))
+    def _products(self, x, ws, out, hw, term):
+        """sum_k N_k x W_k over the whole samples in x, into out; hw and
+        term are scratch of out's shape. The first product goes straight
+        into out."""
         for k, (N, w) in enumerate(zip(self.kernels, ws)):
             dst = term if k else out
             if N is None:
@@ -377,11 +435,41 @@ class _ConvPlan:
                 self._mix(N, np.matmul(x, w, out=hw), dst)
             if k:
                 out += term
+
+    def forward(self, h, residual=False):
+        """sum_k N_k x W_k for x = h cast to conv_dtype, in conv_dtype.
+        With residual, x = relu(h) and the result is h + that sum, in
+        numpy's promotion of conv_dtype and h's dtype."""
+        dt = self.dt
+        ws = self._ws()
+        if self.mix_first:
+            self.stacked = self._stack(h.astype(dt, copy=False))
+            return self.stacked @ np.concatenate(ws)
+        out = np.empty((self.rows, self.C_out),
+                       dtype=np.result_type(dt, h.dtype) if residual else dt)
+        tiles = self._tiles()
+        tile = tiles[0].stop
+        hw, term = (np.empty((tile, self.C_out), dtype=dt) for _ in range(2))
+        x_buf = np.empty((tile, self.C_in), dtype=dt) if residual else None
+        # A promoted residual sums the conv in conv_dtype first.
+        acc = np.empty_like(hw) if out.dtype != dt else None
+        for t in tiles:
+            m = t.stop - t.start
+            if residual:
+                # Cast and rectify in one pass: the same bits as casting
+                # np.maximum(h, 0.0) down.
+                x = np.maximum(h[t], 0.0, dtype=dt, out=x_buf[:m])
+            else:
+                x = h[t].astype(dt, copy=False)
+            dst = out[t] if acc is None else acc[:m]
+            self._products(x, ws, dst, hw[:m], term[:m])
+            if residual:
+                np.add(dst, h[t], out=out[t])
         return out
 
     def backward(self, g, x):
-        """x is the forward's input; a mix-first plan reads its stacked
-        copy instead."""
+        """x is the forward's conv input; a mix-first plan reads its
+        stacked copy instead."""
         g = g.astype(self.dt, copy=False)
         ws = self._ws()
         if self.mix_first:
@@ -390,15 +478,19 @@ class _ConvPlan:
                 W.grad += dW[k * self.C_in:(k + 1) * self.C_in]
             return self._unstack(g @ np.concatenate(ws).T)
         x = x.astype(self.dt, copy=False)
+        tiles = self._tiles()
         dp = np.empty((self.rows, self.C_out), dtype=self.dt)
-        dx, term = (np.empty((self.rows, self.C_in), dtype=self.dt)
-                    for _ in range(2))
+        dx = np.empty((self.rows, self.C_in), dtype=self.dt)
+        term = np.empty((tiles[0].stop, self.C_in), dtype=self.dt)
         for k, (N, W, w) in enumerate(zip(self.kernels, self.weights, ws)):
             dpk = g if N is None else self._mix(N.T, g, dp)
             W.grad += x.T @ dpk
-            np.matmul(dpk, w.T, out=term if k else dx)
-            if k:
-                dx += term
+            for t in tiles:
+                if k:
+                    dx[t] += np.matmul(dpk[t], w.T,
+                                       out=term[:t.stop - t.start])
+                else:
+                    np.matmul(dpk[t], w.T, out=dx[t])
         return dx
 
 
@@ -410,7 +502,8 @@ def graph_conv(h: Value, kernels, weights, n: int) -> Value:
     (C_in, C_out) Values. Terms are added in list order. One tape node
     whose backward needs only h, the weights and the kernels, plus the
     (B*n, K*C_in) mixed input when the conv widens (see _ConvPlan): no
-    per-kernel product is kept.
+    per-kernel product is kept, and a conv that does not widen builds its
+    products in tiles of about TILE_ROWS rows.
 
     The products, their sum and the result are in the tape's conv_dtype;
     the weight gradients stay in the weights' float64. On a float32 tape
@@ -418,7 +511,7 @@ def graph_conv(h: Value, kernels, weights, n: int) -> Value:
     copy of h alive.
     """
     plan = _ConvPlan(h, kernels, weights, n, "graph_conv")
-    out = plan.forward(h.data.astype(plan.dt, copy=False))
+    out = plan.forward(h.data)
 
     def backward(g):
         h.grad += plan.backward(g, h.data)
@@ -426,35 +519,49 @@ def graph_conv(h: Value, kernels, weights, n: int) -> Value:
     return plan.tape._record(out, "graph_conv", backward)
 
 
+def graph_conv_relu(h: Value, kernels, weights, n: int) -> Value:
+    """relu(graph_conv(h, kernels, weights, n)) as one node.
+
+    The same values and gradients as the two nodes on either conv_dtype,
+    equal under np.array_equal (a zero gradient entry may differ in sign),
+    but the tape keeps neither the conv output nor the relu mask: the
+    relu rectifies the conv output in place, and the backward masks g by
+    out > 0, which holds exactly where the conv output was positive. That
+    masking overwrites g, the node's own gradient buffer, which the sweep
+    has already let go of. NaN passes as in relu.
+    """
+    plan = _ConvPlan(h, kernels, weights, n, "graph_conv_relu")
+    out = plan.forward(h.data)
+    np.maximum(out, 0.0, out=out)
+
+    def backward(g):
+        g *= out > 0.0
+        h.grad += plan.backward(g, h.data)
+
+    return plan.tape._record(out, "graph_conv_relu", backward)
+
+
 def residual_graph_conv(h: Value, kernels, weights, n: int) -> Value:
     """The pre-activation residual unit h + graph_conv(relu(h)), one node.
 
     Same arithmetic as add(h, graph_conv(relu(h), kernels, weights, n)),
     bit for bit on either conv_dtype, but the tape keeps neither the relu
-    output, nor its mask, nor the conv output: the backward recomputes
-    relu(h) from h, which it needs anyway. The weights map C_in to C_in.
-    The sum takes numpy's promotion of the conv_dtype product and h.
+    output, nor its mask, nor the conv output: the forward builds relu(h),
+    the products and their sum tile by tile (see _ConvPlan) and adds h
+    into the result, and the backward recomputes relu(h) from h at full
+    height, since every d/dW_k needs all of it. The weights map C_in to
+    C_in. The sum takes numpy's promotion of the conv_dtype product and h.
     NaN passes the relu, and its subgradient at 0 is 0, as in relu.
     """
     plan = _ConvPlan(h, kernels, weights, n, "residual_graph_conv")
     if plan.C_out != plan.C_in:
         raise ShapeMismatch(f"residual_graph_conv: weights map {plan.C_in} "
                             f"to {plan.C_out} channels")
-
-    def rectified():
-        # h cast to conv_dtype, then rectified, in one pass: the same bits
-        # as casting np.maximum(h.data, 0.0) down.
-        return np.maximum(h.data, 0.0, dtype=plan.dt)
-
-    out = plan.forward(rectified())
-    if out.dtype == h.data.dtype:
-        out += h.data
-    else:
-        out = out + h.data
+    out = plan.forward(h.data, residual=True)
 
     def backward(g):
         h.grad += g
-        dx = plan.backward(g, rectified())
+        dx = plan.backward(g, np.maximum(h.data, 0.0, dtype=plan.dt))
         dx *= h.data > 0.0
         h.grad += dx
 

@@ -24,13 +24,16 @@ split_views cuts a result back into the two (BJ, 3) views.
 Each of the seven graph convolutions (two spatial, one per U-stage) is
 sum_k N_k H W_k over its unmasked kernel classes k, the AXW form of Kipf &
 Welling with the kernel classes of Cai et al., and records one tape node.
-The 3 -> C lift is relu(autodiff.graph_conv(h)); each of the six
+The 3 -> C lift relu(conv(h)) is one autodiff.graph_conv_relu node, which
+rectifies in place and keeps no pre-relu output or mask; each of the six
 width-preserving residual units h + conv(relu(h)) is one
 autodiff.residual_graph_conv node, which keeps only h, its weights and
-its kernels: no relu output, conv output or per-kernel product. At
-B=256, C=128 a forward records 58 nodes, whose data take 45 MB on a
-float32 tape and 85 MB on a float64 one, and the backward sweep frees
-each node once it has passed it.
+its kernels: no relu output, conv output or per-kernel product, and
+builds them in tile-sized scratch. Each decoder unpool and its skip add
+are one autodiff.block_left_matmul_add node. At B=256, C=128 a forward
+records 55 nodes, whose data take 35 MB on a float32 tape and 64 MB on a
+float64 one, and the backward sweep frees each node once it has passed
+it.
 
 Precision: training, evaluation and refine open their tapes with
 conv_dtype=CONV_DTYPE (float32). The trunk, from the 3 -> C lift to the
@@ -254,8 +257,8 @@ class CVUGCN:
     # -- forward -----------------------------------------------------------
 
     def _conv(self, op, h, conv, weights_by_kernel):
-        """op (ad.graph_conv or ad.residual_graph_conv) over the conv's
-        unmasked kernels: one tape node."""
+        """op (ad.graph_conv_relu or ad.residual_graph_conv) over the
+        conv's unmasked kernels: one tape node."""
         n, entries = conv
         return op(h, [N for _, N in entries],
                   [weights_by_kernel[k] for k, _ in entries], n)
@@ -269,7 +272,8 @@ class CVUGCN:
 
         Width-preserving units compute h + conv(relu(h)), one
         autodiff.residual_graph_conv node each; the one width-changing
-        unit (the leading 3 -> C lift) is relu(conv(h)).
+        unit (the leading 3 -> C lift) is relu(conv(h)), one
+        autodiff.graph_conv_relu node.
         The residual form is what keeps training alive under the
         scale-invariant optimizer: its earliest steps move every weight
         by the same fixed quantum regardless of gradient size, and the
@@ -285,7 +289,7 @@ class CVUGCN:
             if ws[0].shape[0] == ws[0].shape[1]:
                 h = self._conv(ad.residual_graph_conv, h, conv, ws)
             else:
-                h = ad.relu(self._conv(ad.graph_conv, h, conv, ws))
+                h = self._conv(ad.graph_conv_relu, h, conv, ws)
         return h
 
     def refine_from_leaf(self, xin, params):
@@ -323,9 +327,9 @@ class CVUGCN:
                          stage_ws["enc1"])
         bn = self._stage(ad.block_left_matmul(pool[1], e1), conv[2],
                          stage_ws["bottleneck"])
-        d1 = self._stage(ad.add(ad.block_left_matmul(unpool[1], bn), e1),
+        d1 = self._stage(ad.block_left_matmul_add(unpool[1], bn, e1),
                          conv[1], stage_ws["dec1"])
-        d0 = self._stage(ad.add(ad.block_left_matmul(unpool[0], d1), e0),
+        d0 = self._stage(ad.block_left_matmul_add(unpool[0], d1, e0),
                          conv[0], stage_ws["dec0"])
         res = ad.matmul(d0, params["head"])
         refined = ad.add(xin, ad.scale(res, 1.0 / cfg.coord_scale))

@@ -42,7 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MissingField, PoseOutOfView, SchemaError, ShapeMismatch
+from .errors import (CvposeError, MissingField, PoseOutOfView, SchemaError,
+                     ShapeMismatch)
 from .geometry import CameraModel, Pose3D
 from .graph import SkeletonTopology, default_topology
 from .jsonl import read_records
@@ -269,7 +270,9 @@ def generate_dataset(config: SyntheticConfig, topo=None, cameras=None, pairs=Non
     forward kinematics, the camera transforms, the projections and the
     in-view tests once over all of them. A sample's draws depend on no
     other sample, so the dataset is reproducible record by record: the
-    first k samples of any larger set are the k-sample set.
+    first k samples of any larger set are the k-sample set. Samples with
+    no pair to take (pairs=[], or the default pairs of a one-camera rig)
+    raise CvposeError.
     """
     topo = topo or default_topology()
     cameras = cameras if cameras is not None else default_rig()
@@ -290,8 +293,9 @@ def generate_dataset(config: SyntheticConfig, topo=None, cameras=None, pairs=Non
                                c.width, c.height) for c in cameras]
 
     n, J = config.n_samples, topo.n_joints
-    # Python's modulo: with no pair to cycle through, a sample raises
-    # ZeroDivisionError rather than numpy's warning and a pair index of 0.
+    if n and not pairs:
+        raise CvposeError(f"no camera pairs: pairs is {list(pairs)!r}, and "
+                          f"each of the {n} samples needs one")
     pair_index = np.array([i % len(pairs) for i in range(n)], dtype=np.intp)
     rngs = [np.random.default_rng((config.seed, i)) for i in range(n)]
     cam_joints = np.empty((n, 2, J, 3))      # the pose in each view's frame

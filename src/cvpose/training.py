@@ -420,16 +420,27 @@ def _open_log(path, start_epoch):
 
     A resumed run keeps the rows of earlier epochs from the existing log and
     drops later ones, so epochs repeated after the checkpoint are not logged
-    twice.
+    twice. The header and kept rows go to a temporary file that then
+    replaces the log, as in save_checkpoint, so a failed rewrite leaves the
+    old log intact.
     """
     rows = []
     if start_epoch and os.path.exists(path):
         with open(path) as fh:
             rows = [r for r in fh.read().splitlines()[1:]
                     if int(r.split(",", 1)[0]) < start_epoch]
-    log = open(path, "w")
-    log.write("\n".join([LOG_HEADER, *rows]) + "\n")
-    return log
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("\n".join([LOG_HEADER, *rows]) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+    return open(path, "a")
 
 
 def _log_row(epoch, stats, lr, skipped_tri):

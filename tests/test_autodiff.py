@@ -342,6 +342,103 @@ def test_residual_graph_conv_is_the_composite_bit_for_bit(dtype):
             assert np.array_equal(got, want)
 
 
+def _mixing_loss(out):
+    """A scalar whose gradient reaches every entry of out, its zeros
+    included, unlike a sum of row norms."""
+    M = np.random.default_rng(32).normal(size=(out.shape[1], 3))
+    return ad.reduce_sum(ad.norm_rows(ad.affine_rows(out, M, np.ones(3))))
+
+
+def _fused_and_composite(monkeypatch, dtype, h, n, through_conv, fused,
+                         composite, n_weights, C_out):
+    """Values and gradients of one fused op and of its multi-node
+    composite, each as [out, d/dh, d/dW_1, ...]. The composite runs with
+    one tile for every row, the arithmetic of an untiled graph conv.
+
+    With through_conv, h reaches the op as a conv_dtype node (the trunk's
+    case) rather than as a float64 leaf."""
+    rng = np.random.default_rng(31)
+    C = h.shape[1]
+    ws = [rng.normal(size=(C, C_out)) / C for _ in range(n_weights)]
+    results = []
+    for op, tile_rows in ((fused, ad.TILE_ROWS), (composite, 10 ** 9)):
+        with monkeypatch.context() as m:
+            m.setattr(ad, "TILE_ROWS", tile_rows)
+            tape = ad.Tape(conv_dtype=dtype)
+            hv = tape.leaf(h)
+            x = (ad.graph_conv(hv, [None], [tape.leaf(np.eye(C))], n)
+                 if through_conv else hv)
+            W = [tape.leaf(w) for w in ws]
+            out = op(x, W)
+            tape.backward(_mixing_loss(out))
+        results.append([out.data, hv.grad] + [w.grad for w in W])
+    return results
+
+
+# B=1100 samples of n=4 rows span three tiles of 367, 367 and 366
+# samples, the last one short; B=1 is one tile of one sample.
+@pytest.mark.parametrize("B", [1100, 1])
+@pytest.mark.parametrize("through_conv", [False, True])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_fused_units_match_their_composites_bit_for_bit(monkeypatch, B,
+                                                       through_conv, dtype):
+    n, C = 4, 32
+    per_tile = ad.TILE_ROWS // n
+    if B > 1:
+        tiles = -(-B // per_tile)
+        assert tiles >= 3 and B % tiles, "no ragged last tile"
+    rng = np.random.default_rng(30)
+    h = rng.normal(size=(B * n, C))
+    h[rng.random(h.shape) < 0.2] = 0.0
+    N1, N2 = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+    cases = [
+        # the tiled residual unit, three kernel layouts
+        *[(lambda x, W, ks=ks: ad.residual_graph_conv(x, ks, W, n),
+           lambda x, W, ks=ks: ad.add(x, ad.graph_conv(ad.relu(x), ks, W, n)),
+           len(ks), C) for ks in ([None, N1, N2], [None], [N1, N2])],
+        # the fused lift, widening (mix-first) and width-preserving (tiled)
+        *[(lambda x, W: ad.graph_conv_relu(x, [None, N1, N2], W, n),
+           lambda x, W: ad.relu(ad.graph_conv(x, [None, N1, N2], W, n)),
+           3, c_out) for c_out in (2 * C, C)],
+    ]
+    for fused, composite, n_weights, c_out in cases:
+        got, want = _fused_and_composite(monkeypatch, dtype, h, n,
+                                         through_conv, fused, composite,
+                                         n_weights, c_out)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+    # The fused unpool and skip add: M maps n rows to r of every block.
+    r = 6
+    M = rng.normal(size=(r, n))
+    skip = rng.normal(size=(B * r, C))
+    grads = []
+    for fused in (True, False):
+        tape = ad.Tape(conv_dtype=dtype)
+        hv, sv = tape.leaf(h), tape.leaf(skip)
+        x = (ad.graph_conv(hv, [None], [tape.leaf(np.eye(C))], n)
+             if through_conv else hv)
+        out = (ad.block_left_matmul_add(M, x, sv) if fused
+               else ad.add(ad.block_left_matmul(M, x), sv))
+        assert len(tape) == (2 + 2 * through_conv) + (1 if fused else 2)
+        tape.backward(_mixing_loss(out))
+        grads.append([out.data, hv.grad, sv.grad])
+    for g, w in zip(*grads):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_block_left_matmul_add_shape_errors():
+    tape = ad.Tape()
+    h = tape.leaf(np.ones((8, 3)))
+    with pytest.raises(ShapeMismatch, match="not divisible"):
+        ad.block_left_matmul_add(np.ones((6, 3)), h,
+                                 tape.leaf(np.ones((12, 3))))
+    with pytest.raises(ShapeMismatch, match="skip"):
+        ad.block_left_matmul_add(np.ones((6, 4)), h,
+                                 tape.leaf(np.ones((8, 3))))
+
+
 def test_residual_graph_conv_subgradient_and_nan():
     # Identity kernel, W = I: out = h + relu(h), so d sum(out)/dh = 1 + [h > 0]
     # and 1 exactly where h is 0.

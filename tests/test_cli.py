@@ -315,3 +315,11 @@ def test_custom_topology_without_pool_groups_exits_1(tmp_path, capsys,
     assert main(args + common) == 1
     assert ("error: no default pooling groups for a custom topology"
             in capsys.readouterr().err)
+
+
+def test_synth_with_one_camera_exits_1(tmp_path, capsys):
+    # One camera makes no pair to put the samples in.
+    code = main(["synth", "--out", str(tmp_path / "d"), "--n-samples", "4",
+                 "--cameras", "1"])
+    assert code == 1
+    assert "error: no camera pairs" in capsys.readouterr().err

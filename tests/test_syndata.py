@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from cvpose.errors import PoseOutOfView, SchemaError, ShapeMismatch
+from cvpose.errors import (CvposeError, PoseOutOfView, SchemaError,
+                           ShapeMismatch)
 from cvpose.geometry import Pose3D, project, relative_transform, save_rig
 from cvpose.graph import SkeletonTopology, default_topology
 from cvpose.syndata import (ANGLE_RANGES_DEG, REST_OFFSETS_MM, Sample,
@@ -523,3 +524,17 @@ def test_save_refuses_what_the_loader_would_reject(tmp_path):
                    s.joints_2d_clean)
     with pytest.raises(ShapeMismatch, match="joints_2d"):
         save_dataset(path, [short])
+
+
+@pytest.mark.parametrize("cameras, pairs", [
+    (lambda: default_rig(n_cameras=1), None),   # one camera pairs nothing
+    (default_rig, []),
+])
+def test_no_camera_pair_raises_a_cvpose_error(cameras, pairs):
+    cfg = SyntheticConfig(n_samples=3, seed=0)
+    with pytest.raises(CvposeError, match=r"no camera pairs: pairs is \[\]"):
+        generate_dataset(cfg, cameras=cameras(), pairs=pairs)
+    # With nothing to generate, an empty pair list is no error.
+    samples, _, _ = generate_dataset(SyntheticConfig(n_samples=0),
+                                     cameras=cameras(), pairs=pairs)
+    assert samples == []

@@ -452,6 +452,47 @@ def test_resume_keeps_one_log_row_per_epoch(tmp_path):
     assert resumed == uninterrupted
 
 
+
+def test_failed_log_rewrite_on_resume_keeps_the_old_log(tmp_path,
+                                                        monkeypatch):
+    # A resumed run rewrites train_log.csv to drop the rows of epochs it
+    # will repeat. A write that fails in that rewrite must leave the old
+    # log as it was, not a truncated file.
+    samples, rig, assumed = small_dataset(n=16)
+    cfg = small_config(epochs=3, batch_size=8, checkpoint_every=1)
+    fit(samples, [], assumed, cfg, out_dir=tmp_path)
+    log_path = tmp_path / "train_log.csv"
+    before = log_path.read_bytes()
+
+    class FailingWrites:
+        def __init__(self, fh):
+            self._fh = fh
+
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+        def __getattr__(self, name):
+            return getattr(self._fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return FailingWrites(fh) if "w" in mode or "a" in mode else fh
+
+    monkeypatch.setattr(training, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        fit(samples, [], assumed, cfg, out_dir=tmp_path,
+            resume_from=tmp_path / "epoch_0001.ckpt")
+    assert log_path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["train_log.csv", "final.ckpt", "best.ckpt", "epoch_0001.ckpt",
+         "epoch_0002.ckpt", "epoch_0003.ckpt"])
+
 def test_nonfinite_loss_stops_before_weight_update(monkeypatch):
     samples, rig, assumed = small_dataset(n=8)
     cfg = small_config()
