@@ -603,18 +603,6 @@ def norm_rows(a: Value) -> Value:
 # Layout.
 
 
-def reshape(a: Value, rows, cols) -> Value:
-    if rows * cols != a.data.size:
-        raise ShapeMismatch(
-            f"reshape: {a.data.shape} has {a.data.size} entries, not {rows}x{cols}")
-    shape = a.data.shape
-
-    def backward(g):
-        a.grad += g.reshape(shape)
-
-    return a.tape._record(a.data.reshape(rows, cols), "reshape", backward)
-
-
 def slice_blocks(a: Value, block_rows: int, start: int, stop: int) -> Value:
     """Slice rows [start:stop] out of every block of block_rows rows."""
     rows, C = a.data.shape

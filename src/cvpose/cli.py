@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -33,13 +34,32 @@ def _topo(args):
     return default_topology()
 
 
-def batch_size(text):
-    """argparse type of --batch-size; the name shows in its messages."""
-    value = int(text)
-    problem = setting_problem("batch_size", value)
-    if problem:
-        raise argparse.ArgumentTypeError(problem)
-    return value
+def _setting(key):
+    """argparse type of an int TrainConfig setting, checked as a config file
+    is; the key shows in its messages."""
+    def parse(text):
+        value = int(text)
+        problem = setting_problem(key, value)
+        if problem:
+            raise argparse.ArgumentTypeError(problem)
+        return value
+    parse.__name__ = key
+    return parse
+
+
+batch_size = _setting("batch_size")
+epochs = _setting("epochs")
+
+
+def sigmas(text):
+    """argparse type of --sigmas: a comma list of noise levels in mm, each
+    finite and at least 0."""
+    values = tuple(float(s) for s in text.split(","))
+    for v in values:
+        if not (math.isfinite(v) and v >= 0):
+            raise argparse.ArgumentTypeError(
+                f"sigmas must be finite and at least 0, got {v}")
+    return values
 
 
 def _model(args, topo):
@@ -201,8 +221,7 @@ def cmd_noise(args):
     samples = load_dataset(args.data, topo)
     cameras = load_rig(args.rig)
     model = _model(args, topo)
-    sigmas = tuple(float(s) for s in args.sigmas.split(","))
-    rows = noise_robustness(samples, cameras, model, sigmas_mm=sigmas,
+    rows = noise_robustness(samples, cameras, model, sigmas_mm=args.sigmas,
                             seed=args.seed)
     _print_rows(rows, args.out)
     return 0
@@ -304,7 +323,7 @@ def build_parser():
     sp.add_argument("--out-dir", required=True)
     sp.add_argument("--val-data")
     sp.add_argument("--config")
-    sp.add_argument("--epochs", type=int)
+    sp.add_argument("--epochs", type=epochs)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--batch-size", type=batch_size)
     sp.add_argument("--resume")
@@ -326,7 +345,7 @@ def build_parser():
     sp.add_argument("--test-data", required=True)
     sp.add_argument("--rig", required=True)
     sp.add_argument("--config")
-    sp.add_argument("--epochs", type=int)
+    sp.add_argument("--epochs", type=epochs)
     sp.add_argument("--variants")
     sp.add_argument("--out")
     sp.add_argument("--quiet", action="store_true")
@@ -337,7 +356,7 @@ def build_parser():
     sp.add_argument("--data", required=True)
     sp.add_argument("--rig", required=True)
     sp.add_argument("--checkpoint", required=True)
-    sp.add_argument("--sigmas", default="5,10,15,20")
+    sp.add_argument("--sigmas", type=sigmas, default="5,10,15,20")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")
     sp.add_argument("--topology")
@@ -346,7 +365,7 @@ def build_parser():
     sp = sub.add_parser("unseen", help="generalization to an unseen camera pair")
     sp.add_argument("--n-train", type=int, default=2000)
     sp.add_argument("--n-test", type=int, default=500)
-    sp.add_argument("--epochs", type=int, default=20)
+    sp.add_argument("--epochs", type=epochs, default=20)
     sp.add_argument("--batch-size", type=batch_size, default=256)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--sigma-px", type=float, default=5.0)

@@ -64,6 +64,11 @@ class PoseOutOfView(CvposeError):
     """Pose sampling failed to place a skeleton inside every camera view."""
 
 
+class UnknownCamera(CvposeError, ValueError):
+    """A camera pair names a camera the rig does not have. Also a
+    ValueError, as MissingGroundTruth is."""
+
+
 class NoPoolGroups(CvposeError, ValueError):
     """A custom topology has no built-in pooling groups for the U-shaped
     network. Also a ValueError, as MissingGroundTruth is."""

@@ -1,11 +1,10 @@
 """Built-in studies: noise robustness, component ablations, unseen pairs.
 
-The ablation study compares five variants: "full" (the CV-UGCN),
-"no_refine" (the untrained identity, i.e. triangulation alone),
-"no_spatial" (kinematic, two-hop and symmetry kernels masked),
-"no_crossview" (cross-view kernel masked, so the views never exchange
-information) and "fc" (a fully connected baseline with a matched
-parameter budget).
+The ablation study compares four variants of the CV-UGCN, each one kernel
+mask: "full" (nothing masked), "no_refine" (the untrained identity, i.e.
+triangulation alone), "no_spatial" (kinematic, two-hop and symmetry
+kernels masked) and "no_crossview" (cross-view kernel masked, so the
+views never exchange information).
 
 The ablation and unseen-pair studies train through `training.train_epochs`,
 the loop `fit` runs, with the training objective as the monitor. Each
@@ -17,76 +16,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import MissingGroundTruth
 from .graph import default_topology
 from .metrics import _refine_batches, evaluate, mean_or_nan, p_mpjpe_rows
-from .network import (CVUGCN, ModelWeights, coarse_pair_leaf, init_weights,
-                      param_count, split_views)
+from .network import CVUGCN
 from .training import (CoarsePoses, TrainConfig, precompute_coarse,
                        train_epochs)
 
 
-# -- matched-budget fully connected baseline ---------------------------------
-
-class FCBaseline:
-    """Two-view MLP with one hidden layer and no graph structure.
-
-    The hidden width is chosen so the parameter count lands within a
-    fraction of a percent of the graph model it stands in for. Interface
-    matches CVUGCN.refine_batch so `train_epochs` trains it as is.
-    """
-
-    def __init__(self, topo, config):
-        self.topo = topo
-        self.config = config
-        d = 2 * topo.n_joints * 3
-        # d * h + h * d parameters: solve 2 d h ~ budget
-        self.hidden = int(round(param_count(config) / (2 * d)))
-        rng = np.random.default_rng(config.init_seed)
-        lim = np.sqrt(1.0 / d)
-        self.weights = ModelWeights({
-            "fc.w1": rng.uniform(-lim, lim, size=(d, self.hidden)),
-            "fc.w2": np.zeros((self.hidden, d)),
-        })
-
-    def param_leaves(self, tape):
-        return {name: tape.leaf(arr, op=f"param:{name}")
-                for name, arr in self.weights.items()}
-
-    def refine_batch(self, tape, x1_mm, x2_mm, params=None):
-        J = self.topo.n_joints
-        xin = coarse_pair_leaf(tape, x1_mm, x2_mm, J)
-        B = xin.shape[0] // (2 * J)
-        if params is None:
-            params = self.param_leaves(tape)
-        # Per-sample two-view blocks flatten to one (B, 6J) row per sample.
-        flat = ad.reshape(xin, B, 6 * J)
-        h = ad.relu(ad.matmul(ad.scale(flat, self.config.coord_scale),
-                              params["fc.w1"]))
-        res = ad.matmul(h, params["fc.w2"])
-        refined = ad.add(flat, ad.scale(res, 1.0 / self.config.coord_scale))
-        X1, X2 = split_views(ad.reshape(refined, 2 * B * J, 3), J)
-        return X1, X2, params
-
-
 # -- variants -----------------------------------------------------------------
 
-ABLATION_VARIANTS = ("full", "no_refine", "no_spatial", "no_crossview", "fc")
+# Each variant is the CV-UGCN with these kernel classes masked (the classes
+# are listed in graph's module docstring).
+_KERNEL_MASKS = {"full": (), "no_refine": (), "no_spatial": (1, 2, 3),
+                 "no_crossview": (4,)}
+ABLATION_VARIANTS = tuple(_KERNEL_MASKS)
 
 
 def build_variant(name, topo, net_cfg):
-    if name in ("full", "no_refine"):
-        return CVUGCN(topo, net_cfg, weights=init_weights(net_cfg))
-    if name == "no_spatial":
-        return CVUGCN(topo, net_cfg, weights=init_weights(net_cfg),
-                      kernel_mask=(1, 2, 3))
-    if name == "no_crossview":
-        return CVUGCN(topo, net_cfg, weights=init_weights(net_cfg),
-                      kernel_mask=(4,))
-    if name == "fc":
-        return FCBaseline(topo, net_cfg)
-    raise ValueError(f"unknown ablation variant {name!r}")
+    if name not in _KERNEL_MASKS:
+        raise ValueError(f"unknown ablation variant {name!r}")
+    return CVUGCN(topo, net_cfg, kernel_mask=_KERNEL_MASKS[name])
 
 
 def ablation_study(train_samples, test_samples, cameras,

@@ -115,10 +115,6 @@ def weight_shapes(config: NetworkConfig):
     return shapes
 
 
-def param_count(config: NetworkConfig) -> int:
-    return sum(r * c for _, (r, c) in weight_shapes(config))
-
-
 class ModelWeights:
     """Named weight arrays in a fixed order."""
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (CvposeError, MissingField, PoseOutOfView, SchemaError,
-                     ShapeMismatch)
+                     ShapeMismatch, UnknownCamera)
 from .geometry import CameraModel, Pose3D
 from .graph import SkeletonTopology, default_topology
 from .jsonl import read_records
@@ -272,7 +272,8 @@ def generate_dataset(config: SyntheticConfig, topo=None, cameras=None, pairs=Non
     other sample, so the dataset is reproducible record by record: the
     first k samples of any larger set are the k-sample set. Samples with
     no pair to take (pairs=[], or the default pairs of a one-camera rig)
-    raise CvposeError.
+    raise CvposeError, and a pair naming a camera not in `cameras` raises
+    UnknownCamera.
     """
     topo = topo or default_topology()
     cameras = cameras if cameras is not None else default_rig()
@@ -282,7 +283,7 @@ def generate_dataset(config: SyntheticConfig, topo=None, cameras=None, pairs=Non
                  for k in range(len(cameras) - 1)]
     for a, b in pairs:
         if a not in by_id or b not in by_id:
-            raise ValueError(f"pair ({a}, {b}) names an unknown camera")
+            raise UnknownCamera(f"pair ({a}, {b}) names an unknown camera")
 
     rig_rng = np.random.default_rng((config.seed, RIG_SEED_SALT))
     if config.perturb_rot_deg or config.perturb_trans_mm:

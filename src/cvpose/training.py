@@ -126,6 +126,8 @@ def setting_problem(key, value):
         return f"tri_mode must be one of {', '.join(TRI_MODES)}, got {value!r}"
     if key in ("batch_size", "plateau_epochs") and value < 1:
         return f"{key} must be at least 1, got {value}"
+    if key in ("epochs", "checkpoint_every") and value < 0:
+        return f"{key} must not be negative, got {value}"
     return None
 
 

@@ -36,15 +36,17 @@ def test_backward_requires_scalar_and_same_tape():
 
 
 def test_simple_chain_gradient():
-    # f = (2a + b^T) b for a row a and a column b: df/da = 2b^T,
-    # df/db = 2a^T + 2b.
+    # f = (2a + c) b for rows a, c and a column b: df/da = 2b^T,
+    # df/dc = b^T, df/db = (2a + c)^T.
     tape = ad.Tape()
     a = tape.leaf([[1.0, -2.0]])
+    c = tape.leaf([[3.0, 0.5]])
     b = tape.leaf([[3.0], [0.5]])
-    f = ad.reduce_sum(ad.matmul(ad.add(ad.scale(a, 2.0), ad.reshape(b, 1, 2)), b))
+    f = ad.reduce_sum(ad.matmul(ad.add(ad.scale(a, 2.0), c), b))
     tape.backward(f)
     assert np.allclose(a.grad, 2.0 * b.data.T)
-    assert np.allclose(b.grad, 2.0 * a.data.T + 2.0 * b.data)
+    assert np.allclose(c.grad, b.data.T)
+    assert np.allclose(b.grad, (2.0 * a.data + c.data).T)
 
 
 def test_grad_accumulates_on_reuse():
@@ -121,8 +123,6 @@ def test_shape_errors():
         ad.add(a, b)
     with pytest.raises(ShapeMismatch):
         ad.matmul(a, a)
-    with pytest.raises(ShapeMismatch):
-        ad.reshape(a, 4, 2)
     with pytest.raises(ShapeMismatch):
         ad.slice_blocks(a, 2, 1, 3)
     with pytest.raises(ShapeMismatch):
@@ -525,7 +525,8 @@ def test_grad_nonlinear_ops():
 def test_grad_layout_ops():
     rng = np.random.default_rng(12)
     a = rng.normal(size=(6, 3))
-    _check(lambda t, p: ad.reduce_sum(ad.norm_rows(ad.reshape(p[0], 9, 2))), [a])
+    _check(lambda t, p: ad.reduce_sum(ad.norm_rows(
+        ad.slice_blocks(p[0], 3, 1, 3))), [a])
     _check(lambda t, p: ad.reduce_sum(ad.gather_rows(p[0], [0, 0, 3, 5])), [a])
     _check(lambda t, p: ad.reduce_sum(ad.slice_blocks(p[0], 3, 1, 3)), [a])
 

@@ -101,6 +101,14 @@ def test_bad_pair_spec_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_pair_with_unknown_camera_exits_1(tmp_path, capsys):
+    code = main(["synth", "--out", str(tmp_path / "x"), "--n-samples", "2",
+                 "--pairs", "cam1:cam9"])
+    assert code == 1
+    assert ("error: pair (cam1, cam9) names an unknown camera"
+            in capsys.readouterr().err)
+
+
 def test_triangulate_reports_and_writes(tmp_path, capsys):
     out = run_synth(tmp_path)
     coarse = tmp_path / "coarse.jsonl"
@@ -225,6 +233,18 @@ def test_train_rejects_out_of_range_settings(tmp_path, capsys):
     assert "batch_size must be at least 1" in capsys.readouterr().err
 
 
+def test_train_rejects_negative_epochs(tmp_path, capsys):
+    # "finished -3 epochs" after training none; a config file's value is
+    # checked in load_train_config, the flag's here.
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", str(tmp_path / "d.jsonl"),
+              "--rig", str(tmp_path / "r.jsonl"),
+              "--out-dir", str(tmp_path / "run"), "--epochs", "-3"])
+    assert exc.value.code == 2
+    assert ("argument --epochs: epochs must not be negative, got -3"
+            in capsys.readouterr().err)
+
+
 def test_eval_without_gt_exits_1(tmp_path, capsys):
     out = run_synth(tmp_path, n=4, extra=("--no-gt",))
     run_dir = tmp_path / "run"
@@ -259,6 +279,23 @@ def test_noise_command_table(tmp_path, capsys):
     rows = json.loads(table.read_text())
     assert [r["sigma_mm"] for r in rows] == [5.0, 10.0]
     assert "sigma_mm" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sigmas, message", [
+    ("5,abc", "invalid sigmas value: '5,abc'"),
+    ("nan", "sigmas must be finite and at least 0, got nan"),
+    ("5,inf", "sigmas must be finite and at least 0, got inf"),
+    ("-1", "sigmas must be finite and at least 0, got -1.0"),
+])
+def test_noise_rejects_bad_sigmas_as_usage_error(tmp_path, capsys, sigmas,
+                                                 message):
+    # Parsed before any file is read, so the paths need not exist.
+    with pytest.raises(SystemExit) as exc:
+        main(["noise", "--data", str(tmp_path / "d.jsonl"),
+              "--rig", str(tmp_path / "r.jsonl"),
+              "--checkpoint", str(tmp_path / "c.ckpt"), "--sigmas", sigmas])
+    assert exc.value.code == 2
+    assert f"argument --sigmas: {message}" in capsys.readouterr().err
 
 
 def test_ablate_command_writes_rows(tmp_path, capsys):
@@ -323,3 +360,14 @@ def test_synth_with_one_camera_exits_1(tmp_path, capsys):
                  "--cameras", "1"])
     assert code == 1
     assert "error: no camera pairs" in capsys.readouterr().err
+
+
+def test_ablate_unknown_variant_exits_1(tmp_path, capsys):
+    data = run_synth(tmp_path, n=4)
+    code = main(["ablate", "--train-data", str(data / "dataset.jsonl"),
+                 "--test-data", str(data / "dataset.jsonl"),
+                 "--rig", str(data / "rig_assumed.jsonl"), "--epochs", "1",
+                 "--variants", "full,fc", "--quiet"])
+    assert code == 1
+    assert ("error: unknown variant 'fc'; choose from full, no_refine, "
+            "no_spatial, no_crossview" in capsys.readouterr().err)

@@ -4,11 +4,11 @@ import pytest
 from cvpose import autodiff as ad
 from cvpose import training
 from cvpose.errors import NonFiniteLoss, NonPositiveDepth
-from cvpose.experiments import (ABLATION_VARIANTS, FCBaseline, ablation_study,
+from cvpose.experiments import (ABLATION_VARIANTS, ablation_study,
                                 build_variant, format_table, noise_robustness,
                                 unseen_pair_study)
 from cvpose.graph import default_topology
-from cvpose.network import CVUGCN, NetworkConfig, init_weights, param_count
+from cvpose.network import CVUGCN, NetworkConfig, init_weights
 from cvpose.syndata import SyntheticConfig, default_rig, generate_dataset
 from cvpose.training import TrainConfig, precompute_coarse, train_epochs
 
@@ -22,77 +22,6 @@ def small_train_config(**kw):
 def small_dataset(n=12, seed=3, sigma=3.0, **kw):
     cfg = SyntheticConfig(n_samples=n, seed=seed, sigma_px=sigma, **kw)
     return generate_dataset(cfg)
-
-
-# -- fully connected baseline --------------------------------------------------
-
-def test_fc_baseline_matches_parameter_budget():
-    topo = default_topology()
-    for channels in (8, 32, 128):
-        cfg = NetworkConfig(channels=channels)
-        fc = FCBaseline(topo, cfg)
-        budget = param_count(cfg)
-        got = fc.weights.param_count
-        d = 2 * topo.n_joints * 3
-        assert got == 2 * d * fc.hidden
-        # rounding the hidden width costs at most d parameters either way
-        assert abs(got - budget) <= d
-
-
-def test_fc_baseline_identity_at_init():
-    topo = default_topology()
-    fc = FCBaseline(topo, NetworkConfig(channels=8))
-    rng = np.random.default_rng(0)
-    J = topo.n_joints
-    x1 = rng.standard_normal((2 * J, 3)) * 100
-    x2 = rng.standard_normal((2 * J, 3)) * 100
-    tape = ad.Tape()
-    X1, X2, _ = fc.refine_batch(tape, x1, x2)
-    assert np.array_equal(X1.data, x1)
-    assert np.array_equal(X2.data, x2)
-
-
-def test_fc_baseline_layout_matches_formula():
-    # Row s of the MLP input is sample s's view-1 joints, then its view-2
-    # joints; the refined row splits back the same way.
-    topo = default_topology()
-    J = topo.n_joints
-    cfg = NetworkConfig(channels=8)
-    fc = FCBaseline(topo, cfg)
-    rng = np.random.default_rng(5)
-    w1 = rng.normal(0, 0.1, size=fc.weights["fc.w1"].shape)
-    w2 = rng.normal(0, 0.1, size=fc.weights["fc.w2"].shape)
-    fc.weights.arrays.update({"fc.w1": w1, "fc.w2": w2})
-    B = 3
-    x1 = rng.standard_normal((B * J, 3)) * 100
-    x2 = rng.standard_normal((B * J, 3)) * 100
-    X1, X2, _ = fc.refine_batch(ad.Tape(), x1, x2)
-
-    s = cfg.coord_scale
-    flat = np.hstack([x1.reshape(B, 3 * J), x2.reshape(B, 3 * J)])
-    out = flat + (np.maximum(s * flat @ w1, 0.0) @ w2) / s
-    assert np.abs(out - flat).max() > 1.0
-    assert np.allclose(X1.data, out[:, :3 * J].reshape(B * J, 3),
-                       rtol=1e-12, atol=1e-9)
-    assert np.allclose(X2.data, out[:, 3 * J:].reshape(B * J, 3),
-                       rtol=1e-12, atol=1e-9)
-
-
-def test_fc_baseline_trains_through_shared_loop():
-    # gradient flows into both layers once the head moves off zero
-    topo = default_topology()
-    fc = FCBaseline(topo, NetworkConfig(channels=8))
-    rng = np.random.default_rng(1)
-    J = topo.n_joints
-    x1 = rng.standard_normal((J, 3)) * 50
-    x2 = rng.standard_normal((J, 3)) * 50
-    tape = ad.Tape()
-    params = fc.param_leaves(tape)
-    X1, X2, _ = fc.refine_batch(tape, x1, x2, params)
-    loss = ad.reduce_sum(ad.norm_rows(ad.sub(X1, X2)))
-    tape.backward(loss)
-    assert np.abs(params["fc.w2"].grad).max() > 0
-    tape.release()
 
 
 # -- variants -------------------------------------------------------------------
@@ -111,7 +40,8 @@ def test_build_variant_kernel_masks_and_fusion():
     # no_crossview is the unfused model; no second name for it
     with pytest.raises(ValueError, match="unknown"):
         build_variant("no_fusion", topo, cfg)
-    assert isinstance(build_variant("fc", topo, cfg), FCBaseline)
+    with pytest.raises(ValueError, match="unknown"):
+        build_variant("fc", topo, cfg)
     with pytest.raises(ValueError):
         build_variant("kitchen_sink", topo, cfg)
 
@@ -143,8 +73,8 @@ def test_ablation_study_rows_and_no_refine_baseline():
     test, _, _ = small_dataset(n=8, seed=9)
     cfg = small_train_config()
     rows = ablation_study(train, test, assumed, cfg,
-                          variants=("full", "no_refine", "fc"))
-    assert [r["variant"] for r in rows] == ["full", "no_refine", "fc"]
+                          variants=("full", "no_refine"))
+    assert [r["variant"] for r in rows] == ["full", "no_refine"]
     for r in rows:
         assert r["params"] > 0
         assert r["mpjpe_tri_mm"] > 0
@@ -156,6 +86,19 @@ def test_ablation_study_rows_and_no_refine_baseline():
     # every variant is scored on the same coarse baseline
     tri = {r["mpjpe_tri_mm"] for r in rows}
     assert len(tri) == 1
+
+
+def test_every_trained_variant_leaves_the_identity():
+    # A variant that trains yet scores exactly the triangulation it was
+    # given is triangulation under another name; each trained row must move.
+    train, _, assumed = small_dataset(n=128, seed=11, sigma=5.0)
+    test, _, _ = small_dataset(n=64, seed=12, sigma=5.0)
+    cfg = TrainConfig(epochs=3, batch_size=32, channels=32, seed=11)
+    rows = ablation_study(train, test, assumed, cfg)
+    assert [r["variant"] for r in rows] == list(ABLATION_VARIANTS)
+    for r in rows:
+        if r["variant"] != "no_refine":
+            assert r["mpjpe_refined_mm"] != r["mpjpe_tri_mm"], r["variant"]
 
 
 def test_train_model_stops_when_an_epoch_scores_nothing(monkeypatch):
@@ -183,7 +126,7 @@ def test_train_model_stops_when_an_epoch_scores_nothing(monkeypatch):
 def test_ablation_variant_list_is_exposed():
     assert "full" in ABLATION_VARIANTS
     assert "no_refine" in ABLATION_VARIANTS
-    assert len(ABLATION_VARIANTS) == 5
+    assert len(ABLATION_VARIANTS) == 4
 
 
 # -- table formatting -------------------------------------------------------------

@@ -18,7 +18,6 @@ from cvpose.network import (
     NetworkConfig,
     init_weights,
     load_checkpoint,
-    param_count,
     save_checkpoint,
     weight_shapes,
 )
@@ -42,9 +41,7 @@ def test_param_count_default():
     # 2 spatial layers (3->128, 128->128), five kernels each; five U-stages
     # of 128->128 convs; 128->3 head.
     expect = 5 * (3 * 128) + 5 * (128 * 128) + 5 * 5 * (128 * 128) + 128 * 3
-    assert param_count(cfg) == expect == 493824
-    w = init_weights(cfg)
-    assert w.param_count == expect
+    assert init_weights(cfg).param_count == expect == 493824
 
 
 def test_init_weights_deterministic_and_bounded():

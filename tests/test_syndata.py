@@ -538,3 +538,13 @@ def test_no_camera_pair_raises_a_cvpose_error(cameras, pairs):
     samples, _, _ = generate_dataset(SyntheticConfig(n_samples=0),
                                      cameras=cameras(), pairs=pairs)
     assert samples == []
+
+
+def test_pair_with_unknown_camera_raises_a_cvpose_value_error():
+    # A CvposeError for the CLI, and still a ValueError for callers that
+    # guard broadly.
+    with pytest.raises(CvposeError, match=r"pair \(cam1, cam9\) names an "
+                                          "unknown camera") as exc:
+        generate_dataset(SyntheticConfig(n_samples=2),
+                         pairs=[("cam1", "cam9")])
+    assert isinstance(exc.value, ValueError)
