@@ -51,15 +51,24 @@ batch_size = _setting("batch_size")
 epochs = _setting("epochs")
 
 
+def _at_least_0(name, kind=int):
+    """argparse type of an int, or a finite float, that is at least 0; the
+    name shows in its messages."""
+    def parse(text):
+        value = kind(text)
+        if not (math.isfinite(value) and value >= 0):
+            finite = "finite and " if kind is float else ""
+            raise argparse.ArgumentTypeError(
+                f"{name} must be {finite}at least 0, got {value}")
+        return value
+    parse.__name__ = name
+    return parse
+
+
 def sigmas(text):
     """argparse type of --sigmas: a comma list of noise levels in mm, each
     finite and at least 0."""
-    values = tuple(float(s) for s in text.split(","))
-    for v in values:
-        if not (math.isfinite(v) and v >= 0):
-            raise argparse.ArgumentTypeError(
-                f"sigmas must be finite and at least 0, got {v}")
-    return values
+    return tuple(map(_at_least_0("sigmas", float), text.split(",")))
 
 
 def _model(args, topo):
@@ -297,11 +306,14 @@ def build_parser():
 
     sp = sub.add_parser("synth", help="generate a synthetic dataset")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--n-samples", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--sigma-px", type=float, default=0.0)
-    sp.add_argument("--perturb-rot-deg", type=float, default=0.0)
-    sp.add_argument("--perturb-trans-mm", type=float, default=0.0)
+    sp.add_argument("--n-samples", type=_at_least_0("n_samples"), default=1000)
+    sp.add_argument("--seed", type=_at_least_0("seed"), default=0)
+    sp.add_argument("--sigma-px", default=0.0,
+                    type=_at_least_0("sigma_px", float))
+    sp.add_argument("--perturb-rot-deg", default=0.0,
+                    type=_at_least_0("perturb_rot_deg", float))
+    sp.add_argument("--perturb-trans-mm", default=0.0,
+                    type=_at_least_0("perturb_trans_mm", float))
     sp.add_argument("--cameras", type=int, default=2)
     sp.add_argument("--separation-deg", type=float, default=60.0)
     sp.add_argument("--pairs", help="comma list like cam1:cam2,cam2:cam3")
@@ -324,7 +336,7 @@ def build_parser():
     sp.add_argument("--val-data")
     sp.add_argument("--config")
     sp.add_argument("--epochs", type=epochs)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=_setting("seed"))
     sp.add_argument("--batch-size", type=batch_size)
     sp.add_argument("--resume")
     sp.add_argument("--quiet", action="store_true")
@@ -357,20 +369,23 @@ def build_parser():
     sp.add_argument("--rig", required=True)
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--sigmas", type=sigmas, default="5,10,15,20")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_at_least_0("seed"), default=0)
     sp.add_argument("--out")
     sp.add_argument("--topology")
     sp.set_defaults(func=cmd_noise)
 
     sp = sub.add_parser("unseen", help="generalization to an unseen camera pair")
-    sp.add_argument("--n-train", type=int, default=2000)
-    sp.add_argument("--n-test", type=int, default=500)
+    sp.add_argument("--n-train", type=_at_least_0("n_train"), default=2000)
+    sp.add_argument("--n-test", type=_at_least_0("n_test"), default=500)
     sp.add_argument("--epochs", type=epochs, default=20)
     sp.add_argument("--batch-size", type=batch_size, default=256)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--sigma-px", type=float, default=5.0)
-    sp.add_argument("--perturb-rot-deg", type=float, default=0.0)
-    sp.add_argument("--perturb-trans-mm", type=float, default=0.0)
+    sp.add_argument("--seed", type=_at_least_0("seed"), default=0)
+    sp.add_argument("--sigma-px", default=5.0,
+                    type=_at_least_0("sigma_px", float))
+    sp.add_argument("--perturb-rot-deg", default=0.0,
+                    type=_at_least_0("perturb_rot_deg", float))
+    sp.add_argument("--perturb-trans-mm", default=0.0,
+                    type=_at_least_0("perturb_trans_mm", float))
     sp.add_argument("--separation-deg", type=float, default=40.0)
     sp.add_argument("--out")
     sp.add_argument("--topology")

@@ -5,6 +5,11 @@ of J joints. Reprojection error is measured in pixels against clean 2D
 annotations; the remaining terms live in millimetres or are dimensionless.
 Sums run over joints, bones and views without averaging; trainers divide
 by the batch size themselves.
+
+Bone vectors and left-minus-right length differences are constant linear
+maps applied to each pose (autodiff.block_left_matmul). The cross-view
+transform t12 is rigid, an isometry, so each cross-view term is computed
+in one direction and doubled: the other direction gives the same sum.
 """
 
 from __future__ import annotations
@@ -26,30 +31,15 @@ class LossWeights:
     bonedir: float = 0.1
 
 
-def _batch_count(X, J, what):
-    rows = X.shape[0]
-    if rows % J:
-        raise ShapeMismatch(f"{what}: {rows} rows is not a multiple of J={J}")
-    return rows // J
-
-
-def _tiled(indices, B, block):
-    """Row indices for gathering `indices` out of each of B stacked blocks."""
-    idx = np.asarray(indices, dtype=np.int64)
-    return (np.arange(B, dtype=np.int64)[:, None] * block + idx[None, :]).ravel()
-
-
-def _bone_vecs(X, topo, B):
-    """(B*K, 3) bone vectors parent - child of B stacked poses."""
-    bones = np.asarray(topo.bones, dtype=np.int64)
-    par = ad.gather_rows(X, _tiled(bones[:, 0], B, topo.n_joints))
-    chi = ad.gather_rows(X, _tiled(bones[:, 1], B, topo.n_joints))
-    return ad.sub(par, chi)
-
-
-def _bone_lengths(X, topo, B):
-    """(B*K, 1) bone lengths of B stacked poses."""
-    return ad.norm_rows(_bone_vecs(X, topo, B))
+def _bone_vecs(X, topo):
+    """(B*K, 3) bone vectors parent - child of B stacked poses: each pose's
+    rows times the (K, J) incidence matrix, +1 at a bone's parent and -1 at
+    its child."""
+    D = np.zeros((topo.n_bones, topo.n_joints))
+    for k, (parent, child) in enumerate(topo.bones):
+        D[k, parent] = 1.0
+        D[k, child] = -1.0
+    return ad.block_left_matmul(D, X)
 
 
 def behind_camera(X, cam: CameraModel, n_joints):
@@ -81,16 +71,19 @@ def reprojection_loss(X1, X2, y1, y2, cam1: CameraModel, cam2: CameraModel):
 
 
 def symmetry_loss(X1, X2, topo):
-    """Sum over views and left bones of |left length - right length| in mm."""
-    left = np.asarray(topo.left_bones(), dtype=np.int64)
-    right = np.asarray([topo.mirror_bone[int(k)] for k in left], dtype=np.int64)
-    K = topo.n_bones
+    """Sum over views and left bones of |left length - right length| in mm.
+
+    Left minus right is each pose's K bone lengths times a constant (L, K)
+    matrix, +1 at a left bone and -1 at its mirror.
+    """
+    left = topo.left_bones()
+    S = np.zeros((len(left), topo.n_bones))
+    for i, k in enumerate(left):
+        S[i, k] = 1.0
+        S[i, topo.mirror_bone[k]] = -1.0
     total = None
     for X in (X1, X2):
-        B = _batch_count(X, topo.n_joints, "symmetry_loss")
-        lengths = _bone_lengths(X, topo, B)
-        dl = ad.sub(ad.gather_rows(lengths, _tiled(left, B, K)),
-                    ad.gather_rows(lengths, _tiled(right, B, K)))
+        dl = ad.block_left_matmul(S, ad.norm_rows(_bone_vecs(X, topo)))
         term = ad.reduce_sum(ad.norm_rows(dl))   # rows are 1-wide: |diff|
         total = term if total is None else ad.add(total, term)
     return total
@@ -100,37 +93,33 @@ def transform_consistency_loss(X1, X2, t12: RigidTransform):
     """Cross-view agreement: X1 vs the transform of X2 into view 1 and the
     reverse, summed over joints (mm).
 
-    t12 maps view-2 coordinates into view 1. Each direction is counted
-    once; a formulation that counts both twice is w_transform doubled.
+    t12 maps view-2 coordinates into view 1. It is rigid, and a rigid
+    motion keeps distances, so the reverse direction's distance
+    |X2 - t12^-1 X1| equals |t12 X2 - X1|: the sum over both directions is
+    the forward sum doubled.
     """
     if X1.shape != X2.shape:
         raise ShapeMismatch(f"pose stacks differ: {X1.shape} vs {X2.shape}")
-    inv = t12.inverse()
     x1_from_2 = ad.affine_rows(X2, t12.R.T, t12.t)
-    x2_from_1 = ad.affine_rows(X1, inv.R.T, inv.t)
-    fwd = ad.reduce_sum(ad.norm_rows(ad.sub(X1, x1_from_2)))
-    bwd = ad.reduce_sum(ad.norm_rows(ad.sub(X2, x2_from_1)))
-    return ad.add(fwd, bwd)
+    return ad.scale(ad.reduce_sum(ad.norm_rows(ad.sub(X1, x1_from_2))), 2.0)
 
 
 def bone_direction_loss(X1, X2, t12: RigidTransform, topo):
-    """Sum over bones of 1 - cos(angle) between each view's bones and the
-    other view's bones carried over by t12. Zero-length bones contribute
-    cosine 1, hence zero loss.
+    """Sum over views and bones of 1 - cos(angle) between each view's bones
+    and the other view's bones carried over by t12. Zero-length bones
+    contribute cosine 1, hence zero loss.
+
+    A bone vector is a difference of two joints, so t12's translation
+    cancels and only its rotation R carries it. R keeps angles, so view 2's
+    bones against R^T times view 1's make the same cosines as view 1's
+    against R times view 2's: the sum over both views is the latter doubled.
     """
     if X1.shape != X2.shape:
         raise ShapeMismatch(f"pose stacks differ: {X1.shape} vs {X2.shape}")
-    B = _batch_count(X1, topo.n_joints, "bone_direction_loss")
-    inv = t12.inverse()
-    x1_from_2 = ad.affine_rows(X2, t12.R.T, t12.t)
-    x2_from_1 = ad.affine_rows(X1, inv.R.T, inv.t)
-    total = None
-    for a, b in ((X1, x1_from_2), (X2, x2_from_1)):
-        cos = ad.row_cosine(_bone_vecs(a, topo, B), _bone_vecs(b, topo, B))
-        ones = a.tape.leaf(np.ones(cos.shape))
-        term = ad.reduce_sum(ad.sub(ones, cos))
-        total = term if total is None else ad.add(total, term)
-    return total
+    b2_in_1 = ad.affine_rows(_bone_vecs(X2, topo), t12.R.T)
+    cos = ad.row_cosine(_bone_vecs(X1, topo), b2_in_1)
+    ones = X1.tape.leaf(np.ones(cos.shape))
+    return ad.scale(ad.reduce_sum(ad.sub(ones, cos)), 2.0)
 
 
 def total_loss(X1, X2, y1, y2, cam1, cam2, t12, topo, weights: LossWeights):

@@ -359,6 +359,9 @@ def _encode_field(sample, key, d, J):
     if block.shape != (2, J, d):
         raise ShapeMismatch(f"sample {sample.sample_id}: {key} has shape "
                             f"{block.shape[1:]} per view, expected {(J, d)}")
+    if not np.isfinite(block).all():
+        raise SchemaError(f"sample {sample.sample_id}: non-finite values "
+                          f"in {key}")
     return base64.b64encode(block.tobytes()).decode("ascii")
 
 
@@ -396,6 +399,11 @@ def save_dataset(path, samples, topo=None):
     The stored bytes are the arrays' own, so loading gives back every
     value bit for bit (signed zeros and subnormals included), and a record
     takes about half the space of 17-digit decimal text.
+
+    What load_dataset would reject is refused here, naming the sample:
+    views that are not two distinct cameras and a NaN or an infinity in an
+    array field raise SchemaError, an array of the wrong shape
+    ShapeMismatch.
     """
     topo = topo or default_topology()
     J = topo.n_joints

@@ -124,9 +124,15 @@ def setting_problem(key, value):
     """
     if key == "tri_mode" and value not in TRI_MODES:
         return f"tri_mode must be one of {', '.join(TRI_MODES)}, got {value!r}"
-    if key in ("batch_size", "plateau_epochs") and value < 1:
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"{key} must be finite, got {value}"
+    if key in ("coord_scale", "initial_lr", "epsilon") and not value > 0:
+        return f"{key} must be greater than 0, got {value}"
+    if (key in ("batch_size", "plateau_epochs", "channels", "sgcn_layers")
+            and value < 1):
         return f"{key} must be at least 1, got {value}"
-    if key in ("epochs", "checkpoint_every") and value < 0:
+    if (key in ("epochs", "checkpoint_every", "seed", "init_seed")
+            and value < 0):
         return f"{key} must not be negative, got {value}"
     return None
 
@@ -311,7 +317,7 @@ def _batch_loss(model, cams, pair, batch, x, weights_cfg, with_grad):
         loss = ad.scale(total, 1.0 / B)
         if with_grad:
             tape.backward(loss)
-            grads = {name: leaf.grad.copy() for name, leaf in params.items()}
+            grads = {name: leaf.grad for name, leaf in params.items()}
         else:
             grads = None
         vals = {k: v.data.item() for k, v in parts.items()}

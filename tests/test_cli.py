@@ -371,3 +371,65 @@ def test_ablate_unknown_variant_exits_1(tmp_path, capsys):
     assert code == 1
     assert ("error: unknown variant 'fc'; choose from full, no_refine, "
             "no_spatial, no_crossview" in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("coord_scale = 0", "coord_scale must be greater than 0, got 0.0"),
+    ("channels = 0", "channels must be at least 1, got 0"),
+    ("initial_lr = nan", "initial_lr must be finite, got nan"),
+    ("sgcn_layers = 0", "sgcn_layers must be at least 1, got 0"),
+])
+def test_train_rejects_settings_that_fail_mid_run(tmp_path, capsys, setting,
+                                                  message):
+    out = run_synth(tmp_path, n=8)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"epochs = 1\nbatch_size = 8\n{setting}\n")
+    code = main(["train", "--data", str(out / "dataset.jsonl"),
+                 "--rig", str(out / "rig_assumed.jsonl"),
+                 "--out-dir", str(tmp_path / "run"), "--config", str(cfg),
+                 "--quiet"])
+    assert code == 1
+    assert f"error: line 3: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "final.ckpt").exists()
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("synth", "--seed", "-1", "seed must be at least 0, got -1"),
+    ("unseen", "--seed", "-1", "seed must be at least 0, got -1"),
+    ("noise", "--seed", "-1", "seed must be at least 0, got -1"),
+    ("train", "--seed", "-1", "seed must not be negative, got -1"),
+    ("synth", "--n-samples", "-3", "n_samples must be at least 0, got -3"),
+    ("unseen", "--n-train", "-1", "n_train must be at least 0, got -1"),
+    ("unseen", "--n-test", "-1", "n_test must be at least 0, got -1"),
+    ("synth", "--sigma-px", "nan",
+     "sigma_px must be finite and at least 0, got nan"),
+    ("synth", "--perturb-rot-deg", "inf",
+     "perturb_rot_deg must be finite and at least 0, got inf"),
+    ("synth", "--perturb-trans-mm", "-1",
+     "perturb_trans_mm must be finite and at least 0, got -1.0"),
+    ("unseen", "--sigma-px", "-0.5",
+     "sigma_px must be finite and at least 0, got -0.5"),
+    ("unseen", "--perturb-rot-deg", "nan",
+     "perturb_rot_deg must be finite and at least 0, got nan"),
+    ("unseen", "--perturb-trans-mm", "inf",
+     "perturb_trans_mm must be finite and at least 0, got inf"),
+])
+def test_negative_or_non_finite_flags_are_usage_errors(tmp_path, capsys,
+                                                       command, flag, value,
+                                                       message):
+    # Parsed before any file is read or written, so the paths need not exist.
+    paths = {
+        "synth": ["--out", str(tmp_path / "out")],
+        "unseen": [],
+        "noise": ["--data", str(tmp_path / "d.jsonl"),
+                  "--rig", str(tmp_path / "r.jsonl"),
+                  "--checkpoint", str(tmp_path / "c.ckpt")],
+        "train": ["--data", str(tmp_path / "d.jsonl"),
+                  "--rig", str(tmp_path / "r.jsonl"),
+                  "--out-dir", str(tmp_path / "run")],
+    }
+    with pytest.raises(SystemExit) as exc:
+        main([command, *paths[command], f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

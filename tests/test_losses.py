@@ -230,3 +230,90 @@ def test_loss_gradients_finite_differences():
     for name, build in builds.items():
         report = ad.grad_check(build, [X1, X2], n_samples=10, tol=1e-4, rng=7)
         assert report.ok, f"{name}: max rel err {report.max_rel_err:.2e}"
+
+
+def test_total_loss_records_42_nodes_and_no_row_gathers():
+    # Bone vectors and left-minus-right differences are constant per-pose
+    # matrices, and each cross-view term runs in one direction.
+    topo = default_topology()
+    rng = np.random.default_rng(8)
+    B, J = 3, topo.n_joints
+    X1 = rng.uniform(-200, 200, (B * J, 3)) + np.array([0, 0, 3000.0])
+    X2 = rng.uniform(-200, 200, (B * J, 3)) + np.array([0, 0, 3000.0])
+    y = rng.uniform(0, 1000, (B * J, 2))
+    a, b = leafpair(X1, X2)
+    before = len(a.tape)
+    total_loss(a, b, y, y, make_cam("cam1"), make_cam("cam2"),
+               RigidTransform(rot_y(30.0), np.array([80.0, 0.0, 5.0])), topo,
+               LossWeights())
+    ops = [v.op for v in a.tape.nodes[before:]]
+    assert "gather_rows" not in ops
+    assert len(ops) == 42
+
+
+# The two-direction formulations the cross-view terms reduce to: each view
+# against the other carried over by t12 or its inverse, bones gathered row
+# by row. The functions under test double one direction instead.
+
+def gathered_bones(X, topo):
+    starts = np.arange(X.shape[0] // topo.n_joints)[:, None] * topo.n_joints
+    parent, child = np.asarray(topo.bones).T
+    return ad.sub(ad.gather_rows(X, (starts + parent).ravel()),
+                  ad.gather_rows(X, (starts + child).ravel()))
+
+
+def two_way_transform_loss(X1, X2, t12):
+    total = None
+    for a, b, t in ((X1, X2, t12), (X2, X1, t12.inverse())):
+        carried = ad.affine_rows(b, t.R.T, t.t)
+        term = ad.reduce_sum(ad.norm_rows(ad.sub(a, carried)))
+        total = term if total is None else ad.add(total, term)
+    return total
+
+
+def two_way_bone_direction_loss(X1, X2, t12, topo):
+    total = None
+    for a, b, t in ((X1, X2, t12), (X2, X1, t12.inverse())):
+        carried = ad.affine_rows(b, t.R.T, t.t)
+        cos = ad.row_cosine(gathered_bones(a, topo),
+                            gathered_bones(carried, topo))
+        term = ad.reduce_sum(ad.sub(a.tape.leaf(np.ones(cos.shape)), cos))
+        total = term if total is None else ad.add(total, term)
+    return total
+
+
+def random_rigid(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return RigidTransform(q, rng.uniform(-500.0, 500.0, 3))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_one_way_cross_view_terms_match_two_way_reference(seed):
+    topo = default_topology()
+    rng = np.random.default_rng(seed)
+    t12 = random_rigid(rng)
+    B, J = 4, topo.n_joints
+    X1 = rng.uniform(-300, 300, (B * J, 3)) + np.array([0, 0, 3000.0])
+    X2 = rng.uniform(-300, 300, (B * J, 3)) + np.array([0, 0, 3000.0])
+    X2[J + 5] = X2[J + 4]           # sample 1's bone (4, 5) has zero length
+    pairs = (
+        (lambda p, q: transform_consistency_loss(p, q, t12),
+         lambda p, q: two_way_transform_loss(p, q, t12)),
+        (lambda p, q: bone_direction_loss(p, q, t12, topo),
+         lambda p, q: two_way_bone_direction_loss(p, q, t12, topo)),
+    )
+    for new, reference in pairs:
+        results = []
+        for build in (new, reference):
+            a, b = leafpair(X1, X2)
+            loss = build(a, b)
+            a.tape.backward(loss)
+            results.append((loss.data[0, 0], a.grad, b.grad))
+        (v, g1, g2), (v_ref, g1_ref, g2_ref) = results
+        assert v == pytest.approx(v_ref, rel=1e-12)
+        for g, g_ref in ((g1, g1_ref), (g2, g2_ref)):
+            np.testing.assert_allclose(g, g_ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(g_ref).max())

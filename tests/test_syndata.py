@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import math
 import warnings
@@ -524,6 +525,13 @@ def test_save_refuses_what_the_loader_would_reject(tmp_path):
                    s.joints_2d_clean)
     with pytest.raises(ShapeMismatch, match="joints_2d"):
         save_dataset(path, [short])
+    for key, bad in (("joints_2d", np.nan), ("joints_3d_gt", np.inf)):
+        arrays = {v: a.copy() for v, a in getattr(s, key).items()}
+        arrays[s.pair[1]][3, 0] = bad
+        broken = dataclasses.replace(s, sample_id="broken", **{key: arrays})
+        with pytest.raises(SchemaError,
+                           match=f"sample broken: non-finite values in {key}"):
+            save_dataset(path, [broken])
 
 
 @pytest.mark.parametrize("cameras, pairs", [

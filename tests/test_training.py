@@ -285,6 +285,15 @@ def test_train_config_parsing(tmp_path):
     ("plateau_epochs = 0", "plateau_epochs must be at least 1"),
     ("epochs = -3", "epochs must not be negative, got -3"),
     ("checkpoint_every = -1", "checkpoint_every must not be negative, got -1"),
+    ("channels = 0", "channels must be at least 1, got 0"),
+    ("sgcn_layers = 0", "sgcn_layers must be at least 1, got 0"),
+    ("coord_scale = 0", "coord_scale must be greater than 0, got 0.0"),
+    ("initial_lr = -0.001", "initial_lr must be greater than 0, got -0.001"),
+    ("initial_lr = nan", "initial_lr must be finite, got nan"),
+    ("epsilon = 0", "epsilon must be greater than 0, got 0.0"),
+    ("w_bonedir = inf", "w_bonedir must be finite, got inf"),
+    ("seed = -1", "seed must not be negative, got -1"),
+    ("init_seed = -2", "init_seed must not be negative, got -2"),
 ])
 def test_train_config_rejects_out_of_range_values(tmp_path, setting, message):
     path = tmp_path / "train.cfg"
