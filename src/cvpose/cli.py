@@ -65,6 +65,18 @@ def _at_least_0(name, kind=int):
     return parse
 
 
+def _finite(name):
+    """argparse type of a finite float; the name shows in its messages."""
+    def parse(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(
+                f"{name} must be finite, got {value}")
+        return value
+    parse.__name__ = name
+    return parse
+
+
 def sigmas(text):
     """argparse type of --sigmas: a comma list of noise levels in mm, each
     finite and at least 0."""
@@ -315,7 +327,8 @@ def build_parser():
     sp.add_argument("--perturb-trans-mm", default=0.0,
                     type=_at_least_0("perturb_trans_mm", float))
     sp.add_argument("--cameras", type=int, default=2)
-    sp.add_argument("--separation-deg", type=float, default=60.0)
+    sp.add_argument("--separation-deg", type=_finite("separation_deg"),
+                    default=60.0)
     sp.add_argument("--pairs", help="comma list like cam1:cam2,cam2:cam3")
     sp.add_argument("--no-gt", action="store_true")
     sp.add_argument("--topology")
@@ -386,7 +399,8 @@ def build_parser():
                     type=_at_least_0("perturb_rot_deg", float))
     sp.add_argument("--perturb-trans-mm", default=0.0,
                     type=_at_least_0("perturb_trans_mm", float))
-    sp.add_argument("--separation-deg", type=float, default=40.0)
+    sp.add_argument("--separation-deg", type=_finite("separation_deg"),
+                    default=40.0)
     sp.add_argument("--out")
     sp.add_argument("--topology")
     sp.set_defaults(func=cmd_unseen)

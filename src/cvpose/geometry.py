@@ -477,8 +477,8 @@ def save_rig(path, cameras):
 def load_rig(path):
     """Read a rig file, returning cameras in file order.
 
-    Malformed JSON, missing fields or invalid rotations raise SchemaError
-    tagged with the offending line number.
+    Malformed JSON, missing or wrongly typed fields or invalid rotations
+    raise SchemaError tagged with the offending line number.
     """
     lineno, _, records = read_records(path, RIG_SCHEMA, "rig")
     cams = []
@@ -497,7 +497,7 @@ def load_rig(path):
                 width=int(rec["width"]),
                 height=int(rec["height"]),
             )
-        except (ValueError, ShapeMismatch) as exc:
+        except (ValueError, TypeError, ShapeMismatch) as exc:
             raise SchemaError(f"line {lineno}: {exc}", line=lineno)
         if cam.cam_id in seen:
             raise SchemaError(f"line {lineno}: duplicate camera id {cam.cam_id!r}",

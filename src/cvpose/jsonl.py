@@ -1,7 +1,7 @@
 """Line-oriented JSON files: a schema header line, then one record per line.
 
-Blank lines are ignored everywhere; line numbers in errors are 1-based and
-count every physical line.
+Files are UTF-8. Blank lines are ignored everywhere; line numbers in errors
+are 1-based and count every physical line.
 """
 
 from __future__ import annotations
@@ -11,9 +11,16 @@ import json
 from .errors import SchemaError
 
 
-def _nonblank_lines(path):
-    with open(path) as fh:
-        for lineno, text in enumerate(fh, start=1):
+def nonblank_lines(path):
+    """(line number, text) of each non-blank line of a text file, decoded as
+    UTF-8 whatever the locale; a line that is not UTF-8 raises SchemaError."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"line {lineno}: not UTF-8 ({exc.reason})",
+                                  line=lineno)
             if text.strip():
                 yield lineno, text
 
@@ -42,7 +49,7 @@ def read_records(path, schema, what):
     never held in memory whole; invalid JSON, or a record that is not a
     JSON object, raises SchemaError when the offending line is reached.
     """
-    lines = _nonblank_lines(path)
+    lines = nonblank_lines(path)
     first = next(lines, None)
     if first is None:
         raise SchemaError(f"empty {what} file", line=1)

@@ -16,7 +16,7 @@ joint, per camera pair, as percentiles over samples and overall.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -88,20 +88,7 @@ class EvalReport:
     mpjpe_percentiles_mm: dict = field(default_factory=dict)
 
     def to_json(self):
-        return json.dumps({
-            "n_samples": self.n_samples,
-            "mpjpe_tri_mm": self.mpjpe_tri_mm,
-            "mpjpe_refined_mm": self.mpjpe_refined_mm,
-            "pmpjpe_tri_mm": self.pmpjpe_tri_mm,
-            "pmpjpe_refined_mm": self.pmpjpe_refined_mm,
-            "per_sample_tri": self.per_sample_tri,
-            "per_sample_refined": self.per_sample_refined,
-            "skipped": self.skipped,
-            "per_joint_mpjpe_mm": self.per_joint_mpjpe_mm,
-            "per_joint_pmpjpe_mm": self.per_joint_pmpjpe_mm,
-            "per_pair_mm": self.per_pair_mm,
-            "mpjpe_percentiles_mm": self.mpjpe_percentiles_mm,
-        }, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def save(self, path):
         with open(path, "w") as fh:

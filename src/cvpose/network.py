@@ -1,19 +1,26 @@
 """Cross-view U-shaped graph convolutional refinement network.
 
-Per-view spatial layers share weights across views, the views are then
-fused into one 2J-node graph and passed through an encoder/decoder over
-three graph resolutions with additive skip connections. The fused graph is
-the only network path: the cross-view kernel (class 4) is the one place
-where the views exchange information, so masking it (kernel_mask={4}) is
-the no-cross-view ablation and refines each view on its own. A
-zero-initialized output head makes the network an exact identity at
-initialization: the residual it adds to the coarse pose starts at zero.
+The network has one layout. A spatial graph conv per view lifts each
+joint from 3 to C channels (`sgcn.0`) and a residual unit follows it
+(`sgcn.1`); both share their weights across the views. The views are then
+fused into one 2J-node graph and pass through a U-shape over three graph
+resolutions, one residual unit per stage (`mgcn.<stage>.0` for the STAGES
+enc0, enc1, bottleneck, dec1, dec0), with additive skip connections from
+the encoder to the decoder. A C -> 3 head maps the features to a
+residual. The fused graph is the only network path: the cross-view kernel
+(class 4) is the one place where the views exchange information, so
+masking it (kernel_mask={4}) is the no-cross-view ablation and refines
+each view on its own. A zero-initialized head makes the network an exact
+identity at initialization: the residual it adds to the coarse pose
+starts at zero. NetworkConfig sets only the width C and the seed of the
+initial draws.
 
 Inputs and outputs are in millimetres; each pose is centred on its joint
-centroid and scaled by coord_scale before the convolutions, and the
-learned residual is added back onto the uncentred coarse pose. Centering
-matters: without biases, a camera-frame depth offset of metres would
-swamp every feature channel.
+centroid and scaled by COORD_SCALE (mm to metres) before the
+convolutions, and the learned residual, scaled back by 1 / COORD_SCALE,
+is added onto the uncentred coarse pose. Centering matters: without
+biases, a camera-frame depth offset of metres would swamp every feature
+channel.
 
 A batch of B pose pairs enters as one (2BJ, 3) matrix of per-sample
 blocks: sample s's J view-1 joints, then its J view-2 joints. That is the
@@ -48,6 +55,7 @@ which is what the finite-difference gradient checks use.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -68,51 +76,55 @@ N_KERNELS = 5
 STAGES = ("enc0", "enc1", "bottleneck", "dec1", "dec0")
 # conv_dtype of every tape that trains, evaluates or refines (see above).
 CONV_DTYPE = np.float32
+# Millimetres to network units: the centred input is scaled by it, the
+# residual by its inverse.
+COORD_SCALE = 0.001
+
+
+# Settings of earlier network layouts, each at the one value this network
+# has. A checkpoint's config line or a train.cfg written before they were
+# retired may name them: at these values they load as before, at any other
+# they are refused (retired_problem) rather than build a different network.
+RETIRED_SETTINGS = {"sgcn_layers": 2, "mgcn_layers_per_stage": 1,
+                    "coord_scale": COORD_SCALE}
+
+
+def retired_problem(key, value):
+    """Why a file's value of a retired setting cannot load, or None."""
+    fixed = RETIRED_SETTINGS[key]
+    if value == fixed:
+        return None
+    return (f"{key} = {value} is not supported: the setting is retired and "
+            f"the network has {key} = {fixed} only")
 
 
 @dataclass
 class NetworkConfig:
     channels: int = 128
-    sgcn_layers: int = 2
-    mgcn_layers_per_stage: int = 1
-    coord_scale: float = 0.001
     init_seed: int = 0
 
     def to_json(self):
-        return json.dumps({
-            "channels": self.channels,
-            "sgcn_layers": self.sgcn_layers,
-            "mgcn_layers_per_stage": self.mgcn_layers_per_stage,
-            "coord_scale": self.coord_scale,
-            "init_seed": self.init_seed,
-        }, sort_keys=True)
+        return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
     @staticmethod
     def from_json(text):
         d = json.loads(text)
-        return NetworkConfig(
-            channels=int(d["channels"]),
-            sgcn_layers=int(d["sgcn_layers"]),
-            mgcn_layers_per_stage=int(d["mgcn_layers_per_stage"]),
-            coord_scale=float(d["coord_scale"]),
-            init_seed=int(d["init_seed"]),
-        )
+        for key in RETIRED_SETTINGS:
+            problem = retired_problem(key, d[key]) if key in d else None
+            if problem:
+                raise SchemaError(problem)
+        return NetworkConfig(**{f.name: type(f.default)(d[f.name])
+                                for f in dataclasses.fields(NetworkConfig)})
 
 
 def weight_shapes(config: NetworkConfig):
-    """Ordered (name, shape) pairs; the order fixes init draws and file layout."""
+    """Ordered (name, shape) pairs, one per kernel class of each unit, then
+    the head; the order fixes init draws and file layout."""
     C = config.channels
-    shapes = []
-    for layer in range(config.sgcn_layers):
-        fan_in = 3 if layer == 0 else C
-        for k in range(N_KERNELS):
-            shapes.append((f"sgcn.{layer}.k{k}", (fan_in, C)))
-    for stage in STAGES:
-        for layer in range(config.mgcn_layers_per_stage):
-            for k in range(N_KERNELS):
-                shapes.append((f"mgcn.{stage}.{layer}.k{k}", (C, C)))
-    shapes.append(("head", (C, 3)))
-    return shapes
+    units = [("sgcn.0", 3), ("sgcn.1", C)] + [(f"mgcn.{s}.0", C)
+                                              for s in STAGES]
+    return [(f"{unit}.k{k}", (fan_in, C)) for unit, fan_in in units
+            for k in range(N_KERNELS)] + [("head", (C, 3))]
 
 
 class ModelWeights:
@@ -252,41 +264,13 @@ class CVUGCN:
 
     # -- forward -----------------------------------------------------------
 
-    def _conv(self, op, h, conv, weights_by_kernel):
-        """op (ad.graph_conv_relu or ad.residual_graph_conv) over the
-        conv's unmasked kernels: one tape node."""
+    def _conv(self, op, h, conv, params, unit):
+        """op (ad.graph_conv_relu or ad.residual_graph_conv) over the conv's
+        unmasked kernels k, with the weights params[f"{unit}.k{k}"]: one
+        tape node."""
         n, entries = conv
         return op(h, [N for _, N in entries],
-                  [weights_by_kernel[k] for k, _ in entries], n)
-
-    def _stage_weights(self, params, prefix, n_layers):
-        return [[params[f"{prefix}.{layer}.k{k}"] for k in range(N_KERNELS)]
-                for layer in range(n_layers)]
-
-    def _stage(self, h, conv, layer_weights):
-        """A stage of graph-conv units in pre-activation residual form.
-
-        Width-preserving units compute h + conv(relu(h)), one
-        autodiff.residual_graph_conv node each; the one width-changing
-        unit (the leading 3 -> C lift) is relu(conv(h)), one
-        autodiff.graph_conv_relu node.
-        The residual form is what keeps training alive under the
-        scale-invariant optimizer: its earliest steps move every weight
-        by the same fixed quantum regardless of gradient size, and the
-        burst of coherent gradients set off when the zero-initialized
-        head first moves can push entire rectifier layers into the
-        silent regime. In a plain stack one silenced layer on the
-        mainline cuts both signal and gradient for good; with the
-        identity path the forward signal and the head's gradient always
-        survive, and silenced branch units recover as the features
-        feeding them shift.
-        """
-        for ws in layer_weights:
-            if ws[0].shape[0] == ws[0].shape[1]:
-                h = self._conv(ad.residual_graph_conv, h, conv, ws)
-            else:
-                h = self._conv(ad.graph_conv_relu, h, conv, ws)
-        return h
+                  [params[f"{unit}.k{k}"] for k, _ in entries], n)
 
     def refine_from_leaf(self, xin, params):
         """Forward pass from an existing (2BJ, 3) leaf of per-sample 2J-node
@@ -303,32 +287,40 @@ class CVUGCN:
         rows = xin.shape[0]
         if rows % (2 * J):
             raise ShapeMismatch(f"input rows {rows} not a multiple of 2J={2 * J}")
-        cfg = self.config
 
         # The J-node centering and spatial kernels act on every J-row block:
-        # each view of each sample.
-        h = ad.scale(ad.block_left_matmul(self._center, xin), cfg.coord_scale)
-        sgcn = self._stage_weights(params, "sgcn", cfg.sgcn_layers)
-        h = self._stage(h, self._sgcn_conv, sgcn)
+        # each view of each sample. The 3 -> C lift is relu(conv(h)).
+        h = ad.scale(ad.block_left_matmul(self._center, xin), COORD_SCALE)
+        h = self._conv(ad.graph_conv_relu, h, self._sgcn_conv, params,
+                       "sgcn.0")
 
-        stage_ws = {s: self._stage_weights(params, f"mgcn.{s}",
-                                           cfg.mgcn_layers_per_stage)
-                    for s in STAGES}
-        pool = self._levels.pool
-        unpool = self._levels.unpool
+        # Every later unit keeps the width and is in pre-activation residual
+        # form, h + conv(relu(h)). The residual form is what keeps training
+        # alive under the scale-invariant optimizer: its earliest steps
+        # move every weight by the same fixed quantum regardless of
+        # gradient size, and the burst of coherent gradients set off when
+        # the zero-initialized head first moves can push entire rectifier
+        # layers into the silent regime. In a plain stack one silenced
+        # layer on the mainline cuts both signal and gradient for good;
+        # with the identity path the forward signal and the head's gradient
+        # always survive, and silenced branch units recover as the features
+        # feeding them shift.
+        def unit(h, conv, name):
+            return self._conv(ad.residual_graph_conv, h, conv, params, name)
+
+        pool, unpool = self._levels.pool, self._levels.unpool
         conv = self._level_convs
-
-        e0 = self._stage(h, conv[0], stage_ws["enc0"])
-        e1 = self._stage(ad.block_left_matmul(pool[0], e0), conv[1],
-                         stage_ws["enc1"])
-        bn = self._stage(ad.block_left_matmul(pool[1], e1), conv[2],
-                         stage_ws["bottleneck"])
-        d1 = self._stage(ad.block_left_matmul_add(unpool[1], bn, e1),
-                         conv[1], stage_ws["dec1"])
-        d0 = self._stage(ad.block_left_matmul_add(unpool[0], d1, e0),
-                         conv[0], stage_ws["dec0"])
+        h = unit(h, self._sgcn_conv, "sgcn.1")
+        e0 = unit(h, conv[0], "mgcn.enc0.0")
+        e1 = unit(ad.block_left_matmul(pool[0], e0), conv[1], "mgcn.enc1.0")
+        bn = unit(ad.block_left_matmul(pool[1], e1), conv[2],
+                  "mgcn.bottleneck.0")
+        d1 = unit(ad.block_left_matmul_add(unpool[1], bn, e1), conv[1],
+                  "mgcn.dec1.0")
+        d0 = unit(ad.block_left_matmul_add(unpool[0], d1, e0), conv[0],
+                  "mgcn.dec0.0")
         res = ad.matmul(d0, params["head"])
-        refined = ad.add(xin, ad.scale(res, 1.0 / cfg.coord_scale))
+        refined = ad.add(xin, ad.scale(res, 1.0 / COORD_SCALE))
         return split_views(refined, J)
 
     def refine_batch(self, tape, x1_mm, x2_mm, params=None):
@@ -435,6 +427,8 @@ def load_checkpoint(path, topo) -> Checkpoint:
             train_state = json.loads(fields["train"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad checkpoint metadata: {exc}")
+        except SchemaError as exc:   # a retired setting off its value
+            fail(2, str(exc))
 
         # Own writable buffers: AmsGrad updates loaded arrays in place.
         arrays = {}

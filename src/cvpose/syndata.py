@@ -38,7 +38,7 @@ import base64
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -489,18 +489,7 @@ def save_manifest(path, config: SyntheticConfig, hashes, n_samples):
     """JSON manifest tying a generation config to its output file hashes."""
     body = {
         "schema": "manifest-v1",
-        "config": {
-            "n_samples": config.n_samples,
-            "seed": config.seed,
-            "sigma_px": config.sigma_px,
-            "perturb_rot_deg": config.perturb_rot_deg,
-            "perturb_trans_mm": config.perturb_trans_mm,
-            "workspace_mm": list(config.workspace_mm),
-            "angle_scale": config.angle_scale,
-            "root_yaw_deg": config.root_yaw_deg,
-            "max_resample": config.max_resample,
-            "include_gt": config.include_gt,
-        },
+        "config": asdict(config),
         "n_samples": n_samples,
         "sha256": dict(hashes),
     }

@@ -31,9 +31,11 @@ from . import autodiff as ad
 from .errors import NonFiniteLoss, NonPositiveDepth, SchemaError
 from .geometry import TRI_MODES, relative_transform, triangulate_stack
 from .graph import default_topology
+from .jsonl import nonblank_lines
 from .losses import LossWeights, behind_camera, total_loss
-from .network import (CONV_DTYPE, CVUGCN, NetworkConfig, init_weights,
-                      load_checkpoint, save_checkpoint)
+from .network import (CONV_DTYPE, CVUGCN, RETIRED_SETTINGS, NetworkConfig,
+                      init_weights, load_checkpoint, retired_problem,
+                      save_checkpoint)
 
 
 @dataclass
@@ -54,17 +56,10 @@ class TrainConfig:
     epsilon: float = 1e-8
     checkpoint_every: int = 0
     channels: int = 128
-    sgcn_layers: int = 2
-    mgcn_layers_per_stage: int = 1
-    coord_scale: float = 0.001
     init_seed: int = 0
 
     def network(self) -> NetworkConfig:
-        return NetworkConfig(channels=self.channels,
-                             sgcn_layers=self.sgcn_layers,
-                             mgcn_layers_per_stage=self.mgcn_layers_per_stage,
-                             coord_scale=self.coord_scale,
-                             init_seed=self.init_seed)
+        return NetworkConfig(channels=self.channels, init_seed=self.init_seed)
 
     def loss_weights(self) -> LossWeights:
         return LossWeights(reproj=self.w_reproj, sym=self.w_sym,
@@ -83,37 +78,38 @@ def save_train_config(path, config: TrainConfig):
 
 
 def load_train_config(path) -> TrainConfig:
-    """Flat key = value file; '#' comments and blank lines are ignored."""
-    fields = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+    """Flat key = value file; '#' comments and blank lines are ignored.
+
+    The file is UTF-8 whatever the locale. A retired network setting
+    (network.RETIRED_SETTINGS) may appear at its fixed value, as in the
+    files earlier versions wrote, and is then ignored.
+    """
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
+    kinds.update((k, type(v)) for k, v in RETIRED_SETTINGS.items())
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise SchemaError(f"line {lineno}: expected key = value",
-                                  line=lineno)
-            key, _, val = text.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in fields:
-                raise SchemaError(f"line {lineno}: unknown key {key!r}",
-                                  line=lineno)
-            kind = fields[key]
-            try:
-                if kind in ("int", int):
-                    values[key] = int(val)
-                elif kind in ("float", float):
-                    values[key] = float(val)
-                else:
-                    values[key] = val.strip("'\"")
-            except ValueError:
-                raise SchemaError(
-                    f"line {lineno}: bad value {val!r} for {key}", line=lineno)
-            problem = setting_problem(key, values[key])
-            if problem:
-                raise SchemaError(f"line {lineno}: {problem}", line=lineno)
-    return TrainConfig(**values)
+    for lineno, raw in nonblank_lines(path):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise SchemaError(f"line {lineno}: expected key = value",
+                              line=lineno)
+        key, _, val = text.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in kinds:
+            raise SchemaError(f"line {lineno}: unknown key {key!r}",
+                              line=lineno)
+        kind = kinds[key]
+        try:
+            values[key] = val.strip("'\"") if kind is str else kind(val)
+        except ValueError:
+            raise SchemaError(
+                f"line {lineno}: bad value {val!r} for {key}", line=lineno)
+        problem = setting_problem(key, values[key])
+        if problem:
+            raise SchemaError(f"line {lineno}: {problem}", line=lineno)
+    return TrainConfig(**{k: v for k, v in values.items()
+                          if k not in RETIRED_SETTINGS})
 
 
 def setting_problem(key, value):
@@ -122,14 +118,15 @@ def setting_problem(key, value):
     Checked where a value enters (a config file, the CLI), so a bad setting
     is reported by name instead of surfacing as an error mid-training.
     """
+    if key in RETIRED_SETTINGS:
+        return retired_problem(key, value)
     if key == "tri_mode" and value not in TRI_MODES:
         return f"tri_mode must be one of {', '.join(TRI_MODES)}, got {value!r}"
     if isinstance(value, float) and not math.isfinite(value):
         return f"{key} must be finite, got {value}"
-    if key in ("coord_scale", "initial_lr", "epsilon") and not value > 0:
+    if key in ("initial_lr", "epsilon") and not value > 0:
         return f"{key} must be greater than 0, got {value}"
-    if (key in ("batch_size", "plateau_epochs", "channels", "sgcn_layers")
-            and value < 1):
+    if key in ("batch_size", "plateau_epochs", "channels") and value < 1:
         return f"{key} must be at least 1, got {value}"
     if (key in ("epochs", "checkpoint_every", "seed", "init_seed")
             and value < 0):

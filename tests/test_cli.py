@@ -4,6 +4,7 @@ import os
 import pytest
 
 from cvpose.cli import main
+from cvpose.syndata import file_sha256
 
 
 def run_synth(tmp_path, name="data", n=8, sigma=3.0, seed=0, extra=()):
@@ -374,10 +375,12 @@ def test_ablate_unknown_variant_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("setting, message", [
-    ("coord_scale = 0", "coord_scale must be greater than 0, got 0.0"),
     ("channels = 0", "channels must be at least 1, got 0"),
     ("initial_lr = nan", "initial_lr must be finite, got nan"),
-    ("sgcn_layers = 0", "sgcn_layers must be at least 1, got 0"),
+    ("mgcn_layers_per_stage = -1",
+     "mgcn_layers_per_stage = -1 is not supported: the setting is retired"),
+    ("sgcn_layers = 3", "sgcn_layers = 3 is not supported: the setting is "
+     "retired and the network has sgcn_layers = 2 only"),
 ])
 def test_train_rejects_settings_that_fail_mid_run(tmp_path, capsys, setting,
                                                   message):
@@ -413,6 +416,14 @@ def test_train_rejects_settings_that_fail_mid_run(tmp_path, capsys, setting,
      "perturb_rot_deg must be finite and at least 0, got nan"),
     ("unseen", "--perturb-trans-mm", "inf",
      "perturb_trans_mm must be finite and at least 0, got inf"),
+    ("synth", "--separation-deg", "nan",
+     "separation_deg must be finite, got nan"),
+    ("synth", "--separation-deg", "inf",
+     "separation_deg must be finite, got inf"),
+    ("unseen", "--separation-deg", "nan",
+     "separation_deg must be finite, got nan"),
+    ("unseen", "--separation-deg", "-inf",
+     "separation_deg must be finite, got -inf"),
 ])
 def test_negative_or_non_finite_flags_are_usage_errors(tmp_path, capsys,
                                                        command, flag, value,
@@ -433,3 +444,73 @@ def test_negative_or_non_finite_flags_are_usage_errors(tmp_path, capsys,
     assert exc.value.code == 2
     assert f"argument {flag}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_eval_checkpoint_naming_a_retired_setting_off_its_value_exits_1(
+        tmp_path, capsys):
+    from cvpose.graph import default_topology
+    from cvpose.network import NetworkConfig, init_weights, save_checkpoint
+    out = run_synth(tmp_path, n=4)
+    net = NetworkConfig(channels=8)
+    ckpt = tmp_path / "w.ckpt"
+    save_checkpoint(ckpt, default_topology(), net, init_weights(net), step=0)
+    ckpt.write_bytes(ckpt.read_bytes().replace(
+        b'config {"channels": 8,',
+        b'config {"channels": 8, "mgcn_layers_per_stage": -1,', 1))
+    code = main(["eval", "--data", str(out / "dataset.jsonl"),
+                 "--rig", str(out / "rig_assumed.jsonl"),
+                 "--checkpoint", str(ckpt)])
+    assert code == 1
+    assert ("error: line 3: mgcn_layers_per_stage = -1 is not supported"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("flag", ["--data", "--rig", "--topology"])
+def test_non_utf8_input_file_exits_1_naming_the_line(tmp_path, capsys, flag):
+    out = run_synth(tmp_path, n=2)
+    files = {"--data": out / "dataset.jsonl",
+             "--rig": out / "rig_assumed.jsonl",
+             "--topology": out / "topology.jsonl"}
+    header, rest = files[flag].read_bytes().split(b"\n", 1)
+    files[flag].write_bytes(header + b"\n\xff" + rest)
+    code = main(["triangulate", *(str(a) for kv in files.items() for a in kv)])
+    assert code == 1
+    assert "error: line 2: not UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exits_1_naming_the_line(tmp_path, capsys):
+    out = run_synth(tmp_path, n=2)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_bytes(b"epochs = 1\n# caf\xe9 (Latin-1)\nchannels = 8\n")
+    code = main(["train", "--data", str(out / "dataset.jsonl"),
+                 "--rig", str(out / "rig_assumed.jsonl"),
+                 "--out-dir", str(tmp_path / "run"), "--config", str(cfg),
+                 "--quiet"])
+    assert code == 1
+    assert "error: line 2: not UTF-8" in capsys.readouterr().err
+
+
+def test_negative_separation_is_valid(tmp_path):
+    # default_rig mirrors the cameras; only a non-finite angle is refused.
+    run_synth(tmp_path, n=2, extra=("--separation-deg", "-60"))
+
+
+def test_report_and_manifest_bytes_are_unchanged(tmp_path):
+    # Digests of the files as written when EvalReport.to_json and
+    # save_manifest still listed every field by hand; building them from
+    # dataclasses.asdict must not change a byte.
+    out = run_synth(tmp_path, n=8, seed=3)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs = 1\nbatch_size = 8\nchannels = 8\n")
+    data = ["--data", str(out / "dataset.jsonl"),
+            "--rig", str(out / "rig_assumed.jsonl")]
+    assert main(["train", *data, "--out-dir", str(tmp_path / "run"),
+                 "--config", str(cfg), "--quiet"]) == 0
+    report = tmp_path / "report.json"
+    assert main(["eval", *data, "--checkpoint",
+                 str(tmp_path / "run" / "final.ckpt"),
+                 "--report", str(report)]) == 0
+    assert file_sha256(out / "manifest.json") == (
+        "7a17e5755ca863a7fbef1490e9a4017d8310c3fbc64524f04fb40a7ec29995eb")
+    assert file_sha256(report) == (
+        "67f92302ee0ec6d7527d038a1f245316654e1c87436f3fa5b8fbc0fce83cda9e")

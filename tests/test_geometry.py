@@ -549,3 +549,16 @@ def test_rig_record_must_be_an_object(tmp_path):
     with pytest.raises(SchemaError, match="line 2: .*JSON object") as exc:
         load_rig(path)
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("field, value", [("width", None), ("t", {"a": 1})])
+def test_rig_rejects_wrongly_typed_field(tmp_path, field, value):
+    rec = {"id": "a", "K": np.eye(3).reshape(-1).tolist(),
+           "R": np.eye(3).reshape(-1).tolist(), "t": [0, 0, 0],
+           "width": 10, "height": 10, field: value}
+    path = tmp_path / "rig.jsonl"
+    path.write_text(json.dumps({"schema": "rig-v1"}) + "\n"
+                    + json.dumps(rec) + "\n")
+    with pytest.raises(SchemaError, match="line 2: ") as exc:
+        load_rig(path)
+    assert exc.value.line == 2

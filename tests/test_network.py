@@ -24,8 +24,7 @@ from cvpose.network import (
 
 
 def small_config(**kw):
-    base = dict(channels=8, sgcn_layers=2, mgcn_layers_per_stage=1,
-                coord_scale=0.001, init_seed=0)
+    base = dict(channels=8, init_seed=0)
     base.update(kw)
     return NetworkConfig(**base)
 
@@ -272,8 +271,8 @@ def test_default_forward_records_one_node_per_conv():
     # unit is one residual_graph_conv node, with no relu or add of its
     # own; each decoder unpool and its skip add are one node.
     assert ops.count("graph_conv_relu") == 1
-    units = cfg.sgcn_layers - 1 + len(network.STAGES)
-    assert ops.count("residual_graph_conv") == units == 6
+    # One spatial residual unit, then one per U-stage.
+    assert ops.count("residual_graph_conv") == 1 + len(network.STAGES) == 6
     assert ops.count("block_left_matmul_add") == 2
     assert ops.count("block_left_matmul") == 3   # centring, two pools
     assert "relu" not in ops and "graph_conv" not in ops

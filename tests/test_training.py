@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,9 @@ from cvpose.errors import (CvposeError, DegenerateGeometry, NonFiniteLoss,
 from cvpose.geometry import CameraModel, Pose2D, triangulate_pose
 from cvpose.graph import default_topology
 from cvpose.metrics import evaluate
-from cvpose.network import (CVUGCN, coarse_pair_leaf, init_weights,
-                            load_checkpoint, save_checkpoint)
+from cvpose.network import (CONV_DTYPE, CVUGCN, NetworkConfig,
+                            coarse_pair_leaf, init_weights, load_checkpoint,
+                            save_checkpoint)
 from cvpose.syndata import (Sample, SyntheticConfig, default_rig,
                             generate_dataset)
 from cvpose.training import (LOG_HEADER, AmsGrad, CoarsePoses, TrainConfig,
@@ -286,8 +289,6 @@ def test_train_config_parsing(tmp_path):
     ("epochs = -3", "epochs must not be negative, got -3"),
     ("checkpoint_every = -1", "checkpoint_every must not be negative, got -1"),
     ("channels = 0", "channels must be at least 1, got 0"),
-    ("sgcn_layers = 0", "sgcn_layers must be at least 1, got 0"),
-    ("coord_scale = 0", "coord_scale must be greater than 0, got 0.0"),
     ("initial_lr = -0.001", "initial_lr must be greater than 0, got -0.001"),
     ("initial_lr = nan", "initial_lr must be finite, got nan"),
     ("epsilon = 0", "epsilon must be greater than 0, got 0.0"),
@@ -300,6 +301,104 @@ def test_train_config_rejects_out_of_range_values(tmp_path, setting, message):
     path.write_text(f"epochs = 2\n{setting}\n")
     with pytest.raises(SchemaError, match=f"line 2: {message}"):
         load_train_config(path)
+
+
+# A train.cfg as `cvpose train` wrote it while the network's depth and input
+# scale were still settings: every field, the three retired ones included.
+TRAIN_CFG_WITH_RETIRED_KEYS = """\
+epochs = 4
+batch_size = 8
+initial_lr = 0.001
+lr_decay = 0.9
+plateau_epochs = 10
+seed = 0
+tri_mode = 'dual'
+w_reproj = 1.0
+w_sym = 1.0
+w_transform = 1.0
+w_bonedir = 0.1
+beta1 = 0.9
+beta2 = 0.999
+epsilon = 1e-08
+checkpoint_every = 2
+channels = 8
+sgcn_layers = 2
+mgcn_layers_per_stage = 1
+coord_scale = 0.001
+init_seed = 0
+"""
+RETIRED_AT_THEIR_VALUES = {"sgcn_layers": 2, "mgcn_layers_per_stage": 1,
+                           "coord_scale": 0.001}
+
+
+def _with_config_keys(src, dst, keys):
+    """Copy checkpoint src to dst with `keys` added to its config line, as
+    checkpoints written before the settings were retired name them."""
+    lines = src.read_bytes().split(b"\n", 5)
+    config = json.loads(lines[2][len(b"config "):])
+    lines[2] = b"config " + json.dumps({**config, **keys},
+                                       sort_keys=True).encode()
+    dst.write_bytes(b"\n".join(lines))
+    return dst
+
+
+def test_files_naming_retired_settings_at_their_values_work_as_before(
+        tmp_path):
+    cfg_path = tmp_path / "train.cfg"
+    cfg_path.write_text(TRAIN_CFG_WITH_RETIRED_KEYS)
+    cfg = load_train_config(cfg_path)
+    assert cfg == TrainConfig(epochs=4, batch_size=8, channels=8,
+                              checkpoint_every=2)
+    samples, rig, assumed = small_dataset(n=16)
+    fit(samples, [], assumed, cfg, out_dir=tmp_path / "run")
+    ckpt = tmp_path / "run" / "epoch_0002.ckpt"
+    old = _with_config_keys(ckpt, tmp_path / "old.ckpt",
+                            RETIRED_AT_THEIR_VALUES)
+    assert b'"sgcn_layers": 2' in old.read_bytes()
+
+    topo = default_topology()
+    new_ck, old_ck = load_checkpoint(ckpt, topo), load_checkpoint(old, topo)
+    assert old_ck.config == new_ck.config
+    for name, arr in new_ck.weights.items():
+        assert np.array_equal(old_ck.weights[name], arr)
+    for kind, arrays in new_ck.opt_state.items():
+        for name, arr in arrays.items():
+            assert np.array_equal(old_ck.opt_state[kind][name], arr)
+    coarse, _ = precompute_coarse(samples, assumed)
+    x1, x2 = (coarse.poses[:4, v].reshape(-1, 3) for v in (0, 1))
+    refined = [CVUGCN(topo, ck.config, weights=ck.weights).refine_batch(
+        ad.Tape(conv_dtype=CONV_DTYPE), x1, x2)[:2] for ck in (new_ck, old_ck)]
+    for a, b in zip(*refined):
+        assert np.array_equal(a.data, b.data)
+
+    for name, src in (("from_new", ckpt), ("from_old", old)):
+        fit(samples, [], assumed, cfg, out_dir=tmp_path / name,
+            resume_from=src)
+    for fname in ("final.ckpt", "train_log.csv"):
+        assert ((tmp_path / "from_old" / fname).read_bytes()
+                == (tmp_path / "from_new" / fname).read_bytes())
+
+
+@pytest.mark.parametrize("key, value", [("mgcn_layers_per_stage", -1),
+                                        ("sgcn_layers", 3),
+                                        ("coord_scale", 0.002)])
+def test_retired_setting_off_its_value_is_refused_in_either_file(
+        tmp_path, key, value):
+    message = f"{key} = {value} is not supported: the setting is retired"
+    path = tmp_path / "train.cfg"
+    path.write_text(TRAIN_CFG_WITH_RETIRED_KEYS.replace(
+        f"{key} = {RETIRED_AT_THEIR_VALUES[key]}\n", f"{key} = {value}\n"))
+    with pytest.raises(SchemaError, match=f"line 1[789]: {message}"):
+        load_train_config(path)
+
+    topo = default_topology()
+    net = NetworkConfig(channels=8)
+    ckpt = tmp_path / "w.ckpt"
+    save_checkpoint(ckpt, topo, net, init_weights(net), step=0)
+    bad = _with_config_keys(ckpt, tmp_path / "bad.ckpt",
+                            {**RETIRED_AT_THEIR_VALUES, key: value})
+    with pytest.raises(SchemaError, match=f"line 3: {message}"):
+        load_checkpoint(bad, topo)
 
 
 # -- the loop -------------------------------------------------------------------
