@@ -342,9 +342,11 @@ class _ConvPlan:
     GEMM; it keeps the array for the backward. Any other conv multiplies
     first and mixes each product, tile by tile (_tiles): per tile, x, the
     K products, their mixing and their sum live in tile-sized scratch, and
-    only the result is full height. Its backward keeps each d/dW_k one
-    full-height GEMM, so the weight gradients do not depend on the tiling,
-    and sums d/dx through a tile-sized buffer.
+    only the result is full height. Its backward is one pass over smaller
+    tiles, with one kernel mix and two GEMMs per tile (see backward), and
+    only d/dx is full height. The weight gradients are sums over those
+    tiles, so their rounding depends on the tile size; the result and
+    d/dx do not.
     """
 
     def __init__(self, h, kernels, weights, n, opname):
@@ -380,16 +382,16 @@ class _ConvPlan:
         already holds them, and a float32 copy would outlive the forward."""
         return [W.data.astype(self.dt, copy=False) for W in self.weights]
 
-    def _tiles(self):
+    def _tiles(self, tile_rows):
         """Row slices of whole samples that cover the rows in order.
 
-        As many tiles as TILE_ROWS rows need, split as numpy's array_split
+        As many tiles as tile_rows rows need, split as numpy's array_split
         splits, so the first is the largest and each holds at least half a
         tile: a short tile could fall into BLAS's small-matrix kernels,
         which round differently from the full-height product. One slice
         when every row fits in one tile.
         """
-        per = max(1, TILE_ROWS // self.n)
+        per = max(1, tile_rows // self.n)
         count = max(1, -(-self.B // per))
         ends = [self.n * -(-self.B * i // count) for i in range(count + 1)]
         return [slice(a, b) for a, b in zip(ends, ends[1:])]
@@ -447,7 +449,7 @@ class _ConvPlan:
             return self.stacked @ np.concatenate(ws)
         out = np.empty((self.rows, self.C_out),
                        dtype=np.result_type(dt, h.dtype) if residual else dt)
-        tiles = self._tiles()
+        tiles = self._tiles(TILE_ROWS)
         tile = tiles[0].stop
         hw, term = (np.empty((tile, self.C_out), dtype=dt) for _ in range(2))
         x_buf = np.empty((tile, self.C_in), dtype=dt) if residual else None
@@ -467,31 +469,69 @@ class _ConvPlan:
                 np.add(dst, h[t], out=out[t])
         return out
 
-    def backward(self, g, x):
-        """x is the forward's conv input; a mix-first plan reads its
-        stacked copy instead."""
-        g = g.astype(self.dt, copy=False)
+    def backward(self, g, h, residual=False):
+        """Add each d/dW_k into its weight's gradient and return d/dh.
+
+        h is the array forward was given (a mix-first plan reads its
+        stacked conv input instead). d/dh is in conv_dtype; with residual
+        it is a fresh array in h's dtype, g plus the masked conv gradient.
+
+        A multiply-first plan makes one pass over tiles of whole samples,
+        about TILE_ROWS // K rows each, so that the tile's (rows, K*C_out)
+        dY = [N_1^T g | ... | N_K^T g] takes about the bytes of a
+        TILE_ROWS-row tile of g. Per tile, one batched matmul mixes g by
+        every kernel, x (h, or relu(h) for a residual unit) is built for
+        the tile only, the GEMM x^T dY adds to all K weight gradients at
+        once, and the GEMM dY [W_1^T; ...; W_K^T] sums d/dx over the
+        kernels inside BLAS.
+        """
         ws = self._ws()
         if self.mix_first:
+            g = g.astype(self.dt, copy=False)
             dW = self.stacked.T @ g
             for k, W in enumerate(self.weights):
                 W.grad += dW[k * self.C_in:(k + 1) * self.C_in]
             return self._unstack(g @ np.concatenate(ws).T)
-        x = x.astype(self.dt, copy=False)
-        tiles = self._tiles()
-        dp = np.empty((self.rows, self.C_out), dtype=self.dt)
-        dx = np.empty((self.rows, self.C_in), dtype=self.dt)
-        term = np.empty((tiles[0].stop, self.C_in), dtype=self.dt)
-        for k, (N, W, w) in enumerate(zip(self.kernels, self.weights, ws)):
-            dpk = g if N is None else self._mix(N.T, g, dp)
-            W.grad += x.T @ dpk
-            for t in tiles:
-                if k:
-                    dx[t] += np.matmul(dpk[t], w.T,
-                                       out=term[:t.stop - t.start])
-                else:
-                    np.matmul(dpk[t], w.T, out=dx[t])
-        return dx
+        dt, n, K = self.dt, self.n, len(self.kernels)
+        C_in, C_out = self.C_in, self.C_out
+        # Ncat^T with Ncat[i, j*K + k] = N_k[i, j]: row j*K + k is column j
+        # of N_k, so it maps a sample's (n, C_out) g to the (n, K*C_out)
+        # rows [N_1^T g | ... | N_K^T g].
+        mix = self._kernel_stack().reshape(K, n, n).transpose(2, 0, 1).reshape(
+            K * n, n)
+        # [W_1^T; ...; W_K^T], C-contiguous: with a transposed operand
+        # OpenBLAS rounds some rows differently as the tile height changes.
+        w_t = np.ascontiguousarray(np.concatenate(ws, axis=1).T)
+        tiles = self._tiles(TILE_ROWS // K)
+        tile = tiles[0].stop
+        dY = np.empty((tile, K * C_out), dtype=dt)
+        dW = np.zeros((C_in, K * C_out), dtype=dt)
+        dW_t = np.empty_like(dW)
+        if residual:
+            dh = np.empty_like(h)
+            # relu(h) for the tile, then, once dW has it, the tile's d/dx.
+            x_buf = np.empty((tile, C_in), dtype=dt)
+        else:
+            dh = np.empty((self.rows, C_in), dtype=dt)
+        for t in tiles:
+            m = t.stop - t.start
+            dY_t = dY[:m]
+            np.matmul(mix, g[t].astype(dt, copy=False).reshape(-1, n, C_out),
+                      out=dY_t.reshape(-1, K * n, C_out))
+            if residual:
+                x = np.maximum(h[t], 0.0, dtype=dt, out=x_buf[:m])
+            else:
+                x = h[t].astype(dt, copy=False)
+            dW += np.matmul(x.T, dY_t, out=dW_t)
+            if residual:
+                dx = np.matmul(dY_t, w_t, out=x)
+                dx *= h[t] > 0.0
+                np.add(g[t], dx, out=dh[t])
+            else:
+                np.matmul(dY_t, w_t, out=dh[t])
+        for k, W in enumerate(self.weights):
+            W.grad += dW[:, k * C_out:(k + 1) * C_out]
+        return dh
 
 
 def graph_conv(h: Value, kernels, weights, n: int) -> Value:
@@ -503,12 +543,12 @@ def graph_conv(h: Value, kernels, weights, n: int) -> Value:
     whose backward needs only h, the weights and the kernels, plus the
     (B*n, K*C_in) mixed input when the conv widens (see _ConvPlan): no
     per-kernel product is kept, and a conv that does not widen builds its
-    products in tiles of about TILE_ROWS rows.
+    products, and in the backward its gradients, in tiles of whole samples.
 
     The products, their sum and the result are in the tape's conv_dtype;
     the weight gradients stay in the weights' float64. On a float32 tape
-    the backward casts g and h down again rather than keeping a float32
-    copy of h alive.
+    the backward casts g and h down again, tile by tile, rather than
+    keeping a float32 copy of h alive.
     """
     plan = _ConvPlan(h, kernels, weights, n, "graph_conv")
     out = plan.forward(h.data)
@@ -544,14 +584,18 @@ def graph_conv_relu(h: Value, kernels, weights, n: int) -> Value:
 def residual_graph_conv(h: Value, kernels, weights, n: int) -> Value:
     """The pre-activation residual unit h + graph_conv(relu(h)), one node.
 
-    Same arithmetic as add(h, graph_conv(relu(h), kernels, weights, n)),
-    bit for bit on either conv_dtype, but the tape keeps neither the relu
-    output, nor its mask, nor the conv output: the forward builds relu(h),
-    the products and their sum tile by tile (see _ConvPlan) and adds h
-    into the result, and the backward recomputes relu(h) from h at full
-    height, since every d/dW_k needs all of it. The weights map C_in to
-    C_in. The sum takes numpy's promotion of the conv_dtype product and h.
-    NaN passes the relu, and its subgradient at 0 is 0, as in relu.
+    Same arithmetic as add(h, graph_conv(relu(h), kernels, weights, n))
+    on either conv_dtype, but the tape keeps neither the relu output, nor
+    its mask, nor the conv output: the forward builds relu(h), the
+    products and their sum tile by tile (see _ConvPlan) and adds h into
+    the result, and the backward recomputes relu(h) and its mask tile by
+    tile. The value and d/dh equal the composite's bit for bit, and so do
+    the weight gradients when the composite runs at the same TILE_ROWS.
+    d/dh, g plus the masked conv gradient, comes as one fresh array that
+    becomes h's gradient buffer when h has none yet and is added to that
+    buffer otherwise. The weights map C_in to C_in. The sum takes numpy's
+    promotion of the conv_dtype product and h. NaN passes the relu, and
+    its subgradient at 0 is 0, as in relu.
     """
     plan = _ConvPlan(h, kernels, weights, n, "residual_graph_conv")
     if plan.C_out != plan.C_in:
@@ -560,10 +604,11 @@ def residual_graph_conv(h: Value, kernels, weights, n: int) -> Value:
     out = plan.forward(h.data, residual=True)
 
     def backward(g):
-        h.grad += g
-        dx = plan.backward(g, np.maximum(h.data, 0.0, dtype=plan.dt))
-        dx *= h.data > 0.0
-        h.grad += dx
+        dh = plan.backward(g, h.data, residual=True)
+        if h._grad is None:
+            h.grad = dh
+        else:
+            h.grad += dh
 
     return plan.tape._record(out, "residual_graph_conv", backward)
 

@@ -477,8 +477,9 @@ def save_rig(path, cameras):
 def load_rig(path):
     """Read a rig file, returning cameras in file order.
 
-    Malformed JSON, missing or wrongly typed fields or invalid rotations
-    raise SchemaError tagged with the offending line number.
+    Malformed JSON, missing or wrongly typed fields (width and height
+    must be JSON integers) or invalid rotations raise SchemaError tagged
+    with the offending line number.
     """
     lineno, _, records = read_records(path, RIG_SCHEMA, "rig")
     cams = []
@@ -488,14 +489,18 @@ def load_rig(path):
             if key not in rec:
                 raise MissingField(f"line {lineno}: camera record lacks {key!r}",
                                    line=lineno)
+        for key in ("width", "height"):
+            if type(rec[key]) is not int:   # a bool is an int subclass
+                raise SchemaError(f"line {lineno}: {key} must be a JSON "
+                                  f"integer, got {rec[key]!r}", line=lineno)
         try:
             cam = CameraModel(
                 cam_id=str(rec["id"]),
                 K=np.asarray(rec["K"], dtype=np.float64).reshape(3, 3),
                 R=np.asarray(rec["R"], dtype=np.float64).reshape(3, 3),
                 t=np.asarray(rec["t"], dtype=np.float64),
-                width=int(rec["width"]),
-                height=int(rec["height"]),
+                width=rec["width"],
+                height=rec["height"],
             )
         except (ValueError, TypeError, ShapeMismatch) as exc:
             raise SchemaError(f"line {lineno}: {exc}", line=lineno)

@@ -36,11 +36,13 @@ rectifies in place and keeps no pre-relu output or mask; each of the six
 width-preserving residual units h + conv(relu(h)) is one
 autodiff.residual_graph_conv node, which keeps only h, its weights and
 its kernels: no relu output, conv output or per-kernel product, and
-builds them in tile-sized scratch. Each decoder unpool and its skip add
-are one autodiff.block_left_matmul_add node. At B=256, C=128 a forward
-records 55 nodes, whose data take 35 MB on a float32 tape and 64 MB on a
-float64 one, and the backward sweep frees each node once it has passed
-it.
+builds them in tile-sized scratch. Its backward likewise recomputes
+relu(h), mixes the gradient by all kernels at once and runs one weight
+GEMM and one input GEMM per tile of samples, so only d/dh is full height.
+Each decoder unpool and its skip add are one
+autodiff.block_left_matmul_add node. At B=256, C=128 a forward records
+55 nodes, whose data take 35 MB on a float32 tape and 64 MB on a float64
+one, and the backward sweep frees each node once it has passed it.
 
 Precision: training, evaluation and refine open their tapes with
 conv_dtype=CONV_DTYPE (float32). The trunk, from the 3 -> C lift to the
@@ -108,13 +110,29 @@ class NetworkConfig:
 
     @staticmethod
     def from_json(text):
+        """The config a checkpoint's config line holds.
+
+        Every field must be present as a JSON integer (not a boolean). A
+        retired setting may appear at its one value (RETIRED_SETTINGS); any
+        other key, or a value of another type, raises SchemaError naming
+        the key.
+        """
         d = json.loads(text)
-        for key in RETIRED_SETTINGS:
-            problem = retired_problem(key, d[key]) if key in d else None
+        if not isinstance(d, dict):
+            raise SchemaError(f"config must be a JSON object, got {d!r}")
+        fields = {f.name for f in dataclasses.fields(NetworkConfig)}
+        for key, value in d.items():
+            if key in RETIRED_SETTINGS:
+                problem = retired_problem(key, value)
+            elif key not in fields:
+                problem = f"unknown config key {key!r}"
+            elif type(value) is not int:   # a bool is an int subclass
+                problem = f"config {key} must be an integer, got {value!r}"
+            else:
+                problem = None
             if problem:
                 raise SchemaError(problem)
-        return NetworkConfig(**{f.name: type(f.default)(d[f.name])
-                                for f in dataclasses.fields(NetworkConfig)})
+        return NetworkConfig(**{key: d[key] for key in fields})
 
 
 def weight_shapes(config: NetworkConfig):

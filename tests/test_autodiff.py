@@ -351,9 +351,10 @@ def _mixing_loss(out):
 
 def _fused_and_composite(monkeypatch, dtype, h, n, through_conv, fused,
                          composite, n_weights, C_out):
-    """Values and gradients of one fused op and of its multi-node
-    composite, each as [out, d/dh, d/dW_1, ...]. The composite runs with
-    one tile for every row, the arithmetic of an untiled graph conv.
+    """Values and gradients, each as [out, d/dh, d/dW_1, ...], of one
+    fused op, of its multi-node composite at the same tile size, and of
+    the composite with one tile for every row, the arithmetic of an
+    untiled graph conv.
 
     With through_conv, h reaches the op as a conv_dtype node (the trunk's
     case) rather than as a float64 leaf."""
@@ -361,7 +362,8 @@ def _fused_and_composite(monkeypatch, dtype, h, n, through_conv, fused,
     C = h.shape[1]
     ws = [rng.normal(size=(C, C_out)) / C for _ in range(n_weights)]
     results = []
-    for op, tile_rows in ((fused, ad.TILE_ROWS), (composite, 10 ** 9)):
+    for op, tile_rows in ((fused, ad.TILE_ROWS), (composite, ad.TILE_ROWS),
+                          (composite, 10 ** 9)):
         with monkeypatch.context() as m:
             m.setattr(ad, "TILE_ROWS", tile_rows)
             tape = ad.Tape(conv_dtype=dtype)
@@ -375,8 +377,15 @@ def _fused_and_composite(monkeypatch, dtype, h, n, through_conv, fused,
     return results
 
 
-# B=1100 samples of n=4 rows span three tiles of 367, 367 and 366
-# samples, the last one short; B=1 is one tile of one sample.
+# How far a weight gradient summed over the backward's tiles may sit from
+# the one-tile sum, relative to its largest entry; measured at most
+# 5.2e-16 (float64) and 2.8e-7 (float32).
+TILED_WEIGHT_GRAD_TOL = {np.float64: 4e-15, np.float32: 2e-6}
+
+
+# B=1100 samples of n=4 rows span three forward tiles of 367, 367 and 366
+# samples, the last one short, and more, smaller backward tiles; B=1 is
+# one tile of one sample.
 @pytest.mark.parametrize("B", [1100, 1])
 @pytest.mark.parametrize("through_conv", [False, True])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -402,12 +411,19 @@ def test_fused_units_match_their_composites_bit_for_bit(monkeypatch, B,
            3, c_out) for c_out in (2 * C, C)],
     ]
     for fused, composite, n_weights, c_out in cases:
-        got, want = _fused_and_composite(monkeypatch, dtype, h, n,
-                                         through_conv, fused, composite,
-                                         n_weights, c_out)
-        for g, w in zip(got, want):
+        got, tiled, untiled = _fused_and_composite(
+            monkeypatch, dtype, h, n, through_conv, fused, composite,
+            n_weights, c_out)
+        for g, w in zip(got, tiled):
             assert g.dtype == w.dtype
             assert np.array_equal(g, w)
+        # Values and input gradients do not depend on the tiling; weight
+        # gradients are sums over the tiles.
+        for g, w in zip(got[:2], untiled[:2]):
+            assert np.array_equal(g, w)
+        for g, w in zip(got[2:], untiled[2:]):
+            err = np.abs(g - w).max() / np.abs(w).max()
+            assert err <= TILED_WEIGHT_GRAD_TOL[dtype], err
 
     # The fused unpool and skip add: M maps n rows to r of every block.
     r = 6
@@ -458,6 +474,57 @@ def test_residual_graph_conv_subgradient_and_nan():
     out = ad.residual_graph_conv(h, [None, N], [tape.leaf(np.eye(3))] * 2, 2)
     assert np.isnan(out.data[:2]).all()
     assert np.isfinite(out.data[2:]).all()
+
+
+def _grad_of_h_with_a_second_consumer(dtype, leaf_h, unit_first, fused):
+    """[d/dx, every surviving gradient] for h feeding a residual unit and
+    a skip add (as e0 and e1 feed a pool and a decoder's unpool-add).
+
+    h is the leaf x itself, or an identity conv of x (a conv_dtype node,
+    whose gradient reaches x unchanged). With unit_first the residual unit
+    is recorded last, so the sweep reaches it before the skip add and h
+    has no gradient buffer yet; otherwise the skip add has made one."""
+    rng = np.random.default_rng(33)
+    n, B, C = 4, 5, 6
+    N = rng.normal(size=(n, n))
+    tape = ad.Tape(conv_dtype=dtype)
+    x = tape.leaf(rng.normal(size=(B * n, C)))
+    y = tape.leaf(rng.normal(size=(B * n, C)))
+    W = [tape.leaf(rng.normal(size=(C, C))) for _ in range(2)]
+    h = x if leaf_h else ad.graph_conv(x, [None], [tape.leaf(np.eye(C))], n)
+
+    def unit():
+        if fused:
+            return ad.residual_graph_conv(h, [None, N], W, n)
+        return ad.add(h, ad.graph_conv(ad.relu(h), [None, N], W, n))
+
+    if unit_first:
+        skip = ad.block_left_matmul_add(N, y, h)
+        out = ad.add(unit(), skip)
+    else:
+        out = ad.block_left_matmul_add(N, unit(), h)
+    tape.backward(_mixing_loss(out))
+    return x.grad, [v._grad for v in tape.nodes if v._grad is not None]
+
+
+@pytest.mark.parametrize("unit_first", [True, False])
+@pytest.mark.parametrize("leaf_h", [True, False])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_residual_unit_never_shares_the_gradient_it_hands_to_h(
+        dtype, leaf_h, unit_first):
+    # The residual unit's d/dh is a fresh array that becomes h's gradient
+    # buffer when h has none, and is added into it otherwise: h gets the
+    # sum of both consumers' contributions, and no gradient is aliased.
+    got, grads = _grad_of_h_with_a_second_consumer(dtype, leaf_h,
+                                                   unit_first, True)
+    want, _ = _grad_of_h_with_a_second_consumer(dtype, leaf_h, unit_first,
+                                                False)
+    assert any(g is got for g in grads) and len(grads) >= 3
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+    rtol = 1e-12 if dtype == np.float64 else 1e-5
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
 def test_residual_graph_conv_shape_errors():

@@ -465,6 +465,47 @@ def test_eval_checkpoint_naming_a_retired_setting_off_its_value_exits_1(
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("config, message", [
+    (b'config {"channels": 8, "init_seed": 0, "sgcn_layer": 5}',
+     "unknown config key 'sgcn_layer'"),
+    (b'config {"channels": 8.9, "init_seed": true}',
+     "config channels must be an integer, got 8.9"),
+    (b'config {"channels": 8, "init_seed": true}',
+     "config init_seed must be an integer, got True"),
+])
+def test_eval_checkpoint_with_a_bad_config_line_exits_1(tmp_path, capsys,
+                                                        config, message):
+    from cvpose.graph import default_topology
+    from cvpose.network import NetworkConfig, init_weights, save_checkpoint
+    out = run_synth(tmp_path, n=4)
+    net = NetworkConfig(channels=8)
+    ckpt = tmp_path / "w.ckpt"
+    save_checkpoint(ckpt, default_topology(), net, init_weights(net), step=0)
+    good = b'config {"channels": 8, "init_seed": 0}'
+    assert good in ckpt.read_bytes()
+    ckpt.write_bytes(ckpt.read_bytes().replace(good, config, 1))
+    code = main(["eval", "--data", str(out / "dataset.jsonl"),
+                 "--rig", str(out / "rig_assumed.jsonl"),
+                 "--checkpoint", str(ckpt)])
+    assert code == 1
+    assert f"error: line 3: {message}" in capsys.readouterr().err
+
+
+def test_rig_with_a_fractional_image_size_exits_1(tmp_path, capsys):
+    out = run_synth(tmp_path, n=2)
+    rig = out / "rig_assumed.jsonl"
+    lines = rig.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["width"] = rec["width"] + 0.9
+    lines[1] = json.dumps(rec)
+    rig.write_text("\n".join(lines) + "\n")
+    code = main(["triangulate", "--data", str(out / "dataset.jsonl"),
+                 "--rig", str(rig)])
+    assert code == 1
+    assert "error: line 2: width must be a JSON integer" in (
+        capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("flag", ["--data", "--rig", "--topology"])
 def test_non_utf8_input_file_exits_1_naming_the_line(tmp_path, capsys, flag):
     out = run_synth(tmp_path, n=2)

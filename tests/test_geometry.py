@@ -510,6 +510,22 @@ def test_rig_roundtrip(tmp_path):
         assert (a.width, a.height) == (b.width, b.height)
 
 
+@pytest.mark.parametrize("width, height", [
+    (10.9, 10), (10, True), (10.0, 10), ("10", 10), (10, None), (False, 10)],
+    ids=["fraction", "true", "float", "string", "null", "false"])
+def test_rig_image_size_must_be_a_json_integer(tmp_path, width, height):
+    path = tmp_path / "rig.jsonl"
+    path.write_text(json.dumps({"schema": "rig-v1"}) + "\n" + json.dumps(
+        {"id": "a", "K": np.eye(3).reshape(-1).tolist(),
+         "R": np.eye(3).reshape(-1).tolist(), "t": [0, 0, 0],
+         "width": width, "height": height}) + "\n")
+    key = "width" if type(width) is not int else "height"
+    with pytest.raises(SchemaError, match=f"line 2: {key} must be a JSON "
+                                          f"integer") as exc:
+        load_rig(path)
+    assert exc.value.line == 2
+
+
 def test_rig_rejects_bad_rotation(tmp_path):
     path = tmp_path / "rig.jsonl"
     R_bad = (np.eye(3) * 1.01).reshape(-1).tolist()

@@ -315,22 +315,19 @@ def test_float32_tape_keeps_the_trunk_in_float32():
         tape.release()
 
 
-def test_forward_and_backward_memory_stay_bounded():
-    # Deterministic memory guard, in units of one (2BJ, C) float64 array:
-    # what a forward leaves on the tape, and how far the backward sweep
-    # rises above that. A tape that kept the relu, conv and add of every
-    # residual unit held 19.8 units, and a sweep that kept each node until
-    # release() added 20.0. The forward held 12.0 while the lift kept its
-    # pre-relu output and mask and the decoder its unpool products; now it
-    # holds 9.6 and the sweep adds 5.1.
+def _tape_units(conv_dtype, B, C=32):
+    """(forward, sweep, params) for one refine_batch and its backward on a
+    conv_dtype tape, in units of one (2BJ, C) float64 array, by
+    tracemalloc: what the forward leaves on the tape, and how far the
+    backward sweep rises above that."""
     topo = default_topology()
-    B, C, J = 16, 32, topo.n_joints
+    J = topo.n_joints
     model = CVUGCN(topo, small_config(channels=C))
     rng = np.random.default_rng(0)
     model.weights.arrays["head"] = rng.normal(0, 0.05, size=(C, 3))
     x1, x2 = rand_coarse(rng, B), rand_coarse(rng, B)
     unit = 2 * B * J * C * 8
-    tape = ad.Tape()
+    tape = ad.Tape(conv_dtype=conv_dtype)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -342,7 +339,21 @@ def test_forward_and_backward_memory_stay_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    forward, sweep = (held - base) / unit, (peak - held) / unit
+    return (held - base) / unit, (peak - held) / unit, params
+
+
+def test_forward_and_backward_memory_stay_bounded():
+    # Deterministic memory guard, in units of one (2BJ, C) float64 array:
+    # what a forward leaves on the tape, and how far the backward sweep
+    # rises above that. A tape that kept the relu, conv and add of every
+    # residual unit held 19.8 units, and a sweep that kept each node until
+    # release() added 20.0. The forward held 12.0 while the lift kept its
+    # pre-relu output and mask and the decoder its unpool products; now it
+    # holds 9.6 and the sweep adds 5.5. At B=16 a residual unit's backward
+    # tiles hold half its rows, so the sweep sits above the 5.1 of a
+    # backward that mixed and multiplied each kernel at full height; at
+    # B=256 it is well below (test_backward_sweep_stays_tile_sized).
+    forward, sweep, params = _tape_units(np.float64, 16)
     assert forward <= 10.0, f"forward holds {forward:.2f} units"
     assert sweep <= 6.0, f"backward adds {sweep:.2f} units"
     assert np.abs(params["head"].grad).max() > 0
@@ -352,31 +363,26 @@ def test_float32_tape_forward_and_backward_memory_stay_bounded():
     # The guard above on a CONV_DTYPE tape, in the same float64 units. The
     # float32 trunk holds half the bytes: the forward measured 6.5 units
     # (7.8 before the fused lift and unpool-adds; 9.6 on the float64 tape,
-    # which also keeps the lift's mixed input) and the sweep 2.8 (5.1).
+    # which also keeps the lift's mixed input) and the sweep 2.9 (5.5 on
+    # the float64 tape; 2.8 with the per-kernel full-height backward).
     # What stays is mostly the float64 weight leaves, about 1.8 units at
     # C=32.
-    topo = default_topology()
-    B, C, J = 16, 32, topo.n_joints
-    model = CVUGCN(topo, small_config(channels=C))
-    rng = np.random.default_rng(0)
-    model.weights.arrays["head"] = rng.normal(0, 0.05, size=(C, 3))
-    x1, x2 = rand_coarse(rng, B), rand_coarse(rng, B)
-    unit = 2 * B * J * C * 8
-    tape = ad.Tape(conv_dtype=network.CONV_DTYPE)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        X1, X2, params = model.refine_batch(tape, x1, x2)
-        loss = ad.reduce_sum(ad.add(ad.norm_rows(X1), ad.norm_rows(X2)))
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        tape.backward(loss)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    forward, sweep = (held - base) / unit, (peak - held) / unit
+    forward, sweep, params = _tape_units(network.CONV_DTYPE, 16)
     assert forward <= 6.8, f"forward holds {forward:.2f} units"
     assert sweep <= 3.3, f"backward adds {sweep:.2f} units"
+    assert np.abs(params["head"].grad).max() > 0
+
+
+# (conv_dtype, bound): measured 1.83 and 1.39 units. At B=256 a residual
+# unit's rows span several backward tiles, so it adds little beyond d/dh,
+# which it hands to h as its gradient buffer, and the peak is the head's
+# matmul step. A sweep that mixed g and multiplied by each kernel at full
+# height, with relu(h) and its mask full height too, added 3.96 and 1.87.
+@pytest.mark.parametrize("conv_dtype, bound", [
+    (np.float64, 2.5), (np.float32, 1.6)])
+def test_backward_sweep_stays_tile_sized(conv_dtype, bound):
+    _, sweep, params = _tape_units(conv_dtype, 256)
+    assert sweep <= bound, f"backward adds {sweep:.2f} units"
     assert np.abs(params["head"].grad).max() > 0
 
 
@@ -505,6 +511,28 @@ def test_checkpoint_roundtrip(tmp_path):
     path2 = tmp_path / "model2.ckpt"
     save_checkpoint(path2, topo, cfg, w, step=12, opt_state=opt, train_state=train)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_network_config_json_roundtrip():
+    cfg = NetworkConfig(channels=16, init_seed=3)
+    assert NetworkConfig.from_json(cfg.to_json()) == cfg
+    # A retired setting at its one value loads as before.
+    assert NetworkConfig.from_json(
+        '{"channels": 16, "init_seed": 3, "sgcn_layers": 2}') == cfg
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"channels": 8, "init_seed": 0, "sgcn_layer": 5}',
+     "unknown config key 'sgcn_layer'"),
+    ('{"channels": 8.9, "init_seed": 0}', "config channels must be an integer"),
+    ('{"channels": 8, "init_seed": true}', "config init_seed must be an integer"),
+    ('{"channels": "8", "init_seed": 0}', "config channels must be an integer"),
+    ('{"channels": 8.0, "init_seed": 0}', "config channels must be an integer"),
+    ('[8, 0]', "config must be a JSON object"),
+])
+def test_network_config_rejects_unknown_keys_and_non_integers(text, message):
+    with pytest.raises(SchemaError, match=message):
+        NetworkConfig.from_json(text)
 
 
 def test_checkpoint_topology_mismatch(tmp_path):
