@@ -18,14 +18,16 @@ Precision follows the tape's conv_dtype, float64 by default or float32
 Value is stored in conv_dtype when its data already has that dtype and
 as float64 otherwise, and its gradient has the dtype of its data. Leaves
 are always float64. The graph convolutions (graph_conv,
-graph_conv_relu, residual_graph_conv) cast their input, weights and
-kernels to conv_dtype and hand back a conv_dtype result, so on a float32
+graph_conv_relu, residual_graph_conv) cast their input and weights to
+conv_dtype, read their kernels in it from a KernelStack, which holds
+them in both dtypes, and hand back a conv_dtype result, so on a float32
 tape a chain of convolutions, relus, block_left_matmuls (with or without
 their adds) and adds stays float32 from end to end; numpy promotion
-brings it back to float64 wherever it meets a
-float64 operand, such as a matmul with a float64 weight leaf. A float64
-tape computes everything in float64. Finite-difference checks
-(grad_check) always run on float64 tapes.
+brings it back to float64 wherever it meets a float64 operand, such as
+a matmul with a float64 weight leaf, whose backward still hands the
+float32 operand a float32 gradient. A float64 tape computes everything
+in float64. Finite-difference checks (grad_check) always run on float64
+tapes.
 """
 
 from __future__ import annotations
@@ -238,9 +240,17 @@ def matmul(a: Value, b: Value) -> Value:
 
     def backward(g):
         # g has the promoted dtype; numpy would multiply a mixed pair
-        # outside BLAS, several times slower than casting first.
-        a.grad += g @ b.data.astype(g.dtype, copy=False).T
+        # outside BLAS, several times slower than casting first. d/db goes
+        # first, so that a promoted copy of a is gone before d/da exists.
         b.grad += a.data.astype(g.dtype, copy=False).T @ g
+        # d/da in a's dtype, which becomes a's gradient buffer if it has
+        # none: no full-height temporary in g's dtype, no zero fill.
+        dt = a.data.dtype
+        da = g.astype(dt, copy=False) @ b.data.astype(dt, copy=False).T
+        if a._grad is None:
+            a.grad = da
+        else:
+            a.grad += da
 
     return tape._record(a.data @ b.data, "matmul", backward)
 
@@ -322,12 +332,46 @@ def block_left_matmul_add(M, h: Value, skip: Value) -> Value:
     return tape._record(out, "block_left_matmul_add", backward)
 
 
-# Rows of whole samples in one tile of a graph convolution's scratch.
+# Rows of whole samples in one tile of a graph convolution's scratch, over
+# its K kernels: a tile has about TILE_ROWS // K rows, so its (rows, K*C)
+# scratch takes the bytes of TILE_ROWS rows of the (rows, C) result.
 TILE_ROWS = 2048
 
 
+class KernelStack:
+    """The K constant (n, n) kernels of one graph convolution, checked
+    once and interleaved into the three matrices a conv applies them by.
+
+    mix_in (n*K, n), with mix_in[i*K + k, j] = N_k[i, j], maps a sample's
+    (n, C) block x to the rows of [N_1 x | ... | N_K x]; mix_out (n, n*K),
+    with mix_out[i, j*K + k] = N_k[i, j], maps the rows of a sample's
+    [Y_1 | ... | Y_K] to sum_k N_k Y_k; mix_out_t is mix_out's transpose,
+    C-contiguous. Each is a dict from dtype (float64, float32) to the
+    matrix in that dtype. At least one kernel, each square, all of one
+    size, or ShapeMismatch.
+    """
+
+    def __init__(self, kernels):
+        kernels = [np.asarray(N, dtype=np.float64) for N in kernels]
+        if not kernels:
+            raise ShapeMismatch("KernelStack: 0 kernels")
+        n = len(kernels[0]) if kernels[0].ndim else 0
+        for N in kernels:
+            if N.shape != (n, n):
+                raise ShapeMismatch(f"KernelStack: kernel {N.shape}, expected "
+                                    f"({n}, {n}): kernels are square, one size")
+        self.n, self.K = n, len(kernels)
+        mix_in = np.stack(kernels, axis=1).reshape(n * self.K, n)
+        mix_out = np.stack(kernels, axis=2).reshape(n, n * self.K)
+        dtypes = [np.dtype(np.float64), np.dtype(np.float32)]
+        self.mix_in = {dt: mix_in.astype(dt) for dt in dtypes}
+        self.mix_out = {dt: mix_out.astype(dt) for dt in dtypes}
+        self.mix_out_t = {dt: np.ascontiguousarray(mix_out.T, dtype=dt)
+                          for dt in dtypes}
+
+
 class _ConvPlan:
-    """The checked, cast operands of one graph convolution and its products.
+    """The checked operands of one graph convolution over a KernelStack.
 
     Shared by graph_conv, graph_conv_relu and residual_graph_conv:
     forward(h) is sum_k N_k x W_k with x = h (or x = relu(h) for a
@@ -337,134 +381,106 @@ class _ConvPlan:
 
     Which side of x W_k the node mixing N_k goes on follows the widths. A
     conv that widens its input (C_in < C_out, the 3 -> C lift) mixes the
-    narrow input first, into the (rows, K*C_in) array [N_1 x | ... | N_K x],
-    and multiplies that by the stacked weights [W_1; ...; W_K] in one
-    GEMM; it keeps the array for the backward. Any other conv multiplies
-    first and mixes each product, tile by tile (_tiles): per tile, x, the
-    K products, their mixing and their sum live in tile-sized scratch, and
-    only the result is full height. Its backward is one pass over smaller
-    tiles, with one kernel mix and two GEMMs per tile (see backward), and
-    only d/dx is full height. The weight gradients are sums over those
-    tiles, so their rounding depends on the tile size; the result and
-    d/dx do not.
+    narrow input first: one batched matmul by mix_in builds the
+    (rows, K*C_in) array [N_1 x | ... | N_K x], and one GEMM multiplies it
+    by the stacked weights [W_1; ...; W_K]; it keeps the array for the
+    backward. Any other conv multiplies first, in one pass over tiles of
+    whole samples (_tiles) in each direction: per tile, x, the K products
+    and their gradients live in tile-sized scratch, one batched matmul by
+    mix_out (forward) or mix_out_t (backward) mixes every kernel at once,
+    and only the result and d/dx are full height. The weight gradients are
+    sums over those tiles, so their rounding depends on the tile size; the
+    result and d/dx do not.
     """
 
-    def __init__(self, h, kernels, weights, n, opname):
-        kernels = [None if N is None else np.asarray(N, dtype=np.float64)
-                   for N in kernels]
+    def __init__(self, h, stack, weights, opname):
         weights = list(weights)
         rows, C_in = h.data.shape
-        if not weights or len(kernels) != len(weights):
-            raise ShapeMismatch(f"{opname}: {len(kernels)} kernels, "
+        n, K = stack.n, stack.K
+        if len(weights) != K:
+            raise ShapeMismatch(f"{opname}: {K} kernels, "
                                 f"{len(weights)} weights")
         if rows % n:
             raise ShapeMismatch(f"{opname}: {rows} rows not divisible by {n}")
         C_out = weights[0].data.shape[1]
-        for N, W in zip(kernels, weights):
+        for W in weights:
             if W.data.shape != (C_in, C_out):
                 raise ShapeMismatch(f"{opname}: weight {W.data.shape}, "
                                     f"expected {(C_in, C_out)}")
-            if N is not None and N.shape != (n, n):
-                raise ShapeMismatch(f"{opname}: kernel {N.shape}, "
-                                    f"expected {(n, n)}")
         self.tape = _same_tape(h, *weights)
         self.dt = dt = self.tape.conv_dtype
-        self.kernels = [None if N is None else N.astype(dt, copy=False)
-                        for N in kernels]
+        self.mix_in, self.mix_out = stack.mix_in[dt], stack.mix_out[dt]
+        self.mix_out_t = stack.mix_out_t[dt]
         self.weights = weights
-        self.B, self.n = rows // n, n
+        self.B, self.n, self.K = rows // n, n, K
         self.rows, self.C_in, self.C_out = rows, C_in, C_out
         self.mix_first = C_in < C_out
         self.stacked = None
+        self.tiles = self._tiles()
 
     def _ws(self):
         """The weights in conv_dtype. Cast on each use, not kept: the tape
         already holds them, and a float32 copy would outlive the forward."""
         return [W.data.astype(self.dt, copy=False) for W in self.weights]
 
-    def _tiles(self, tile_rows):
-        """Row slices of whole samples that cover the rows in order.
+    def _tiles(self):
+        """Row slices of whole samples, about TILE_ROWS // K rows each,
+        that cover the rows in order.
 
-        As many tiles as tile_rows rows need, split as numpy's array_split
+        As many tiles as that height needs, split as numpy's array_split
         splits, so the first is the largest and each holds at least half a
         tile: a short tile could fall into BLAS's small-matrix kernels,
         which round differently from the full-height product. One slice
         when every row fits in one tile.
         """
-        per = max(1, tile_rows // self.n)
+        per = max(1, TILE_ROWS // self.K // self.n)
         count = max(1, -(-self.B // per))
         ends = [self.n * -(-self.B * i // count) for i in range(count + 1)]
         return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
-    def _mix(self, N, x, buf):
-        """N applied to every n-row block of x (rows, C), into buf."""
-        shape = (x.shape[0] // self.n, self.n, x.shape[1])
-        np.matmul(N, x.reshape(shape), out=buf.reshape(shape))
-        return buf
-
-    def _kernel_stack(self):
-        """[N_1; ...; N_K] as (K*n, n), the identity for None."""
-        eye = np.eye(self.n, dtype=self.dt)
-        return np.concatenate([eye if N is None else N for N in self.kernels])
-
-    def _stack(self, x):
-        """[N_1 x | ... | N_K x] as (rows, K*C_in): every kernel's mixing
-        of every sample in one GEMM."""
-        B, n, c, K = self.B, self.n, self.C_in, len(self.kernels)
-        # One column per sample and channel, so one GEMM mixes them all.
-        cols = x.reshape(B, n, c).transpose(1, 0, 2).reshape(n, B * c)
-        m = self._kernel_stack() @ cols                      # (K*n, B*c)
-        return m.reshape(K, n, B, c).transpose(2, 1, 0, 3).reshape(
-            self.rows, K * c)
-
-    def _unstack(self, dX):
-        """sum_k N_k^T dX_k for dX = [dX_1 | ... | dX_K], (rows, K*C_in)."""
-        B, n, c, K = self.B, self.n, self.C_in, len(self.kernels)
-        cols = dX.reshape(B, n, K, c).transpose(2, 1, 0, 3).reshape(K * n,
-                                                                   B * c)
-        dx = self._kernel_stack().T @ cols                   # (n, B*c)
-        return dx.reshape(n, B, c).transpose(1, 0, 2).reshape(self.rows, c)
-
-    def _products(self, x, ws, out, hw, term):
-        """sum_k N_k x W_k over the whole samples in x, into out; hw and
-        term are scratch of out's shape. The first product goes straight
-        into out."""
-        for k, (N, w) in enumerate(zip(self.kernels, ws)):
-            dst = term if k else out
-            if N is None:
-                np.matmul(x, w, out=dst)
+    def _inputs(self, h, residual):
+        """(rows, x) per tile: x is the tile's rows of h in conv_dtype, or
+        with residual of relu(h), built in one tile-sized buffer."""
+        if residual:
+            x_buf = np.empty((self.tiles[0].stop, self.C_in), dtype=self.dt)
+        for t in self.tiles:
+            if residual:
+                # Cast and rectify in one pass: the same bits as casting
+                # np.maximum(h, 0.0) down.
+                yield t, np.maximum(h[t], 0.0, dtype=self.dt,
+                                    out=x_buf[:t.stop - t.start])
             else:
-                self._mix(N, np.matmul(x, w, out=hw), dst)
-            if k:
-                out += term
+                yield t, h[t].astype(self.dt, copy=False)
 
     def forward(self, h, residual=False):
         """sum_k N_k x W_k for x = h cast to conv_dtype, in conv_dtype.
         With residual, x = relu(h) and the result is h + that sum, in
-        numpy's promotion of conv_dtype and h's dtype."""
-        dt = self.dt
+        numpy's promotion of conv_dtype and h's dtype.
+
+        A multiply-first plan writes each tile's x W_k into column block k
+        of one (rows, K*C_out) scratch, one GEMM per kernel, and one
+        batched matmul by mix_out sums over kernels and nodes.
+        """
+        dt, K, C_out = self.dt, self.K, self.C_out
         ws = self._ws()
         if self.mix_first:
-            self.stacked = self._stack(h.astype(dt, copy=False))
+            x = h.astype(dt, copy=False).reshape(self.B, self.n, self.C_in)
+            self.stacked = np.matmul(self.mix_in, x).reshape(
+                self.rows, K * self.C_in)
             return self.stacked @ np.concatenate(ws)
-        out = np.empty((self.rows, self.C_out),
+        out = np.empty((self.rows, C_out),
                        dtype=np.result_type(dt, h.dtype) if residual else dt)
-        tiles = self._tiles(TILE_ROWS)
-        tile = tiles[0].stop
-        hw, term = (np.empty((tile, self.C_out), dtype=dt) for _ in range(2))
-        x_buf = np.empty((tile, self.C_in), dtype=dt) if residual else None
+        tile = self.tiles[0].stop
+        Y = np.empty((tile, K * C_out), dtype=dt)
         # A promoted residual sums the conv in conv_dtype first.
-        acc = np.empty_like(hw) if out.dtype != dt else None
-        for t in tiles:
-            m = t.stop - t.start
-            if residual:
-                # Cast and rectify in one pass: the same bits as casting
-                # np.maximum(h, 0.0) down.
-                x = np.maximum(h[t], 0.0, dtype=dt, out=x_buf[:m])
-            else:
-                x = h[t].astype(dt, copy=False)
+        acc = np.empty((tile, C_out), dtype=dt) if out.dtype != dt else None
+        for t, x in self._inputs(h, residual):
+            m = len(x)
+            for k, w in enumerate(ws):
+                np.matmul(x, w, out=Y[:m, k * C_out:(k + 1) * C_out])
             dst = out[t] if acc is None else acc[:m]
-            self._products(x, ws, dst, hw[:m], term[:m])
+            np.matmul(self.mix_out, Y[:m].reshape(-1, self.n * K, C_out),
+                      out=dst.reshape(-1, self.n, C_out))
             if residual:
                 np.add(dst, h[t], out=out[t])
         return out
@@ -476,54 +492,39 @@ class _ConvPlan:
         stacked conv input instead). d/dh is in conv_dtype; with residual
         it is a fresh array in h's dtype, g plus the masked conv gradient.
 
-        A multiply-first plan makes one pass over tiles of whole samples,
-        about TILE_ROWS // K rows each, so that the tile's (rows, K*C_out)
-        dY = [N_1^T g | ... | N_K^T g] takes about the bytes of a
-        TILE_ROWS-row tile of g. Per tile, one batched matmul mixes g by
-        every kernel, x (h, or relu(h) for a residual unit) is built for
-        the tile only, the GEMM x^T dY adds to all K weight gradients at
-        once, and the GEMM dY [W_1^T; ...; W_K^T] sums d/dx over the
-        kernels inside BLAS.
+        A multiply-first plan makes one pass over the forward's tiles.
+        Per tile, x (h, or relu(h) for a residual unit) is built for the
+        tile only, one batched matmul by mix_out_t maps g to the tile's
+        (rows, K*C_out) dY = [N_1^T g | ... | N_K^T g], the GEMM x^T dY
+        adds to all K weight gradients at once, and the GEMM
+        dY [W_1^T; ...; W_K^T] sums d/dx over the kernels inside BLAS.
         """
+        dt, K, C_in, C_out = self.dt, self.K, self.C_in, self.C_out
         ws = self._ws()
         if self.mix_first:
-            g = g.astype(self.dt, copy=False)
+            g = g.astype(dt, copy=False)
             dW = self.stacked.T @ g
             for k, W in enumerate(self.weights):
-                W.grad += dW[k * self.C_in:(k + 1) * self.C_in]
-            return self._unstack(g @ np.concatenate(ws).T)
-        dt, n, K = self.dt, self.n, len(self.kernels)
-        C_in, C_out = self.C_in, self.C_out
-        # Ncat^T with Ncat[i, j*K + k] = N_k[i, j]: row j*K + k is column j
-        # of N_k, so it maps a sample's (n, C_out) g to the (n, K*C_out)
-        # rows [N_1^T g | ... | N_K^T g].
-        mix = self._kernel_stack().reshape(K, n, n).transpose(2, 0, 1).reshape(
-            K * n, n)
+                W.grad += dW[k * C_in:(k + 1) * C_in]
+            dX = g @ np.concatenate(ws).T          # [dX_1 | ... | dX_K]
+            return np.matmul(self.mix_in.T, dX.reshape(
+                self.B, self.n * K, C_in)).reshape(self.rows, C_in)
         # [W_1^T; ...; W_K^T], C-contiguous: with a transposed operand
         # OpenBLAS rounds some rows differently as the tile height changes.
         w_t = np.ascontiguousarray(np.concatenate(ws, axis=1).T)
-        tiles = self._tiles(TILE_ROWS // K)
-        tile = tiles[0].stop
-        dY = np.empty((tile, K * C_out), dtype=dt)
+        dY = np.empty((self.tiles[0].stop, K * C_out), dtype=dt)
         dW = np.zeros((C_in, K * C_out), dtype=dt)
         dW_t = np.empty_like(dW)
-        if residual:
-            dh = np.empty_like(h)
-            # relu(h) for the tile, then, once dW has it, the tile's d/dx.
-            x_buf = np.empty((tile, C_in), dtype=dt)
-        else:
-            dh = np.empty((self.rows, C_in), dtype=dt)
-        for t in tiles:
-            m = t.stop - t.start
-            dY_t = dY[:m]
-            np.matmul(mix, g[t].astype(dt, copy=False).reshape(-1, n, C_out),
-                      out=dY_t.reshape(-1, K * n, C_out))
-            if residual:
-                x = np.maximum(h[t], 0.0, dtype=dt, out=x_buf[:m])
-            else:
-                x = h[t].astype(dt, copy=False)
+        dh = (np.empty_like(h) if residual
+              else np.empty((self.rows, C_in), dtype=dt))
+        for t, x in self._inputs(h, residual):
+            dY_t = dY[:len(x)]
+            np.matmul(self.mix_out_t,
+                      g[t].astype(dt, copy=False).reshape(-1, self.n, C_out),
+                      out=dY_t.reshape(-1, K * self.n, C_out))
             dW += np.matmul(x.T, dY_t, out=dW_t)
             if residual:
+                # relu(h)'s tile buffer takes the tile's d/dx once dW has it.
                 dx = np.matmul(dY_t, w_t, out=x)
                 dx *= h[t] > 0.0
                 np.add(g[t], dx, out=dh[t])
@@ -534,13 +535,12 @@ class _ConvPlan:
         return dh
 
 
-def graph_conv(h: Value, kernels, weights, n: int) -> Value:
+def graph_conv(h: Value, stack: KernelStack, weights) -> Value:
     """Graph convolution sum_k N_k h W_k on every n-row block of h.
 
-    h is (B*n, C_in); kernels are constant (n, n) matrices, or None for the
-    identity, which skips the node mixing; weights are the matching
-    (C_in, C_out) Values. Terms are added in list order. One tape node
-    whose backward needs only h, the weights and the kernels, plus the
+    h is (B*n, C_in); stack holds the constant (n, n) kernels N_k, and
+    weights are the matching (C_in, C_out) Values. One tape node whose
+    backward needs only h, the weights and the stack, plus the
     (B*n, K*C_in) mixed input when the conv widens (see _ConvPlan): no
     per-kernel product is kept, and a conv that does not widen builds its
     products, and in the backward its gradients, in tiles of whole samples.
@@ -550,7 +550,7 @@ def graph_conv(h: Value, kernels, weights, n: int) -> Value:
     the backward casts g and h down again, tile by tile, rather than
     keeping a float32 copy of h alive.
     """
-    plan = _ConvPlan(h, kernels, weights, n, "graph_conv")
+    plan = _ConvPlan(h, stack, weights, "graph_conv")
     out = plan.forward(h.data)
 
     def backward(g):
@@ -559,8 +559,8 @@ def graph_conv(h: Value, kernels, weights, n: int) -> Value:
     return plan.tape._record(out, "graph_conv", backward)
 
 
-def graph_conv_relu(h: Value, kernels, weights, n: int) -> Value:
-    """relu(graph_conv(h, kernels, weights, n)) as one node.
+def graph_conv_relu(h: Value, stack: KernelStack, weights) -> Value:
+    """relu(graph_conv(h, stack, weights)) as one node.
 
     The same values and gradients as the two nodes on either conv_dtype,
     equal under np.array_equal (a zero gradient entry may differ in sign),
@@ -570,7 +570,7 @@ def graph_conv_relu(h: Value, kernels, weights, n: int) -> Value:
     masking overwrites g, the node's own gradient buffer, which the sweep
     has already let go of. NaN passes as in relu.
     """
-    plan = _ConvPlan(h, kernels, weights, n, "graph_conv_relu")
+    plan = _ConvPlan(h, stack, weights, "graph_conv_relu")
     out = plan.forward(h.data)
     np.maximum(out, 0.0, out=out)
 
@@ -581,23 +581,23 @@ def graph_conv_relu(h: Value, kernels, weights, n: int) -> Value:
     return plan.tape._record(out, "graph_conv_relu", backward)
 
 
-def residual_graph_conv(h: Value, kernels, weights, n: int) -> Value:
+def residual_graph_conv(h: Value, stack: KernelStack, weights) -> Value:
     """The pre-activation residual unit h + graph_conv(relu(h)), one node.
 
-    Same arithmetic as add(h, graph_conv(relu(h), kernels, weights, n))
-    on either conv_dtype, but the tape keeps neither the relu output, nor
-    its mask, nor the conv output: the forward builds relu(h), the
-    products and their sum tile by tile (see _ConvPlan) and adds h into
-    the result, and the backward recomputes relu(h) and its mask tile by
-    tile. The value and d/dh equal the composite's bit for bit, and so do
-    the weight gradients when the composite runs at the same TILE_ROWS.
-    d/dh, g plus the masked conv gradient, comes as one fresh array that
-    becomes h's gradient buffer when h has none yet and is added to that
-    buffer otherwise. The weights map C_in to C_in. The sum takes numpy's
+    Same arithmetic as add(h, graph_conv(relu(h), stack, weights)) on
+    either conv_dtype, but the tape keeps neither the relu output, nor its
+    mask, nor the conv output: the forward builds relu(h), the products
+    and their mixing tile by tile (see _ConvPlan) and adds h into the
+    result, and the backward recomputes relu(h) and its mask tile by tile.
+    The value and d/dh equal the composite's bit for bit, and so do the
+    weight gradients when the composite runs at the same TILE_ROWS. d/dh,
+    g plus the masked conv gradient, comes as one fresh array that becomes
+    h's gradient buffer when h has none yet and is added to that buffer
+    otherwise. The weights map C_in to C_in. The sum takes numpy's
     promotion of the conv_dtype product and h. NaN passes the relu, and
     its subgradient at 0 is 0, as in relu.
     """
-    plan = _ConvPlan(h, kernels, weights, n, "residual_graph_conv")
+    plan = _ConvPlan(h, stack, weights, "residual_graph_conv")
     if plan.C_out != plan.C_in:
         raise ShapeMismatch(f"residual_graph_conv: weights map {plan.C_in} "
                             f"to {plan.C_out} channels")

@@ -31,18 +31,21 @@ split_views cuts a result back into the two (BJ, 3) views.
 Each of the seven graph convolutions (two spatial, one per U-stage) is
 sum_k N_k H W_k over its unmasked kernel classes k, the AXW form of Kipf &
 Welling with the kernel classes of Cai et al., and records one tape node.
-The 3 -> C lift relu(conv(h)) is one autodiff.graph_conv_relu node, which
-rectifies in place and keeps no pre-relu output or mask; each of the six
+Each conv's kernels are checked and stacked once, when the model is
+built (an autodiff.KernelStack per graph resolution). The 3 -> C lift
+relu(conv(h)) is one autodiff.graph_conv_relu node, which rectifies in
+place and keeps no pre-relu output or mask; each of the six
 width-preserving residual units h + conv(relu(h)) is one
 autodiff.residual_graph_conv node, which keeps only h, its weights and
-its kernels: no relu output, conv output or per-kernel product, and
-builds them in tile-sized scratch. Its backward likewise recomputes
-relu(h), mixes the gradient by all kernels at once and runs one weight
-GEMM and one input GEMM per tile of samples, so only d/dh is full height.
-Each decoder unpool and its skip add are one
-autodiff.block_left_matmul_add node. At B=256, C=128 a forward records
-55 nodes, whose data take 35 MB on a float32 tape and 64 MB on a float64
-one, and the backward sweep frees each node once it has passed it.
+its kernel stack: no relu output, conv output or per-kernel product. Its
+forward and backward each pass over tiles of samples: per tile, one
+matmul mixes all kernels at once, one GEMM per kernel (forward) or one
+weight GEMM and one input GEMM (backward) multiply, and relu(h) is
+rebuilt, so only the output and d/dh are full height. Each decoder
+unpool and its skip add are one autodiff.block_left_matmul_add node. At
+B=256, C=128 a forward records 55 nodes, whose data take 35 MB on a
+float32 tape and 64 MB on a float64 one, and the backward sweep frees
+each node once it has passed it.
 
 Precision: training, evaluation and refine open their tapes with
 conv_dtype=CONV_DTYPE (float32). The trunk, from the 3 -> C lift to the
@@ -187,23 +190,19 @@ def init_weights(config: NetworkConfig) -> ModelWeights:
     return ModelWeights(arrays)
 
 
-def _conv_entries(kernel_set, mask):
-    """(n_nodes, [(kernel index, matrix-or-None), ...]) for one conv.
+def _conv_entries(kernel_set, mask, where):
+    """(kernel classes, autodiff.KernelStack) of one conv.
 
-    All-zero kernels and masked kernel classes are dropped; an identity
-    kernel skips its node mixing. Ascending kernel order keeps the
-    summation deterministic.
+    All-zero kernels and masked kernel classes are dropped; ascending
+    kernel order keeps the summation deterministic. A mask that leaves no
+    kernel raises ValueError naming the conv.
     """
-    entries = []
-    eye = np.eye(kernel_set.n_nodes)
-    for k in range(N_KERNELS):
-        if k in mask:
-            continue
-        N = kernel_set.normalized[k]
-        if not N.any():
-            continue
-        entries.append((k, None if np.array_equal(N, eye) else N))
-    return kernel_set.n_nodes, entries
+    ks = [k for k in range(N_KERNELS)
+          if k not in mask and kernel_set.normalized[k].any()]
+    if not ks:
+        raise ValueError(f"kernel_mask {sorted(mask)} leaves the {where} "
+                         f"convolutions with no kernel")
+    return ks, ad.KernelStack([kernel_set.normalized[k] for k in ks])
 
 
 def coarse_pair_leaf(tape, x1_mm, x2_mm, n_joints):
@@ -252,8 +251,8 @@ class CVUGCN:
         if not mask <= set(range(N_KERNELS)):
             raise ValueError(f"kernel_mask {sorted(mask)}: kernel classes "
                              f"are 0-{N_KERNELS - 1}")
-        single = build_single_view_kernels(topo)
-        self._sgcn_conv = _conv_entries(single, mask)
+        self._sgcn_conv = _conv_entries(build_single_view_kernels(topo),
+                                        mask, "spatial")
         # Centering matrix: row i of (C @ X) is X_i minus the pose centroid.
         # The convolutions carry no bias terms, so an uncentred camera-frame
         # input would put a metre-scale depth offset on every node; that
@@ -264,14 +263,8 @@ class CVUGCN:
         center = np.eye(topo.n_joints) - 1.0 / topo.n_joints
         self._center = center
         self._levels = build_graph_levels(topo)
-        self._level_convs = [_conv_entries(ks, mask)
-                             for ks in self._levels.levels]
-        convs = [("spatial", self._sgcn_conv)] + [
-            (f"level-{i}", e) for i, e in enumerate(self._level_convs)]
-        for where, (_, entries) in convs:
-            if not entries:
-                raise ValueError(f"kernel_mask {sorted(mask)} leaves the "
-                                 f"{where} convolutions with no kernel")
+        self._level_convs = [_conv_entries(ks, mask, f"level-{i}")
+                             for i, ks in enumerate(self._levels.levels)]
 
     # -- weight access -----------------------------------------------------
 
@@ -284,11 +277,10 @@ class CVUGCN:
 
     def _conv(self, op, h, conv, params, unit):
         """op (ad.graph_conv_relu or ad.residual_graph_conv) over the conv's
-        unmasked kernels k, with the weights params[f"{unit}.k{k}"]: one
-        tape node."""
-        n, entries = conv
-        return op(h, [N for _, N in entries],
-                  [params[f"{unit}.k{k}"] for k, _ in entries], n)
+        kernel stack, with the weights params[f"{unit}.k{k}"] of its
+        unmasked kernels k: one tape node."""
+        ks, stack = conv
+        return op(h, stack, [params[f"{unit}.k{k}"] for k in ks])
 
     def refine_from_leaf(self, xin, params):
         """Forward pass from an existing (2BJ, 3) leaf of per-sample 2J-node
@@ -482,10 +474,15 @@ def load_checkpoint(path, topo) -> Checkpoint:
         weights[name] = arrays[tag]
     opt_state = {}
     for tag, arr in arrays.items():
-        if tag.startswith("opt:"):
+        if tag.startswith("weight:"):
+            if tag[7:] not in expected:
+                raise SchemaError(f"unknown weight {tag[7:]}")
+        elif tag.startswith("opt:"):
             kind, _, name = tag[4:].partition(":")
             if name not in expected:
                 raise SchemaError(f"optimizer state for unknown weight {name}")
             opt_state.setdefault(kind, {})[name] = arr
+        else:
+            raise SchemaError(f"unknown array {tag}")
     return Checkpoint(config=config, weights=ModelWeights(weights), step=step,
                       opt_state=opt_state, train_state=train_state)

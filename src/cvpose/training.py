@@ -464,6 +464,40 @@ class TrainResult:
     skipped_train: list = field(default_factory=list)
 
 
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _resume_state(state):
+    """(loss history, best monitored loss) from a checkpoint's training
+    state, a JSON object with a non-negative integer next_epoch equal to
+    the length of loss_history, a list of numbers, and a best_val that is
+    null or a number. Anything else raises SchemaError naming the key."""
+    if not isinstance(state, dict):
+        raise SchemaError(f"checkpoint training state must be a JSON "
+                          f"object, got {state!r}")
+    for key in ("next_epoch", "loss_history"):
+        if key not in state:
+            raise SchemaError(f"checkpoint lacks training state {key!r}; "
+                              "it cannot resume a run")
+    next_epoch, history = state["next_epoch"], state["loss_history"]
+    best_val = state.get("best_val")
+    if type(next_epoch) is not int or next_epoch < 0:   # not a bool either
+        raise SchemaError(f"checkpoint training state 'next_epoch' must be a "
+                          f"non-negative integer, got {next_epoch!r}")
+    if not isinstance(history, list) or not all(map(_is_number, history)):
+        raise SchemaError("checkpoint training state 'loss_history' must be "
+                          "a list of numbers")
+    if best_val is not None and not _is_number(best_val):
+        raise SchemaError(f"checkpoint training state 'best_val' must be "
+                          f"null or a number, got {best_val!r}")
+    if next_epoch != len(history):
+        raise SchemaError(f"checkpoint resumes at epoch {next_epoch} but "
+                          f"holds {len(history)} epochs of loss history")
+    return ([float(x) for x in history],
+            math.inf if best_val is None else float(best_val))
+
+
 def fit(train_samples, val_samples, cameras, config: TrainConfig,
         topo=None, out_dir=".", resume_from=None, progress=None):
     """Full training run; writes checkpoints and a CSV log under out_dir.
@@ -491,17 +525,7 @@ def fit(train_samples, val_samples, cameras, config: TrainConfig,
         # A checkpoint saved without training progress can seed weights but
         # cannot continue a run; reject it before anything is written.
         optimizer.load_state(ckpt.opt_state)
-        for key in ("next_epoch", "loss_history"):
-            if key not in ckpt.train_state:
-                raise SchemaError(f"checkpoint lacks training state {key!r}; "
-                                  "it cannot resume a run")
-        history = [float(x) for x in ckpt.train_state["loss_history"]]
-        next_epoch = int(ckpt.train_state["next_epoch"])
-        if next_epoch != len(history):
-            raise SchemaError(f"checkpoint resumes at epoch {next_epoch} but "
-                              f"holds {len(history)} epochs of loss history")
-        best_val = ckpt.train_state.get("best_val")
-        best_val = math.inf if best_val is None else float(best_val)
+        history, best_val = _resume_state(ckpt.train_state)
 
     coarse_train, skipped_train = precompute_coarse(
         train_samples, cameras, mode=config.tri_mode)

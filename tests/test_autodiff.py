@@ -151,7 +151,7 @@ def _graph_conv_reference(h, kernels, weights, n):
     for s in range(h.shape[0] // n):
         blk = h[s * n:(s + 1) * n]
         for N, W in zip(kernels, weights):
-            out[s * n:(s + 1) * n] += (blk if N is None else N @ blk) @ W
+            out[s * n:(s + 1) * n] += N @ blk @ W
     return out
 
 
@@ -159,16 +159,17 @@ def test_graph_conv_matches_definition():
     rng = np.random.default_rng(4)
     n, B = 4, 3
     N1, N2 = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+    I = np.eye(n)
     h = rng.normal(size=(B * n, 5))
     cases = [
-        ([None, N1, N2], [rng.normal(size=(5, 6)) for _ in range(3)]),
-        ([None], [rng.normal(size=(5, 2))]),          # identity only
+        ([I, N1, N2], [rng.normal(size=(5, 6)) for _ in range(3)]),
+        ([I], [rng.normal(size=(5, 2))]),          # identity only
         ([N1, N2], [rng.normal(size=(5, 6)) for _ in range(2)]),  # no identity
     ]
     for kernels, ws in cases:
         tape = ad.Tape()
         W = [tape.leaf(w) for w in ws]
-        out = ad.graph_conv(tape.leaf(h), kernels, W, n)
+        out = ad.graph_conv(tape.leaf(h), ad.KernelStack(kernels), W)
         assert out.op == "graph_conv" and len(tape) == 1 + len(W) + 1
         assert np.allclose(out.data, _graph_conv_reference(h, kernels, ws, n),
                            rtol=1e-13, atol=1e-13)
@@ -187,10 +188,8 @@ def _graph_conv_reference_grads(h, kernels, weights, n, g):
     for s in range(h.shape[0] // n):
         rows = slice(s * n, (s + 1) * n)
         for k, (N, W) in enumerate(zip(kernels, weights)):
-            mixed = h[rows] if N is None else N @ h[rows]
-            dws[k] += mixed.T @ g[rows]
-            gw = g[rows] @ W.T
-            dh[rows] += gw if N is None else N.T @ gw
+            dws[k] += (N @ h[rows]).T @ g[rows]
+            dh[rows] += N.T @ g[rows] @ W.T
     return dh, dws
 
 
@@ -198,11 +197,16 @@ def test_graph_conv_float32_tape_matches_definition():
     rng = np.random.default_rng(4)
     n, B = 4, 3
     N1, N2 = rng.normal(size=(n, n)), rng.normal(size=(n, n))
-    h = rng.normal(size=(B * n, 5))
+    I = np.eye(n)
+    h6 = rng.normal(size=(B * n, 6))
     cases = [
-        ([None, N1, N2], [rng.normal(size=(5, 6)) for _ in range(3)]),
-        ([None], [rng.normal(size=(5, 2))]),          # identity only
+        ([I, N1, N2], [rng.normal(size=(5, 6)) for _ in range(3)]),
+        ([I], [rng.normal(size=(5, 2))]),          # identity only
         ([N1, N2], [rng.normal(size=(5, 6)) for _ in range(2)]),  # no identity
+        # Multiply-first (C_in >= C_out) with non-symmetric kernels, where
+        # mixing by N_k^T in place of N_k would show.
+        ([I, N1, N2], [rng.normal(size=(6, 5)) for _ in range(3)]),
+        ([N1, N2], [rng.normal(size=(5, 5)) for _ in range(2)]),
     ]
 
     def close(got, want, dtype=np.float64):
@@ -211,10 +215,11 @@ def test_graph_conv_float32_tape_matches_definition():
         assert err <= F32_TOL * np.abs(want).max(), err
 
     for kernels, ws in cases:
+        h = h6[:, :ws[0].shape[0]]
         tape = ad.Tape(conv_dtype=np.float32)
         hv = tape.leaf(h)
         W = [tape.leaf(w) for w in ws]
-        out = ad.graph_conv(hv, kernels, W, n)
+        out = ad.graph_conv(hv, ad.KernelStack(kernels), W)
         want = _graph_conv_reference(h, kernels, ws, n)
         close(out.data, want, np.float32)
         # Rounded in float32, so not the float64 result bit for bit.
@@ -238,12 +243,12 @@ def test_widening_graph_conv_mixes_first_and_matches_definition(dtype):
     N1, N2 = rng.normal(size=(n, n)), rng.normal(size=(n, n))
     h = rng.normal(size=(B * n, C_in))
     tol = 1e-12 if dtype == np.float64 else F32_TOL
-    for kernels in ([None, N1, N2], [N1, N2], [None]):
+    for kernels in ([np.eye(n), N1, N2], [N1, N2], [np.eye(n)]):
         ws = [rng.normal(size=(C_in, C_out)) for _ in kernels]
         tape = ad.Tape(conv_dtype=dtype)
         hv = tape.leaf(h)
         W = [tape.leaf(w) for w in ws]
-        out = ad.graph_conv(hv, kernels, W, n)
+        out = ad.graph_conv(hv, ad.KernelStack(kernels), W)
         assert out.data.dtype == dtype
         want = _graph_conv_reference(h, kernels, ws, n)
         tape.backward(ad.reduce_sum(ad.norm_rows(out)))
@@ -289,29 +294,40 @@ def test_graph_conv_shape_errors():
     tape = ad.Tape()
     h = tape.leaf(np.ones((8, 3)))
     N = np.eye(4)
+    one, two = ad.KernelStack([N]), ad.KernelStack([N, N])
     W = tape.leaf(np.ones((3, 2)))
     with pytest.raises(ShapeMismatch, match="not divisible"):
-        ad.graph_conv(h, [N], [W], 3)
+        ad.graph_conv(h, ad.KernelStack([np.eye(3)]), [W])
     with pytest.raises(ShapeMismatch, match="2 kernels, 1 weights"):
-        ad.graph_conv(h, [None, N], [W], 4)
-    with pytest.raises(ShapeMismatch, match="0 kernels"):
-        ad.graph_conv(h, [], [], 4)
-    with pytest.raises(ShapeMismatch, match="kernel"):
-        ad.graph_conv(h, [np.eye(2)], [W], 4)
+        ad.graph_conv(h, two, [W])
+    with pytest.raises(ShapeMismatch, match="1 kernels, 0 weights"):
+        ad.graph_conv(h, one, [])
     with pytest.raises(ShapeMismatch, match="weight"):
-        ad.graph_conv(h, [None], [tape.leaf(np.ones((2, 2)))], 4)
+        ad.graph_conv(h, one, [tape.leaf(np.ones((2, 2)))])
     with pytest.raises(ShapeMismatch, match="weight"):
-        ad.graph_conv(h, [None, N], [W, tape.leaf(np.ones((3, 5)))], 4)
+        ad.graph_conv(h, two, [W, tape.leaf(np.ones((3, 5)))])
     with pytest.raises(ValueError, match="different tapes"):
-        ad.graph_conv(h, [N], [ad.Tape().leaf(np.ones((3, 2)))], 4)
+        ad.graph_conv(h, one, [ad.Tape().leaf(np.ones((3, 2)))])
+    # A stack is checked once, when it is built: at least one kernel, each
+    # square, all of one size.
+    for kernels, match in (([], "0 kernels"),
+                           ([np.ones((4, 3))], r"kernel \(4, 3\)"),
+                           ([np.ones(4)], r"kernel \(4,\)"),
+                           ([N, np.eye(2)], r"kernel \(2, 2\), expected \(4, 4\)")):
+        with pytest.raises(ShapeMismatch, match=match):
+            ad.KernelStack(kernels)
 
 
 def _residual_cases(rng, n, C):
-    """(kernels, weights) lists: mixed, identity-only and identity-free."""
+    """(KernelStack, weights) pairs: mixed, identity-only and
+    identity-free."""
     N1, N2 = rng.normal(size=(n, n)), rng.normal(size=(n, n))
-    return [([None, N1, N2], [rng.normal(size=(C, C)) for _ in range(3)]),
-            ([None], [rng.normal(size=(C, C))]),
-            ([N1, N2], [rng.normal(size=(C, C)) for _ in range(2)])]
+    I = np.eye(n)
+    return [(ad.KernelStack([I, N1, N2]),
+             [rng.normal(size=(C, C)) for _ in range(3)]),
+            (ad.KernelStack([I]), [rng.normal(size=(C, C))]),
+            (ad.KernelStack([N1, N2]),
+             [rng.normal(size=(C, C)) for _ in range(2)])]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -323,18 +339,18 @@ def test_residual_graph_conv_is_the_composite_bit_for_bit(dtype):
     h = rng.normal(size=(B * n, C))
     h[rng.random(h.shape) < 0.2] = 0.0
     h[0, :2] = -0.0
-    for kernels, ws in _residual_cases(rng, n, C):
+    for stack, ws in _residual_cases(rng, n, C):
         grads = []
         for fused in (False, True):
             tape = ad.Tape(conv_dtype=dtype)
             hv = tape.leaf(h)
             W = [tape.leaf(w) for w in ws]
             if fused:
-                out = ad.residual_graph_conv(hv, kernels, W, n)
+                out = ad.residual_graph_conv(hv, stack, W)
                 assert out.op == "residual_graph_conv"
                 assert len(tape) == 1 + len(W) + 1
             else:
-                out = ad.add(hv, ad.graph_conv(ad.relu(hv), kernels, W, n))
+                out = ad.add(hv, ad.graph_conv(ad.relu(hv), stack, W))
             tape.backward(ad.reduce_sum(ad.norm_rows(out)))
             grads.append([out.data, hv.grad] + [w.grad for w in W])
         for got, want in zip(grads[1], grads[0]):
@@ -368,7 +384,8 @@ def _fused_and_composite(monkeypatch, dtype, h, n, through_conv, fused,
             m.setattr(ad, "TILE_ROWS", tile_rows)
             tape = ad.Tape(conv_dtype=dtype)
             hv = tape.leaf(h)
-            x = (ad.graph_conv(hv, [None], [tape.leaf(np.eye(C))], n)
+            x = (ad.graph_conv(hv, ad.KernelStack([np.eye(n)]),
+                               [tape.leaf(np.eye(C))])
                  if through_conv else hv)
             W = [tape.leaf(w) for w in ws]
             out = op(x, W)
@@ -400,14 +417,16 @@ def test_fused_units_match_their_composites_bit_for_bit(monkeypatch, B,
     h = rng.normal(size=(B * n, C))
     h[rng.random(h.shape) < 0.2] = 0.0
     N1, N2 = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+    mixed = ad.KernelStack([np.eye(n), N1, N2])
     cases = [
         # the tiled residual unit, three kernel layouts
-        *[(lambda x, W, ks=ks: ad.residual_graph_conv(x, ks, W, n),
-           lambda x, W, ks=ks: ad.add(x, ad.graph_conv(ad.relu(x), ks, W, n)),
-           len(ks), C) for ks in ([None, N1, N2], [None], [N1, N2])],
+        *[(lambda x, W, ks=ks: ad.residual_graph_conv(x, ks, W),
+           lambda x, W, ks=ks: ad.add(x, ad.graph_conv(ad.relu(x), ks, W)),
+           ks.K, C) for ks in (mixed, ad.KernelStack([np.eye(n)]),
+                               ad.KernelStack([N1, N2]))],
         # the fused lift, widening (mix-first) and width-preserving (tiled)
-        *[(lambda x, W: ad.graph_conv_relu(x, [None, N1, N2], W, n),
-           lambda x, W: ad.relu(ad.graph_conv(x, [None, N1, N2], W, n)),
+        *[(lambda x, W: ad.graph_conv_relu(x, mixed, W),
+           lambda x, W: ad.relu(ad.graph_conv(x, mixed, W)),
            3, c_out) for c_out in (2 * C, C)],
     ]
     for fused, composite, n_weights, c_out in cases:
@@ -433,7 +452,8 @@ def test_fused_units_match_their_composites_bit_for_bit(monkeypatch, B,
     for fused in (True, False):
         tape = ad.Tape(conv_dtype=dtype)
         hv, sv = tape.leaf(h), tape.leaf(skip)
-        x = (ad.graph_conv(hv, [None], [tape.leaf(np.eye(C))], n)
+        x = (ad.graph_conv(hv, ad.KernelStack([np.eye(n)]),
+                           [tape.leaf(np.eye(C))])
              if through_conv else hv)
         out = (ad.block_left_matmul_add(M, x, sv) if fused
                else ad.add(ad.block_left_matmul(M, x), sv))
@@ -460,7 +480,8 @@ def test_residual_graph_conv_subgradient_and_nan():
     # and 1 exactly where h is 0.
     tape = ad.Tape()
     h = tape.leaf([[-1.0, 0.0, 2.0], [0.0, -0.0, 3.0]])
-    out = ad.residual_graph_conv(h, [None], [tape.leaf(np.eye(3))], 2)
+    out = ad.residual_graph_conv(h, ad.KernelStack([np.eye(2)]),
+                                 [tape.leaf(np.eye(3))])
     assert np.array_equal(out.data, [[-1.0, 0.0, 4.0], [0.0, 0.0, 6.0]])
     tape.backward(ad.reduce_sum(out))
     assert np.array_equal(h.grad, [[1.0, 1.0, 2.0], [1.0, 1.0, 2.0]])
@@ -471,7 +492,8 @@ def test_residual_graph_conv_subgradient_and_nan():
     tape = ad.Tape()
     h = tape.leaf(rng.normal(size=(4, 3)))
     h.data[1, 2] = np.nan
-    out = ad.residual_graph_conv(h, [None, N], [tape.leaf(np.eye(3))] * 2, 2)
+    out = ad.residual_graph_conv(h, ad.KernelStack([np.eye(2), N]),
+                                 [tape.leaf(np.eye(3))] * 2)
     assert np.isnan(out.data[:2]).all()
     assert np.isfinite(out.data[2:]).all()
 
@@ -487,16 +509,18 @@ def _grad_of_h_with_a_second_consumer(dtype, leaf_h, unit_first, fused):
     rng = np.random.default_rng(33)
     n, B, C = 4, 5, 6
     N = rng.normal(size=(n, n))
+    stack = ad.KernelStack([np.eye(n), N])
     tape = ad.Tape(conv_dtype=dtype)
     x = tape.leaf(rng.normal(size=(B * n, C)))
     y = tape.leaf(rng.normal(size=(B * n, C)))
     W = [tape.leaf(rng.normal(size=(C, C))) for _ in range(2)]
-    h = x if leaf_h else ad.graph_conv(x, [None], [tape.leaf(np.eye(C))], n)
+    h = x if leaf_h else ad.graph_conv(x, ad.KernelStack([np.eye(n)]),
+                                       [tape.leaf(np.eye(C))])
 
     def unit():
         if fused:
-            return ad.residual_graph_conv(h, [None, N], W, n)
-        return ad.add(h, ad.graph_conv(ad.relu(h), [None, N], W, n))
+            return ad.residual_graph_conv(h, stack, W)
+        return ad.add(h, ad.graph_conv(ad.relu(h), stack, W))
 
     if unit_first:
         skip = ad.block_left_matmul_add(N, y, h)
@@ -531,9 +555,11 @@ def test_residual_graph_conv_shape_errors():
     tape = ad.Tape()
     h = tape.leaf(np.ones((8, 3)))
     with pytest.raises(ShapeMismatch, match="residual_graph_conv"):
-        ad.residual_graph_conv(h, [None], [tape.leaf(np.ones((3, 4)))], 4)
+        ad.residual_graph_conv(h, ad.KernelStack([np.eye(4)]),
+                               [tape.leaf(np.ones((3, 4)))])
     with pytest.raises(ShapeMismatch, match="residual_graph_conv"):
-        ad.residual_graph_conv(h, [None], [tape.leaf(np.ones((3, 3)))], 3)
+        ad.residual_graph_conv(h, ad.KernelStack([np.eye(3)]),
+                               [tape.leaf(np.ones((3, 3)))])
 
 
 def test_slice_blocks_selects_rows_of_every_block():
@@ -613,38 +639,43 @@ def test_grad_graph_conv():
     rng = np.random.default_rng(17)
     n, B = 4, 3
     N = [rng.normal(size=(n, n)) for _ in range(3)]
-    h = rng.normal(size=(B * n, 5))
+    I = np.eye(n)
+    h = rng.normal(size=(B * n, 6))
 
     def check(kernels, c_in, c_out):
         x = h[:, :c_in]
         ws = [rng.normal(size=(c_in, c_out)) for _ in kernels]
+        stack = ad.KernelStack(kernels)
         _check(lambda t, p: ad.reduce_sum(ad.norm_rows(
-            ad.graph_conv(p[0], kernels, p[1:], n))), [x] + ws)
+            ad.graph_conv(p[0], stack, p[1:]))), [x] + ws)
 
-    check([None, N[0], N[1], N[2]], 5, 6)   # identity plus mixing kernels
-    check([None], 5, 6)                     # identity only
-    check([None, N[0], N[1]], 3, 6)         # a C_in=3 -> C_out lift
-    check([None, N[0], N[2]], 5, 6)         # one class masked
+    check([I, N[0], N[1], N[2]], 5, 6)      # identity plus mixing kernels
+    check([I], 5, 6)                        # identity only
+    check([I, N[0], N[1]], 3, 6)            # a C_in=3 -> C_out lift
+    check([I, N[0], N[2]], 5, 6)            # one class masked
+    # Multiply-first (C_in >= C_out) with non-symmetric kernels.
+    check([I, N[0], N[1]], 6, 5)
+    check([N[1], N[2]], 5, 5)
     # h also feeds a matmul and one weight serves two kernels: both
     # gradients accumulate onto what is already there.
     _check(lambda t, p: ad.reduce_sum(ad.norm_rows(ad.add(
         ad.matmul(p[0], p[2]),
-        ad.graph_conv(p[0], [None, N[0]], [p[1], p[1]], n)))),
-        [h, rng.normal(size=(5, 6)), rng.normal(size=(5, 6))])
+        ad.graph_conv(p[0], ad.KernelStack([I, N[0]]), [p[1], p[1]])))),
+        [h[:, :5], rng.normal(size=(5, 6)), rng.normal(size=(5, 6))])
 
 
 def test_grad_residual_graph_conv():
     rng = np.random.default_rng(18)
     n, B, C = 4, 3, 5
-    for kernels, ws in _residual_cases(rng, n, C):
+    for stack, ws in _residual_cases(rng, n, C):
         h = rng.normal(size=(B * n, C))
         _check(lambda t, p: ad.reduce_sum(ad.norm_rows(
-            ad.residual_graph_conv(p[0], kernels, p[1:], n))), [h] + ws)
+            ad.residual_graph_conv(p[0], stack, p[1:]))), [h] + ws)
         # With exact zeros in h the kink is at a sampled coordinate, so h is
         # held constant there and only the weights are checked.
         h[rng.random(h.shape) < 0.3] = 0.0
         _check(lambda t, p: ad.reduce_sum(ad.norm_rows(
-            ad.residual_graph_conv(t.leaf(h), kernels, p, n))), ws)
+            ad.residual_graph_conv(t.leaf(h), stack, p))), ws)
 
 
 def test_grad_geometry_ops():

@@ -349,10 +349,12 @@ def test_forward_and_backward_memory_stay_bounded():
     # residual unit held 19.8 units, and a sweep that kept each node until
     # release() added 20.0. The forward held 12.0 while the lift kept its
     # pre-relu output and mask and the decoder its unpool products; now it
-    # holds 9.6 and the sweep adds 5.5. At B=16 a residual unit's backward
-    # tiles hold half its rows, so the sweep sits above the 5.1 of a
-    # backward that mixed and multiplied each kernel at full height; at
-    # B=256 it is well below (test_backward_sweep_stays_tile_sized).
+    # holds 9.6 and the sweep adds 5.2 (5.5 while the head's matmul added a
+    # float64 product into a zero-filled gradient). At B=16 a residual
+    # unit's backward tiles hold half its rows, so the sweep is about the
+    # 5.1 of a backward that mixed and multiplied each kernel at full
+    # height; at B=256 it is well below
+    # (test_backward_sweep_stays_tile_sized).
     forward, sweep, params = _tape_units(np.float64, 16)
     assert forward <= 10.0, f"forward holds {forward:.2f} units"
     assert sweep <= 6.0, f"backward adds {sweep:.2f} units"
@@ -361,9 +363,9 @@ def test_forward_and_backward_memory_stay_bounded():
 
 def test_float32_tape_forward_and_backward_memory_stay_bounded():
     # The guard above on a CONV_DTYPE tape, in the same float64 units. The
-    # float32 trunk holds half the bytes: the forward measured 6.5 units
+    # float32 trunk holds half the bytes: the forward measured 6.2 units
     # (7.8 before the fused lift and unpool-adds; 9.6 on the float64 tape,
-    # which also keeps the lift's mixed input) and the sweep 2.9 (5.5 on
+    # which also keeps the lift's mixed input) and the sweep 2.7 (5.2 on
     # the float64 tape; 2.8 with the per-kernel full-height backward).
     # What stays is mostly the float64 weight leaves, about 1.8 units at
     # C=32.
@@ -373,11 +375,15 @@ def test_float32_tape_forward_and_backward_memory_stay_bounded():
     assert np.abs(params["head"].grad).max() > 0
 
 
-# (conv_dtype, bound): measured 1.83 and 1.39 units. At B=256 a residual
+# (conv_dtype, bound): measured 1.11 and 0.83 units. At B=256 a residual
 # unit's rows span several backward tiles, so it adds little beyond d/dh,
-# which it hands to h as its gradient buffer, and the peak is the head's
-# matmul step. A sweep that mixed g and multiplied by each kernel at full
-# height, with relu(h) and its mask full height too, added 3.96 and 1.87.
+# which it hands to h as its gradient buffer. The float64 peak is the
+# largest residual unit; the float32 peak is the head's matmul step, where
+# d/dhead is multiplied from a float64 copy of d0 (a float32 d/dhead
+# measured 0.44). A sweep that mixed g and multiplied by each kernel at
+# full height, with relu(h) and its mask full height too, added 3.96 and
+# 1.87; one whose head matmul added a float64 g @ head^T into a
+# zero-filled gradient added 1.83 and 1.39.
 @pytest.mark.parametrize("conv_dtype, bound", [
     (np.float64, 2.5), (np.float32, 1.6)])
 def test_backward_sweep_stays_tile_sized(conv_dtype, bound):
@@ -386,11 +392,39 @@ def test_backward_sweep_stays_tile_sized(conv_dtype, bound):
     assert np.abs(params["head"].grad).max() > 0
 
 
-# (conv_dtype, B, bound): measured 2.63, 0.23, 1.28 and 0.72 units. At
+@pytest.mark.parametrize("conv_dtype", [np.float64, np.float32])
+def test_head_matmul_backward_holds_one_full_height_array(conv_dtype):
+    # The head's matmul(d0, head) at B=256, C=32, alone on a tape, in the
+    # units above: d0 is a conv_dtype array, the head a float64 leaf. Its
+    # backward may hold one (2BJ, C) array at a time: d/dd0, made in d0's
+    # dtype and handed to d0 as its gradient buffer, or, on a float32
+    # tape, the float64 copy of d0 that d/dhead is multiplied from. Adding
+    # a float64 g @ head^T into a zero-filled gradient rose 2.0 and 1.5.
+    B, J, C = 256, default_topology().n_joints, 32
+    unit = 2 * B * J * C * 8
+    rng = np.random.default_rng(0)
+    tape = ad.Tape(conv_dtype=conv_dtype)
+    d0 = tape._record(rng.normal(size=(2 * B * J, C)).astype(conv_dtype),
+                      "d0")
+    head = tape.leaf(rng.normal(size=(C, 3)))
+    loss = ad.reduce_sum(ad.norm_rows(ad.matmul(d0, head)))
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rise = (peak - held) / unit
+    assert rise <= 1.25, f"head backward adds {rise:.2f} units"
+    assert d0.grad.dtype == conv_dtype and np.abs(head.grad).max() > 0
+
+
+# (conv_dtype, B, bound): measured 2.62, 0.05, 1.28 and 0.72 units. At
 # B=256 a conv's rows span several tiles and its scratch is a few tiles'
-# worth (it was 2.62 and 1.13 units of full-height scratch); at B=16 one
-# tile holds every row, and the scratch must stay what it was untiled
-# (2.62 and 1.27), with no copy through a tile buffer.
+# worth (it was 2.62 and 1.13 units of full-height scratch); at B=16 a
+# tile holds half a conv's rows or all of them, and the scratch must stay
+# what it was untiled (2.62 and 1.27).
 @pytest.mark.parametrize("conv_dtype, B, bound", [
     (np.float64, 16, 2.8), (np.float64, 256, 0.3),
     (np.float32, 16, 1.4), (np.float32, 256, 0.8)])
@@ -574,6 +608,11 @@ def test_checkpoint_corruption(tmp_path):
                 "byte %d: array weight:head: duplicate" % len(data)),
         "opt": (data + b"array opt:m:bogus 1 1\n" + bytes(8),
                 "unknown weight bogus"),
+        # A weight or an array kind the layout does not have.
+        "weight": (data + b"array weight:sgcn.2.k0 1 1\n" + bytes(8),
+                   "unknown weight sgcn.2.k0"),
+        "kind": (data + b"array bias:head 1 1\n" + bytes(8),
+                 "unknown array bias:head"),
     }
     for name, (blob, match) in cases.items():
         (tmp_path / f"{name}.ckpt").write_bytes(blob)
