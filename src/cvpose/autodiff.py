@@ -385,12 +385,14 @@ class _ConvPlan:
     (rows, K*C_in) array [N_1 x | ... | N_K x], and one GEMM multiplies it
     by the stacked weights [W_1; ...; W_K]; it keeps the array for the
     backward. Any other conv multiplies first, in one pass over tiles of
-    whole samples (_tiles) in each direction: per tile, x, the K products
-    and their gradients live in tile-sized scratch, one batched matmul by
-    mix_out (forward) or mix_out_t (backward) mixes every kernel at once,
-    and only the result and d/dx are full height. The weight gradients are
-    sums over those tiles, so their rounding depends on the tile size; the
-    result and d/dx do not.
+    whole samples (_tiles) in each direction: per tile, one GEMM by the
+    weight panel [W_1 | ... | W_K] (forward) or by [W_1^T; ...; W_K^T]
+    (backward) works on tile-sized scratch, one batched matmul by mix_out
+    (forward) or mix_out_t (backward) mixes every kernel at once, and only
+    the result and d/dx are full height; the forward builds a residual
+    unit's relu(h) in the result rows the tile's mix then overwrites.
+    The weight gradients are sums over those tiles, so their rounding
+    depends on the tile size; the result and d/dx do not.
     """
 
     def __init__(self, h, stack, weights, opname):
@@ -418,10 +420,13 @@ class _ConvPlan:
         self.stacked = None
         self.tiles = self._tiles()
 
-    def _ws(self):
-        """The weights in conv_dtype. Cast on each use, not kept: the tape
-        already holds them, and a float32 copy would outlive the forward."""
-        return [W.data.astype(self.dt, copy=False) for W in self.weights]
+    def _panel(self, axis, transpose=False):
+        """The K weights (or their transposes) concatenated along axis, in
+        conv_dtype: one cast per use, not kept, since the tape already
+        holds the weights and a float32 copy would outlive the forward."""
+        return np.concatenate([W.data.T if transpose else W.data
+                               for W in self.weights],
+                              axis=axis, dtype=self.dt)
 
     def _tiles(self):
         """Row slices of whole samples, about TILE_ROWS // K rows each,
@@ -438,47 +443,47 @@ class _ConvPlan:
         ends = [self.n * -(-self.B * i // count) for i in range(count + 1)]
         return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
-    def _inputs(self, h, residual):
-        """(rows, x) per tile: x is the tile's rows of h in conv_dtype, or
-        with residual of relu(h), built in one tile-sized buffer."""
+    def _input(self, h, t, residual, buf):
+        """Tile t's x in conv_dtype: with residual, relu(h[t]) built in
+        buf, a (tile rows, C_in) array; else h[t], cast only if need be."""
         if residual:
-            x_buf = np.empty((self.tiles[0].stop, self.C_in), dtype=self.dt)
-        for t in self.tiles:
-            if residual:
-                # Cast and rectify in one pass: the same bits as casting
-                # np.maximum(h, 0.0) down.
-                yield t, np.maximum(h[t], 0.0, dtype=self.dt,
-                                    out=x_buf[:t.stop - t.start])
-            else:
-                yield t, h[t].astype(self.dt, copy=False)
+            # Cast and rectify in one pass: the same bits as casting
+            # np.maximum(h, 0.0) down.
+            return np.maximum(h[t], 0.0, dtype=self.dt, out=buf)
+        return h[t].astype(self.dt, copy=False)
 
     def forward(self, h, residual=False):
         """sum_k N_k x W_k for x = h cast to conv_dtype, in conv_dtype.
         With residual, x = relu(h) and the result is h + that sum, in
         numpy's promotion of conv_dtype and h's dtype.
 
-        A multiply-first plan writes each tile's x W_k into column block k
-        of one (rows, K*C_out) scratch, one GEMM per kernel, and one
-        batched matmul by mix_out sums over kernels and nodes.
+        A multiply-first plan fills each tile's (rows, K*C_out) scratch
+        [x W_1 | ... | x W_K] with one GEMM by the panel [W_1 | ... | W_K],
+        whose inner dimension is C_in as in a GEMM per kernel, and one
+        batched matmul by mix_out sums over kernels and nodes. A residual
+        unit builds the tile's relu(h) in the rows the mix then writes:
+        the tile's rows of the result, or of the conv_dtype sum when the
+        result is promoted.
         """
         dt, K, C_out = self.dt, self.K, self.C_out
-        ws = self._ws()
         if self.mix_first:
             x = h.astype(dt, copy=False).reshape(self.B, self.n, self.C_in)
             self.stacked = np.matmul(self.mix_in, x).reshape(
                 self.rows, K * self.C_in)
-            return self.stacked @ np.concatenate(ws)
+            return self.stacked @ self._panel(0)
         out = np.empty((self.rows, C_out),
                        dtype=np.result_type(dt, h.dtype) if residual else dt)
+        panel = self._panel(1)
         tile = self.tiles[0].stop
         Y = np.empty((tile, K * C_out), dtype=dt)
         # A promoted residual sums the conv in conv_dtype first.
         acc = np.empty((tile, C_out), dtype=dt) if out.dtype != dt else None
-        for t, x in self._inputs(h, residual):
-            m = len(x)
-            for k, w in enumerate(ws):
-                np.matmul(x, w, out=Y[:m, k * C_out:(k + 1) * C_out])
+        for t in self.tiles:
+            m = t.stop - t.start
             dst = out[t] if acc is None else acc[:m]
+            # The GEMM reads x before the mix overwrites dst.
+            x = self._input(h, t, residual, dst)
+            np.matmul(x, panel, out=Y[:m])
             np.matmul(self.mix_out, Y[:m].reshape(-1, self.n * K, C_out),
                       out=dst.reshape(-1, self.n, C_out))
             if residual:
@@ -500,25 +505,28 @@ class _ConvPlan:
         dY [W_1^T; ...; W_K^T] sums d/dx over the kernels inside BLAS.
         """
         dt, K, C_in, C_out = self.dt, self.K, self.C_in, self.C_out
-        ws = self._ws()
         if self.mix_first:
             g = g.astype(dt, copy=False)
             dW = self.stacked.T @ g
             for k, W in enumerate(self.weights):
                 W.grad += dW[k * C_in:(k + 1) * C_in]
-            dX = g @ np.concatenate(ws).T          # [dX_1 | ... | dX_K]
+            dX = g @ self._panel(0).T          # [dX_1 | ... | dX_K]
             return np.matmul(self.mix_in.T, dX.reshape(
                 self.B, self.n * K, C_in)).reshape(self.rows, C_in)
         # [W_1^T; ...; W_K^T], C-contiguous: with a transposed operand
         # OpenBLAS rounds some rows differently as the tile height changes.
-        w_t = np.ascontiguousarray(np.concatenate(ws, axis=1).T)
-        dY = np.empty((self.tiles[0].stop, K * C_out), dtype=dt)
+        w_t = self._panel(0, transpose=True)
+        tile = self.tiles[0].stop
+        dY = np.empty((tile, K * C_out), dtype=dt)
+        x_buf = np.empty((tile, C_in), dtype=dt) if residual else None
         dW = np.zeros((C_in, K * C_out), dtype=dt)
         dW_t = np.empty_like(dW)
         dh = (np.empty_like(h) if residual
               else np.empty((self.rows, C_in), dtype=dt))
-        for t, x in self._inputs(h, residual):
-            dY_t = dY[:len(x)]
+        for t in self.tiles:
+            m = t.stop - t.start
+            x = self._input(h, t, residual, x_buf[:m] if residual else None)
+            dY_t = dY[:m]
             np.matmul(self.mix_out_t,
                       g[t].astype(dt, copy=False).reshape(-1, self.n, C_out),
                       out=dY_t.reshape(-1, K * self.n, C_out))
@@ -543,7 +551,8 @@ def graph_conv(h: Value, stack: KernelStack, weights) -> Value:
     backward needs only h, the weights and the stack, plus the
     (B*n, K*C_in) mixed input when the conv widens (see _ConvPlan): no
     per-kernel product is kept, and a conv that does not widen builds its
-    products, and in the backward its gradients, in tiles of whole samples.
+    products, one GEMM by the weight panel [W_1 | ... | W_K] per tile of
+    whole samples, and in the backward its gradients, tile by tile.
 
     The products, their sum and the result are in the tape's conv_dtype;
     the weight gradients stay in the weights' float64. On a float32 tape
@@ -586,9 +595,11 @@ def residual_graph_conv(h: Value, stack: KernelStack, weights) -> Value:
 
     Same arithmetic as add(h, graph_conv(relu(h), stack, weights)) on
     either conv_dtype, but the tape keeps neither the relu output, nor its
-    mask, nor the conv output: the forward builds relu(h), the products
-    and their mixing tile by tile (see _ConvPlan) and adds h into the
-    result, and the backward recomputes relu(h) and its mask tile by tile.
+    mask, nor the conv output: the forward builds each tile's relu(h) in
+    the result rows the tile's sum then takes, multiplies it by the weight
+    panel in one GEMM, mixes the products (see _ConvPlan) and adds h into
+    the result, and the backward recomputes relu(h) and its mask tile by
+    tile.
     The value and d/dh equal the composite's bit for bit, and so do the
     weight gradients when the composite runs at the same TILE_ROWS. d/dh,
     g plus the masked conv gradient, comes as one fresh array that becomes

@@ -183,6 +183,9 @@ def cmd_train(args):
     result = fit(train_samples, val_samples, cameras, cfg, topo=topo,
                  out_dir=args.out_dir, resume_from=args.resume,
                  progress=progress if not args.quiet else None)
+    # A resume trains the checkpoint's network, whatever cfg says.
+    cfg.channels = result.network.channels
+    cfg.init_seed = result.network.init_seed
     save_train_config(os.path.join(args.out_dir, "train.cfg"), cfg)
     print(f"finished {cfg.epochs} epochs; best monitored loss "
           f"{result.best_val:.6f}")

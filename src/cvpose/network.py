@@ -39,13 +39,15 @@ width-preserving residual units h + conv(relu(h)) is one
 autodiff.residual_graph_conv node, which keeps only h, its weights and
 its kernel stack: no relu output, conv output or per-kernel product. Its
 forward and backward each pass over tiles of samples: per tile, one
-matmul mixes all kernels at once, one GEMM per kernel (forward) or one
-weight GEMM and one input GEMM (backward) multiply, and relu(h) is
-rebuilt, so only the output and d/dh are full height. Each decoder
-unpool and its skip add are one autodiff.block_left_matmul_add node. At
-B=256, C=128 a forward records 55 nodes, whose data take 35 MB on a
-float32 tape and 64 MB on a float64 one, and the backward sweep frees
-each node once it has passed it.
+matmul mixes all kernels at once, one GEMM by the weight panel
+[W_1 | ... | W_K] (forward) or one weight GEMM and one input GEMM
+(backward) multiply, and relu(h) is rebuilt, in the forward in the
+output rows it becomes, so only the output and d/dh are full height.
+Each decoder unpool and its skip add are one
+autodiff.block_left_matmul_add node. At B=256, C=128 a forward records
+55 nodes, whose data take 35 MB on a float32 tape and 64 MB on a
+float64 one, and the backward sweep frees each node once it has passed
+it.
 
 Precision: training, evaluation and refine open their tapes with
 conv_dtype=CONV_DTYPE (float32). The trunk, from the 3 -> C lift to the

@@ -460,6 +460,7 @@ class TrainResult:
     weights: object
     history: list
     best_val: float
+    network: NetworkConfig      # the trained one: a checkpoint's on resume
     checkpoints: dict = field(default_factory=dict)
     skipped_train: list = field(default_factory=list)
 
@@ -571,5 +572,5 @@ def fit(train_samples, val_samples, cameras, config: TrainConfig,
     if best is not None:
         save("best", *best)
     return TrainResult(weights=model.weights, history=history,
-                       best_val=best_val, checkpoints=paths,
+                       best_val=best_val, network=net_cfg, checkpoints=paths,
                        skipped_train=skipped_train)

@@ -182,6 +182,34 @@ def test_train_resume_from_checkpoint(tmp_path):
     assert (second / "final.ckpt").exists()
 
 
+def test_resumed_train_writes_the_trained_networks_config(tmp_path):
+    # train.cfg must describe the network in final.ckpt: a resume takes
+    # channels and init_seed from the checkpoint, whatever --config says.
+    from cvpose.graph import default_topology
+    from cvpose.network import load_checkpoint
+    from cvpose.training import TrainConfig, load_train_config
+    out = run_synth(tmp_path, n=8)
+    first = tmp_path / "first"
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs = 1\nbatch_size = 8\nchannels = 8\n"
+                   "init_seed = 3\n")
+    data = ["--data", str(out / "dataset.jsonl"),
+            "--rig", str(out / "rig_assumed.jsonl")]
+    assert main(["train", *data, "--out-dir", str(first),
+                 "--config", str(cfg), "--quiet"]) == 0
+    second = tmp_path / "second"
+    assert main(["train", *data, "--out-dir", str(second), "--epochs", "2",
+                 "--batch-size", "8", "--resume", str(first / "final.ckpt"),
+                 "--quiet"]) == 0
+    written = load_train_config(second / "train.cfg")
+    net = load_checkpoint(second / "final.ckpt", default_topology()).config
+    assert (net.channels, net.init_seed) == (8, 3)
+    assert (written.channels, written.init_seed) == (8, 3)
+    # The other settings still come from the flags and the defaults.
+    assert (written.epochs, written.batch_size) == (2, 8)
+    assert written.initial_lr == TrainConfig().initial_lr
+
+
 def test_train_resume_without_training_state_exits_1(tmp_path, capsys):
     from cvpose.graph import default_topology
     from cvpose.network import NetworkConfig, init_weights, save_checkpoint
