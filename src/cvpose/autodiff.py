@@ -495,7 +495,7 @@ class _ConvPlan:
 
         h is the array forward was given (a mix-first plan reads its
         stacked conv input instead). d/dh is in conv_dtype; with residual
-        it is a fresh array in h's dtype, g plus the masked conv gradient.
+        it is g, in h's dtype, plus the masked conv gradient, built in g.
 
         A multiply-first plan makes one pass over the forward's tiles.
         Per tile, x (h, or relu(h) for a residual unit) is built for the
@@ -521,8 +521,7 @@ class _ConvPlan:
         x_buf = np.empty((tile, C_in), dtype=dt) if residual else None
         dW = np.zeros((C_in, K * C_out), dtype=dt)
         dW_t = np.empty_like(dW)
-        dh = (np.empty_like(h) if residual
-              else np.empty((self.rows, C_in), dtype=dt))
+        dh = g if residual else np.empty((self.rows, C_in), dtype=dt)
         for t in self.tiles:
             m = t.stop - t.start
             x = self._input(h, t, residual, x_buf[:m] if residual else None)
@@ -535,7 +534,7 @@ class _ConvPlan:
                 # relu(h)'s tile buffer takes the tile's d/dx once dW has it.
                 dx = np.matmul(dY_t, w_t, out=x)
                 dx *= h[t] > 0.0
-                np.add(g[t], dx, out=dh[t])
+                dh[t] += dx
             else:
                 np.matmul(dY_t, w_t, out=dh[t])
         for k, W in enumerate(self.weights):
@@ -602,11 +601,11 @@ def residual_graph_conv(h: Value, stack: KernelStack, weights) -> Value:
     tile.
     The value and d/dh equal the composite's bit for bit, and so do the
     weight gradients when the composite runs at the same TILE_ROWS. d/dh,
-    g plus the masked conv gradient, comes as one fresh array that becomes
-    h's gradient buffer when h has none yet and is added to that buffer
-    otherwise. The weights map C_in to C_in. The sum takes numpy's
-    promotion of the conv_dtype product and h. NaN passes the relu, and
-    its subgradient at 0 is 0, as in relu.
+    g plus the masked conv gradient, is built in g, the unit's own
+    gradient, which the sweep has let go of: g becomes h's gradient buffer
+    when h has none yet, else is added to it. The weights map C_in to C_in.
+    The sum takes numpy's promotion of the conv_dtype product and h. NaN
+    passes the relu, and its subgradient at 0 is 0, as in relu.
     """
     plan = _ConvPlan(h, stack, weights, "residual_graph_conv")
     if plan.C_out != plan.C_in:

@@ -7,6 +7,7 @@ traceback), 2 usage errors (argparse).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -49,6 +50,9 @@ def _setting(key):
 
 batch_size = _setting("batch_size")
 epochs = _setting("epochs")
+CONFIG_HELP = ("key = value file; keys: " + ", ".join(
+    f.name for f in dataclasses.fields(TrainConfig))
+    + " (an earlier train.cfg's retired keys load at their one value only)")
 
 
 def _at_least_0(name, kind=int):
@@ -350,7 +354,7 @@ def build_parser():
     sp.add_argument("--rig", required=True)
     sp.add_argument("--out-dir", required=True)
     sp.add_argument("--val-data")
-    sp.add_argument("--config")
+    sp.add_argument("--config", help=CONFIG_HELP)
     sp.add_argument("--epochs", type=epochs)
     sp.add_argument("--seed", type=_setting("seed"))
     sp.add_argument("--batch-size", type=batch_size)
@@ -372,7 +376,7 @@ def build_parser():
     sp.add_argument("--train-data", required=True)
     sp.add_argument("--test-data", required=True)
     sp.add_argument("--rig", required=True)
-    sp.add_argument("--config")
+    sp.add_argument("--config", help=CONFIG_HELP)
     sp.add_argument("--epochs", type=epochs)
     sp.add_argument("--variants")
     sp.add_argument("--out")

@@ -10,11 +10,13 @@ Bone vectors and left-minus-right length differences are constant linear
 maps applied to each pose (autodiff.block_left_matmul). The cross-view
 transform t12 is rigid, an isometry, so each cross-view term is computed
 in one direction and doubled: the other direction gives the same sum.
+
+The objective is their weighted sum, with the fixed weights LOSS_WEIGHTS:
+1 for reprojection, symmetry and transform consistency, 0.1 for bone
+direction.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,12 +25,8 @@ from .errors import ShapeMismatch
 from .geometry import CameraModel, RigidTransform
 
 
-@dataclass
-class LossWeights:
-    reproj: float = 1.0
-    sym: float = 1.0
-    transform: float = 1.0
-    bonedir: float = 0.1
+# Weight of each term in total_loss, in the order it sums them.
+LOSS_WEIGHTS = {"reproj": 1.0, "sym": 1.0, "transform": 1.0, "bonedir": 0.1}
 
 
 def _bone_vecs(X, topo):
@@ -122,8 +120,8 @@ def bone_direction_loss(X1, X2, t12: RigidTransform, topo):
     return ad.scale(ad.reduce_sum(ad.sub(ones, cos)), 2.0)
 
 
-def total_loss(X1, X2, y1, y2, cam1, cam2, t12, topo, weights: LossWeights):
-    """Weighted sum of the four objectives.
+def total_loss(X1, X2, y1, y2, cam1, cam2, t12, topo):
+    """Sum of the four objectives weighted by LOSS_WEIGHTS.
 
     Returns (total, parts) where parts maps term names to their raw
     (unweighted) scalar Values.
@@ -134,10 +132,5 @@ def total_loss(X1, X2, y1, y2, cam1, cam2, t12, topo, weights: LossWeights):
         "transform": transform_consistency_loss(X1, X2, t12),
         "bonedir": bone_direction_loss(X1, X2, t12, topo),
     }
-    total = ad.add_n([
-        ad.scale(parts["reproj"], weights.reproj),
-        ad.scale(parts["sym"], weights.sym),
-        ad.scale(parts["transform"], weights.transform),
-        ad.scale(parts["bonedir"], weights.bonedir),
-    ])
+    total = ad.add_n([ad.scale(parts[k], w) for k, w in LOSS_WEIGHTS.items()])
     return total, parts

@@ -96,13 +96,13 @@ RETIRED_SETTINGS = {"sgcn_layers": 2, "mgcn_layers_per_stage": 1,
                     "coord_scale": COORD_SCALE}
 
 
-def retired_problem(key, value):
-    """Why a file's value of a retired setting cannot load, or None."""
-    fixed = RETIRED_SETTINGS[key]
+def retired_problem(key, value, retired=RETIRED_SETTINGS, owner="the network"):
+    """Why a file's value of a setting in `retired` cannot load, or None."""
+    fixed = retired[key]
     if value == fixed:
         return None
     return (f"{key} = {value} is not supported: the setting is retired and "
-            f"the network has {key} = {fixed} only")
+            f"{owner} has {key} = {fixed} only")
 
 
 @dataclass

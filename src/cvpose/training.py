@@ -3,10 +3,14 @@
 The loop never sees 3D labels. Each sample is triangulated once up front
 from its noisy detections and the assumed rig; batches of coarse poses are
 refined on a single tape, scored by the 2D reprojection / symmetry /
-transform-consistency / bone-direction objective, and the shared weights
-are updated with AMSGrad (no bias correction). The coarse poses travel as
-one (n, 2, J, 3) stack (`CoarsePoses`); training, validation and
-evaluation refine row slices of it in the batches `pair_batches` makes.
+transform-consistency / bone-direction objective (losses.LOSS_WEIGHTS),
+and the shared weights are updated with AMSGrad without bias correction
+(beta1 0.9, beta2 0.999, epsilon 1e-8) at a learning rate of 1e-3, times
+0.9 after every 10 epochs without improvement. The recipe is fixed: a
+train.cfg naming one of its retired settings loads at the recipe's value
+only. The coarse poses travel as one (n, 2, J, 3) stack (`CoarsePoses`);
+training, validation and evaluation refine row slices of it in the
+batches `pair_batches` makes.
 
 `train_epochs` is the one epoch loop: it schedules the learning rate,
 runs `train_epoch` and records the monitored loss, yielding after each
@@ -32,28 +36,39 @@ from .errors import NonFiniteLoss, NonPositiveDepth, SchemaError
 from .geometry import TRI_MODES, relative_transform, triangulate_stack
 from .graph import default_topology
 from .jsonl import nonblank_lines
-from .losses import LossWeights, behind_camera, total_loss
+from .losses import LOSS_WEIGHTS, behind_camera, total_loss
 from .network import (CONV_DTYPE, CVUGCN, RETIRED_SETTINGS, NetworkConfig,
                       init_weights, load_checkpoint, retired_problem,
                       save_checkpoint)
 
 
+# The recipe's schedule (schedule_lr) and optimizer (AmsGrad).
+INITIAL_LR = 1e-3
+LR_DECAY = 0.9
+PLATEAU_EPOCHS = 10
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
+# The recipe's former settings at their one values, as older train.cfg
+# files name them (see retired_problem).
+RETIRED_TRAIN_SETTINGS = {
+    "initial_lr": INITIAL_LR, "lr_decay": LR_DECAY,
+    "plateau_epochs": PLATEAU_EPOCHS, "beta1": BETA1, "beta2": BETA2,
+    "epsilon": EPSILON, **{f"w_{k}": w for k, w in LOSS_WEIGHTS.items()}}
+
+
 @dataclass
 class TrainConfig:
+    """A run's settings. The recipe is fixed: AMSGrad without bias
+    correction (beta1 0.9, beta2 0.999, epsilon 1e-8) at lr 1e-3, times 0.9
+    after every 10 epochs without improvement, on losses.LOSS_WEIGHTS. A
+    train.cfg naming one of those (RETIRED_TRAIN_SETTINGS) loads at the
+    recipe's value and is refused by name at any other."""
     epochs: int = 200
     batch_size: int = 256
-    initial_lr: float = 1e-3
-    lr_decay: float = 0.9
-    plateau_epochs: int = 10
     seed: int = 0
     tri_mode: str = "dual"
-    w_reproj: float = 1.0
-    w_sym: float = 1.0
-    w_transform: float = 1.0
-    w_bonedir: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     checkpoint_every: int = 0
     channels: int = 128
     init_seed: int = 0
@@ -61,14 +76,9 @@ class TrainConfig:
     def network(self) -> NetworkConfig:
         return NetworkConfig(channels=self.channels, init_seed=self.init_seed)
 
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(reproj=self.w_reproj, sym=self.w_sym,
-                           transform=self.w_transform, bonedir=self.w_bonedir)
-
     def optimizer(self, weights) -> AmsGrad:
         """A fresh AmsGrad for these weights."""
-        return AmsGrad({k: v.shape for k, v in weights.items()},
-                       self.beta1, self.beta2, self.epsilon)
+        return AmsGrad({k: v.shape for k, v in weights.items()})
 
 
 def save_train_config(path, config: TrainConfig):
@@ -80,12 +90,14 @@ def save_train_config(path, config: TrainConfig):
 def load_train_config(path) -> TrainConfig:
     """Flat key = value file; '#' comments and blank lines are ignored.
 
-    The file is UTF-8 whatever the locale. A retired network setting
-    (network.RETIRED_SETTINGS) may appear at its fixed value, as in the
-    files earlier versions wrote, and is then ignored.
+    The file is UTF-8 whatever the locale. A retired setting
+    (network.RETIRED_SETTINGS, RETIRED_TRAIN_SETTINGS), as earlier versions
+    wrote them, is ignored at its one value and refused at any other.
     """
-    kinds = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
-    kinds.update((k, type(v)) for k, v in RETIRED_SETTINGS.items())
+    fields = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
+    kinds = {k: type(v) for k, v in (RETIRED_SETTINGS
+                                     | RETIRED_TRAIN_SETTINGS).items()}
+    kinds.update(fields)
     values = {}
     for lineno, raw in nonblank_lines(path):
         text = raw.split("#", 1)[0].strip()
@@ -108,8 +120,7 @@ def load_train_config(path) -> TrainConfig:
         problem = setting_problem(key, values[key])
         if problem:
             raise SchemaError(f"line {lineno}: {problem}", line=lineno)
-    return TrainConfig(**{k: v for k, v in values.items()
-                          if k not in RETIRED_SETTINGS})
+    return TrainConfig(**{k: v for k, v in values.items() if k in fields})
 
 
 def setting_problem(key, value):
@@ -118,15 +129,16 @@ def setting_problem(key, value):
     Checked where a value enters (a config file, the CLI), so a bad setting
     is reported by name instead of surfacing as an error mid-training.
     """
-    if key in RETIRED_SETTINGS:
-        return retired_problem(key, value)
-    if key == "tri_mode" and value not in TRI_MODES:
-        return f"tri_mode must be one of {', '.join(TRI_MODES)}, got {value!r}"
     if isinstance(value, float) and not math.isfinite(value):
         return f"{key} must be finite, got {value}"
-    if key in ("initial_lr", "epsilon") and not value > 0:
-        return f"{key} must be greater than 0, got {value}"
-    if key in ("batch_size", "plateau_epochs", "channels") and value < 1:
+    if key in RETIRED_SETTINGS:
+        return retired_problem(key, value)
+    if key in RETIRED_TRAIN_SETTINGS:
+        return retired_problem(key, value, RETIRED_TRAIN_SETTINGS,
+                               "the training recipe")
+    if key == "tri_mode" and value not in TRI_MODES:
+        return f"tri_mode must be one of {', '.join(TRI_MODES)}, got {value!r}"
+    if key in ("batch_size", "channels") and value < 1:
         return f"{key} must be at least 1, got {value}"
     if (key in ("epochs", "checkpoint_every", "seed", "init_seed")
             and value < 0):
@@ -135,16 +147,11 @@ def setting_problem(key, value):
 
 
 class AmsGrad:
-    """AMSGrad without bias correction.
+    """AMSGrad without bias correction, for arrays of the given shapes:
+    theta <- theta - lr * m / (sqrt(v_hat) + EPSILON), with the moments m
+    and v decayed by BETA1 and BETA2 and v_hat the running maximum of v."""
 
-    theta <- theta - lr * m / (sqrt(v_hat) + eps), where v_hat is the
-    running elementwise maximum of the second-moment accumulator.
-    """
-
-    def __init__(self, shapes, beta1=0.9, beta2=0.999, epsilon=1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
+    def __init__(self, shapes):
         self.m = {k: np.zeros(s) for k, s in shapes.items()}
         self.v = {k: np.zeros(s) for k, s in shapes.items()}
         self.vhat = {k: np.zeros(s) for k, s in shapes.items()}
@@ -152,13 +159,13 @@ class AmsGrad:
     def step(self, weights, grads, lr):
         for name, g in grads.items():
             m, v, vhat = self.m[name], self.v[name], self.vhat[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
             np.maximum(vhat, v, out=vhat)
             w = weights[name]
-            w -= lr * m / (np.sqrt(vhat) + self.epsilon)
+            w -= lr * m / (np.sqrt(vhat) + EPSILON)
 
     def state(self):
         return {"m": {k: a.copy() for k, a in self.m.items()},
@@ -182,14 +189,14 @@ class AmsGrad:
                 slot[name] = np.array(arr, dtype=np.float64)
 
 
-def schedule_lr(history, config: TrainConfig) -> float:
+def schedule_lr(history) -> float:
     """Learning rate for the epoch following `history`.
 
-    Recomputed from scratch each call: a decay fires whenever the count of
-    epochs since the last strict improvement reaches a positive multiple of
-    plateau_epochs.
+    Recomputed from scratch each call, starting at INITIAL_LR: a decay by
+    LR_DECAY fires whenever the count of epochs since the last strict
+    improvement reaches a positive multiple of PLATEAU_EPOCHS.
     """
-    lr = config.initial_lr
+    lr = INITIAL_LR
     best = math.inf
     since = 0
     for loss in history:
@@ -198,8 +205,8 @@ def schedule_lr(history, config: TrainConfig) -> float:
             since = 0
         else:
             since += 1
-            if since % config.plateau_epochs == 0:
-                lr *= config.lr_decay
+            if since % PLATEAU_EPOCHS == 0:
+                lr *= LR_DECAY
     return lr
 
 
@@ -282,7 +289,7 @@ def _check_finite(loss, grads, epoch, pair):
             f"first non-finite gradient: {bad or 'none'}")
 
 
-def _batch_loss(model, cams, pair, batch, x, weights_cfg, with_grad):
+def _batch_loss(model, cams, pair, batch, x, with_grad):
     """Refine and score one batch of coarse poses x, (B, 2, J, 3), against
     the clean 2D joints of its samples; returns (loss, parts, B, grads).
 
@@ -310,7 +317,7 @@ def _batch_loss(model, cams, pair, batch, x, weights_cfg, with_grad):
             y1, y2 = y1[rows], y2[rows]
         total, parts = total_loss(X1, X2, y1, y2, cam1, cam2,
                                   relative_transform(cam2, cam1),
-                                  model.topo, weights_cfg)
+                                  model.topo)
         loss = ad.scale(total, 1.0 / B)
         if with_grad:
             tape.backward(loss)
@@ -335,17 +342,14 @@ def train_epoch(samples, coarse, cameras, model, optimizer, lr,
     by_id = {c.cam_id: c for c in cameras}
     rng = np.random.default_rng((config.seed, epoch))
     order = rng.permutation(len(coarse.index))
-    sums = {"loss": 0.0, "reproj": 0.0, "sym": 0.0, "transform": 0.0,
-            "bonedir": 0.0}
+    sums = dict.fromkeys(["loss", *LOSS_WEIGHTS], 0.0)
     seen = 0
     behind = 0
-    weights_cfg = config.loss_weights()
     for pair, rows, batch in pair_batches(samples, coarse.index,
                                           config.batch_size, order):
         try:
             loss, parts, B, grads = _batch_loss(
-                model, by_id, pair, batch, coarse.poses[rows], weights_cfg,
-                with_grad=True)
+                model, by_id, pair, batch, coarse.poses[rows], with_grad=True)
         except NonPositiveDepth:
             # Every refinement threw a joint behind a camera: no sample
             # has a usable reprojection; drop the batch rather than the run.
@@ -355,8 +359,8 @@ def train_epoch(samples, coarse, cameras, model, optimizer, lr,
         _check_finite(loss, grads, epoch, pair)
         optimizer.step(model.weights, grads, lr)
         sums["loss"] += loss * B
-        for key in ("reproj", "sym", "transform", "bonedir"):
-            sums[key] += parts[key]
+        for key, part in parts.items():
+            sums[key] += part
         seen += B
     if not seen:
         raise NonFiniteLoss(
@@ -381,7 +385,7 @@ def train_epochs(model, optimizer, samples, coarse, cameras,
     epoch.
     """
     for epoch in range(len(history), config.epochs):
-        lr = schedule_lr(history, config)
+        lr = schedule_lr(history)
         stats = train_epoch(samples, coarse, cameras, model, optimizer, lr,
                             config, epoch)
         loss = stats["loss"] if monitor is None else monitor()
@@ -399,13 +403,11 @@ def eval_loss(samples, coarse, cameras, model, config: TrainConfig):
     by_id = {c.cam_id: c for c in cameras}
     total = 0.0
     seen = 0
-    weights_cfg = config.loss_weights()
     for pair, rows, batch in pair_batches(samples, coarse.index,
                                           config.batch_size):
         try:
             loss, _, B, _ = _batch_loss(model, by_id, pair, batch,
-                                        coarse.poses[rows], weights_cfg,
-                                        with_grad=False)
+                                        coarse.poses[rows], with_grad=False)
         except NonPositiveDepth:
             continue
         total += loss * B
@@ -449,8 +451,7 @@ def _open_log(path, start_epoch):
 
 
 def _log_row(epoch, stats, lr, skipped_tri):
-    vals = [stats["loss"], stats["reproj"], stats["sym"], stats["transform"],
-            stats["bonedir"], lr]
+    vals = [stats["loss"], *(stats[k] for k in LOSS_WEIGHTS), lr]
     return (f"{epoch}," + ",".join(repr(float(v)) for v in vals)
             + f",{skipped_tri},{stats['depth_skipped']}")
 

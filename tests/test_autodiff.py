@@ -536,9 +536,10 @@ def _grad_of_h_with_a_second_consumer(dtype, leaf_h, unit_first, fused):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_residual_unit_never_shares_the_gradient_it_hands_to_h(
         dtype, leaf_h, unit_first):
-    # The residual unit's d/dh is a fresh array that becomes h's gradient
-    # buffer when h has none, and is added into it otherwise: h gets the
-    # sum of both consumers' contributions, and no gradient is aliased.
+    # The residual unit builds d/dh in g, its own gradient, which the sweep
+    # has let go of; g becomes h's gradient buffer when h has none, and is
+    # added into it otherwise: h gets the sum of both consumers'
+    # contributions, and no surviving gradient is aliased.
     got, grads = _grad_of_h_with_a_second_consumer(dtype, leaf_h,
                                                    unit_first, True)
     want, _ = _grad_of_h_with_a_second_consumer(dtype, leaf_h, unit_first,

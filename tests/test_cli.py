@@ -207,7 +207,7 @@ def test_resumed_train_writes_the_trained_networks_config(tmp_path):
     assert (written.channels, written.init_seed) == (8, 3)
     # The other settings still come from the flags and the defaults.
     assert (written.epochs, written.batch_size) == (2, 8)
-    assert written.initial_lr == TrainConfig().initial_lr
+    assert written.tri_mode == TrainConfig().tri_mode
 
 
 def test_train_resume_without_training_state_exits_1(tmp_path, capsys):
@@ -289,8 +289,9 @@ def test_train_rejects_out_of_range_settings(tmp_path, capsys):
             "--rig", str(out / "rig_assumed.jsonl"),
             "--out-dir", str(tmp_path / "run"), "--quiet"]
     assert main(args + ["--config", str(cfg)]) == 1
-    assert "error: line 2: plateau_epochs must be at least 1" in \
-        capsys.readouterr().err
+    assert ("error: line 2: plateau_epochs = 0 is not supported: the setting "
+            "is retired and the training recipe has plateau_epochs = 10 "
+            "only" in capsys.readouterr().err)
     with pytest.raises(SystemExit) as exc:
         main(args + ["--batch-size", "0"])
     assert exc.value.code == 2
@@ -444,6 +445,8 @@ def test_ablate_unknown_variant_exits_1(tmp_path, capsys):
      "mgcn_layers_per_stage = -1 is not supported: the setting is retired"),
     ("sgcn_layers = 3", "sgcn_layers = 3 is not supported: the setting is "
      "retired and the network has sgcn_layers = 2 only"),
+    ("beta1 = 1.0", "beta1 = 1.0 is not supported: the setting is retired "
+     "and the training recipe has beta1 = 0.9 only"),
 ])
 def test_train_rejects_settings_that_fail_mid_run(tmp_path, capsys, setting,
                                                   message):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from cvpose import autodiff as ad
+from cvpose import losses
 from cvpose.errors import NonPositiveDepth, ShapeMismatch
 from cvpose.geometry import CameraModel, RigidTransform
 from cvpose.graph import SkeletonTopology, default_topology
 from cvpose.losses import (
-    LossWeights,
     bone_direction_loss,
     reprojection_loss,
     symmetry_loss,
@@ -156,7 +156,7 @@ def test_bone_direction_invariant_to_translation():
     assert v1 == pytest.approx(v2, rel=1e-9)
 
 
-def test_total_loss_weighting():
+def test_total_loss_weighting(monkeypatch):
     topo = default_topology()
     cam1 = make_cam("cam1")
     cam2 = make_cam("cam2")
@@ -167,13 +167,15 @@ def test_total_loss_weighting():
     y1 = rng.uniform(0, 1000, (17, 2))
     y2 = rng.uniform(0, 1000, (17, 2))
     a, b = leafpair(X1, X2)
-    total, parts = total_loss(a, b, y1, y2, cam1, cam2, t12, topo, LossWeights())
+    total, parts = total_loss(a, b, y1, y2, cam1, cam2, t12, topo)
     expect = (parts["reproj"].data[0, 0] + parts["sym"].data[0, 0]
               + parts["transform"].data[0, 0] + 0.1 * parts["bonedir"].data[0, 0])
     assert total.data[0, 0] == pytest.approx(expect, abs=1e-12)
+    # Each term takes its own weight from the table.
     a, b = leafpair(X1, X2)
-    w = LossWeights(reproj=0.5, sym=2.0, transform=0.0, bonedir=1.0)
-    total2, parts2 = total_loss(a, b, y1, y2, cam1, cam2, t12, topo, w)
+    monkeypatch.setattr(losses, "LOSS_WEIGHTS", {
+        "reproj": 0.5, "sym": 2.0, "transform": 0.0, "bonedir": 1.0})
+    total2, parts2 = total_loss(a, b, y1, y2, cam1, cam2, t12, topo)
     expect2 = (0.5 * parts2["reproj"].data[0, 0] + 2.0 * parts2["sym"].data[0, 0]
                + parts2["bonedir"].data[0, 0])
     assert total2.data[0, 0] == pytest.approx(expect2, abs=1e-12)
@@ -191,15 +193,13 @@ def test_batched_equals_sum_of_singles():
     y1 = rng.uniform(0, 1000, (B * J, 2))
     y2 = rng.uniform(0, 1000, (B * J, 2))
     a, b = leafpair(X1, X2)
-    batch_total, batch_parts = total_loss(a, b, y1, y2, cam1, cam2, t12, topo,
-                                          LossWeights())
+    batch_total, batch_parts = total_loss(a, b, y1, y2, cam1, cam2, t12, topo)
     singles = {k: 0.0 for k in batch_parts}
     acc = 0.0
     for s in range(B):
         sl = slice(s * J, (s + 1) * J)
         a, b = leafpair(X1[sl], X2[sl])
-        tot, parts = total_loss(a, b, y1[sl], y2[sl], cam1, cam2, t12, topo,
-                                LossWeights())
+        tot, parts = total_loss(a, b, y1[sl], y2[sl], cam1, cam2, t12, topo)
         acc += tot.data[0, 0]
         for k in parts:
             singles[k] += parts[k].data[0, 0]
@@ -225,7 +225,7 @@ def test_loss_gradients_finite_differences():
         "transform": lambda t, p: transform_consistency_loss(p[0], p[1], t12),
         "bonedir": lambda t, p: bone_direction_loss(p[0], p[1], t12, topo),
         "total": lambda t, p: total_loss(p[0], p[1], y1, y2, cam1, cam2, t12,
-                                         topo, LossWeights())[0],
+                                         topo)[0],
     }
     for name, build in builds.items():
         report = ad.grad_check(build, [X1, X2], n_samples=10, tol=1e-4, rng=7)
@@ -244,8 +244,7 @@ def test_total_loss_records_42_nodes_and_no_row_gathers():
     a, b = leafpair(X1, X2)
     before = len(a.tape)
     total_loss(a, b, y, y, make_cam("cam1"), make_cam("cam2"),
-               RigidTransform(rot_y(30.0), np.array([80.0, 0.0, 5.0])), topo,
-               LossWeights())
+               RigidTransform(rot_y(30.0), np.array([80.0, 0.0, 5.0])), topo)
     ops = [v.op for v in a.tape.nodes[before:]]
     assert "gather_rows" not in ops
     assert len(ops) == 42

@@ -353,15 +353,15 @@ def test_forward_and_backward_memory_stay_bounded():
     # residual unit held 19.8 units, and a sweep that kept each node until
     # release() added 20.0. The forward held 12.0 while the lift kept its
     # pre-relu output and mask and the decoder its unpool products; now it
-    # holds 9.6 and the sweep adds 5.2 (5.5 while the head's matmul added a
-    # float64 product into a zero-filled gradient). At B=16 a residual
-    # unit's backward tiles hold half its rows, so the sweep is about the
-    # 5.1 of a backward that mixed and multiplied each kernel at full
-    # height; at B=256 it is well below
-    # (test_backward_sweep_stays_tile_sized).
+    # holds 9.6 and the sweep adds 4.1. The sweep added 5.2 while a
+    # residual unit's backward built d/dh in a fresh full-height array next
+    # to g, its own gradient, instead of in g (5.5 while, besides, the
+    # head's matmul added a float64 product into a zero-filled gradient).
+    # At B=16 a residual unit's backward tiles hold half its rows; at B=256
+    # the sweep is well below (test_backward_sweep_stays_tile_sized).
     forward, sweep, params = _tape_units(np.float64, 16)
     assert forward <= 10.0, f"forward holds {forward:.2f} units"
-    assert sweep <= 6.0, f"backward adds {sweep:.2f} units"
+    assert sweep <= 4.6, f"backward adds {sweep:.2f} units"
     assert np.abs(params["head"].grad).max() > 0
 
 
@@ -369,27 +369,29 @@ def test_float32_tape_forward_and_backward_memory_stay_bounded():
     # The guard above on a CONV_DTYPE tape, in the same float64 units. The
     # float32 trunk holds half the bytes: the forward measured 6.2 units
     # (7.8 before the fused lift and unpool-adds; 9.6 on the float64 tape,
-    # which also keeps the lift's mixed input) and the sweep 2.7 (5.2 on
-    # the float64 tape; 2.8 with the per-kernel full-height backward).
+    # which also keeps the lift's mixed input) and the sweep 2.0 (4.1 on
+    # the float64 tape; 2.5 while a residual unit built d/dh in a fresh
+    # array next to g, 2.8 with the per-kernel full-height backward).
     # What stays is mostly the float64 weight leaves, about 1.8 units at
     # C=32.
     forward, sweep, params = _tape_units(network.CONV_DTYPE, 16)
     assert forward <= 6.8, f"forward holds {forward:.2f} units"
-    assert sweep <= 3.3, f"backward adds {sweep:.2f} units"
+    assert sweep <= 2.3, f"backward adds {sweep:.2f} units"
     assert np.abs(params["head"].grad).max() > 0
 
 
-# (conv_dtype, bound): measured 1.11 and 0.83 units. At B=256 a residual
-# unit's rows span several backward tiles, so it adds little beyond d/dh,
-# which it hands to h as its gradient buffer. The float64 peak is the
-# largest residual unit; the float32 peak is the head's matmul step, where
-# d/dhead is multiplied from a float64 copy of d0 (a float32 d/dhead
-# measured 0.44). A sweep that mixed g and multiplied by each kernel at
-# full height, with relu(h) and its mask full height too, added 3.96 and
-# 1.87; one whose head matmul added a float64 g @ head^T into a
-# zero-filled gradient added 1.83 and 1.39.
+# (conv_dtype, bound): measured 0.83 and 0.83 units. At B=256 a residual
+# unit's rows span several backward tiles, and it builds d/dh, which it
+# hands to h as its gradient buffer, in g, its own gradient: it adds only
+# tile scratch. A residual unit that built d/dh in a fresh full-height
+# array next to g peaked at 1.11 on float64. The float32 peak is the
+# head's matmul step, where d/dhead is multiplied from a float64 copy of
+# d0 (a float32 d/dhead measured 0.44). A sweep that mixed g and
+# multiplied by each kernel at full height, with relu(h) and its mask full
+# height too, added 3.96 and 1.87; one whose head matmul added a float64
+# g @ head^T into a zero-filled gradient added 1.83 and 1.39.
 @pytest.mark.parametrize("conv_dtype, bound", [
-    (np.float64, 2.5), (np.float32, 1.6)])
+    (np.float64, 1.0), (np.float32, 1.6)])
 def test_backward_sweep_stays_tile_sized(conv_dtype, bound):
     _, sweep, params = _tape_units(conv_dtype, 256)
     assert sweep <= bound, f"backward adds {sweep:.2f} units"

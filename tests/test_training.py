@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def test_amsgrad_matches_reference_loop():
     m = {k: np.zeros(s) for k, s in shapes.items()}
     v = {k: np.zeros(s) for k, s in shapes.items()}
     vh = {k: np.zeros(s) for k, s in shapes.items()}
-    opt = AmsGrad(shapes, beta1=0.9, beta2=0.999, epsilon=1e-8)
+    opt = AmsGrad(shapes)
     for step in range(7):
         grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
         opt.step(w, grads, lr=0.01)
@@ -102,34 +103,31 @@ def test_amsgrad_load_state_needs_every_array():
 # -- learning-rate schedule ---------------------------------------------------
 
 def test_schedule_initial_and_improving():
-    cfg = TrainConfig(initial_lr=1e-3, lr_decay=0.9, plateau_epochs=10)
-    assert schedule_lr([], cfg) == 1e-3
-    assert schedule_lr([5.0, 4.0, 3.0, 2.0], cfg) == 1e-3
+    assert schedule_lr([]) == 1e-3
+    assert schedule_lr([5.0, 4.0, 3.0, 2.0]) == 1e-3
 
 
 def test_schedule_decays_after_ten_flat_epochs():
-    cfg = TrainConfig(initial_lr=1e-3, lr_decay=0.9, plateau_epochs=10)
     history = [1.0] + [1.0] * 9
-    assert schedule_lr(history, cfg) == 1e-3          # nine stagnant epochs
+    assert schedule_lr(history) == 1e-3          # nine stagnant epochs
     history = [1.0] + [1.0] * 10
-    assert schedule_lr(history, cfg) == pytest.approx(0.9e-3)
+    assert schedule_lr(history) == pytest.approx(0.9e-3)
     history = [1.0] + [1.0] * 20
-    assert schedule_lr(history, cfg) == pytest.approx(0.81e-3)
+    assert schedule_lr(history) == pytest.approx(0.81e-3)
 
 
 def test_schedule_reset_on_improvement():
-    cfg = TrainConfig(initial_lr=1e-3, lr_decay=0.9, plateau_epochs=10)
     history = [1.0] + [1.0] * 9 + [0.5] + [0.5] * 9
-    assert schedule_lr(history, cfg) == 1e-3
+    assert schedule_lr(history) == 1e-3
     history = [1.0] + [1.0] * 9 + [0.5] + [0.5] * 10
-    assert schedule_lr(history, cfg) == pytest.approx(0.9e-3)
+    assert schedule_lr(history) == pytest.approx(0.9e-3)
 
 
-def test_schedule_ties_are_not_improvements():
-    cfg = TrainConfig(initial_lr=1.0, lr_decay=0.5, plateau_epochs=2)
+def test_schedule_ties_are_not_improvements(monkeypatch):
+    monkeypatch.setattr(training, "PLATEAU_EPOCHS", 2)
     # equal loss never resets the stagnation counter
-    assert schedule_lr([3.0, 3.0, 3.0], cfg) == 0.5
-    assert schedule_lr([3.0, 3.0, 3.0, 3.0, 3.0], cfg) == 0.25
+    assert schedule_lr([3.0, 3.0, 3.0]) == pytest.approx(0.9e-3)
+    assert schedule_lr([3.0, 3.0, 3.0, 3.0, 3.0]) == pytest.approx(0.81e-3)
 
 
 # -- coarse precomputation ----------------------------------------------------
@@ -253,8 +251,8 @@ def test_precompute_coarse_matches_per_sample_triangulation(monkeypatch):
 # -- config files --------------------------------------------------------------
 
 def test_train_config_roundtrip(tmp_path):
-    cfg = TrainConfig(epochs=12, batch_size=64, initial_lr=2e-3,
-                      tri_mode="single", channels=16, w_bonedir=0.25)
+    cfg = TrainConfig(epochs=12, batch_size=64, seed=5, tri_mode="single",
+                      checkpoint_every=3, channels=16, init_seed=2)
     path = tmp_path / "train.cfg"
     save_train_config(path, cfg)
     assert load_train_config(path) == cfg
@@ -263,11 +261,11 @@ def test_train_config_roundtrip(tmp_path):
 def test_train_config_parsing(tmp_path):
     path = tmp_path / "train.cfg"
     path.write_text("# comment\n\nepochs = 5\nbatch_size=32  # inline\n"
-                    "initial_lr = 5e-4\n")
+                    "tri_mode = 'single'\n")
     cfg = load_train_config(path)
     assert cfg.epochs == 5
     assert cfg.batch_size == 32
-    assert cfg.initial_lr == 5e-4
+    assert cfg.tri_mode == "single"
 
     path.write_text("epochs = 5\nnot_a_key = 1\n")
     with pytest.raises(SchemaError, match="line 2"):
@@ -285,13 +283,16 @@ def test_train_config_parsing(tmp_path):
 @pytest.mark.parametrize("setting, message", [
     ("tri_mode = triple", "tri_mode must be one of dual, single"),
     ("batch_size = 0", "batch_size must be at least 1"),
-    ("plateau_epochs = 0", "plateau_epochs must be at least 1"),
+    ("plateau_epochs = 0", "plateau_epochs = 0 is not supported: the setting "
+     "is retired and the training recipe has plateau_epochs = 10 only"),
     ("epochs = -3", "epochs must not be negative, got -3"),
     ("checkpoint_every = -1", "checkpoint_every must not be negative, got -1"),
     ("channels = 0", "channels must be at least 1, got 0"),
-    ("initial_lr = -0.001", "initial_lr must be greater than 0, got -0.001"),
+    ("initial_lr = -0.001", "initial_lr = -0.001 is not supported: the "
+     "setting is retired and the training recipe has initial_lr = 0.001 only"),
     ("initial_lr = nan", "initial_lr must be finite, got nan"),
-    ("epsilon = 0", "epsilon must be greater than 0, got 0.0"),
+    ("epsilon = 0", "epsilon = 0.0 is not supported: the setting is retired "
+     "and the training recipe has epsilon = 1e-08 only"),
     ("w_bonedir = inf", "w_bonedir must be finite, got inf"),
     ("seed = -1", "seed must not be negative, got -1"),
     ("init_seed = -2", "init_seed must not be negative, got -2"),
@@ -304,7 +305,8 @@ def test_train_config_rejects_out_of_range_values(tmp_path, setting, message):
 
 
 # A train.cfg as `cvpose train` wrote it while the network's depth and input
-# scale were still settings: every field, the three retired ones included.
+# scale and the training recipe were still settings: every field, the
+# thirteen retired ones included.
 TRAIN_CFG_WITH_RETIRED_KEYS = """\
 epochs = 4
 batch_size = 8
@@ -399,6 +401,31 @@ def test_retired_setting_off_its_value_is_refused_in_either_file(
                             {**RETIRED_AT_THEIR_VALUES, key: value})
     with pytest.raises(SchemaError, match=f"line 3: {message}"):
         load_checkpoint(bad, topo)
+
+
+# One off-recipe line per retired training setting; each loaded silently
+# while it was a setting, and some froze or inverted learning: beta1 = 1.0
+# keeps AmsGrad's first moment at zero, so no weight ever moves.
+@pytest.mark.parametrize("key, value", [
+    ("initial_lr", 0.002), ("lr_decay", 0.0), ("lr_decay", -0.5),
+    ("lr_decay", 1.5), ("plateau_epochs", 5), ("beta1", 1.0),
+    ("beta1", -0.1), ("beta2", 1.5), ("epsilon", 1e-06), ("w_reproj", -1.0),
+    ("w_sym", 2.0), ("w_transform", 0.0), ("w_bonedir", 0.25)])
+def test_training_setting_off_the_recipe_is_refused_by_name(tmp_path, key,
+                                                            value):
+    lines = TRAIN_CFG_WITH_RETIRED_KEYS.splitlines(keepends=True)
+    lineno = next(i for i, line in enumerate(lines, 1)
+                  if line.startswith(f"{key} = "))
+    fixed = lines[lineno - 1].split(" = ")[1].strip()
+    lines[lineno - 1] = f"{key} = {value}\n"
+    path = tmp_path / "train.cfg"
+    path.write_text("".join(lines))
+    message = (f"line {lineno}: {key} = {value} is not supported: the "
+               f"setting is retired and the training recipe has "
+               f"{key} = {fixed} only")
+    with pytest.raises(SchemaError, match=re.escape(message)) as exc:
+        load_train_config(path)
+    assert exc.value.line == lineno
 
 
 # -- the loop -------------------------------------------------------------------
@@ -692,7 +719,7 @@ def test_unscorable_validation_set_stops_the_run(tmp_path):
     val, _, _ = generate_dataset(SyntheticConfig(n_samples=8, seed=3,
                                                  sigma_px=3.0),
                                  pairs=[("cam1", "cam1")])
-    cfg = TrainConfig(epochs=12, batch_size=8, channels=8, plateau_epochs=3)
+    cfg = TrainConfig(epochs=12, batch_size=8, channels=8)
     with pytest.raises(NonFiniteLoss, match=r"epoch 0: monitored validation "
                        r"loss is nan; no validation sample could be scored"):
         fit(train, val, assumed, cfg, out_dir=tmp_path)
