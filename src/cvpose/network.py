@@ -350,14 +350,18 @@ class CVUGCN:
         return X1, X2, params
 
     def refine(self, pose1: Pose3D, pose2: Pose3D):
-        """Refine one coarse pose pair; frames are preserved."""
+        """Refine one coarse pose pair; frames are preserved. The tape is
+        released, so the forward's arrays free by refcount on return."""
         J = self.topo.n_joints
         if pose1.joints.shape[0] != J or pose2.joints.shape[0] != J:
             raise ShapeMismatch("pose joint count does not match the topology")
         tape = ad.Tape(conv_dtype=CONV_DTYPE)
-        X1, X2, _ = self.refine_batch(tape, pose1.joints, pose2.joints)
-        return (Pose3D(X1.data.copy(), frame_id=pose1.frame_id),
-                Pose3D(X2.data.copy(), frame_id=pose2.frame_id))
+        try:
+            X1, X2, _ = self.refine_batch(tape, pose1.joints, pose2.joints)
+            return (Pose3D(X1.data.copy(), frame_id=pose1.frame_id),
+                    Pose3D(X2.data.copy(), frame_id=pose2.frame_id))
+        finally:
+            tape.release()
 
 
 # ---------------------------------------------------------------------------

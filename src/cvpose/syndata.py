@@ -27,17 +27,22 @@ Datasets are stored as data-v2 JSONL files: a header line
 sample with its id, its two camera ids under "views", and each keypoint
 array field as the base64 of one (2, J, d) little-endian float64 block,
 row 0 for the first view. The file carries the arrays' own bytes rather
-than decimal text, so a save and a load give back every value exactly,
-and loading is a base64 decode per field instead of parsing 17-digit
-numbers one by one.
+than decimal text, so a save and a load give back every value exactly.
+Both work a field at a time over chunks of DATA_CHUNK samples, not a
+sample at a time: saving gathers each field of every sample into one
+block and encodes each record's slice of its bytes, and loading decodes
+each record's base64, then makes one array of each field's bytes per
+chunk, with one finiteness check, and copies out the samples' views.
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
 import hashlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -349,43 +354,83 @@ def generate_dataset(config: SyntheticConfig, topo=None, cameras=None, pairs=Non
 DATA_SCHEMA = "data-v2"
 ARRAY_FIELDS = (("joints_2d", 2), ("joints_2d_clean", 2), ("joints_3d_gt", 3))
 
+# Samples per finiteness check, and per np.frombuffer call on load.
+DATA_CHUNK = 1024
 
-def _encode_field(sample, key, d, J):
-    """Base64 of the (2, J, d) little-endian float64 block of one field,
-    row 0 for the sample's first view."""
-    arrays = getattr(sample, key)
-    block = np.ascontiguousarray(np.stack([arrays[v] for v in sample.pair]),
-                                 dtype="<f8")
-    if block.shape != (2, J, d):
-        raise ShapeMismatch(f"sample {sample.sample_id}: {key} has shape "
-                            f"{block.shape[1:]} per view, expected {(J, d)}")
-    if not np.isfinite(block).all():
-        raise SchemaError(f"sample {sample.sample_id}: non-finite values "
-                          f"in {key}")
-    return base64.b64encode(block.tobytes()).decode("ascii")
+# A record line is json.dumps(rec, sort_keys=True): these settings, and the
+# keys in sorted order ("id", the array fields, "views").
+_JSON = json.JSONEncoder(sort_keys=True)
 
 
-def _decode_field(rec, key, d, J, lineno):
-    """The two (J, d) float64 arrays of one data-v2 field, each owned and
-    writable."""
-    text = rec[key]
-    if not isinstance(text, str):
-        raise SchemaError(f"line {lineno}: {key} must be a base64 string",
-                          line=lineno)
+def _first_non_finite(blocks):
+    """(row, key) of the first row holding a NaN or an infinity, or None.
+
+    blocks maps each array field to an (m, 2, J, d) array, one row per
+    sample. Rows are taken in order and one row's fields in ARRAY_FIELDS
+    order, which is the order a sample-at-a-time check meets them.
+    """
+    hits = []
+    for f, (key, _) in enumerate(ARRAY_FIELDS):
+        block = blocks[key]
+        for start in range(0, len(block), DATA_CHUNK):
+            finite = np.isfinite(block[start:start + DATA_CHUNK])
+            if not finite.all():
+                row = start + int(np.argmin(finite.all(axis=(1, 2, 3))))
+                hits.append((row, f, key))
+                break
+    if not hits:
+        return None
+    row, _, key = min(hits)
+    return row, key
+
+
+def _gathered(samples, J):
+    """Each array field of `samples` as one C-order (n, 2, J, d) '<f8'
+    block, row 0 of a sample for its first view, and per sample the fields
+    it carries (a sample without ground truth has zeros in that block).
+
+    Raises what save_dataset refuses, for the first fault in sample order
+    and within a sample in the order: views, then per field its shape and
+    then its values.
+    """
+    views = {key: [] for key, _ in ARRAY_FIELDS}   # two per sample
+    no_gt = [np.zeros((J, 3))] * 2
+    carried = []
+    fault = None
     try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError:     # binascii.Error, or a non-ASCII character
-        raise SchemaError(f"line {lineno}: {key} is not valid base64",
-                          line=lineno)
-    if len(raw) != 16 * J * d:
-        raise SchemaError(
-            f"line {lineno}: {key} holds {len(raw)} bytes, expected "
-            f"{16 * J * d} (2 x {J} x {d} float64)", line=lineno)
-    block = np.frombuffer(raw, dtype="<f8").reshape(2, J, d)
-    if not np.isfinite(block).all():
-        raise SchemaError(f"line {lineno}: non-finite values in {key}",
-                          line=lineno)
-    return block[0].astype(np.float64), block[1].astype(np.float64)
+        for s in samples:
+            if len(set(s.pair)) != 2:
+                raise SchemaError(f"sample {s.sample_id}: views must be two "
+                                  f"distinct cameras, got {s.pair!r}")
+            keys = []
+            for key, d in ARRAY_FIELDS:
+                arrays = getattr(s, key)
+                if key == "joints_3d_gt" and not arrays:   # gt is optional
+                    views[key] += no_gt
+                    continue
+                pair = [np.asarray(arrays[cam_id]) for cam_id in s.pair]
+                for view in pair:
+                    if view.shape != (J, d):
+                        raise ShapeMismatch(
+                            f"sample {s.sample_id}: {key} has shape "
+                            f"{view.shape} per view, expected {(J, d)}")
+                views[key] += pair
+                keys.append(key)
+            carried.append(keys)
+    except CvposeError as exc:
+        fault = exc
+    blocks = {key: np.array(views[key], dtype="<f8").reshape(-1, 2, J, d)
+              for key, d in ARRAY_FIELDS}
+    # Only the samples and fields before a fault were gathered, so a
+    # non-finite value found here comes before it.
+    hit = _first_non_finite(blocks)
+    if hit is not None:
+        i, key = hit
+        raise SchemaError(f"sample {samples[i].sample_id}: non-finite values "
+                          f"in {key}")
+    if fault is not None:
+        raise fault
+    return blocks, carried
 
 
 def save_dataset(path, samples, topo=None):
@@ -400,25 +445,116 @@ def save_dataset(path, samples, topo=None):
     value bit for bit (signed zeros and subnormals included), and a record
     takes about half the space of 17-digit decimal text.
 
-    What load_dataset would reject is refused here, naming the sample:
-    views that are not two distinct cameras and a NaN or an infinity in an
-    array field raise SchemaError, an array of the wrong shape
-    ShapeMismatch.
+    Every sample is checked before anything is written. What load_dataset
+    would reject is refused, naming the first faulty sample: views that
+    are not two distinct cameras and a NaN or an infinity in an array
+    field raise SchemaError, an array of the wrong shape ShapeMismatch.
+    Each field is gathered into one block for all samples, and a record's
+    base64 is taken from its slice of that block's bytes. The file is
+    written as `<path>.tmp`, which then replaces `path`, so a refused or
+    failed save leaves an existing file as it was.
     """
     topo = topo or default_topology()
     J = topo.n_joints
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"schema": DATA_SCHEMA, "n_joints": J,
-                             "n_samples": len(samples)}) + "\n")
-        for s in samples:
-            if len(set(s.pair)) != 2:
-                raise SchemaError(f"sample {s.sample_id}: views must be two "
-                                  f"distinct cameras, got {s.pair!r}")
-            rec = {"id": s.sample_id, "views": list(s.pair)}
-            for key, d in ARRAY_FIELDS:
-                if key != "joints_3d_gt" or s.joints_3d_gt:   # gt is optional
-                    rec[key] = _encode_field(s, key, d, J)
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    blocks, carried = _gathered(samples, J)
+    raw = {key: memoryview(block.reshape(-1)).cast("B")
+           for key, block in blocks.items()}
+    size = {key: 16 * J * d for key, d in ARRAY_FIELDS}
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(json.dumps({"schema": DATA_SCHEMA, "n_joints": J,
+                                 "n_samples": len(samples)}) + "\n")
+            for i, (s, keys) in enumerate(zip(samples, carried)):
+                # base64 needs no JSON escaping, so "<text>" is how the
+                # encoder writes it
+                fh.write(f'{{"id": {_JSON.encode(s.sample_id)}')
+                for key in keys:
+                    b64 = binascii.b2a_base64(
+                        raw[key][i * size[key]:(i + 1) * size[key]],
+                        newline=False)
+                    fh.write(f', "{key}": "{b64.decode("ascii")}"')
+                fh.write(f', "views": {_JSON.encode(list(s.pair))}}}\n')
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+class _Chunk:
+    """Dataset records read but not yet made into Samples: per array field
+    the decoded bytes of each record (zeros where a record has no ground
+    truth), each record's line, and each whole record's id, views and
+    fields."""
+
+    def __init__(self, J):
+        self.J = J
+        self.absent_gt = bytes(16 * J * 3)
+        self.clear()
+
+    def clear(self):
+        self.raw = {key: [] for key, _ in ARRAY_FIELDS}
+        self.lines = []
+        self.records = []
+
+    def add(self, lineno, rec, sid, views):
+        """Decode a record's array fields, refusing a field that is not
+        base64 of exactly 16·J·d bytes."""
+        J = self.J
+        self.lines.append(lineno)
+        for key, d in ARRAY_FIELDS:
+            if key not in rec:     # only ground truth is optional
+                self.raw[key].append(self.absent_gt)
+                continue
+            text = rec[key]
+            if not isinstance(text, str):
+                raise SchemaError(f"line {lineno}: {key} must be a base64 "
+                                  f"string", line=lineno)
+            try:
+                raw = base64.b64decode(text, validate=True)
+            except ValueError:     # binascii.Error, or a non-ASCII character
+                raise SchemaError(f"line {lineno}: {key} is not valid base64",
+                                  line=lineno)
+            if len(raw) != 16 * J * d:
+                raise SchemaError(
+                    f"line {lineno}: {key} holds {len(raw)} bytes, expected "
+                    f"{16 * J * d} (2 x {J} x {d} float64)", line=lineno)
+            self.raw[key].append(raw)
+        self.records.append((sid, views, [k for k, _ in ARRAY_FIELDS
+                                          if k in rec]))
+
+    def take(self):
+        """The chunk's Samples, with owned, writable (J, d) float64 arrays;
+        empties the chunk.
+
+        Each field of the chunk is one np.frombuffer call and one
+        finiteness check. A NaN or an infinity raises SchemaError for the
+        first line holding one, a record whose later field failed to
+        decode included.
+        """
+        J, raw, lines, records = self.J, self.raw, self.lines, self.records
+        self.clear()
+        blocks = {key: np.frombuffer(b"".join(raw[key]), dtype="<f8")
+                  .reshape(-1, 2, J, d) for key, d in ARRAY_FIELDS}
+        hit = _first_non_finite(blocks)
+        if hit is not None:
+            row, key = hit
+            raise SchemaError(f"line {lines[row]}: non-finite values in "
+                              f"{key}", line=lines[row])
+        # a copy per view: owned, and sharing no memory with the others
+        copies = {key: [v.copy() for v in block.astype(np.float64, copy=False)
+                        .reshape(-1, J, d)]
+                  for (key, d), block in zip(ARRAY_FIELDS, blocks.values())}
+        samples = []
+        for r, (sid, views, keys) in enumerate(records):
+            a, b = views
+            fields = {key: {a: copies[key][2 * r], b: copies[key][2 * r + 1]}
+                      for key in keys}
+            samples.append(Sample(sample_id=sid, pair=(a, b), **fields))
+        return samples
 
 
 def load_dataset(path, topo=None):
@@ -430,8 +566,14 @@ def load_dataset(path, topo=None):
     topology's, an `n_samples` that is not the number of records (a
     truncated file), `views` that are not two distinct camera ids, an
     array field that is not base64 of exactly 16·J·d bytes or holds a NaN
-    or an infinity, and a sample id that repeats an earlier line's.
-    Arrays come back as owned, writable float64 (J, d) arrays.
+    or an infinity, and a sample id that repeats an earlier line's. Of
+    several faults, the first in file order is reported, and of one
+    record's, the first in the order of those checks.
+
+    Records are checked and their base64 decoded as they stream in; each
+    field's bytes are then turned into arrays, and checked for non-finite
+    values, DATA_CHUNK records at a time. Arrays come back as owned,
+    writable float64 (J, d) arrays.
     """
     topo = topo or default_topology()
     J = topo.n_joints
@@ -447,29 +589,35 @@ def load_dataset(path, topo=None):
                           line=head_line)
 
     samples = []
+    chunk = _Chunk(J)
     first_line = {}   # sample id -> line it first appeared on
-    for lineno, rec in records:
-        for key in ("id", "views", "joints_2d", "joints_2d_clean"):
-            if key not in rec:
-                raise MissingField(f"line {lineno}: sample lacks {key!r}",
-                                   line=lineno)
-        sid = str(rec["id"])
-        if sid in first_line:
-            raise SchemaError(f"line {lineno}: sample id {sid!r} repeats "
-                              f"line {first_line[sid]}", line=lineno)
-        first_line[sid] = lineno
-        views = rec["views"]
-        if (not isinstance(views, list) or len(views) != 2
-                or not all(isinstance(v, str) for v in views)
-                or views[0] == views[1]):
-            raise SchemaError(f"line {lineno}: views must list two distinct "
-                              f"camera ids, got {views!r}", line=lineno)
-        fields = {}
-        for key, d in ARRAY_FIELDS:
-            if key in rec:
-                fields[key] = dict(zip(views, _decode_field(rec, key, d, J,
-                                                            lineno)))
-        samples.append(Sample(sample_id=sid, pair=tuple(views), **fields))
+    fault = None
+    try:
+        for lineno, rec in records:
+            for key in ("id", "views", "joints_2d", "joints_2d_clean"):
+                if key not in rec:
+                    raise MissingField(f"line {lineno}: sample lacks {key!r}",
+                                       line=lineno)
+            sid = str(rec["id"])
+            if sid in first_line:
+                raise SchemaError(f"line {lineno}: sample id {sid!r} repeats "
+                                  f"line {first_line[sid]}", line=lineno)
+            first_line[sid] = lineno
+            views = rec["views"]
+            if (not isinstance(views, list) or len(views) != 2
+                    or not all(isinstance(v, str) for v in views)
+                    or views[0] == views[1]):
+                raise SchemaError(f"line {lineno}: views must list two "
+                                  f"distinct camera ids, got {views!r}",
+                                  line=lineno)
+            chunk.add(lineno, rec, sid, views)
+            if len(chunk.records) == DATA_CHUNK:
+                samples += chunk.take()
+    except SchemaError as exc:
+        fault = exc
+    samples += chunk.take()    # a non-finite value on an earlier line first
+    if fault is not None:
+        raise fault
     if len(samples) != n_samples:
         raise SchemaError(f"line {head_line}: n_samples says {n_samples} "
                           f"samples, the file holds {len(samples)}",

@@ -92,13 +92,15 @@ def load_train_config(path) -> TrainConfig:
 
     The file is UTF-8 whatever the locale. A retired setting
     (network.RETIRED_SETTINGS, RETIRED_TRAIN_SETTINGS), as earlier versions
-    wrote them, is ignored at its one value and refused at any other.
+    wrote them, is ignored at its one value and refused at any other. A key
+    set on two lines is refused, naming both.
     """
     fields = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
     kinds = {k: type(v) for k, v in (RETIRED_SETTINGS
                                      | RETIRED_TRAIN_SETTINGS).items()}
     kinds.update(fields)
     values = {}
+    key_line = {}   # key -> line that set it
     for lineno, raw in nonblank_lines(path):
         text = raw.split("#", 1)[0].strip()
         if not text:
@@ -120,6 +122,10 @@ def load_train_config(path) -> TrainConfig:
         problem = setting_problem(key, values[key])
         if problem:
             raise SchemaError(f"line {lineno}: {problem}", line=lineno)
+        if key in key_line:
+            raise SchemaError(f"line {lineno}: {key} repeats line "
+                              f"{key_line[key]}", line=lineno)
+        key_line[key] = lineno
     return TrainConfig(**{k: v for k, v in values.items() if k in fields})
 
 

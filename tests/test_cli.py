@@ -298,6 +298,20 @@ def test_train_rejects_out_of_range_settings(tmp_path, capsys):
     assert "batch_size must be at least 1" in capsys.readouterr().err
 
 
+def test_train_rejects_a_config_that_sets_a_key_twice(tmp_path, capsys):
+    out = run_synth(tmp_path, n=4)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs = 5\nbatch_size = 4\nepochs = 7\n")
+    code = main(["train", "--data", str(out / "dataset.jsonl"),
+                 "--rig", str(out / "rig_assumed.jsonl"),
+                 "--out-dir", str(tmp_path / "run"), "--config", str(cfg),
+                 "--quiet"])
+    assert code == 1
+    assert ("error: line 3: epochs repeats line 1"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run" / "final.ckpt").exists()
+
+
 def test_train_rejects_negative_epochs(tmp_path, capsys):
     # "finished -3 epochs" after training none; a config file's value is
     # checked in load_train_config, the flag's here.

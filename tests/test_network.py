@@ -1,5 +1,6 @@
 """Refiner wiring: init, identity property, batching, masks, checkpoints."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -73,6 +74,30 @@ def test_identity_at_init():
     assert np.array_equal(r1.joints, p1.joints)
     assert np.array_equal(r2.joints, p2.joints)
     assert r1.frame_id == "cam1" and r2.frame_id == "cam2"
+
+
+def test_refine_frees_its_forward_without_the_cyclic_collector():
+    # A tape and its nodes reference each other: unless refine releases its
+    # tape, every array of the forward waits for the cyclic collector, and
+    # a caller refining frame after frame holds many forwards at once.
+    model = CVUGCN(default_topology(), small_config())
+    rng = np.random.default_rng(4)
+    p1 = Pose3D(rand_coarse(rng, 1), "cam1")
+    p2 = Pose3D(rand_coarse(rng, 1), "cam2")
+
+    def tape_objects():
+        return sum(isinstance(o, (ad.Tape, ad.Value))
+                   for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = tape_objects()
+        model.refine(p1, p2)
+        after = tape_objects()
+    finally:
+        gc.enable()
+    assert after == before
 
 
 def test_nonzero_head_changes_output():

@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import itertools
 import json
 import math
 import warnings
@@ -7,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cvpose import syndata
 from cvpose.errors import (CvposeError, PoseOutOfView, SchemaError,
                            ShapeMismatch)
 from cvpose.geometry import Pose3D, project, relative_transform, save_rig
@@ -532,6 +534,162 @@ def test_save_refuses_what_the_loader_would_reject(tmp_path):
         with pytest.raises(SchemaError,
                            match=f"sample broken: non-finite values in {key}"):
             save_dataset(path, [broken])
+
+
+def _spoiled(sample, key, how):
+    """A copy of `sample` with a NaN in `key`, or `key` one joint short in
+    both views."""
+    arrays = {v: a.copy() if how == "nan" else a[:-1]
+              for v, a in getattr(sample, key).items()}
+    if how == "nan":
+        arrays[sample.pair[1]][3, 0] = np.nan
+    return dataclasses.replace(sample, **{key: arrays})
+
+
+@pytest.mark.parametrize("faults, error, message", [
+    ([(1, "joints_3d_gt", "nan"), (3, "joints_2d", "short")],
+     SchemaError, "sample s000001: non-finite values in joints_3d_gt"),
+    ([(2, "joints_2d", "nan"), (2, "joints_2d_clean", "short")],
+     SchemaError, "sample s000002: non-finite values in joints_2d"),
+    ([(2, "joints_2d", "short"), (2, "joints_2d_clean", "nan")],
+     ShapeMismatch, "sample s000002: joints_2d has shape"),
+    ([(2, "joints_2d_clean", "nan"), (2, "views", None)],
+     SchemaError, "sample s000002: views"),
+    ([(4, "joints_2d", "nan"), (3, "joints_3d_gt", "short")],
+     ShapeMismatch, "sample s000003: joints_3d_gt has shape"),
+], ids=["nan-then-shape", "nan-then-shape-in-one-sample",
+        "shape-then-nan-in-one-sample", "views-first", "past-a-chunk"])
+def test_save_reports_the_first_fault_in_sample_order(tmp_path, monkeypatch,
+                                                       faults, error,
+                                                       message):
+    monkeypatch.setattr(syndata, "DATA_CHUNK", 2, raising=False)
+    samples, _, _ = generate_dataset(SyntheticConfig(n_samples=5, seed=0))
+    for i, key, how in faults:
+        samples[i] = (dataclasses.replace(samples[i], pair=("cam1", "cam1"))
+                      if key == "views" else _spoiled(samples[i], key, how))
+    with pytest.raises(error, match=f"^{message}"):
+        save_dataset(tmp_path / "data.jsonl", samples)
+
+
+def test_refused_save_keeps_the_previous_file(tmp_path):
+    # A save that raised used to leave the header and the records before
+    # the fault, which the loader then refused as truncated.
+    samples, _, _ = generate_dataset(SyntheticConfig(n_samples=3, seed=0))
+    path = tmp_path / "data.jsonl"
+    save_dataset(path, samples)
+    before = path.read_bytes()
+    with pytest.raises(SchemaError, match="sample s000002: non-finite"):
+        save_dataset(path, samples[:2] + [_spoiled(samples[2], "joints_2d",
+                                                   "nan")])
+    # A fault met while writing, past every check, is undone the same way.
+    unnamed = dataclasses.replace(samples[1], sample_id=object())
+    with pytest.raises(TypeError):
+        save_dataset(path, [samples[0], unnamed])
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+    assert len(load_dataset(path)) == 3
+
+
+def _write_with_faults(path, n, faults):
+    """A data-v2 file of n records on lines 2 to n + 1 whose ids name their
+    lines; `faults` maps a line to the fields to set there, or to the
+    line's whole text."""
+    lines = [json.dumps({"schema": "data-v2", "n_joints": 17,
+                         "n_samples": n})]
+    for line in range(2, n + 2):
+        fault = faults.get(line, {})
+        if isinstance(fault, str):
+            lines.append(fault)
+        else:
+            lines.append(json.dumps({**_v2_record(17, sid=f"s{line}"),
+                                     **fault}))
+    path.write_text("\n".join(lines) + "\n")
+
+
+_NAN_2D = _b64(np.full((2, 17, 2), np.nan))
+_NAN_3D = _b64(np.full((2, 17, 3), np.inf))
+_NOT_B64 = "!!" + _b64(np.zeros((2, 17, 2)))[2:]
+
+
+@pytest.mark.parametrize("faults, line, message", [
+    ({3: {"joints_2d": _NAN_2D}, 5: {"joints_2d": _NOT_B64}},
+     3, "non-finite values in joints_2d"),
+    ({3: {"joints_2d": _NOT_B64}, 5: {"joints_2d": _NAN_2D}},
+     3, "joints_2d is not valid base64"),
+    ({3: {"joints_2d": _NAN_2D, "joints_2d_clean": _NOT_B64}},
+     3, "non-finite values in joints_2d"),
+    ({3: {"joints_2d": _NOT_B64, "joints_2d_clean": _NAN_2D}},
+     3, "joints_2d is not valid base64"),
+    ({3: {"joints_3d_gt": _NAN_3D}, 5: "{not json"},
+     3, "non-finite values in joints_3d_gt"),
+    ({3: {"joints_2d_clean": _NAN_2D}, 4: {"id": "s3"}},
+     3, "non-finite values in joints_2d_clean"),
+    ({3: {"joints_2d_clean": _NAN_2D}, 4: {"views": ["a", "a"]}},
+     3, "non-finite values in joints_2d_clean"),
+    ({3: {"joints_3d_gt": _NAN_3D}, 4: '{"id": "x", "views": ["a", "b"]}'},
+     3, "non-finite values in joints_3d_gt"),
+    ({4: {"joints_2d": _NAN_2D}, 3: {"joints_3d_gt": _NAN_3D}},
+     3, "non-finite values in joints_3d_gt"),
+], ids=["nan-then-base64", "base64-then-nan", "nan-then-base64-in-a-record",
+        "base64-then-nan-in-a-record", "nan-then-json", "nan-then-repeat",
+        "nan-then-views", "nan-then-missing-field", "nan-in-two-fields"])
+def test_load_reports_the_first_fault_in_file_order(tmp_path, faults, line,
+                                                    message):
+    path = tmp_path / "data.jsonl"
+    _write_with_faults(path, 5, faults)
+    with pytest.raises(SchemaError, match=f"^line {line}: {message}$") as exc:
+        load_dataset(path)
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("faults, line", [
+    ({4: {"joints_2d": _NAN_2D}}, 4),
+    ({4: {"joints_2d_clean": _NAN_2D}, 7: {"joints_2d": _NAN_2D}}, 4),
+    ({3: {"joints_3d_gt": _NAN_3D}, 4: {"joints_2d": _NOT_B64}}, 3),
+    ({5: {"joints_2d": _NAN_2D}, 6: {"views": "ab"}}, 5),
+    ({8: {"joints_3d_gt": _NAN_3D}}, 8),
+], ids=["first-of-a-chunk", "two-chunks", "last-of-a-chunk",
+        "before-a-chunk-ends", "last-record"])
+def test_load_reports_a_non_finite_value_past_a_chunk_boundary(
+        tmp_path, monkeypatch, faults, line):
+    # Two records per chunk: lines 2-3, 4-5, 6-7 and 8.
+    monkeypatch.setattr(syndata, "DATA_CHUNK", 2, raising=False)
+    path = tmp_path / "data.jsonl"
+    _write_with_faults(path, 7, faults)
+    with pytest.raises(SchemaError, match=f"^line {line}: non-finite") as exc:
+        load_dataset(path)
+    assert exc.value.line == line
+
+
+def test_dataset_roundtrip_across_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(syndata, "DATA_CHUNK", 3, raising=False)
+    samples, _, _ = generate_dataset(
+        SyntheticConfig(n_samples=11, seed=7, sigma_px=2.0),
+        cameras=default_rig(n_cameras=3))
+    samples = [dataclasses.replace(s, joints_3d_gt={}) if i in (1, 4, 5, 9)
+               else s for i, s in enumerate(samples)]
+    assert {s.pair for s in samples} == {("cam1", "cam2"), ("cam2", "cam3")}
+    path = tmp_path / "data.jsonl"
+    save_dataset(path, samples)
+    # Recorded from the writer that encoded one sample at a time.
+    assert file_sha256(path) == (
+        "9de1988bd1084d1bdb90da19c33537012ccc9ef5c4717bfb0aaff7873eb3958c")
+    loaded = load_dataset(path)
+    assert [(s.sample_id, s.pair) for s in loaded] == [
+        (s.sample_id, s.pair) for s in samples]
+    arrays = []
+    for want, got in zip(samples, loaded):
+        for key in ("joints_2d", "joints_2d_clean", "joints_3d_gt"):
+            assert getattr(got, key).keys() == getattr(want, key).keys()
+            for view, a in getattr(want, key).items():
+                b = getattr(got, key)[view]
+                assert b.dtype == np.float64 and b.shape == a.shape
+                assert np.array_equal(b.view(np.uint64), a.view(np.uint64))
+                assert b.flags.owndata and b.flags.writeable
+                arrays.append(b)
+    assert len(arrays) == 11 * 6 - 4 * 2
+    assert not any(np.shares_memory(a, b)
+                   for a, b in itertools.combinations(arrays, 2))
 
 
 @pytest.mark.parametrize("cameras, pairs", [

@@ -280,6 +280,23 @@ def test_train_config_parsing(tmp_path):
         load_train_config(path)
 
 
+@pytest.mark.parametrize("text, first, second", [
+    ("epochs = 5\nepochs = 7\n", 1, 2),
+    ("# run\nbatch_size = 8\n\nepochs = 5\nbatch_size=8  # again\n", 2, 5),
+    ("beta1 = 0.9\nepochs = 5\nbeta1 = 0.9\n", 1, 3),
+], ids=["epochs", "same-value", "retired"])
+def test_train_config_refuses_a_repeated_key(tmp_path, text, first, second):
+    # The last of two lines used to win without a word; a repeat is more
+    # likely a slip than an intent, whichever value it sets.
+    path = tmp_path / "train.cfg"
+    path.write_text(text)
+    key = text.splitlines()[first - 1].split("=")[0].strip()
+    with pytest.raises(SchemaError, match=f"^line {second}: {key} repeats "
+                                          f"line {first}$") as exc:
+        load_train_config(path)
+    assert exc.value.line == second
+
+
 @pytest.mark.parametrize("setting, message", [
     ("tri_mode = triple", "tri_mode must be one of dual, single"),
     ("batch_size = 0", "batch_size must be at least 1"),
