@@ -18,6 +18,7 @@ import numpy as np
 from .errors import CvposeError
 from .experiments import (ABLATION_VARIANTS, ablation_study, format_table,
                           noise_robustness, unseen_pair_study)
+from .files import atomic_write
 from .geometry import TRI_MODES, Pose3D, load_rig, save_rig
 from .graph import default_topology, load_topology, save_topology
 from .metrics import evaluate, mpjpe_rows
@@ -96,7 +97,7 @@ def _print_rows(rows, out):
     """Print a study's rows as a table and, given a path, dump them as JSON."""
     print(format_table(rows))
     if out:
-        with open(out, "w") as fh:
+        with atomic_write(out) as fh:
             json.dump(rows, fh, indent=2)
             fh.write("\n")
         print(f"rows written to {out}")
@@ -147,7 +148,7 @@ def cmd_triangulate(args):
     coarse, skipped = precompute_coarse(samples, cameras, mode=args.mode)
     kept = [samples[i] for i in coarse.index]
     if args.out:
-        with open(args.out, "w") as fh:
+        with atomic_write(args.out) as fh:
             fh.write(json.dumps({"schema": "coarse-v1",
                                  "n_joints": topo.n_joints}) + "\n")
             for s, (x1, x2) in zip(kept, coarse.poses):

@@ -1,14 +1,51 @@
-"""Line-oriented JSON files: a schema header line, then one record per line.
+"""How cvpose reads and writes its files.
 
-Files are UTF-8. Blank lines are ignored everywhere; line numbers in errors
-are 1-based and count every physical line.
+Text files are UTF-8 whatever the locale, with "\n" line ends. Every file
+cvpose writes goes through atomic_write, so a failed or interrupted write
+leaves the previous file, if any, as it was.
+
+Most inputs are line-oriented JSON: a schema header line, then one record
+per line. Blank lines are ignored everywhere; line numbers in errors are
+1-based and count every physical line.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 
 from .errors import SchemaError
+
+
+@contextmanager
+def atomic_write(path, binary=False):
+    """Open `path` for writing, all or nothing: a file handle, text (UTF-8,
+    "\n" newlines) or, given binary=True, bytes.
+
+    The bytes go to `<path>.tmp`, which on a clean exit is flushed, synced
+    and renamed over `path`; the directory is then synced so that the
+    rename itself survives a crash. If anything raises before the rename,
+    the temporary file is removed and the exception propagates, leaving any
+    previous file at `path` untouched.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with (open(tmp, "wb") if binary
+              else open(tmp, "w", encoding="utf-8", newline="\n")) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+    fd = os.open(os.path.dirname(os.path.abspath(tmp)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def nonblank_lines(path):

@@ -30,7 +30,7 @@ from .errors import (
     SchemaError,
     ShapeMismatch,
 )
-from .jsonl import read_records
+from .files import atomic_write, read_records
 
 # Numerical guards, all in the units of the quantity they test.
 DEPTH_EPS = 1e-6          # mm, minimum positive depth for projection
@@ -470,7 +470,7 @@ def save_rig(path, cameras):
             "width": int(cam.width),
             "height": int(cam.height),
         }))
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MissingField, NoPoolGroups, SchemaError, ShapeMismatch
-from .jsonl import read_records
+from .files import atomic_write, read_records
 
 
 @dataclass
@@ -333,7 +333,7 @@ def save_topology(path, topo: SkeletonTopology):
             "left_right_pairs": [list(p) for p in topo.left_right_pairs],
         }),
     ]
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import FrameMismatch, MissingGroundTruth, ShapeMismatch
+from .files import atomic_write
 from .geometry import Pose3D, procrustes_align_stack
 from .graph import default_topology
 from .network import CONV_DTYPE, CVUGCN
@@ -91,7 +92,7 @@ class EvalReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def save(self, path):
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write(self.to_json() + "\n")
 
 

@@ -72,6 +72,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import SchemaError, ShapeMismatch
+from .files import atomic_write
 from .geometry import Pose3D
 from .graph import (
     build_graph_levels,
@@ -389,35 +390,23 @@ def _write_array(fh, tag, arr):
 
 def save_checkpoint(path, topo, config: NetworkConfig, weights: ModelWeights,
                     step: int, opt_state=None, train_state=None):
-    """Write a checkpoint atomically.
-
-    The bytes go to a temporary file in the target's directory that then
-    replaces the target, so a failed or interrupted write leaves any
-    previous checkpoint at `path` intact and no partial file behind.
-    """
+    """Write a checkpoint through files.atomic_write: a failed or
+    interrupted write leaves any previous checkpoint at `path` intact and
+    no partial file behind."""
     opt_state = opt_state or {}
     train_state = train_state or {}
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(f"{CKPT_SCHEMA}\n"
-                     f"topology {topology_fingerprint(topo)}\n"
-                     f"config {config.to_json()}\n"
-                     f"step {int(step)}\n"
-                     f"train {json.dumps(train_state, sort_keys=True)}\n"
-                     .encode())
-            for name, arr in weights.items():
-                _write_array(fh, f"weight:{name}", arr)
-            for kind in sorted(opt_state):
-                for name, arr in opt_state[kind].items():
-                    _write_array(fh, f"opt:{kind}:{name}", arr)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_write(path, binary=True) as fh:
+        fh.write(f"{CKPT_SCHEMA}\n"
+                 f"topology {topology_fingerprint(topo)}\n"
+                 f"config {config.to_json()}\n"
+                 f"step {int(step)}\n"
+                 f"train {json.dumps(train_state, sort_keys=True)}\n"
+                 .encode())
+        for name, arr in weights.items():
+            _write_array(fh, f"weight:{name}", arr)
+        for kind in sorted(opt_state):
+            for name, arr in opt_state[kind].items():
+                _write_array(fh, f"opt:{kind}:{name}", arr)
 
 
 def load_checkpoint(path, topo) -> Checkpoint:

@@ -7,8 +7,11 @@ overlaying ground truth, coarse and refined skeletons.
 
 from __future__ import annotations
 
+from xml.sax.saxutils import escape
+
 import numpy as np
 
+from .files import atomic_write
 from .graph import default_topology
 
 PANEL = 300.0
@@ -36,7 +39,7 @@ def _circle(x, y, r, color):
 
 def _text(x, y, s, size=11, color="#202020"):
     return (f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}" '
-            f'font-family="sans-serif" fill="{color}">{s}</text>')
+            f'font-family="sans-serif" fill="{color}">{escape(s)}</text>')
 
 
 def _fit(points_list, x0, y0):
@@ -148,7 +151,7 @@ def render_sample(sample, cameras, topo=None, coarse=None, refined=None,
 
 
 def save_svg(path, svg_text):
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(svg_text)
         if not svg_text.endswith("\n"):
             fh.write("\n")

@@ -42,16 +42,15 @@ import binascii
 import hashlib
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import (CvposeError, MissingField, PoseOutOfView, SchemaError,
                      ShapeMismatch, UnknownCamera)
+from .files import atomic_write, read_records
 from .geometry import CameraModel, Pose3D
 from .graph import SkeletonTopology, default_topology
-from .jsonl import read_records
 
 MIN_DEPTH_MM = 100.0
 RIG_SEED_SALT = 999983
@@ -451,8 +450,8 @@ def save_dataset(path, samples, topo=None):
     field raise SchemaError, an array of the wrong shape ShapeMismatch.
     Each field is gathered into one block for all samples, and a record's
     base64 is taken from its slice of that block's bytes. The file is
-    written as `<path>.tmp`, which then replaces `path`, so a refused or
-    failed save leaves an existing file as it was.
+    written through files.atomic_write, so a refused or failed save leaves
+    an existing file as it was.
     """
     topo = topo or default_topology()
     J = topo.n_joints
@@ -460,28 +459,19 @@ def save_dataset(path, samples, topo=None):
     raw = {key: memoryview(block.reshape(-1)).cast("B")
            for key, block in blocks.items()}
     size = {key: 16 * J * d for key, d in ARRAY_FIELDS}
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(json.dumps({"schema": DATA_SCHEMA, "n_joints": J,
-                                 "n_samples": len(samples)}) + "\n")
-            for i, (s, keys) in enumerate(zip(samples, carried)):
-                # base64 needs no JSON escaping, so "<text>" is how the
-                # encoder writes it
-                fh.write(f'{{"id": {_JSON.encode(s.sample_id)}')
-                for key in keys:
-                    b64 = binascii.b2a_base64(
-                        raw[key][i * size[key]:(i + 1) * size[key]],
-                        newline=False)
-                    fh.write(f', "{key}": "{b64.decode("ascii")}"')
-                fh.write(f', "views": {_JSON.encode(list(s.pair))}}}\n')
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_write(path) as fh:
+        fh.write(json.dumps({"schema": DATA_SCHEMA, "n_joints": J,
+                             "n_samples": len(samples)}) + "\n")
+        for i, (s, keys) in enumerate(zip(samples, carried)):
+            # base64 needs no JSON escaping, so "<text>" is how the encoder
+            # writes it
+            fh.write(f'{{"id": {_JSON.encode(s.sample_id)}')
+            for key in keys:
+                b64 = binascii.b2a_base64(
+                    raw[key][i * size[key]:(i + 1) * size[key]],
+                    newline=False)
+                fh.write(f', "{key}": "{b64.decode("ascii")}"')
+            fh.write(f', "views": {_JSON.encode(list(s.pair))}}}\n')
 
 
 class _Chunk:
@@ -641,6 +631,6 @@ def save_manifest(path, config: SyntheticConfig, hashes, n_samples):
         "n_samples": n_samples,
         "sha256": dict(hashes),
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(body, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -33,9 +33,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import NonFiniteLoss, NonPositiveDepth, SchemaError
+from .files import atomic_write, nonblank_lines
 from .geometry import TRI_MODES, relative_transform, triangulate_stack
 from .graph import default_topology
-from .jsonl import nonblank_lines
 from .losses import LOSS_WEIGHTS, behind_camera, total_loss
 from .network import (CONV_DTYPE, CVUGCN, RETIRED_SETTINGS, NetworkConfig,
                       init_weights, load_checkpoint, retired_problem,
@@ -82,7 +82,7 @@ class TrainConfig:
 
 
 def save_train_config(path, config: TrainConfig):
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for f in dataclasses.fields(TrainConfig):
             fh.write(f"{f.name} = {getattr(config, f.name)!r}\n")
 
@@ -433,27 +433,28 @@ def _open_log(path, start_epoch):
 
     A resumed run keeps the rows of earlier epochs from the existing log and
     drops later ones, so epochs repeated after the checkpoint are not logged
-    twice. The header and kept rows go to a temporary file that then
-    replaces the log, as in save_checkpoint, so a failed rewrite leaves the
-    old log intact.
+    twice. The old log is read as UTF-8, its first non-blank line taken as
+    the header and blank lines skipped; a row whose epoch field is not a
+    non-negative integer raises SchemaError naming its line. The header and
+    kept rows are rewritten through files.atomic_write, so a failed rewrite
+    leaves the old log intact; the returned handle appends to the new one.
     """
     rows = []
     if start_epoch and os.path.exists(path):
-        with open(path) as fh:
-            rows = [r for r in fh.read().splitlines()[1:]
-                    if int(r.split(",", 1)[0]) < start_epoch]
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write("\n".join([LOG_HEADER, *rows]) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-    return open(path, "a")
+        lines = nonblank_lines(path)
+        next(lines, None)
+        for lineno, text in lines:
+            row = text.rstrip("\r\n")
+            epoch = row.split(",", 1)[0]
+            if not (epoch.isascii() and epoch.isdigit()):
+                raise SchemaError(f"line {lineno}: a log row must start with "
+                                  f"its epoch, a non-negative integer, got "
+                                  f"{epoch!r}", line=lineno)
+            if int(epoch) < start_epoch:
+                rows.append(row)
+    with atomic_write(path) as fh:
+        fh.write("\n".join([LOG_HEADER, *rows]) + "\n")
+    return open(path, "a", encoding="utf-8")
 
 
 def _log_row(epoch, stats, lr, skipped_tri):

@@ -182,6 +182,80 @@ def test_train_resume_from_checkpoint(tmp_path):
     assert (second / "final.ckpt").exists()
 
 
+@pytest.mark.parametrize("extra, code, message", [
+    ("\n", 0, ""),
+    ("  \n", 0, ""),
+    ("x,1.0\n", 1, "error: line 5: a log row must start with its epoch, a "
+                   "non-negative integer, got 'x'\n"),
+    ("-1,1.0\n", 1, "error: line 5: a log row must start with its epoch, a "
+                    "non-negative integer, got '-1'\n"),
+], ids=["blank", "spaces", "no-epoch", "negative-epoch"])
+def test_train_resume_reads_the_log_line_by_line(tmp_path, capsys, extra,
+                                                 code, message):
+    # A resume keeps the log rows of the epochs before its checkpoint. A
+    # blank line in the old log once crashed it with a ValueError.
+    out = run_synth(tmp_path, n=8)
+    run = tmp_path / "run"
+    args = ["train", "--data", str(out / "dataset.jsonl"),
+            "--rig", str(out / "rig_assumed.jsonl"), "--out-dir", str(run),
+            "--epochs", "3", "--batch-size", "8", "--quiet"]
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("channels = 8\ncheckpoint_every = 1\n")
+    assert main([*args, "--config", str(cfg)]) == 0
+    log = run / "train_log.csv"
+    finished = log.read_bytes()
+    with open(log, "a") as fh:
+        fh.write(extra)
+    capsys.readouterr()
+    assert main([*args, "--resume", str(run / "epoch_0001.ckpt")]) == code
+    assert capsys.readouterr().err == message
+    assert log.read_bytes() == (finished if code == 0
+                                else finished + extra.encode())
+
+
+def _synth_with_sample_id(tmp_path, sample_id):
+    """A synthesized dataset directory whose first sample is `sample_id`."""
+    import dataclasses
+    from cvpose.syndata import load_dataset, save_dataset
+    out = run_synth(tmp_path, n=2)
+    samples = load_dataset(out / "dataset.jsonl")
+    samples[0] = dataclasses.replace(samples[0], sample_id=sample_id)
+    save_dataset(out / "dataset.jsonl", samples)
+    return out
+
+
+def test_render_escapes_ids_in_the_svg(tmp_path):
+    import xml.etree.ElementTree as ET
+    out = _synth_with_sample_id(tmp_path, "a<b&c")
+    fig = tmp_path / "fig.svg"
+    assert main(["render", "--data", str(out / "dataset.jsonl"),
+                 "--rig", str(out / "rig_assumed.jsonl"),
+                 "--out", str(fig)]) == 0
+    texts = [t.text for t in ET.parse(fig).iter()
+             if t.tag.endswith("text")]
+    assert "sample a<b&c" in texts
+
+
+def test_render_writes_utf8_in_the_c_locale(tmp_path):
+    # Outputs are UTF-8 whatever the locale; under the C locale's ASCII
+    # default the write once failed with a UnicodeEncodeError.
+    import subprocess
+    import sys
+    import cvpose
+    out = _synth_with_sample_id(tmp_path, "sé")
+    fig = tmp_path / "x.svg"
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONUTF8="0",
+               PYTHONPATH=os.path.dirname(os.path.dirname(cvpose.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvpose.cli", "render",
+         "--data", str(out / "dataset.jsonl"),
+         "--rig", str(out / "rig_assumed.jsonl"), "--out", str(fig)],
+        env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert "sample sé" in fig.read_bytes().decode("utf-8")
+
+
 def test_resumed_train_writes_the_trained_networks_config(tmp_path):
     # train.cfg must describe the network in final.ckpt: a resume takes
     # channels and init_seed from the checkpoint, whatever --config says.

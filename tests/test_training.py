@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cvpose import autodiff as ad
-from cvpose import training
+from cvpose import files, training
 from cvpose.errors import (CvposeError, DegenerateGeometry, NonFiniteLoss,
                            NonPositiveDepth, SchemaError)
 from cvpose.geometry import CameraModel, Pose2D, triangulate_pose
@@ -639,7 +639,8 @@ def test_failed_log_rewrite_on_resume_keeps_the_old_log(tmp_path,
         fh = open(path, mode, *args, **kwargs)
         return FailingWrites(fh) if "w" in mode or "a" in mode else fh
 
-    monkeypatch.setattr(training, "open", failing_open, raising=False)
+    # The rewrite opens its file in files.atomic_write.
+    monkeypatch.setattr(files, "open", failing_open, raising=False)
     with pytest.raises(OSError, match="No space left"):
         fit(samples, [], assumed, cfg, out_dir=tmp_path,
             resume_from=tmp_path / "epoch_0001.ckpt")
