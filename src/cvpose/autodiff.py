@@ -17,17 +17,18 @@ Precision follows the tape's conv_dtype, float64 by default or float32
 (mixed precision in the sense of Micikevicius et al., ICLR 2018). A
 Value is stored in conv_dtype when its data already has that dtype and
 as float64 otherwise, and its gradient has the dtype of its data. Leaves
-are always float64. The graph convolutions (graph_conv,
-graph_conv_relu, residual_graph_conv) cast their input and weights to
-conv_dtype, read their kernels in it from a KernelStack, which holds
-them in both dtypes, and hand back a conv_dtype result, so on a float32
-tape a chain of convolutions, relus, block_left_matmuls (with or without
-their adds) and adds stays float32 from end to end; numpy promotion
-brings it back to float64 wherever it meets a float64 operand, such as
-a matmul with a float64 weight leaf, whose backward still hands the
-float32 operand a float32 gradient. A float64 tape computes everything
-in float64. Finite-difference checks (grad_check) always run on float64
-tapes.
+are always float64. The two graph convolutions multiply in conv_dtype:
+graph_conv_relu, the network's lift, casts its input to it, and
+residual_graph_conv, a residual unit, takes its input only in it. Both
+read their kernels in conv_dtype from a KernelStack, which holds them in
+both dtypes, cast their weights to it, and hand back a conv_dtype result,
+so on a float32 tape a chain of convolutions, block_left_matmuls (with or
+without their adds) and adds stays float32 from end to end; numpy
+promotion brings it back to float64 wherever it meets a float64 operand,
+such as a matmul with a float64 weight leaf, whose backward still hands
+the float32 operand a float32 gradient. A float64 tape computes
+everything in float64. Finite-difference checks (grad_check) always run
+on float64 tapes.
 """
 
 from __future__ import annotations
@@ -75,10 +76,10 @@ class Value:
 class Tape:
     """Records Values; creation order doubles as topological order.
 
-    conv_dtype is the precision graph_conv multiplies in: float64 (exact,
-    the default) or float32 (about twice the GEMM throughput). A Value
-    whose data comes out in conv_dtype is kept in it; any other is stored
-    as float64.
+    conv_dtype is the precision the graph convolutions multiply in:
+    float64 (exact, the default) or float32 (about twice the GEMM
+    throughput). A Value whose data comes out in conv_dtype is kept in it;
+    any other is stored as float64.
     """
 
     def __init__(self, conv_dtype=np.float64):
@@ -332,8 +333,8 @@ def block_left_matmul_add(M, h: Value, skip: Value) -> Value:
     return tape._record(out, "block_left_matmul_add", backward)
 
 
-# Rows of whole samples in one tile of a graph convolution's scratch, over
-# its K kernels: a tile has about TILE_ROWS // K rows, so its (rows, K*C)
+# Rows of whole samples in one tile of a residual unit's scratch, over its
+# K kernels: a tile has about TILE_ROWS // K rows, so its (rows, K*C)
 # scratch takes the bytes of TILE_ROWS rows of the (rows, C) result.
 TILE_ROWS = 2048
 
@@ -371,28 +372,20 @@ class KernelStack:
 
 
 class _ConvPlan:
-    """The checked operands of one graph convolution over a KernelStack.
+    """The checked operands of one graph convolution sum_k N_k x W_k over a
+    KernelStack, with its kernels in the tape's conv_dtype.
 
-    Shared by graph_conv, graph_conv_relu and residual_graph_conv:
-    forward(h) is sum_k N_k x W_k with x = h (or x = relu(h) for a
-    residual unit, which also adds h), and backward(g, x) adds each d/dW_k
-    into the weight gradients and returns d/dx, both in the tape's
-    conv_dtype.
-
-    Which side of x W_k the node mixing N_k goes on follows the widths. A
-    conv that widens its input (C_in < C_out, the 3 -> C lift) mixes the
-    narrow input first: one batched matmul by mix_in builds the
-    (rows, K*C_in) array [N_1 x | ... | N_K x], and one GEMM multiplies it
-    by the stacked weights [W_1; ...; W_K]; it keeps the array for the
-    backward. Any other conv multiplies first, in one pass over tiles of
-    whole samples (_tiles) in each direction: per tile, one GEMM by the
-    weight panel [W_1 | ... | W_K] (forward) or by [W_1^T; ...; W_K^T]
-    (backward) works on tile-sized scratch, one batched matmul by mix_out
-    (forward) or mix_out_t (backward) mixes every kernel at once, and only
-    the result and d/dx are full height; the forward builds a residual
-    unit's relu(h) in the result rows the tile's mix then overwrites.
-    The weight gradients are sums over those tiles, so their rounding
-    depends on the tile size; the result and d/dx do not.
+    Each of the two graph-conv nodes has one order of the product.
+    graph_conv_relu, the 3 -> C lift, mixes first: one batched matmul by
+    mix_in builds the (rows, K*C_in) array [N_1 x | ... | N_K x], which it
+    keeps for the backward, and one GEMM multiplies it by the stacked
+    weights [W_1; ...; W_K]. residual_graph_conv multiplies first, in one
+    pass over tiles of whole samples (tiles) in each direction: per tile,
+    one GEMM by the weight panel [W_1 | ... | W_K] (forward) or by
+    [W_1^T; ...; W_K^T] (backward) works on tile-sized scratch, and one
+    batched matmul by mix_out (forward) or mix_out_t (backward) mixes
+    every kernel at once, so only the result and d/dh are full height. Its weight gradients are sums over those tiles, so their
+    rounding depends on the tile size; its result and d/dh do not.
     """
 
     def __init__(self, h, stack, weights, opname):
@@ -416,11 +409,8 @@ class _ConvPlan:
         self.weights = weights
         self.B, self.n, self.K = rows // n, n, K
         self.rows, self.C_in, self.C_out = rows, C_in, C_out
-        self.mix_first = C_in < C_out
-        self.stacked = None
-        self.tiles = self._tiles()
 
-    def _panel(self, axis, transpose=False):
+    def panel(self, axis, transpose=False):
         """The K weights (or their transposes) concatenated along axis, in
         conv_dtype: one cast per use, not kept, since the tape already
         holds the weights and a float32 copy would outlive the forward."""
@@ -428,7 +418,7 @@ class _ConvPlan:
                                for W in self.weights],
                               axis=axis, dtype=self.dt)
 
-    def _tiles(self):
+    def tiles(self):
         """Row slices of whole samples, about TILE_ROWS // K rows each,
         that cover the rows in order.
 
@@ -443,193 +433,105 @@ class _ConvPlan:
         ends = [self.n * -(-self.B * i // count) for i in range(count + 1)]
         return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
-    def _input(self, h, t, residual, buf):
-        """Tile t's x in conv_dtype: with residual, relu(h[t]) built in
-        buf, a (tile rows, C_in) array; else h[t], cast only if need be."""
-        if residual:
-            # Cast and rectify in one pass: the same bits as casting
-            # np.maximum(h, 0.0) down.
-            return np.maximum(h[t], 0.0, dtype=self.dt, out=buf)
-        return h[t].astype(self.dt, copy=False)
-
-    def forward(self, h, residual=False):
-        """sum_k N_k x W_k for x = h cast to conv_dtype, in conv_dtype.
-        With residual, x = relu(h) and the result is h + that sum, in
-        numpy's promotion of conv_dtype and h's dtype.
-
-        A multiply-first plan fills each tile's (rows, K*C_out) scratch
-        [x W_1 | ... | x W_K] with one GEMM by the panel [W_1 | ... | W_K],
-        whose inner dimension is C_in as in a GEMM per kernel, and one
-        batched matmul by mix_out sums over kernels and nodes. A residual
-        unit builds the tile's relu(h) in the rows the mix then writes:
-        the tile's rows of the result, or of the conv_dtype sum when the
-        result is promoted.
-        """
-        dt, K, C_out = self.dt, self.K, self.C_out
-        if self.mix_first:
-            x = h.astype(dt, copy=False).reshape(self.B, self.n, self.C_in)
-            self.stacked = np.matmul(self.mix_in, x).reshape(
-                self.rows, K * self.C_in)
-            return self.stacked @ self._panel(0)
-        out = np.empty((self.rows, C_out),
-                       dtype=np.result_type(dt, h.dtype) if residual else dt)
-        panel = self._panel(1)
-        tile = self.tiles[0].stop
-        Y = np.empty((tile, K * C_out), dtype=dt)
-        # A promoted residual sums the conv in conv_dtype first.
-        acc = np.empty((tile, C_out), dtype=dt) if out.dtype != dt else None
-        for t in self.tiles:
-            m = t.stop - t.start
-            dst = out[t] if acc is None else acc[:m]
-            # The GEMM reads x before the mix overwrites dst.
-            x = self._input(h, t, residual, dst)
-            np.matmul(x, panel, out=Y[:m])
-            np.matmul(self.mix_out, Y[:m].reshape(-1, self.n * K, C_out),
-                      out=dst.reshape(-1, self.n, C_out))
-            if residual:
-                np.add(dst, h[t], out=out[t])
-        return out
-
-    def backward(self, g, h, residual=False):
-        """Add each d/dW_k into its weight's gradient and return d/dh.
-
-        h is the array forward was given (a mix-first plan reads its
-        stacked conv input instead). d/dh is in conv_dtype; with residual
-        it is g, in h's dtype, plus the masked conv gradient, built in g.
-
-        A multiply-first plan makes one pass over the forward's tiles.
-        Per tile, x (h, or relu(h) for a residual unit) is built for the
-        tile only, one batched matmul by mix_out_t maps g to the tile's
-        (rows, K*C_out) dY = [N_1^T g | ... | N_K^T g], the GEMM x^T dY
-        adds to all K weight gradients at once, and the GEMM
-        dY [W_1^T; ...; W_K^T] sums d/dx over the kernels inside BLAS.
-        """
-        dt, K, C_in, C_out = self.dt, self.K, self.C_in, self.C_out
-        if self.mix_first:
-            g = g.astype(dt, copy=False)
-            dW = self.stacked.T @ g
-            for k, W in enumerate(self.weights):
-                W.grad += dW[k * C_in:(k + 1) * C_in]
-            dX = g @ self._panel(0).T          # [dX_1 | ... | dX_K]
-            return np.matmul(self.mix_in.T, dX.reshape(
-                self.B, self.n * K, C_in)).reshape(self.rows, C_in)
-        # [W_1^T; ...; W_K^T], C-contiguous: with a transposed operand
-        # OpenBLAS rounds some rows differently as the tile height changes.
-        w_t = self._panel(0, transpose=True)
-        tile = self.tiles[0].stop
-        dY = np.empty((tile, K * C_out), dtype=dt)
-        x_buf = np.empty((tile, C_in), dtype=dt) if residual else None
-        dW = np.zeros((C_in, K * C_out), dtype=dt)
-        dW_t = np.empty_like(dW)
-        dh = g if residual else np.empty((self.rows, C_in), dtype=dt)
-        for t in self.tiles:
-            m = t.stop - t.start
-            x = self._input(h, t, residual, x_buf[:m] if residual else None)
-            dY_t = dY[:m]
-            np.matmul(self.mix_out_t,
-                      g[t].astype(dt, copy=False).reshape(-1, self.n, C_out),
-                      out=dY_t.reshape(-1, K * self.n, C_out))
-            dW += np.matmul(x.T, dY_t, out=dW_t)
-            if residual:
-                # relu(h)'s tile buffer takes the tile's d/dx once dW has it.
-                dx = np.matmul(dY_t, w_t, out=x)
-                dx *= h[t] > 0.0
-                dh[t] += dx
-            else:
-                np.matmul(dY_t, w_t, out=dh[t])
-        for k, W in enumerate(self.weights):
-            W.grad += dW[:, k * C_out:(k + 1) * C_out]
-        return dh
-
-
-def graph_conv(h: Value, stack: KernelStack, weights) -> Value:
-    """Graph convolution sum_k N_k h W_k on every n-row block of h.
-
-    h is (B*n, C_in); stack holds the constant (n, n) kernels N_k, and
-    weights are the matching (C_in, C_out) Values. One tape node whose
-    backward needs only h, the weights and the stack, plus the
-    (B*n, K*C_in) mixed input when the conv widens (see _ConvPlan): no
-    per-kernel product is kept, and a conv that does not widen builds its
-    products, one GEMM by the weight panel [W_1 | ... | W_K] per tile of
-    whole samples, and in the backward its gradients, tile by tile.
-
-    The products, their sum and the result are in the tape's conv_dtype;
-    the weight gradients stay in the weights' float64. On a float32 tape
-    the backward casts g and h down again, tile by tile, rather than
-    keeping a float32 copy of h alive.
-    """
-    plan = _ConvPlan(h, stack, weights, "graph_conv")
-    out = plan.forward(h.data)
-
-    def backward(g):
-        h.grad += plan.backward(g, h.data)
-
-    return plan.tape._record(out, "graph_conv", backward)
-
 
 def graph_conv_relu(h: Value, stack: KernelStack, weights) -> Value:
-    """relu(graph_conv(h, stack, weights)) as one node.
+    """relu(sum_k N_k h W_k) on every n-row block of h, as one node: the
+    network's 3 -> C lift.
 
-    The same values and gradients as the two nodes on either conv_dtype,
-    equal under np.array_equal (a zero gradient entry may differ in sign),
-    but the tape keeps neither the conv output nor the relu mask: the
-    relu rectifies the conv output in place, and the backward masks g by
-    out > 0, which holds exactly where the conv output was positive. That
+    h is (B*n, C_in), in any dtype; stack holds the constant (n, n)
+    kernels N_k, and weights are the matching (C_in, C_out) Values. The
+    node mixes first (see _ConvPlan) and keeps the (B*n, K*C_in) mixed
+    input for the backward, but neither the conv output nor the relu mask:
+    the relu rectifies the product in place, and the backward masks g by
+    out > 0, which holds exactly where the product was positive. That
     masking overwrites g, the node's own gradient buffer, which the sweep
-    has already let go of. NaN passes as in relu.
+    has already let go of. The result is in the tape's conv_dtype, the
+    weight gradients in the weights' float64. NaN passes the relu, and its
+    subgradient at 0 is 0.
     """
     plan = _ConvPlan(h, stack, weights, "graph_conv_relu")
-    out = plan.forward(h.data)
+    B, n, K, C_in, rows = plan.B, plan.n, plan.K, plan.C_in, plan.rows
+    x = h.data.astype(plan.dt, copy=False).reshape(B, n, C_in)
+    mixed = np.matmul(plan.mix_in, x).reshape(rows, K * C_in)
+    out = mixed @ plan.panel(0)
     np.maximum(out, 0.0, out=out)
 
     def backward(g):
         g *= out > 0.0
-        h.grad += plan.backward(g, h.data)
+        dW = mixed.T @ g
+        for k, W in enumerate(plan.weights):
+            W.grad += dW[k * C_in:(k + 1) * C_in]
+        dX = g @ plan.panel(0).T          # [dX_1 | ... | dX_K]
+        h.grad += np.matmul(plan.mix_in.T, dX.reshape(
+            B, n * K, C_in)).reshape(rows, C_in)
 
     return plan.tape._record(out, "graph_conv_relu", backward)
 
 
 def residual_graph_conv(h: Value, stack: KernelStack, weights) -> Value:
-    """The pre-activation residual unit h + graph_conv(relu(h)), one node.
+    """The pre-activation residual unit h + sum_k N_k relu(h) W_k, one node.
 
-    Same arithmetic as add(h, graph_conv(relu(h), stack, weights)) on
-    either conv_dtype, but the tape keeps neither the relu output, nor its
-    mask, nor the conv output: the forward builds each tile's relu(h) in
-    the result rows the tile's sum then takes, multiplies it by the weight
-    panel in one GEMM, mixes the products (see _ConvPlan) and adds h into
-    the result, and the backward recomputes relu(h) and its mask tile by
-    tile.
-    The value and d/dh equal the composite's bit for bit, and so do the
-    weight gradients when the composite runs at the same TILE_ROWS. d/dh,
-    g plus the masked conv gradient, is built in g, the unit's own
-    gradient, which the sweep has let go of: g becomes h's gradient buffer
-    when h has none yet, else is added to it. The weights map C_in to C_in.
-    The sum takes numpy's promotion of the conv_dtype product and h. NaN
-    passes the relu, and its subgradient at 0 is 0, as in relu.
+    h must already be in the tape's conv_dtype, as the network's trunk is,
+    or ValueError; the weights map C_in to C_in. The tape keeps neither the
+    relu output, nor its mask, nor the conv output: per tile (see
+    _ConvPlan), the forward builds relu(h) in the result rows the tile's
+    sum then takes, multiplies it by the weight panel in one GEMM, mixes
+    the products and adds h into the result, and the backward recomputes
+    relu(h) and its mask. d/dh, g plus the masked conv gradient, is built
+    in g, the unit's own gradient, which the sweep has let go of: g becomes
+    h's gradient buffer when h has none yet, else is added to it. The
+    result and d/dh are in conv_dtype, the weight gradients in the
+    weights' float64. NaN passes the relu, and its subgradient at 0 is 0.
     """
     plan = _ConvPlan(h, stack, weights, "residual_graph_conv")
     if plan.C_out != plan.C_in:
         raise ShapeMismatch(f"residual_graph_conv: weights map {plan.C_in} "
                             f"to {plan.C_out} channels")
-    out = plan.forward(h.data, residual=True)
+    if h.data.dtype != plan.dt:
+        raise ValueError(f"residual_graph_conv: input is {h.data.dtype}, "
+                         f"but the tape's conv_dtype is {plan.dt}")
+    dt, n, K, C = plan.dt, plan.n, plan.K, plan.C_in
+    tiles = plan.tiles()
+    tile = tiles[0].stop
+    out = np.empty_like(h.data)
+    panel = plan.panel(1)
+    Y = np.empty((tile, K * C), dtype=dt)
+    for t in tiles:
+        m = t.stop - t.start
+        # The GEMM reads relu(h) before the mix overwrites its rows.
+        x = np.maximum(h.data[t], 0.0, out=out[t])
+        np.matmul(x, panel, out=Y[:m])
+        np.matmul(plan.mix_out, Y[:m].reshape(-1, n * K, C),
+                  out=out[t].reshape(-1, n, C))
+        out[t] += h.data[t]
 
     def backward(g):
-        dh = plan.backward(g, h.data, residual=True)
+        # [W_1^T; ...; W_K^T], C-contiguous: with a transposed operand
+        # OpenBLAS rounds some rows differently as the tile height changes.
+        w_t = plan.panel(0, transpose=True)
+        dY = np.empty((tile, K * C), dtype=dt)
+        x_buf = np.empty((tile, C), dtype=dt)
+        dW = np.zeros((C, K * C), dtype=dt)
+        dW_t = np.empty_like(dW)
+        for t in tiles:
+            m = t.stop - t.start
+            x = np.maximum(h.data[t], 0.0, out=x_buf[:m])
+            dY_t = dY[:m]
+            np.matmul(plan.mix_out_t, g[t].reshape(-1, n, C),
+                      out=dY_t.reshape(-1, K * n, C))
+            dW += np.matmul(x.T, dY_t, out=dW_t)
+            # relu(h)'s tile buffer takes the tile's d/dx once dW has it.
+            dx = np.matmul(dY_t, w_t, out=x)
+            dx *= h.data[t] > 0.0
+            g[t] += dx
+        for k, W in enumerate(plan.weights):
+            W.grad += dW[:, k * C:(k + 1) * C]
         if h._grad is None:
-            h.grad = dh
+            h.grad = g
         else:
-            h.grad += dh
+            h.grad += g
 
     return plan.tape._record(out, "residual_graph_conv", backward)
-
-
-def relu(a: Value) -> Value:
-    mask = a.data > 0.0
-
-    def backward(g):
-        a.grad += g * mask
-
-    return a.tape._record(np.maximum(a.data, 0.0), "relu", backward)
 
 
 # ---------------------------------------------------------------------------

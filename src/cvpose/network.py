@@ -33,16 +33,19 @@ sum_k N_k H W_k over its unmasked kernel classes k, the AXW form of Kipf &
 Welling with the kernel classes of Cai et al., and records one tape node.
 Each conv's kernels are checked and stacked once, when the model is
 built (an autodiff.KernelStack per graph resolution). The 3 -> C lift
-relu(conv(h)) is one autodiff.graph_conv_relu node, which rectifies in
-place and keeps no pre-relu output or mask; each of the six
-width-preserving residual units h + conv(relu(h)) is one
-autodiff.residual_graph_conv node, which keeps only h, its weights and
-its kernel stack: no relu output, conv output or per-kernel product. Its
-forward and backward each pass over tiles of samples: per tile, one
-matmul mixes all kernels at once, one GEMM by the weight panel
+relu(conv(h)) is one autodiff.graph_conv_relu node: at any width it
+mixes the 3-channel input by all kernels at once, multiplies the result
+by the stacked weights [W_1; ...; W_K] in one GEMM and rectifies in
+place, keeping the mixed input but no pre-relu output or mask. Each of
+the six width-preserving residual units h + conv(relu(h)) is one
+autodiff.residual_graph_conv node, which takes h in the tape's
+conv_dtype and keeps only h, its weights and its kernel stack: no relu
+output, conv output or per-kernel product. Its forward and backward each
+pass over tiles of samples: per tile, one GEMM by the weight panel
 [W_1 | ... | W_K] (forward) or one weight GEMM and one input GEMM
-(backward) multiply, and relu(h) is rebuilt, in the forward in the
-output rows it becomes, so only the output and d/dh are full height.
+(backward) multiply, one matmul mixes all kernels at once, and relu(h)
+is rebuilt, in the forward in the output rows it becomes, so only the
+output and d/dh are full height.
 Each decoder unpool and its skip add are one
 autodiff.block_left_matmul_add node. At B=256, C=128 a forward records
 55 nodes, whose data take 35 MB on a float32 tape and 64 MB on a

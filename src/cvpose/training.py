@@ -19,7 +19,10 @@ checkpoints; the studies in `experiments` drive it directly.
 
 Every source of randomness is derived from (seed, epoch), so a run is a
 pure function of its inputs and an interrupted run resumed from the last
-checkpoint reproduces the uninterrupted one exactly.
+checkpoint reproduces the uninterrupted one exactly, on the same BLAS
+thread count: a BLAS product may round differently when it is split over
+another number of threads (at C=128, B=256 the weights after two epochs
+differ between 1 and 2 threads).
 """
 
 from __future__ import annotations
@@ -513,10 +516,12 @@ def fit(train_samples, val_samples, cameras, config: TrainConfig,
 
     The plateau schedule and the best-checkpoint decision monitor the
     validation objective (the training objective when val_samples is
-    empty). Resuming from a checkpoint written by this function continues
-    as if the run had never stopped: the run picks up at epoch
-    len(loss_history), and a checkpoint whose next_epoch disagrees is
-    rejected. An epoch that scores no training sample, or no validation
+    empty); best.ckpt is written at each epoch that improves on it, so an
+    interrupted run keeps the best weights it has seen. Resuming from a
+    checkpoint written by this function, in the same out_dir, continues as
+    if the run had never stopped, on the same BLAS thread count (see the
+    module docstring): the run picks up at epoch len(loss_history), and a
+    checkpoint whose next_epoch disagrees is rejected. An epoch that scores no training sample, or no validation
     sample, stops the run with NonFiniteLoss (see train_epoch and
     train_epochs), and no final checkpoint is written.
     """
@@ -558,7 +563,6 @@ def fit(train_samples, val_samples, cameras, config: TrainConfig,
         save_checkpoint(paths[name], topo, net_cfg, weights,
                         state["next_epoch"], opt_state, state)
 
-    best = None
     try:
         for epoch, lr, stats in train_epochs(
                 model, optimizer, train_samples, coarse_train, cameras,
@@ -567,7 +571,7 @@ def fit(train_samples, val_samples, cameras, config: TrainConfig,
             log.flush()
             if history[-1] < best_val:
                 best_val = history[-1]
-                best = (model.weights.copy(), optimizer.state(), train_state())
+                save("best", model.weights, optimizer.state(), train_state())
             if config.checkpoint_every and (epoch + 1) % config.checkpoint_every == 0:
                 save(f"epoch_{epoch + 1:04d}", model.weights,
                      optimizer.state(), train_state())
@@ -577,8 +581,6 @@ def fit(train_samples, val_samples, cameras, config: TrainConfig,
         log.close()
 
     save("final", model.weights, optimizer.state(), train_state())
-    if best is not None:
-        save("best", *best)
     return TrainResult(weights=model.weights, history=history,
                        best_val=best_val, network=net_cfg, checkpoints=paths,
                        skipped_train=skipped_train)

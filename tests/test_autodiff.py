@@ -58,10 +58,17 @@ def test_grad_accumulates_on_reuse():
     assert a.grad[0, 0] == pytest.approx(7.0)
 
 
+def _identity_lift(x):
+    """relu(x) as the lift computes it: one identity kernel on 1-row blocks,
+    one identity weight."""
+    return ad.graph_conv_relu(x, ad.KernelStack([np.eye(1)]),
+                              [x.tape.leaf(np.eye(x.shape[1]))])
+
+
 def test_relu_subgradient_at_zero():
     tape = ad.Tape()
     x = tape.leaf([[-1.0, 0.0, 2.0]])
-    y = ad.reduce_sum(ad.relu(x))
+    y = ad.reduce_sum(_identity_lift(x))
     tape.backward(y)
     assert np.array_equal(x.grad, [[0.0, 0.0, 1.0]])
 
@@ -70,12 +77,12 @@ def test_relu_propagates_nan():
     # A NaN must reach the loss, where the non-finite check catches it,
     # not be rectified to zero on the way.
     tape = ad.Tape()
-    x = tape.leaf([[-1.0, 0.0, 2.0, -0.0]])
-    x.data[0, 1] = np.nan
-    y = ad.relu(x)
-    assert np.isnan(y.data[0, 1])
-    assert np.array_equal(y.data[0, [0, 2, 3]], [0.0, 2.0, 0.0])
-    assert not np.signbit(y.data[0, 3])
+    x = tape.leaf([[-1.0], [0.0], [2.0], [-0.0]])
+    x.data[1, 0] = np.nan
+    y = _identity_lift(x)
+    assert np.isnan(y.data[1, 0])
+    assert np.array_equal(y.data[[0, 2, 3], 0], [0.0, 2.0, 0.0])
+    assert not np.signbit(y.data[3, 0])
 
 
 def test_norms_at_zero():
@@ -155,32 +162,6 @@ def _graph_conv_reference(h, kernels, weights, n):
     return out
 
 
-def test_graph_conv_matches_definition():
-    rng = np.random.default_rng(4)
-    n, B = 4, 3
-    N1, N2 = rng.normal(size=(n, n)), rng.normal(size=(n, n))
-    I = np.eye(n)
-    h = rng.normal(size=(B * n, 5))
-    cases = [
-        ([I, N1, N2], [rng.normal(size=(5, 6)) for _ in range(3)]),
-        ([I], [rng.normal(size=(5, 2))]),          # identity only
-        ([N1, N2], [rng.normal(size=(5, 6)) for _ in range(2)]),  # no identity
-    ]
-    for kernels, ws in cases:
-        tape = ad.Tape()
-        W = [tape.leaf(w) for w in ws]
-        out = ad.graph_conv(tape.leaf(h), ad.KernelStack(kernels), W)
-        assert out.op == "graph_conv" and len(tape) == 1 + len(W) + 1
-        assert np.allclose(out.data, _graph_conv_reference(h, kernels, ws, n),
-                           rtol=1e-13, atol=1e-13)
-
-
-# float32 products of length L are off by about L units of float32
-# epsilon (1.2e-7) of their largest term; 1e-5 of the largest entry leaves
-# headroom over the sums of at most 3 kernels x 5 channels below.
-F32_TOL = 1e-5
-
-
 def _graph_conv_reference_grads(h, kernels, weights, n, g):
     """d/dh and d/dW_k of sum(g * out), block by block from the definition."""
     dh = np.zeros_like(h)
@@ -193,6 +174,140 @@ def _graph_conv_reference_grads(h, kernels, weights, n, g):
     return dh, dws
 
 
+def _lift_reference(h, kernels, weights, n):
+    """(out, d/dh, [d/dW_k]) of the lift relu(sum_k N_k h W_k), from the
+    definition, for the loss sum of out's row norms (a zero row adds 0)."""
+    out = np.maximum(_graph_conv_reference(h, kernels, weights, n), 0.0)
+    norms = np.linalg.norm(out, axis=1, keepdims=True)
+    g = out / np.where(norms > 0.0, norms, 1.0)   # 0 where relu cut
+    return (out, *_graph_conv_reference_grads(h, kernels, weights, n, g))
+
+
+def _residual_reference(h, kernels, weights, n):
+    """(out, d/dh, [d/dW_k]) of the residual unit h + sum_k N_k relu(h)
+    W_k, from the definition, for the loss sum of out's row norms."""
+    x = np.maximum(h, 0.0)
+    out = h + _graph_conv_reference(x, kernels, weights, n)
+    g = out / np.linalg.norm(out, axis=1, keepdims=True)
+    dx, dws = _graph_conv_reference_grads(x, kernels, weights, n, g)
+    return out, g + dx * (h > 0.0), dws
+
+
+def _relu(a):
+    """relu as a node of its own: the reference composites' relu."""
+    mask = a.data > 0.0
+
+    def backward(g):
+        a.grad += g * mask
+
+    return a.tape._record(np.maximum(a.data, 0.0), "relu", backward)
+
+
+def _graph_conv(h, stack, weights, mix_first):
+    """sum_k N_k h W_k as a node of its own, in the tape's conv_dtype and
+    over all rows at once: the reference composites' graph conv.
+
+    mix_first takes the lift's order of the product, (N_k h) W_k by
+    [W_1; ...; W_K]; otherwise the residual unit's, N_k (h W_k) by
+    [W_1 | ... | W_K]. The arithmetic is the fused node's, so a composite
+    matches its fused unit bit for bit, but for the tiles over which a
+    residual unit sums its weight gradients.
+    """
+    dt = h.tape.conv_dtype
+    (rows, C_in), C_out = h.shape, weights[0].shape[1]
+    n, K = stack.n, stack.K
+    B = rows // n
+    x = h.data.astype(dt, copy=False)
+    stacked = np.concatenate([W.data for W in weights], axis=0, dtype=dt)
+    if mix_first:
+        x = np.matmul(stack.mix_in[dt], x.reshape(B, n, C_in)).reshape(
+            rows, K * C_in)
+        out = x @ stacked
+    else:
+        Y = x @ np.concatenate([W.data for W in weights], axis=1, dtype=dt)
+        out = np.matmul(stack.mix_out[dt], Y.reshape(B, n * K, C_out)
+                        ).reshape(rows, C_out)
+
+    def backward(g):
+        if mix_first:
+            dW = x.T @ g
+            dX = (g @ stacked.T).reshape(B, n * K, C_in)
+            h.grad += np.matmul(stack.mix_in[dt].T, dX).reshape(rows, C_in)
+            for k, W in enumerate(weights):
+                W.grad += dW[k * C_in:(k + 1) * C_in]
+            return
+        dY = np.matmul(stack.mix_out_t[dt], g.reshape(B, n, C_out)).reshape(
+            rows, K * C_out)
+        dW = x.T @ dY
+        h.grad += dY @ np.concatenate([W.data.T for W in weights], axis=0,
+                                      dtype=dt)
+        for k, W in enumerate(weights):
+            W.grad += dW[:, k * C_out:(k + 1) * C_out]
+
+    return h.tape._record(out, "graph_conv", backward)
+
+
+def _trunk_leaf(tape, h):
+    """h as the trunk hands it to a residual unit, in the tape's
+    conv_dtype: a node with no closure, whose gradient outlives the sweep
+    as a leaf's does."""
+    return tape._record(np.array(h, dtype=tape.conv_dtype), "h")
+
+
+def test_graph_conv_matches_definition():
+    # Both graph-conv nodes on a float64 tape: the lift at a widening and a
+    # narrowing width, and the residual unit.
+    rng = np.random.default_rng(4)
+    n, B = 4, 3
+    N1, N2 = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+    I = np.eye(n)
+    h = rng.normal(size=(B * n, 5))
+    cases = [
+        ([I, N1, N2], [rng.normal(size=(5, 6)) for _ in range(3)]),
+        ([I], [rng.normal(size=(5, 2))]),          # identity only
+        ([N1, N2], [rng.normal(size=(5, 6)) for _ in range(2)]),  # no identity
+        ([I, N1, N2], [rng.normal(size=(5, 5)) for _ in range(3)]),
+        ([N1, N2], [rng.normal(size=(5, 5)) for _ in range(2)]),
+    ]
+    for kernels, ws in cases:
+        ops = [(ad.graph_conv_relu, _lift_reference)]
+        if ws[0].shape[1] == 5:
+            ops.append((ad.residual_graph_conv, _residual_reference))
+        for op, reference in ops:
+            tape = ad.Tape()
+            W = [tape.leaf(w) for w in ws]
+            out = op(tape.leaf(h), ad.KernelStack(kernels), W)
+            assert out.op == op.__name__ and len(tape) == 1 + len(W) + 1
+            assert np.allclose(out.data, reference(h, kernels, ws, n)[0],
+                               rtol=1e-13, atol=1e-13)
+
+
+# float32 products of length L are off by about L units of float32
+# epsilon (1.2e-7) of their largest term; 1e-5 of the largest entry leaves
+# headroom over the sums of at most 3 kernels x 6 channels below.
+F32_TOL = 1e-5
+
+
+def _assert_matches_reference(tape, op, h, kernels, ws, n, tol):
+    """op's value, d/dh and weight gradients on tape within tol of the
+    largest entry of their references from the definition. The lift takes
+    h as a float64 leaf, the residual unit in the tape's conv_dtype."""
+    reference = (_lift_reference if op is ad.graph_conv_relu
+                 else _residual_reference)
+    hv = tape.leaf(h) if op is ad.graph_conv_relu else _trunk_leaf(tape, h)
+    W = [tape.leaf(w) for w in ws]
+    out = op(hv, ad.KernelStack(kernels), W)
+    assert out.data.dtype == tape.conv_dtype
+    want, dh, dws = reference(hv.data.astype(np.float64), kernels, ws, n)
+    tape.backward(ad.reduce_sum(ad.norm_rows(out)))
+    for got, ref in [(out.data, want), (hv.grad, dh)] + [
+            (Wv.grad, dw) for Wv, dw in zip(W, dws)]:
+        err = np.abs(got - ref).max()
+        assert err <= tol * np.abs(ref).max(), err
+    assert {Wv.grad.dtype for Wv in W} == {np.dtype(np.float64)}
+    return out
+
+
 def test_graph_conv_float32_tape_matches_definition():
     rng = np.random.default_rng(4)
     n, B = 4, 3
@@ -200,64 +315,47 @@ def test_graph_conv_float32_tape_matches_definition():
     I = np.eye(n)
     h6 = rng.normal(size=(B * n, 6))
     cases = [
-        ([I, N1, N2], [rng.normal(size=(5, 6)) for _ in range(3)]),
-        ([I], [rng.normal(size=(5, 2))]),          # identity only
-        ([N1, N2], [rng.normal(size=(5, 6)) for _ in range(2)]),  # no identity
-        # Multiply-first (C_in >= C_out) with non-symmetric kernels, where
+        (ad.graph_conv_relu, [I, N1, N2], [rng.normal(size=(5, 6))
+                                           for _ in range(3)]),
+        (ad.graph_conv_relu, [I], [rng.normal(size=(5, 2))]),
+        (ad.graph_conv_relu, [N1, N2], [rng.normal(size=(5, 6))
+                                        for _ in range(2)]),
+        (ad.graph_conv_relu, [I, N1, N2], [rng.normal(size=(6, 5))
+                                           for _ in range(3)]),
+        # The residual unit multiplies first: with non-symmetric kernels,
         # mixing by N_k^T in place of N_k would show.
-        ([I, N1, N2], [rng.normal(size=(6, 5)) for _ in range(3)]),
-        ([N1, N2], [rng.normal(size=(5, 5)) for _ in range(2)]),
+        (ad.residual_graph_conv, [I, N1, N2], [rng.normal(size=(6, 6))
+                                               for _ in range(3)]),
+        (ad.residual_graph_conv, [N1, N2], [rng.normal(size=(5, 5))
+                                            for _ in range(2)]),
     ]
-
-    def close(got, want, dtype=np.float64):
-        assert got.dtype == dtype
-        err = np.abs(got - want).max()
-        assert err <= F32_TOL * np.abs(want).max(), err
-
-    for kernels, ws in cases:
+    for op, kernels, ws in cases:
         h = h6[:, :ws[0].shape[0]]
-        tape = ad.Tape(conv_dtype=np.float32)
-        hv = tape.leaf(h)
-        W = [tape.leaf(w) for w in ws]
-        out = ad.graph_conv(hv, ad.KernelStack(kernels), W)
-        want = _graph_conv_reference(h, kernels, ws, n)
-        close(out.data, want, np.float32)
+        out = _assert_matches_reference(ad.Tape(conv_dtype=np.float32), op,
+                                        h, kernels, ws, n, F32_TOL)
         # Rounded in float32, so not the float64 result bit for bit.
-        assert not np.array_equal(out.data, want)
-        # sum of row norms: a full-rank upstream gradient out / |out|.
-        tape.backward(ad.reduce_sum(ad.norm_rows(out)))
-        g = want / np.linalg.norm(want, axis=1, keepdims=True)
-        dh, dws = _graph_conv_reference_grads(h, kernels, ws, n, g)
-        close(hv.grad, dh)
-        for Wv, dw in zip(W, dws):
-            close(Wv.grad, dw)
+        want = _assert_matches_reference(ad.Tape(), op, h, kernels, ws, n,
+                                         1e-12)
+        assert not np.array_equal(out.data, want.data)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_widening_graph_conv_mixes_first_and_matches_definition(dtype):
-    # C_in < C_out (the 3 -> C lift) mixes the narrow input before one
-    # GEMM over the stacked weights; values and both gradients still match
-    # the per-block definition, to rounding on a float64 tape.
+    # The 3 -> C lift mixes the 3-channel input before one GEMM over the
+    # stacked weights at every width, C <= 3 included; values and both
+    # gradients match the per-block definition, to rounding on a float64
+    # tape.
     rng = np.random.default_rng(9)
-    n, B, C_in, C_out = 4, 3, 3, 8
+    n, B, C_in = 4, 3, 3
     N1, N2 = rng.normal(size=(n, n)), rng.normal(size=(n, n))
     h = rng.normal(size=(B * n, C_in))
     tol = 1e-12 if dtype == np.float64 else F32_TOL
-    for kernels in ([np.eye(n), N1, N2], [N1, N2], [np.eye(n)]):
-        ws = [rng.normal(size=(C_in, C_out)) for _ in kernels]
-        tape = ad.Tape(conv_dtype=dtype)
-        hv = tape.leaf(h)
-        W = [tape.leaf(w) for w in ws]
-        out = ad.graph_conv(hv, ad.KernelStack(kernels), W)
-        assert out.data.dtype == dtype
-        want = _graph_conv_reference(h, kernels, ws, n)
-        tape.backward(ad.reduce_sum(ad.norm_rows(out)))
-        g = want / np.linalg.norm(want, axis=1, keepdims=True)
-        dh, dws = _graph_conv_reference_grads(h, kernels, ws, n, g)
-        for got, ref in [(out.data, want), (hv.grad, dh)] + [
-                (Wv.grad, dw) for Wv, dw in zip(W, dws)]:
-            err = np.abs(got - ref).max()
-            assert err <= tol * np.abs(ref).max(), err
+    for C_out in (2, 3, 8):
+        for kernels in ([np.eye(n), N1, N2], [N1, N2], [np.eye(n)]):
+            ws = [rng.normal(size=(C_in, C_out)) for _ in kernels]
+            _assert_matches_reference(ad.Tape(conv_dtype=dtype),
+                                      ad.graph_conv_relu, h, kernels, ws, n,
+                                      tol)
 
 
 def test_tape_keeps_conv_dtype_values_and_grads_in_it():
@@ -272,7 +370,8 @@ def test_tape_keeps_conv_dtype_values_and_grads_in_it():
     assert tape.leaf(f32).data.dtype == np.float64
     v = tape._record(f32, "x")
     assert v.grad.dtype == np.float32
-    a = ad.relu(v)
+    a = ad.residual_graph_conv(v, ad.KernelStack([np.eye(2)]),
+                               [tape.leaf(np.eye(2))])
     b = ad.block_left_matmul(np.eye(2), a)
     assert a.data.dtype == b.data.dtype == np.float32
     # numpy promotion takes a float32 Value back to float64.
@@ -297,17 +396,17 @@ def test_graph_conv_shape_errors():
     one, two = ad.KernelStack([N]), ad.KernelStack([N, N])
     W = tape.leaf(np.ones((3, 2)))
     with pytest.raises(ShapeMismatch, match="not divisible"):
-        ad.graph_conv(h, ad.KernelStack([np.eye(3)]), [W])
+        ad.graph_conv_relu(h, ad.KernelStack([np.eye(3)]), [W])
     with pytest.raises(ShapeMismatch, match="2 kernels, 1 weights"):
-        ad.graph_conv(h, two, [W])
+        ad.graph_conv_relu(h, two, [W])
     with pytest.raises(ShapeMismatch, match="1 kernels, 0 weights"):
-        ad.graph_conv(h, one, [])
+        ad.graph_conv_relu(h, one, [])
     with pytest.raises(ShapeMismatch, match="weight"):
-        ad.graph_conv(h, one, [tape.leaf(np.ones((2, 2)))])
+        ad.graph_conv_relu(h, one, [tape.leaf(np.ones((2, 2)))])
     with pytest.raises(ShapeMismatch, match="weight"):
-        ad.graph_conv(h, two, [W, tape.leaf(np.ones((3, 5)))])
+        ad.graph_conv_relu(h, two, [W, tape.leaf(np.ones((3, 5)))])
     with pytest.raises(ValueError, match="different tapes"):
-        ad.graph_conv(h, one, [ad.Tape().leaf(np.ones((3, 2)))])
+        ad.graph_conv_relu(h, one, [ad.Tape().leaf(np.ones((3, 2)))])
     # A stack is checked once, when it is built: at least one kernel, each
     # square, all of one size.
     for kernels, match in (([], "0 kernels"),
@@ -330,6 +429,11 @@ def _residual_cases(rng, n, C):
              [rng.normal(size=(C, C)) for _ in range(2)])]
 
 
+def _residual_composite(x, stack, W):
+    """add(x, graph_conv(relu(x))) on three nodes."""
+    return ad.add(x, _graph_conv(_relu(x), stack, W, mix_first=False))
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_residual_graph_conv_is_the_composite_bit_for_bit(dtype):
     # add(h, graph_conv(relu(h))) on three nodes, the same arithmetic on one;
@@ -343,18 +447,18 @@ def test_residual_graph_conv_is_the_composite_bit_for_bit(dtype):
         grads = []
         for fused in (False, True):
             tape = ad.Tape(conv_dtype=dtype)
-            hv = tape.leaf(h)
+            hv = _trunk_leaf(tape, h)
             W = [tape.leaf(w) for w in ws]
             if fused:
                 out = ad.residual_graph_conv(hv, stack, W)
                 assert out.op == "residual_graph_conv"
                 assert len(tape) == 1 + len(W) + 1
             else:
-                out = ad.add(hv, ad.graph_conv(ad.relu(hv), stack, W))
+                out = _residual_composite(hv, stack, W)
             tape.backward(ad.reduce_sum(ad.norm_rows(out)))
             grads.append([out.data, hv.grad] + [w.grad for w in W])
         for got, want in zip(grads[1], grads[0]):
-            assert got.dtype == np.float64
+            assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
 
@@ -365,31 +469,27 @@ def _mixing_loss(out):
     return ad.reduce_sum(ad.norm_rows(ad.affine_rows(out, M, np.ones(3))))
 
 
-def _fused_and_composite(monkeypatch, dtype, h, n, through_conv, fused,
-                         composite, n_weights, C_out):
+def _fused_and_composite(dtype, h, n, through_conv, fused, composite,
+                         n_weights, C_out):
     """Values and gradients, each as [out, d/dh, d/dW_1, ...], of one
-    fused op, of its multi-node composite at the same tile size, and of
-    the composite with one tile for every row, the arithmetic of an
-    untiled graph conv.
+    fused op and of its multi-node composite.
 
-    With through_conv, h reaches the op as a conv_dtype node (the trunk's
-    case) rather than as a float64 leaf."""
+    h is a conv_dtype node with no closure (_trunk_leaf); with
+    through_conv it reaches the op through an identity graph conv, a node
+    with a closure, as in the trunk."""
     rng = np.random.default_rng(31)
     C = h.shape[1]
     ws = [rng.normal(size=(C, C_out)) / C for _ in range(n_weights)]
     results = []
-    for op, tile_rows in ((fused, ad.TILE_ROWS), (composite, ad.TILE_ROWS),
-                          (composite, 10 ** 9)):
-        with monkeypatch.context() as m:
-            m.setattr(ad, "TILE_ROWS", tile_rows)
-            tape = ad.Tape(conv_dtype=dtype)
-            hv = tape.leaf(h)
-            x = (ad.graph_conv(hv, ad.KernelStack([np.eye(n)]),
-                               [tape.leaf(np.eye(C))])
-                 if through_conv else hv)
-            W = [tape.leaf(w) for w in ws]
-            out = op(x, W)
-            tape.backward(_mixing_loss(out))
+    for op in (fused, composite):
+        tape = ad.Tape(conv_dtype=dtype)
+        hv = _trunk_leaf(tape, h)
+        x = (_graph_conv(hv, ad.KernelStack([np.eye(n)]),
+                         [tape.leaf(np.eye(C))], mix_first=False)
+             if through_conv else hv)
+        W = [tape.leaf(w) for w in ws]
+        out = op(x, W)
+        tape.backward(_mixing_loss(out))
         results.append([out.data, hv.grad] + [w.grad for w in W])
     return results
 
@@ -401,13 +501,13 @@ TILED_WEIGHT_GRAD_TOL = {np.float64: 4e-15, np.float32: 2e-6}
 
 
 # B=1100 samples of n=4 rows span three forward tiles of 367, 367 and 366
-# samples, the last one short, and more, smaller backward tiles; B=1 is
-# one tile of one sample.
+# samples with one kernel, the last one short, and more, smaller tiles
+# with more kernels; B=1 is one tile of one sample.
 @pytest.mark.parametrize("B", [1100, 1])
 @pytest.mark.parametrize("through_conv", [False, True])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_fused_units_match_their_composites_bit_for_bit(monkeypatch, B,
-                                                       through_conv, dtype):
+def test_fused_units_match_their_composites_bit_for_bit(B, through_conv,
+                                                       dtype):
     n, C = 4, 32
     per_tile = ad.TILE_ROWS // n
     if B > 1:
@@ -421,28 +521,27 @@ def test_fused_units_match_their_composites_bit_for_bit(monkeypatch, B,
     cases = [
         # the tiled residual unit, three kernel layouts
         *[(lambda x, W, ks=ks: ad.residual_graph_conv(x, ks, W),
-           lambda x, W, ks=ks: ad.add(x, ad.graph_conv(ad.relu(x), ks, W)),
+           lambda x, W, ks=ks: _residual_composite(x, ks, W),
            ks.K, C) for ks in (mixed, ad.KernelStack([np.eye(n)]),
                                ad.KernelStack([N1, N2]))],
-        # the fused lift, widening (mix-first) and width-preserving (tiled)
+        # the lift, widening and width-preserving
         *[(lambda x, W: ad.graph_conv_relu(x, mixed, W),
-           lambda x, W: ad.relu(ad.graph_conv(x, mixed, W)),
+           lambda x, W: _relu(_graph_conv(x, mixed, W, mix_first=True)),
            3, c_out) for c_out in (2 * C, C)],
     ]
     for fused, composite, n_weights, c_out in cases:
-        got, tiled, untiled = _fused_and_composite(
-            monkeypatch, dtype, h, n, through_conv, fused, composite,
-            n_weights, c_out)
-        for g, w in zip(got, tiled):
+        got, want = _fused_and_composite(dtype, h, n, through_conv, fused,
+                                         composite, n_weights, c_out)
+        for g, w in zip(got, want):
             assert g.dtype == w.dtype
+        # Values and input gradients do not depend on a residual unit's
+        # tiles; its weight gradients are sums over them.
+        for g, w in zip(got[:2], want[:2]):
             assert np.array_equal(g, w)
-        # Values and input gradients do not depend on the tiling; weight
-        # gradients are sums over the tiles.
-        for g, w in zip(got[:2], untiled[:2]):
-            assert np.array_equal(g, w)
-        for g, w in zip(got[2:], untiled[2:]):
+        for g, w in zip(got[2:], want[2:]):
             err = np.abs(g - w).max() / np.abs(w).max()
             assert err <= TILED_WEIGHT_GRAD_TOL[dtype], err
+            assert B > 1 or np.array_equal(g, w)
 
     # The fused unpool and skip add: M maps n rows to r of every block.
     r = 6
@@ -452,8 +551,8 @@ def test_fused_units_match_their_composites_bit_for_bit(monkeypatch, B,
     for fused in (True, False):
         tape = ad.Tape(conv_dtype=dtype)
         hv, sv = tape.leaf(h), tape.leaf(skip)
-        x = (ad.graph_conv(hv, ad.KernelStack([np.eye(n)]),
-                           [tape.leaf(np.eye(C))])
+        x = (_graph_conv(hv, ad.KernelStack([np.eye(n)]),
+                         [tape.leaf(np.eye(C))], mix_first=False)
              if through_conv else hv)
         out = (ad.block_left_matmul_add(M, x, sv) if fused
                else ad.add(ad.block_left_matmul(M, x), sv))
@@ -502,25 +601,26 @@ def _grad_of_h_with_a_second_consumer(dtype, leaf_h, unit_first, fused):
     """[d/dx, every surviving gradient] for h feeding a residual unit and
     a skip add (as e0 and e1 feed a pool and a decoder's unpool-add).
 
-    h is the leaf x itself, or an identity conv of x (a conv_dtype node,
-    whose gradient reaches x unchanged). With unit_first the residual unit
-    is recorded last, so the sweep reaches it before the skip add and h
-    has no gradient buffer yet; otherwise the skip add has made one."""
+    h is x itself, a conv_dtype node with no closure (_trunk_leaf), or an
+    identity conv of x (a node with a closure, whose gradient reaches x
+    unchanged). With unit_first the residual unit is recorded last, so
+    the sweep reaches it before the skip add and h has no gradient buffer
+    yet; otherwise the skip add has made one."""
     rng = np.random.default_rng(33)
     n, B, C = 4, 5, 6
     N = rng.normal(size=(n, n))
     stack = ad.KernelStack([np.eye(n), N])
     tape = ad.Tape(conv_dtype=dtype)
-    x = tape.leaf(rng.normal(size=(B * n, C)))
+    x = _trunk_leaf(tape, rng.normal(size=(B * n, C)))
     y = tape.leaf(rng.normal(size=(B * n, C)))
     W = [tape.leaf(rng.normal(size=(C, C))) for _ in range(2)]
-    h = x if leaf_h else ad.graph_conv(x, ad.KernelStack([np.eye(n)]),
-                                       [tape.leaf(np.eye(C))])
+    h = x if leaf_h else _graph_conv(x, ad.KernelStack([np.eye(n)]),
+                                     [tape.leaf(np.eye(C))], mix_first=False)
 
     def unit():
         if fused:
             return ad.residual_graph_conv(h, stack, W)
-        return ad.add(h, ad.graph_conv(ad.relu(h), stack, W))
+        return _residual_composite(h, stack, W)
 
     if unit_first:
         skip = ad.block_left_matmul_add(N, y, h)
@@ -561,6 +661,18 @@ def test_residual_graph_conv_shape_errors():
     with pytest.raises(ShapeMismatch, match="residual_graph_conv"):
         ad.residual_graph_conv(h, ad.KernelStack([np.eye(3)]),
                                [tape.leaf(np.ones((3, 3)))])
+
+
+def test_residual_graph_conv_refuses_an_input_off_the_conv_dtype():
+    # The trunk hands each residual unit a conv_dtype input. A float64
+    # leaf on a float32 tape is refused, not cast, and nothing is recorded.
+    tape = ad.Tape(conv_dtype=np.float32)
+    h = tape.leaf(np.ones((8, 3)))
+    W = tape.leaf(np.eye(3))
+    with pytest.raises(ValueError, match="residual_graph_conv: input is "
+                       "float64, but the tape's conv_dtype is float32"):
+        ad.residual_graph_conv(h, ad.KernelStack([np.eye(4)]), [W])
+    assert len(tape) == 2
 
 
 def test_slice_blocks_selects_rows_of_every_block():
@@ -612,7 +724,7 @@ def test_grad_arith_ops():
 def test_grad_nonlinear_ops():
     rng = np.random.default_rng(11)
     a = rng.normal(size=(5, 4)) + 0.1   # keep relu away from the kink
-    _check(lambda t, p: ad.reduce_sum(ad.relu(p[0])), [a])
+    _check(lambda t, p: ad.reduce_sum(_identity_lift(p[0])), [a])
     _check(lambda t, p: ad.reduce_sum(ad.norm_rows(p[0])), [a])
 
 
@@ -648,20 +760,20 @@ def test_grad_graph_conv():
         ws = [rng.normal(size=(c_in, c_out)) for _ in kernels]
         stack = ad.KernelStack(kernels)
         _check(lambda t, p: ad.reduce_sum(ad.norm_rows(
-            ad.graph_conv(p[0], stack, p[1:]))), [x] + ws)
+            ad.graph_conv_relu(p[0], stack, p[1:]))), [x] + ws)
 
     check([I, N[0], N[1], N[2]], 5, 6)      # identity plus mixing kernels
     check([I], 5, 6)                        # identity only
     check([I, N[0], N[1]], 3, 6)            # a C_in=3 -> C_out lift
+    check([I, N[0], N[1]], 3, 2)            # and a narrowing one
     check([I, N[0], N[2]], 5, 6)            # one class masked
-    # Multiply-first (C_in >= C_out) with non-symmetric kernels.
     check([I, N[0], N[1]], 6, 5)
     check([N[1], N[2]], 5, 5)
     # h also feeds a matmul and one weight serves two kernels: both
     # gradients accumulate onto what is already there.
     _check(lambda t, p: ad.reduce_sum(ad.norm_rows(ad.add(
         ad.matmul(p[0], p[2]),
-        ad.graph_conv(p[0], ad.KernelStack([I, N[0]]), [p[1], p[1]])))),
+        ad.graph_conv_relu(p[0], ad.KernelStack([I, N[0]]), [p[1], p[1]])))),
         [h[:, :5], rng.normal(size=(5, 6)), rng.normal(size=(5, 6))])
 
 
@@ -698,7 +810,7 @@ def test_grad_composite_expression():
     w2 = rng.normal(size=(8, 3))
 
     def build(t, p):
-        h = ad.relu(ad.matmul(ad.block_left_matmul(N, p[0]), p[1]))
+        h = ad.graph_conv_relu(p[0], ad.KernelStack([N]), [p[1]])
         delta = ad.matmul(h, p[2])
         return ad.reduce_sum(ad.norm_rows(ad.add(p[0], delta)))
 
@@ -721,7 +833,7 @@ def test_grad_check_reports_structure():
 def test_release_frees_graph_but_keeps_held_values():
     tape = ad.Tape()
     a = tape.leaf(np.ones((2, 2)))
-    b = ad.relu(ad.add(a, a))
+    b = _relu(ad.add(a, a))
     loss = ad.reduce_sum(b)
     tape.backward(loss)
     grad = a.grad.copy()
@@ -750,7 +862,7 @@ def _swept_chain():
     tape = ad.Tape()
     a = tape.leaf(np.ones((3, 2)))
     w = tape.leaf(np.full((2, 2), 0.5))
-    mid = ad.relu(ad.matmul(a, w))
+    mid = _relu(ad.matmul(a, w))
     loss = ad.reduce_sum(ad.norm_rows(ad.add(mid, a)))
     tape.backward(loss)
     return tape, [a, w], [mid, loss]
@@ -773,7 +885,7 @@ def test_backward_keeps_leaves_and_their_gradients():
 def test_backward_frees_interior_values_nobody_holds():
     tape = ad.Tape()
     a = tape.leaf(np.ones((4, 4)))
-    mid = ad.relu(ad.matmul(a, a))
+    mid = _relu(ad.matmul(a, a))
     gone, gone_data = weakref.ref(mid), weakref.ref(mid.data)
     loss = ad.reduce_sum(mid)
     del mid

@@ -1,6 +1,7 @@
 """Refiner wiring: init, identity property, batching, masks, checkpoints."""
 
 import gc
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -237,6 +238,29 @@ def test_forward_gradients_against_finite_differences():
     assert report.ok, f"max rel err {report.max_rel_err:.2e}"
 
 
+def test_two_channel_network_refines_and_backpropagates():
+    # channels may be as small as 1; at C=2 the lift narrows 3 -> 2 and
+    # still mixes first. Both tapes refine, agree to float32 rounding, and
+    # hand every weight a finite gradient.
+    model = CVUGCN(default_topology(), small_config(channels=2))
+    rng = np.random.default_rng(41)
+    model.weights.arrays["head"] = rng.normal(0, 0.05, size=(2, 3))
+    x1, x2 = rand_coarse(rng, 3), rand_coarse(rng, 3)
+    refined = []
+    for conv_dtype in (np.float64, network.CONV_DTYPE):
+        tape = ad.Tape(conv_dtype=conv_dtype)
+        X1, X2, params = model.refine_batch(tape, x1, x2)
+        refined.append(np.vstack([X1.data, X2.data]))
+        tape.backward(ad.reduce_sum(ad.add(ad.norm_rows(X1),
+                                           ad.norm_rows(X2))))
+        for name, leaf in params.items():
+            assert np.isfinite(leaf.grad).all(), name
+        assert np.abs(params["sgcn.0.k1"].grad).max() > 0
+        tape.release()
+    assert np.abs(refined[0] - np.vstack([x1, x2])).max() > 1e-3
+    assert np.abs(refined[1] - refined[0]).max() <= 0.01
+
+
 def test_input_gradients_at_mm_scale_over_every_coordinate():
     # The coarse input sits near 3000 mm and the loss near 1e5: a step that
     # does not scale with the coordinate leaves mostly round-off in the
@@ -342,6 +366,50 @@ def test_float32_tape_keeps_the_trunk_in_float32():
         assert {v.grad.dtype for v in params.values()} == {F64}
         assert np.abs(params["sgcn.0.k1"].grad).max() > 0
         tape.release()
+
+
+# sha256 of a C=8 model's refined views and its 36 weight gradients, in
+# weight_shapes order, recorded when the graph conv still chose its product
+# order by width and kept a tiled path without a residual. Any rewrite of
+# the convolutions must keep these bits, or record why it moves them.
+NETWORK_DIGESTS = {
+    ("float64", 1): (
+        "d2fcb709716a066711f89f12e59ce577e0ec8e045a163b13389fb78ff0893f28"),
+    ("float64", 7): (
+        "3b511c67af2b3a1c53a4a197e76fbbb08351bc0f640d16737c1d4f3d602e9665"),
+    ("float32", 1): (
+        "86d8e0d3a14a9c2edc5da214eab22f812951ba11431ccfaea1b601a249f844ec"),
+    ("float32", 7): (
+        "4f2996bb4998846a9d828bc198fd52af8e517c181b989708c963588eb9a5a88a"),
+}
+
+
+@pytest.mark.parametrize("B", [1, 7])
+@pytest.mark.parametrize("conv_dtype", ["float64", "float32"])
+def test_forward_and_gradients_match_their_recorded_digest(monkeypatch,
+                                                           conv_dtype, B):
+    # TILE_ROWS = 340 splits the fused graph's residual units (n = 34
+    # nodes, K = 5 kernels) into tiles of 2 samples: B=7 spans 4 tiles, the
+    # last one short, and the other resolutions tile differently.
+    monkeypatch.setattr(ad, "TILE_ROWS", 340)
+    topo = default_topology()
+    model = CVUGCN(topo, small_config())
+    stack = model._level_convs[0][1]
+    per_tile = ad.TILE_ROWS // stack.K // stack.n
+    if B > 1:
+        tiles = -(-B // per_tile)
+        assert tiles >= 3 and B % tiles, "no ragged last tile"
+    rng = np.random.default_rng(40)
+    model.weights.arrays["head"] = rng.normal(0, 0.05, size=(8, 3))
+    x1, x2 = rand_coarse(rng, B), rand_coarse(rng, B)
+    tape = ad.Tape(conv_dtype=np.dtype(conv_dtype))
+    X1, X2, params = model.refine_batch(tape, x1, x2)
+    tape.backward(ad.reduce_sum(ad.add(ad.norm_rows(X1), ad.norm_rows(X2))))
+    digest = hashlib.sha256()
+    for arr in [X1.data, X2.data] + [params[name].grad for name, _
+                                     in weight_shapes(model.config)]:
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == NETWORK_DIGESTS[conv_dtype, B]
 
 
 def _tape_units(conv_dtype, B, C=32):
