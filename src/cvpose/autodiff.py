@@ -38,8 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveDepth, NotScalar, ShapeMismatch
-
-DEPTH_EPS = 1e-6   # mm, same guard as the projection in geometry
+from .geometry import DEPTH_EPS
 
 
 class Value:

@@ -33,7 +33,7 @@ from .errors import (
 from .files import atomic_write, read_records
 
 # Numerical guards, all in the units of the quantity they test.
-DEPTH_EPS = 1e-6          # mm, minimum positive depth for projection
+DEPTH_EPS = 1e-6          # mm, least depth to project; autodiff's guard too
 BASELINE_EPS = 1e-6       # mm, minimum camera separation for triangulation
 SIGMA_GAP_EPS = 1e-12     # relative gap between the two smallest singular values
 JACOBI_TOL = 1e-15        # column cosine at or below which Jacobi skips a pair

@@ -202,8 +202,9 @@ def build_multi_view_kernels(topo: SkeletonTopology) -> AdjacencyKernelSet:
 def default_pool_groups(topo: SkeletonTopology):
     """Body-part grouping used by the first pooling stage.
 
-    Defined for the default 17-joint skeleton; custom topologies must pass
-    their own groups to build_graph_levels.
+    Defined for the default 17-joint skeleton only: a custom topology has
+    no pooling groups, so build_graph_levels, and with it the U-shaped
+    network, refuses it with NoPoolGroups.
     """
     expected = default_topology()
     if (topo.joint_names != expected.joint_names
@@ -222,14 +223,7 @@ def default_pool_groups(topo: SkeletonTopology):
 def _group_kernels(topo, groups):
     """Kernel set over per-view group nodes, derived from the joint graph."""
     G = len(groups)
-    member = {}
-    for g, (_, joints) in enumerate(groups):
-        for j in joints:
-            if j in member:
-                raise ValueError(f"joint {j} in more than one group")
-            member[j] = g
-    if len(member) != topo.n_joints:
-        raise ValueError("groups must partition the joints")
+    member = {j: g for g, (_, joints) in enumerate(groups) for j in joints}
 
     k1_pairs = set()
     for p, c in topo.bones:
@@ -292,9 +286,9 @@ def _unpool(membership, n_coarse):
     return U
 
 
-def build_graph_levels(topo: SkeletonTopology, groups=None) -> GraphLevels:
-    if groups is None:
-        groups = default_pool_groups(topo)
+def build_graph_levels(topo: SkeletonTopology) -> GraphLevels:
+    """The three levels of `topo`, pooled by default_pool_groups."""
+    groups = default_pool_groups(topo)
     J = topo.n_joints
     G = len(groups)
     level0 = build_multi_view_kernels(topo)

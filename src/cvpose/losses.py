@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ShapeMismatch
-from .geometry import CameraModel, RigidTransform
+from .geometry import DEPTH_EPS, CameraModel, RigidTransform
 
 
 # Weight of each term in total_loss, in the order it sums them.
@@ -47,7 +47,7 @@ def behind_camera(X, cam: CameraModel, n_joints):
     NonPositiveDepth on it. NaN depths do not count: they reach the loss.
     """
     z = (X.data @ np.asarray(cam.K.T, dtype=np.float64))[:, 2]
-    return (z <= ad.DEPTH_EPS).reshape(-1, n_joints).any(axis=1)
+    return (z <= DEPTH_EPS).reshape(-1, n_joints).any(axis=1)
 
 
 def reprojection_loss(X1, X2, y1, y2, cam1: CameraModel, cam2: CameraModel):

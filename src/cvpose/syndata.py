@@ -10,6 +10,14 @@ imperfect calibration.
 World and camera frames share orientation conventions (y grows downward),
 so the template's head points toward negative y.
 
+The recipe is fixed: the rig's cameras stand RIG_DISTANCE_MM from the
+origin with FOCAL_PX focal length and IMAGE_WIDTH_PX x IMAGE_HEIGHT_PX
+images, poses are placed in the box of half extents WORKSPACE_MM, yawed
+by up to ROOT_YAW_DEG either way, with each joint bent by up to its
+ANGLE_RANGES_DEG limit, and a sample gets MAX_RESAMPLE attempts at a
+fully visible pose. SyntheticConfig holds only what callers vary: the
+size, seed, noise, miscalibration and ground truth of a set.
+
 Sample i of a dataset draws from its own generator, default_rng((seed, i)),
 always in this order. Each attempt at its pose draws the root position
 (uniform over the workspace box, 3 values), the root yaw (uniform, in
@@ -49,24 +57,38 @@ import numpy as np
 from .errors import (CvposeError, MissingField, PoseOutOfView, SchemaError,
                      ShapeMismatch, UnknownCamera)
 from .files import atomic_write, read_records
-from .geometry import CameraModel, Pose3D
-from .graph import SkeletonTopology, default_topology
+from .geometry import CameraModel
+from .graph import default_topology
 
 MIN_DEPTH_MM = 100.0
 RIG_SEED_SALT = 999983
 
+# The fixed recipe (see the module docstring); WORKSPACE_MM holds the half
+# extents of the box about the origin.
+RIG_DISTANCE_MM = 3000.0
+FOCAL_PX = 1146.0
+IMAGE_WIDTH_PX = 1000
+IMAGE_HEIGHT_PX = 1000
+WORKSPACE_MM = (300.0, 200.0, 300.0)
+ROOT_YAW_DEG = 180.0
+MAX_RESAMPLE = 50
+
+# The recipe's former SyntheticConfig fields at their one values, as
+# manifests list them (angle_scale scaled every joint limit by 1).
+RETIRED_SYNTH_SETTINGS = {
+    "workspace_mm": WORKSPACE_MM, "angle_scale": 1.0,
+    "root_yaw_deg": ROOT_YAW_DEG, "max_resample": MAX_RESAMPLE}
+
 
 @dataclass
 class SyntheticConfig:
+    """What a synthetic set varies; the rest of the recipe is the module's
+    constants (see the module docstring)."""
     n_samples: int = 1000
     seed: int = 0
     sigma_px: float = 0.0
     perturb_rot_deg: float = 0.0
     perturb_trans_mm: float = 0.0
-    workspace_mm: tuple = (300.0, 200.0, 300.0)   # half extents about the origin
-    angle_scale: float = 1.0
-    root_yaw_deg: float = 180.0
-    max_resample: int = 50
     include_gt: bool = True
 
 
@@ -137,9 +159,9 @@ def _look_at(center, target):
     return np.stack([x, y, z])
 
 
-def default_rig(n_cameras=2, distance_mm=3000.0, separation_deg=60.0,
-                focal_px=1146.0, width=1000, height=1000):
-    """Cameras on a horizontal circle about the origin, all aimed at it.
+def default_rig(n_cameras=2, separation_deg=60.0):
+    """Cameras on a horizontal circle of radius RIG_DISTANCE_MM about the
+    origin, all aimed at it.
 
     Camera angles are centred: with two cameras and 60 degree separation
     they sit at -30 and +30 degrees.
@@ -147,13 +169,14 @@ def default_rig(n_cameras=2, distance_mm=3000.0, separation_deg=60.0,
     cams = []
     for i in range(n_cameras):
         ang = math.radians((i - (n_cameras - 1) / 2.0) * separation_deg)
-        center = np.array([distance_mm * math.sin(ang), 0.0,
-                           -distance_mm * math.cos(ang)])
+        center = np.array([RIG_DISTANCE_MM * math.sin(ang), 0.0,
+                           -RIG_DISTANCE_MM * math.cos(ang)])
         R = _look_at(center, np.zeros(3))
-        K = np.array([[focal_px, 0.0, width / 2.0],
-                      [0.0, focal_px, height / 2.0],
+        K = np.array([[FOCAL_PX, 0.0, IMAGE_WIDTH_PX / 2.0],
+                      [0.0, FOCAL_PX, IMAGE_HEIGHT_PX / 2.0],
                       [0.0, 0.0, 1.0]])
-        cams.append(CameraModel(f"cam{i + 1}", K, R, -R @ center, width, height))
+        cams.append(CameraModel(f"cam{i + 1}", K, R, -R @ center,
+                                IMAGE_WIDTH_PX, IMAGE_HEIGHT_PX))
     return cams
 
 
@@ -172,14 +195,14 @@ def perturb_rig(cameras, rot_deg, trans_mm, rng):
     return out
 
 
-def _draw_attempts(rngs, n_joints, workspace_mm, root_yaw_deg):
+def _draw_attempts(rngs, n_joints):
     """One pose attempt from each generator, in the module's draw order.
 
     Returns the root positions (m, 3), the root yaws in degrees (m,), and
     for the non-root joints in index order the axes (m, J - 1, 3) and the
     angle fractions in [-1, 1) (m, J - 1).
     """
-    half = np.asarray(workspace_mm, dtype=np.float64)
+    half = np.asarray(WORKSPACE_MM, dtype=np.float64)
     m = len(rngs)
     root = np.empty((m, 3))
     yaw = np.empty(m)
@@ -187,7 +210,7 @@ def _draw_attempts(rngs, n_joints, workspace_mm, root_yaw_deg):
     frac = np.empty((m, n_joints - 1))
     for i, rng in enumerate(rngs):
         root[i] = rng.uniform(-half, half)
-        yaw[i] = rng.uniform(-root_yaw_deg, root_yaw_deg)
+        yaw[i] = rng.uniform(-ROOT_YAW_DEG, ROOT_YAW_DEG)
         for k, axis in enumerate(axes[i]):
             rng.standard_normal(out=axis)
             frac[i, k] = rng.random()
@@ -196,7 +219,7 @@ def _draw_attempts(rngs, n_joints, workspace_mm, root_yaw_deg):
     return root, yaw, axes, 2.0 * frac - 1.0
 
 
-def _forward_kinematics(topo, root, yaw_deg, axes, frac, angle_scale):
+def _forward_kinematics(topo, root, yaw_deg, axes, frac):
     """World-frame joints (m, J, 3) of the m attempts `_draw_attempts`
     returned: rotations compose from the root down, one (m, 3, 3) stack
     per joint, so every parent must be the root or precede its child."""
@@ -207,7 +230,7 @@ def _forward_kinematics(topo, root, yaw_deg, axes, frac, angle_scale):
         raise ShapeMismatch("template does not match the topology")
     m = len(root)
     others = [j for j in range(J) if j != topo.root]
-    angles = np.radians(angle_scale * ANGLE_RANGES_DEG[others]) * frac
+    angles = np.radians(ANGLE_RANGES_DEG[others]) * frac
     bend = _axis_angle(axes.reshape(-1, 3),
                        angles.reshape(-1)).reshape(m, J - 1, 3, 3)
     yaw = np.radians(yaw_deg)
@@ -224,16 +247,6 @@ def _forward_kinematics(topo, root, yaw_deg, axes, frac, angle_scale):
         rot[:, j] = rot[:, parent] @ bend[:, k]
         pos[:, j] = pos[:, parent] + rot[:, j] @ REST_OFFSETS_MM[j]
     return pos
-
-
-def generate_skeleton_pose(topo: SkeletonTopology, rng, angle_scale=1.0,
-                           workspace_mm=(300.0, 200.0, 300.0),
-                           root_yaw_deg=180.0) -> Pose3D:
-    """One world-frame pose by forward kinematics, drawn from `rng` as one
-    attempt of `generate_dataset` is (order in the module docstring)."""
-    draws = _draw_attempts([rng], topo.n_joints, workspace_mm, root_yaw_deg)
-    return Pose3D(_forward_kinematics(topo, *draws, angle_scale)[0],
-                  frame_id="world")
 
 
 @dataclass
@@ -268,7 +281,7 @@ def generate_dataset(config: SyntheticConfig, topo=None, cameras=None, pairs=Non
     Sample i draws from its own generator, default_rng((seed, i)), in the
     order the module docstring gives, and takes camera pair i % len(pairs).
     Pose sampling retries until the skeleton is fully visible in both views
-    of its pair, up to max_resample attempts, then raises PoseOutOfView
+    of its pair, up to MAX_RESAMPLE attempts, then raises PoseOutOfView
     naming the sample. The attempts run in rounds: each round draws one
     attempt for every sample still pending, in index order, and runs
     forward kinematics, the camera transforms, the projections and the
@@ -276,8 +289,9 @@ def generate_dataset(config: SyntheticConfig, topo=None, cameras=None, pairs=Non
     other sample, so the dataset is reproducible record by record: the
     first k samples of any larger set are the k-sample set. Samples with
     no pair to take (pairs=[], or the default pairs of a one-camera rig)
-    raise CvposeError, and a pair naming a camera not in `cameras` raises
-    UnknownCamera.
+    raise CvposeError, a pair naming a camera not in `cameras` raises
+    UnknownCamera, and a pair naming one camera twice raises CvposeError;
+    pairs are checked before anything is drawn.
     """
     topo = topo or default_topology()
     cameras = cameras if cameras is not None else default_rig()
@@ -288,6 +302,8 @@ def generate_dataset(config: SyntheticConfig, topo=None, cameras=None, pairs=Non
     for a, b in pairs:
         if a not in by_id or b not in by_id:
             raise UnknownCamera(f"pair ({a}, {b}) names an unknown camera")
+        if a == b:
+            raise CvposeError(f"pair ({a}, {b}) names one camera twice")
 
     rig_rng = np.random.default_rng((config.seed, RIG_SEED_SALT))
     if config.perturb_rot_deg or config.perturb_trans_mm:
@@ -306,13 +322,11 @@ def generate_dataset(config: SyntheticConfig, topo=None, cameras=None, pairs=Non
     cam_joints = np.empty((n, 2, J, 3))      # the pose in each view's frame
     pixels = np.empty((n, 2, J, 2))
     pending = np.arange(n)
-    for _ in range(config.max_resample):
+    for _ in range(MAX_RESAMPLE):
         if not pending.size:
             break
         world = _forward_kinematics(
-            topo, *_draw_attempts([rngs[i] for i in pending], J,
-                                  config.workspace_mm, config.root_yaw_deg),
-            config.angle_scale)
+            topo, *_draw_attempts([rngs[i] for i in pending], J))
         placed = np.zeros(pending.size, dtype=bool)
         for p, pair in enumerate(pairs):
             rows = np.flatnonzero(pair_index[pending] == p)
@@ -327,7 +341,7 @@ def generate_dataset(config: SyntheticConfig, topo=None, cameras=None, pairs=Non
         pending = pending[~placed]
     if pending.size:
         raise PoseOutOfView(f"sample {pending[0]}: no fully visible pose in "
-                            f"{config.max_resample} tries")
+                            f"{MAX_RESAMPLE} tries")
 
     samples = []
     for i, rng in enumerate(rngs):
@@ -624,10 +638,14 @@ def file_sha256(path):
 
 
 def save_manifest(path, config: SyntheticConfig, hashes, n_samples):
-    """JSON manifest tying a generation config to its output file hashes."""
+    """JSON manifest tying a generation config to its output file hashes.
+
+    "config" lists the config's fields and the recipe values that were
+    fields once (RETIRED_SYNTH_SETTINGS), so a manifest reads as it did.
+    """
     body = {
         "schema": "manifest-v1",
-        "config": asdict(config),
+        "config": {**asdict(config), **RETIRED_SYNTH_SETTINGS},
         "n_samples": n_samples,
         "sha256": dict(hashes),
     }

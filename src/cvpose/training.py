@@ -521,9 +521,12 @@ def fit(train_samples, val_samples, cameras, config: TrainConfig,
     checkpoint written by this function, in the same out_dir, continues as
     if the run had never stopped, on the same BLAS thread count (see the
     module docstring): the run picks up at epoch len(loss_history), and a
-    checkpoint whose next_epoch disagrees is rejected. An epoch that scores no training sample, or no validation
-    sample, stops the run with NonFiniteLoss (see train_epoch and
-    train_epochs), and no final checkpoint is written.
+    checkpoint whose next_epoch disagrees is rejected. The result's
+    checkpoints name the files this call wrote and, on a resume that has a
+    best monitored loss, the best.ckpt already in out_dir. An epoch that
+    scores no training sample, or no validation sample, stops the run with
+    NonFiniteLoss (see train_epoch and train_epochs), and no final
+    checkpoint is written.
     """
     topo = topo or default_topology()
     os.makedirs(out_dir, exist_ok=True)
@@ -553,6 +556,10 @@ def fit(train_samples, val_samples, cameras, config: TrainConfig,
 
     log = _open_log(os.path.join(out_dir, "train_log.csv"), len(history))
     paths = {}
+    # A resumed run's best so far was written before it stopped.
+    best_path = os.path.join(out_dir, "best.ckpt")
+    if not math.isinf(best_val) and os.path.exists(best_path):
+        paths["best"] = best_path
 
     def train_state():
         return {"next_epoch": len(history), "loss_history": list(history),

@@ -110,6 +110,16 @@ def test_pair_with_unknown_camera_exits_1(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_pair_naming_one_camera_twice_exits_1(tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main(["synth", "--out", str(out), "--n-samples", "3",
+                 "--pairs", "cam1:cam1"])
+    assert code == 1
+    assert ("error: pair (cam1, cam1) names one camera twice"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_triangulate_reports_and_writes(tmp_path, capsys):
     out = run_synth(tmp_path)
     coarse = tmp_path / "coarse.jsonl"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cvpose.errors import SchemaError
+from cvpose.errors import NoPoolGroups, SchemaError
 from cvpose.graph import (
     AdjacencyKernelSet,
     SkeletonTopology,
@@ -203,13 +203,10 @@ def test_graph_levels_pooling_operators():
 
 
 def test_graph_levels_custom_groups():
+    # A custom topology has no pooling groups, so it has no levels either.
     topo = SkeletonTopology(("r", "a", "b"), (0, 0, 0), ())
-    gl = build_graph_levels(topo, groups=[("one", (0, 1)), ("two", (2,))])
-    assert gl.levels[1].n_nodes == 4
-    with pytest.raises(ValueError):
-        build_graph_levels(topo, groups=[("one", (0, 1)), ("two", (1, 2))])
-    with pytest.raises(ValueError):
-        build_graph_levels(topo)  # no default groups for custom topologies
+    with pytest.raises(NoPoolGroups, match="no default pooling groups"):
+        build_graph_levels(topo)
 
 
 def test_default_pool_groups_partition():

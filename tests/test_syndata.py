@@ -15,9 +15,8 @@ from cvpose.geometry import Pose3D, project, relative_transform, save_rig
 from cvpose.graph import SkeletonTopology, default_topology
 from cvpose.syndata import (ANGLE_RANGES_DEG, REST_OFFSETS_MM, Sample,
                             SyntheticConfig, default_rig, file_sha256,
-                            generate_dataset, generate_skeleton_pose,
-                            load_dataset, perturb_rig, save_dataset,
-                            save_manifest)
+                            generate_dataset, load_dataset, perturb_rig,
+                            save_dataset, save_manifest)
 
 
 def test_default_rig_geometry():
@@ -52,12 +51,18 @@ def test_template_is_symmetric():
         assert ANGLE_RANGES_DEG[left] == ANGLE_RANGES_DEG[right]
 
 
+def _pose(topo, rng):
+    """One world-frame pose, drawn from `rng` as one attempt of
+    generate_dataset is."""
+    return syndata._forward_kinematics(
+        topo, *syndata._draw_attempts([rng], topo.n_joints))[0]
+
+
 def test_fk_preserves_bone_lengths_and_symmetry():
     topo = default_topology()
     for trial in range(20):
         rng = np.random.default_rng(trial)
-        pose = generate_skeleton_pose(topo, rng)
-        X = pose.joints
+        X = _pose(topo, rng)
         for parent, child in topo.bones:
             got = np.linalg.norm(X[parent] - X[child])
             want = np.linalg.norm(REST_OFFSETS_MM[child])
@@ -71,13 +76,12 @@ def test_fk_preserves_bone_lengths_and_symmetry():
 
 def test_fk_is_deterministic():
     topo = default_topology()
-    a = generate_skeleton_pose(topo, np.random.default_rng(7)).joints
-    b = generate_skeleton_pose(topo, np.random.default_rng(7)).joints
+    a = _pose(topo, np.random.default_rng(7))
+    b = _pose(topo, np.random.default_rng(7))
     assert np.array_equal(a, b)
 
 
-def _reference_pose(topo, rng, angle_scale=1.0,
-                    workspace_mm=(300.0, 200.0, 300.0), root_yaw_deg=180.0):
+def _reference_pose(topo, rng):
     """Forward kinematics one joint at a time, in the documented draw order:
     root position, yaw, then per non-root joint an axis and an angle."""
     def rodrigues(axis, angle):
@@ -87,8 +91,9 @@ def _reference_pose(topo, rng, angle_scale=1.0,
         return (np.eye(3) + math.sin(angle) * K
                 + (1.0 - math.cos(angle)) * (K @ K))
 
-    root_pos = rng.uniform(-np.asarray(workspace_mm), np.asarray(workspace_mm))
-    yaw = math.radians(rng.uniform(-root_yaw_deg, root_yaw_deg))
+    workspace_mm = np.array([300.0, 200.0, 300.0])
+    root_pos = rng.uniform(-workspace_mm, workspace_mm)
+    yaw = math.radians(rng.uniform(-180.0, 180.0))
     c, s = math.cos(yaw), math.sin(yaw)
     rot = {topo.root: np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])}
     pos = np.zeros((topo.n_joints, 3))
@@ -97,21 +102,18 @@ def _reference_pose(topo, rng, angle_scale=1.0,
         if j == topo.root:
             continue
         axis = rng.standard_normal(3)
-        angle = (math.radians(angle_scale * ANGLE_RANGES_DEG[j])
-                 * rng.uniform(-1.0, 1.0))
+        angle = math.radians(ANGLE_RANGES_DEG[j]) * rng.uniform(-1.0, 1.0)
         rot[j] = rot[topo.parents[j]] @ rodrigues(axis, angle)
         pos[j] = pos[topo.parents[j]] + rot[j] @ REST_OFFSETS_MM[j]
     return pos
 
 
-@pytest.mark.parametrize("kw", [{}, {"angle_scale": 1.7, "root_yaw_deg": 30.0,
-                                     "workspace_mm": (900.0, 600.0, 900.0)}])
-def test_fk_matches_the_per_joint_reference_bit_for_bit(kw):
+def test_fk_matches_the_per_joint_reference_bit_for_bit():
     topo = default_topology()
     for seed in range(10):
         rng, ref_rng = (np.random.default_rng((seed, 5)) for _ in range(2))
-        got = generate_skeleton_pose(topo, rng, **kw).joints
-        want = _reference_pose(topo, ref_rng, **kw)
+        got = _pose(topo, rng)
+        want = _reference_pose(topo, ref_rng)
         assert got.tobytes() == want.tobytes()
         # both consumed the same draws
         assert rng.random() == ref_rng.random()
@@ -119,8 +121,6 @@ def test_fk_matches_the_per_joint_reference_bit_for_bit(kw):
 
 def test_template_must_match_the_topology():
     small = SkeletonTopology(("a", "b"), (0, 0), ())
-    with pytest.raises(ShapeMismatch, match="template"):
-        generate_skeleton_pose(small, np.random.default_rng(0))
     with pytest.raises(ShapeMismatch, match="template"):
         generate_dataset(SyntheticConfig(n_samples=3, seed=0), topo=small)
     # 17 joints, but the thorax (8) hangs from the neck (9) that follows it:
@@ -134,13 +134,18 @@ def test_template_must_match_the_topology():
         generate_dataset(SyntheticConfig(n_samples=3, seed=0), topo=swapped)
 
 
-# Resamples 17 times over 48 samples and cycles both pairs of a 3-camera rig.
+# In a workspace four times the recipe's, resamples 17 times over 48 samples
+# and cycles both pairs of a 3-camera rig.
 RESAMPLING = SyntheticConfig(n_samples=48, seed=1000, sigma_px=5.0,
-                             perturb_rot_deg=1.0, perturb_trans_mm=5.0,
-                             workspace_mm=(1200.0, 800.0, 1200.0))
+                             perturb_rot_deg=1.0, perturb_trans_mm=5.0)
 
 
-def test_generated_files_match_recorded_hashes(tmp_path):
+@pytest.fixture
+def wide_workspace(monkeypatch):
+    monkeypatch.setattr(syndata, "WORKSPACE_MM", (1200.0, 800.0, 1200.0))
+
+
+def test_generated_files_match_recorded_hashes(tmp_path, wide_workspace):
     # Recorded from the per-pose generator the batched one replaced; a
     # change here changes every dataset made from a seed.
     samples, _, assumed = generate_dataset(RESAMPLING,
@@ -154,7 +159,7 @@ def test_generated_files_match_recorded_hashes(tmp_path):
         "71952d5a18c77df9432820965804c651ef1b7ffad71c8eb1cef238455b3176b3")
 
 
-def test_dataset_is_reproducible_record_by_record():
+def test_dataset_is_reproducible_record_by_record(wide_workspace):
     # Batched resample rounds must not let one sample's retries shift
     # another's draws: a prefix of a set is the smaller set.
     cams = default_rig(n_cameras=3)
@@ -251,12 +256,14 @@ def test_unperturbed_assumed_rig_equals_true():
         assert a is not b
 
 
-def test_pose_out_of_view_when_unviewable():
-    cams = default_rig(width=10, height=10, focal_px=1146.0)
-    cfg = SyntheticConfig(n_samples=1, seed=0, max_resample=5)
+def test_pose_out_of_view_when_unviewable(monkeypatch):
+    monkeypatch.setattr(syndata, "IMAGE_WIDTH_PX", 10)
+    monkeypatch.setattr(syndata, "IMAGE_HEIGHT_PX", 10)
+    monkeypatch.setattr(syndata, "MAX_RESAMPLE", 5)
+    cfg = SyntheticConfig(n_samples=1, seed=0)
     with pytest.raises(PoseOutOfView,
                        match=r"^sample 0: no fully visible pose in 5 tries$"):
-        generate_dataset(cfg, cameras=cams)
+        generate_dataset(cfg, cameras=default_rig())
 
 
 def test_dataset_roundtrip_exact(tmp_path):
@@ -340,6 +347,10 @@ def test_manifest_and_hash(tmp_path):
     assert body["schema"] == "manifest-v1"
     assert body["sha256"]["dataset"] == h1
     assert body["config"]["n_samples"] == 3
+    # the recipe values that were config fields are still listed
+    assert {k: body["config"][k] for k in syndata.RETIRED_SYNTH_SETTINGS} == {
+        "workspace_mm": [300.0, 200.0, 300.0], "angle_scale": 1.0,
+        "root_yaw_deg": 180.0, "max_resample": 50}
 
 
 # -- data-v2 -------------------------------------------------------------------
@@ -714,3 +725,13 @@ def test_pair_with_unknown_camera_raises_a_cvpose_value_error():
         generate_dataset(SyntheticConfig(n_samples=2),
                          pairs=[("cam1", "cam9")])
     assert isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_pair_naming_one_camera_twice_is_refused(n):
+    # Such a pair has one view, so none of its samples could be
+    # triangulated or saved; it is refused before anything is drawn.
+    with pytest.raises(CvposeError, match=r"^pair \(cam1, cam1\) names one "
+                                          r"camera twice$"):
+        generate_dataset(SyntheticConfig(n_samples=n),
+                         pairs=[("cam1", "cam2"), ("cam1", "cam1")])

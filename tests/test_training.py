@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -625,8 +626,11 @@ def test_resume_past_the_best_epoch_keeps_best_checkpoint(tmp_path):
     with pytest.raises(KeyboardInterrupt):
         fit(train, val, assumed, cfg, out_dir=run,
             progress=stop_after_epoch_10)
-    fit(train, val, assumed, cfg, out_dir=run,
-        resume_from=run / "epoch_0011.ckpt")
+    resumed = fit(train, val, assumed, cfg, out_dir=run,
+                  resume_from=run / "epoch_0011.ckpt")
+    # the best.ckpt written before the stop is still the run's best
+    assert resumed.best_val == full.best_val
+    assert resumed.checkpoints["best"] == str(run / "best.ckpt")
     for name in ("best.ckpt", "final.ckpt", "train_log.csv"):
         assert (run / name).exists(), name
         assert (run / name).read_bytes() == (
@@ -757,11 +761,12 @@ def test_unscorable_validation_set_stops_the_run(tmp_path):
     # Validation samples seen twice by one camera never triangulate, so no
     # validation sample can be scored and the monitored loss would be NaN
     # every epoch: the plateau schedule would decay on it and no best
-    # checkpoint would ever be written.
+    # checkpoint would ever be written. generate_dataset refuses such a
+    # pair, so the samples are relabelled by hand.
     train, _, assumed = small_dataset(n=16)
     val, _, _ = generate_dataset(SyntheticConfig(n_samples=8, seed=3,
-                                                 sigma_px=3.0),
-                                 pairs=[("cam1", "cam1")])
+                                                 sigma_px=3.0))
+    val = [dataclasses.replace(s, pair=("cam1", "cam1")) for s in val]
     cfg = TrainConfig(epochs=12, batch_size=8, channels=8)
     with pytest.raises(NonFiniteLoss, match=r"epoch 0: monitored validation "
                        r"loss is nan; no validation sample could be scored"):
