@@ -18,9 +18,9 @@ import numpy as np
 from .errors import CvposeError
 from .experiments import (ABLATION_VARIANTS, ablation_study, format_table,
                           noise_robustness, unseen_pair_study)
-from .files import atomic_write
+from .files import atomic_write, json_text
 from .geometry import TRI_MODES, Pose3D, load_rig, save_rig
-from .graph import default_topology, load_topology, save_topology
+from .graph import default_topology, save_topology
 from .metrics import evaluate, mpjpe_rows
 from .network import CVUGCN, load_checkpoint
 from .syndata import (SyntheticConfig, default_rig, file_sha256,
@@ -28,12 +28,6 @@ from .syndata import (SyntheticConfig, default_rig, file_sha256,
                       save_manifest)
 from .training import (TrainConfig, fit, load_train_config, precompute_coarse,
                        save_train_config, setting_problem)
-
-
-def _topo(args):
-    if getattr(args, "topology", None):
-        return load_topology(args.topology)
-    return default_topology()
 
 
 def _setting(key):
@@ -98,8 +92,7 @@ def _print_rows(rows, out):
     print(format_table(rows))
     if out:
         with atomic_write(out) as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
+            fh.write(json_text(rows, indent=2) + "\n")
         print(f"rows written to {out}")
 
 
@@ -119,7 +112,7 @@ def cmd_synth(args):
         for p in pairs:
             if len(p) != 2:
                 raise CvposeError(f"bad pair spec {':'.join(p)!r}")
-    topo = _topo(args)
+    topo = default_topology()
     samples, true_rig, assumed = generate_dataset(cfg, topo, cameras, pairs)
     os.makedirs(args.out, exist_ok=True)
     paths = {
@@ -142,7 +135,7 @@ def cmd_synth(args):
 
 
 def cmd_triangulate(args):
-    topo = _topo(args)
+    topo = default_topology()
     samples = load_dataset(args.data, topo)
     cameras = load_rig(args.rig)
     coarse, skipped = precompute_coarse(samples, cameras, mode=args.mode)
@@ -169,7 +162,7 @@ def cmd_triangulate(args):
 
 
 def cmd_train(args):
-    topo = _topo(args)
+    topo = default_topology()
     cfg = load_train_config(args.config) if args.config else TrainConfig()
     if args.epochs is not None:
         cfg.epochs = args.epochs
@@ -202,7 +195,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    topo = _topo(args)
+    topo = default_topology()
     samples = load_dataset(args.data, topo)
     cameras = load_rig(args.rig)
     model = _model(args, topo)
@@ -220,7 +213,7 @@ def cmd_eval(args):
 
 
 def cmd_ablate(args):
-    topo = _topo(args)
+    topo = default_topology()
     train_samples = load_dataset(args.train_data, topo)
     test_samples = load_dataset(args.test_data, topo)
     cameras = load_rig(args.rig)
@@ -246,7 +239,7 @@ def cmd_ablate(args):
 
 
 def cmd_noise(args):
-    topo = _topo(args)
+    topo = default_topology()
     samples = load_dataset(args.data, topo)
     cameras = load_rig(args.rig)
     model = _model(args, topo)
@@ -257,7 +250,7 @@ def cmd_noise(args):
 
 
 def cmd_unseen(args):
-    topo = _topo(args)
+    topo = default_topology()
     cameras = default_rig(n_cameras=3, separation_deg=args.separation_deg)
     ids = [c.cam_id for c in cameras]
     seen_pair = [(ids[0], ids[1])]
@@ -283,7 +276,7 @@ def cmd_unseen(args):
 
 def cmd_render(args):
     from .render import render_sample, save_svg
-    topo = _topo(args)
+    topo = default_topology()
     samples = load_dataset(args.data, topo)
     cameras = load_rig(args.rig)
     wanted = None
@@ -319,9 +312,11 @@ def cmd_render(args):
 # -- parser ----------------------------------------------------------------------
 
 def build_parser():
-    p = argparse.ArgumentParser(prog="cvpose",
-                                description="Weakly supervised cross-view "
-                                            "3D pose estimation at desk scale.")
+    p = argparse.ArgumentParser(
+        prog="cvpose",
+        description="Weakly supervised cross-view 3D pose estimation at desk "
+                    "scale, on one fixed skeleton: the 17-joint human "
+                    "skeleton of graph.default_topology.")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("synth", help="generate a synthetic dataset")
@@ -339,7 +334,6 @@ def build_parser():
                     default=60.0)
     sp.add_argument("--pairs", help="comma list like cam1:cam2,cam2:cam3")
     sp.add_argument("--no-gt", action="store_true")
-    sp.add_argument("--topology")
     sp.set_defaults(func=cmd_synth)
 
     sp = sub.add_parser("triangulate", help="coarse poses from 2D detections")
@@ -347,7 +341,6 @@ def build_parser():
     sp.add_argument("--rig", required=True)
     sp.add_argument("--mode", choices=TRI_MODES, default="dual")
     sp.add_argument("--out")
-    sp.add_argument("--topology")
     sp.set_defaults(func=cmd_triangulate)
 
     sp = sub.add_parser("train", help="train the refinement network")
@@ -361,7 +354,6 @@ def build_parser():
     sp.add_argument("--batch-size", type=batch_size)
     sp.add_argument("--resume")
     sp.add_argument("--quiet", action="store_true")
-    sp.add_argument("--topology")
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("eval", help="score a checkpoint against ground truth")
@@ -370,7 +362,6 @@ def build_parser():
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--mode", choices=TRI_MODES, default="dual")
     sp.add_argument("--report")
-    sp.add_argument("--topology")
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("ablate", help="train and score model variants")
@@ -382,7 +373,6 @@ def build_parser():
     sp.add_argument("--variants")
     sp.add_argument("--out")
     sp.add_argument("--quiet", action="store_true")
-    sp.add_argument("--topology")
     sp.set_defaults(func=cmd_ablate)
 
     sp = sub.add_parser("noise", help="robustness to 3D input noise")
@@ -392,7 +382,6 @@ def build_parser():
     sp.add_argument("--sigmas", type=sigmas, default="5,10,15,20")
     sp.add_argument("--seed", type=_at_least_0("seed"), default=0)
     sp.add_argument("--out")
-    sp.add_argument("--topology")
     sp.set_defaults(func=cmd_noise)
 
     sp = sub.add_parser("unseen", help="generalization to an unseen camera pair")
@@ -410,7 +399,6 @@ def build_parser():
     sp.add_argument("--separation-deg", type=_finite("separation_deg"),
                     default=40.0)
     sp.add_argument("--out")
-    sp.add_argument("--topology")
     sp.set_defaults(func=cmd_unseen)
 
     sp = sub.add_parser("render", help="SVG figure for one sample")
@@ -421,7 +409,6 @@ def build_parser():
     sp.add_argument("--index", type=int, default=0)
     sp.add_argument("--checkpoint")
     sp.add_argument("--mode", choices=TRI_MODES, default="dual")
-    sp.add_argument("--topology")
     sp.set_defaults(func=cmd_render)
 
     return p

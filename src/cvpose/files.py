@@ -4,6 +4,9 @@ Text files are UTF-8 whatever the locale, with "\n" line ends. Every file
 cvpose writes goes through atomic_write, so a failed or interrupted write
 leaves the previous file, if any, as it was.
 
+Evaluation reports and study rows are written through json_text, which
+writes a non-finite number (a mean over no samples is NaN) as null.
+
 Most inputs are line-oriented JSON: a schema header line, then one record
 per line. Blank lines are ignored everywhere; line numbers in errors are
 1-based and count every physical line.
@@ -12,6 +15,7 @@ per line. Blank lines are ignored everywhere; line numbers in errors are
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 
@@ -46,6 +50,22 @@ def atomic_write(path, binary=False):
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def _null_non_finite(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _null_non_finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_non_finite(v) for v in obj]
+    return obj
+
+
+def json_text(obj, **kwargs):
+    """json.dumps(obj, **kwargs) with each non-finite float written as null:
+    NaN and the infinities are not JSON (RFC 8259)."""
+    return json.dumps(_null_non_finite(obj), allow_nan=False, **kwargs)
 
 
 def nonblank_lines(path):

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MissingField, NoPoolGroups, SchemaError, ShapeMismatch
-from .files import atomic_write, read_records
+from .errors import NoPoolGroups, ShapeMismatch
+from .files import atomic_write
 
 
 @dataclass
@@ -204,7 +204,9 @@ def default_pool_groups(topo: SkeletonTopology):
 
     Defined for the default 17-joint skeleton only: a custom topology has
     no pooling groups, so build_graph_levels, and with it the U-shaped
-    network, refuses it with NoPoolGroups.
+    network, refuses it with NoPoolGroups. The command line always uses the
+    default skeleton; only code that builds a SkeletonTopology itself can
+    pass another one here.
     """
     expected = default_topology()
     if (topo.joint_names != expected.joint_names
@@ -313,7 +315,9 @@ def build_graph_levels(topo: SkeletonTopology) -> GraphLevels:
 
 
 # ---------------------------------------------------------------------------
-# Topology files and fingerprints.
+# Topology files and fingerprints. `cvpose synth` writes the skeleton it
+# used to topology.jsonl, for readers outside cvpose (what each joint index
+# means) and for the manifest's hash; nothing in cvpose reads the file back.
 
 TOPO_SCHEMA = "topo-v1"
 
@@ -329,25 +333,6 @@ def save_topology(path, topo: SkeletonTopology):
     ]
     with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_topology(path) -> SkeletonTopology:
-    _, _, records = read_records(path, TOPO_SCHEMA, "topology")
-    first = next(records, None)
-    if first is None:
-        raise SchemaError("topology file needs a header and a body", line=1)
-    lineno, body = first
-    for key in ("joints", "parents", "left_right_pairs"):
-        if key not in body:
-            raise MissingField(f"line {lineno}: topology lacks {key!r}", line=lineno)
-    try:
-        return SkeletonTopology(
-            joint_names=tuple(body["joints"]),
-            parents=tuple(body["parents"]),
-            left_right_pairs=tuple(tuple(p) for p in body["left_right_pairs"]),
-        )
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(f"line {lineno}: {exc}", line=lineno)
 
 
 def topology_fingerprint(topo: SkeletonTopology) -> str:

@@ -15,13 +15,12 @@ joint, per camera pair, as percentiles over samples and overall.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import FrameMismatch, MissingGroundTruth, ShapeMismatch
-from .files import atomic_write
+from .files import atomic_write, json_text
 from .geometry import Pose3D, procrustes_align_stack
 from .graph import default_topology
 from .network import CONV_DTYPE, CVUGCN
@@ -89,7 +88,7 @@ class EvalReport:
     mpjpe_percentiles_mm: dict = field(default_factory=dict)
 
     def to_json(self):
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return json_text(asdict(self), indent=2, sort_keys=True)
 
     def save(self, path):
         with atomic_write(path) as fh:

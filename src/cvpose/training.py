@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import NonFiniteLoss, NonPositiveDepth, SchemaError
+from .errors import (CvposeError, NonFiniteLoss, NonPositiveDepth,
+                     SchemaError)
 from .files import atomic_write, nonblank_lines
 from .geometry import TRI_MODES, relative_transform, triangulate_stack
 from .graph import default_topology
@@ -521,7 +522,8 @@ def fit(train_samples, val_samples, cameras, config: TrainConfig,
     checkpoint written by this function, in the same out_dir, continues as
     if the run had never stopped, on the same BLAS thread count (see the
     module docstring): the run picks up at epoch len(loss_history), and a
-    checkpoint whose next_epoch disagrees is rejected. The result's
+    checkpoint whose next_epoch disagrees, or lies past config.epochs, is
+    rejected before anything in out_dir is written. The result's
     checkpoints name the files this call wrote and, on a resume that has a
     best monitored loss, the best.ckpt already in out_dir. An epoch that
     scores no training sample, or no validation sample, stops the run with
@@ -543,6 +545,9 @@ def fit(train_samples, val_samples, cameras, config: TrainConfig,
         # cannot continue a run; reject it before anything is written.
         optimizer.load_state(ckpt.opt_state)
         history, best_val = _resume_state(ckpt.train_state)
+        if len(history) > config.epochs:
+            raise CvposeError(f"checkpoint resumes at epoch {len(history)} "
+                              f"but the run has only {config.epochs} epochs")
 
     coarse_train, skipped_train = precompute_coarse(
         train_samples, cameras, mode=config.tri_mode)

@@ -478,45 +478,6 @@ def test_ablate_command_writes_rows(tmp_path, capsys):
     assert "variant" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["train", "ablate"])
-def test_custom_topology_without_pool_groups_exits_1(tmp_path, capsys,
-                                                      command):
-    import numpy as np
-
-    from cvpose.geometry import save_rig
-    from cvpose.graph import SkeletonTopology, save_topology
-    from cvpose.syndata import Sample, default_rig, save_dataset
-
-    topo = SkeletonTopology(("root", "spine", "left", "right"), (0, 0, 1, 1),
-                            ((2, 3),))
-    cameras = default_rig()
-    pose = np.array([[0.0, 0.0, 0.0], [0.0, -200.0, 0.0],
-                     [-150.0, -300.0, 0.0], [150.0, -300.0, 0.0]])
-    samples = []
-    for i in range(4):
-        px = {}
-        for cam in cameras:
-            X = (pose + 10.0 * i) @ cam.R.T + cam.t
-            uv = X @ cam.K.T
-            px[cam.cam_id] = uv[:, :2] / uv[:, 2:]
-        samples.append(Sample(f"s{i}", ("cam1", "cam2"), px, px))
-    data, rig, topo_path = (tmp_path / "data.jsonl", tmp_path / "rig.jsonl",
-                            tmp_path / "topology.jsonl")
-    save_dataset(data, samples, topo)
-    save_rig(rig, cameras)
-    save_topology(topo_path, topo)
-    common = ["--rig", str(rig), "--topology", str(topo_path), "--quiet"]
-    if command == "train":
-        args = ["train", "--data", str(data), "--out-dir",
-                str(tmp_path / "run"), "--epochs", "1"]
-    else:
-        args = ["ablate", "--train-data", str(data), "--test-data",
-                str(data), "--epochs", "1", "--variants", "full"]
-    assert main(args + common) == 1
-    assert ("error: no default pooling groups for a custom topology"
-            in capsys.readouterr().err)
-
-
 def test_synth_with_one_camera_exits_1(tmp_path, capsys):
     # One camera makes no pair to put the samples in.
     code = main(["synth", "--out", str(tmp_path / "d"), "--n-samples", "4",
@@ -670,12 +631,11 @@ def test_rig_with_a_fractional_image_size_exits_1(tmp_path, capsys):
         capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("flag", ["--data", "--rig", "--topology"])
+@pytest.mark.parametrize("flag", ["--data", "--rig"])
 def test_non_utf8_input_file_exits_1_naming_the_line(tmp_path, capsys, flag):
     out = run_synth(tmp_path, n=2)
     files = {"--data": out / "dataset.jsonl",
-             "--rig": out / "rig_assumed.jsonl",
-             "--topology": out / "topology.jsonl"}
+             "--rig": out / "rig_assumed.jsonl"}
     header, rest = files[flag].read_bytes().split(b"\n", 1)
     files[flag].write_bytes(header + b"\n\xff" + rest)
     code = main(["triangulate", *(str(a) for kv in files.items() for a in kv)])
@@ -722,3 +682,103 @@ def test_report_and_manifest_bytes_are_unchanged(tmp_path):
         "7a17e5755ca863a7fbef1490e9a4017d8310c3fbc64524f04fb40a7ec29995eb")
     assert file_sha256(report) == (
         "fa3380f9d6c86227c1ca5ed8be59592fca854bfa04713fbfd3428841b6b88d44")
+
+
+def test_resume_past_the_requested_epochs_exits_1_and_leaves_the_run(
+        tmp_path, capsys):
+    # A checkpoint 4 epochs in cannot continue a 2-epoch run; once this
+    # exited 0 and rewrote final.ckpt and train.cfg as a 2-epoch run.
+    out = run_synth(tmp_path, n=16)
+    run = tmp_path / "run"
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs = 4\nbatch_size = 8\nchannels = 4\n"
+                   "checkpoint_every = 2\n")
+    data = ["--data", str(out / "dataset.jsonl"),
+            "--rig", str(out / "rig_assumed.jsonl"), "--out-dir", str(run)]
+    assert main(["train", *data, "--config", str(cfg), "--quiet"]) == 0
+    capsys.readouterr()
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    resume = ["train", *data, "--resume", str(run / "epoch_0004.ckpt"),
+              "--batch-size", "8", "--quiet"]
+    assert main([*resume, "--epochs", "2"]) == 1
+    assert ("error: checkpoint resumes at epoch 4 but the run has only 2 "
+            "epochs" in capsys.readouterr().err)
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+    # Resuming exactly at the last epoch trains nothing and is allowed.
+    assert main([*resume, "--epochs", "4"]) == 0
+
+
+def _strict_json(path):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_json_outputs_write_non_finite_numbers_as_null(tmp_path):
+    # With both cameras in one place nothing triangulates, so every mean is
+    # NaN; the report and the rows must still be JSON (RFC 8259).
+    from cvpose.graph import default_topology
+    from cvpose.network import NetworkConfig, init_weights, save_checkpoint
+    out = run_synth(tmp_path, n=4)
+    rig = out / "rig_assumed.jsonl"
+    header, cam1, cam2 = rig.read_text().splitlines()
+    twin = dict(json.loads(cam1), id=json.loads(cam2)["id"])
+    rig.write_text("\n".join([header, cam1, json.dumps(twin)]) + "\n")
+    net = NetworkConfig(channels=8)
+    ckpt = tmp_path / "w.ckpt"
+    save_checkpoint(ckpt, default_topology(), net, init_weights(net), step=0)
+    inputs = ["--data", str(out / "dataset.jsonl"), "--rig", str(rig),
+              "--checkpoint", str(ckpt)]
+    report, rows = tmp_path / "report.json", tmp_path / "rows.json"
+    assert main(["eval", *inputs, "--report", str(report)]) == 0
+    assert main(["noise", *inputs, "--sigmas", "5,10",
+                 "--out", str(rows)]) == 0
+    got = _strict_json(report)
+    assert got["n_samples"] == 0 and len(got["skipped"]) == 4
+    assert got["mpjpe_tri_mm"] is None and got["pmpjpe_refined_mm"] is None
+    assert _strict_json(rows) == [
+        {"sigma_mm": s, "pmpjpe_coarse_mm": None, "pmpjpe_refined_mm": None}
+        for s in (5.0, 10.0)]
+
+
+def test_unseen_end_to_end(tmp_path):
+    rows = tmp_path / "rows.json"
+    assert main(["unseen", "--n-train", "8", "--n-test", "4", "--epochs", "1",
+                 "--batch-size", "8", "--out", str(rows)]) == 0
+    got = json.loads(rows.read_text())
+    assert [(r["split"], r["pair"]) for r in got] == [
+        ("seen", "cam1+cam2"), ("unseen", "cam1+cam3")]
+
+
+# Every long option of every subcommand. A new option has to be added here.
+CLI_OPTIONS = {
+    "synth": ["--out", "--n-samples", "--seed", "--sigma-px",
+              "--perturb-rot-deg", "--perturb-trans-mm", "--cameras",
+              "--separation-deg", "--pairs", "--no-gt"],
+    "triangulate": ["--data", "--rig", "--mode", "--out"],
+    "train": ["--data", "--rig", "--out-dir", "--val-data", "--config",
+              "--epochs", "--seed", "--batch-size", "--resume", "--quiet"],
+    "eval": ["--data", "--rig", "--checkpoint", "--mode", "--report"],
+    "ablate": ["--train-data", "--test-data", "--rig", "--config", "--epochs",
+               "--variants", "--out", "--quiet"],
+    "noise": ["--data", "--rig", "--checkpoint", "--sigmas", "--seed",
+              "--out"],
+    "unseen": ["--n-train", "--n-test", "--epochs", "--batch-size", "--seed",
+               "--sigma-px", "--perturb-rot-deg", "--perturb-trans-mm",
+               "--separation-deg", "--out"],
+    "render": ["--data", "--rig", "--out", "--sample-id", "--index",
+               "--checkpoint", "--mode"],
+}
+
+
+def test_cli_options_are_the_recorded_inventory():
+    import argparse
+
+    from cvpose.cli import build_parser
+    sub, = [a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    got = {name: [s for a in parser._actions for s in a.option_strings
+                  if s.startswith("--") and s != "--help"]
+           for name, parser in sub.choices.items()}
+    assert got == CLI_OPTIONS
+    assert sum(map(len, got.values())) == 60

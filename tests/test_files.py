@@ -197,3 +197,17 @@ def test_only_atomic_write_writes_files():
              for where, kinds in seen.items()}
     assert {where: kinds for where, kinds in stray.items() if kinds} == {}
     assert seen == ALLOWED
+
+
+def test_json_text_writes_non_finite_numbers_as_null():
+    import json
+    import math
+
+    import numpy as np
+    obj = {"a": [1.5, math.nan, (math.inf, -math.inf)],
+           "b": {"c": np.float64("nan"), "d": np.float64(0.1)}, "e": "NaN"}
+    text = files.json_text(obj, sort_keys=True)
+    assert json.loads(text) == {"a": [1.5, None, [None, None]],
+                                "b": {"c": None, "d": 0.1}, "e": "NaN"}
+    finite = {"x": [0.1, 2e-300, -3.0], "y": 7}
+    assert files.json_text(finite, indent=2) == json.dumps(finite, indent=2)

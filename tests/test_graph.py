@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cvpose.errors import NoPoolGroups, SchemaError
+from cvpose.errors import NoPoolGroups
 from cvpose.graph import (
     AdjacencyKernelSet,
     SkeletonTopology,
@@ -12,9 +12,7 @@ from cvpose.graph import (
     build_single_view_kernels,
     default_pool_groups,
     default_topology,
-    load_topology,
     normalize_adjacency,
-    save_topology,
     topology_fingerprint,
 )
 
@@ -214,31 +212,6 @@ def test_default_pool_groups_partition():
     groups = default_pool_groups(topo)
     seen = sorted(j for _, js in groups for j in js)
     assert seen == list(range(17))
-
-
-def test_topology_file_roundtrip(tmp_path):
-    topo = default_topology()
-    path = tmp_path / "topo.jsonl"
-    save_topology(path, topo)
-    loaded = load_topology(path)
-    assert loaded.joint_names == topo.joint_names
-    assert loaded.parents == topo.parents
-    assert loaded.left_right_pairs == topo.left_right_pairs
-    assert topology_fingerprint(loaded) == topology_fingerprint(topo)
-
-
-def test_topology_file_errors(tmp_path):
-    path = tmp_path / "topo.jsonl"
-    path.write_text('{"schema": "topo-v1"}\n{"joints": ["a"]}\n')
-    with pytest.raises(SchemaError) as exc:
-        load_topology(path)
-    assert exc.value.line == 2
-    path.write_text('{"schema": "nope"}\n{}\n')
-    with pytest.raises(SchemaError):
-        load_topology(path)
-    path.write_text('{"schema": "topo-v1"}\nnot json\n')
-    with pytest.raises(SchemaError):
-        load_topology(path)
 
 
 def test_fingerprint_sensitivity():
