@@ -69,6 +69,11 @@ class UnknownCamera(CvposeError, ValueError):
     ValueError, as MissingGroundTruth is."""
 
 
+class VariantError(CvposeError, ValueError):
+    """An ablation names a variant the study does not have, or one variant
+    twice. Also a ValueError, as MissingGroundTruth is."""
+
+
 class NoPoolGroups(CvposeError, ValueError):
     """A custom topology has no built-in pooling groups for the U-shaped
     network. Also a ValueError, as MissingGroundTruth is."""

@@ -1,24 +1,41 @@
-"""Built-in studies: noise robustness, component ablations, unseen pairs.
+"""Built-in studies: component ablations and noise robustness.
 
 The ablation study compares four variants of the CV-UGCN, each one kernel
 mask: "full" (nothing masked), "no_refine" (the untrained identity, i.e.
 triangulation alone), "no_spatial" (kinematic, two-hop and symmetry
 kernels masked) and "no_crossview" (cross-view kernel masked, so the
-views never exchange information).
+views never exchange information). It trains through
+`training.train_epochs`, the loop `fit` runs, with the training objective
+as the monitor. The noise study corrupts the coarse poses a trained
+checkpoint is given. Each study returns plain rows (lists of dicts) that
+the CLI prints as an aligned table and writes as JSON, so results are easy
+to diff across runs.
 
-The ablation and unseen-pair studies train through `training.train_epochs`,
-the loop `fit` runs, with the training objective as the monitor. Each
-study returns plain rows (lists of dicts) that the CLI prints as an
-aligned table and writes as JSON, so results are easy to diff across runs.
+Generalization to a camera pair never seen in training needs no study of
+its own: train on one pair and evaluate on another. With a seed S, and
+the same --perturb-rot-deg / --perturb-trans-mm on each synth call:
+
+    cvpose synth --out train --cameras 3 --separation-deg 40 --sigma-px 5 \
+        --pairs cam1:cam2 --seed S
+    cvpose synth --out seen ... --pairs cam1:cam2 --seed S+1
+    cvpose synth --out unseen ... --pairs cam1:cam3 --seed S+2
+    cvpose train --data train/dataset.jsonl --rig train/rig_assumed.jsonl \
+        --out-dir run --seed S
+    cvpose eval --data seen/dataset.jsonl --rig train/rig_assumed.jsonl \
+        --checkpoint run/final.ckpt --report seen.json
+
+and the same `eval` on unseen/dataset.jsonl. Every evaluation uses the
+training set's assumed rig, the calibration the refiner was trained with.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import MissingGroundTruth
+from .errors import VariantError
 from .graph import default_topology
-from .metrics import _refine_batches, evaluate, mean_or_nan, p_mpjpe_rows
+from .metrics import (_refine_batches, evaluate, mean_or_nan, p_mpjpe_rows,
+                      require_ground_truth)
 from .network import CVUGCN
 from .training import (CoarsePoses, TrainConfig, precompute_coarse,
                        train_epochs)
@@ -35,7 +52,8 @@ ABLATION_VARIANTS = tuple(_KERNEL_MASKS)
 
 def build_variant(name, topo, net_cfg):
     if name not in _KERNEL_MASKS:
-        raise ValueError(f"unknown ablation variant {name!r}")
+        raise VariantError(f"unknown variant {name!r}; choose from "
+                           f"{', '.join(ABLATION_VARIANTS)}")
     return CVUGCN(topo, net_cfg, kernel_mask=_KERNEL_MASKS[name])
 
 
@@ -44,15 +62,24 @@ def ablation_study(train_samples, test_samples, cameras,
                    variants=ABLATION_VARIANTS, progress=None):
     """Train every variant from scratch under one config and score it.
 
+    Nothing trains until every variant is built and every test sample is
+    known to carry ground truth: an unknown or repeated variant raises
+    VariantError, a test sample without ground truth MissingGroundTruth.
     no_refine never trains: with the output head at zero the model is the
     identity, so its refined numbers equal the triangulation baseline.
+    `params` counts the weights the variant's forward reads.
     """
     topo = topo or default_topology()
+    models = {}
+    for name in variants:
+        if name in models:
+            raise VariantError(f"variant {name!r} is listed twice")
+        models[name] = build_variant(name, topo, config.network())
+    require_ground_truth(test_samples)
     coarse, _ = precompute_coarse(train_samples, cameras,
                                   mode=config.tri_mode)
     rows = []
-    for name in variants:
-        model = build_variant(name, topo, config.network())
+    for name, model in models.items():
         if name != "no_refine":
             for epoch, lr, stats in train_epochs(
                     model, config.optimizer(model.weights), train_samples,
@@ -63,7 +90,7 @@ def ablation_study(train_samples, test_samples, cameras,
                           tri_mode=config.tri_mode)
         rows.append({
             "variant": name,
-            "params": int(model.weights.param_count),
+            "params": model.param_count,
             "mpjpe_tri_mm": report.mpjpe_tri_mm,
             "mpjpe_refined_mm": report.mpjpe_refined_mm,
             "pmpjpe_refined_mm": report.pmpjpe_refined_mm,
@@ -100,10 +127,7 @@ def noise_robustness(samples, cameras, model,
     corrupted input and of the refinement, averaged over samples and views
     (NaN when no sample triangulates).
     """
-    for s in samples:
-        if not s.joints_3d_gt:
-            raise MissingGroundTruth(
-                f"sample {s.sample_id} carries no ground truth")
+    require_ground_truth(samples)
     coarse, _ = precompute_coarse(samples, cameras)
     n = len(coarse.index)
     rows = []
@@ -121,33 +145,3 @@ def noise_robustness(samples, cameras, model,
                      "pmpjpe_coarse_mm": mean_or_nan(p_in),
                      "pmpjpe_refined_mm": mean_or_nan(p_out)})
     return rows
-
-
-# -- unseen camera pairs ---------------------------------------------------------
-
-def unseen_pair_study(train_samples, seen_samples, unseen_samples, cameras,
-                      config: TrainConfig, topo=None):
-    """Train on one camera pair, evaluate on a pair never seen in training.
-
-    Returns rows for the seen and unseen test sets; the refinement is
-    expected to keep improving on triangulation for the new geometry.
-    """
-    topo = topo or default_topology()
-    coarse, _ = precompute_coarse(train_samples, cameras,
-                                  mode=config.tri_mode)
-    model = build_variant("full", topo, config.network())
-    for _ in train_epochs(model, config.optimizer(model.weights),
-                          train_samples, coarse, cameras, config, []):
-        pass
-    rows = []
-    for split, samples in (("seen", seen_samples), ("unseen", unseen_samples)):
-        report = evaluate(samples, cameras, model, topo,
-                          tri_mode=config.tri_mode)
-        rows.append({
-            "split": split,
-            "pair": "+".join(samples[0].pair) if samples else "",
-            "mpjpe_tri_mm": report.mpjpe_tri_mm,
-            "mpjpe_refined_mm": report.mpjpe_refined_mm,
-            "pmpjpe_refined_mm": report.pmpjpe_refined_mm,
-        })
-    return rows, model

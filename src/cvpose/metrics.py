@@ -121,6 +121,15 @@ def mean_or_nan(xs):
     return float(np.mean(xs)) if np.size(xs) else float("nan")
 
 
+def require_ground_truth(samples):
+    """Raise MissingGroundTruth, naming the first sample without 3D ground
+    truth, before any work is done on samples that cannot be scored."""
+    for s in samples:
+        if not s.joints_3d_gt:
+            raise MissingGroundTruth(
+                f"sample {s.sample_id} carries no ground truth")
+
+
 def evaluate(samples, cameras, model: CVUGCN, topo=None, batch_size=256,
              tri_mode="dual") -> EvalReport:
     """Score triangulated and refined poses against per-view ground truth.
@@ -133,10 +142,7 @@ def evaluate(samples, cameras, model: CVUGCN, topo=None, batch_size=256,
     is read here and nowhere else.
     """
     topo = topo or model.topo or default_topology()
-    for s in samples:
-        if not s.joints_3d_gt:
-            raise MissingGroundTruth(
-                f"sample {s.sample_id} carries no ground truth")
+    require_ground_truth(samples)
     coarse, skipped = precompute_coarse(samples, cameras, mode=tri_mode)
     J = topo.n_joints
     n = len(coarse.index)

@@ -169,10 +169,6 @@ class ModelWeights:
     def copy(self):
         return ModelWeights({k: v.copy() for k, v in self.arrays.items()})
 
-    @property
-    def param_count(self):
-        return sum(v.size for v in self.arrays.values())
-
 
 def init_weights(config: NetworkConfig) -> ModelWeights:
     """Uniform(-sqrt(1/fan_in), sqrt(1/fan_in)) draws; the head starts at zero.
@@ -257,8 +253,7 @@ class CVUGCN:
         if not mask <= set(range(N_KERNELS)):
             raise ValueError(f"kernel_mask {sorted(mask)}: kernel classes "
                              f"are 0-{N_KERNELS - 1}")
-        self._sgcn_conv = _conv_entries(build_single_view_kernels(topo),
-                                        mask, "spatial")
+        sgcn = _conv_entries(build_single_view_kernels(topo), mask, "spatial")
         # Centering matrix: row i of (C @ X) is X_i minus the pose centroid.
         # The convolutions carry no bias terms, so an uncentred camera-frame
         # input would put a metre-scale depth offset on every node; that
@@ -271,6 +266,19 @@ class CVUGCN:
         self._levels = build_graph_levels(topo)
         self._level_convs = [_conv_entries(ks, mask, f"level-{i}")
                              for i, ks in enumerate(self._levels.levels)]
+        # The conv of each unit: units at one graph resolution share it.
+        self._unit_convs = {"sgcn.0": sgcn, "sgcn.1": sgcn, **{
+            f"mgcn.{s}.0": self._level_convs[level]
+            for s, level in zip(STAGES, (0, 1, 2, 1, 0))}}
+
+    @property
+    def param_count(self):
+        """Number of weights the forward reads: the head and, per unit, the
+        weights of the kernel classes its conv keeps (_conv_entries drops
+        masked and all-zero ones)."""
+        return self.weights["head"].size + sum(
+            self.weights[f"{unit}.k{k}"].size
+            for unit, (ks, _) in self._unit_convs.items() for k in ks)
 
     # -- weight access -----------------------------------------------------
 
@@ -281,11 +289,11 @@ class CVUGCN:
 
     # -- forward -----------------------------------------------------------
 
-    def _conv(self, op, h, conv, params, unit):
-        """op (ad.graph_conv_relu or ad.residual_graph_conv) over the conv's
+    def _conv(self, op, h, params, unit):
+        """op (ad.graph_conv_relu or ad.residual_graph_conv) over the unit's
         kernel stack, with the weights params[f"{unit}.k{k}"] of its
         unmasked kernels k: one tape node."""
-        ks, stack = conv
+        ks, stack = self._unit_convs[unit]
         return op(h, stack, [params[f"{unit}.k{k}"] for k in ks])
 
     def refine_from_leaf(self, xin, params):
@@ -307,8 +315,7 @@ class CVUGCN:
         # The J-node centering and spatial kernels act on every J-row block:
         # each view of each sample. The 3 -> C lift is relu(conv(h)).
         h = ad.scale(ad.block_left_matmul(self._center, xin), COORD_SCALE)
-        h = self._conv(ad.graph_conv_relu, h, self._sgcn_conv, params,
-                       "sgcn.0")
+        h = self._conv(ad.graph_conv_relu, h, params, "sgcn.0")
 
         # Every later unit keeps the width and is in pre-activation residual
         # form, h + conv(relu(h)). The residual form is what keeps training
@@ -321,20 +328,16 @@ class CVUGCN:
         # with the identity path the forward signal and the head's gradient
         # always survive, and silenced branch units recover as the features
         # feeding them shift.
-        def unit(h, conv, name):
-            return self._conv(ad.residual_graph_conv, h, conv, params, name)
+        def unit(h, name):
+            return self._conv(ad.residual_graph_conv, h, params, name)
 
         pool, unpool = self._levels.pool, self._levels.unpool
-        conv = self._level_convs
-        h = unit(h, self._sgcn_conv, "sgcn.1")
-        e0 = unit(h, conv[0], "mgcn.enc0.0")
-        e1 = unit(ad.block_left_matmul(pool[0], e0), conv[1], "mgcn.enc1.0")
-        bn = unit(ad.block_left_matmul(pool[1], e1), conv[2],
-                  "mgcn.bottleneck.0")
-        d1 = unit(ad.block_left_matmul_add(unpool[1], bn, e1), conv[1],
-                  "mgcn.dec1.0")
-        d0 = unit(ad.block_left_matmul_add(unpool[0], d1, e0), conv[0],
-                  "mgcn.dec0.0")
+        h = unit(h, "sgcn.1")
+        e0 = unit(h, "mgcn.enc0.0")
+        e1 = unit(ad.block_left_matmul(pool[0], e0), "mgcn.enc1.0")
+        bn = unit(ad.block_left_matmul(pool[1], e1), "mgcn.bottleneck.0")
+        d1 = unit(ad.block_left_matmul_add(unpool[1], bn, e1), "mgcn.dec1.0")
+        d0 = unit(ad.block_left_matmul_add(unpool[0], d1, e0), "mgcn.dec0.0")
         res = ad.matmul(d0, params["head"])
         refined = ad.add(xin, ad.scale(res, 1.0 / COORD_SCALE))
         return split_views(refined, J)

@@ -172,6 +172,40 @@ def test_train_eval_render_pipeline(tmp_path, capsys):
     assert fig.read_text().startswith("<svg")
 
 
+def test_eval_prints_each_camera_pair_when_there_are_several(tmp_path,
+                                                              capsys):
+    out = run_synth(tmp_path, n=8, extra=("--cameras", "3", "--pairs",
+                                          "cam1:cam2,cam1:cam3"))
+    data = ["--data", str(out / "dataset.jsonl"),
+            "--rig", str(out / "rig_assumed.jsonl")]
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs = 1\nbatch_size = 8\nchannels = 8\n")
+    assert main(["train", *data, "--out-dir", str(tmp_path / "run"),
+                 "--config", str(cfg), "--quiet"]) == 0
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert main(["eval", *data, "--checkpoint",
+                 str(tmp_path / "run" / "final.ckpt"),
+                 "--report", str(report)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    per_pair = json.loads(report.read_text())["per_pair_mm"]
+    assert list(per_pair) == ["cam1+cam2", "cam1+cam3"]
+    assert lines[5:7] == [
+        f"  {pair}: n {m['n']}  MPJPE tri/refined {m['mpjpe_tri_mm']:.4f}/"
+        f"{m['mpjpe_refined_mm']:.4f} mm  P-MPJPE tri/refined "
+        f"{m['pmpjpe_tri_mm']:.4f}/{m['pmpjpe_refined_mm']:.4f} mm"
+        for pair, m in per_pair.items()]
+    assert lines[7] == f"report written to {report}"
+    # One pair prints the five summary lines only, as before.
+    one = run_synth(tmp_path, "one", n=4)
+    capsys.readouterr()
+    assert main(["eval", "--data", str(one / "dataset.jsonl"),
+                 "--rig", str(one / "rig_assumed.jsonl"), "--checkpoint",
+                 str(tmp_path / "run" / "final.ckpt")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and lines[0].startswith("samples evaluated: 4")
+
+
 def test_train_resume_from_checkpoint(tmp_path):
     out = run_synth(tmp_path, n=8)
     first = tmp_path / "first"
@@ -497,6 +531,27 @@ def test_ablate_unknown_variant_exits_1(tmp_path, capsys):
             "no_spatial, no_crossview" in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("variants, test_gt, message", [
+    ("full,full", (), "error: variant 'full' is listed twice"),
+    ("full", ("--no-gt",), "carries no ground truth"),
+])
+def test_ablate_refuses_bad_input_before_training(tmp_path, capsys, variants,
+                                                  test_gt, message):
+    # Once ablate trained the listed variants first: twice for a repeated
+    # one, and up to a test set without ground truth it then refused.
+    train = run_synth(tmp_path, "train", n=4)
+    test = run_synth(tmp_path, "test", n=4, seed=1, extra=test_gt)
+    capsys.readouterr()
+    code = main(["ablate", "--train-data", str(train / "dataset.jsonl"),
+                 "--test-data", str(test / "dataset.jsonl"),
+                 "--rig", str(train / "rig_assumed.jsonl"), "--epochs", "2",
+                 "--variants", variants])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "epoch" not in captured.out
+
+
 @pytest.mark.parametrize("setting, message", [
     ("channels = 0", "channels must be at least 1, got 0"),
     ("initial_lr = nan", "initial_lr must be finite, got nan"),
@@ -523,32 +578,19 @@ def test_train_rejects_settings_that_fail_mid_run(tmp_path, capsys, setting,
 
 @pytest.mark.parametrize("command, flag, value, message", [
     ("synth", "--seed", "-1", "seed must be at least 0, got -1"),
-    ("unseen", "--seed", "-1", "seed must be at least 0, got -1"),
     ("noise", "--seed", "-1", "seed must be at least 0, got -1"),
     ("train", "--seed", "-1", "seed must not be negative, got -1"),
     ("synth", "--n-samples", "-3", "n_samples must be at least 0, got -3"),
-    ("unseen", "--n-train", "-1", "n_train must be at least 0, got -1"),
-    ("unseen", "--n-test", "-1", "n_test must be at least 0, got -1"),
     ("synth", "--sigma-px", "nan",
      "sigma_px must be finite and at least 0, got nan"),
     ("synth", "--perturb-rot-deg", "inf",
      "perturb_rot_deg must be finite and at least 0, got inf"),
     ("synth", "--perturb-trans-mm", "-1",
      "perturb_trans_mm must be finite and at least 0, got -1.0"),
-    ("unseen", "--sigma-px", "-0.5",
-     "sigma_px must be finite and at least 0, got -0.5"),
-    ("unseen", "--perturb-rot-deg", "nan",
-     "perturb_rot_deg must be finite and at least 0, got nan"),
-    ("unseen", "--perturb-trans-mm", "inf",
-     "perturb_trans_mm must be finite and at least 0, got inf"),
     ("synth", "--separation-deg", "nan",
      "separation_deg must be finite, got nan"),
     ("synth", "--separation-deg", "inf",
      "separation_deg must be finite, got inf"),
-    ("unseen", "--separation-deg", "nan",
-     "separation_deg must be finite, got nan"),
-    ("unseen", "--separation-deg", "-inf",
-     "separation_deg must be finite, got -inf"),
 ])
 def test_negative_or_non_finite_flags_are_usage_errors(tmp_path, capsys,
                                                        command, flag, value,
@@ -556,7 +598,6 @@ def test_negative_or_non_finite_flags_are_usage_errors(tmp_path, capsys,
     # Parsed before any file is read or written, so the paths need not exist.
     paths = {
         "synth": ["--out", str(tmp_path / "out")],
-        "unseen": [],
         "noise": ["--data", str(tmp_path / "d.jsonl"),
                   "--rig", str(tmp_path / "r.jsonl"),
                   "--checkpoint", str(tmp_path / "c.ckpt")],
@@ -741,13 +782,42 @@ def test_json_outputs_write_non_finite_numbers_as_null(tmp_path):
         for s in (5.0, 10.0)]
 
 
-def test_unseen_end_to_end(tmp_path):
-    rows = tmp_path / "rows.json"
-    assert main(["unseen", "--n-train", "8", "--n-test", "4", "--epochs", "1",
-                 "--batch-size", "8", "--out", str(rows)]) == 0
-    got = json.loads(rows.read_text())
-    assert [(r["split"], r["pair"]) for r in got] == [
-        ("seen", "cam1+cam2"), ("unseen", "cam1+cam3")]
+def test_an_unseen_camera_pair_is_scored_by_train_and_eval(tmp_path, capsys):
+    # Train on cam1+cam2, evaluate on held-out cam1+cam2 and on cam1+cam3,
+    # each on the training set's assumed rig. The values are the rows of
+    # the one-command study this recipe replaced, at the same sizes.
+    common = ["--cameras", "3", "--separation-deg", "40", "--sigma-px", "5"]
+    sets = {}
+    for name, n, seed, pair in (("train", 8, 0, "cam1:cam2"),
+                                ("seen", 4, 1, "cam1:cam2"),
+                                ("unseen", 4, 2, "cam1:cam3")):
+        sets[name] = tmp_path / name
+        assert main(["synth", "--out", str(sets[name]), *common,
+                     "--n-samples", str(n), "--seed", str(seed),
+                     "--pairs", pair]) == 0
+    rig = str(sets["train"] / "rig_assumed.jsonl")
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(sets["train"] / "dataset.jsonl"),
+                 "--rig", rig, "--out-dir", str(run), "--seed", "0",
+                 "--epochs", "1", "--batch-size", "8", "--quiet"]) == 0
+    got = {}
+    for name in ("seen", "unseen"):
+        report = tmp_path / f"{name}.json"
+        assert main(["eval", "--data", str(sets[name] / "dataset.jsonl"),
+                     "--rig", rig, "--checkpoint", str(run / "final.ckpt"),
+                     "--report", str(report)]) == 0
+        body = json.loads(report.read_text())
+        got[name] = (list(body["per_pair_mm"]), body["mpjpe_tri_mm"],
+                     body["mpjpe_refined_mm"], body["pmpjpe_refined_mm"])
+    assert got == {
+        "seen": (["cam1+cam2"], 24.582979885336687, 36.997928488022325,
+                 23.275658351481162),
+        "unseen": (["cam1+cam3"], 19.638002599503416, 30.78573848398485,
+                   17.701565143139028)}
+    with pytest.raises(SystemExit) as exc:
+        main(["unseen"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'unseen'" in capsys.readouterr().err
 
 
 # Every long option of every subcommand. A new option has to be added here.
@@ -763,9 +833,6 @@ CLI_OPTIONS = {
                "--variants", "--out", "--quiet"],
     "noise": ["--data", "--rig", "--checkpoint", "--sigmas", "--seed",
               "--out"],
-    "unseen": ["--n-train", "--n-test", "--epochs", "--batch-size", "--seed",
-               "--sigma-px", "--perturb-rot-deg", "--perturb-trans-mm",
-               "--separation-deg", "--out"],
     "render": ["--data", "--rig", "--out", "--sample-id", "--index",
                "--checkpoint", "--mode"],
 }
@@ -781,4 +848,4 @@ def test_cli_options_are_the_recorded_inventory():
                   if s.startswith("--") and s != "--help"]
            for name, parser in sub.choices.items()}
     assert got == CLI_OPTIONS
-    assert sum(map(len, got.values())) == 60
+    assert sum(map(len, got.values())) == 50

@@ -3,13 +3,14 @@ import pytest
 
 from cvpose import autodiff as ad
 from cvpose import training
-from cvpose.errors import NonFiniteLoss, NonPositiveDepth
+from cvpose import experiments
+from cvpose.errors import (CvposeError, MissingGroundTruth, NonFiniteLoss,
+                           NonPositiveDepth)
 from cvpose.experiments import (ABLATION_VARIANTS, ablation_study,
-                                build_variant, format_table, noise_robustness,
-                                unseen_pair_study)
+                                build_variant, format_table, noise_robustness)
 from cvpose.graph import default_topology
 from cvpose.network import CVUGCN, NetworkConfig, init_weights
-from cvpose.syndata import SyntheticConfig, default_rig, generate_dataset
+from cvpose.syndata import SyntheticConfig, generate_dataset
 from cvpose.training import TrainConfig, precompute_coarse, train_epochs
 
 
@@ -99,6 +100,51 @@ def test_every_trained_variant_leaves_the_identity():
     for r in rows:
         if r["variant"] != "no_refine":
             assert r["mpjpe_refined_mm"] != r["mpjpe_tri_mm"], r["variant"]
+
+
+def test_ablation_params_count_the_weights_each_variant_reads():
+    # The weights of masked and all-zero kernel classes stay in the model,
+    # but no convolution reads them, so the column does not count them.
+    train, _, assumed = small_dataset(n=8)
+    test, _, _ = small_dataset(n=4, seed=9)
+    rows = ablation_study(train, test, assumed, small_train_config())
+    params = {r["variant"]: r["params"] for r in rows}
+    assert params["no_spatial"] < params["full"]
+    assert params == {"full": 1784, "no_refine": 1784, "no_spatial": 752,
+                      "no_crossview": 1464}
+
+
+def _no_training(monkeypatch):
+    trained = []
+    monkeypatch.setattr(experiments, "train_epochs",
+                        lambda model, *a: trained.append(model) or iter(()))
+    return trained
+
+
+@pytest.mark.parametrize("variants, message", [
+    (("full", "no_spatial", "bogus"), "unknown variant 'bogus'; choose from "
+     "full, no_refine, no_spatial, no_crossview"),
+    (("full", "no_spatial", "full"), "variant 'full' is listed twice"),
+])
+def test_ablation_refuses_a_bad_variant_list_before_training(
+        monkeypatch, variants, message):
+    trained = _no_training(monkeypatch)
+    train, _, assumed = small_dataset(n=4)
+    with pytest.raises(CvposeError, match=message) as exc:
+        ablation_study(train, train, assumed, small_train_config(),
+                       variants=variants)
+    assert isinstance(exc.value, ValueError)
+    assert trained == []
+
+
+def test_ablation_refuses_a_test_set_without_ground_truth_before_training(
+        monkeypatch):
+    trained = _no_training(monkeypatch)
+    train, _, assumed = small_dataset(n=4)
+    test, _, _ = small_dataset(n=4, seed=9, include_gt=False)
+    with pytest.raises(MissingGroundTruth, match="carries no ground truth"):
+        ablation_study(train, test, assumed, small_train_config())
+    assert trained == []
 
 
 def test_train_model_stops_when_an_epoch_scores_nothing(monkeypatch):
@@ -199,27 +245,3 @@ def test_noise_robustness_requires_ground_truth():
     model = CVUGCN(topo, cfg, weights=init_weights(cfg))
     with pytest.raises(ValueError):
         noise_robustness(samples, assumed, model)
-
-
-# -- unseen pair study -------------------------------------------------------------
-
-def test_unseen_pair_study_smoke():
-    topo = default_topology()
-    cameras = default_rig(n_cameras=3, separation_deg=40.0)
-    cfg = SyntheticConfig(n_samples=8, seed=11, sigma_px=3.0)
-    train, _, assumed = generate_dataset(cfg, topo, cameras,
-                                         pairs=[("cam1", "cam2")])
-    seen, _, _ = generate_dataset(
-        SyntheticConfig(n_samples=4, seed=12, sigma_px=3.0), topo, cameras,
-        pairs=[("cam1", "cam2")])
-    unseen, _, _ = generate_dataset(
-        SyntheticConfig(n_samples=4, seed=13, sigma_px=3.0), topo, cameras,
-        pairs=[("cam2", "cam3")])
-    rows, model = unseen_pair_study(train, seen, unseen, assumed,
-                                    small_train_config())
-    assert [r["split"] for r in rows] == ["seen", "unseen"]
-    assert rows[0]["pair"] == "cam1+cam2"
-    assert rows[1]["pair"] == "cam2+cam3"
-    for r in rows:
-        assert r["mpjpe_tri_mm"] > 0
-    assert isinstance(model, CVUGCN)

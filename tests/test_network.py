@@ -42,7 +42,18 @@ def test_param_count_default():
     # 2 spatial layers (3->128, 128->128), five kernels each; five U-stages
     # of 128->128 convs; 128->3 head.
     expect = 5 * (3 * 128) + 5 * (128 * 128) + 5 * 5 * (128 * 128) + 128 * 3
-    assert init_weights(cfg).param_count == expect == 493824
+    assert sum(r * c for _, (r, c) in weight_shapes(cfg)) == expect == 493824
+
+
+def test_param_count_is_the_weights_the_forward_reads():
+    # Only the kernel classes a conv keeps are read: the spatial convs have
+    # no cross-view class and the bottleneck's coarsest graph keeps only
+    # classes 0 and 4, so even the full model reads 30 of the 35 conv
+    # weight arrays (and the head); a masked class is read by no conv.
+    topo, cfg = default_topology(), NetworkConfig()
+    counts = [CVUGCN(topo, cfg, kernel_mask=mask).param_count
+              for mask in ((), (1, 2, 3), (4,))]
+    assert counts == [427904, 180992, 345984]
 
 
 def test_init_weights_deterministic_and_bounded():
