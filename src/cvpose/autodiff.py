@@ -13,6 +13,11 @@ earlier closure can read a later node. Leaves (Values with no closure:
 inputs, weights) stay on the tape with their gradients until release().
 Values the caller holds keep their data. A tape can be swept once.
 
+A leaf does not copy the array it wraps: its data is a read-only view of
+the caller's float64 array, so the caller leaves that array unchanged
+until the tape is released or dropped (an optimizer updates the weights
+only after release()), and an op that wrote into a leaf would raise.
+
 Precision follows the tape's conv_dtype, float64 by default or float32
 (mixed precision in the sense of Micikevicius et al., ICLR 2018). A
 Value is stored in conv_dtype when its data already has that dtype and
@@ -101,13 +106,21 @@ class Tape:
         return v
 
     def leaf(self, data, op="leaf"):
-        """Wrap a 2D array as a differentiable input."""
+        """Wrap a 2D array as a differentiable input.
+
+        The leaf's data is a read-only view, not a copy, of the array when
+        it is already C-contiguous float64 (of a contiguous float64 copy
+        otherwise). The caller leaves the array unchanged until the tape
+        is released or dropped, and may update it in place after that.
+        """
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeMismatch(f"leaf must be 2D, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("leaf holds non-finite entries")
-        return self._record(arr.copy(), op)
+        view = np.ascontiguousarray(arr).view()
+        view.flags.writeable = False
+        return self._record(view, op)
 
     def backward(self, loss):
         """Seed d loss/d loss = 1 and sweep the tape in reverse, once.
@@ -376,11 +389,12 @@ class _ConvPlan:
 
     Each of the two graph-conv nodes has one order of the product.
     graph_conv_relu, the 3 -> C lift, mixes first: one batched matmul by
-    mix_in builds the (rows, K*C_in) array [N_1 x | ... | N_K x], which it
-    keeps for the backward, and one GEMM multiplies it by the stacked
-    weights [W_1; ...; W_K]. residual_graph_conv multiplies first, in one
-    pass over tiles of whole samples (tiles) in each direction: per tile,
-    one GEMM by the weight panel [W_1 | ... | W_K] (forward) or by
+    mix_in builds the (rows, K*C_in) array [N_1 x | ... | N_K x], which its
+    backward rebuilds the same way rather than keep, and one GEMM
+    multiplies it by the stacked weights [W_1; ...; W_K].
+    residual_graph_conv multiplies first, in one pass over tiles of whole
+    samples (tiles) in each direction: per tile, one GEMM by the weight
+    panel [W_1 | ... | W_K] (forward) or by
     [W_1^T; ...; W_K^T] (backward) works on tile-sized scratch, and one
     batched matmul by mix_out (forward) or mix_out_t (backward) mixes
     every kernel at once, so only the result and d/dh are full height. Its weight gradients are sums over those tiles, so their
@@ -439,10 +453,11 @@ def graph_conv_relu(h: Value, stack: KernelStack, weights) -> Value:
 
     h is (B*n, C_in), in any dtype; stack holds the constant (n, n)
     kernels N_k, and weights are the matching (C_in, C_out) Values. The
-    node mixes first (see _ConvPlan) and keeps the (B*n, K*C_in) mixed
-    input for the backward, but neither the conv output nor the relu mask:
-    the relu rectifies the product in place, and the backward masks g by
-    out > 0, which holds exactly where the product was positive. That
+    node mixes first (see _ConvPlan) and keeps neither the (B*n, K*C_in)
+    mixed input, which the backward rebuilds from h with the same bits,
+    nor the conv output, nor the relu mask: the relu rectifies the product
+    in place, and the backward masks g by out > 0, which holds exactly
+    where the product was positive. That
     masking overwrites g, the node's own gradient buffer, which the sweep
     has already let go of. The result is in the tape's conv_dtype, the
     weight gradients in the weights' float64. NaN passes the relu, and its
@@ -450,14 +465,17 @@ def graph_conv_relu(h: Value, stack: KernelStack, weights) -> Value:
     """
     plan = _ConvPlan(h, stack, weights, "graph_conv_relu")
     B, n, K, C_in, rows = plan.B, plan.n, plan.K, plan.C_in, plan.rows
-    x = h.data.astype(plan.dt, copy=False).reshape(B, n, C_in)
-    mixed = np.matmul(plan.mix_in, x).reshape(rows, K * C_in)
-    out = mixed @ plan.panel(0)
+
+    def mix():
+        x = h.data.astype(plan.dt, copy=False).reshape(B, n, C_in)
+        return np.matmul(plan.mix_in, x).reshape(rows, K * C_in)
+
+    out = mix() @ plan.panel(0)
     np.maximum(out, 0.0, out=out)
 
     def backward(g):
         g *= out > 0.0
-        dW = mixed.T @ g
+        dW = mix().T @ g
         for k, W in enumerate(plan.weights):
             W.grad += dW[k * C_in:(k + 1) * C_in]
         dX = g @ plan.panel(0).T          # [dX_1 | ... | dX_K]

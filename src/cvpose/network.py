@@ -36,21 +36,21 @@ built (an autodiff.KernelStack per graph resolution). The 3 -> C lift
 relu(conv(h)) is one autodiff.graph_conv_relu node: at any width it
 mixes the 3-channel input by all kernels at once, multiplies the result
 by the stacked weights [W_1; ...; W_K] in one GEMM and rectifies in
-place, keeping the mixed input but no pre-relu output or mask. Each of
-the six width-preserving residual units h + conv(relu(h)) is one
-autodiff.residual_graph_conv node, which takes h in the tape's
-conv_dtype and keeps only h, its weights and its kernel stack: no relu
-output, conv output or per-kernel product. Its forward and backward each
-pass over tiles of samples: per tile, one GEMM by the weight panel
-[W_1 | ... | W_K] (forward) or one weight GEMM and one input GEMM
-(backward) multiply, one matmul mixes all kernels at once, and relu(h)
-is rebuilt, in the forward in the output rows it becomes, so only the
-output and d/dh are full height.
-Each decoder unpool and its skip add are one
-autodiff.block_left_matmul_add node. At B=256, C=128 a forward records
-55 nodes, whose data take 35 MB on a float32 tape and 64 MB on a
-float64 one, and the backward sweep frees each node once it has passed
-it.
+place, keeping no mixed input (its backward rebuilds it), pre-relu
+output or mask. Each of the six width-preserving residual units h +
+conv(relu(h)) is one autodiff.residual_graph_conv node, which takes h in
+the tape's conv_dtype and keeps only h, its weights and its kernel
+stack: no relu output, conv output or per-kernel product. Its forward
+and backward each pass over tiles of samples: per tile, one GEMM by the
+weight panel [W_1 | ... | W_K] (forward) or one weight GEMM and one
+input GEMM (backward) multiply, one matmul mixes all kernels at once,
+and relu(h) is rebuilt, in the forward in the output rows it becomes, so
+only the output and d/dh are full height. Each decoder unpool and its
+skip add are one autodiff.block_left_matmul_add node. At B=256, C=128 a
+forward records 55 nodes, whose data take 31 MB on a float32 tape and 60
+MB on a float64 one (the weight leaves are read-only views of the
+model's weights, not copies), and the backward sweep frees each node
+once it has passed it.
 
 Precision: training, evaluation and refine open their tapes with
 conv_dtype=CONV_DTYPE (float32). The trunk, from the 3 -> C lift to the
@@ -283,7 +283,8 @@ class CVUGCN:
     # -- weight access -----------------------------------------------------
 
     def param_leaves(self, tape):
-        """One leaf per weight, in canonical order."""
+        """One leaf per weight, in canonical order: a read-only view of
+        the weight, which stays unchanged until the tape is released."""
         return {name: tape.leaf(arr, op=f"param:{name}")
                 for name, arr in self.weights.items()}
 

@@ -178,9 +178,10 @@ class AmsGrad:
             w -= lr * m / (np.sqrt(vhat) + EPSILON)
 
     def state(self):
-        return {"m": {k: a.copy() for k, a in self.m.items()},
-                "v": {k: a.copy() for k, a in self.v.items()},
-                "vhat": {k: a.copy() for k, a in self.vhat.items()}}
+        """{"m", "v", "vhat"} -> {name: array}: fresh dicts over the live
+        arrays, not copies, valid until the next step (a checkpoint save
+        writes them out at once). load_state copies what it is given."""
+        return {"m": dict(self.m), "v": dict(self.v), "vhat": dict(self.vhat)}
 
     def load_state(self, state):
         for kind in ("m", "v", "vhat"):

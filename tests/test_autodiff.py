@@ -78,6 +78,7 @@ def test_relu_propagates_nan():
     # not be rectified to zero on the way.
     tape = ad.Tape()
     x = tape.leaf([[-1.0], [0.0], [2.0], [-0.0]])
+    x.data = x.data.copy()    # a leaf is read-only, and refuses a NaN
     x.data[1, 0] = np.nan
     y = _identity_lift(x)
     assert np.isnan(y.data[1, 0])
@@ -590,6 +591,7 @@ def test_residual_graph_conv_subgradient_and_nan():
     N = rng.normal(size=(2, 2))
     tape = ad.Tape()
     h = tape.leaf(rng.normal(size=(4, 3)))
+    h.data = h.data.copy()    # a leaf is read-only, and refuses a NaN
     h.data[1, 2] = np.nan
     out = ad.residual_graph_conv(h, ad.KernelStack([np.eye(2), N]),
                                  [tape.leaf(np.eye(3))] * 2)

@@ -456,30 +456,33 @@ def test_forward_and_backward_memory_stay_bounded():
     # rises above that. A tape that kept the relu, conv and add of every
     # residual unit held 19.8 units, and a sweep that kept each node until
     # release() added 20.0. The forward held 12.0 while the lift kept its
-    # pre-relu output and mask and the decoder its unpool products; now it
-    # holds 9.6 and the sweep adds 4.1. The sweep added 5.2 while a
-    # residual unit's backward built d/dh in a fresh full-height array next
-    # to g, its own gradient, instead of in g (5.5 while, besides, the
-    # head's matmul added a float64 product into a zero-filled gradient).
+    # pre-relu output and mask and the decoder its unpool products, and
+    # 9.6 while the lift kept its mixed input and each weight leaf was a
+    # copy of its weight; now it holds 7.5 and the sweep adds 4.1. The
+    # sweep added 5.2 while a residual unit's backward built d/dh in a
+    # fresh full-height array next to g, its own gradient, instead of in g
+    # (5.5 while, besides, the head's matmul added a float64 product into
+    # a zero-filled gradient).
     # At B=16 a residual unit's backward tiles hold half its rows; at B=256
     # the sweep is well below (test_backward_sweep_stays_tile_sized).
     forward, sweep, params = _tape_units(np.float64, 16)
-    assert forward <= 10.0, f"forward holds {forward:.2f} units"
+    assert forward <= 7.6, f"forward holds {forward:.2f} units"
     assert sweep <= 4.6, f"backward adds {sweep:.2f} units"
     assert np.abs(params["head"].grad).max() > 0
 
 
 def test_float32_tape_forward_and_backward_memory_stay_bounded():
     # The guard above on a CONV_DTYPE tape, in the same float64 units. The
-    # float32 trunk holds half the bytes: the forward measured 6.2 units
-    # (7.8 before the fused lift and unpool-adds; 9.6 on the float64 tape,
-    # which also keeps the lift's mixed input) and the sweep 2.0 (4.1 on
-    # the float64 tape; 2.5 while a residual unit built d/dh in a fresh
-    # array next to g, 2.8 with the per-kernel full-height backward).
-    # What stays is mostly the float64 weight leaves, about 1.8 units at
-    # C=32.
+    # float32 trunk holds half the bytes: the forward measured 4.2 units
+    # (7.5 on the float64 tape; 6.2 while the lift kept its mixed input and
+    # the weight leaves, about 1.8 units at C=32, were copies; 7.8 before
+    # the fused lift and unpool-adds) and the sweep 2.0 (4.1 on the
+    # float64 tape; 2.5 while a residual unit built d/dh in a fresh array
+    # next to g, 2.8 with the per-kernel full-height backward). What stays
+    # is mostly the trunk's float32 outputs: about 3.1 units for the lift,
+    # the residual units and the unpool-adds.
     forward, sweep, params = _tape_units(network.CONV_DTYPE, 16)
-    assert forward <= 6.8, f"forward holds {forward:.2f} units"
+    assert forward <= 4.4, f"forward holds {forward:.2f} units"
     assert sweep <= 2.3, f"backward adds {sweep:.2f} units"
     assert np.abs(params["head"].grad).max() > 0
 
@@ -602,8 +605,19 @@ def test_param_leaves_carry_weight_names():
     assert [v.op for v in params.values()] == [
         f"param:{name}" for name, _ in weight_shapes(cfg)]
     rng = np.random.default_rng(6)
+    before = model.weights.copy()
     model.refine_batch(tape, rand_coarse(rng, 1), rand_coarse(rng, 1), params)
     assert tape.nodes[len(params)].op == "coarse"
+    # A forward copies no weight: each leaf is a read-only view of the
+    # model's array, which stays writable for the optimizer's in-place
+    # step once the tape is released.
+    for name, arr in model.weights.items():
+        assert np.shares_memory(params[name].data, arr), name
+        assert not params[name].data.flags.writeable, name
+    tape.release()
+    for name, arr in model.weights.items():
+        assert arr.flags.writeable, name
+        assert np.array_equal(arr, before[name]), name
 
 
 def test_refine_batch_validates_shapes():
