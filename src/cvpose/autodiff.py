@@ -26,9 +26,9 @@ are always float64. The two graph convolutions multiply in conv_dtype:
 graph_conv_relu, the network's lift, casts its input to it, and
 residual_graph_conv, a residual unit, takes its input only in it. Both
 read their kernels in conv_dtype from a KernelStack, which holds them in
-both dtypes, cast their weights to it, and hand back a conv_dtype result,
-so on a float32 tape a chain of convolutions, block_left_matmuls (with or
-without their adds) and adds stays float32 from end to end; numpy
+both dtypes, cast their weight panel to it, and hand back a conv_dtype
+result, so on a float32 tape a chain of convolutions, block_left_matmuls
+(with or without their adds) and adds stays float32 from end to end; numpy
 promotion brings it back to float64 wherever it meets a float64 operand,
 such as a matmul with a float64 weight leaf, whose backward still hands
 the float32 operand a float32 gradient. A float64 tape computes
@@ -387,49 +387,51 @@ class _ConvPlan:
     """The checked operands of one graph convolution sum_k N_k x W_k over a
     KernelStack, with its kernels in the tape's conv_dtype.
 
-    Each of the two graph-conv nodes has one order of the product.
-    graph_conv_relu, the 3 -> C lift, mixes first: one batched matmul by
-    mix_in builds the (rows, K*C_in) array [N_1 x | ... | N_K x], which its
-    backward rebuilds the same way rather than keep, and one GEMM
-    multiplies it by the stacked weights [W_1; ...; W_K].
+    The weight is one (C_in, K*C_out) panel [W_1 | ... | W_K], a block per
+    kernel of the stack, in its order. Each of the two graph-conv nodes
+    has one order of the product. graph_conv_relu, the 3 -> C lift, mixes
+    first: one batched matmul by mix_in builds the (rows, K*C_in) array
+    [N_1 x | ... | N_K x], which its backward rebuilds the same way rather
+    than keep, and one GEMM multiplies it by the stacked weights
+    [W_1; ...; W_K], the panel's blocks rearranged (stacked()).
     residual_graph_conv multiplies first, in one pass over tiles of whole
-    samples (tiles) in each direction: per tile, one GEMM by the weight
-    panel [W_1 | ... | W_K] (forward) or by
-    [W_1^T; ...; W_K^T] (backward) works on tile-sized scratch, and one
-    batched matmul by mix_out (forward) or mix_out_t (backward) mixes
-    every kernel at once, so only the result and d/dh are full height. Its weight gradients are sums over those tiles, so their
-    rounding depends on the tile size; its result and d/dh do not.
+    samples (tiles) in each direction: per tile, one GEMM by the panel
+    (forward) or by its transpose [W_1^T; ...; W_K^T] (backward) works on
+    tile-sized scratch, and one batched matmul by mix_out (forward) or
+    mix_out_t (backward) mixes every kernel at once, so only the result and
+    d/dh are full height. Its weight gradient is a sum over those tiles, so
+    its rounding depends on the tile size; its result and d/dh do not.
     """
 
-    def __init__(self, h, stack, weights, opname):
-        weights = list(weights)
+    def __init__(self, h, stack, W, opname):
         rows, C_in = h.data.shape
         n, K = stack.n, stack.K
-        if len(weights) != K:
-            raise ShapeMismatch(f"{opname}: {K} kernels, "
-                                f"{len(weights)} weights")
         if rows % n:
             raise ShapeMismatch(f"{opname}: {rows} rows not divisible by {n}")
-        C_out = weights[0].data.shape[1]
-        for W in weights:
-            if W.data.shape != (C_in, C_out):
-                raise ShapeMismatch(f"{opname}: weight {W.data.shape}, "
-                                    f"expected {(C_in, C_out)}")
-        self.tape = _same_tape(h, *weights)
+        C_out = W.data.shape[1] // K
+        if W.data.shape != (C_in, K * C_out) or not C_out:
+            raise ShapeMismatch(f"{opname}: weight {W.data.shape}, expected "
+                                f"({C_in}, {K} * C_out) for {K} kernels")
+        self.tape = _same_tape(h, W)
         self.dt = dt = self.tape.conv_dtype
         self.mix_in, self.mix_out = stack.mix_in[dt], stack.mix_out[dt]
         self.mix_out_t = stack.mix_out_t[dt]
-        self.weights = weights
+        self.W = W
         self.B, self.n, self.K = rows // n, n, K
         self.rows, self.C_in, self.C_out = rows, C_in, C_out
 
-    def panel(self, axis, transpose=False):
-        """The K weights (or their transposes) concatenated along axis, in
-        conv_dtype: one cast per use, not kept, since the tape already
-        holds the weights and a float32 copy would outlive the forward."""
-        return np.concatenate([W.data.T if transpose else W.data
-                               for W in self.weights],
-                              axis=axis, dtype=self.dt)
+    def panel(self):
+        """The weight in conv_dtype: one cast per use, not kept, since the
+        tape already holds the weight and a float32 copy would outlive the
+        forward."""
+        return self.W.data.astype(self.dt, copy=False)
+
+    def stacked(self):
+        """The panel's blocks stacked, [W_1; ...; W_K], (K*C_in, C_out),
+        C-contiguous, in conv_dtype; made per use, as panel() is."""
+        K, C_in, C_out = self.K, self.C_in, self.C_out
+        return self.W.data.reshape(C_in, K, C_out).swapaxes(0, 1).astype(
+            self.dt, order="C").reshape(K * C_in, C_out)
 
     def tiles(self):
         """Row slices of whole samples, about TILE_ROWS // K rows each,
@@ -447,60 +449,61 @@ class _ConvPlan:
         return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
-def graph_conv_relu(h: Value, stack: KernelStack, weights) -> Value:
+def graph_conv_relu(h: Value, stack: KernelStack, W: Value) -> Value:
     """relu(sum_k N_k h W_k) on every n-row block of h, as one node: the
     network's 3 -> C lift.
 
     h is (B*n, C_in), in any dtype; stack holds the constant (n, n)
-    kernels N_k, and weights are the matching (C_in, C_out) Values. The
-    node mixes first (see _ConvPlan) and keeps neither the (B*n, K*C_in)
-    mixed input, which the backward rebuilds from h with the same bits,
-    nor the conv output, nor the relu mask: the relu rectifies the product
-    in place, and the backward masks g by out > 0, which holds exactly
-    where the product was positive. That
-    masking overwrites g, the node's own gradient buffer, which the sweep
-    has already let go of. The result is in the tape's conv_dtype, the
-    weight gradients in the weights' float64. NaN passes the relu, and its
+    kernels N_k, and W is the (C_in, K*C_out) weight panel
+    [W_1 | ... | W_K]. The node mixes first (see _ConvPlan) and keeps
+    neither the (B*n, K*C_in) mixed input, which the backward rebuilds from
+    h with the same bits, nor the conv output, nor the relu mask: the relu
+    rectifies the product in place, and the backward masks g by out > 0,
+    which holds exactly where the product was positive. That masking
+    overwrites g, the node's own gradient buffer, which the sweep has
+    already let go of. The result is in the tape's conv_dtype, the weight
+    gradient in the weight's float64. NaN passes the relu, and its
     subgradient at 0 is 0.
     """
-    plan = _ConvPlan(h, stack, weights, "graph_conv_relu")
+    plan = _ConvPlan(h, stack, W, "graph_conv_relu")
     B, n, K, C_in, rows = plan.B, plan.n, plan.K, plan.C_in, plan.rows
 
     def mix():
         x = h.data.astype(plan.dt, copy=False).reshape(B, n, C_in)
         return np.matmul(plan.mix_in, x).reshape(rows, K * C_in)
 
-    out = mix() @ plan.panel(0)
+    out = mix() @ plan.stacked()
     np.maximum(out, 0.0, out=out)
 
     def backward(g):
         g *= out > 0.0
-        dW = mix().T @ g
-        for k, W in enumerate(plan.weights):
-            W.grad += dW[k * C_in:(k + 1) * C_in]
-        dX = g @ plan.panel(0).T          # [dX_1 | ... | dX_K]
+        dW = mix().T @ g                  # [dW_1; ...; dW_K]
+        grad = W.grad.reshape(C_in, K, plan.C_out)
+        grad += dW.reshape(K, C_in, plan.C_out).swapaxes(0, 1)
+        dX = g @ plan.stacked().T         # [dX_1 | ... | dX_K]
         h.grad += np.matmul(plan.mix_in.T, dX.reshape(
             B, n * K, C_in)).reshape(rows, C_in)
 
     return plan.tape._record(out, "graph_conv_relu", backward)
 
 
-def residual_graph_conv(h: Value, stack: KernelStack, weights) -> Value:
+def residual_graph_conv(h: Value, stack: KernelStack, W: Value) -> Value:
     """The pre-activation residual unit h + sum_k N_k relu(h) W_k, one node.
 
     h must already be in the tape's conv_dtype, as the network's trunk is,
-    or ValueError; the weights map C_in to C_in. The tape keeps neither the
-    relu output, nor its mask, nor the conv output: per tile (see
-    _ConvPlan), the forward builds relu(h) in the result rows the tile's
-    sum then takes, multiplies it by the weight panel in one GEMM, mixes
-    the products and adds h into the result, and the backward recomputes
-    relu(h) and its mask. d/dh, g plus the masked conv gradient, is built
-    in g, the unit's own gradient, which the sweep has let go of: g becomes
-    h's gradient buffer when h has none yet, else is added to it. The
-    result and d/dh are in conv_dtype, the weight gradients in the
-    weights' float64. NaN passes the relu, and its subgradient at 0 is 0.
+    or ValueError; W is the (C_in, K*C_in) weight panel [W_1 | ... | W_K].
+    The tape keeps neither the relu output, nor its mask, nor the conv
+    output: per tile (see _ConvPlan), the forward builds relu(h) in the
+    result rows the tile's sum then takes, multiplies it by the panel in
+    one GEMM, mixes the products and adds h into the result, and the
+    backward recomputes relu(h) and its mask. d/dh, g plus the masked conv
+    gradient, is built in g, the unit's own gradient, which the sweep has
+    let go of: g becomes h's gradient buffer when h has none yet, else is
+    added to it. The result and d/dh are in conv_dtype, the weight gradient
+    in the weight's float64. NaN passes the relu, and its subgradient at 0
+    is 0.
     """
-    plan = _ConvPlan(h, stack, weights, "residual_graph_conv")
+    plan = _ConvPlan(h, stack, W, "residual_graph_conv")
     if plan.C_out != plan.C_in:
         raise ShapeMismatch(f"residual_graph_conv: weights map {plan.C_in} "
                             f"to {plan.C_out} channels")
@@ -511,7 +514,7 @@ def residual_graph_conv(h: Value, stack: KernelStack, weights) -> Value:
     tiles = plan.tiles()
     tile = tiles[0].stop
     out = np.empty_like(h.data)
-    panel = plan.panel(1)
+    panel = plan.panel()
     Y = np.empty((tile, K * C), dtype=dt)
     for t in tiles:
         m = t.stop - t.start
@@ -523,9 +526,10 @@ def residual_graph_conv(h: Value, stack: KernelStack, weights) -> Value:
         out[t] += h.data[t]
 
     def backward(g):
-        # [W_1^T; ...; W_K^T], C-contiguous: with a transposed operand
-        # OpenBLAS rounds some rows differently as the tile height changes.
-        w_t = plan.panel(0, transpose=True)
+        # The panel's transpose as a view, F-contiguous: a C-contiguous
+        # copy would round d/dh differently, off the bits the network's
+        # recorded digests hold.
+        w_t = plan.panel().T
         dY = np.empty((tile, K * C), dtype=dt)
         x_buf = np.empty((tile, C), dtype=dt)
         dW = np.zeros((C, K * C), dtype=dt)
@@ -541,8 +545,7 @@ def residual_graph_conv(h: Value, stack: KernelStack, weights) -> Value:
             dx = np.matmul(dY_t, w_t, out=x)
             dx *= h.data[t] > 0.0
             g[t] += dx
-        for k, W in enumerate(plan.weights):
-            W.grad += dW[:, k * C:(k + 1) * C]
+        W.grad += dW
         if h._grad is None:
             h.grad = g
         else:

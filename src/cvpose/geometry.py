@@ -52,8 +52,11 @@ def _as_matrix(a, shape, name):
 
 
 def _check_rotation(R, what="rotation"):
-    err = np.max(np.abs(R.T @ R - np.eye(3)))
-    if err > ORTHO_TOL:
+    # An entry of R far outside [-1, 1] overflows R^T R to inf, or to nan
+    # where an inf cancels another; either deviation is refused.
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = np.max(np.abs(R.T @ R - np.eye(3)))
+    if not err <= ORTHO_TOL:
         raise ValueError(f"{what} is not orthonormal (deviation {err:.3e})")
     if np.linalg.det(R) < 0:
         raise ValueError(f"{what} has negative determinant (reflection)")

@@ -29,28 +29,34 @@ included, runs on the input as it is; coarse_pair_leaf builds it and
 split_views cuts a result back into the two (BJ, 3) views.
 
 Each of the seven graph convolutions (two spatial, one per U-stage) is
-sum_k N_k H W_k over its unmasked kernel classes k, the AXW form of Kipf &
-Welling with the kernel classes of Cai et al., and records one tape node.
-Each conv's kernels are checked and stacked once, when the model is
-built (an autodiff.KernelStack per graph resolution). The 3 -> C lift
+sum_k N_k H W_k over its kernel classes k, the AXW form of Kipf & Welling
+with the kernel classes of Cai et al., and records one tape node. A unit
+keeps the classes that are non-zero in its graph and not masked
+(unit_classes): 0-3 on the single-view graph, which has no cross-view
+class, 0-4 at the two finer resolutions of the fused graph, and 0 and 4
+at its coarsest. It stores one weight, named by the unit, the panel
+[W_1 | ... | W_K] over those K classes, of shape (C_in, K*C); so the
+model stores, steps and saves only the weights its forward reads. Each
+conv's kernels are checked and stacked once, when the model is built (an
+autodiff.KernelStack per graph resolution). The 3 -> C lift
 relu(conv(h)) is one autodiff.graph_conv_relu node: at any width it
 mixes the 3-channel input by all kernels at once, multiplies the result
-by the stacked weights [W_1; ...; W_K] in one GEMM and rectifies in
-place, keeping no mixed input (its backward rebuilds it), pre-relu
+by the panel's blocks stacked, [W_1; ...; W_K], in one GEMM and rectifies
+in place, keeping no mixed input (its backward rebuilds it), pre-relu
 output or mask. Each of the six width-preserving residual units h +
 conv(relu(h)) is one autodiff.residual_graph_conv node, which takes h in
-the tape's conv_dtype and keeps only h, its weights and its kernel
-stack: no relu output, conv output or per-kernel product. Its forward
-and backward each pass over tiles of samples: per tile, one GEMM by the
-weight panel [W_1 | ... | W_K] (forward) or one weight GEMM and one
-input GEMM (backward) multiply, one matmul mixes all kernels at once,
-and relu(h) is rebuilt, in the forward in the output rows it becomes, so
-only the output and d/dh are full height. Each decoder unpool and its
-skip add are one autodiff.block_left_matmul_add node. At B=256, C=128 a
-forward records 55 nodes, whose data take 31 MB on a float32 tape and 60
-MB on a float64 one (the weight leaves are read-only views of the
-model's weights, not copies), and the backward sweep frees each node
-once it has passed it.
+the tape's conv_dtype and keeps only h, its weight and its kernel stack:
+no relu output, conv output or per-kernel product. Its forward and
+backward each pass over tiles of samples: per tile, one GEMM by the
+panel (forward) or one weight GEMM and one input GEMM (backward)
+multiply, one matmul mixes all kernels at once, and relu(h) is rebuilt,
+in the forward in the output rows it becomes, so only the output and
+d/dh are full height. Each decoder unpool and its skip add are one
+autodiff.block_left_matmul_add node. At B=256, C=128 a forward records
+27 nodes, 8 of them weight leaves, whose data take 30.6 MB on a float32
+tape and 59.7 MB on a float64 one (the weight leaves are read-only views
+of the model's weights, not copies), and the backward sweep frees each
+node once it has passed it.
 
 Precision: training, evaluation and refine open their tapes with
 conv_dtype=CONV_DTYPE (float32). The trunk, from the 3 -> C lift to the
@@ -67,6 +73,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import itertools
 import os
 import re
 from dataclasses import dataclass
@@ -85,6 +92,12 @@ from .graph import (
 
 N_KERNELS = 5
 STAGES = ("enc0", "enc1", "bottleneck", "dec1", "dec0")
+# The graph each graph-conv unit runs on, in file order: the single-view
+# skeleton, or the fused two-view graph at level 0 (joints), 1 (body-part
+# groups) or 2 (one node per view).
+UNIT_GRAPHS = {"sgcn.0": "spatial", "sgcn.1": "spatial", **{
+    f"mgcn.{s}.0": f"level-{level}"
+    for s, level in zip(STAGES, (0, 1, 2, 1, 0))}}
 # conv_dtype of every tape that trains, evaluates or refines (see above).
 CONV_DTYPE = np.float32
 # Millimetres to network units: the centred input is scaled by it, the
@@ -144,14 +157,48 @@ class NetworkConfig:
         return NetworkConfig(**{key: d[key] for key in fields})
 
 
-def weight_shapes(config: NetworkConfig):
-    """Ordered (name, shape) pairs, one per kernel class of each unit, then
-    the head; the order fixes init draws and file layout."""
+def graph_kernels(topo, levels=None):
+    """{graph: graph.KernelSet} of each graph a unit runs on (UNIT_GRAPHS).
+    levels, when given, is build_graph_levels(topo)."""
+    levels = levels or build_graph_levels(topo)
+    return {"spatial": build_single_view_kernels(topo),
+            **{f"level-{i}": ks for i, ks in enumerate(levels.levels)}}
+
+
+def unit_classes(topo, kernel_mask=(), kernels=None):
+    """{unit: kernel classes} of each graph-conv unit, in file order.
+
+    A unit keeps the kernel classes that are non-zero in its graph and not
+    in kernel_mask, ascending, which keeps the summation deterministic;
+    they fix the unit's weight panel (weight_shapes). kernels, when given,
+    is graph_kernels(topo). A class outside 0-4, or a mask that leaves
+    some graph with no kernel, raises ValueError naming it.
+    """
+    mask = frozenset(int(k) for k in kernel_mask)
+    if not mask <= set(range(N_KERNELS)):
+        raise ValueError(f"kernel_mask {sorted(mask)}: kernel classes "
+                         f"are 0-{N_KERNELS - 1}")
+    classes = {}
+    for where, kernel_set in (kernels or graph_kernels(topo)).items():
+        classes[where] = tuple(k for k in range(N_KERNELS) if k not in mask
+                               and kernel_set.normalized[k].any())
+        if not classes[where]:
+            raise ValueError(f"kernel_mask {sorted(mask)} leaves the {where} "
+                             f"convolutions with no kernel")
+    return {unit: classes[where] for unit, where in UNIT_GRAPHS.items()}
+
+
+def _fan_in(unit, C):
+    return 3 if unit == "sgcn.0" else C
+
+
+def weight_shapes(config: NetworkConfig, classes):
+    """Ordered (name, shape) pairs: per unit of classes (unit_classes), its
+    (C_in, K*C) panel over the K kernel classes its conv keeps, then the
+    head; the order fixes init draws and file layout."""
     C = config.channels
-    units = [("sgcn.0", 3), ("sgcn.1", C)] + [(f"mgcn.{s}.0", C)
-                                              for s in STAGES]
-    return [(f"{unit}.k{k}", (fan_in, C)) for unit, fan_in in units
-            for k in range(N_KERNELS)] + [("head", (C, 3))]
+    return [(unit, (_fan_in(unit, C), len(ks) * C))
+            for unit, ks in classes.items()] + [("head", (C, 3))]
 
 
 class ModelWeights:
@@ -170,41 +217,33 @@ class ModelWeights:
         return ModelWeights({k: v.copy() for k, v in self.arrays.items()})
 
 
-def init_weights(config: NetworkConfig) -> ModelWeights:
-    """Uniform(-sqrt(1/fan_in), sqrt(1/fan_in)) draws; the head starts at zero.
+def init_weights(config: NetworkConfig, classes) -> ModelWeights:
+    """Uniform(-bound, bound) draws for every unit's panel, in the order of
+    classes (unit_classes); the head starts at zero.
 
-    fan_in counts every input connection of a unit: a conv sums all
-    N_KERNELS kernel branches, so each unit receives N_KERNELS * C_in
-    inputs, not just the rows of one kernel matrix. Counting them all
-    keeps the per-unit gain near one as kernels are added, which in turn
-    keeps feature magnitude flat through the residual trunk; the size of
-    the optimizer's very first steps on the zero-initialized head scales
-    directly with that magnitude.
+    bound = sqrt(1 / (N_KERNELS * C_in)) counts five kernel branches per
+    unit, whatever number of them its conv reads: the spatial units read 4
+    and the bottleneck 2, so they start with less gain than a unit that
+    sums all five would. A bounded gain keeps feature magnitude flat
+    through the residual trunk, and the size of the optimizer's very first
+    steps on the zero-initialized head scales directly with that
+    magnitude.
+
+    Each unit draws one (N_KERNELS, C_in, C) block of the stream, a
+    (C_in, C) matrix per kernel class in class order, and keeps those of
+    the classes its conv reads as its panel: an unread class is drawn and
+    dropped, so each read weight takes the same numbers whatever the mask.
     """
     rng = np.random.default_rng(config.init_seed)
+    C = config.channels
     arrays = {}
-    for name, shape in weight_shapes(config):
-        if name == "head":
-            arrays[name] = np.zeros(shape)
-        else:
-            bound = np.sqrt(1.0 / (N_KERNELS * shape[0]))
-            arrays[name] = rng.uniform(-bound, bound, size=shape)
+    for unit, ks in classes.items():
+        fan_in = _fan_in(unit, C)
+        bound = np.sqrt(1.0 / (N_KERNELS * fan_in))
+        draw = rng.uniform(-bound, bound, size=(N_KERNELS, fan_in, C))
+        arrays[unit] = np.concatenate(draw[list(ks)], axis=1)
+    arrays["head"] = np.zeros((C, 3))
     return ModelWeights(arrays)
-
-
-def _conv_entries(kernel_set, mask, where):
-    """(kernel classes, autodiff.KernelStack) of one conv.
-
-    All-zero kernels and masked kernel classes are dropped; ascending
-    kernel order keeps the summation deterministic. A mask that leaves no
-    kernel raises ValueError naming the conv.
-    """
-    ks = [k for k in range(N_KERNELS)
-          if k not in mask and kernel_set.normalized[k].any()]
-    if not ks:
-        raise ValueError(f"kernel_mask {sorted(mask)} leaves the {where} "
-                         f"convolutions with no kernel")
-    return ks, ad.KernelStack([kernel_set.normalized[k] for k in ks])
 
 
 def coarse_pair_leaf(tape, x1_mm, x2_mm, n_joints):
@@ -240,20 +279,37 @@ class CVUGCN:
     kernel_mask zeroes kernel classes for ablations; kernel_mask={4} drops
     the cross-view kernel, which leaves each view refined independently.
     A class outside 0-4, or a mask that leaves some convolution with no
-    kernel at all, raises ValueError.
+    kernel at all, raises ValueError. The model stores the weights its
+    forward reads (weight_shapes), drawn by init_weights unless weights
+    are given; given weights of other names or shapes raise ShapeMismatch.
     """
 
     def __init__(self, topo, config: NetworkConfig, weights=None,
                  kernel_mask=()):
         self.topo = topo
         self.config = config
-        self.weights = init_weights(config) if weights is None else weights
         self.kernel_mask = frozenset(int(k) for k in kernel_mask)
-        mask = self.kernel_mask
-        if not mask <= set(range(N_KERNELS)):
-            raise ValueError(f"kernel_mask {sorted(mask)}: kernel classes "
-                             f"are 0-{N_KERNELS - 1}")
-        sgcn = _conv_entries(build_single_view_kernels(topo), mask, "spatial")
+        self._levels = build_graph_levels(topo)
+        kernels = graph_kernels(topo, self._levels)
+        self._classes = unit_classes(topo, self.kernel_mask, kernels)
+        # Each unit's KernelStack: units on one graph share one.
+        by_graph, self._stacks = {}, {}
+        for unit, ks in self._classes.items():
+            where = UNIT_GRAPHS[unit]
+            if where not in by_graph:
+                by_graph[where] = ad.KernelStack(
+                    [kernels[where].normalized[k] for k in ks])
+            self._stacks[unit] = by_graph[where]
+        shapes = weight_shapes(config, self._classes)
+        if weights is None:
+            weights = init_weights(config, self._classes)
+        got = [(name, arr.shape) for name, arr in weights.items()]
+        if got != shapes:
+            bad = next(pair for pair in itertools.zip_longest(got, shapes)
+                       if pair[0] != pair[1])
+            raise ShapeMismatch(f"weights: got {bad[0]}, the model stores "
+                                f"{bad[1]}")
+        self.weights = weights
         # Centering matrix: row i of (C @ X) is X_i minus the pose centroid.
         # The convolutions carry no bias terms, so an uncentred camera-frame
         # input would put a metre-scale depth offset on every node; that
@@ -261,24 +317,14 @@ class CVUGCN:
         # and destabilises the first optimizer steps on the head. Removing
         # the centroid (rather than a root joint) leaves every coordinate
         # channel with zero mean over the nodes of each sample.
-        center = np.eye(topo.n_joints) - 1.0 / topo.n_joints
-        self._center = center
-        self._levels = build_graph_levels(topo)
-        self._level_convs = [_conv_entries(ks, mask, f"level-{i}")
-                             for i, ks in enumerate(self._levels.levels)]
-        # The conv of each unit: units at one graph resolution share it.
-        self._unit_convs = {"sgcn.0": sgcn, "sgcn.1": sgcn, **{
-            f"mgcn.{s}.0": self._level_convs[level]
-            for s, level in zip(STAGES, (0, 1, 2, 1, 0))}}
+        self._center = np.eye(topo.n_joints) - 1.0 / topo.n_joints
 
     @property
     def param_count(self):
-        """Number of weights the forward reads: the head and, per unit, the
-        weights of the kernel classes its conv keeps (_conv_entries drops
-        masked and all-zero ones)."""
-        return self.weights["head"].size + sum(
-            self.weights[f"{unit}.k{k}"].size
-            for unit, (ks, _) in self._unit_convs.items() for k in ks)
+        """Number of weights stored, which is the number the forward reads:
+        the head and, per unit, the panel over the kernel classes its conv
+        keeps (unit_classes drops masked and all-zero ones)."""
+        return sum(arr.size for _, arr in self.weights.items())
 
     # -- weight access -----------------------------------------------------
 
@@ -292,10 +338,8 @@ class CVUGCN:
 
     def _conv(self, op, h, params, unit):
         """op (ad.graph_conv_relu or ad.residual_graph_conv) over the unit's
-        kernel stack, with the weights params[f"{unit}.k{k}"] of its
-        unmasked kernels k: one tape node."""
-        ks, stack = self._unit_convs[unit]
-        return op(h, stack, [params[f"{unit}.k{k}"] for k in ks])
+        kernel stack, with its weight panel params[unit]: one tape node."""
+        return op(h, self._stacks[unit], params[unit])
 
     def refine_from_leaf(self, xin, params):
         """Forward pass from an existing (2BJ, 3) leaf of per-sample 2J-node
@@ -373,12 +417,15 @@ class CVUGCN:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints, ckpt-v2: five UTF-8 header lines (`ckpt-v2`, `topology <fp>`,
+# Checkpoints, ckpt-v3: five UTF-8 header lines (`ckpt-v3`, `topology <fp>`,
 # `config <json>`, `step <int>`, `train <json>`), then per array the line
 # `array <tag> <rows> <cols>` and exactly rows*cols*8 bytes of little-endian
-# float64, C order (tags `weight:<name>`, then `opt:<kind>:<name>`).
+# float64, C order (tags `weight:<name>`, then `opt:<kind>:<name>`, named as
+# weight_shapes names them). A ckpt-v2 file, the same layout with one array
+# per kernel class of each unit, still loads (_join_v2_classes).
 
-CKPT_SCHEMA = "ckpt-v2"
+CKPT_SCHEMA = "ckpt-v3"
+V2_HEADER = b"ckpt-v2\n"
 
 
 @dataclass
@@ -416,14 +463,57 @@ def save_checkpoint(path, topo, config: NetworkConfig, weights: ModelWeights,
                 _write_array(fh, f"opt:{kind}:{name}", arr)
 
 
+def _join_v2_classes(arrays, config, classes):
+    """A ckpt-v2 file's arrays under ckpt-v3 tags.
+
+    ckpt-v2 stored one (C_in, C) array per kernel class of each unit, for
+    all five classes, tagged `<kind>:<unit>.k<class>` (kind `weight` or
+    `opt:<m|v|vhat>`). A unit's panel joins the arrays of the classes its
+    conv reads (classes, see unit_classes), in class order. The arrays of the
+    classes it does not read are dropped with their optimizer state, which
+    AMSGrad never moved: their gradient is always zero. Other tags pass
+    through, to be checked as ckpt-v3 tags are, but for a unit's own name,
+    which ckpt-v2 does not have. A read class without its array, or an
+    array of another shape, raises SchemaError.
+    """
+    C = config.channels
+    blocks = {}   # (kind, unit) -> {class: array}
+    joined = {}   # in file order: a panel where its first class was
+    for tag, arr in arrays.items():
+        kind, _, name = tag.rpartition(":")
+        m = re.fullmatch(r"(.+)\.k([0-4])", name)
+        if m and m[1] in classes:
+            blocks.setdefault((kind, m[1]), {})[int(m[2])] = arr
+            joined.setdefault(f"{kind}:{m[1]}", None)
+        elif name in classes:
+            raise SchemaError(f"array {tag}: a ckpt-v2 file stores "
+                              f"weights per kernel class")
+        else:
+            joined[tag] = arr
+    for (kind, unit), by_class in blocks.items():
+        shape = (_fan_in(unit, C), C)
+        for k in classes[unit]:
+            tag = f"{kind}:{unit}.k{k}"
+            if k not in by_class:
+                raise SchemaError(f"checkpoint lacks array {tag}")
+            if by_class[k].shape != shape:
+                raise SchemaError(f"array {tag}: expected {shape}, got "
+                                  f"{by_class[k].shape}")
+        joined[f"{kind}:{unit}"] = np.concatenate(
+            [by_class[k] for k in classes[unit]], axis=1)
+    return joined
+
+
 def load_checkpoint(path, topo) -> Checkpoint:
-    """Read a checkpoint; the topology fingerprint must match `topo`."""
+    """Read a checkpoint, ckpt-v3 or ckpt-v2, of the unmasked model; the
+    topology fingerprint must match `topo`."""
     def fail(i, msg):
         raise SchemaError(f"line {i + 1}: {msg}", line=i + 1)
 
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        if fh.readline() != f"{CKPT_SCHEMA}\n".encode():
+        schema = fh.readline()
+        if schema not in (f"{CKPT_SCHEMA}\n".encode(), V2_HEADER):
             fail(0, f"expected header {CKPT_SCHEMA!r}")
         fields = {}
         for i, key in enumerate(("topology", "config", "step", "train"), 1):
@@ -464,7 +554,10 @@ def load_checkpoint(path, topo) -> Checkpoint:
                 raise SchemaError(f"{where}: holds non-finite values")
             arrays[tag] = arr.astype(np.float64, copy=False)
 
-    expected = dict(weight_shapes(config))
+    classes = unit_classes(topo)
+    if schema == V2_HEADER:
+        arrays = _join_v2_classes(arrays, config, classes)
+    expected = dict(weight_shapes(config, classes))
     weights = {}
     for name, shape in expected.items():
         tag = f"weight:{name}"

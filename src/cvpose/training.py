@@ -42,8 +42,7 @@ from .geometry import TRI_MODES, relative_transform, triangulate_stack
 from .graph import default_topology
 from .losses import LOSS_WEIGHTS, behind_camera, total_loss
 from .network import (CONV_DTYPE, CVUGCN, RETIRED_SETTINGS, NetworkConfig,
-                      init_weights, load_checkpoint, retired_problem,
-                      save_checkpoint)
+                      load_checkpoint, retired_problem, save_checkpoint)
 
 
 # The recipe's schedule (schedule_lr) and optimizer (AmsGrad).
@@ -536,8 +535,8 @@ def fit(train_samples, val_samples, cameras, config: TrainConfig,
 
     ckpt = None if resume_from is None else load_checkpoint(resume_from, topo)
     net_cfg = config.network() if ckpt is None else ckpt.config
-    weights = init_weights(net_cfg) if ckpt is None else ckpt.weights
-    model = CVUGCN(topo, net_cfg, weights=weights)
+    model = CVUGCN(topo, net_cfg,
+                   weights=None if ckpt is None else ckpt.weights)
     optimizer = config.optimizer(model.weights)
     history = []
     best_val = math.inf

@@ -62,7 +62,7 @@ def _identity_lift(x):
     """relu(x) as the lift computes it: one identity kernel on 1-row blocks,
     one identity weight."""
     return ad.graph_conv_relu(x, ad.KernelStack([np.eye(1)]),
-                              [x.tape.leaf(np.eye(x.shape[1]))])
+                              x.tape.leaf(np.eye(x.shape[1])))
 
 
 def test_relu_subgradient_at_zero():
@@ -204,9 +204,10 @@ def _relu(a):
     return a.tape._record(np.maximum(a.data, 0.0), "relu", backward)
 
 
-def _graph_conv(h, stack, weights, mix_first):
+def _graph_conv(h, stack, W, mix_first):
     """sum_k N_k h W_k as a node of its own, in the tape's conv_dtype and
-    over all rows at once: the reference composites' graph conv.
+    over all rows at once, with the panel W = [W_1 | ... | W_K]: the
+    reference composites' graph conv.
 
     mix_first takes the lift's order of the product, (N_k h) W_k by
     [W_1; ...; W_K]; otherwise the residual unit's, N_k (h W_k) by
@@ -215,17 +216,18 @@ def _graph_conv(h, stack, weights, mix_first):
     residual unit sums its weight gradients.
     """
     dt = h.tape.conv_dtype
-    (rows, C_in), C_out = h.shape, weights[0].shape[1]
     n, K = stack.n, stack.K
+    (rows, C_in), C_out = h.shape, W.shape[1] // K
     B = rows // n
     x = h.data.astype(dt, copy=False)
-    stacked = np.concatenate([W.data for W in weights], axis=0, dtype=dt)
+    weights = np.split(W.data, K, axis=1)
+    stacked = np.concatenate(weights, axis=0, dtype=dt)
     if mix_first:
         x = np.matmul(stack.mix_in[dt], x.reshape(B, n, C_in)).reshape(
             rows, K * C_in)
         out = x @ stacked
     else:
-        Y = x @ np.concatenate([W.data for W in weights], axis=1, dtype=dt)
+        Y = x @ np.concatenate(weights, axis=1, dtype=dt)
         out = np.matmul(stack.mix_out[dt], Y.reshape(B, n * K, C_out)
                         ).reshape(rows, C_out)
 
@@ -234,16 +236,14 @@ def _graph_conv(h, stack, weights, mix_first):
             dW = x.T @ g
             dX = (g @ stacked.T).reshape(B, n * K, C_in)
             h.grad += np.matmul(stack.mix_in[dt].T, dX).reshape(rows, C_in)
-            for k, W in enumerate(weights):
-                W.grad += dW[k * C_in:(k + 1) * C_in]
+            W.grad += np.concatenate(np.split(dW, K, axis=0), axis=1)
             return
         dY = np.matmul(stack.mix_out_t[dt], g.reshape(B, n, C_out)).reshape(
             rows, K * C_out)
         dW = x.T @ dY
-        h.grad += dY @ np.concatenate([W.data.T for W in weights], axis=0,
+        h.grad += dY @ np.concatenate([w.T for w in weights], axis=0,
                                       dtype=dt)
-        for k, W in enumerate(weights):
-            W.grad += dW[:, k * C_out:(k + 1) * C_out]
+        W.grad += dW
 
     return h.tape._record(out, "graph_conv", backward)
 
@@ -276,9 +276,9 @@ def test_graph_conv_matches_definition():
             ops.append((ad.residual_graph_conv, _residual_reference))
         for op, reference in ops:
             tape = ad.Tape()
-            W = [tape.leaf(w) for w in ws]
+            W = tape.leaf(np.hstack(ws))
             out = op(tape.leaf(h), ad.KernelStack(kernels), W)
-            assert out.op == op.__name__ and len(tape) == 1 + len(W) + 1
+            assert out.op == op.__name__ and len(tape) == 3
             assert np.allclose(out.data, reference(h, kernels, ws, n)[0],
                                rtol=1e-13, atol=1e-13)
 
@@ -296,16 +296,16 @@ def _assert_matches_reference(tape, op, h, kernels, ws, n, tol):
     reference = (_lift_reference if op is ad.graph_conv_relu
                  else _residual_reference)
     hv = tape.leaf(h) if op is ad.graph_conv_relu else _trunk_leaf(tape, h)
-    W = [tape.leaf(w) for w in ws]
+    W = tape.leaf(np.hstack(ws))
     out = op(hv, ad.KernelStack(kernels), W)
     assert out.data.dtype == tape.conv_dtype
     want, dh, dws = reference(hv.data.astype(np.float64), kernels, ws, n)
     tape.backward(ad.reduce_sum(ad.norm_rows(out)))
-    for got, ref in [(out.data, want), (hv.grad, dh)] + [
-            (Wv.grad, dw) for Wv, dw in zip(W, dws)]:
+    for got, ref in [(out.data, want), (hv.grad, dh)] + list(
+            zip(np.split(W.grad, len(ws), axis=1), dws)):
         err = np.abs(got - ref).max()
         assert err <= tol * np.abs(ref).max(), err
-    assert {Wv.grad.dtype for Wv in W} == {np.dtype(np.float64)}
+    assert W.grad.dtype == np.float64
     return out
 
 
@@ -372,7 +372,7 @@ def test_tape_keeps_conv_dtype_values_and_grads_in_it():
     v = tape._record(f32, "x")
     assert v.grad.dtype == np.float32
     a = ad.residual_graph_conv(v, ad.KernelStack([np.eye(2)]),
-                               [tape.leaf(np.eye(2))])
+                               tape.leaf(np.eye(2)))
     b = ad.block_left_matmul(np.eye(2), a)
     assert a.data.dtype == b.data.dtype == np.float32
     # numpy promotion takes a float32 Value back to float64.
@@ -397,17 +397,18 @@ def test_graph_conv_shape_errors():
     one, two = ad.KernelStack([N]), ad.KernelStack([N, N])
     W = tape.leaf(np.ones((3, 2)))
     with pytest.raises(ShapeMismatch, match="not divisible"):
-        ad.graph_conv_relu(h, ad.KernelStack([np.eye(3)]), [W])
-    with pytest.raises(ShapeMismatch, match="2 kernels, 1 weights"):
-        ad.graph_conv_relu(h, two, [W])
-    with pytest.raises(ShapeMismatch, match="1 kernels, 0 weights"):
-        ad.graph_conv_relu(h, one, [])
-    with pytest.raises(ShapeMismatch, match="weight"):
-        ad.graph_conv_relu(h, one, [tape.leaf(np.ones((2, 2)))])
-    with pytest.raises(ShapeMismatch, match="weight"):
-        ad.graph_conv_relu(h, two, [W, tape.leaf(np.ones((3, 5)))])
+        ad.graph_conv_relu(h, ad.KernelStack([np.eye(3)]), W)
+    # The panel holds one (C_in, C_out) block per kernel, C_out >= 1.
+    with pytest.raises(ShapeMismatch, match=r"weight \(3, 3\), expected "
+                       r"\(3, 2 \* C_out\) for 2 kernels"):
+        ad.graph_conv_relu(h, two, tape.leaf(np.ones((3, 3))))
+    with pytest.raises(ShapeMismatch, match=r"weight \(3, 0\)"):
+        ad.graph_conv_relu(h, one, tape.leaf(np.ones((3, 0))))
+    with pytest.raises(ShapeMismatch, match=r"weight \(2, 2\)"):
+        ad.graph_conv_relu(h, one, tape.leaf(np.ones((2, 2))))
+    assert ad.graph_conv_relu(h, two, W).shape == (8, 1)
     with pytest.raises(ValueError, match="different tapes"):
-        ad.graph_conv_relu(h, one, [ad.Tape().leaf(np.ones((3, 2)))])
+        ad.graph_conv_relu(h, one, ad.Tape().leaf(np.ones((3, 2))))
     # A stack is checked once, when it is built: at least one kernel, each
     # square, all of one size.
     for kernels, match in (([], "0 kernels"),
@@ -449,15 +450,15 @@ def test_residual_graph_conv_is_the_composite_bit_for_bit(dtype):
         for fused in (False, True):
             tape = ad.Tape(conv_dtype=dtype)
             hv = _trunk_leaf(tape, h)
-            W = [tape.leaf(w) for w in ws]
+            W = tape.leaf(np.hstack(ws))
             if fused:
                 out = ad.residual_graph_conv(hv, stack, W)
                 assert out.op == "residual_graph_conv"
-                assert len(tape) == 1 + len(W) + 1
+                assert len(tape) == 3
             else:
                 out = _residual_composite(hv, stack, W)
             tape.backward(ad.reduce_sum(ad.norm_rows(out)))
-            grads.append([out.data, hv.grad] + [w.grad for w in W])
+            grads.append([out.data, hv.grad, W.grad])
         for got, want in zip(grads[1], grads[0]):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
@@ -472,8 +473,9 @@ def _mixing_loss(out):
 
 def _fused_and_composite(dtype, h, n, through_conv, fused, composite,
                          n_weights, C_out):
-    """Values and gradients, each as [out, d/dh, d/dW_1, ...], of one
-    fused op and of its multi-node composite.
+    """Values and gradients, each as [out, d/dh, d/dW_1, ...] (the weight
+    panel's gradient split by kernel), of one fused op and of its
+    multi-node composite.
 
     h is a conv_dtype node with no closure (_trunk_leaf); with
     through_conv it reaches the op through an identity graph conv, a node
@@ -486,12 +488,13 @@ def _fused_and_composite(dtype, h, n, through_conv, fused, composite,
         tape = ad.Tape(conv_dtype=dtype)
         hv = _trunk_leaf(tape, h)
         x = (_graph_conv(hv, ad.KernelStack([np.eye(n)]),
-                         [tape.leaf(np.eye(C))], mix_first=False)
+                         tape.leaf(np.eye(C)), mix_first=False)
              if through_conv else hv)
-        W = [tape.leaf(w) for w in ws]
+        W = tape.leaf(np.hstack(ws))
         out = op(x, W)
         tape.backward(_mixing_loss(out))
-        results.append([out.data, hv.grad] + [w.grad for w in W])
+        results.append([out.data, hv.grad,
+                        *np.split(W.grad, n_weights, axis=1)])
     return results
 
 
@@ -553,7 +556,7 @@ def test_fused_units_match_their_composites_bit_for_bit(B, through_conv,
         tape = ad.Tape(conv_dtype=dtype)
         hv, sv = tape.leaf(h), tape.leaf(skip)
         x = (_graph_conv(hv, ad.KernelStack([np.eye(n)]),
-                         [tape.leaf(np.eye(C))], mix_first=False)
+                         tape.leaf(np.eye(C)), mix_first=False)
              if through_conv else hv)
         out = (ad.block_left_matmul_add(M, x, sv) if fused
                else ad.add(ad.block_left_matmul(M, x), sv))
@@ -581,7 +584,7 @@ def test_residual_graph_conv_subgradient_and_nan():
     tape = ad.Tape()
     h = tape.leaf([[-1.0, 0.0, 2.0], [0.0, -0.0, 3.0]])
     out = ad.residual_graph_conv(h, ad.KernelStack([np.eye(2)]),
-                                 [tape.leaf(np.eye(3))])
+                                 tape.leaf(np.eye(3)))
     assert np.array_equal(out.data, [[-1.0, 0.0, 4.0], [0.0, 0.0, 6.0]])
     tape.backward(ad.reduce_sum(out))
     assert np.array_equal(h.grad, [[1.0, 1.0, 2.0], [1.0, 1.0, 2.0]])
@@ -594,7 +597,7 @@ def test_residual_graph_conv_subgradient_and_nan():
     h.data = h.data.copy()    # a leaf is read-only, and refuses a NaN
     h.data[1, 2] = np.nan
     out = ad.residual_graph_conv(h, ad.KernelStack([np.eye(2), N]),
-                                 [tape.leaf(np.eye(3))] * 2)
+                                 tape.leaf(np.hstack([np.eye(3)] * 2)))
     assert np.isnan(out.data[:2]).all()
     assert np.isfinite(out.data[2:]).all()
 
@@ -615,9 +618,9 @@ def _grad_of_h_with_a_second_consumer(dtype, leaf_h, unit_first, fused):
     tape = ad.Tape(conv_dtype=dtype)
     x = _trunk_leaf(tape, rng.normal(size=(B * n, C)))
     y = tape.leaf(rng.normal(size=(B * n, C)))
-    W = [tape.leaf(rng.normal(size=(C, C))) for _ in range(2)]
+    W = tape.leaf(np.hstack([rng.normal(size=(C, C)) for _ in range(2)]))
     h = x if leaf_h else _graph_conv(x, ad.KernelStack([np.eye(n)]),
-                                     [tape.leaf(np.eye(C))], mix_first=False)
+                                     tape.leaf(np.eye(C)), mix_first=False)
 
     def unit():
         if fused:
@@ -646,7 +649,7 @@ def test_residual_unit_never_shares_the_gradient_it_hands_to_h(
                                                    unit_first, True)
     want, _ = _grad_of_h_with_a_second_consumer(dtype, leaf_h, unit_first,
                                                 False)
-    assert any(g is got for g in grads) and len(grads) >= 3
+    assert any(g is got for g in grads) and len(grads) >= 2
     for i, a in enumerate(grads):
         for b in grads[i + 1:]:
             assert not np.shares_memory(a, b)
@@ -659,10 +662,10 @@ def test_residual_graph_conv_shape_errors():
     h = tape.leaf(np.ones((8, 3)))
     with pytest.raises(ShapeMismatch, match="residual_graph_conv"):
         ad.residual_graph_conv(h, ad.KernelStack([np.eye(4)]),
-                               [tape.leaf(np.ones((3, 4)))])
+                               tape.leaf(np.ones((3, 4))))
     with pytest.raises(ShapeMismatch, match="residual_graph_conv"):
         ad.residual_graph_conv(h, ad.KernelStack([np.eye(3)]),
-                               [tape.leaf(np.ones((3, 3)))])
+                               tape.leaf(np.ones((3, 3))))
 
 
 def test_residual_graph_conv_refuses_an_input_off_the_conv_dtype():
@@ -673,7 +676,7 @@ def test_residual_graph_conv_refuses_an_input_off_the_conv_dtype():
     W = tape.leaf(np.eye(3))
     with pytest.raises(ValueError, match="residual_graph_conv: input is "
                        "float64, but the tape's conv_dtype is float32"):
-        ad.residual_graph_conv(h, ad.KernelStack([np.eye(4)]), [W])
+        ad.residual_graph_conv(h, ad.KernelStack([np.eye(4)]), W)
     assert len(tape) == 2
 
 
@@ -762,7 +765,7 @@ def test_grad_graph_conv():
         ws = [rng.normal(size=(c_in, c_out)) for _ in kernels]
         stack = ad.KernelStack(kernels)
         _check(lambda t, p: ad.reduce_sum(ad.norm_rows(
-            ad.graph_conv_relu(p[0], stack, p[1:]))), [x] + ws)
+            ad.graph_conv_relu(p[0], stack, p[1]))), [x, np.hstack(ws)])
 
     check([I, N[0], N[1], N[2]], 5, 6)      # identity plus mixing kernels
     check([I], 5, 6)                        # identity only
@@ -771,12 +774,15 @@ def test_grad_graph_conv():
     check([I, N[0], N[2]], 5, 6)            # one class masked
     check([I, N[0], N[1]], 6, 5)
     check([N[1], N[2]], 5, 5)
-    # h also feeds a matmul and one weight serves two kernels: both
+    # h also feeds a matmul and the weight panel a second matmul: both
     # gradients accumulate onto what is already there.
-    _check(lambda t, p: ad.reduce_sum(ad.norm_rows(ad.add(
-        ad.matmul(p[0], p[2]),
-        ad.graph_conv_relu(p[0], ad.KernelStack([I, N[0]]), [p[1], p[1]])))),
-        [h[:, :5], rng.normal(size=(5, 6)), rng.normal(size=(5, 6))])
+    _check(lambda t, p: ad.add(
+        ad.reduce_sum(ad.norm_rows(ad.add(
+            ad.matmul(p[0], p[2]),
+            ad.graph_conv_relu(p[0], ad.KernelStack([I, N[0]]), p[1])))),
+        ad.reduce_sum(ad.norm_rows(ad.matmul(p[3], p[1])))),
+        [h[:, :5], rng.normal(size=(5, 12)), rng.normal(size=(5, 6)),
+         rng.normal(size=(2, 5))])
 
 
 def test_grad_residual_graph_conv():
@@ -785,12 +791,13 @@ def test_grad_residual_graph_conv():
     for stack, ws in _residual_cases(rng, n, C):
         h = rng.normal(size=(B * n, C))
         _check(lambda t, p: ad.reduce_sum(ad.norm_rows(
-            ad.residual_graph_conv(p[0], stack, p[1:]))), [h] + ws)
+            ad.residual_graph_conv(p[0], stack, p[1]))), [h, np.hstack(ws)])
         # With exact zeros in h the kink is at a sampled coordinate, so h is
         # held constant there and only the weights are checked.
         h[rng.random(h.shape) < 0.3] = 0.0
         _check(lambda t, p: ad.reduce_sum(ad.norm_rows(
-            ad.residual_graph_conv(t.leaf(h), stack, p))), ws)
+            ad.residual_graph_conv(t.leaf(h), stack, p[0]))),
+            [np.hstack(ws)])
 
 
 def test_grad_geometry_ops():
@@ -812,7 +819,7 @@ def test_grad_composite_expression():
     w2 = rng.normal(size=(8, 3))
 
     def build(t, p):
-        h = ad.graph_conv_relu(p[0], ad.KernelStack([N]), [p[1]])
+        h = ad.graph_conv_relu(p[0], ad.KernelStack([N]), p[1])
         delta = ad.matmul(h, p[2])
         return ad.reduce_sum(ad.norm_rows(ad.add(p[0], delta)))
 

@@ -330,11 +330,12 @@ def test_resumed_train_writes_the_trained_networks_config(tmp_path):
 
 def test_train_resume_without_training_state_exits_1(tmp_path, capsys):
     from cvpose.graph import default_topology
-    from cvpose.network import NetworkConfig, init_weights, save_checkpoint
+    from cvpose.network import CVUGCN, NetworkConfig, save_checkpoint
     out = run_synth(tmp_path, n=4)
     net = NetworkConfig(channels=8)
     ckpt = tmp_path / "w.ckpt"
-    save_checkpoint(ckpt, default_topology(), net, init_weights(net), step=0)
+    save_checkpoint(ckpt, default_topology(), net,
+                    CVUGCN(default_topology(), net).weights, step=0)
     code = main(["train", "--data", str(out / "dataset.jsonl"),
                  "--rig", str(out / "rig_assumed.jsonl"),
                  "--out-dir", str(tmp_path / "run"), "--epochs", "1",
@@ -360,11 +361,11 @@ def test_train_resume_without_training_state_exits_1(tmp_path, capsys):
 def test_train_resume_with_malformed_training_state_exits_1(
         tmp_path, capsys, train_state, message):
     from cvpose.graph import default_topology
-    from cvpose.network import NetworkConfig, init_weights, save_checkpoint
+    from cvpose.network import CVUGCN, NetworkConfig, save_checkpoint
     from cvpose.training import AmsGrad
     out = run_synth(tmp_path, n=4)
     net = NetworkConfig(channels=8)
-    weights = init_weights(net)
+    weights = CVUGCN(default_topology(), net).weights
     opt = AmsGrad({k: v.shape for k, v in weights.items()})
     ckpt = tmp_path / "w.ckpt"
     save_checkpoint(ckpt, default_topology(), net, weights, 0, opt.state(),
@@ -615,11 +616,12 @@ def test_negative_or_non_finite_flags_are_usage_errors(tmp_path, capsys,
 def test_eval_checkpoint_naming_a_retired_setting_off_its_value_exits_1(
         tmp_path, capsys):
     from cvpose.graph import default_topology
-    from cvpose.network import NetworkConfig, init_weights, save_checkpoint
+    from cvpose.network import CVUGCN, NetworkConfig, save_checkpoint
     out = run_synth(tmp_path, n=4)
     net = NetworkConfig(channels=8)
     ckpt = tmp_path / "w.ckpt"
-    save_checkpoint(ckpt, default_topology(), net, init_weights(net), step=0)
+    save_checkpoint(ckpt, default_topology(), net,
+                    CVUGCN(default_topology(), net).weights, step=0)
     ckpt.write_bytes(ckpt.read_bytes().replace(
         b'config {"channels": 8,',
         b'config {"channels": 8, "mgcn_layers_per_stage": -1,', 1))
@@ -642,11 +644,12 @@ def test_eval_checkpoint_naming_a_retired_setting_off_its_value_exits_1(
 def test_eval_checkpoint_with_a_bad_config_line_exits_1(tmp_path, capsys,
                                                         config, message):
     from cvpose.graph import default_topology
-    from cvpose.network import NetworkConfig, init_weights, save_checkpoint
+    from cvpose.network import CVUGCN, NetworkConfig, save_checkpoint
     out = run_synth(tmp_path, n=4)
     net = NetworkConfig(channels=8)
     ckpt = tmp_path / "w.ckpt"
-    save_checkpoint(ckpt, default_topology(), net, init_weights(net), step=0)
+    save_checkpoint(ckpt, default_topology(), net,
+                    CVUGCN(default_topology(), net).weights, step=0)
     good = b'config {"channels": 8, "init_seed": 0}'
     assert good in ckpt.read_bytes()
     ckpt.write_bytes(ckpt.read_bytes().replace(good, config, 1))
@@ -759,7 +762,7 @@ def test_json_outputs_write_non_finite_numbers_as_null(tmp_path):
     # With both cameras in one place nothing triangulates, so every mean is
     # NaN; the report and the rows must still be JSON (RFC 8259).
     from cvpose.graph import default_topology
-    from cvpose.network import NetworkConfig, init_weights, save_checkpoint
+    from cvpose.network import CVUGCN, NetworkConfig, save_checkpoint
     out = run_synth(tmp_path, n=4)
     rig = out / "rig_assumed.jsonl"
     header, cam1, cam2 = rig.read_text().splitlines()
@@ -767,7 +770,8 @@ def test_json_outputs_write_non_finite_numbers_as_null(tmp_path):
     rig.write_text("\n".join([header, cam1, json.dumps(twin)]) + "\n")
     net = NetworkConfig(channels=8)
     ckpt = tmp_path / "w.ckpt"
-    save_checkpoint(ckpt, default_topology(), net, init_weights(net), step=0)
+    save_checkpoint(ckpt, default_topology(), net,
+                    CVUGCN(default_topology(), net).weights, step=0)
     inputs = ["--data", str(out / "dataset.jsonl"), "--rig", str(rig),
               "--checkpoint", str(ckpt)]
     report, rows = tmp_path / "report.json", tmp_path / "rows.json"

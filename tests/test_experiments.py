@@ -9,7 +9,7 @@ from cvpose.errors import (CvposeError, MissingGroundTruth, NonFiniteLoss,
 from cvpose.experiments import (ABLATION_VARIANTS, ablation_study,
                                 build_variant, format_table, noise_robustness)
 from cvpose.graph import default_topology
-from cvpose.network import CVUGCN, NetworkConfig, init_weights
+from cvpose.network import CVUGCN, NetworkConfig
 from cvpose.syndata import SyntheticConfig, generate_dataset
 from cvpose.training import TrainConfig, precompute_coarse, train_epochs
 
@@ -203,7 +203,7 @@ def test_noise_robustness_identity_model_tracks_input_noise():
     samples, rig, assumed = small_dataset(n=16, seed=5)
     topo = default_topology()
     cfg = NetworkConfig(channels=8)
-    model = CVUGCN(topo, cfg, weights=init_weights(cfg))  # head at zero
+    model = CVUGCN(topo, cfg)  # head at zero
     rows = noise_robustness(samples, assumed, model,
                             sigmas_mm=(5.0, 10.0, 20.0), seed=0)
     assert [r["sigma_mm"] for r in rows] == [5.0, 10.0, 20.0]
@@ -219,7 +219,7 @@ def test_noise_robustness_is_seed_deterministic():
     samples, rig, assumed = small_dataset(n=8, seed=6)
     topo = default_topology()
     cfg = NetworkConfig(channels=8)
-    model = CVUGCN(topo, cfg, weights=init_weights(cfg))
+    model = CVUGCN(topo, cfg)
     a = noise_robustness(samples, assumed, model, sigmas_mm=(10.0,))
     b = noise_robustness(samples, assumed, model, sigmas_mm=(10.0,))
     assert a == b
@@ -230,7 +230,7 @@ def test_noise_robustness_without_coarse_poses_gives_nan_rows():
     # NaN, as in evaluate, and no "Mean of empty slice" warning escapes.
     _, rig, assumed = small_dataset(n=1, seed=7)
     cfg = NetworkConfig(channels=8)
-    model = CVUGCN(default_topology(), cfg, weights=init_weights(cfg))
+    model = CVUGCN(default_topology(), cfg)
     rows = noise_robustness([], assumed, model, sigmas_mm=(5.0, 10.0))
     assert [r["sigma_mm"] for r in rows] == [5.0, 10.0]
     for r in rows:
@@ -242,6 +242,6 @@ def test_noise_robustness_requires_ground_truth():
     samples, rig, assumed = small_dataset(n=4, seed=7, include_gt=False)
     topo = default_topology()
     cfg = NetworkConfig(channels=8)
-    model = CVUGCN(topo, cfg, weights=init_weights(cfg))
+    model = CVUGCN(topo, cfg)
     with pytest.raises(ValueError):
         noise_robustness(samples, assumed, model)

@@ -10,7 +10,7 @@ from cvpose.cli import _print_rows, build_parser
 from cvpose.geometry import save_rig
 from cvpose.graph import default_topology, save_topology
 from cvpose.metrics import EvalReport
-from cvpose.network import NetworkConfig, init_weights, save_checkpoint
+from cvpose.network import CVUGCN, NetworkConfig, save_checkpoint
 from cvpose.render import render_sample, save_svg
 from cvpose.syndata import (SyntheticConfig, generate_dataset, save_dataset,
                             save_manifest)
@@ -42,7 +42,8 @@ def _triangulate_out(path, inputs):
 WRITERS = {
     "save_checkpoint": lambda path, inputs: save_checkpoint(
         path, default_topology(), NetworkConfig(channels=8),
-        init_weights(NetworkConfig(channels=8)), step=1),
+        CVUGCN(default_topology(), NetworkConfig(channels=8)).weights,
+        step=1),
     "train_log": lambda path, inputs: training._open_log(path, 0).close(),
     "save_dataset": lambda path, inputs: save_dataset(path, inputs[0]),
     "save_rig": lambda path, inputs: save_rig(path, inputs[1]),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -541,6 +542,30 @@ def test_rig_rejects_bad_rotation(tmp_path):
     with pytest.raises(SchemaError) as exc:
         load_rig(path)
     assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("entries", [
+    {(1, 2): 1e200}, {(1, 2): -1e200}, {(1, 2): 1e155},
+    # Column 0 . column 1 is inf - inf: the deviation is nan.
+    {(0, 0): 1e200, (1, 0): 1e200, (0, 1): 1e200, (1, 1): -1e200}])
+def test_rig_refuses_an_overflowing_rotation_entry(tmp_path, entries):
+    # R^T R of an R holding 1e200 overflows; numpy warned on the way to the
+    # refusal, and under warnings-as-errors the reader raised RuntimeWarning,
+    # not SchemaError.
+    R = np.eye(3)
+    for ij, value in entries.items():
+        R[ij] = value
+    path = tmp_path / "rig.jsonl"
+    path.write_text(json.dumps({"schema": "rig-v1"}) + "\n" + json.dumps(
+        {"id": "a", "K": np.eye(3).reshape(-1).tolist(),
+         "R": R.reshape(-1).tolist(), "t": [0, 0, 0],
+         "width": 10, "height": 10}) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SchemaError, match="line 2: camera 'a' R is not "
+                                              "orthonormal") as exc:
+            load_rig(path)
+    assert exc.value.line == 2
 
 
 def test_rig_missing_field_and_header(tmp_path):

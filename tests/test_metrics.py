@@ -8,7 +8,7 @@ from cvpose.geometry import Pose3D, procrustes_align_stack
 from cvpose.graph import default_topology
 from cvpose.metrics import (EvalReport, evaluate, mpjpe, mpjpe_rows, p_mpjpe,
                             p_mpjpe_rows)
-from cvpose.network import CVUGCN, NetworkConfig, init_weights
+from cvpose.network import CVUGCN, NetworkConfig
 from cvpose.syndata import SyntheticConfig, default_rig, generate_dataset
 from cvpose.training import precompute_coarse
 
@@ -55,7 +55,7 @@ def test_evaluate_identity_model_refined_equals_tri():
                                                        sigma_px=4.0))
     topo = default_topology()
     cfg = NetworkConfig(channels=8)
-    model = CVUGCN(topo, cfg, weights=init_weights(cfg))  # head at zero
+    model = CVUGCN(topo, cfg)  # head at zero
     report = evaluate(samples, rig, model, topo, batch_size=4)
     assert report.n_samples == 10
     assert report.mpjpe_refined_mm == report.mpjpe_tri_mm
@@ -70,7 +70,7 @@ def test_evaluate_zero_noise_tri_error_tiny():
     samples, rig, _ = generate_dataset(SyntheticConfig(n_samples=5, seed=2))
     topo = default_topology()
     cfg = NetworkConfig(channels=8)
-    model = CVUGCN(topo, cfg, weights=init_weights(cfg))
+    model = CVUGCN(topo, cfg)
     report = evaluate(samples, rig, model, topo)
     assert report.mpjpe_tri_mm < 1e-6
 
@@ -80,7 +80,7 @@ def test_evaluate_requires_gt():
         SyntheticConfig(n_samples=2, seed=0, include_gt=False))
     topo = default_topology()
     cfg = NetworkConfig(channels=8)
-    model = CVUGCN(topo, cfg, weights=init_weights(cfg))
+    model = CVUGCN(topo, cfg)
     with pytest.raises(ValueError, match="ground truth"):
         evaluate(samples, rig, model, topo)
 
@@ -89,7 +89,7 @@ def test_evaluate_rejects_duplicate_sample_ids():
     samples, rig, _ = generate_dataset(SyntheticConfig(n_samples=4, seed=3))
     topo = default_topology()
     cfg = NetworkConfig(channels=8)
-    model = CVUGCN(topo, cfg, weights=init_weights(cfg))
+    model = CVUGCN(topo, cfg)
     assert evaluate(samples, rig, model, topo).per_sample_tri[0] < 50.0
     samples[2].sample_id = samples[0].sample_id
     with pytest.raises(ValueError, match="repeat"):
@@ -105,7 +105,7 @@ def test_empty_dataset_evaluates_to_nan_means():
     assert skipped == []
     topo = default_topology()
     cfg = NetworkConfig(channels=8)
-    model = CVUGCN(topo, cfg, weights=init_weights(cfg))
+    model = CVUGCN(topo, cfg)
     report = evaluate([], rig, model, topo)
     assert report.n_samples == 0
     assert report.per_sample_tri == report.skipped == []
@@ -121,7 +121,7 @@ def test_evaluate_batch_size_does_not_change_result():
                                                        sigma_px=3.0))
     topo = default_topology()
     cfg = NetworkConfig(channels=8, init_seed=3)
-    w = init_weights(cfg)
+    w = CVUGCN(topo, cfg).weights
     w.arrays["head"] = np.random.default_rng(0).standard_normal(
         w["head"].shape) * 0.01
     model = CVUGCN(topo, cfg, weights=w)
@@ -194,7 +194,7 @@ def _two_pair_set(n, seed=12):
         SyntheticConfig(n_samples=n, seed=seed, sigma_px=3.0), cameras=cameras)
     topo = default_topology()
     cfg = NetworkConfig(channels=8, init_seed=2)
-    w = init_weights(cfg)
+    w = CVUGCN(topo, cfg).weights
     w.arrays["head"] = np.random.default_rng(1).standard_normal(
         w["head"].shape) * 0.05
     return samples, assumed, CVUGCN(topo, cfg, weights=w)

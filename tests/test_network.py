@@ -2,16 +2,19 @@
 
 import gc
 import hashlib
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cvpose import autodiff as ad
-from cvpose import network
+from cvpose import network, training
 from cvpose.errors import SchemaError, ShapeMismatch
 from cvpose.geometry import Pose3D
 from cvpose.graph import default_topology
+from cvpose.syndata import SyntheticConfig, generate_dataset
 from cvpose.network import (
     CVUGCN,
     Checkpoint,
@@ -38,18 +41,25 @@ def rand_coarse(rng, B, J=17):
 
 
 def test_param_count_default():
-    cfg = NetworkConfig()
-    # 2 spatial layers (3->128, 128->128), five kernels each; five U-stages
-    # of 128->128 convs; 128->3 head.
-    expect = 5 * (3 * 128) + 5 * (128 * 128) + 5 * 5 * (128 * 128) + 128 * 3
-    assert sum(r * c for _, (r, c) in weight_shapes(cfg)) == expect == 493824
+    # 2 spatial units (3->128, 128->128) over the 4 classes of their graph,
+    # which has no cross-view class; four U-stages of 128->128 convs over
+    # all five; the bottleneck over classes 0 and 4, all its coarsest graph
+    # keeps; the 128->3 head.
+    topo, cfg = default_topology(), NetworkConfig()
+    expect = (4 * (3 * 128) + 4 * (128 * 128) + 4 * 5 * (128 * 128)
+              + 2 * (128 * 128) + 128 * 3)
+    shapes = weight_shapes(cfg, network.unit_classes(topo))
+    assert len(shapes) == 8
+    assert sum(r * c for _, (r, c) in shapes) == expect == 427904
+    assert CVUGCN(topo, cfg).param_count == expect
 
 
 def test_param_count_is_the_weights_the_forward_reads():
-    # Only the kernel classes a conv keeps are read: the spatial convs have
-    # no cross-view class and the bottleneck's coarsest graph keeps only
-    # classes 0 and 4, so even the full model reads 30 of the 35 conv
-    # weight arrays (and the head); a masked class is read by no conv.
+    # Only the kernel classes a conv keeps are stored and read: the spatial
+    # convs have no cross-view class and the bottleneck's coarsest graph
+    # keeps only classes 0 and 4, so even the full model reads 30 of the 35
+    # (unit, class) blocks (and the head); a masked class is read by no
+    # conv.
     topo, cfg = default_topology(), NetworkConfig()
     counts = [CVUGCN(topo, cfg, kernel_mask=mask).param_count
               for mask in ((), (1, 2, 3), (4,))]
@@ -58,22 +68,110 @@ def test_param_count_is_the_weights_the_forward_reads():
 
 def test_init_weights_deterministic_and_bounded():
     cfg = small_config()
-    a = init_weights(cfg)
-    b = init_weights(cfg)
+    classes = network.unit_classes(default_topology())
+    a = init_weights(cfg, classes)
+    b = init_weights(cfg, classes)
     for (na, wa), (nb, wb) in zip(a.items(), b.items()):
         assert na == nb
         assert np.array_equal(wa, wb)
-    c = init_weights(small_config(init_seed=1))
+    c = init_weights(small_config(init_seed=1), classes)
     assert any(not np.array_equal(wa, wc) for (_, wa), (_, wc)
                in zip(a.items(), c.items()) if wa.size)
     assert np.array_equal(a["head"], np.zeros((8, 3)))
-    for name, shape in weight_shapes(cfg):
+    for name, shape in weight_shapes(cfg, classes):
         arr = a[name]
         assert arr.shape == shape
         if name != "head":
             bound = np.sqrt(1.0 / (N_KERNELS * shape[0]))
             assert np.abs(arr).max() <= bound
             assert np.abs(arr).max() > 0.5 * bound
+
+
+# Weight shapes at C=8: each unit's panel spans the kernel classes its conv
+# keeps, 8 columns per class.
+FULL_SHAPES = {"sgcn.0": (3, 32), "sgcn.1": (8, 32), "mgcn.enc0.0": (8, 40),
+               "mgcn.enc1.0": (8, 40), "mgcn.bottleneck.0": (8, 16),
+               "mgcn.dec1.0": (8, 40), "mgcn.dec0.0": (8, 40), "head": (8, 3)}
+# (variant, kernel mask, weight shapes, param_count)
+WEIGHT_INVENTORY = [
+    ("full", (), FULL_SHAPES, 1784),
+    ("no_refine", (), FULL_SHAPES, 1784),
+    ("no_spatial", (1, 2, 3), {
+        "sgcn.0": (3, 8), "sgcn.1": (8, 8), "mgcn.enc0.0": (8, 16),
+        "mgcn.enc1.0": (8, 16), "mgcn.bottleneck.0": (8, 16),
+        "mgcn.dec1.0": (8, 16), "mgcn.dec0.0": (8, 16), "head": (8, 3)}, 752),
+    ("no_crossview", (4,), {
+        "sgcn.0": (3, 32), "sgcn.1": (8, 32), "mgcn.enc0.0": (8, 32),
+        "mgcn.enc1.0": (8, 32), "mgcn.bottleneck.0": (8, 8),
+        "mgcn.dec1.0": (8, 32), "mgcn.dec0.0": (8, 32), "head": (8, 3)}, 1464),
+]
+
+
+@pytest.mark.parametrize("variant, mask, shapes, count", WEIGHT_INVENTORY,
+                         ids=[row[0] for row in WEIGHT_INVENTORY])
+def test_each_variant_stores_one_panel_per_unit(variant, mask, shapes, count):
+    # One weight per graph-conv unit, over only the kernel classes its conv
+    # reads, and the head: no array the forward does not read is stored,
+    # stepped or saved.
+    from cvpose.experiments import build_variant
+    model = build_variant(variant, default_topology(), small_config())
+    assert model.kernel_mask == frozenset(mask)
+    assert {n: a.shape for n, a in model.weights.items()} == shapes
+    assert list(model.weights.arrays) == list(shapes)
+    assert model.param_count == count == sum(
+        a.size for _, a in model.weights.items())
+
+
+# A C=8 checkpoint of the state below: 1,784 weights and their m, v and
+# vhat, 8 bytes each (57,088 bytes), after the five header lines and 32
+# array lines.
+CKPT_C8_BYTES = 58212
+
+
+def test_c8_checkpoint_holds_the_stored_weights_and_their_state(tmp_path):
+    topo, cfg = default_topology(), small_config()
+    model = CVUGCN(topo, cfg)
+    opt = training.TrainConfig().optimizer(model.weights)
+    path = tmp_path / "c8.ckpt"
+    save_checkpoint(path, topo, cfg, model.weights, 4, opt.state(),
+                    {"next_epoch": 4, "loss_history": [1.0, 0.5, 0.25, 0.125],
+                     "best_val": 0.125})
+    assert path.stat().st_size == CKPT_C8_BYTES
+
+
+@pytest.mark.parametrize("mask", [(), (1, 2, 3), (4,)])
+def test_init_draws_five_classes_per_unit_and_keeps_the_ones_read(mask):
+    # The stream of one (C_in, C) draw per kernel class of each unit, all
+    # five, in unit and class order: a unit's panel holds the draws of the
+    # classes its conv reads and an unread class's draw is dropped, so a
+    # read weight has the same initial value under every mask.
+    cfg = small_config(init_seed=3)
+    model = CVUGCN(default_topology(), cfg, kernel_mask=mask)
+    rng = np.random.default_rng(3)
+    for unit, ks in model._classes.items():
+        fan_in = 3 if unit == "sgcn.0" else 8
+        bound = np.sqrt(1.0 / (N_KERNELS * fan_in))
+        draws = [rng.uniform(-bound, bound, size=(fan_in, 8))
+                 for _ in range(N_KERNELS)]
+        assert np.array_equal(model.weights[unit],
+                              np.hstack([draws[k] for k in ks])), unit
+
+
+def test_given_weights_must_be_the_models_own():
+    topo, cfg = default_topology(), small_config()
+    own = CVUGCN(topo, cfg).weights
+    masked = CVUGCN(topo, cfg, kernel_mask={4}).weights
+    renamed = ModelWeights({("sgcn.0.k0" if n == "sgcn.0" else n): a
+                            for n, a in own.items()})
+    short = ModelWeights({n: a for n, a in own.items() if n != "head"})
+    for weights, got, want in (
+            (masked, ("mgcn.enc0.0", (8, 32)), ("mgcn.enc0.0", (8, 40))),
+            (renamed, ("sgcn.0.k0", (3, 32)), ("sgcn.0", (3, 32))),
+            (short, None, ("head", (8, 3)))):
+        with pytest.raises(ShapeMismatch, match=re.escape(
+                f"weights: got {got}, the model stores {want}")):
+            CVUGCN(topo, cfg, weights=weights)
+    assert CVUGCN(topo, cfg, weights=own).weights is own
 
 
 def test_identity_at_init():
@@ -266,7 +364,8 @@ def test_two_channel_network_refines_and_backpropagates():
                                            ad.norm_rows(X2))))
         for name, leaf in params.items():
             assert np.isfinite(leaf.grad).all(), name
-        assert np.abs(params["sgcn.0.k1"].grad).max() > 0
+        # The lift's panel block of class 1, the kinematic kernel.
+        assert np.abs(params["sgcn.0"].grad[:, 2:4]).max() > 0
         tape.release()
     assert np.abs(refined[0] - np.vstack([x1, x2])).max() > 1e-3
     assert np.abs(refined[1] - refined[0]).max() <= 0.01
@@ -340,7 +439,7 @@ def test_default_forward_records_one_node_per_conv():
     assert ops.count("block_left_matmul_add") == 2
     assert ops.count("block_left_matmul") == 3   # centring, two pools
     assert "relu" not in ops and "graph_conv" not in ops
-    assert len(ops) == 55
+    assert len(ops) == 27   # with 8 weight leaves
     assert ops.count("add") == 1   # the residual onto the coarse pose
     assert "add_n" not in ops and ops.count("matmul") == 1   # the head
 
@@ -375,14 +474,16 @@ def test_float32_tape_keeps_the_trunk_in_float32():
         assert X1.data.dtype == X2.data.dtype == loss.data.dtype == F64
         tape.backward(loss)
         assert {v.grad.dtype for v in params.values()} == {F64}
-        assert np.abs(params["sgcn.0.k1"].grad).max() > 0
+        assert np.abs(params["sgcn.0"].grad[:, 8:16]).max() > 0
         tape.release()
 
 
-# sha256 of a C=8 model's refined views and its 36 weight gradients, in
-# weight_shapes order, recorded when the graph conv still chose its product
-# order by width and kept a tiled path without a residual. Any rewrite of
-# the convolutions must keep these bits, or record why it moves them.
+# sha256 of a C=8 model's refined views and its weight gradients, recorded
+# when the graph conv still chose its product order by width and kept a
+# tiled path without a residual, and the model stored one (C_in, C) weight
+# per kernel class of each unit, all five classes. The gradients are hashed
+# in that layout (_per_class_grads). Any rewrite of the convolutions must
+# keep these bits, or record why it moves them.
 NETWORK_DIGESTS = {
     ("float64", 1): (
         "d2fcb709716a066711f89f12e59ce577e0ec8e045a163b13389fb78ff0893f28"),
@@ -395,6 +496,18 @@ NETWORK_DIGESTS = {
 }
 
 
+def _per_class_grads(model, params):
+    """The weight gradients as one (C_in, C) array per kernel class of each
+    unit, in class order, zero for a class the unit's conv does not read,
+    then the head's."""
+    grads = []
+    for unit, ks in model._classes.items():
+        blocks = np.split(params[unit].grad, len(ks), axis=1)
+        grads += [blocks[ks.index(k)] if k in ks else np.zeros_like(blocks[0])
+                  for k in range(N_KERNELS)]
+    return grads + [params["head"].grad]
+
+
 @pytest.mark.parametrize("B", [1, 7])
 @pytest.mark.parametrize("conv_dtype", ["float64", "float32"])
 def test_forward_and_gradients_match_their_recorded_digest(monkeypatch,
@@ -405,7 +518,7 @@ def test_forward_and_gradients_match_their_recorded_digest(monkeypatch,
     monkeypatch.setattr(ad, "TILE_ROWS", 340)
     topo = default_topology()
     model = CVUGCN(topo, small_config())
-    stack = model._level_convs[0][1]
+    stack = model._stacks["mgcn.enc0.0"]
     per_tile = ad.TILE_ROWS // stack.K // stack.n
     if B > 1:
         tiles = -(-B // per_tile)
@@ -417,8 +530,7 @@ def test_forward_and_gradients_match_their_recorded_digest(monkeypatch,
     X1, X2, params = model.refine_batch(tape, x1, x2)
     tape.backward(ad.reduce_sum(ad.add(ad.norm_rows(X1), ad.norm_rows(X2))))
     digest = hashlib.sha256()
-    for arr in [X1.data, X2.data] + [params[name].grad for name, _
-                                     in weight_shapes(model.config)]:
+    for arr in [X1.data, X2.data] + _per_class_grads(model, params):
         digest.update(arr.tobytes())
     assert digest.hexdigest() == NETWORK_DIGESTS[conv_dtype, B]
 
@@ -589,7 +701,8 @@ def test_cross_view_mask_decouples_views():
     B1, _, _ = model.refine_batch(t2, x1, x2b)
     assert np.array_equal(A1.data, B1.data)
     # Unmasked, the views talk to each other.
-    full = CVUGCN(topo, small_config(), weights=model.weights)
+    full = CVUGCN(topo, small_config())
+    full.weights.arrays["head"] = model.weights["head"]
     t3 = ad.Tape()
     C1, _, _ = full.refine_batch(t3, x1, x2a)
     t4 = ad.Tape()
@@ -603,7 +716,7 @@ def test_param_leaves_carry_weight_names():
     tape = ad.Tape()
     params = model.param_leaves(tape)
     assert [v.op for v in params.values()] == [
-        f"param:{name}" for name, _ in weight_shapes(cfg)]
+        f"param:{name}" for name in FULL_SHAPES]
     rng = np.random.default_rng(6)
     before = model.weights.copy()
     model.refine_batch(tape, rand_coarse(rng, 1), rand_coarse(rng, 1), params)
@@ -634,7 +747,7 @@ def test_refine_batch_validates_shapes():
 def test_checkpoint_roundtrip(tmp_path):
     topo = default_topology()
     cfg = small_config(init_seed=7)
-    w = init_weights(cfg)
+    w = CVUGCN(topo, cfg).weights
     rng = np.random.default_rng(8)
     w.arrays["head"] = rng.normal(size=(8, 3)) * 1e-7  # exercise tiny floats
     # Signed zero, the smallest subnormal and the largest finite double.
@@ -699,7 +812,7 @@ def test_checkpoint_topology_mismatch(tmp_path):
     topo = default_topology()
     cfg = small_config()
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, topo, cfg, init_weights(cfg), step=0)
+    save_checkpoint(path, topo, cfg, CVUGCN(topo, cfg).weights, step=0)
     from cvpose.graph import SkeletonTopology
     other = SkeletonTopology(("a", "b"), (0, 0), ())
     with pytest.raises(SchemaError):
@@ -710,7 +823,7 @@ def test_checkpoint_corruption(tmp_path):
     topo = default_topology()
     cfg = small_config()
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, topo, cfg, init_weights(cfg), step=3)
+    save_checkpoint(path, topo, cfg, CVUGCN(topo, cfg).weights, step=3)
     data = path.read_bytes()
     head = data.index(b"array weight:head 8 3\n")
     cases = {
@@ -718,8 +831,8 @@ def test_checkpoint_corruption(tmp_path):
         "trunc": (data[:-8], "byte %d: array weight:head: truncated" % head),
         # The header is replaced, or is the old text format's.
         "hdr": (b"nope\n" + data[data.index(b"\n") + 1:],
-                "line 1: expected header 'ckpt-v2'"),
-        "v1": (b"ckpt-v1\n" + data[data.index(b"\n") + 1:], "'ckpt-v2'"),
+                "line 1: expected header 'ckpt-v3'"),
+        "v1": (b"ckpt-v1\n" + data[data.index(b"\n") + 1:], "'ckpt-v3'"),
         # The weight:head block is dropped entirely.
         "miss": (data[:head], "lacks weight head"),
         # Bytes follow the last array.
@@ -746,11 +859,86 @@ def test_checkpoint_corruption(tmp_path):
             load_checkpoint(tmp_path / f"{name}.ckpt", topo)
 
 
+# The final.ckpt that the ckpt-v2 writer, the last before ckpt-v3, wrote
+# for the fit in _fit_c4.
+CKPT_V2 = Path(__file__).parent / "data" / "ckpt_v2_fit_c4.ckpt"
+
+
+def _fit_c4(out_dir, epochs=2, resume_from=None):
+    samples, _, rig = generate_dataset(SyntheticConfig(n_samples=8, seed=2,
+                                                       sigma_px=3.0))
+    cfg = training.TrainConfig(epochs=epochs, batch_size=4, channels=4,
+                               init_seed=5)
+    return training.fit(samples, [], rig, cfg, out_dir=out_dir,
+                        resume_from=resume_from)
+
+
+def test_ckpt_v2_file_loads_to_the_weights_it_holds_and_resumes_alike(
+        tmp_path):
+    # A ckpt-v2 file loads to the weights its units read, each unit's
+    # classes joined into its panel, and to their optimizer state; the
+    # arrays of unread classes are dropped. Resumed, it trains on exactly
+    # as the ckpt-v3 file of the same run does.
+    topo = default_topology()
+    v3_path = _fit_c4(tmp_path / "run").checkpoints["final"]
+    v3 = load_checkpoint(v3_path, topo)
+    v2 = load_checkpoint(CKPT_V2, topo)
+    assert (v2.config, v2.step, v2.train_state) == (
+        v3.config, v3.step, v3.train_state)
+    assert list(v2.weights.arrays) == list(v3.weights.arrays)
+    assert {k: list(d) for k, d in v2.opt_state.items()} == {
+        k: list(d) for k, d in v3.opt_state.items()}
+    pairs = [(v2.weights[n], a) for n, a in v3.weights.items()] + [
+        (v2.opt_state[kind][n], a)
+        for kind, arrays in v3.opt_state.items() for n, a in arrays.items()]
+    for got, want in pairs:
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert got.flags.writeable
+    runs = [_fit_c4(tmp_path / name, epochs=3, resume_from=path)
+            for name, path in (("from_v3", v3_path), ("from_v2", CKPT_V2))]
+    assert runs[0].history == runs[1].history
+    for name, arr in runs[0].weights.items():
+        assert np.array_equal(arr, runs[1].weights[name]), name
+
+
+def test_ckpt_v2_reader_refuses_what_ckpt_v2_files_do_not_hold(tmp_path):
+    topo = default_topology()
+    data = CKPT_V2.read_bytes()
+
+    def without(tag):
+        start = data.index(f"array {tag} ".encode())
+        rows, cols = map(int, data[start:data.index(b"\n", start)].split()[2:])
+        return (data[:start]
+                + data[data.index(b"\n", start) + 1 + 8 * rows * cols:])
+
+    # A class the unit does not read may be missing; one it reads not.
+    (tmp_path / "unread.ckpt").write_bytes(without("weight:sgcn.1.k4"))
+    assert load_checkpoint(tmp_path / "unread.ckpt",
+                           topo).weights["sgcn.1"].shape == (4, 16)
+    cases = {
+        "read": (without("weight:sgcn.1.k2"),
+                 "checkpoint lacks array weight:sgcn.1.k2"),
+        "shape": (data.replace(b"array weight:sgcn.0.k1 3 4\n",
+                               b"array weight:sgcn.0.k1 4 3\n"),
+                  r"array weight:sgcn\.0\.k1: expected \(3, 4\), "
+                  r"got \(4, 3\)"),
+        "panel": (data + b"array weight:sgcn.0 3 16\n" + bytes(8 * 48),
+                  "array weight:sgcn.0: a ckpt-v2 file stores weights per "
+                  "kernel class"),
+        "weight": (data + b"array weight:sgcn.2.k0 1 1\n" + bytes(8),
+                   "unknown weight sgcn.2.k0"),
+    }
+    for name, (blob, match) in cases.items():
+        (tmp_path / f"{name}.ckpt").write_bytes(blob)
+        with pytest.raises(SchemaError, match=match):
+            load_checkpoint(tmp_path / f"{name}.ckpt", topo)
+
+
 def test_checkpoint_garbage_raises_schema_error(tmp_path):
     topo = default_topology()
     cfg = small_config()
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, topo, cfg, init_weights(cfg), step=3)
+    save_checkpoint(path, topo, cfg, CVUGCN(topo, cfg).weights, step=3)
     data = path.read_bytes()
     head = data.index(b"array weight:head 8 3\n")
     blobs = [
@@ -769,12 +957,12 @@ def test_checkpoint_garbage_raises_schema_error(tmp_path):
 def test_checkpoint_rejects_non_finite_arrays(tmp_path):
     topo = default_topology()
     cfg = small_config()
-    w = init_weights(cfg)
-    w.arrays["sgcn.1.k2"][3, 4] = np.nan
+    w = CVUGCN(topo, cfg).weights
+    w.arrays["sgcn.1"][3, 4] = np.nan
     save_checkpoint(tmp_path / "nan.ckpt", topo, cfg, w, step=1)
-    with pytest.raises(SchemaError, match=r"weight:sgcn\.1\.k2.*non-finite"):
+    with pytest.raises(SchemaError, match=r"weight:sgcn\.1: .*non-finite"):
         load_checkpoint(tmp_path / "nan.ckpt", topo)
-    w = init_weights(cfg)
+    w = CVUGCN(topo, cfg).weights
     opt = {"v": {"head": np.full((8, 3), np.inf)}}
     save_checkpoint(tmp_path / "inf.ckpt", topo, cfg, w, step=1, opt_state=opt)
     with pytest.raises(SchemaError, match=r"opt:v:head.*non-finite"):
@@ -785,7 +973,7 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
     topo = default_topology()
     cfg = small_config()
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, topo, cfg, init_weights(cfg), step=1)
+    save_checkpoint(path, topo, cfg, CVUGCN(topo, cfg).weights, step=1)
     original = path.read_bytes()
     real_write = network._write_array
     written = []
@@ -798,7 +986,8 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(network, "_write_array", failing_write)
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(path, topo, cfg, init_weights(small_config(init_seed=1)),
+        save_checkpoint(path, topo, cfg,
+                        CVUGCN(topo, small_config(init_seed=1)).weights,
                         step=2)
     assert path.read_bytes() == original
     assert load_checkpoint(path, topo).step == 1
@@ -806,8 +995,7 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
 
 
 def test_model_weights_copy_independent():
-    cfg = small_config()
-    a = init_weights(cfg)
+    a = CVUGCN(default_topology(), small_config()).weights
     b = a.copy()
     b.arrays["head"][0, 0] = 99.0
     assert a["head"][0, 0] == 0.0
