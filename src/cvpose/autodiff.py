@@ -11,7 +11,13 @@ closure and gradient before running the closure, so an array that only
 the tape held is freed by refcount as soon as the sweep is past it: no
 earlier closure can read a later node. Leaves (Values with no closure:
 inputs, weights) stay on the tape with their gradients until release().
-Values the caller holds keep their data. A tape can be swept once.
+Values the caller holds keep their data, but for those an op consumed:
+block_left_matmul_add, the decoder join, consumes each input that a
+graph-conv unit (residual_graph_conv, lift_residual_graph_conv) made,
+since no backward reads it. It adds its sum into such a skip's buffer and
+drops h's data, so the forward leaves on the tape only what some backward
+reads. A consumed Value keeps its shape and dtype, so its gradient works,
+but reading its data raises ValueError. A tape can be swept once.
 
 A leaf does not copy the array it wraps: its data is a read-only view of
 the caller's float64 array, so the caller leaves that array unchanged
@@ -22,11 +28,12 @@ Precision follows the tape's conv_dtype, float64 by default or float32
 (mixed precision in the sense of Micikevicius et al., ICLR 2018). A
 Value is stored in conv_dtype when its data already has that dtype and
 as float64 otherwise, and its gradient has the dtype of its data. Leaves
-are always float64. The two graph convolutions multiply in conv_dtype:
-graph_conv_relu, the network's lift, casts its input to it, and
-residual_graph_conv, a residual unit, takes its input only in it. Both
-read their kernels in conv_dtype from a KernelStack, which holds them in
-both dtypes, cast their weight panel to it, and hand back a conv_dtype
+are always float64. The graph convolutions multiply in conv_dtype:
+graph_conv_relu, a 3 -> C lift, and lift_residual_graph_conv, the
+network's lift and the residual unit after it, cast their input to it,
+and residual_graph_conv, a residual unit, takes its input only in it.
+Each reads its kernels in conv_dtype from a KernelStack, which holds them
+in both dtypes, casts its weight panels to it, and hands back a conv_dtype
 result, so on a float32 tape a chain of convolutions, block_left_matmuls
 (with or without their adds) and adds stays float32 from end to end; numpy
 promotion brings it back to float64 wherever it meets a float64 operand,
@@ -46,23 +53,47 @@ from .errors import NonPositiveDepth, NotScalar, ShapeMismatch
 from .geometry import DEPTH_EPS
 
 
+class _Consumed:
+    """What a consumed Value keeps of its data: its shape and dtype, which
+    its gradient needs, and the op that consumed it."""
+
+    __slots__ = ("shape", "dtype", "by")
+
+    def __init__(self, data, by):
+        self.shape, self.dtype, self.by = data.shape, data.dtype, by
+
+
 class Value:
     """A matrix on a tape. data is (rows, cols), float64 or the tape's
-    conv_dtype; grad matches its shape and dtype."""
+    conv_dtype; grad matches its shape and dtype. Once an op has consumed
+    the Value (block_left_matmul_add), reading data raises ValueError;
+    shape, dtype and grad still work."""
 
-    __slots__ = ("data", "_grad", "tape", "op", "_backward", "__weakref__")
+    __slots__ = ("_data", "_grad", "tape", "op", "_backward", "__weakref__")
 
     def __init__(self, data, tape, op, backward=None):
-        self.data = data
+        self._data = data
         self._grad = None
         self.tape = tape
         self.op = op
         self._backward = backward
 
     @property
+    def data(self):
+        data = self._data
+        if type(data) is _Consumed:
+            raise ValueError(f"the {self.op} value was consumed by {data.by}; "
+                             f"its data is gone")
+        return data
+
+    @data.setter
+    def data(self, value):
+        self._data = value
+
+    @property
     def grad(self):
         if self._grad is None:
-            self._grad = np.zeros_like(self.data)
+            self._grad = np.zeros(self.shape, self.dtype)
         return self._grad
 
     @grad.setter
@@ -71,10 +102,17 @@ class Value:
 
     @property
     def shape(self):
-        return self.data.shape
+        return self._data.shape
+
+    @property
+    def dtype(self):
+        return self._data.dtype
+
+    def _consume(self, by):
+        self._data = _Consumed(self._data, by)
 
     def __repr__(self):
-        return f"Value(op={self.op!r}, shape={self.data.shape})"
+        return f"Value(op={self.op!r}, shape={self.shape})"
 
 
 class Tape:
@@ -191,6 +229,16 @@ def _same_shape(a, b, opname):
             f"{opname}: shapes {a.data.shape} and {b.data.shape} differ")
 
 
+def _pass_grad(v, g):
+    """Add g, an array of v's shape that no Value holds, into v's gradient;
+    when v has none yet and g has v's dtype, g becomes it, with no zero fill
+    and no copy."""
+    if v._grad is None and g.dtype == v.dtype:
+        v._grad = g
+    else:
+        v.grad += g
+
+
 # ---------------------------------------------------------------------------
 # Arithmetic.
 
@@ -258,12 +306,9 @@ def matmul(a: Value, b: Value) -> Value:
         b.grad += a.data.astype(g.dtype, copy=False).T @ g
         # d/da in a's dtype, which becomes a's gradient buffer if it has
         # none: no full-height temporary in g's dtype, no zero fill.
-        dt = a.data.dtype
+        dt = a.dtype
         da = g.astype(dt, copy=False) @ b.data.astype(dt, copy=False).T
-        if a._grad is None:
-            a.grad = da
-        else:
-            a.grad += da
+        _pass_grad(a, da)
 
     return tape._record(a.data @ b.data, "matmul", backward)
 
@@ -287,22 +332,31 @@ def affine_rows(a: Value, M, shift=None) -> Value:
     return a.tape._record(out, "affine_rows", backward)
 
 
-def _block_product(M, h, opname):
-    """(M, B, out): the constant (r, n) matrix M in h's dtype, the number
-    B of n-row blocks in h, and the (B*r, C) product of M with each."""
-    M = np.asarray(M, dtype=h.data.dtype)
-    r, n = M.shape
-    rows, C = h.data.shape
+def _blocks(M, h, opname):
+    """(M, B): the constant (r, n) matrix M in h's dtype, and the number B
+    of n-row blocks in h."""
+    M = np.asarray(M, dtype=h.dtype)
+    rows, n = h.shape[0], M.shape[1]
     if rows % n != 0:
         raise ShapeMismatch(f"{opname}: {rows} rows not divisible by {n}")
-    B = rows // n
-    return M, B, np.matmul(M, h.data.reshape(B, n, C)).reshape(B * r, C)
+    return M, rows // n
 
 
-def _block_product_grad(M, B, g):
-    """The gradient on h's (B*n, C) rows from g, one of the product's."""
-    (r, n), C = M.shape, g.shape[1]
-    return np.matmul(M.T, g.reshape(B, r, C)).reshape(B * n, C)
+def _block_product(M, x):
+    """M (r, n) applied to every n-row block of the (b*n, C) array x:
+    the (b*r, C) product."""
+    (r, n), (rows, C) = M.shape, x.shape
+    return np.matmul(M, x.reshape(rows // n, n, C)).reshape(rows // n * r, C)
+
+
+def _sample_tiles(B, per):
+    """(start, stop) sample bounds of the fewest tiles of at most per
+    samples that cover B samples in order, split as numpy's array_split
+    splits, so the first is the largest and each holds at least half a
+    tile; one tile when B <= per."""
+    count = max(1, -(-B // per))
+    ends = [-(-B * i // count) for i in range(count + 1)]
+    return list(zip(ends, ends[1:]))
 
 
 def block_left_matmul(M, h: Value) -> Value:
@@ -312,42 +366,67 @@ def block_left_matmul(M, h: Value) -> Value:
     Used for graph kernels and pooling operators where the same small
     matrix acts on each sample of a batch.
     """
-    M, B, out = _block_product(M, h, "block_left_matmul")
+    M, _ = _blocks(M, h, "block_left_matmul")
 
     def backward(g):
-        h.grad += _block_product_grad(M, B, g)
+        h.grad += _block_product(M.T, g)
 
-    return h.tape._record(out, "block_left_matmul", backward)
+    return h.tape._record(_block_product(M, h.data), "block_left_matmul",
+                          backward)
+
+
+# The ops whose result no closure holds, their own included: the graph-conv
+# units. block_left_matmul_add consumes an input made by one of them.
+_UNIT_OPS = frozenset({"residual_graph_conv", "lift_residual_graph_conv"})
 
 
 def block_left_matmul_add(M, h: Value, skip: Value) -> Value:
-    """add(block_left_matmul(M, h), skip) as one node, with the same bits.
+    """add(block_left_matmul(M, h), skip) as one node, with the same bits:
+    the decoder's unpooling and its skip connection in one step.
 
-    The tape keeps the sum only, not the product: the decoder's unpooling
-    and its skip connection in one step.
+    The node keeps no product, and consumes each input that a graph-conv
+    unit made (_UNIT_OPS), as the decoder's are: no backward reads them,
+    and only their Values hold their arrays. A consumed skip of the sum's
+    dtype lends its buffer to the sum, and the product is added into it
+    tile by tile; any other consumed input only lets go of its data. A
+    consumed Value keeps its shape and dtype, so its gradient works as
+    before, but reading its data raises ValueError. Any other skip (a
+    leaf, or the result of an op whose backward may read it) is added into
+    a new sum, as an add would, and left as it is.
+
+    The backward takes h's part first, in h's dtype as the product's own
+    gradient would be; then g, the node's own gradient, which the sweep
+    has let go of, becomes the skip's gradient buffer if it has none.
     """
     tape = _same_tape(h, skip)
-    M, B, out = _block_product(M, h, "block_left_matmul_add")
-    if skip.data.shape != out.shape:
-        raise ShapeMismatch(f"block_left_matmul_add: skip {skip.data.shape}, "
-                            f"expected {out.shape}")
-    if out.dtype == np.result_type(out, skip.data):
-        out += skip.data
+    M, B = _blocks(M, h, "block_left_matmul_add")
+    (r, n), C = M.shape, h.shape[1]
+    if skip.shape != (B * r, C):
+        raise ShapeMismatch(f"block_left_matmul_add: skip {skip.shape}, "
+                            f"expected {(B * r, C)}")
+    if (skip.op in _UNIT_OPS
+            and skip.dtype == np.result_type(h.dtype, skip.dtype)):
+        out = skip.data
+        for a, b in _sample_tiles(B, max(1, TILE_ROWS // r)):
+            out[r * a:r * b] += _block_product(M, h.data[n * a:n * b])
     else:
-        out = out + skip.data
+        out = _block_product(M, h.data) + skip.data
+    for v in (h, skip):
+        if v.op in _UNIT_OPS:
+            v._consume("block_left_matmul_add")
 
     def backward(g):
-        skip.grad += g
-        # In h's dtype, as the product's own gradient would be.
-        h.grad += _block_product_grad(M, B, g.astype(h.data.dtype,
-                                                     copy=False))
+        _pass_grad(h, _block_product(M.T, g.astype(h.dtype, copy=False)))
+        _pass_grad(skip, g)
 
     return tape._record(out, "block_left_matmul_add", backward)
 
 
 # Rows of whole samples in one tile of a residual unit's scratch, over its
 # K kernels: a tile has about TILE_ROWS // K rows, so its (rows, K*C)
-# scratch takes the bytes of TILE_ROWS rows of the (rows, C) result.
+# scratch takes the bytes of TILE_ROWS rows of the (rows, C) result. A
+# decoder join adds its product into the skip TILE_ROWS result rows at a
+# time.
 TILE_ROWS = 2048
 
 
@@ -385,16 +464,17 @@ class KernelStack:
 
 class _ConvPlan:
     """The checked operands of one graph convolution sum_k N_k x W_k over a
-    KernelStack, with its kernels in the tape's conv_dtype.
+    KernelStack, for an input x of the given (rows, C_in) shape, with its
+    kernels in the tape's conv_dtype.
 
     The weight is one (C_in, K*C_out) panel [W_1 | ... | W_K], a block per
-    kernel of the stack, in its order. Each of the two graph-conv nodes
-    has one order of the product. graph_conv_relu, the 3 -> C lift, mixes
+    kernel of the stack, in its order. Each of the two kinds of graph conv
+    has one order of the product. The lift (_lift), a 3 -> C conv, mixes
     first: one batched matmul by mix_in builds the (rows, K*C_in) array
-    [N_1 x | ... | N_K x], which its backward rebuilds the same way rather
-    than keep, and one GEMM multiplies it by the stacked weights
-    [W_1; ...; W_K], the panel's blocks rearranged (stacked()).
-    residual_graph_conv multiplies first, in one pass over tiles of whole
+    [N_1 x | ... | N_K x] (mixed()), which its backward rebuilds the same
+    way rather than keep, and one GEMM multiplies it by the stacked weights
+    [W_1; ...; W_K], the panel's blocks rearranged (stacked()). A residual
+    unit (_residual) multiplies first, in one pass over tiles of whole
     samples (tiles) in each direction: per tile, one GEMM by the panel
     (forward) or by its transpose [W_1^T; ...; W_K^T] (backward) works on
     tile-sized scratch, and one batched matmul by mix_out (forward) or
@@ -403,17 +483,17 @@ class _ConvPlan:
     its rounding depends on the tile size; its result and d/dh do not.
     """
 
-    def __init__(self, h, stack, W, opname):
-        rows, C_in = h.data.shape
+    def __init__(self, tape, shape, stack, W, opname):
+        rows, C_in = shape
         n, K = stack.n, stack.K
         if rows % n:
             raise ShapeMismatch(f"{opname}: {rows} rows not divisible by {n}")
-        C_out = W.data.shape[1] // K
-        if W.data.shape != (C_in, K * C_out) or not C_out:
-            raise ShapeMismatch(f"{opname}: weight {W.data.shape}, expected "
+        C_out = W.shape[1] // K
+        if W.shape != (C_in, K * C_out) or not C_out:
+            raise ShapeMismatch(f"{opname}: weight {W.shape}, expected "
                                 f"({C_in}, {K} * C_out) for {K} kernels")
-        self.tape = _same_tape(h, W)
-        self.dt = dt = self.tape.conv_dtype
+        self.tape = tape
+        self.dt = dt = tape.conv_dtype
         self.mix_in, self.mix_out = stack.mix_in[dt], stack.mix_out[dt]
         self.mix_out_t = stack.mix_out_t[dt]
         self.W = W
@@ -433,56 +513,131 @@ class _ConvPlan:
         return self.W.data.reshape(C_in, K, C_out).swapaxes(0, 1).astype(
             self.dt, order="C").reshape(K * C_in, C_out)
 
+    def mixed(self, h):
+        """[N_1 h | ... | N_K h], (rows, K*C_in), in conv_dtype, from the
+        data of h, a Value in any dtype: the lift's mixed input."""
+        x = h.data.astype(self.dt, copy=False).reshape(self.B, self.n,
+                                                       self.C_in)
+        return np.matmul(self.mix_in, x).reshape(self.rows,
+                                                 self.K * self.C_in)
+
     def tiles(self):
         """Row slices of whole samples, about TILE_ROWS // K rows each,
-        that cover the rows in order.
-
-        As many tiles as that height needs, split as numpy's array_split
-        splits, so the first is the largest and each holds at least half a
-        tile: a short tile could fall into BLAS's small-matrix kernels,
-        which round differently from the full-height product. One slice
-        when every row fits in one tile.
+        that cover the rows in order (_sample_tiles): a short tile could
+        fall into BLAS's small-matrix kernels, which round differently from
+        the full-height product. One slice when every row fits in one tile.
         """
         per = max(1, TILE_ROWS // self.K // self.n)
-        count = max(1, -(-self.B // per))
-        ends = [self.n * -(-self.B * i // count) for i in range(count + 1)]
-        return [slice(a, b) for a, b in zip(ends, ends[1:])]
+        return [slice(self.n * a, self.n * b)
+                for a, b in _sample_tiles(self.B, per)]
+
+
+def _unit_plan(tape, shape, stack, W, opname):
+    """The _ConvPlan of a residual unit, whose weights keep the width."""
+    plan = _ConvPlan(tape, shape, stack, W, opname)
+    if plan.C_out != plan.C_in:
+        raise ShapeMismatch(f"{opname}: weights map {plan.C_in} to "
+                            f"{plan.C_out} channels")
+    return plan
+
+
+def _lift(plan, h):
+    """relu(sum_k N_k h W_k), the mixed input (plan.mixed) times the
+    stacked weights, rectified in place, in conv_dtype."""
+    out = plan.mixed(h) @ plan.stacked()
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
+def _lift_backward(plan, h, g):
+    """The lift's backward from g, the gradient on its product, already
+    masked by the relu: rebuilds the mixed input from h, and adds d/dW
+    into the weight's gradient and d/dh into h's."""
+    B, n, K, C_in, C_out = plan.B, plan.n, plan.K, plan.C_in, plan.C_out
+    dW = plan.mixed(h).T @ g          # [dW_1; ...; dW_K]
+    grad = plan.W.grad.reshape(C_in, K, C_out)
+    grad += dW.reshape(K, C_in, C_out).swapaxes(0, 1)
+    dX = g @ plan.stacked().T         # [dX_1 | ... | dX_K]
+    h.grad += np.matmul(plan.mix_in.T, dX.reshape(
+        B, n * K, C_in)).reshape(plan.rows, C_in)
+
+
+def _residual(plan, h):
+    """h + sum_k N_k relu(h) W_k for h, a (rows, C) conv_dtype array, over
+    tiles: per tile, relu(h) is built in the result rows the tile's sum
+    then takes, multiplied by the panel in one GEMM, and the products are
+    mixed and h added into the result."""
+    dt, n, K, C = plan.dt, plan.n, plan.K, plan.C_in
+    tiles = plan.tiles()
+    out = np.empty_like(h)
+    panel = plan.panel()
+    Y = np.empty((tiles[0].stop, K * C), dtype=dt)
+    for t in tiles:
+        m = t.stop - t.start
+        # The GEMM reads relu(h) before the mix overwrites its rows.
+        x = np.maximum(h[t], 0.0, out=out[t])
+        np.matmul(x, panel, out=Y[:m])
+        np.matmul(plan.mix_out, Y[:m].reshape(-1, n * K, C),
+                  out=out[t].reshape(-1, n, C))
+        out[t] += h[t]
+    return out
+
+
+def _residual_backward(plan, h, g):
+    """A residual unit's backward over tiles, from its input h, an array,
+    and g, the gradient on its result, a buffer no Value holds: recomputes
+    relu(h) and its mask per tile, builds d/dh, g plus the masked conv
+    gradient, in g, and returns the weight gradient in conv_dtype. Its tile
+    scratch is gone before the caller adds that into the weight's."""
+    dt, n, K, C = plan.dt, plan.n, plan.K, plan.C_in
+    tiles = plan.tiles()
+    tile = tiles[0].stop
+    # The panel's transpose as a view, F-contiguous: a C-contiguous copy
+    # would round d/dh differently, off the bits the network's recorded
+    # digests hold.
+    w_t = plan.panel().T
+    dY = np.empty((tile, K * C), dtype=dt)
+    x_buf = np.empty((tile, C), dtype=dt)
+    dW = np.zeros((C, K * C), dtype=dt)
+    dW_t = np.empty_like(dW)
+    for t in tiles:
+        m = t.stop - t.start
+        x = np.maximum(h[t], 0.0, out=x_buf[:m])
+        dY_t = dY[:m]
+        np.matmul(plan.mix_out_t, g[t].reshape(-1, n, C),
+                  out=dY_t.reshape(-1, K * n, C))
+        dW += np.matmul(x.T, dY_t, out=dW_t)
+        # relu(h)'s tile buffer takes the tile's d/dx once dW has it.
+        dx = np.matmul(dY_t, w_t, out=x)
+        # The mask h > 0 as ones and zeros in dY's first m*C entries,
+        # which the tile no longer reads: no bool array to cast.
+        mask = dY.reshape(-1)[:m * C].reshape(m, C)
+        dx *= np.greater(h[t], 0.0, out=mask)
+        g[t] += dx
+    return dW
 
 
 def graph_conv_relu(h: Value, stack: KernelStack, W: Value) -> Value:
-    """relu(sum_k N_k h W_k) on every n-row block of h, as one node: the
-    network's 3 -> C lift.
+    """relu(sum_k N_k h W_k) on every n-row block of h, as one node: a
+    3 -> C lift, as lift_residual_graph_conv starts with.
 
     h is (B*n, C_in), in any dtype; stack holds the constant (n, n)
     kernels N_k, and W is the (C_in, K*C_out) weight panel
     [W_1 | ... | W_K]. The node mixes first (see _ConvPlan) and keeps
     neither the (B*n, K*C_in) mixed input, which the backward rebuilds from
     h with the same bits, nor the conv output, nor the relu mask: the relu
-    rectifies the product in place, and the backward masks g by out > 0,
-    which holds exactly where the product was positive. That masking
-    overwrites g, the node's own gradient buffer, which the sweep has
-    already let go of. The result is in the tape's conv_dtype, the weight
-    gradient in the weight's float64. NaN passes the relu, and its
-    subgradient at 0 is 0.
+    rectifies the product in place, and the backward masks g by out > 0.
+    That masking overwrites g, the node's own gradient buffer, which the
+    sweep has already let go of. The result is in the tape's conv_dtype,
+    the weight gradient in the weight's float64. NaN passes the relu, and
+    its subgradient at 0 is 0.
     """
-    plan = _ConvPlan(h, stack, W, "graph_conv_relu")
-    B, n, K, C_in, rows = plan.B, plan.n, plan.K, plan.C_in, plan.rows
-
-    def mix():
-        x = h.data.astype(plan.dt, copy=False).reshape(B, n, C_in)
-        return np.matmul(plan.mix_in, x).reshape(rows, K * C_in)
-
-    out = mix() @ plan.stacked()
-    np.maximum(out, 0.0, out=out)
+    plan = _ConvPlan(_same_tape(h, W), h.shape, stack, W, "graph_conv_relu")
+    out = _lift(plan, h)
 
     def backward(g):
         g *= out > 0.0
-        dW = mix().T @ g                  # [dW_1; ...; dW_K]
-        grad = W.grad.reshape(C_in, K, plan.C_out)
-        grad += dW.reshape(K, C_in, plan.C_out).swapaxes(0, 1)
-        dX = g @ plan.stacked().T         # [dX_1 | ... | dX_K]
-        h.grad += np.matmul(plan.mix_in.T, dX.reshape(
-            B, n * K, C_in)).reshape(rows, C_in)
+        _lift_backward(plan, h, g)
 
     return plan.tape._record(out, "graph_conv_relu", backward)
 
@@ -499,59 +654,55 @@ def residual_graph_conv(h: Value, stack: KernelStack, W: Value) -> Value:
     backward recomputes relu(h) and its mask. d/dh, g plus the masked conv
     gradient, is built in g, the unit's own gradient, which the sweep has
     let go of: g becomes h's gradient buffer when h has none yet, else is
-    added to it. The result and d/dh are in conv_dtype, the weight gradient
-    in the weight's float64. NaN passes the relu, and its subgradient at 0
-    is 0.
+    added to it. No closure holds the result, so a decoder join may consume
+    it (block_left_matmul_add). The result and d/dh are in conv_dtype, the
+    weight gradient in the weight's float64. NaN passes the relu, and its
+    subgradient at 0 is 0.
     """
-    plan = _ConvPlan(h, stack, W, "residual_graph_conv")
-    if plan.C_out != plan.C_in:
-        raise ShapeMismatch(f"residual_graph_conv: weights map {plan.C_in} "
-                            f"to {plan.C_out} channels")
-    if h.data.dtype != plan.dt:
-        raise ValueError(f"residual_graph_conv: input is {h.data.dtype}, "
+    plan = _unit_plan(_same_tape(h, W), h.shape, stack, W,
+                      "residual_graph_conv")
+    if h.dtype != plan.dt:
+        raise ValueError(f"residual_graph_conv: input is {h.dtype}, "
                          f"but the tape's conv_dtype is {plan.dt}")
-    dt, n, K, C = plan.dt, plan.n, plan.K, plan.C_in
-    tiles = plan.tiles()
-    tile = tiles[0].stop
-    out = np.empty_like(h.data)
-    panel = plan.panel()
-    Y = np.empty((tile, K * C), dtype=dt)
-    for t in tiles:
-        m = t.stop - t.start
-        # The GEMM reads relu(h) before the mix overwrites its rows.
-        x = np.maximum(h.data[t], 0.0, out=out[t])
-        np.matmul(x, panel, out=Y[:m])
-        np.matmul(plan.mix_out, Y[:m].reshape(-1, n * K, C),
-                  out=out[t].reshape(-1, n, C))
-        out[t] += h.data[t]
+    out = _residual(plan, h.data)
 
     def backward(g):
-        # The panel's transpose as a view, F-contiguous: a C-contiguous
-        # copy would round d/dh differently, off the bits the network's
-        # recorded digests hold.
-        w_t = plan.panel().T
-        dY = np.empty((tile, K * C), dtype=dt)
-        x_buf = np.empty((tile, C), dtype=dt)
-        dW = np.zeros((C, K * C), dtype=dt)
-        dW_t = np.empty_like(dW)
-        for t in tiles:
-            m = t.stop - t.start
-            x = np.maximum(h.data[t], 0.0, out=x_buf[:m])
-            dY_t = dY[:m]
-            np.matmul(plan.mix_out_t, g[t].reshape(-1, n, C),
-                      out=dY_t.reshape(-1, K * n, C))
-            dW += np.matmul(x.T, dY_t, out=dW_t)
-            # relu(h)'s tile buffer takes the tile's d/dx once dW has it.
-            dx = np.matmul(dY_t, w_t, out=x)
-            dx *= h.data[t] > 0.0
-            g[t] += dx
-        W.grad += dW
-        if h._grad is None:
-            h.grad = g
-        else:
-            h.grad += g
+        W.grad += _residual_backward(plan, h.data, g)
+        _pass_grad(h, g)
 
     return plan.tape._record(out, "residual_graph_conv", backward)
+
+
+def lift_residual_graph_conv(h: Value, stack: KernelStack, W_lift: Value,
+                             W_unit: Value) -> Value:
+    """residual_graph_conv(graph_conv_relu(h, stack, W_lift), stack,
+    W_unit) as one node, with the same bits: the network's 3 -> C lift and
+    the residual unit after it, on one graph.
+
+    h is (B*n, C_in), in any dtype; W_lift is the lift's (C_in, K*C) panel
+    and W_unit the unit's (C, K*C) one. The tape keeps h, not the lift's
+    (B*n, C) result: the backward rebuilds that result from h, as the
+    forward built it (a mix of h, one GEMM by the lift's stacked weights
+    and the relu), runs the unit's backward on it, which turns g into the
+    lift's gradient, and then the lift's. No closure holds the result. The
+    result is in the tape's conv_dtype, the weight gradients in the
+    weights' float64.
+    """
+    tape = _same_tape(h, W_lift, W_unit)
+    opname = "lift_residual_graph_conv"
+    lift = _ConvPlan(tape, h.shape, stack, W_lift, opname)
+    unit = _unit_plan(tape, (lift.rows, lift.C_out), stack, W_unit, opname)
+    out = _residual(unit, _lift(lift, h))
+
+    def backward(g):
+        a = _lift(lift, h)
+        W_unit.grad += _residual_backward(unit, a, g)
+        # The relu's mask, a > 0, as ones and zeros in a, which is not
+        # read again.
+        g *= np.greater(a, 0.0, out=a)
+        _lift_backward(lift, h, g)
+
+    return tape._record(out, opname, backward)
 
 
 # ---------------------------------------------------------------------------

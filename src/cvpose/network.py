@@ -30,33 +30,40 @@ split_views cuts a result back into the two (BJ, 3) views.
 
 Each of the seven graph convolutions (two spatial, one per U-stage) is
 sum_k N_k H W_k over its kernel classes k, the AXW form of Kipf & Welling
-with the kernel classes of Cai et al., and records one tape node. A unit
-keeps the classes that are non-zero in its graph and not masked
-(unit_classes): 0-3 on the single-view graph, which has no cross-view
-class, 0-4 at the two finer resolutions of the fused graph, and 0 and 4
-at its coarsest. It stores one weight, named by the unit, the panel
-[W_1 | ... | W_K] over those K classes, of shape (C_in, K*C); so the
-model stores, steps and saves only the weights its forward reads. Each
-conv's kernels are checked and stacked once, when the model is built (an
-autodiff.KernelStack per graph resolution). The 3 -> C lift
-relu(conv(h)) is one autodiff.graph_conv_relu node: at any width it
-mixes the 3-channel input by all kernels at once, multiplies the result
-by the panel's blocks stacked, [W_1; ...; W_K], in one GEMM and rectifies
-in place, keeping no mixed input (its backward rebuilds it), pre-relu
-output or mask. Each of the six width-preserving residual units h +
-conv(relu(h)) is one autodiff.residual_graph_conv node, which takes h in
-the tape's conv_dtype and keeps only h, its weight and its kernel stack:
-no relu output, conv output or per-kernel product. Its forward and
+with the kernel classes of Cai et al.; the two spatial ones record one
+tape node, each of the others one. A unit keeps the classes that are
+non-zero in its graph and not masked (unit_classes): 0-3 on the
+single-view graph, which has no cross-view class, 0-4 at the two finer
+resolutions of the fused graph, and 0 and 4 at its coarsest. It stores
+one weight, named by the unit, the panel [W_1 | ... | W_K] over those K
+classes, of shape (C_in, K*C); so the model stores, steps and saves only
+the weights its forward reads. Each conv's kernels are checked and
+stacked once, when the model is built (an autodiff.KernelStack per graph
+resolution). The 3 -> C lift relu(conv(h)) and the residual unit after
+it (sgcn.0 and sgcn.1) are one autodiff.lift_residual_graph_conv node.
+At any width the lift mixes the 3-channel input by all kernels at once,
+multiplies the result by the panel's blocks stacked, [W_1; ...; W_K], in
+one GEMM and rectifies in place; the node keeps only its 3-channel
+input, and its backward rebuilds the lift's result (the mix, one GEMM and
+a relu) rather than keep it. Each of the width-preserving residual units
+h + conv(relu(h)), sgcn.1 and one per U-stage, takes h in the tape's
+conv_dtype and keeps no relu output, conv output or per-kernel product;
+each of the five after sgcn.1 is one autodiff.residual_graph_conv node,
+which keeps only h, its weight and its kernel stack. A unit's forward and
 backward each pass over tiles of samples: per tile, one GEMM by the
 panel (forward) or one weight GEMM and one input GEMM (backward)
 multiply, one matmul mixes all kernels at once, and relu(h) is rebuilt,
 in the forward in the output rows it becomes, so only the output and
 d/dh are full height. Each decoder unpool and its skip add are one
-autodiff.block_left_matmul_add node. At B=256, C=128 a forward records
-27 nodes, 8 of them weight leaves, whose data take 30.6 MB on a float32
-tape and 59.7 MB on a float64 one (the weight leaves are read-only views
-of the model's weights, not copies), and the backward sweep frees each
-node once it has passed it.
+autodiff.block_left_matmul_add node, which adds the unpooled product into
+the encoder output's own buffer and consumes both the encoder output and
+the decoder input, since no backward reads them. So the only full-height
+arrays a forward leaves on the tape are the inputs of mgcn.enc0.0,
+mgcn.dec0.0 and the head. At B=256, C=128 a forward records 26 nodes, 8
+of them weight leaves, and leaves 18.3 MB on a float32 tape and 35.0 MB
+on a float64 one (the weight leaves are read-only views of the model's
+weights, not copies); the backward sweep frees each node once it has
+passed it.
 
 Precision: training, evaluation and refine open their tapes with
 conv_dtype=CONV_DTYPE (float32). The trunk, from the 3 -> C lift to the
@@ -336,11 +343,6 @@ class CVUGCN:
 
     # -- forward -----------------------------------------------------------
 
-    def _conv(self, op, h, params, unit):
-        """op (ad.graph_conv_relu or ad.residual_graph_conv) over the unit's
-        kernel stack, with its weight panel params[unit]: one tape node."""
-        return op(h, self._stacks[unit], params[unit])
-
     def refine_from_leaf(self, xin, params):
         """Forward pass from an existing (2BJ, 3) leaf of per-sample 2J-node
         blocks: rows [2Js, 2J(s+1)) hold sample s's view-1 joints, then its
@@ -358,9 +360,11 @@ class CVUGCN:
             raise ShapeMismatch(f"input rows {rows} not a multiple of 2J={2 * J}")
 
         # The J-node centering and spatial kernels act on every J-row block:
-        # each view of each sample. The 3 -> C lift is relu(conv(h)).
+        # each view of each sample. The 3 -> C lift is relu(conv(h)); it and
+        # the residual unit sgcn.1 after it are one node.
         h = ad.scale(ad.block_left_matmul(self._center, xin), COORD_SCALE)
-        h = self._conv(ad.graph_conv_relu, h, params, "sgcn.0")
+        h = ad.lift_residual_graph_conv(h, self._stacks["sgcn.0"],
+                                        params["sgcn.0"], params["sgcn.1"])
 
         # Every later unit keeps the width and is in pre-activation residual
         # form, h + conv(relu(h)). The residual form is what keeps training
@@ -374,10 +378,11 @@ class CVUGCN:
         # always survive, and silenced branch units recover as the features
         # feeding them shift.
         def unit(h, name):
-            return self._conv(ad.residual_graph_conv, h, params, name)
+            return ad.residual_graph_conv(h, self._stacks[name], params[name])
 
+        # Each decoder join adds its unpooled product into the encoder
+        # output it skips from, and consumes both (block_left_matmul_add).
         pool, unpool = self._levels.pool, self._levels.unpool
-        h = unit(h, "sgcn.1")
         e0 = unit(h, "mgcn.enc0.0")
         e1 = unit(ad.block_left_matmul(pool[0], e0), "mgcn.enc1.0")
         bn = unit(ad.block_left_matmul(pool[1], e1), "mgcn.bottleneck.0")

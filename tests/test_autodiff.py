@@ -419,6 +419,25 @@ def test_graph_conv_shape_errors():
             ad.KernelStack(kernels)
 
 
+def test_lift_residual_graph_conv_shape_errors():
+    tape = ad.Tape()
+    h = tape.leaf(np.ones((8, 3)))
+    stack = ad.KernelStack([np.eye(4)])
+    W = tape.leaf(np.ones((3, 2)))
+    with pytest.raises(ShapeMismatch, match="lift_residual_graph_conv: "
+                       "weights map 2 to 3 channels"):
+        ad.lift_residual_graph_conv(h, stack, W, tape.leaf(np.ones((2, 3))))
+    with pytest.raises(ShapeMismatch, match=r"lift_residual_graph_conv: "
+                       r"weight \(3, 2\), expected \(2, 1 \* C_out\)"):
+        ad.lift_residual_graph_conv(h, stack, W, W)
+    with pytest.raises(ValueError, match="different tapes"):
+        ad.lift_residual_graph_conv(h, stack, W,
+                                    ad.Tape().leaf(np.ones((2, 2))))
+    assert {v.op for v in tape.nodes} == {"leaf"}   # nothing recorded
+    assert ad.lift_residual_graph_conv(
+        h, stack, W, tape.leaf(np.ones((2, 2)))).shape == (8, 2)
+
+
 def _residual_cases(rng, n, C):
     """(KernelStack, weights) pairs: mixed, identity-only and
     identity-free."""
@@ -547,6 +566,28 @@ def test_fused_units_match_their_composites_bit_for_bit(B, through_conv,
             assert err <= TILED_WEIGHT_GRAD_TOL[dtype], err
             assert B > 1 or np.array_equal(g, w)
 
+    # The lift and the residual unit after it, one node, against the two
+    # nodes it fuses: the same tiles, so the same bits everywhere, weight
+    # gradients included, though the node rebuilds the lift's result.
+    ws = [np.hstack([rng.normal(size=(C, C)) / C for _ in range(3)])
+          for _ in range(2)]
+    grads = []
+    for fused in (True, False):
+        tape = ad.Tape(conv_dtype=dtype)
+        hv = _trunk_leaf(tape, h)
+        x = (_graph_conv(hv, ad.KernelStack([np.eye(n)]),
+                         tape.leaf(np.eye(C)), mix_first=False)
+             if through_conv else hv)
+        W_lift, W_unit = (tape.leaf(w) for w in ws)
+        out = (ad.lift_residual_graph_conv(x, mixed, W_lift, W_unit)
+               if fused else ad.residual_graph_conv(
+                   ad.graph_conv_relu(x, mixed, W_lift), mixed, W_unit))
+        assert len(tape) == (3 + 2 * through_conv) + (1 if fused else 2)
+        tape.backward(_mixing_loss(out))
+        grads.append([out.data, hv.grad, W_lift.grad, W_unit.grad])
+    for g, w in zip(*grads):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
     # The fused unpool and skip add: M maps n rows to r of every block.
     r = 6
     M = rng.normal(size=(r, n))
@@ -576,6 +617,122 @@ def test_block_left_matmul_add_shape_errors():
     with pytest.raises(ShapeMismatch, match="skip"):
         ad.block_left_matmul_add(np.ones((6, 4)), h,
                                  tape.leaf(np.ones((8, 3))))
+
+
+def _spy_gradient(v, seen):
+    """Record, in seen, a copy of the gradient v's backward receives."""
+    step = v._backward
+
+    def backward(g):
+        seen.append(g.copy())
+        step(g)
+
+    v._backward = backward
+
+
+def _join_of_units(dtype, B, fused):
+    """A decoder join of two residual units' results, as one node (fused)
+    or as block_left_matmul and add: (tape, out, h, skip, grads), where
+    grads() lists, after the sweep, what h's and skip's backwards received,
+    x.grad, y.grad and the weights' gradients."""
+    rng = np.random.default_rng(34)
+    n, r, C = 4, 6, 8
+    tape = ad.Tape(conv_dtype=dtype)
+    x = _trunk_leaf(tape, rng.normal(size=(B * n, C)))
+    y = _trunk_leaf(tape, rng.normal(size=(B * r, C)))
+    Wh, Ws = (tape.leaf(rng.normal(size=(C, 2 * C)) / C) for _ in range(2))
+    h = ad.residual_graph_conv(
+        x, ad.KernelStack([np.eye(n), rng.normal(size=(n, n))]), Wh)
+    skip = ad.residual_graph_conv(
+        y, ad.KernelStack([np.eye(r), rng.normal(size=(r, r))]), Ws)
+    seen_h, seen_skip = [], []
+    _spy_gradient(h, seen_h)
+    _spy_gradient(skip, seen_skip)
+    M = rng.normal(size=(r, n))
+    out = (ad.block_left_matmul_add(M, h, skip) if fused
+           else ad.add(ad.block_left_matmul(M, h), skip))
+    return tape, out, h, skip, lambda: [
+        *seen_h, *seen_skip, x.grad, y.grad, Wh.grad, Ws.grad]
+
+
+# B=1101 samples of r=6 result rows span four join tiles of at most
+# TILE_ROWS // 6 = 341 samples (276, 275, 275 and 275); B=1 is one tile.
+@pytest.mark.parametrize("B", [1101, 1])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_join_consumes_its_units_inputs_with_the_composites_bits(dtype, B):
+    # The join adds into the skip's buffer and lets go of h's data: both
+    # Values keep their shape and dtype, their data cannot be read, and
+    # their gradients are the unfused composite's, bit for bit.
+    results = []
+    for fused in (True, False):
+        tape, out, h, skip, grads = _join_of_units(dtype, B, fused)
+        if fused:
+            for v, rows in ((h, 4 * B), (skip, 6 * B)):
+                assert v.shape == (rows, 8) and v.dtype == dtype
+                with pytest.raises(ValueError, match="the residual_graph_conv "
+                                   "value was consumed by block_left_matmul"):
+                    v.data
+        value = out.data.copy()
+        tape.backward(_mixing_loss(out))
+        results.append([value, *grads()])
+    assert len(results[0]) == len(results[1]) == 7
+    for g, w in zip(*results):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_join_takes_over_the_skip_buffer_of_a_unit_only():
+    # A unit's result becomes the sum in place; a leaf skip is copied, and
+    # the caller's array behind it stays byte for byte as it was.
+    rng = np.random.default_rng(35)
+    M = rng.normal(size=(6, 4))
+    tape = ad.Tape(conv_dtype=np.float32)
+    h = _trunk_leaf(tape, rng.normal(size=(8, 3)))
+    unit = ad.residual_graph_conv(_trunk_leaf(tape, rng.normal(size=(12, 3))),
+                                  ad.KernelStack([np.eye(6)]),
+                                  tape.leaf(np.eye(3)))
+    buffer = unit.data
+    assert ad.block_left_matmul_add(M, h, unit).data is buffer
+    caller = rng.normal(size=(12, 3))
+    before = caller.tobytes()
+    skip = tape.leaf(caller)
+    out = ad.block_left_matmul_add(M, h, skip)
+    assert caller.tobytes() == before
+    assert np.array_equal(skip.data, caller) and h.data.shape == (8, 3)
+    assert not np.shares_memory(out.data, caller)
+
+
+@pytest.mark.parametrize("product, skip_dtype", [
+    (np.float32, np.float64), (np.float64, np.float32)])
+def test_join_of_mixed_dtypes_gives_the_float64_sum(product, skip_dtype):
+    # On a float32 tape: a float64 skip under a float32 product, or a
+    # float32 unit's result under a float64 product. The sum is float64,
+    # as the composite's is, and its bits and gradients are the
+    # composite's.
+    rng = np.random.default_rng(36)
+    M = rng.normal(size=(6, 4))
+    h_data, skip_data = rng.normal(size=(8, 3)), rng.normal(size=(12, 3))
+    results = []
+    for fused in (True, False):
+        tape = ad.Tape(conv_dtype=np.float32)
+        x = (_trunk_leaf(tape, h_data) if product == np.float32
+             else tape.leaf(h_data))
+        y = (_trunk_leaf(tape, skip_data) if skip_dtype == np.float32
+             else tape.leaf(skip_data))
+        h = (ad.residual_graph_conv(x, ad.KernelStack([np.eye(4)]),
+                                    tape.leaf(np.eye(3)))
+             if product == np.float32 else x)
+        skip = (ad.residual_graph_conv(y, ad.KernelStack([np.eye(6)]),
+                                       tape.leaf(np.eye(3)))
+                if skip_dtype == np.float32 else y)
+        assert (h.dtype, skip.dtype) == (product, skip_dtype)
+        out = (ad.block_left_matmul_add(M, h, skip) if fused
+               else ad.add(ad.block_left_matmul(M, h), skip))
+        assert out.dtype == np.float64
+        value = out.data.copy()
+        tape.backward(_mixing_loss(out))
+        results.append([value, x.grad, y.grad])
+    for g, w in zip(*results):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_residual_graph_conv_subgradient_and_nan():

@@ -287,7 +287,7 @@ def test_refining_callers_open_float32_tapes(monkeypatch):
             opened.append(self)
 
         def _record(self, data, op, backward=None):
-            self.conv_nodes += op in ("graph_conv_relu",
+            self.conv_nodes += op in ("lift_residual_graph_conv",
                                       "residual_graph_conv")
             return super()._record(data, op, backward)
 
@@ -321,8 +321,9 @@ def test_refining_callers_open_float32_tapes(monkeypatch):
 
     assert conv_dtypes(lambda: ad.grad_check(
         build, [np.vstack([x, x])], n_samples=1)) == {np.dtype(np.float64)}
-    # 2 spatial convs and one per U-stage; all but the 3 -> C lift residual.
-    assert opened[0].conv_nodes == 7
+    # The 3 -> C lift and the spatial residual unit in one node, then one
+    # residual unit per U-stage.
+    assert opened[0].conv_nodes == 6
 
 
 def test_forward_gradients_against_finite_differences():
@@ -430,16 +431,18 @@ def test_default_forward_records_one_node_per_conv():
     tape = ad.Tape()
     model.refine_batch(tape, rand_coarse(rng, 2), rand_coarse(rng, 2))
     ops = [v.op for v in tape.nodes]
-    # The 3 -> C lift is one graph_conv_relu node; every width-preserving
-    # unit is one residual_graph_conv node, with no relu or add of its
-    # own; each decoder unpool and its skip add are one node.
-    assert ops.count("graph_conv_relu") == 1
-    # One spatial residual unit, then one per U-stage.
-    assert ops.count("residual_graph_conv") == 1 + len(network.STAGES) == 6
+    # The 3 -> C lift and the spatial residual unit after it are one
+    # lift_residual_graph_conv node; every later width-preserving unit is
+    # one residual_graph_conv node, with no relu or add of its own; each
+    # decoder unpool and its skip add are one node.
+    assert ops.count("lift_residual_graph_conv") == 1
+    # One residual unit per U-stage.
+    assert ops.count("residual_graph_conv") == len(network.STAGES) == 5
     assert ops.count("block_left_matmul_add") == 2
     assert ops.count("block_left_matmul") == 3   # centring, two pools
     assert "relu" not in ops and "graph_conv" not in ops
-    assert len(ops) == 27   # with 8 weight leaves
+    assert "graph_conv_relu" not in ops
+    assert len(ops) == 26   # with 8 weight leaves
     assert ops.count("add") == 1   # the residual onto the coarse pose
     assert "add_n" not in ops and ops.count("matmul") == 1   # the head
 
@@ -461,14 +464,16 @@ def test_float32_tape_keeps_the_trunk_in_float32():
         loss = ad.reduce_sum(ad.add(ad.norm_rows(X1), ad.norm_rows(X2)))
         nodes = list(tape.nodes)
         ops = [v.op for v in nodes]
-        lift, head = ops.index("graph_conv_relu"), ops.index("matmul")
+        lift, head = ops.index("lift_residual_graph_conv"), ops.index("matmul")
         trunk = nodes[lift:head]
         assert {v.op for v in trunk} == {
-            "graph_conv_relu", "residual_graph_conv",
+            "lift_residual_graph_conv", "residual_graph_conv",
             "block_left_matmul",        # pools
             "block_left_matmul_add"}    # unpools with their skip adds
         trunk_dtype = F32 if conv_dtype == network.CONV_DTYPE else F64
-        assert {v.data.dtype for v in trunk} == {trunk_dtype}
+        # The decoder joins have consumed the encoder's and the inner
+        # decoder's outputs, whose Values keep their dtype, not their data.
+        assert {v.dtype for v in trunk} == {trunk_dtype}
         assert trunk[0].grad.dtype == trunk_dtype   # grads follow the data
         assert {v.data.dtype for v in nodes[:lift] + nodes[head:]} == {F64}
         assert X1.data.dtype == X2.data.dtype == loss.data.dtype == F64
@@ -568,35 +573,62 @@ def test_forward_and_backward_memory_stay_bounded():
     # rises above that. A tape that kept the relu, conv and add of every
     # residual unit held 19.8 units, and a sweep that kept each node until
     # release() added 20.0. The forward held 12.0 while the lift kept its
-    # pre-relu output and mask and the decoder its unpool products, and
-    # 9.6 while the lift kept its mixed input and each weight leaf was a
-    # copy of its weight; now it holds 7.5 and the sweep adds 4.1. The
-    # sweep added 5.2 while a residual unit's backward built d/dh in a
-    # fresh full-height array next to g, its own gradient, instead of in g
-    # (5.5 while, besides, the head's matmul added a float64 product into
-    # a zero-filled gradient).
+    # pre-relu output and mask and the decoder its unpool products, 9.6
+    # while the lift kept its mixed input and each weight leaf was a copy
+    # of its weight, and 7.4 while the lift's result and the outputs that
+    # the decoder joins consume stayed on the tape; now it holds 4.6 and
+    # the sweep adds 3.7 (3.9 while each relu mask was a bool array, cast
+    # as it multiplied a gradient). The sweep added 5.2 while a
+    # residual unit's backward built d/dh in a fresh full-height array
+    # next to g, its own gradient, instead of in g (5.5 while, besides, the
+    # head's matmul added a float64 product into a zero-filled gradient).
     # At B=16 a residual unit's backward tiles hold half its rows; at B=256
     # the sweep is well below (test_backward_sweep_stays_tile_sized).
     forward, sweep, params = _tape_units(np.float64, 16)
-    assert forward <= 7.6, f"forward holds {forward:.2f} units"
+    assert forward <= 4.7, f"forward holds {forward:.2f} units"
     assert sweep <= 4.6, f"backward adds {sweep:.2f} units"
     assert np.abs(params["head"].grad).max() > 0
 
 
 def test_float32_tape_forward_and_backward_memory_stay_bounded():
     # The guard above on a CONV_DTYPE tape, in the same float64 units. The
-    # float32 trunk holds half the bytes: the forward measured 4.2 units
-    # (7.5 on the float64 tape; 6.2 while the lift kept its mixed input and
-    # the weight leaves, about 1.8 units at C=32, were copies; 7.8 before
-    # the fused lift and unpool-adds) and the sweep 2.0 (4.1 on the
-    # float64 tape; 2.5 while a residual unit built d/dh in a fresh array
-    # next to g, 2.8 with the per-kernel full-height backward). What stays
-    # is mostly the trunk's float32 outputs: about 3.1 units for the lift,
-    # the residual units and the unpool-adds.
+    # float32 trunk holds half the bytes: the forward measured 2.8 units
+    # (4.6 on the float64 tape; 4.2 while the lift's result and the
+    # outputs the decoder joins consume stayed on the tape; 6.2 while the
+    # lift kept its mixed input and the weight leaves, about 1.8 units at
+    # C=32, were copies; 7.8 before the fused lift and unpool-adds) and the
+    # sweep 2.1 (3.7 on the float64 tape; 2.3 while each relu mask was a
+    # bool array, cast as it multiplied a gradient; 2.5 while a residual
+    # unit built d/dh in a fresh array next to g, 2.8 with the per-kernel
+    # full-height backward). What stays is mostly the trunk's float32
+    # arrays: the inputs of mgcn.enc0.0, mgcn.dec0.0 and the head, about
+    # 1.5 units, and the coarser stages' inputs.
     forward, sweep, params = _tape_units(network.CONV_DTYPE, 16)
-    assert forward <= 4.4, f"forward holds {forward:.2f} units"
+    assert forward <= 3.0, f"forward holds {forward:.2f} units"
     assert sweep <= 2.3, f"backward adds {sweep:.2f} units"
     assert np.abs(params["head"].grad).max() > 0
+
+
+def test_forward_at_the_benchmark_sizes_leaves_at_most_19_mb_on_the_tape():
+    # One float32 forward at B=256, C=128, the benchmark's sizes, by
+    # tracemalloc: 30.6 MB while the tape kept the lift's result and the
+    # encoder and inner decoder outputs that the decoder joins only read,
+    # 22.7 MB with the joins consuming them; it measures 18.3 MB.
+    topo = default_topology()
+    model = CVUGCN(topo, NetworkConfig(channels=128))
+    rng = np.random.default_rng(0)
+    x1, x2 = rand_coarse(rng, 256), rand_coarse(rng, 256)
+    tape = ad.Tape(conv_dtype=network.CONV_DTYPE)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model.refine_batch(tape, x1, x2)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        tape.release()
+    mb = (held - base) / 1e6
+    assert mb <= 19.0, f"forward holds {mb:.1f} MB"
 
 
 # (conv_dtype, bound): measured 0.83 and 0.83 units. At B=256 a residual
