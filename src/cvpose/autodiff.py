@@ -12,12 +12,13 @@ the tape held is freed by refcount as soon as the sweep is past it: no
 earlier closure can read a later node. Leaves (Values with no closure:
 inputs, weights) stay on the tape with their gradients until release().
 Values the caller holds keep their data, but for those an op consumed:
-block_left_matmul_add, the decoder join, consumes each input that a
-graph-conv unit (residual_graph_conv, lift_residual_graph_conv) made,
-since no backward reads it. It adds its sum into such a skip's buffer and
-drops h's data, so the forward leaves on the tape only what some backward
-reads. A consumed Value keeps its shape and dtype, so its gradient works,
-but reading its data raises ValueError. A tape can be swept once.
+block_left_matmul_add, the decoder join, takes two graph-conv units'
+results (residual_graph_conv, lift_residual_graph_conv), which no
+backward reads, and consumes both. It adds its sum into the skip's buffer
+and drops h's data, so the forward leaves on the tape only what some
+backward reads. A consumed Value keeps its shape and dtype, so its
+gradient works, but reading its data raises ValueError. A tape can be
+swept once.
 
 A leaf does not copy the array it wraps: its data is a read-only view of
 the caller's float64 array, so the caller leaves that array unchanged
@@ -29,18 +30,18 @@ Precision follows the tape's conv_dtype, float64 by default or float32
 Value is stored in conv_dtype when its data already has that dtype and
 as float64 otherwise, and its gradient has the dtype of its data. Leaves
 are always float64. The graph convolutions multiply in conv_dtype:
-graph_conv_relu, a 3 -> C lift, and lift_residual_graph_conv, the
-network's lift and the residual unit after it, cast their input to it,
-and residual_graph_conv, a residual unit, takes its input only in it.
-Each reads its kernels in conv_dtype from a KernelStack, which holds them
-in both dtypes, casts its weight panels to it, and hands back a conv_dtype
-result, so on a float32 tape a chain of convolutions, block_left_matmuls
-(with or without their adds) and adds stays float32 from end to end; numpy
-promotion brings it back to float64 wherever it meets a float64 operand,
-such as a matmul with a float64 weight leaf, whose backward still hands
-the float32 operand a float32 gradient. A float64 tape computes
-everything in float64. Finite-difference checks (grad_check) always run
-on float64 tapes.
+lift_residual_graph_conv, the network's 3 -> C lift and the residual
+unit after it, casts its input to it, and residual_graph_conv, a
+residual unit, takes its input only in it. Each reads its kernels in
+conv_dtype from a KernelStack, which holds them in both dtypes, casts its
+weight panels to it, and hands back a conv_dtype result, so on a float32
+tape a chain of convolutions, block_left_matmuls (with or without their
+adds) and adds stays float32 from end to end; numpy promotion brings it
+back to float64 wherever it meets a float64 operand, such as a matmul
+with a float64 weight leaf, whose backward still hands the float32
+operand a float32 gradient. A float64 tape computes everything in
+float64. Finite-difference checks (grad_check) always run on float64
+tapes.
 """
 
 from __future__ import annotations
@@ -85,10 +86,6 @@ class Value:
             raise ValueError(f"the {self.op} value was consumed by {data.by}; "
                              f"its data is gone")
         return data
-
-    @data.setter
-    def data(self, value):
-        self._data = value
 
     @property
     def grad(self):
@@ -254,25 +251,6 @@ def add(a: Value, b: Value) -> Value:
     return tape._record(a.data + b.data, "add", backward)
 
 
-def add_n(values) -> Value:
-    """Sum of equally shaped matrices, one node for the whole list."""
-    values = list(values)
-    if not values:
-        raise ValueError("add_n needs at least one operand")
-    tape = _same_tape(*values)
-    for v in values[1:]:
-        _same_shape(values[0], v, "add_n")
-    out = values[0].data.copy()
-    for v in values[1:]:
-        out += v.data
-
-    def backward(g):
-        for v in values:
-            v.grad += g
-
-    return tape._record(out, "add_n", backward)
-
-
 def sub(a: Value, b: Value) -> Value:
     tape = _same_tape(a, b)
     _same_shape(a, b, "sub")
@@ -376,7 +354,7 @@ def block_left_matmul(M, h: Value) -> Value:
 
 
 # The ops whose result no closure holds, their own included: the graph-conv
-# units. block_left_matmul_add consumes an input made by one of them.
+# units. block_left_matmul_add takes only inputs made by them.
 _UNIT_OPS = frozenset({"residual_graph_conv", "lift_residual_graph_conv"})
 
 
@@ -384,19 +362,17 @@ def block_left_matmul_add(M, h: Value, skip: Value) -> Value:
     """add(block_left_matmul(M, h), skip) as one node, with the same bits:
     the decoder's unpooling and its skip connection in one step.
 
-    The node keeps no product, and consumes each input that a graph-conv
-    unit made (_UNIT_OPS), as the decoder's are: no backward reads them,
-    and only their Values hold their arrays. A consumed skip of the sum's
-    dtype lends its buffer to the sum, and the product is added into it
-    tile by tile; any other consumed input only lets go of its data. A
-    consumed Value keeps its shape and dtype, so its gradient works as
-    before, but reading its data raises ValueError. Any other skip (a
-    leaf, or the result of an op whose backward may read it) is added into
-    a new sum, as an add would, and left as it is.
+    h and skip are results of graph-conv units (_UNIT_OPS), as the
+    decoder's are, of one dtype; anything else raises ValueError before
+    the node is recorded. No backward reads them and only their Values
+    hold their arrays, so the node consumes both: the product is added
+    into the skip's buffer tile by tile, and that buffer becomes the sum.
+    A consumed Value keeps its shape and dtype, so its gradient works as
+    before, but reading its data raises ValueError.
 
-    The backward takes h's part first, in h's dtype as the product's own
-    gradient would be; then g, the node's own gradient, which the sweep
-    has let go of, becomes the skip's gradient buffer if it has none.
+    The backward takes h's part first; then g, the node's own gradient,
+    which the sweep has let go of, becomes the skip's gradient buffer if
+    it has none.
     """
     tape = _same_tape(h, skip)
     M, B = _blocks(M, h, "block_left_matmul_add")
@@ -404,19 +380,21 @@ def block_left_matmul_add(M, h: Value, skip: Value) -> Value:
     if skip.shape != (B * r, C):
         raise ShapeMismatch(f"block_left_matmul_add: skip {skip.shape}, "
                             f"expected {(B * r, C)}")
-    if (skip.op in _UNIT_OPS
-            and skip.dtype == np.result_type(h.dtype, skip.dtype)):
-        out = skip.data
-        for a, b in _sample_tiles(B, max(1, TILE_ROWS // r)):
-            out[r * a:r * b] += _block_product(M, h.data[n * a:n * b])
-    else:
-        out = _block_product(M, h.data) + skip.data
     for v in (h, skip):
-        if v.op in _UNIT_OPS:
-            v._consume("block_left_matmul_add")
+        if v.op not in _UNIT_OPS:
+            raise ValueError(f"block_left_matmul_add: the {v.op} value is "
+                             f"not a graph-conv unit's result")
+    if h.dtype != skip.dtype:
+        raise ValueError(f"block_left_matmul_add: h is {h.dtype}, "
+                         f"skip {skip.dtype}")
+    out = skip.data
+    for a, b in _sample_tiles(B, max(1, TILE_ROWS // r)):
+        out[r * a:r * b] += _block_product(M, h.data[n * a:n * b])
+    h._consume("block_left_matmul_add")
+    skip._consume("block_left_matmul_add")
 
     def backward(g):
-        _pass_grad(h, _block_product(M.T, g.astype(h.dtype, copy=False)))
+        _pass_grad(h, _block_product(M.T, g))
         _pass_grad(skip, g)
 
     return tape._record(out, "block_left_matmul_add", backward)
@@ -617,31 +595,6 @@ def _residual_backward(plan, h, g):
     return dW
 
 
-def graph_conv_relu(h: Value, stack: KernelStack, W: Value) -> Value:
-    """relu(sum_k N_k h W_k) on every n-row block of h, as one node: a
-    3 -> C lift, as lift_residual_graph_conv starts with.
-
-    h is (B*n, C_in), in any dtype; stack holds the constant (n, n)
-    kernels N_k, and W is the (C_in, K*C_out) weight panel
-    [W_1 | ... | W_K]. The node mixes first (see _ConvPlan) and keeps
-    neither the (B*n, K*C_in) mixed input, which the backward rebuilds from
-    h with the same bits, nor the conv output, nor the relu mask: the relu
-    rectifies the product in place, and the backward masks g by out > 0.
-    That masking overwrites g, the node's own gradient buffer, which the
-    sweep has already let go of. The result is in the tape's conv_dtype,
-    the weight gradient in the weight's float64. NaN passes the relu, and
-    its subgradient at 0 is 0.
-    """
-    plan = _ConvPlan(_same_tape(h, W), h.shape, stack, W, "graph_conv_relu")
-    out = _lift(plan, h)
-
-    def backward(g):
-        g *= out > 0.0
-        _lift_backward(plan, h, g)
-
-    return plan.tape._record(out, "graph_conv_relu", backward)
-
-
 def residual_graph_conv(h: Value, stack: KernelStack, W: Value) -> Value:
     """The pre-activation residual unit h + sum_k N_k relu(h) W_k, one node.
 
@@ -675,18 +628,20 @@ def residual_graph_conv(h: Value, stack: KernelStack, W: Value) -> Value:
 
 def lift_residual_graph_conv(h: Value, stack: KernelStack, W_lift: Value,
                              W_unit: Value) -> Value:
-    """residual_graph_conv(graph_conv_relu(h, stack, W_lift), stack,
-    W_unit) as one node, with the same bits: the network's 3 -> C lift and
-    the residual unit after it, on one graph.
+    """residual_graph_conv(relu(sum_k N_k h W_lift_k), stack, W_unit) as
+    one node: the network's 3 -> C lift and the residual unit after it, on
+    one graph.
 
     h is (B*n, C_in), in any dtype; W_lift is the lift's (C_in, K*C) panel
-    and W_unit the unit's (C, K*C) one. The tape keeps h, not the lift's
-    (B*n, C) result: the backward rebuilds that result from h, as the
-    forward built it (a mix of h, one GEMM by the lift's stacked weights
-    and the relu), runs the unit's backward on it, which turns g into the
-    lift's gradient, and then the lift's. No closure holds the result. The
-    result is in the tape's conv_dtype, the weight gradients in the
-    weights' float64.
+    [W_lift_1 | ... | W_lift_K] and W_unit the unit's (C, K*C) one. The
+    lift mixes first (see _ConvPlan) and rectifies its product in place.
+    The tape keeps h, not the lift's (B*n, C) result: the backward rebuilds
+    that result from h, as the forward built it (a mix of h, one GEMM by
+    the lift's stacked weights and the relu), runs the unit's backward on
+    it, which turns g into the lift's gradient, masks that by the relu
+    (whose subgradient at 0 is 0; NaN passes it), and then runs the lift's.
+    No closure holds the result. The result is in the tape's conv_dtype,
+    the weight gradients in the weights' float64.
     """
     tape = _same_tape(h, W_lift, W_unit)
     opname = "lift_residual_graph_conv"
@@ -731,26 +686,9 @@ def norm_rows(a: Value) -> Value:
 # Layout.
 
 
-def slice_blocks(a: Value, block_rows: int, start: int, stop: int) -> Value:
-    """Slice rows [start:stop] out of every block of block_rows rows."""
-    rows, C = a.data.shape
-    if rows % block_rows:
-        raise ShapeMismatch(f"slice_blocks: {rows} rows not divisible by {block_rows}")
-    if not 0 <= start <= stop <= block_rows:
-        raise ShapeMismatch(f"slice_blocks: [{start}:{stop}] out of {block_rows}")
-    B = rows // block_rows
-    width = stop - start
-    out = a.data.reshape(B, block_rows, C)[:, start:stop].reshape(B * width, C)
-
-    def backward(g):
-        buf = a.grad.reshape(B, block_rows, C)
-        buf[:, start:stop] += g.reshape(B, width, C)
-
-    return a.tape._record(out.copy(), "slice_blocks", backward)
-
-
 def gather_rows(a: Value, index) -> Value:
-    """Select rows by index; repeated indices accumulate in the backward."""
+    """Select rows by index, into a new array; repeated indices accumulate
+    in the backward."""
     idx = np.asarray(index, dtype=np.int64).reshape(-1)
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
         raise ShapeMismatch(
@@ -759,7 +697,7 @@ def gather_rows(a: Value, index) -> Value:
     def backward(g):
         np.add.at(a.grad, idx, g)
 
-    return a.tape._record(a.data[idx].copy(), "gather_rows", backward)
+    return a.tape._record(a.data[idx], "gather_rows", backward)
 
 
 # ---------------------------------------------------------------------------

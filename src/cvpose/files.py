@@ -82,6 +82,25 @@ def nonblank_lines(path):
                 yield lineno, text
 
 
+def is_finite_number(x):
+    """Whether x, a value json.loads made, is a number that float64 holds:
+    an int or a float, not a bool, neither NaN nor an infinity, and not an
+    int past float64's range."""
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def refuse_unknown_keys(lineno, obj, known):
+    """Raise SchemaError naming the line and the first, in sorted order,
+    of the JSON object obj's keys that is not in known."""
+    unknown = obj.keys() - known
+    if unknown:
+        raise SchemaError(f"line {lineno}: unknown key {min(unknown)!r}",
+                          line=lineno)
+
+
 def _parse(lineno, text):
     try:
         return json.loads(text)

@@ -30,7 +30,8 @@ from .errors import (
     SchemaError,
     ShapeMismatch,
 )
-from .files import atomic_write, read_records
+from .files import (atomic_write, is_finite_number, read_records,
+                    refuse_unknown_keys)
 
 # Numerical guards, all in the units of the quantity they test.
 DEPTH_EPS = 1e-6          # mm, least depth to project; autodiff's guard too
@@ -459,6 +460,8 @@ def procrustes_align_stack(pred, gt):
 # Rig files: one JSON object per line, header first.
 
 RIG_SCHEMA = "rig-v1"
+# The keys of a camera record, in the order save_rig writes them.
+_RIG_KEYS = ("id", "K", "R", "t", "width", "height")
 
 
 def save_rig(path, cameras):
@@ -480,25 +483,36 @@ def save_rig(path, cameras):
 def load_rig(path):
     """Read a rig file, returning cameras in file order.
 
-    Malformed JSON, missing or wrongly typed fields (width and height
-    must be JSON integers) or invalid rotations raise SchemaError tagged
-    with the offending line number.
+    Malformed JSON, missing, unknown or wrongly typed fields (id must be a
+    JSON string, K, R and t lists of finite JSON numbers, width and height
+    JSON integers) or invalid rotations raise SchemaError tagged with the
+    offending line number.
     """
-    lineno, _, records = read_records(path, RIG_SCHEMA, "rig")
+    lineno, header, records = read_records(path, RIG_SCHEMA, "rig")
+    refuse_unknown_keys(lineno, header, {"schema"})
     cams = []
     seen = set()
     for lineno, rec in records:
-        for key in ("id", "K", "R", "t", "width", "height"):
+        for key in _RIG_KEYS:
             if key not in rec:
                 raise MissingField(f"line {lineno}: camera record lacks {key!r}",
                                    line=lineno)
+        refuse_unknown_keys(lineno, rec, _RIG_KEYS)
+        if not isinstance(rec["id"], str):
+            raise SchemaError(f"line {lineno}: id must be a JSON string, "
+                              f"got {rec['id']!r}", line=lineno)
+        for key in ("K", "R", "t"):
+            if not (isinstance(rec[key], list)
+                    and all(map(is_finite_number, rec[key]))):
+                raise SchemaError(f"line {lineno}: {key} must be a list of "
+                                  f"finite JSON numbers", line=lineno)
         for key in ("width", "height"):
             if type(rec[key]) is not int:   # a bool is an int subclass
                 raise SchemaError(f"line {lineno}: {key} must be a JSON "
                                   f"integer, got {rec[key]!r}", line=lineno)
         try:
             cam = CameraModel(
-                cam_id=str(rec["id"]),
+                cam_id=rec["id"],
                 K=np.asarray(rec["K"], dtype=np.float64).reshape(3, 3),
                 R=np.asarray(rec["R"], dtype=np.float64).reshape(3, 3),
                 t=np.asarray(rec["t"], dtype=np.float64),

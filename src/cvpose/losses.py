@@ -18,6 +18,8 @@ direction.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import autodiff as ad
@@ -132,5 +134,5 @@ def total_loss(X1, X2, y1, y2, cam1, cam2, t12, topo):
         "transform": transform_consistency_loss(X1, X2, t12),
         "bonedir": bone_direction_loss(X1, X2, t12, topo),
     }
-    total = ad.add_n([ad.scale(parts[k], w) for k, w in LOSS_WEIGHTS.items()])
-    return total, parts
+    terms = [ad.scale(parts[k], w) for k, w in LOSS_WEIGHTS.items()]
+    return functools.reduce(ad.add, terms), parts

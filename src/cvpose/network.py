@@ -30,8 +30,7 @@ split_views cuts a result back into the two (BJ, 3) views.
 
 Each of the seven graph convolutions (two spatial, one per U-stage) is
 sum_k N_k H W_k over its kernel classes k, the AXW form of Kipf & Welling
-with the kernel classes of Cai et al.; the two spatial ones record one
-tape node, each of the others one. A unit keeps the classes that are
+with the kernel classes of Cai et al. A unit keeps the classes that are
 non-zero in its graph and not masked (unit_classes): 0-3 on the
 single-view graph, which has no cross-view class, 0-4 at the two finer
 resolutions of the fused graph, and 0 and 4 at its coarsest. It stores
@@ -41,29 +40,14 @@ the weights its forward reads. Each conv's kernels are checked and
 stacked once, when the model is built (an autodiff.KernelStack per graph
 resolution). The 3 -> C lift relu(conv(h)) and the residual unit after
 it (sgcn.0 and sgcn.1) are one autodiff.lift_residual_graph_conv node.
-At any width the lift mixes the 3-channel input by all kernels at once,
-multiplies the result by the panel's blocks stacked, [W_1; ...; W_K], in
-one GEMM and rectifies in place; the node keeps only its 3-channel
-input, and its backward rebuilds the lift's result (the mix, one GEMM and
-a relu) rather than keep it. Each of the width-preserving residual units
-h + conv(relu(h)), sgcn.1 and one per U-stage, takes h in the tape's
-conv_dtype and keeps no relu output, conv output or per-kernel product;
-each of the five after sgcn.1 is one autodiff.residual_graph_conv node,
-which keeps only h, its weight and its kernel stack. A unit's forward and
-backward each pass over tiles of samples: per tile, one GEMM by the
-panel (forward) or one weight GEMM and one input GEMM (backward)
-multiply, one matmul mixes all kernels at once, and relu(h) is rebuilt,
-in the forward in the output rows it becomes, so only the output and
-d/dh are full height. Each decoder unpool and its skip add are one
-autodiff.block_left_matmul_add node, which adds the unpooled product into
-the encoder output's own buffer and consumes both the encoder output and
-the decoder input, since no backward reads them. So the only full-height
-arrays a forward leaves on the tape are the inputs of mgcn.enc0.0,
-mgcn.dec0.0 and the head. At B=256, C=128 a forward records 26 nodes, 8
-of them weight leaves, and leaves 18.3 MB on a float32 tape and 35.0 MB
-on a float64 one (the weight leaves are read-only views of the model's
-weights, not copies); the backward sweep frees each node once it has
-passed it.
+Each later residual unit h + conv(relu(h)), one per U-stage, is one
+autodiff.residual_graph_conv node, which takes h in the tape's
+conv_dtype. Each decoder unpool and its skip add are one
+autodiff.block_left_matmul_add node, which adds into the encoder
+output's buffer and consumes both of its inputs. A forward records 26
+nodes, 8 of them weight leaves (read-only views of the model's weights,
+not copies). What each node computes and keeps on the tape is set out in
+autodiff.
 
 Precision: training, evaluation and refine open their tapes with
 conv_dtype=CONV_DTYPE (float32). The trunk, from the 3 -> C lift to the
@@ -276,8 +260,8 @@ def coarse_pair_leaf(tape, x1_mm, x2_mm, n_joints):
 def split_views(X, n_joints):
     """(X1, X2), each (BJ, cols), from a (2BJ, cols) Value laid out like
     coarse_pair_leaf."""
-    return (ad.slice_blocks(X, 2 * n_joints, 0, n_joints),
-            ad.slice_blocks(X, 2 * n_joints, n_joints, 2 * n_joints))
+    rows = np.arange(X.shape[0]).reshape(-1, 2, n_joints)
+    return ad.gather_rows(X, rows[:, 0]), ad.gather_rows(X, rows[:, 1])
 
 
 class CVUGCN:

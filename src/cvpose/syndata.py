@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import (CvposeError, MissingField, PoseOutOfView, SchemaError,
                      ShapeMismatch, UnknownCamera)
-from .files import atomic_write, read_records
+from .files import atomic_write, read_records, refuse_unknown_keys
 from .geometry import CameraModel
 from .graph import default_topology
 
@@ -373,6 +373,9 @@ DATA_CHUNK = 1024
 # A record line is json.dumps(rec, sort_keys=True): these settings, and the
 # keys in sorted order ("id", the array fields, "views").
 _JSON = json.JSONEncoder(sort_keys=True)
+# The keys save_dataset writes, and so the only ones load_dataset takes.
+_HEADER_KEYS = frozenset({"schema", "n_joints", "n_samples"})
+_RECORD_KEYS = frozenset({"id", "views", *(key for key, _ in ARRAY_FIELDS)})
 
 
 def _first_non_finite(blocks):
@@ -566,12 +569,14 @@ def load_dataset(path, topo=None):
 
     Raises SchemaError, with the line number where the fault is
     line-local, for: a header for another schema (a data-v1 file must be
-    regenerated with `cvpose synth`), a joint count other than the
-    topology's, an `n_samples` that is not the number of records (a
-    truncated file), `views` that are not two distinct camera ids, an
-    array field that is not base64 of exactly 16·J·d bytes or holds a NaN
-    or an infinity, and a sample id that repeats an earlier line's. Of
-    several faults, the first in file order is reported, and of one
+    regenerated with `cvpose synth`), a joint count that is not the
+    topology's as a JSON integer, an `n_samples` that is not the number
+    of records (a truncated file), `views` that are not two distinct
+    camera ids, an array field that is not base64 of exactly 16·J·d bytes
+    or holds a NaN or an infinity, a sample id that is not a JSON string
+    or repeats an earlier line's, and a header or record key that
+    save_dataset does not write (a misspelled "joints_3d_gt" included).
+    Of several faults, the first in file order is reported, and of one
     record's, the first in the order of those checks.
 
     Records are checked and their base64 decoded as they stream in; each
@@ -582,7 +587,8 @@ def load_dataset(path, topo=None):
     topo = topo or default_topology()
     J = topo.n_joints
     head_line, header, records = read_records(path, DATA_SCHEMA, "dataset")
-    if header.get("n_joints") != J:
+    refuse_unknown_keys(head_line, header, _HEADER_KEYS)
+    if type(header.get("n_joints")) is not int or header["n_joints"] != J:
         raise SchemaError(
             f"line {head_line}: dataset is for {header.get('n_joints')} "
             f"joints, topology has {J}", line=head_line)
@@ -602,7 +608,11 @@ def load_dataset(path, topo=None):
                 if key not in rec:
                     raise MissingField(f"line {lineno}: sample lacks {key!r}",
                                        line=lineno)
-            sid = str(rec["id"])
+            refuse_unknown_keys(lineno, rec, _RECORD_KEYS)
+            sid = rec["id"]
+            if not isinstance(sid, str):
+                raise SchemaError(f"line {lineno}: id must be a JSON string, "
+                                  f"got {sid!r}", line=lineno)
             if sid in first_line:
                 raise SchemaError(f"line {lineno}: sample id {sid!r} repeats "
                                   f"line {first_line[sid]}", line=lineno)

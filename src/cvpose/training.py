@@ -37,7 +37,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import (CvposeError, NonFiniteLoss, NonPositiveDepth,
                      SchemaError)
-from .files import atomic_write, nonblank_lines
+from .files import atomic_write, is_finite_number, nonblank_lines
 from .geometry import TRI_MODES, relative_transform, triangulate_stack
 from .graph import default_topology
 from .losses import LOSS_WEIGHTS, behind_camera, total_loss
@@ -477,15 +477,13 @@ class TrainResult:
     skipped_train: list = field(default_factory=list)
 
 
-def _is_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _resume_state(state):
     """(loss history, best monitored loss) from a checkpoint's training
     state, a JSON object with a non-negative integer next_epoch equal to
-    the length of loss_history, a list of numbers, and a best_val that is
-    null or a number. Anything else raises SchemaError naming the key."""
+    the length of loss_history, a list of numbers, a best_val that is null
+    or a number, and no other key. A number is a JSON one, as fit writes them: NaN and
+    the infinities are not (RFC 8259). Anything else raises SchemaError
+    naming the key."""
     if not isinstance(state, dict):
         raise SchemaError(f"checkpoint training state must be a JSON "
                           f"object, got {state!r}")
@@ -493,15 +491,20 @@ def _resume_state(state):
         if key not in state:
             raise SchemaError(f"checkpoint lacks training state {key!r}; "
                               "it cannot resume a run")
+    unknown = state.keys() - {"next_epoch", "loss_history", "best_val"}
+    if unknown:
+        raise SchemaError(f"checkpoint training state has unknown key "
+                          f"{min(unknown)!r}")
     next_epoch, history = state["next_epoch"], state["loss_history"]
     best_val = state.get("best_val")
     if type(next_epoch) is not int or next_epoch < 0:   # not a bool either
         raise SchemaError(f"checkpoint training state 'next_epoch' must be a "
                           f"non-negative integer, got {next_epoch!r}")
-    if not isinstance(history, list) or not all(map(_is_number, history)):
+    if not (isinstance(history, list)
+            and all(map(is_finite_number, history))):
         raise SchemaError("checkpoint training state 'loss_history' must be "
                           "a list of numbers")
-    if best_val is not None and not _is_number(best_val):
+    if best_val is not None and not is_finite_number(best_val):
         raise SchemaError(f"checkpoint training state 'best_val' must be "
                           f"null or a number, got {best_val!r}")
     if next_epoch != len(history):

@@ -60,9 +60,12 @@ def test_grad_accumulates_on_reuse():
 
 def _identity_lift(x):
     """relu(x) as the lift computes it: one identity kernel on 1-row blocks,
-    one identity weight."""
-    return ad.graph_conv_relu(x, ad.KernelStack([np.eye(1)]),
-                              x.tape.leaf(np.eye(x.shape[1])))
+    one identity weight, and a residual unit after it whose zero weight
+    adds nothing."""
+    C = x.shape[1]
+    return ad.lift_residual_graph_conv(x, ad.KernelStack([np.eye(1)]),
+                                       x.tape.leaf(np.eye(C)),
+                                       x.tape.leaf(np.zeros((C, C))))
 
 
 def test_relu_subgradient_at_zero():
@@ -77,9 +80,8 @@ def test_relu_propagates_nan():
     # A NaN must reach the loss, where the non-finite check catches it,
     # not be rectified to zero on the way.
     tape = ad.Tape()
-    x = tape.leaf([[-1.0], [0.0], [2.0], [-0.0]])
-    x.data = x.data.copy()    # a leaf is read-only, and refuses a NaN
-    x.data[1, 0] = np.nan
+    # A leaf refuses a NaN, so x is a node with no closure.
+    x = tape._record(np.array([[-1.0], [np.nan], [2.0], [-0.0]]), "x")
     y = _identity_lift(x)
     assert np.isnan(y.data[1, 0])
     assert np.array_equal(y.data[[0, 2, 3], 0], [0.0, 2.0, 0.0])
@@ -132,8 +134,6 @@ def test_shape_errors():
     with pytest.raises(ShapeMismatch):
         ad.matmul(a, a)
     with pytest.raises(ShapeMismatch):
-        ad.slice_blocks(a, 2, 1, 3)
-    with pytest.raises(ShapeMismatch):
         ad.block_left_matmul(np.ones((2, 4)), a)
     with pytest.raises(ShapeMismatch):
         ad.gather_rows(a, [0, 2])
@@ -175,23 +175,34 @@ def _graph_conv_reference_grads(h, kernels, weights, n, g):
     return dh, dws
 
 
-def _lift_reference(h, kernels, weights, n):
-    """(out, d/dh, [d/dW_k]) of the lift relu(sum_k N_k h W_k), from the
-    definition, for the loss sum of out's row norms (a zero row adds 0)."""
-    out = np.maximum(_graph_conv_reference(h, kernels, weights, n), 0.0)
-    norms = np.linalg.norm(out, axis=1, keepdims=True)
-    g = out / np.where(norms > 0.0, norms, 1.0)   # 0 where relu cut
-    return (out, *_graph_conv_reference_grads(h, kernels, weights, n, g))
-
-
 def _residual_reference(h, kernels, weights, n):
     """(out, d/dh, [d/dW_k]) of the residual unit h + sum_k N_k relu(h)
-    W_k, from the definition, for the loss sum of out's row norms."""
+    W_k, from the definition, for the loss sum of out's row norms (a zero
+    row adds 0)."""
     x = np.maximum(h, 0.0)
     out = h + _graph_conv_reference(x, kernels, weights, n)
-    g = out / np.linalg.norm(out, axis=1, keepdims=True)
+    norms = np.linalg.norm(out, axis=1, keepdims=True)
+    g = out / np.where(norms > 0.0, norms, 1.0)
     dx, dws = _graph_conv_reference_grads(x, kernels, weights, n, g)
     return out, g + dx * (h > 0.0), dws
+
+
+def _lift_reference(h, kernels, weights, unit_weights, n):
+    """(out, d/dh, [d/dW_k] + [d/dU_k]) of the lift a = relu(sum_k N_k h
+    W_k) and the residual unit a + sum_k N_k relu(a) U_k after it, from the
+    definition, for the loss sum of out's row norms."""
+    a = np.maximum(_graph_conv_reference(h, kernels, weights, n), 0.0)
+    out, da, dus = _residual_reference(a, kernels, unit_weights, n)
+    dh, dws = _graph_conv_reference_grads(h, kernels, weights, n,
+                                          da * (a > 0.0))
+    return out, dh, dws + dus
+
+
+def _unit_weights(rng, ws):
+    """Weights of a residual unit after a lift with weights ws: one
+    (C, C) block per kernel, C the lift's width."""
+    C = ws[0].shape[1]
+    return [rng.normal(size=(C, C)) for _ in ws]
 
 
 def _relu(a):
@@ -256,8 +267,9 @@ def _trunk_leaf(tape, h):
 
 
 def test_graph_conv_matches_definition():
-    # Both graph-conv nodes on a float64 tape: the lift at a widening and a
-    # narrowing width, and the residual unit.
+    # Both graph-conv nodes on a float64 tape: the lift (with the residual
+    # unit after it) at a widening and a narrowing width, and the residual
+    # unit.
     rng = np.random.default_rng(4)
     n, B = 4, 3
     N1, N2 = rng.normal(size=(n, n)), rng.normal(size=(n, n))
@@ -271,16 +283,19 @@ def test_graph_conv_matches_definition():
         ([N1, N2], [rng.normal(size=(5, 5)) for _ in range(2)]),
     ]
     for kernels, ws in cases:
-        ops = [(ad.graph_conv_relu, _lift_reference)]
+        us = _unit_weights(rng, ws)
+        ops = [(ad.lift_residual_graph_conv, [ws, us],
+                _lift_reference(h, kernels, ws, us, n))]
         if ws[0].shape[1] == 5:
-            ops.append((ad.residual_graph_conv, _residual_reference))
-        for op, reference in ops:
+            ops.append((ad.residual_graph_conv, [ws],
+                        _residual_reference(h, kernels, ws, n)))
+        for op, panels, reference in ops:
             tape = ad.Tape()
-            W = tape.leaf(np.hstack(ws))
-            out = op(tape.leaf(h), ad.KernelStack(kernels), W)
-            assert out.op == op.__name__ and len(tape) == 3
-            assert np.allclose(out.data, reference(h, kernels, ws, n)[0],
-                               rtol=1e-13, atol=1e-13)
+            out = op(tape.leaf(h), ad.KernelStack(kernels),
+                     *(tape.leaf(np.hstack(w)) for w in panels))
+            assert out.op == op.__name__ and len(tape) == 2 + len(panels)
+            assert np.allclose(out.data, reference[0], rtol=1e-13,
+                               atol=1e-13)
 
 
 # float32 products of length L are off by about L units of float32
@@ -289,23 +304,28 @@ def test_graph_conv_matches_definition():
 F32_TOL = 1e-5
 
 
-def _assert_matches_reference(tape, op, h, kernels, ws, n, tol):
+def _assert_matches_reference(tape, op, h, kernels, ws, n, tol, us=None):
     """op's value, d/dh and weight gradients on tape within tol of the
-    largest entry of their references from the definition. The lift takes
-    h as a float64 leaf, the residual unit in the tape's conv_dtype."""
-    reference = (_lift_reference if op is ad.graph_conv_relu
-                 else _residual_reference)
-    hv = tape.leaf(h) if op is ad.graph_conv_relu else _trunk_leaf(tape, h)
-    W = tape.leaf(np.hstack(ws))
-    out = op(hv, ad.KernelStack(kernels), W)
+    largest entry of their references from the definition. The lift
+    (lift_residual_graph_conv, whose unit has the weights us) takes h as a
+    float64 leaf, the residual unit in the tape's conv_dtype."""
+    lift = op is ad.lift_residual_graph_conv
+    hv = tape.leaf(h) if lift else _trunk_leaf(tape, h)
+    panels = [ws, us] if lift else [ws]
+    Ws = [tape.leaf(np.hstack(w)) for w in panels]
+    out = op(hv, ad.KernelStack(kernels), *Ws)
     assert out.data.dtype == tape.conv_dtype
-    want, dh, dws = reference(hv.data.astype(np.float64), kernels, ws, n)
+    h64 = hv.data.astype(np.float64)
+    want, dh, dws = (_lift_reference(h64, kernels, ws, us, n) if lift
+                     else _residual_reference(h64, kernels, ws, n))
     tape.backward(ad.reduce_sum(ad.norm_rows(out)))
-    for got, ref in [(out.data, want), (hv.grad, dh)] + list(
-            zip(np.split(W.grad, len(ws), axis=1), dws)):
+    grads = [g for W, w in zip(Ws, panels)
+             for g in np.split(W.grad, len(w), axis=1)]
+    for got, ref in [(out.data, want), (hv.grad, dh)] + list(zip(grads,
+                                                                  dws)):
         err = np.abs(got - ref).max()
         assert err <= tol * np.abs(ref).max(), err
-    assert W.grad.dtype == np.float64
+    assert {W.grad.dtype for W in Ws} == {np.dtype(np.float64)}
     return out
 
 
@@ -315,14 +335,12 @@ def test_graph_conv_float32_tape_matches_definition():
     N1, N2 = rng.normal(size=(n, n)), rng.normal(size=(n, n))
     I = np.eye(n)
     h6 = rng.normal(size=(B * n, 6))
+    lift = ad.lift_residual_graph_conv
     cases = [
-        (ad.graph_conv_relu, [I, N1, N2], [rng.normal(size=(5, 6))
-                                           for _ in range(3)]),
-        (ad.graph_conv_relu, [I], [rng.normal(size=(5, 2))]),
-        (ad.graph_conv_relu, [N1, N2], [rng.normal(size=(5, 6))
-                                        for _ in range(2)]),
-        (ad.graph_conv_relu, [I, N1, N2], [rng.normal(size=(6, 5))
-                                           for _ in range(3)]),
+        (lift, [I, N1, N2], [rng.normal(size=(5, 6)) for _ in range(3)]),
+        (lift, [I], [rng.normal(size=(5, 2))]),
+        (lift, [N1, N2], [rng.normal(size=(5, 6)) for _ in range(2)]),
+        (lift, [I, N1, N2], [rng.normal(size=(6, 5)) for _ in range(3)]),
         # The residual unit multiplies first: with non-symmetric kernels,
         # mixing by N_k^T in place of N_k would show.
         (ad.residual_graph_conv, [I, N1, N2], [rng.normal(size=(6, 6))
@@ -332,20 +350,21 @@ def test_graph_conv_float32_tape_matches_definition():
     ]
     for op, kernels, ws in cases:
         h = h6[:, :ws[0].shape[0]]
+        us = _unit_weights(rng, ws)
         out = _assert_matches_reference(ad.Tape(conv_dtype=np.float32), op,
-                                        h, kernels, ws, n, F32_TOL)
+                                        h, kernels, ws, n, F32_TOL, us)
         # Rounded in float32, so not the float64 result bit for bit.
         want = _assert_matches_reference(ad.Tape(), op, h, kernels, ws, n,
-                                         1e-12)
+                                         1e-12, us)
         assert not np.array_equal(out.data, want.data)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_widening_graph_conv_mixes_first_and_matches_definition(dtype):
     # The 3 -> C lift mixes the 3-channel input before one GEMM over the
-    # stacked weights at every width, C <= 3 included; values and both
-    # gradients match the per-block definition, to rounding on a float64
-    # tape.
+    # stacked weights at every width, C <= 3 included; values and every
+    # gradient of the lift and the residual unit after it match the
+    # per-block definition, to rounding on a float64 tape.
     rng = np.random.default_rng(9)
     n, B, C_in = 4, 3, 3
     N1, N2 = rng.normal(size=(n, n)), rng.normal(size=(n, n))
@@ -355,8 +374,9 @@ def test_widening_graph_conv_mixes_first_and_matches_definition(dtype):
         for kernels in ([np.eye(n), N1, N2], [N1, N2], [np.eye(n)]):
             ws = [rng.normal(size=(C_in, C_out)) for _ in kernels]
             _assert_matches_reference(ad.Tape(conv_dtype=dtype),
-                                      ad.graph_conv_relu, h, kernels, ws, n,
-                                      tol)
+                                      ad.lift_residual_graph_conv, h,
+                                      kernels, ws, n, tol,
+                                      _unit_weights(rng, ws))
 
 
 def test_tape_keeps_conv_dtype_values_and_grads_in_it():
@@ -395,20 +415,21 @@ def test_graph_conv_shape_errors():
     h = tape.leaf(np.ones((8, 3)))
     N = np.eye(4)
     one, two = ad.KernelStack([N]), ad.KernelStack([N, N])
-    W = tape.leaf(np.ones((3, 2)))
+    lift = ad.lift_residual_graph_conv
+    W, U = tape.leaf(np.ones((3, 2))), tape.leaf(np.ones((1, 2)))
     with pytest.raises(ShapeMismatch, match="not divisible"):
-        ad.graph_conv_relu(h, ad.KernelStack([np.eye(3)]), W)
-    # The panel holds one (C_in, C_out) block per kernel, C_out >= 1.
+        lift(h, ad.KernelStack([np.eye(3)]), W, U)
+    # The lift's panel holds one (C_in, C_out) block per kernel, C_out >= 1.
     with pytest.raises(ShapeMismatch, match=r"weight \(3, 3\), expected "
                        r"\(3, 2 \* C_out\) for 2 kernels"):
-        ad.graph_conv_relu(h, two, tape.leaf(np.ones((3, 3))))
+        lift(h, two, tape.leaf(np.ones((3, 3))), U)
     with pytest.raises(ShapeMismatch, match=r"weight \(3, 0\)"):
-        ad.graph_conv_relu(h, one, tape.leaf(np.ones((3, 0))))
+        lift(h, one, tape.leaf(np.ones((3, 0))), U)
     with pytest.raises(ShapeMismatch, match=r"weight \(2, 2\)"):
-        ad.graph_conv_relu(h, one, tape.leaf(np.ones((2, 2))))
-    assert ad.graph_conv_relu(h, two, W).shape == (8, 1)
+        lift(h, one, tape.leaf(np.ones((2, 2))), U)
+    assert lift(h, two, W, U).shape == (8, 1)
     with pytest.raises(ValueError, match="different tapes"):
-        ad.graph_conv_relu(h, one, ad.Tape().leaf(np.ones((3, 2))))
+        lift(h, one, ad.Tape().leaf(np.ones((3, 2))), U)
     # A stack is checked once, when it is built: at least one kernel, each
     # square, all of one size.
     for kernels, match in (([], "0 kernels"),
@@ -491,7 +512,7 @@ def _mixing_loss(out):
 
 
 def _fused_and_composite(dtype, h, n, through_conv, fused, composite,
-                         n_weights, C_out):
+                         n_weights):
     """Values and gradients, each as [out, d/dh, d/dW_1, ...] (the weight
     panel's gradient split by kernel), of one fused op and of its
     multi-node composite.
@@ -501,7 +522,7 @@ def _fused_and_composite(dtype, h, n, through_conv, fused, composite,
     with a closure, as in the trunk."""
     rng = np.random.default_rng(31)
     C = h.shape[1]
-    ws = [rng.normal(size=(C, C_out)) / C for _ in range(n_weights)]
+    ws = [rng.normal(size=(C, C)) / C for _ in range(n_weights)]
     results = []
     for op in (fused, composite):
         tape = ad.Tape(conv_dtype=dtype)
@@ -543,18 +564,13 @@ def test_fused_units_match_their_composites_bit_for_bit(B, through_conv,
     mixed = ad.KernelStack([np.eye(n), N1, N2])
     cases = [
         # the tiled residual unit, three kernel layouts
-        *[(lambda x, W, ks=ks: ad.residual_graph_conv(x, ks, W),
-           lambda x, W, ks=ks: _residual_composite(x, ks, W),
-           ks.K, C) for ks in (mixed, ad.KernelStack([np.eye(n)]),
-                               ad.KernelStack([N1, N2]))],
-        # the lift, widening and width-preserving
-        *[(lambda x, W: ad.graph_conv_relu(x, mixed, W),
-           lambda x, W: _relu(_graph_conv(x, mixed, W, mix_first=True)),
-           3, c_out) for c_out in (2 * C, C)],
-    ]
-    for fused, composite, n_weights, c_out in cases:
+        (lambda x, W, ks=ks: ad.residual_graph_conv(x, ks, W),
+         lambda x, W, ks=ks: _residual_composite(x, ks, W), ks.K)
+        for ks in (mixed, ad.KernelStack([np.eye(n)]),
+                   ad.KernelStack([N1, N2]))]
+    for fused, composite, n_weights in cases:
         got, want = _fused_and_composite(dtype, h, n, through_conv, fused,
-                                         composite, n_weights, c_out)
+                                         composite, n_weights)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
         # Values and input gradients do not depend on a residual unit's
@@ -566,57 +582,50 @@ def test_fused_units_match_their_composites_bit_for_bit(B, through_conv,
             assert err <= TILED_WEIGHT_GRAD_TOL[dtype], err
             assert B > 1 or np.array_equal(g, w)
 
-    # The lift and the residual unit after it, one node, against the two
-    # nodes it fuses: the same tiles, so the same bits everywhere, weight
-    # gradients included, though the node rebuilds the lift's result.
-    ws = [np.hstack([rng.normal(size=(C, C)) / C for _ in range(3)])
-          for _ in range(2)]
-    grads = []
-    for fused in (True, False):
-        tape = ad.Tape(conv_dtype=dtype)
-        hv = _trunk_leaf(tape, h)
-        x = (_graph_conv(hv, ad.KernelStack([np.eye(n)]),
-                         tape.leaf(np.eye(C)), mix_first=False)
-             if through_conv else hv)
-        W_lift, W_unit = (tape.leaf(w) for w in ws)
-        out = (ad.lift_residual_graph_conv(x, mixed, W_lift, W_unit)
-               if fused else ad.residual_graph_conv(
-                   ad.graph_conv_relu(x, mixed, W_lift), mixed, W_unit))
-        assert len(tape) == (3 + 2 * through_conv) + (1 if fused else 2)
-        tape.backward(_mixing_loss(out))
-        grads.append([out.data, hv.grad, W_lift.grad, W_unit.grad])
-    for g, w in zip(*grads):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
+    # The lift and the residual unit after it, one node, against the lift
+    # as a graph conv that mixes first and a relu, then the residual unit:
+    # the same tiles, so the same bits everywhere, weight gradients
+    # included, though the node rebuilds the lift's result. The lift
+    # widens or keeps the width.
+    for c_out in (2 * C, C):
+        ws = [np.hstack([rng.normal(size=(c_in, c_out)) / c_in
+                         for _ in range(3)]) for c_in in (C, c_out)]
+        grads = []
+        for fused in (True, False):
+            tape = ad.Tape(conv_dtype=dtype)
+            hv = _trunk_leaf(tape, h)
+            x = (_graph_conv(hv, ad.KernelStack([np.eye(n)]),
+                             tape.leaf(np.eye(C)), mix_first=False)
+                 if through_conv else hv)
+            W_lift, W_unit = (tape.leaf(w) for w in ws)
+            out = (ad.lift_residual_graph_conv(x, mixed, W_lift, W_unit)
+                   if fused else ad.residual_graph_conv(
+                       _relu(_graph_conv(x, mixed, W_lift, mix_first=True)),
+                       mixed, W_unit))
+            assert len(tape) == (3 + 2 * through_conv) + (1 if fused else 3)
+            tape.backward(_mixing_loss(out))
+            grads.append([out.data, hv.grad, W_lift.grad, W_unit.grad])
+        for g, w in zip(*grads):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
-    # The fused unpool and skip add: M maps n rows to r of every block.
-    r = 6
-    M = rng.normal(size=(r, n))
-    skip = rng.normal(size=(B * r, C))
-    grads = []
-    for fused in (True, False):
-        tape = ad.Tape(conv_dtype=dtype)
-        hv, sv = tape.leaf(h), tape.leaf(skip)
-        x = (_graph_conv(hv, ad.KernelStack([np.eye(n)]),
-                         tape.leaf(np.eye(C)), mix_first=False)
-             if through_conv else hv)
-        out = (ad.block_left_matmul_add(M, x, sv) if fused
-               else ad.add(ad.block_left_matmul(M, x), sv))
-        assert len(tape) == (2 + 2 * through_conv) + (1 if fused else 2)
-        tape.backward(_mixing_loss(out))
-        grads.append([out.data, hv.grad, sv.grad])
-    for g, w in zip(*grads):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+def _unit_result(tape, data, n):
+    """A residual unit's result, of data's shape, on n-row blocks."""
+    C = data.shape[1]
+    return ad.residual_graph_conv(_trunk_leaf(tape, data),
+                                  ad.KernelStack([np.eye(n)]),
+                                  tape.leaf(np.eye(C)))
 
 
 def test_block_left_matmul_add_shape_errors():
     tape = ad.Tape()
-    h = tape.leaf(np.ones((8, 3)))
+    h = _unit_result(tape, np.ones((8, 3)), 4)
     with pytest.raises(ShapeMismatch, match="not divisible"):
         ad.block_left_matmul_add(np.ones((6, 3)), h,
-                                 tape.leaf(np.ones((12, 3))))
+                                 _unit_result(tape, np.ones((12, 3)), 6))
     with pytest.raises(ShapeMismatch, match="skip"):
         ad.block_left_matmul_add(np.ones((6, 4)), h,
-                                 tape.leaf(np.ones((8, 3))))
+                                 _unit_result(tape, np.ones((8, 3)), 4))
 
 
 def _spy_gradient(v, seen):
@@ -681,58 +690,50 @@ def test_join_consumes_its_units_inputs_with_the_composites_bits(dtype, B):
 
 
 def test_join_takes_over_the_skip_buffer_of_a_unit_only():
-    # A unit's result becomes the sum in place; a leaf skip is copied, and
-    # the caller's array behind it stays byte for byte as it was.
+    # A unit's result becomes the sum in place. A leaf, as h or as the
+    # skip, is refused before anything is recorded: the other input keeps
+    # its data, and the caller's array behind the leaf stays byte for byte
+    # as it was.
     rng = np.random.default_rng(35)
     M = rng.normal(size=(6, 4))
     tape = ad.Tape(conv_dtype=np.float32)
-    h = _trunk_leaf(tape, rng.normal(size=(8, 3)))
-    unit = ad.residual_graph_conv(_trunk_leaf(tape, rng.normal(size=(12, 3))),
-                                  ad.KernelStack([np.eye(6)]),
-                                  tape.leaf(np.eye(3)))
+    h = _unit_result(tape, rng.normal(size=(8, 3)), 4)
+    unit = _unit_result(tape, rng.normal(size=(12, 3)), 6)
     buffer = unit.data
     assert ad.block_left_matmul_add(M, h, unit).data is buffer
-    caller = rng.normal(size=(12, 3))
-    before = caller.tobytes()
-    skip = tape.leaf(caller)
-    out = ad.block_left_matmul_add(M, h, skip)
-    assert caller.tobytes() == before
-    assert np.array_equal(skip.data, caller) and h.data.shape == (8, 3)
-    assert not np.shares_memory(out.data, caller)
+    caller = [rng.normal(size=(8, 3)), rng.normal(size=(12, 3))]
+    before = [a.tobytes() for a in caller]
+    h_leaf, skip_leaf = (tape.leaf(a) for a in caller)
+    h = _unit_result(tape, rng.normal(size=(8, 3)), 4)
+    unit = _unit_result(tape, rng.normal(size=(12, 3)), 6)
+    recorded = len(tape)
+    for pair in ((h_leaf, unit), (h, skip_leaf)):
+        with pytest.raises(ValueError, match="block_left_matmul_add: the "
+                           "leaf value is not a graph-conv unit's result"):
+            ad.block_left_matmul_add(M, *pair)
+    assert len(tape) == recorded
+    assert [a.tobytes() for a in caller] == before
+    assert h.data.shape == (8, 3) and unit.data.shape == (12, 3)
 
 
 @pytest.mark.parametrize("product, skip_dtype", [
     (np.float32, np.float64), (np.float64, np.float32)])
-def test_join_of_mixed_dtypes_gives_the_float64_sum(product, skip_dtype):
-    # On a float32 tape: a float64 skip under a float32 product, or a
-    # float32 unit's result under a float64 product. The sum is float64,
-    # as the composite's is, and its bits and gradients are the
-    # composite's.
-    rng = np.random.default_rng(36)
-    M = rng.normal(size=(6, 4))
-    h_data, skip_data = rng.normal(size=(8, 3)), rng.normal(size=(12, 3))
-    results = []
-    for fused in (True, False):
-        tape = ad.Tape(conv_dtype=np.float32)
-        x = (_trunk_leaf(tape, h_data) if product == np.float32
-             else tape.leaf(h_data))
-        y = (_trunk_leaf(tape, skip_data) if skip_dtype == np.float32
-             else tape.leaf(skip_data))
-        h = (ad.residual_graph_conv(x, ad.KernelStack([np.eye(4)]),
-                                    tape.leaf(np.eye(3)))
-             if product == np.float32 else x)
-        skip = (ad.residual_graph_conv(y, ad.KernelStack([np.eye(6)]),
-                                       tape.leaf(np.eye(3)))
-                if skip_dtype == np.float32 else y)
-        assert (h.dtype, skip.dtype) == (product, skip_dtype)
-        out = (ad.block_left_matmul_add(M, h, skip) if fused
-               else ad.add(ad.block_left_matmul(M, h), skip))
-        assert out.dtype == np.float64
-        value = out.data.copy()
-        tape.backward(_mixing_loss(out))
-        results.append([value, x.grad, y.grad])
-    for g, w in zip(*results):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
+def test_join_refuses_mixed_dtypes(product, skip_dtype):
+    # Units on one tape share its conv_dtype, so two results of units in
+    # two dtypes were recorded by other means. Adding a float64 product
+    # into a float32 skip would round it, so the join refuses them before
+    # anything is recorded, and both keep their data.
+    tape = ad.Tape(conv_dtype=np.float32)
+    h = tape._record(np.ones((8, 3), dtype=product), "residual_graph_conv")
+    skip = tape._record(np.ones((12, 3), dtype=skip_dtype),
+                        "lift_residual_graph_conv")
+    assert (h.dtype, skip.dtype) == (product, skip_dtype)
+    with pytest.raises(ValueError, match=f"block_left_matmul_add: h is "
+                       f"{np.dtype(product)}, skip {np.dtype(skip_dtype)}"):
+        ad.block_left_matmul_add(np.ones((6, 4)), h, skip)
+    assert len(tape) == 2
+    assert np.array_equal(h.data, np.ones((8, 3)))
+    assert np.array_equal(skip.data, np.ones((12, 3)))
 
 
 def test_residual_graph_conv_subgradient_and_nan():
@@ -750,9 +751,9 @@ def test_residual_graph_conv_subgradient_and_nan():
     rng = np.random.default_rng(22)
     N = rng.normal(size=(2, 2))
     tape = ad.Tape()
-    h = tape.leaf(rng.normal(size=(4, 3)))
-    h.data = h.data.copy()    # a leaf is read-only, and refuses a NaN
-    h.data[1, 2] = np.nan
+    data = rng.normal(size=(4, 3))
+    data[1, 2] = np.nan
+    h = tape._record(data, "h")   # a leaf refuses a NaN
     out = ad.residual_graph_conv(h, ad.KernelStack([np.eye(2), N]),
                                  tape.leaf(np.hstack([np.eye(3)] * 2)))
     assert np.isnan(out.data[:2]).all()
@@ -761,7 +762,7 @@ def test_residual_graph_conv_subgradient_and_nan():
 
 def _grad_of_h_with_a_second_consumer(dtype, leaf_h, unit_first, fused):
     """[d/dx, every surviving gradient] for h feeding a residual unit and
-    a skip add (as e0 and e1 feed a pool and a decoder's unpool-add).
+    the skip add after an unpooling (block_left_matmul, then add).
 
     h is x itself, a conv_dtype node with no closure (_trunk_leaf), or an
     identity conv of x (a node with a closure, whose gradient reaches x
@@ -785,10 +786,10 @@ def _grad_of_h_with_a_second_consumer(dtype, leaf_h, unit_first, fused):
         return _residual_composite(h, stack, W)
 
     if unit_first:
-        skip = ad.block_left_matmul_add(N, y, h)
+        skip = ad.add(ad.block_left_matmul(N, y), h)
         out = ad.add(unit(), skip)
     else:
-        out = ad.block_left_matmul_add(N, unit(), h)
+        out = ad.add(ad.block_left_matmul(N, unit()), h)
     tape.backward(_mixing_loss(out))
     return x.grad, [v._grad for v in tape.nodes if v._grad is not None]
 
@@ -837,17 +838,6 @@ def test_residual_graph_conv_refuses_an_input_off_the_conv_dtype():
     assert len(tape) == 2
 
 
-def test_slice_blocks_selects_rows_of_every_block():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(2 * 5, 4))   # B=2 blocks of 5 rows
-    tape = ad.Tape()
-    av = tape.leaf(a)
-    head = ad.slice_blocks(av, 5, 0, 3)
-    tail = ad.slice_blocks(av, 5, 3, 5)
-    assert np.array_equal(head.data, np.vstack([a[0:3], a[5:8]]))
-    assert np.array_equal(tail.data, np.vstack([a[3:5], a[8:10]]))
-
-
 def test_gather_rows_accumulates():
     tape = ad.Tape()
     x = tape.leaf([[1.0], [2.0], [3.0]])
@@ -879,8 +869,6 @@ def test_grad_arith_ops():
     _check(lambda t, p: ad.reduce_sum(ad.norm_rows(ad.sub(p[0], p[1]))), [a, b])
     _check(lambda t, p: ad.reduce_sum(ad.matmul(p[0], p[1])), [a, w])
     _check(lambda t, p: ad.reduce_sum(ad.scale(p[0], -1.7)), [a])
-    _check(lambda t, p: ad.reduce_sum(ad.norm_rows(
-        ad.add_n([p[0], p[1], ad.sub(p[0], p[1])]))), [a, b])
 
 
 def test_grad_nonlinear_ops():
@@ -894,9 +882,8 @@ def test_grad_layout_ops():
     rng = np.random.default_rng(12)
     a = rng.normal(size=(6, 3))
     _check(lambda t, p: ad.reduce_sum(ad.norm_rows(
-        ad.slice_blocks(p[0], 3, 1, 3))), [a])
+        ad.gather_rows(p[0], [1, 2, 4, 5]))), [a])
     _check(lambda t, p: ad.reduce_sum(ad.gather_rows(p[0], [0, 0, 3, 5])), [a])
-    _check(lambda t, p: ad.reduce_sum(ad.slice_blocks(p[0], 3, 1, 3)), [a])
 
 
 def test_grad_block_and_affine_ops():
@@ -922,7 +909,8 @@ def test_grad_graph_conv():
         ws = [rng.normal(size=(c_in, c_out)) for _ in kernels]
         stack = ad.KernelStack(kernels)
         _check(lambda t, p: ad.reduce_sum(ad.norm_rows(
-            ad.graph_conv_relu(p[0], stack, p[1]))), [x, np.hstack(ws)])
+            ad.lift_residual_graph_conv(p[0], stack, p[1], p[2]))),
+            [x, np.hstack(ws), np.hstack(_unit_weights(rng, ws))])
 
     check([I, N[0], N[1], N[2]], 5, 6)      # identity plus mixing kernels
     check([I], 5, 6)                        # identity only
@@ -931,15 +919,16 @@ def test_grad_graph_conv():
     check([I, N[0], N[2]], 5, 6)            # one class masked
     check([I, N[0], N[1]], 6, 5)
     check([N[1], N[2]], 5, 5)
-    # h also feeds a matmul and the weight panel a second matmul: both
-    # gradients accumulate onto what is already there.
+    # h also feeds a matmul and the lift's weight panel a second matmul:
+    # both gradients accumulate onto what is already there.
     _check(lambda t, p: ad.add(
         ad.reduce_sum(ad.norm_rows(ad.add(
             ad.matmul(p[0], p[2]),
-            ad.graph_conv_relu(p[0], ad.KernelStack([I, N[0]]), p[1])))),
+            ad.lift_residual_graph_conv(p[0], ad.KernelStack([I, N[0]]),
+                                        p[1], p[4])))),
         ad.reduce_sum(ad.norm_rows(ad.matmul(p[3], p[1])))),
         [h[:, :5], rng.normal(size=(5, 12)), rng.normal(size=(5, 6)),
-         rng.normal(size=(2, 5))])
+         rng.normal(size=(2, 5)), rng.normal(size=(6, 12))])
 
 
 def test_grad_residual_graph_conv():
@@ -974,13 +963,14 @@ def test_grad_composite_expression():
     x = rng.normal(size=(2 * 4, 3))
     w1 = rng.normal(size=(3, 8))
     w2 = rng.normal(size=(8, 3))
+    u = rng.normal(size=(8, 8)) / 8
 
     def build(t, p):
-        h = ad.graph_conv_relu(p[0], ad.KernelStack([N]), p[1])
+        h = ad.lift_residual_graph_conv(p[0], ad.KernelStack([N]), p[1], p[3])
         delta = ad.matmul(h, p[2])
         return ad.reduce_sum(ad.norm_rows(ad.add(p[0], delta)))
 
-    _check(build, [x, w1, w2], tol=1e-4)
+    _check(build, [x, w1, w2, u], tol=1e-4)
 
 
 def test_grad_check_reports_structure():

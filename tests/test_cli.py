@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -357,6 +358,19 @@ def test_train_resume_without_training_state_exits_1(tmp_path, capsys):
     ({"next_epoch": 1, "loss_history": ["1.0"]}, "'loss_history' must be a"),
     ({"next_epoch": 1, "loss_history": [1.0], "best_val": "x"},
      "'best_val' must be null or a number, got 'x'"),
+    # fit never writes NaN or an infinity. A run resumed with a NaN
+    # best_val never wrote best.ckpt again and reported a best loss of nan.
+    ({"next_epoch": 2, "loss_history": [1.0, math.nan]},
+     "'loss_history' must be a list of numbers"),
+    ({"next_epoch": 1, "loss_history": [-math.inf]},
+     "'loss_history' must be a list of numbers"),
+    ({"next_epoch": 1, "loss_history": [1.0], "best_val": math.nan},
+     "'best_val' must be null or a number, got nan"),
+    ({"next_epoch": 1, "loss_history": [1.0], "best_val": math.inf},
+     "'best_val' must be null or a number, got inf"),
+    # A misspelled best_val loaded as no best at all.
+    ({"next_epoch": 1, "loss_history": [1.0], "bestval": 0.5},
+     "has unknown key 'bestval'"),
 ])
 def test_train_resume_with_malformed_training_state_exits_1(
         tmp_path, capsys, train_state, message):

@@ -2,6 +2,7 @@ import ast
 import errno
 import os
 import stat
+import sys
 
 import pytest
 
@@ -212,3 +213,28 @@ def test_json_text_writes_non_finite_numbers_as_null():
                                 "b": {"c": None, "d": 0.1}, "e": "NaN"}
     finite = {"x": [0.1, 2e-300, -3.0], "y": 7}
     assert files.json_text(finite, indent=2) == json.dumps(finite, indent=2)
+
+
+def _imported_packages(tree):
+    """The top-level package of each import in a module; a relative import
+    is cvpose's own."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            yield "cvpose" if node.level else node.module.partition(".")[0]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "cvpose"}
+    src = os.path.dirname(files.__file__)
+    seen = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            seen[name] = set(_imported_packages(tree))
+    assert {name: packages - allowed for name, packages in seen.items()
+            if packages - allowed} == {}
+    assert "numpy" in seen["autodiff.py"] and "cvpose" in seen["cli.py"]

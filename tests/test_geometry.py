@@ -592,6 +592,33 @@ def test_rig_record_must_be_an_object(tmp_path):
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("header, fields, line, message", [
+    ({}, {"id": 7}, 2, "id must be a JSON string, got 7"),
+    ({}, {"K": [str(x) for x in np.eye(3).reshape(-1)]}, 2,
+     "K must be a list of finite JSON numbers"),
+    ({}, {"R": [1, 0, 0, 0, 1, 0, 0, 0, True]}, 2,
+     "R must be a list of finite JSON numbers"),
+    ({}, {"t": [True, False, 0]}, 2,
+     "t must be a list of finite JSON numbers"),
+    ({}, {"skew": 0.0}, 2, "unknown key 'skew'"),
+    ({"units": "mm"}, {}, 1, "unknown key 'units'"),
+], ids=["int-id", "string-K", "bool-R", "bool-t", "record-key",
+        "header-key"])
+def test_rig_refuses_what_save_rig_never_writes(tmp_path, header, fields,
+                                                line, message):
+    # Each of these loaded: the id as "7", strings and booleans in K, R
+    # and t as numbers, and unknown keys were ignored.
+    rec = {"id": "a", "K": np.eye(3).reshape(-1).tolist(),
+           "R": np.eye(3).reshape(-1).tolist(), "t": [0, 0, 0],
+           "width": 10, "height": 10, **fields}
+    path = tmp_path / "rig.jsonl"
+    path.write_text(json.dumps({"schema": "rig-v1", **header}) + "\n"
+                    + json.dumps(rec) + "\n")
+    with pytest.raises(SchemaError, match=f"^line {line}: {message}") as exc:
+        load_rig(path)
+    assert exc.value.line == line
+
+
 @pytest.mark.parametrize("field, value", [("width", None), ("t", {"a": 1})])
 def test_rig_rejects_wrongly_typed_field(tmp_path, field, value):
     rec = {"id": "a", "K": np.eye(3).reshape(-1).tolist(),

@@ -424,6 +424,21 @@ def test_batched_gradients_against_finite_differences():
     assert {r.index[0] // (2 * J) for r in report.rows} == {0, 1}
 
 
+def test_split_views_takes_each_views_rows():
+    # Each 2J-row block is one sample's J view-1 rows, then its J view-2
+    # rows; the backward puts each view's gradient back on its own rows.
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(2 * 2 * 3, 4))   # B=2 samples of J=3 joints
+    tape = ad.Tape()
+    X = tape.leaf(a)
+    X1, X2 = network.split_views(X, 3)
+    assert np.array_equal(X1.data, np.vstack([a[0:3], a[6:9]]))
+    assert np.array_equal(X2.data, np.vstack([a[3:6], a[9:12]]))
+    tape.backward(ad.reduce_sum(ad.add(ad.scale(X1, 2.0), X2)))
+    assert np.array_equal(X.grad, np.repeat([[2.0], [1.0], [2.0], [1.0]],
+                                            3, axis=0) * np.ones((1, 4)))
+
+
 def test_default_forward_records_one_node_per_conv():
     cfg = NetworkConfig()
     model = CVUGCN(default_topology(), cfg)

@@ -457,6 +457,29 @@ def test_dataset_rejects_malformed_array_fields(tmp_path, value, message):
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("header, fields, line, message", [
+    ({}, {"joints_3d_gtx": _b64(np.ones((2, 17, 3)))}, 2,
+     "unknown key 'joints_3d_gtx'"),
+    ({}, {"weight": 1.0}, 2, "unknown key 'weight'"),
+    ({}, {"id": {"a": 1}}, 2, r"id must be a JSON string, got \{'a': 1\}"),
+    ({}, {"id": 7}, 2, "id must be a JSON string, got 7"),
+    ({}, {"id": None}, 2, "id must be a JSON string, got None"),
+    ({"n_views": 2}, {}, 1, "unknown key 'n_views'"),
+    ({"n_joints": 17.0}, {}, 1, "dataset is for 17.0 joints, topology has 17"),
+], ids=["misspelled-gt", "extra-field", "dict-id", "int-id", "null-id",
+        "header-key", "float-joint-count"])
+def test_dataset_refuses_what_save_never_writes(tmp_path, header, fields,
+                                                line, message):
+    # A misspelled ground-truth key loaded as a sample without ground
+    # truth, and a non-string id as its str().
+    rec = {**_v2_record(17), **fields}
+    path = tmp_path / "data.jsonl"
+    _write_v2(path, [rec], **header)
+    with pytest.raises(SchemaError, match=f"^line {line}: {message}$") as exc:
+        load_dataset(path)
+    assert exc.value.line == line
+
+
 @pytest.mark.parametrize("views", [["a", "a"], ["a", 3], ["a", None],
                                    ["a"], ["a", "b", "c"], "ab"],
                          ids=["repeat", "int", "null", "one", "three",
