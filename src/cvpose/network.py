@@ -96,21 +96,19 @@ CONV_DTYPE = np.float32
 COORD_SCALE = 0.001
 
 
-# Settings of earlier network layouts, each at the one value this network
-# has. A checkpoint's config line or a train.cfg written before they were
-# retired may name them: at these values they load as before, at any other
-# they are refused (retired_problem) rather than build a different network.
-RETIRED_SETTINGS = {"sgcn_layers": 2, "mgcn_layers_per_stage": 1,
-                    "coord_scale": COORD_SCALE}
+# The least value of each NetworkConfig field (range_problem).
+CONFIG_MINIMUM = {"channels": 1, "init_seed": 0}
 
 
-def retired_problem(key, value, retired=RETIRED_SETTINGS, owner="the network"):
-    """Why a file's value of a setting in `retired` cannot load, or None."""
-    fixed = retired[key]
-    if value == fixed:
+def range_problem(key, value, minimum=CONFIG_MINIMUM):
+    """Why an integer setting is below its least value in `minimum`, or
+    None; a key `minimum` lacks has no least value."""
+    least = minimum.get(key)
+    if least is None or value >= least:
         return None
-    return (f"{key} = {value} is not supported: the setting is retired and "
-            f"{owner} has {key} = {fixed} only")
+    if least == 0:
+        return f"{key} must not be negative, got {value}"
+    return f"{key} must be at least {least}, got {value}"
 
 
 @dataclass
@@ -125,24 +123,21 @@ class NetworkConfig:
     def from_json(text):
         """The config a checkpoint's config line holds.
 
-        Every field must be present as a JSON integer (not a boolean). A
-        retired setting may appear at its one value (RETIRED_SETTINGS); any
-        other key, or a value of another type, raises SchemaError naming
-        the key.
+        Every field must be present as a JSON integer (not a boolean) in
+        its range (range_problem); any other key, or a value of another
+        type or out of range, raises SchemaError naming the key.
         """
         d = json.loads(text)
         if not isinstance(d, dict):
             raise SchemaError(f"config must be a JSON object, got {d!r}")
         fields = {f.name for f in dataclasses.fields(NetworkConfig)}
         for key, value in d.items():
-            if key in RETIRED_SETTINGS:
-                problem = retired_problem(key, value)
-            elif key not in fields:
+            if key not in fields:
                 problem = f"unknown config key {key!r}"
             elif type(value) is not int:   # a bool is an int subclass
                 problem = f"config {key} must be an integer, got {value!r}"
             else:
-                problem = None
+                problem = range_problem(key, value)
             if problem:
                 raise SchemaError(problem)
         return NetworkConfig(**{key: d[key] for key in fields})
@@ -407,14 +402,12 @@ class CVUGCN:
 
 # ---------------------------------------------------------------------------
 # Checkpoints, ckpt-v3: five UTF-8 header lines (`ckpt-v3`, `topology <fp>`,
-# `config <json>`, `step <int>`, `train <json>`), then per array the line
-# `array <tag> <rows> <cols>` and exactly rows*cols*8 bytes of little-endian
-# float64, C order (tags `weight:<name>`, then `opt:<kind>:<name>`, named as
-# weight_shapes names them). A ckpt-v2 file, the same layout with one array
-# per kernel class of each unit, still loads (_join_v2_classes).
+# `config <json>`, `step <n>` in ASCII digits, `train <json>`), then per
+# array the line `array <tag> <rows> <cols>` and exactly rows*cols*8 bytes
+# of little-endian float64, C order (tags `weight:<name>`, then
+# `opt:<kind>:<name>`, named as weight_shapes names them).
 
 CKPT_SCHEMA = "ckpt-v3"
-V2_HEADER = b"ckpt-v2\n"
 
 
 @dataclass
@@ -452,57 +445,15 @@ def save_checkpoint(path, topo, config: NetworkConfig, weights: ModelWeights,
                 _write_array(fh, f"opt:{kind}:{name}", arr)
 
 
-def _join_v2_classes(arrays, config, classes):
-    """A ckpt-v2 file's arrays under ckpt-v3 tags.
-
-    ckpt-v2 stored one (C_in, C) array per kernel class of each unit, for
-    all five classes, tagged `<kind>:<unit>.k<class>` (kind `weight` or
-    `opt:<m|v|vhat>`). A unit's panel joins the arrays of the classes its
-    conv reads (classes, see unit_classes), in class order. The arrays of the
-    classes it does not read are dropped with their optimizer state, which
-    AMSGrad never moved: their gradient is always zero. Other tags pass
-    through, to be checked as ckpt-v3 tags are, but for a unit's own name,
-    which ckpt-v2 does not have. A read class without its array, or an
-    array of another shape, raises SchemaError.
-    """
-    C = config.channels
-    blocks = {}   # (kind, unit) -> {class: array}
-    joined = {}   # in file order: a panel where its first class was
-    for tag, arr in arrays.items():
-        kind, _, name = tag.rpartition(":")
-        m = re.fullmatch(r"(.+)\.k([0-4])", name)
-        if m and m[1] in classes:
-            blocks.setdefault((kind, m[1]), {})[int(m[2])] = arr
-            joined.setdefault(f"{kind}:{m[1]}", None)
-        elif name in classes:
-            raise SchemaError(f"array {tag}: a ckpt-v2 file stores "
-                              f"weights per kernel class")
-        else:
-            joined[tag] = arr
-    for (kind, unit), by_class in blocks.items():
-        shape = (_fan_in(unit, C), C)
-        for k in classes[unit]:
-            tag = f"{kind}:{unit}.k{k}"
-            if k not in by_class:
-                raise SchemaError(f"checkpoint lacks array {tag}")
-            if by_class[k].shape != shape:
-                raise SchemaError(f"array {tag}: expected {shape}, got "
-                                  f"{by_class[k].shape}")
-        joined[f"{kind}:{unit}"] = np.concatenate(
-            [by_class[k] for k in classes[unit]], axis=1)
-    return joined
-
-
 def load_checkpoint(path, topo) -> Checkpoint:
-    """Read a checkpoint, ckpt-v3 or ckpt-v2, of the unmasked model; the
-    topology fingerprint must match `topo`."""
+    """Read a ckpt-v3 checkpoint of the unmasked model; the topology
+    fingerprint must match `topo`."""
     def fail(i, msg):
         raise SchemaError(f"line {i + 1}: {msg}", line=i + 1)
 
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        schema = fh.readline()
-        if schema not in (f"{CKPT_SCHEMA}\n".encode(), V2_HEADER):
+        if fh.readline() != f"{CKPT_SCHEMA}\n".encode():
             fail(0, f"expected header {CKPT_SCHEMA!r}")
         fields = {}
         for i, key in enumerate(("topology", "config", "step", "train"), 1):
@@ -512,14 +463,17 @@ def load_checkpoint(path, topo) -> Checkpoint:
             fields[key] = raw[len(key) + 1:-1]
         if fields["topology"] != topology_fingerprint(topo).encode():
             raise SchemaError("checkpoint topology fingerprint does not match")
-        try:  # json.loads and int take the UTF-8 bytes as they are
+        try:  # json.loads takes the UTF-8 bytes as they are
             config = NetworkConfig.from_json(fields["config"])
-            step = int(fields["step"])
             train_state = json.loads(fields["train"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad checkpoint metadata: {exc}")
-        except SchemaError as exc:   # a retired setting off its value
+        except SchemaError as exc:   # a key or value the config cannot hold
             fail(2, str(exc))
+        if not re.fullmatch(rb"[0-9]+", fields["step"]):
+            fail(3, f"step must be a non-negative integer, got "
+                    f"{fields['step']!r}")
+        step = int(fields["step"])
 
         # Own writable buffers: AmsGrad updates loaded arrays in place.
         arrays = {}
@@ -543,10 +497,7 @@ def load_checkpoint(path, topo) -> Checkpoint:
                 raise SchemaError(f"{where}: holds non-finite values")
             arrays[tag] = arr.astype(np.float64, copy=False)
 
-    classes = unit_classes(topo)
-    if schema == V2_HEADER:
-        arrays = _join_v2_classes(arrays, config, classes)
-    expected = dict(weight_shapes(config, classes))
+    expected = dict(weight_shapes(config, unit_classes(topo)))
     weights = {}
     for name, shape in expected.items():
         tag = f"weight:{name}"

@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,8 +42,9 @@ from .files import atomic_write, is_finite_number, nonblank_lines
 from .geometry import TRI_MODES, relative_transform, triangulate_stack
 from .graph import default_topology
 from .losses import LOSS_WEIGHTS, behind_camera, total_loss
-from .network import (CONV_DTYPE, CVUGCN, RETIRED_SETTINGS, NetworkConfig,
-                      load_checkpoint, retired_problem, save_checkpoint)
+from .network import (CONFIG_MINIMUM, CONV_DTYPE, COORD_SCALE, CVUGCN,
+                      NetworkConfig, load_checkpoint, range_problem,
+                      save_checkpoint)
 
 
 # The recipe's schedule (schedule_lr) and optimizer (AmsGrad).
@@ -53,12 +55,33 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
 
-# The recipe's former settings at their one values, as older train.cfg
-# files name them (see retired_problem).
+# Settings of earlier network layouts and the recipe's former settings, each
+# at the one value the network or the recipe has, as older train.cfg files
+# name them: at these values they load as before, at any other they are
+# refused (retired_problem).
+RETIRED_SETTINGS = {"sgcn_layers": 2, "mgcn_layers_per_stage": 1,
+                    "coord_scale": COORD_SCALE}
 RETIRED_TRAIN_SETTINGS = {
     "initial_lr": INITIAL_LR, "lr_decay": LR_DECAY,
     "plateau_epochs": PLATEAU_EPOCHS, "beta1": BETA1, "beta2": BETA2,
     "epsilon": EPSILON, **{f"w_{k}": w for k, w in LOSS_WEIGHTS.items()}}
+# The least value of each int TrainConfig field (network.range_problem).
+SETTING_MINIMUM = {"epochs": 0, "batch_size": 1, "seed": 0,
+                   "checkpoint_every": 0, **CONFIG_MINIMUM}
+# How save_train_config writes an int and a str value: an optional '-' and
+# ASCII digits, and the text bare or in one matching pair of quotes.
+VALUE_FORMS = {int: re.compile(r"-?[0-9]+"),
+               str: re.compile(r"""(['"]?)[^'"]*\1""")}
+
+
+def retired_problem(key, value, retired=RETIRED_SETTINGS, owner="the network"):
+    """Why a train.cfg value of a setting in `retired` cannot load, or
+    None."""
+    fixed = retired[key]
+    if value == fixed:
+        return None
+    return (f"{key} = {value} is not supported: the setting is retired and "
+            f"{owner} has {key} = {fixed} only")
 
 
 @dataclass
@@ -93,8 +116,9 @@ def save_train_config(path, config: TrainConfig):
 def load_train_config(path) -> TrainConfig:
     """Flat key = value file; '#' comments and blank lines are ignored.
 
-    The file is UTF-8 whatever the locale. A retired setting
-    (network.RETIRED_SETTINGS, RETIRED_TRAIN_SETTINGS), as earlier versions
+    The file is UTF-8 whatever the locale. A value must be written as
+    save_train_config writes one of its kind (VALUE_FORMS). A retired
+    setting (RETIRED_SETTINGS, RETIRED_TRAIN_SETTINGS), as earlier versions
     wrote them, is ignored at its one value and refused at any other. A key
     set on two lines is refused, naming both.
     """
@@ -118,6 +142,8 @@ def load_train_config(path) -> TrainConfig:
                               line=lineno)
         kind = kinds[key]
         try:
+            if kind in VALUE_FORMS and not VALUE_FORMS[kind].fullmatch(val):
+                raise ValueError(val)
             values[key] = val.strip("'\"") if kind is str else kind(val)
         except ValueError:
             raise SchemaError(
@@ -147,12 +173,7 @@ def setting_problem(key, value):
                                "the training recipe")
     if key == "tri_mode" and value not in TRI_MODES:
         return f"tri_mode must be one of {', '.join(TRI_MODES)}, got {value!r}"
-    if key in ("batch_size", "channels") and value < 1:
-        return f"{key} must be at least 1, got {value}"
-    if (key in ("epochs", "checkpoint_every", "seed", "init_seed")
-            and value < 0):
-        return f"{key} must not be negative, got {value}"
-    return None
+    return range_problem(key, value, SETTING_MINIMUM)
 
 
 class AmsGrad:

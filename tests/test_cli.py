@@ -643,7 +643,7 @@ def test_eval_checkpoint_naming_a_retired_setting_off_its_value_exits_1(
                  "--rig", str(out / "rig_assumed.jsonl"),
                  "--checkpoint", str(ckpt)])
     assert code == 1
-    assert ("error: line 3: mgcn_layers_per_stage = -1 is not supported"
+    assert ("error: line 3: unknown config key 'mgcn_layers_per_stage'"
             in capsys.readouterr().err)
 
 
@@ -654,6 +654,10 @@ def test_eval_checkpoint_naming_a_retired_setting_off_its_value_exits_1(
      "config channels must be an integer, got 8.9"),
     (b'config {"channels": 8, "init_seed": true}',
      "config init_seed must be an integer, got True"),
+    (b'config {"channels": 8, "init_seed": 0, "sgcn_layers": 2}',
+     "unknown config key 'sgcn_layers'"),
+    (b'config {"channels": 8, "init_seed": -7}',
+     "init_seed must not be negative, got -7"),
 ])
 def test_eval_checkpoint_with_a_bad_config_line_exits_1(tmp_path, capsys,
                                                         config, message):

@@ -2,9 +2,9 @@
 
 import gc
 import hashlib
+import json
 import re
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -836,9 +836,6 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_network_config_json_roundtrip():
     cfg = NetworkConfig(channels=16, init_seed=3)
     assert NetworkConfig.from_json(cfg.to_json()) == cfg
-    # A retired setting at its one value loads as before.
-    assert NetworkConfig.from_json(
-        '{"channels": 16, "init_seed": 3, "sgcn_layers": 2}') == cfg
 
 
 @pytest.mark.parametrize("text, message", [
@@ -880,6 +877,10 @@ def test_checkpoint_corruption(tmp_path):
         "hdr": (b"nope\n" + data[data.index(b"\n") + 1:],
                 "line 1: expected header 'ckpt-v3'"),
         "v1": (b"ckpt-v1\n" + data[data.index(b"\n") + 1:], "'ckpt-v3'"),
+        # ckpt-v3 is the one format read: ckpt-v2 stored one array per
+        # kernel class.
+        "v2": (b"ckpt-v2\n" + data[data.index(b"\n") + 1:],
+               "^line 1: expected header 'ckpt-v3'$"),
         # The weight:head block is dropped entirely.
         "miss": (data[:head], "lacks weight head"),
         # Bytes follow the last array.
@@ -906,79 +907,55 @@ def test_checkpoint_corruption(tmp_path):
             load_checkpoint(tmp_path / f"{name}.ckpt", topo)
 
 
-# The final.ckpt that the ckpt-v2 writer, the last before ckpt-v3, wrote
-# for the fit in _fit_c4.
-CKPT_V2 = Path(__file__).parent / "data" / "ckpt_v2_fit_c4.ckpt"
-
-
-def _fit_c4(out_dir, epochs=2, resume_from=None):
-    samples, _, rig = generate_dataset(SyntheticConfig(n_samples=8, seed=2,
-                                                       sigma_px=3.0))
-    cfg = training.TrainConfig(epochs=epochs, batch_size=4, channels=4,
-                               init_seed=5)
-    return training.fit(samples, [], rig, cfg, out_dir=out_dir,
-                        resume_from=resume_from)
-
-
-def test_ckpt_v2_file_loads_to_the_weights_it_holds_and_resumes_alike(
-        tmp_path):
-    # A ckpt-v2 file loads to the weights its units read, each unit's
-    # classes joined into its panel, and to their optimizer state; the
-    # arrays of unread classes are dropped. Resumed, it trains on exactly
-    # as the ckpt-v3 file of the same run does.
+def _saved_checkpoint(tmp_path):
+    """A small model's checkpoint at step 3: (path, topology, its bytes)."""
     topo = default_topology()
-    v3_path = _fit_c4(tmp_path / "run").checkpoints["final"]
-    v3 = load_checkpoint(v3_path, topo)
-    v2 = load_checkpoint(CKPT_V2, topo)
-    assert (v2.config, v2.step, v2.train_state) == (
-        v3.config, v3.step, v3.train_state)
-    assert list(v2.weights.arrays) == list(v3.weights.arrays)
-    assert {k: list(d) for k, d in v2.opt_state.items()} == {
-        k: list(d) for k, d in v3.opt_state.items()}
-    pairs = [(v2.weights[n], a) for n, a in v3.weights.items()] + [
-        (v2.opt_state[kind][n], a)
-        for kind, arrays in v3.opt_state.items() for n, a in arrays.items()]
-    for got, want in pairs:
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert got.flags.writeable
-    runs = [_fit_c4(tmp_path / name, epochs=3, resume_from=path)
-            for name, path in (("from_v3", v3_path), ("from_v2", CKPT_V2))]
-    assert runs[0].history == runs[1].history
-    for name, arr in runs[0].weights.items():
-        assert np.array_equal(arr, runs[1].weights[name]), name
+    cfg = small_config()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, topo, cfg, CVUGCN(topo, cfg).weights, step=3)
+    return path, topo, path.read_bytes()
 
 
-def test_ckpt_v2_reader_refuses_what_ckpt_v2_files_do_not_hold(tmp_path):
-    topo = default_topology()
-    data = CKPT_V2.read_bytes()
+@pytest.mark.parametrize("step", [b"-1_0", b"+5", b" 7", b"7 ", b"-3",
+                                  b"1.0", b"", "\u0661\u0662".encode()])
+def test_checkpoint_step_line_is_ascii_digits_only(tmp_path, step):
+    # save_checkpoint writes the step as ASCII digits; int() read `-1_0`
+    # as -10, and `+5`, ` 7` and Arabic-Indic digits as numbers too.
+    path, topo, data = _saved_checkpoint(tmp_path)
+    path.write_bytes(data.replace(b"\nstep 3\n", b"\nstep " + step + b"\n"))
+    with pytest.raises(SchemaError, match=re.escape(
+            f"line 4: step must be a non-negative integer, got {step!r}")):
+        load_checkpoint(path, topo)
+    path.write_bytes(data.replace(b"\nstep 3\n", b"\nstep 0012\n"))
+    assert load_checkpoint(path, topo).step == 12
 
-    def without(tag):
-        start = data.index(f"array {tag} ".encode())
-        rows, cols = map(int, data[start:data.index(b"\n", start)].split()[2:])
-        return (data[:start]
-                + data[data.index(b"\n", start) + 1 + 8 * rows * cols:])
 
-    # A class the unit does not read may be missing; one it reads not.
-    (tmp_path / "unread.ckpt").write_bytes(without("weight:sgcn.1.k4"))
-    assert load_checkpoint(tmp_path / "unread.ckpt",
-                           topo).weights["sgcn.1"].shape == (4, 16)
-    cases = {
-        "read": (without("weight:sgcn.1.k2"),
-                 "checkpoint lacks array weight:sgcn.1.k2"),
-        "shape": (data.replace(b"array weight:sgcn.0.k1 3 4\n",
-                               b"array weight:sgcn.0.k1 4 3\n"),
-                  r"array weight:sgcn\.0\.k1: expected \(3, 4\), "
-                  r"got \(4, 3\)"),
-        "panel": (data + b"array weight:sgcn.0 3 16\n" + bytes(8 * 48),
-                  "array weight:sgcn.0: a ckpt-v2 file stores weights per "
-                  "kernel class"),
-        "weight": (data + b"array weight:sgcn.2.k0 1 1\n" + bytes(8),
-                   "unknown weight sgcn.2.k0"),
-    }
-    for name, (blob, match) in cases.items():
-        (tmp_path / f"{name}.ckpt").write_bytes(blob)
-        with pytest.raises(SchemaError, match=match):
-            load_checkpoint(tmp_path / f"{name}.ckpt", topo)
+@pytest.mark.parametrize("config, message", [
+    ('{"channels": 8, "init_seed": 0, "sgcn_layers": 2}',
+     "unknown config key 'sgcn_layers'"),
+    ('{"channels": 8, "init_seed": 0, "mgcn_layers_per_stage": 1}',
+     "unknown config key 'mgcn_layers_per_stage'"),
+    ('{"channels": 8, "coord_scale": 0.001, "init_seed": 0}',
+     "unknown config key 'coord_scale'"),
+    ('{"channels": 0, "init_seed": 0}', "channels must be at least 1, got 0"),
+    ('{"channels": 8, "init_seed": -7}',
+     "init_seed must not be negative, got -7"),
+])
+def test_checkpoint_config_line_holds_two_settings_in_range(tmp_path, config,
+                                                            message):
+    # No ckpt-v3 writer names a setting of an earlier layout, even at its
+    # one value. The network's settings have the range a train.cfg holds
+    # them to: a checkpoint with init_seed -7 resumed a run whose train.cfg
+    # `cvpose train --config` then refused.
+    path, topo, data = _saved_checkpoint(tmp_path)
+    good = b'config {"channels": 8, "init_seed": 0}'
+    assert good in data
+    path.write_bytes(data.replace(good, b"config " + config.encode(), 1))
+    with pytest.raises(SchemaError, match=f"^line 3: {message}$") as exc:
+        load_checkpoint(path, topo)
+    assert exc.value.line == 3
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        NetworkConfig.from_json(config)
 
 
 def test_checkpoint_garbage_raises_schema_error(tmp_path):
