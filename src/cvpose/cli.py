@@ -22,20 +22,29 @@ from .files import atomic_write, json_text
 from .geometry import TRI_MODES, Pose3D, load_rig, save_rig
 from .graph import default_topology, save_topology
 from .metrics import evaluate, mpjpe_rows
-from .network import CVUGCN, load_checkpoint
+from .network import CVUGCN, load_checkpoint, range_problem
 from .syndata import (SyntheticConfig, default_rig, file_sha256,
                       generate_dataset, load_dataset, save_dataset,
                       save_manifest)
-from .training import (TrainConfig, fit, load_train_config, precompute_coarse,
-                       save_train_config, setting_problem)
+from .training import (SETTING_MINIMUM, VALUE_FORMS, TrainConfig, fit,
+                       load_train_config, precompute_coarse,
+                       save_train_config)
+
+# The least value of each int flag (network.range_problem), a TrainConfig
+# setting's as in a train.cfg. --cameras and --index have none here:
+# generate_dataset and cmd_render refuse what is out of their ranges.
+FLAG_MINIMUM = {**SETTING_MINIMUM, "n_samples": 0}
 
 
-def _setting(key):
-    """argparse type of an int TrainConfig setting, checked as a config file
-    is; the key shows in its messages."""
+def _int(key):
+    """argparse type of an int flag, read as a train.cfg reads an int
+    (VALUE_FORMS) and held to FLAG_MINIMUM; the key shows in its
+    messages."""
     def parse(text):
+        if not VALUE_FORMS[int].fullmatch(text):
+            raise ValueError(text)   # argparse: "invalid <key> value"
         value = int(text)
-        problem = setting_problem(key, value)
+        problem = range_problem(key, value, FLAG_MINIMUM)
         if problem:
             raise argparse.ArgumentTypeError(problem)
         return value
@@ -43,21 +52,18 @@ def _setting(key):
     return parse
 
 
-epochs = _setting("epochs")
-CONFIG_HELP = ("key = value file; keys: " + ", ".join(
+CONFIG_HELP = "key = value file with these keys only: " + ", ".join(
     f.name for f in dataclasses.fields(TrainConfig))
-    + " (an earlier train.cfg's retired keys load at their one value only)")
 
 
-def _at_least_0(name, kind=int):
-    """argparse type of an int, or a finite float, that is at least 0; the
-    name shows in its messages."""
+def _at_least_0(name):
+    """argparse type of a finite float that is at least 0; the name shows
+    in its messages."""
     def parse(text):
-        value = kind(text)
+        value = float(text)
         if not (math.isfinite(value) and value >= 0):
-            finite = "finite and " if kind is float else ""
             raise argparse.ArgumentTypeError(
-                f"{name} must be {finite}at least 0, got {value}")
+                f"{name} must be finite and at least 0, got {value}")
         return value
     parse.__name__ = name
     return parse
@@ -78,7 +84,7 @@ def _finite(name):
 def sigmas(text):
     """argparse type of --sigmas: a comma list of noise levels in mm, each
     finite and at least 0."""
-    return tuple(map(_at_least_0("sigmas", float), text.split(",")))
+    return tuple(map(_at_least_0("sigmas"), text.split(",")))
 
 
 def _model(args, topo):
@@ -299,15 +305,14 @@ def build_parser():
 
     sp = sub.add_parser("synth", help="generate a synthetic dataset")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--n-samples", type=_at_least_0("n_samples"), default=1000)
-    sp.add_argument("--seed", type=_at_least_0("seed"), default=0)
-    sp.add_argument("--sigma-px", default=0.0,
-                    type=_at_least_0("sigma_px", float))
+    sp.add_argument("--n-samples", type=_int("n_samples"), default=1000)
+    sp.add_argument("--seed", type=_int("seed"), default=0)
+    sp.add_argument("--sigma-px", type=_at_least_0("sigma_px"), default=0.0)
     sp.add_argument("--perturb-rot-deg", default=0.0,
-                    type=_at_least_0("perturb_rot_deg", float))
+                    type=_at_least_0("perturb_rot_deg"))
     sp.add_argument("--perturb-trans-mm", default=0.0,
-                    type=_at_least_0("perturb_trans_mm", float))
-    sp.add_argument("--cameras", type=int, default=2)
+                    type=_at_least_0("perturb_trans_mm"))
+    sp.add_argument("--cameras", type=_int("cameras"), default=2)
     sp.add_argument("--separation-deg", type=_finite("separation_deg"),
                     default=60.0)
     sp.add_argument("--pairs", help="comma list like cam1:cam2,cam2:cam3")
@@ -327,9 +332,9 @@ def build_parser():
     sp.add_argument("--out-dir", required=True)
     sp.add_argument("--val-data")
     sp.add_argument("--config", help=CONFIG_HELP)
-    sp.add_argument("--epochs", type=epochs)
-    sp.add_argument("--seed", type=_setting("seed"))
-    sp.add_argument("--batch-size", type=_setting("batch_size"))
+    sp.add_argument("--epochs", type=_int("epochs"))
+    sp.add_argument("--seed", type=_int("seed"))
+    sp.add_argument("--batch-size", type=_int("batch_size"))
     sp.add_argument("--resume")
     sp.add_argument("--quiet", action="store_true")
     sp.set_defaults(func=cmd_train)
@@ -347,7 +352,7 @@ def build_parser():
     sp.add_argument("--test-data", required=True)
     sp.add_argument("--rig", required=True)
     sp.add_argument("--config", help=CONFIG_HELP)
-    sp.add_argument("--epochs", type=epochs)
+    sp.add_argument("--epochs", type=_int("epochs"))
     sp.add_argument("--variants")
     sp.add_argument("--out")
     sp.add_argument("--quiet", action="store_true")
@@ -358,7 +363,7 @@ def build_parser():
     sp.add_argument("--rig", required=True)
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--sigmas", type=sigmas, default="5,10,15,20")
-    sp.add_argument("--seed", type=_at_least_0("seed"), default=0)
+    sp.add_argument("--seed", type=_int("seed"), default=0)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_noise)
 
@@ -367,7 +372,7 @@ def build_parser():
     sp.add_argument("--rig", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--sample-id")
-    sp.add_argument("--index", type=int, default=0)
+    sp.add_argument("--index", type=_int("index"), default=0)
     sp.add_argument("--checkpoint")
     sp.add_argument("--mode", choices=TRI_MODES, default="dual")
     sp.set_defaults(func=cmd_render)

@@ -124,13 +124,14 @@ class NetworkConfig:
         """The config a checkpoint's config line holds.
 
         Every field must be present as a JSON integer (not a boolean) in
-        its range (range_problem); any other key, or a value of another
-        type or out of range, raises SchemaError naming the key.
+        its range (range_problem); a missing field, any other key, or a
+        value of another type or out of range, raises SchemaError naming
+        the key.
         """
         d = json.loads(text)
         if not isinstance(d, dict):
             raise SchemaError(f"config must be a JSON object, got {d!r}")
-        fields = {f.name for f in dataclasses.fields(NetworkConfig)}
+        fields = [f.name for f in dataclasses.fields(NetworkConfig)]
         for key, value in d.items():
             if key not in fields:
                 problem = f"unknown config key {key!r}"
@@ -140,7 +141,10 @@ class NetworkConfig:
                 problem = range_problem(key, value)
             if problem:
                 raise SchemaError(problem)
-        return NetworkConfig(**{key: d[key] for key in fields})
+        for key in fields:
+            if key not in d:
+                raise SchemaError(f"config lacks {key!r}")
+        return NetworkConfig(**d)
 
 
 def graph_kernels(topo, levels=None):
@@ -466,7 +470,7 @@ def load_checkpoint(path, topo) -> Checkpoint:
         try:  # json.loads takes the UTF-8 bytes as they are
             config = NetworkConfig.from_json(fields["config"])
             train_state = json.loads(fields["train"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise SchemaError(f"bad checkpoint metadata: {exc}")
         except SchemaError as exc:   # a key or value the config cannot hold
             fail(2, str(exc))

@@ -6,11 +6,11 @@ refined on a single tape, scored by the 2D reprojection / symmetry /
 transform-consistency / bone-direction objective (losses.LOSS_WEIGHTS),
 and the shared weights are updated with AMSGrad without bias correction
 (beta1 0.9, beta2 0.999, epsilon 1e-8) at a learning rate of 1e-3, times
-0.9 after every 10 epochs without improvement. The recipe is fixed: a
-train.cfg naming one of its retired settings loads at the recipe's value
-only. The coarse poses travel as one (n, 2, J, 3) stack (`CoarsePoses`);
-training, validation and evaluation refine row slices of it in the
-batches `pair_batches` makes.
+0.9 after every 10 epochs without improvement. The recipe is fixed, so a
+train.cfg holds TrainConfig's seven fields and no other key. The coarse
+poses travel as one (n, 2, J, 3) stack (`CoarsePoses`); training,
+validation and evaluation refine row slices of it in the batches
+`pair_batches` makes.
 
 `train_epochs` is the one epoch loop: it schedules the learning rate,
 runs `train_epoch` and records the monitored loss, yielding after each
@@ -42,9 +42,8 @@ from .files import atomic_write, is_finite_number, nonblank_lines
 from .geometry import TRI_MODES, relative_transform, triangulate_stack
 from .graph import default_topology
 from .losses import LOSS_WEIGHTS, behind_camera, total_loss
-from .network import (CONFIG_MINIMUM, CONV_DTYPE, COORD_SCALE, CVUGCN,
-                      NetworkConfig, load_checkpoint, range_problem,
-                      save_checkpoint)
+from .network import (CONFIG_MINIMUM, CONV_DTYPE, CVUGCN, NetworkConfig,
+                      load_checkpoint, range_problem, save_checkpoint)
 
 
 # The recipe's schedule (schedule_lr) and optimizer (AmsGrad).
@@ -55,16 +54,6 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
 
-# Settings of earlier network layouts and the recipe's former settings, each
-# at the one value the network or the recipe has, as older train.cfg files
-# name them: at these values they load as before, at any other they are
-# refused (retired_problem).
-RETIRED_SETTINGS = {"sgcn_layers": 2, "mgcn_layers_per_stage": 1,
-                    "coord_scale": COORD_SCALE}
-RETIRED_TRAIN_SETTINGS = {
-    "initial_lr": INITIAL_LR, "lr_decay": LR_DECAY,
-    "plateau_epochs": PLATEAU_EPOCHS, "beta1": BETA1, "beta2": BETA2,
-    "epsilon": EPSILON, **{f"w_{k}": w for k, w in LOSS_WEIGHTS.items()}}
 # The least value of each int TrainConfig field (network.range_problem).
 SETTING_MINIMUM = {"epochs": 0, "batch_size": 1, "seed": 0,
                    "checkpoint_every": 0, **CONFIG_MINIMUM}
@@ -74,23 +63,12 @@ VALUE_FORMS = {int: re.compile(r"-?[0-9]+"),
                str: re.compile(r"""(['"]?)[^'"]*\1""")}
 
 
-def retired_problem(key, value, retired=RETIRED_SETTINGS, owner="the network"):
-    """Why a train.cfg value of a setting in `retired` cannot load, or
-    None."""
-    fixed = retired[key]
-    if value == fixed:
-        return None
-    return (f"{key} = {value} is not supported: the setting is retired and "
-            f"{owner} has {key} = {fixed} only")
-
-
 @dataclass
 class TrainConfig:
     """A run's settings. The recipe is fixed: AMSGrad without bias
     correction (beta1 0.9, beta2 0.999, epsilon 1e-8) at lr 1e-3, times 0.9
-    after every 10 epochs without improvement, on losses.LOSS_WEIGHTS. A
-    train.cfg naming one of those (RETIRED_TRAIN_SETTINGS) loads at the
-    recipe's value and is refused by name at any other."""
+    after every 10 epochs without improvement, on losses.LOSS_WEIGHTS, so
+    none of those is a setting."""
     epochs: int = 200
     batch_size: int = 256
     seed: int = 0
@@ -116,16 +94,12 @@ def save_train_config(path, config: TrainConfig):
 def load_train_config(path) -> TrainConfig:
     """Flat key = value file; '#' comments and blank lines are ignored.
 
-    The file is UTF-8 whatever the locale. A value must be written as
-    save_train_config writes one of its kind (VALUE_FORMS). A retired
-    setting (RETIRED_SETTINGS, RETIRED_TRAIN_SETTINGS), as earlier versions
-    wrote them, is ignored at its one value and refused at any other. A key
-    set on two lines is refused, naming both.
+    The file is UTF-8 whatever the locale. Its keys are TrainConfig's
+    fields, each written as save_train_config writes a value of its kind
+    (VALUE_FORMS) and in its range (setting_problem); any other key is
+    refused by name. A key set on two lines is refused, naming both.
     """
-    fields = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
-    kinds = {k: type(v) for k, v in (RETIRED_SETTINGS
-                                     | RETIRED_TRAIN_SETTINGS).items()}
-    kinds.update(fields)
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
     values = {}
     key_line = {}   # key -> line that set it
     for lineno, raw in nonblank_lines(path):
@@ -141,13 +115,10 @@ def load_train_config(path) -> TrainConfig:
             raise SchemaError(f"line {lineno}: unknown key {key!r}",
                               line=lineno)
         kind = kinds[key]
-        try:
-            if kind in VALUE_FORMS and not VALUE_FORMS[kind].fullmatch(val):
-                raise ValueError(val)
-            values[key] = val.strip("'\"") if kind is str else kind(val)
-        except ValueError:
+        if not VALUE_FORMS[kind].fullmatch(val):
             raise SchemaError(
                 f"line {lineno}: bad value {val!r} for {key}", line=lineno)
+        values[key] = val.strip("'\"") if kind is str else int(val)
         problem = setting_problem(key, values[key])
         if problem:
             raise SchemaError(f"line {lineno}: {problem}", line=lineno)
@@ -155,22 +126,16 @@ def load_train_config(path) -> TrainConfig:
             raise SchemaError(f"line {lineno}: {key} repeats line "
                               f"{key_line[key]}", line=lineno)
         key_line[key] = lineno
-    return TrainConfig(**{k: v for k, v in values.items() if k in fields})
+    return TrainConfig(**values)
 
 
 def setting_problem(key, value):
     """Why a TrainConfig value would fail inside a run, or None.
 
-    Checked where a value enters (a config file, the CLI), so a bad setting
-    is reported by name instead of surfacing as an error mid-training.
+    Checked where a value enters (a train.cfg; the CLI's int flags are held
+    to the same SETTING_MINIMUM), so a bad setting is reported by name
+    instead of surfacing as an error mid-training.
     """
-    if isinstance(value, float) and not math.isfinite(value):
-        return f"{key} must be finite, got {value}"
-    if key in RETIRED_SETTINGS:
-        return retired_problem(key, value)
-    if key in RETIRED_TRAIN_SETTINGS:
-        return retired_problem(key, value, RETIRED_TRAIN_SETTINGS,
-                               "the training recipe")
     if key == "tri_mode" and value not in TRI_MODES:
         return f"tri_mode must be one of {', '.join(TRI_MODES)}, got {value!r}"
     return range_problem(key, value, SETTING_MINIMUM)

@@ -417,14 +417,13 @@ def test_train_that_scores_nothing_exits_1(tmp_path, capsys, monkeypatch):
 def test_train_rejects_out_of_range_settings(tmp_path, capsys):
     out = run_synth(tmp_path, n=4)
     cfg = tmp_path / "train.cfg"
-    cfg.write_text("epochs = 1\nplateau_epochs = 0\n")
+    cfg.write_text("epochs = 1\nbatch_size = 0\n")
     args = ["train", "--data", str(out / "dataset.jsonl"),
             "--rig", str(out / "rig_assumed.jsonl"),
             "--out-dir", str(tmp_path / "run"), "--quiet"]
     assert main(args + ["--config", str(cfg)]) == 1
-    assert ("error: line 2: plateau_epochs = 0 is not supported: the setting "
-            "is retired and the training recipe has plateau_epochs = 10 "
-            "only" in capsys.readouterr().err)
+    assert ("error: line 2: batch_size must be at least 1, got 0"
+            in capsys.readouterr().err)
     with pytest.raises(SystemExit) as exc:
         main(args + ["--batch-size", "0"])
     assert exc.value.code == 2
@@ -443,6 +442,20 @@ def test_train_rejects_a_config_that_sets_a_key_twice(tmp_path, capsys):
     assert ("error: line 3: epochs repeats line 1"
             in capsys.readouterr().err)
     assert not (tmp_path / "run" / "final.ckpt").exists()
+
+
+def test_train_config_naming_a_retired_setting_exits_1(tmp_path, capsys):
+    # The config is read first, so the data paths need not exist.
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs = 1\nbeta1 = 0.9\n")
+    code = main(["train", "--data", str(tmp_path / "d.jsonl"),
+                 "--rig", str(tmp_path / "r.jsonl"),
+                 "--out-dir", str(tmp_path / "run"), "--config", str(cfg),
+                 "--quiet"])
+    assert code == 1
+    assert ("error: line 2: unknown key 'beta1'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_rejects_negative_epochs(tmp_path, capsys):
@@ -569,13 +582,8 @@ def test_ablate_refuses_bad_input_before_training(tmp_path, capsys, variants,
 
 @pytest.mark.parametrize("setting, message", [
     ("channels = 0", "channels must be at least 1, got 0"),
-    ("initial_lr = nan", "initial_lr must be finite, got nan"),
-    ("mgcn_layers_per_stage = -1",
-     "mgcn_layers_per_stage = -1 is not supported: the setting is retired"),
-    ("sgcn_layers = 3", "sgcn_layers = 3 is not supported: the setting is "
-     "retired and the network has sgcn_layers = 2 only"),
-    ("beta1 = 1.0", "beta1 = 1.0 is not supported: the setting is retired "
-     "and the training recipe has beta1 = 0.9 only"),
+    ("tri_mode = triple",
+     "tri_mode must be one of dual, single, got 'triple'"),
 ])
 def test_train_rejects_settings_that_fail_mid_run(tmp_path, capsys, setting,
                                                   message):
@@ -592,10 +600,10 @@ def test_train_rejects_settings_that_fail_mid_run(tmp_path, capsys, setting,
 
 
 @pytest.mark.parametrize("command, flag, value, message", [
-    ("synth", "--seed", "-1", "seed must be at least 0, got -1"),
-    ("noise", "--seed", "-1", "seed must be at least 0, got -1"),
+    ("synth", "--seed", "-1", "seed must not be negative, got -1"),
+    ("noise", "--seed", "-1", "seed must not be negative, got -1"),
     ("train", "--seed", "-1", "seed must not be negative, got -1"),
-    ("synth", "--n-samples", "-3", "n_samples must be at least 0, got -3"),
+    ("synth", "--n-samples", "-3", "n_samples must not be negative, got -3"),
     ("synth", "--sigma-px", "nan",
      "sigma_px must be finite and at least 0, got nan"),
     ("synth", "--perturb-rot-deg", "inf",
@@ -625,6 +633,53 @@ def test_negative_or_non_finite_flags_are_usage_errors(tmp_path, capsys,
     assert exc.value.code == 2
     assert f"argument {flag}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["1_0", "+5", "\u0661\u0662"])
+@pytest.mark.parametrize("command, flag, key", [
+    ("synth", "--n-samples", "n_samples"), ("synth", "--seed", "seed"),
+    ("synth", "--cameras", "cameras"), ("noise", "--seed", "seed"),
+    ("train", "--seed", "seed"), ("train", "--epochs", "epochs"),
+    ("train", "--batch-size", "batch_size"), ("ablate", "--epochs", "epochs"),
+    ("render", "--index", "index")])
+def test_int_flag_unlike_a_train_cfg_int_is_a_usage_error(
+        tmp_path, capsys, command, flag, key, value):
+    # int() read `1_0` as 10, `+5` as 5 and Arabic-Indic digits as 12,
+    # which a train.cfg refuses (training.VALUE_FORMS).
+    paths = {
+        "synth": ["--out", str(tmp_path / "out"), "--n-samples=4"],
+        "noise": ["--data", str(tmp_path / "d.jsonl"),
+                  "--rig", str(tmp_path / "r.jsonl"),
+                  "--checkpoint", str(tmp_path / "c.ckpt")],
+        "train": ["--data", str(tmp_path / "d.jsonl"),
+                  "--rig", str(tmp_path / "r.jsonl"),
+                  "--out-dir", str(tmp_path / "out")],
+        "ablate": ["--train-data", str(tmp_path / "d.jsonl"),
+                   "--test-data", str(tmp_path / "d.jsonl"),
+                   "--rig", str(tmp_path / "r.jsonl")],
+        "render": ["--data", str(tmp_path / "d.jsonl"),
+                   "--rig", str(tmp_path / "r.jsonl"),
+                   "--out", str(tmp_path / "out")],
+    }
+    with pytest.raises(SystemExit) as exc:
+        main([command, *paths[command], flag, value])
+    assert exc.value.code == 2
+    assert (f"argument {flag}: invalid {key} value: {value!r}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_int_flags_read_the_forms_a_train_cfg_holds():
+    from cvpose.cli import build_parser
+    args = build_parser().parse_args(
+        ["synth", "--out", "o", "--n-samples", "007", "--seed=-0",
+         "--cameras", "3"])
+    assert (args.n_samples, args.seed, args.cameras) == (7, 0, 3)
+    # --cameras and --index keep their ranges: default_rig and the dataset
+    # refuse what is out of them, with exit 1.
+    args = build_parser().parse_args(
+        ["render", "--data", "d", "--rig", "r", "--out", "o", "--index=-1"])
+    assert args.index == -1
 
 
 def test_eval_checkpoint_naming_a_retired_setting_off_its_value_exits_1(
@@ -658,6 +713,7 @@ def test_eval_checkpoint_naming_a_retired_setting_off_its_value_exits_1(
      "unknown config key 'sgcn_layers'"),
     (b'config {"channels": 8, "init_seed": -7}',
      "init_seed must not be negative, got -7"),
+    (b'config {"channels": 8}', "config lacks 'init_seed'"),
 ])
 def test_eval_checkpoint_with_a_bad_config_line_exits_1(tmp_path, capsys,
                                                         config, message):

@@ -940,13 +940,17 @@ def test_checkpoint_step_line_is_ascii_digits_only(tmp_path, step):
     ('{"channels": 0, "init_seed": 0}', "channels must be at least 1, got 0"),
     ('{"channels": 8, "init_seed": -7}',
      "init_seed must not be negative, got -7"),
+    ('{"channels": 8}', "config lacks 'init_seed'"),
+    ('{"init_seed": 0}', "config lacks 'channels'"),
+    ('{}', "config lacks 'channels'"),
 ])
 def test_checkpoint_config_line_holds_two_settings_in_range(tmp_path, config,
                                                             message):
     # No ckpt-v3 writer names a setting of an earlier layout, even at its
     # one value. The network's settings have the range a train.cfg holds
     # them to: a checkpoint with init_seed -7 resumed a run whose train.cfg
-    # `cvpose train --config` then refused.
+    # `cvpose train --config` then refused. A missing setting raised a bare
+    # KeyError, reported as bad metadata with no line.
     path, topo, data = _saved_checkpoint(tmp_path)
     good = b'config {"channels": 8, "init_seed": 0}'
     assert good in data

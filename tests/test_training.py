@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import re
 
 import numpy as np
@@ -12,8 +11,7 @@ from cvpose.errors import (CvposeError, DegenerateGeometry, NonFiniteLoss,
 from cvpose.geometry import CameraModel, Pose2D, triangulate_pose
 from cvpose.graph import default_topology
 from cvpose.metrics import evaluate
-from cvpose.network import (CONV_DTYPE, CVUGCN, NetworkConfig,
-                            coarse_pair_leaf, load_checkpoint,
+from cvpose.network import (CVUGCN, coarse_pair_leaf, load_checkpoint,
                             save_checkpoint)
 from cvpose.syndata import (Sample, SyntheticConfig, default_rig,
                             generate_dataset)
@@ -284,8 +282,8 @@ def test_train_config_parsing(tmp_path):
 @pytest.mark.parametrize("text, first, second", [
     ("epochs = 5\nepochs = 7\n", 1, 2),
     ("# run\nbatch_size = 8\n\nepochs = 5\nbatch_size=8  # again\n", 2, 5),
-    ("beta1 = 0.9\nepochs = 5\nbeta1 = 0.9\n", 1, 3),
-], ids=["epochs", "same-value", "retired"])
+    ("tri_mode = dual\nepochs = 5\ntri_mode = 'dual'\n", 1, 3),
+], ids=["epochs", "same-value", "quoted"])
 def test_train_config_refuses_a_repeated_key(tmp_path, text, first, second):
     # The last of two lines used to win without a word; a repeat is more
     # likely a slip than an intent, whichever value it sets.
@@ -301,17 +299,9 @@ def test_train_config_refuses_a_repeated_key(tmp_path, text, first, second):
 @pytest.mark.parametrize("setting, message", [
     ("tri_mode = triple", "tri_mode must be one of dual, single"),
     ("batch_size = 0", "batch_size must be at least 1"),
-    ("plateau_epochs = 0", "plateau_epochs = 0 is not supported: the setting "
-     "is retired and the training recipe has plateau_epochs = 10 only"),
     ("epochs = -3", "epochs must not be negative, got -3"),
     ("checkpoint_every = -1", "checkpoint_every must not be negative, got -1"),
     ("channels = 0", "channels must be at least 1, got 0"),
-    ("initial_lr = -0.001", "initial_lr = -0.001 is not supported: the "
-     "setting is retired and the training recipe has initial_lr = 0.001 only"),
-    ("initial_lr = nan", "initial_lr must be finite, got nan"),
-    ("epsilon = 0", "epsilon = 0.0 is not supported: the setting is retired "
-     "and the training recipe has epsilon = 1e-08 only"),
-    ("w_bonedir = inf", "w_bonedir must be finite, got inf"),
     ("seed = -1", "seed must not be negative, got -1"),
     ("init_seed = -2", "init_seed must not be negative, got -2"),
 ])
@@ -352,108 +342,27 @@ def test_train_config_reads_bare_quoted_and_signed_values(tmp_path, setting,
     assert getattr(load_train_config(path), field) == value
 
 
-# A train.cfg as `cvpose train` wrote it while the network's depth and input
-# scale and the training recipe were still settings: every field, the
-# thirteen retired ones included.
-TRAIN_CFG_WITH_RETIRED_KEYS = """\
-epochs = 4
-batch_size = 8
-initial_lr = 0.001
-lr_decay = 0.9
-plateau_epochs = 10
-seed = 0
-tri_mode = 'dual'
-w_reproj = 1.0
-w_sym = 1.0
-w_transform = 1.0
-w_bonedir = 0.1
-beta1 = 0.9
-beta2 = 0.999
-epsilon = 1e-08
-checkpoint_every = 2
-channels = 8
-sgcn_layers = 2
-mgcn_layers_per_stage = 1
-coord_scale = 0.001
-init_seed = 0
-"""
-RETIRED_AT_THEIR_VALUES = {"sgcn_layers": 2, "mgcn_layers_per_stage": 1,
-                           "coord_scale": 0.001}
+# The settings earlier network layouts (sgcn_layers, mgcn_layers_per_stage,
+# coord_scale) and the earlier training recipe had, each at the one value
+# the network or the recipe has, as `cvpose train` wrote them to train.cfg.
+RETIRED_KEYS = [
+    ("initial_lr", "0.001"), ("lr_decay", "0.9"), ("plateau_epochs", "10"),
+    ("w_reproj", "1.0"), ("w_sym", "1.0"), ("w_transform", "1.0"),
+    ("w_bonedir", "0.1"), ("beta1", "0.9"), ("beta2", "0.999"),
+    ("epsilon", "1e-08"), ("sgcn_layers", "2"), ("mgcn_layers_per_stage", "1"),
+    ("coord_scale", "0.001")]
 
 
-def _with_config_keys(src, dst, keys):
-    """Copy checkpoint src to dst with `keys` added to its config line, as
-    checkpoints written before the settings were retired named them."""
-    lines = src.read_bytes().split(b"\n", 5)
-    config = json.loads(lines[2][len(b"config "):])
-    lines[2] = b"config " + json.dumps({**config, **keys},
-                                       sort_keys=True).encode()
-    dst.write_bytes(b"\n".join(lines))
-    return dst
-
-
-def test_files_naming_retired_settings_at_their_values_work_as_before(
-        tmp_path):
-    cfg_path = tmp_path / "train.cfg"
-    cfg_path.write_text(TRAIN_CFG_WITH_RETIRED_KEYS)
-    cfg = load_train_config(cfg_path)
-    assert cfg == TrainConfig(epochs=4, batch_size=8, channels=8,
-                              checkpoint_every=2)
-    # The run's checkpoints name the network's two settings only.
-    samples, rig, assumed = small_dataset(n=16)
-    run = fit(samples, [], assumed, cfg, out_dir=tmp_path / "run")
-    for path in run.checkpoints.values():
-        with open(path, "rb") as fh:
-            assert fh.read().split(b"\n")[2] == (
-                b'config {"channels": 8, "init_seed": 0}')
-
-
-@pytest.mark.parametrize("key, value", [("mgcn_layers_per_stage", -1),
-                                        ("sgcn_layers", 3),
-                                        ("coord_scale", 0.002)])
-def test_retired_setting_off_its_value_is_refused_in_either_file(
-        tmp_path, key, value):
-    message = f"{key} = {value} is not supported: the setting is retired"
+@pytest.mark.parametrize("key, value", RETIRED_KEYS)
+def test_retired_setting_is_an_unknown_key(tmp_path, key, value):
+    # A train.cfg holds TrainConfig's fields only; the network and the
+    # recipe have one value of each of these, so no file need name them.
     path = tmp_path / "train.cfg"
-    path.write_text(TRAIN_CFG_WITH_RETIRED_KEYS.replace(
-        f"{key} = {RETIRED_AT_THEIR_VALUES[key]}\n", f"{key} = {value}\n"))
-    with pytest.raises(SchemaError, match=f"line 1[789]: {message}"):
-        load_train_config(path)
-
-    # A checkpoint's config line names no retired setting at any value.
-    topo = default_topology()
-    net = NetworkConfig(channels=8)
-    ckpt = tmp_path / "w.ckpt"
-    save_checkpoint(ckpt, topo, net, CVUGCN(topo, net).weights, step=0)
-    bad = _with_config_keys(ckpt, tmp_path / "bad.ckpt", {key: value})
+    path.write_text(f"epochs = 4\n{key} = {value}\nbatch_size = 8\n")
     with pytest.raises(SchemaError,
-                       match=f"^line 3: unknown config key {key!r}$"):
-        load_checkpoint(bad, topo)
-
-
-# One off-recipe line per retired training setting; each loaded silently
-# while it was a setting, and some froze or inverted learning: beta1 = 1.0
-# keeps AmsGrad's first moment at zero, so no weight ever moves.
-@pytest.mark.parametrize("key, value", [
-    ("initial_lr", 0.002), ("lr_decay", 0.0), ("lr_decay", -0.5),
-    ("lr_decay", 1.5), ("plateau_epochs", 5), ("beta1", 1.0),
-    ("beta1", -0.1), ("beta2", 1.5), ("epsilon", 1e-06), ("w_reproj", -1.0),
-    ("w_sym", 2.0), ("w_transform", 0.0), ("w_bonedir", 0.25)])
-def test_training_setting_off_the_recipe_is_refused_by_name(tmp_path, key,
-                                                            value):
-    lines = TRAIN_CFG_WITH_RETIRED_KEYS.splitlines(keepends=True)
-    lineno = next(i for i, line in enumerate(lines, 1)
-                  if line.startswith(f"{key} = "))
-    fixed = lines[lineno - 1].split(" = ")[1].strip()
-    lines[lineno - 1] = f"{key} = {value}\n"
-    path = tmp_path / "train.cfg"
-    path.write_text("".join(lines))
-    message = (f"line {lineno}: {key} = {value} is not supported: the "
-               f"setting is retired and the training recipe has "
-               f"{key} = {fixed} only")
-    with pytest.raises(SchemaError, match=re.escape(message)) as exc:
+                       match=f"^line 2: unknown key {key!r}$") as exc:
         load_train_config(path)
-    assert exc.value.line == lineno
+    assert exc.value.line == 2
 
 
 # -- the loop -------------------------------------------------------------------
