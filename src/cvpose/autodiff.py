@@ -2,8 +2,14 @@
 
 A Tape records every Value in creation order, which is already a valid
 topological order, and the backward sweep walks it in reverse. Gradient
-buffers are allocated lazily so forward-only tapes (evaluation) carry no
-gradient memory.
+buffers are allocated lazily.
+
+A forward-only tape (Tape(record=False)), for a caller that never sweeps,
+records nothing: its Values keep their data, but not their backward
+closures, and the tape holds none of them, so each array of the forward
+frees by refcount as soon as no caller or op holds it, with no Tape-Value
+cycle for release() to break. Its backward() raises ValueError. The ops
+are the same on both kinds of tape, and so are their results.
 
 The backward sweep lets go of what it has passed. It pops each interior
 node (a Value with a backward closure) off the tape and drops the node's
@@ -39,9 +45,10 @@ tape a chain of convolutions, block_left_matmuls (with or without their
 adds) and adds stays float32 from end to end; numpy promotion brings it
 back to float64 wherever it meets a float64 operand, such as a matmul
 with a float64 weight leaf, whose backward still hands the float32
-operand a float32 gradient. A float64 tape computes everything in
-float64. Finite-difference checks (grad_check) always run on float64
-tapes.
+operand a float32 gradient. That matmul, the network's head, casts its
+float32 operand to float64 one TILE_ROWS tile at a time, never whole. A
+float64 tape computes everything in float64. Finite-difference checks
+(grad_check) always run on float64 tapes.
 """
 
 from __future__ import annotations
@@ -118,10 +125,12 @@ class Tape:
     conv_dtype is the precision the graph convolutions multiply in:
     float64 (exact, the default) or float32 (about twice the GEMM
     throughput). A Value whose data comes out in conv_dtype is kept in it;
-    any other is stored as float64.
+    any other is stored as float64. With record=False the tape is
+    forward-only: it keeps no Value and no backward closure, and
+    backward() raises ValueError.
     """
 
-    def __init__(self, conv_dtype=np.float64):
+    def __init__(self, conv_dtype=np.float64, record=True):
         try:  # np.dtype(None) would silently mean float64
             dtype = None if conv_dtype is None else np.dtype(conv_dtype)
         except TypeError:
@@ -130,13 +139,17 @@ class Tape:
             raise ValueError(f"conv_dtype must be float32 or float64, "
                              f"got {conv_dtype!r}")
         self.conv_dtype = dtype
+        self.record = bool(record)
         self.nodes = []
         self._swept = False
 
     def _record(self, data, op, backward=None):
         dtype = (self.conv_dtype if getattr(data, "dtype", None) == self.conv_dtype
                  else np.float64)
-        v = Value(np.ascontiguousarray(data, dtype=dtype), self, op, backward)
+        data = np.ascontiguousarray(data, dtype=dtype)
+        if not self.record:
+            return Value(data, self, op)
+        v = Value(data, self, op, backward)
         self.nodes.append(v)
         return v
 
@@ -170,6 +183,9 @@ class Tape:
             raise ValueError("loss lives on another tape")
         if loss.data.shape != (1, 1):
             raise NotScalar(f"loss must be 1x1, got {loss.data.shape}")
+        if not self.record:
+            raise ValueError("a forward-only tape (record=False) keeps no "
+                             "graph to sweep")
         if self._swept:
             raise ValueError("tape was already swept or released")
         self._swept = True
@@ -272,23 +288,36 @@ def scale(a: Value, c: float) -> Value:
 
 
 def matmul(a: Value, b: Value) -> Value:
+    """a @ b. When a is not in the promoted dtype (the head's float32 d0
+    times its float64 weight), a is cast and multiplied TILE_ROWS rows at a
+    time, in the product and in d/db, which sums the tiles' products, so
+    neither holds a promoted copy of all of a. Up to TILE_ROWS rows that is
+    one tile, with the bits of the full-height product; above, the sum of
+    the tiles, and the product as BLAS blocks it, may round differently."""
     tape = _same_tape(a, b)
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeMismatch(
             f"matmul: inner sizes {a.data.shape} x {b.data.shape}")
+    dt = np.result_type(a.dtype, b.dtype)
+    tiles = ([slice(None)] if a.dtype == dt else
+             [slice(*t) for t in _sample_tiles(a.shape[0], TILE_ROWS)])
+    out = np.empty((a.shape[0], b.shape[1]), dt)
+    for t in tiles:
+        np.matmul(a.data[t].astype(dt, copy=False), b.data, out=out[t])
 
     def backward(g):
         # g has the promoted dtype; numpy would multiply a mixed pair
         # outside BLAS, several times slower than casting first. d/db goes
-        # first, so that a promoted copy of a is gone before d/da exists.
-        b.grad += a.data.astype(g.dtype, copy=False).T @ g
+        # first, so that a's last promoted tile is gone before d/da exists.
+        for t in tiles:
+            b.grad += a.data[t].astype(dt, copy=False).T @ g[t]
         # d/da in a's dtype, which becomes a's gradient buffer if it has
         # none: no full-height temporary in g's dtype, no zero fill.
-        dt = a.dtype
-        da = g.astype(dt, copy=False) @ b.data.astype(dt, copy=False).T
+        da = g.astype(a.dtype, copy=False) @ b.data.astype(a.dtype,
+                                                           copy=False).T
         _pass_grad(a, da)
 
-    return tape._record(a.data @ b.data, "matmul", backward)
+    return tape._record(out, "matmul", backward)
 
 
 def affine_rows(a: Value, M, shift=None) -> Value:

@@ -104,12 +104,9 @@ def _refine_batches(samples, coarse, model, batch_size):
     """
     for pair, rows, batch in pair_batches(samples, coarse.index, batch_size):
         x = coarse.poses[rows]
-        tape = ad.Tape(conv_dtype=CONV_DTYPE)
-        try:
-            X1, X2, _ = model.refine_batch(tape, x[:, 0].reshape(-1, 3),
-                                           x[:, 1].reshape(-1, 3))
-        finally:
-            tape.release()
+        tape = ad.Tape(conv_dtype=CONV_DTYPE, record=False)
+        X1, X2, _ = model.refine_batch(tape, x[:, 0].reshape(-1, 3),
+                                       x[:, 1].reshape(-1, 3))
         refined = np.stack([X.data.reshape(x[:, 0].shape) for X in (X1, X2)],
                            axis=1)
         gt = np.stack([[s.joints_3d_gt[v] for v in pair] for s in batch])

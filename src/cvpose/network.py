@@ -46,17 +46,22 @@ conv_dtype. Each decoder unpool and its skip add are one
 autodiff.block_left_matmul_add node, which adds into the encoder
 output's buffer and consumes both of its inputs. A forward records 26
 nodes, 8 of them weight leaves (read-only views of the model's weights,
-not copies). What each node computes and keeps on the tape is set out in
-autodiff.
+not copies), on a tape that records; a forward-only tape keeps none.
+What each node computes and keeps on the tape is set out in autodiff.
 
 Precision: training, evaluation and refine open their tapes with
 conv_dtype=CONV_DTYPE (float32). The trunk, from the 3 -> C lift to the
 head, then runs and is stored in float32: the graph convolutions, the
 relu, the pools and unpools and the skip adds, and their gradients. The
-head's matmul with its float64 weight promotes back to float64, so the
+head's matmul with its float64 weight promotes back to float64, casting
+d0, the trunk's (2BJ, C) float32 output, to float64 TILE_ROWS rows at a
+time, in the product and in the head's gradient (autodiff.matmul): one
+tile, and the bits of a full-height product, up to B = 60. So the
 refined poses, the losses, the weights, their gradients, the optimizer
 state and the checkpoints stay float64, as do the centring and scaling
-of the input. A plain autodiff.Tape() runs the whole network in float64,
+of the input. Evaluation, the validation loss and refine, which never
+sweep, open forward-only tapes (record=False); only a training step's
+tape records. A plain autodiff.Tape() runs the whole network in float64,
 which is what the finite-difference gradient checks use.
 """
 
@@ -367,6 +372,9 @@ class CVUGCN:
         # output it skips from, and consumes both (block_left_matmul_add).
         pool, unpool = self._levels.pool, self._levels.unpool
         e0 = unit(h, "mgcn.enc0.0")
+        # Only enc0's backward reads h: on a forward-only tape, once no name
+        # holds it, it frees here.
+        del h
         e1 = unit(ad.block_left_matmul(pool[0], e0), "mgcn.enc1.0")
         bn = unit(ad.block_left_matmul(pool[1], e1), "mgcn.bottleneck.0")
         d1 = unit(ad.block_left_matmul_add(unpool[1], bn, e1), "mgcn.dec1.0")
@@ -391,17 +399,14 @@ class CVUGCN:
 
     def refine(self, pose1: Pose3D, pose2: Pose3D):
         """Refine one coarse pose pair; frames are preserved. The tape is
-        released, so the forward's arrays free by refcount on return."""
+        forward-only, so the forward's arrays free by refcount on return."""
         J = self.topo.n_joints
         if pose1.joints.shape[0] != J or pose2.joints.shape[0] != J:
             raise ShapeMismatch("pose joint count does not match the topology")
-        tape = ad.Tape(conv_dtype=CONV_DTYPE)
-        try:
-            X1, X2, _ = self.refine_batch(tape, pose1.joints, pose2.joints)
-            return (Pose3D(X1.data.copy(), frame_id=pose1.frame_id),
-                    Pose3D(X2.data.copy(), frame_id=pose2.frame_id))
-        finally:
-            tape.release()
+        tape = ad.Tape(conv_dtype=CONV_DTYPE, record=False)
+        X1, X2, _ = self.refine_batch(tape, pose1.joints, pose2.joints)
+        return (Pose3D(X1.data.copy(), frame_id=pose1.frame_id),
+                Pose3D(X2.data.copy(), frame_id=pose2.frame_id))
 
 
 # ---------------------------------------------------------------------------

@@ -293,11 +293,11 @@ def _batch_loss(model, cams, pair, batch, x, with_grad):
     reprojection, so it is left out of the loss: the rest are scored
     through gather_rows and B counts them. A batch with no such sample
     takes no gather. NonPositiveDepth is raised only when no sample is
-    left.
+    left. Without with_grad the tape is forward-only and grads is None.
     """
     cam1, cam2 = cams[pair[0]], cams[pair[1]]
     y1, y2 = (np.vstack([s.joints_2d_clean[v] for s in batch]) for v in pair)
-    tape = ad.Tape(conv_dtype=CONV_DTYPE)
+    tape = ad.Tape(conv_dtype=CONV_DTYPE, record=with_grad)
     try:
         X1, X2, params = model.refine_batch(tape, x[:, 0].reshape(-1, 3),
                                             x[:, 1].reshape(-1, 3))

@@ -1064,3 +1064,68 @@ def test_tape_sweeps_once():
     tape.release()
     with pytest.raises(ValueError, match="already swept or released"):
         tape.backward(loss)
+
+
+def test_forward_only_tape_keeps_nothing_and_refuses_a_sweep():
+    tape = ad.Tape(record=False)
+    a = tape.leaf(np.ones((4, 4)))
+    mid = _relu(ad.matmul(a, a))
+    loss = ad.reduce_sum(ad.norm_rows(mid))
+    assert len(tape) == 0
+    assert np.array_equal(mid.data, np.full((4, 4), 4.0))
+    assert loss.data[0, 0] == 32.0
+    assert all(v._backward is None for v in (a, mid, loss))
+    # Nothing holds a Value but its caller: no tape, no closure.
+    gone, gone_data = weakref.ref(mid), weakref.ref(mid.data)
+    del mid
+    assert gone() is None and gone_data() is None
+    with pytest.raises(ValueError, match=r"forward-only tape \(record=False\) "
+                                         r"keeps no graph to sweep"):
+        tape.backward(loss)
+    assert a._grad is None
+
+
+def _weighted_sum(a, w):
+    """sum(a * w) for a constant array w, as a node of its own: a's
+    gradient is w, bit for bit."""
+    def backward(g):
+        a.grad += g[0, 0] * w
+
+    return a.tape._record(np.array([[np.sum(a.data * w)]]), "weighted_sum",
+                          backward)
+
+
+@pytest.mark.parametrize("rows, tiles", [(30, 1), (40, 2), (100, 4)])
+def test_matmul_casts_a_float32_operand_a_tile_at_a_time(monkeypatch, rows,
+                                                         tiles):
+    # The head's matmul: a float32 (rows, C) d0 on a float32 tape times a
+    # float64 weight leaf. With TILE_ROWS = 32 its product and d/dhead are
+    # the per-tile products of float64 casts of d0's rows, split as
+    # _sample_tiles splits them, and d/dhead sums them in order; one tile
+    # has the bits of the full-height mixed product.
+    monkeypatch.setattr(ad, "TILE_ROWS", 32)
+    bounds = ad._sample_tiles(rows, ad.TILE_ROWS)
+    assert len(bounds) == tiles
+    rng = np.random.default_rng(6)
+    a32 = rng.normal(size=(rows, 8)).astype(np.float32)
+    w = rng.normal(size=(8, 3))
+    tape = ad.Tape(conv_dtype=np.float32)
+    d0 = tape._record(a32, "d0")
+    head = tape.leaf(w)
+    out = ad.matmul(d0, head)
+    a64 = a32.astype(np.float64)
+    expect = np.concatenate([a64[s:e] @ w for s, e in bounds])
+    assert out.data.dtype == np.float64 and np.array_equal(out.data, expect)
+    assert np.allclose(out.data, a32 @ w, rtol=1e-12, atol=1e-12)
+    if tiles == 1:
+        assert np.array_equal(out.data, a32 @ w)
+    g = rng.normal(size=(rows, 3))
+    tape.backward(_weighted_sum(out, g))   # out's gradient is g
+    dhead = np.zeros((8, 3))
+    for s, e in bounds:
+        dhead += a64[s:e].T @ g[s:e]
+    assert np.array_equal(head.grad, dhead)
+    assert np.allclose(head.grad, a64.T @ g, rtol=1e-12, atol=1e-12)
+    assert d0.grad.dtype == np.float32
+    assert np.array_equal(d0.grad, g.astype(np.float32) @ w.astype(
+        np.float32).T)
