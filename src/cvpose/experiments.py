@@ -98,11 +98,11 @@ def ablation_study(train_samples, test_samples, cameras,
     return rows
 
 
-def format_table(rows, columns=None):
+def format_table(rows):
     """Aligned text table; floats get three decimals."""
     if not rows:
         return "(no rows)"
-    columns = columns or list(rows[0])
+    columns = list(rows[0])
 
     def fmt(v):
         return f"{v:.3f}" if isinstance(v, float) else str(v)

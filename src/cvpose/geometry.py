@@ -95,10 +95,6 @@ class CameraModel:
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image size must be positive")
 
-    def center(self):
-        """Camera centre in world coordinates, -R^T t."""
-        return -self.R.T @ self.t
-
 
 @dataclass
 class RigidTransform:
@@ -111,16 +107,6 @@ class RigidTransform:
         self.R = _as_matrix(self.R, (3, 3), "R")
         self.t = np.asarray(self.t, dtype=np.float64).reshape(3)
         _check_rotation(self.R, "transform R")
-
-    def apply(self, points):
-        """Apply to an (n, 3) array of points."""
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ShapeMismatch(f"points: expected (n, 3), got {pts.shape}")
-        return pts @ self.R.T + self.t
-
-    def inverse(self):
-        return RigidTransform(self.R.T, -self.R.T @ self.t)
 
 
 def relative_transform(src: CameraModel, dst: CameraModel) -> RigidTransform:

@@ -269,7 +269,6 @@ class GraphLevels:
     levels: list
     pool: list
     unpool: list
-    group_names: tuple
 
 
 def _mean_pool(membership, n_coarse):
@@ -310,7 +309,6 @@ def build_graph_levels(topo: SkeletonTopology) -> GraphLevels:
         levels=[level0, level1, level2],
         pool=[_mean_pool(m01, 2 * G), _mean_pool(m12, 2)],
         unpool=[_unpool(m01, 2 * G), _unpool(m12, 2)],
-        group_names=tuple(name for name, _ in groups),
     )
 
 

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import FrameMismatch, MissingGroundTruth, ShapeMismatch
 from .files import atomic_write, json_text
 from .geometry import Pose3D, procrustes_align_stack
-from .graph import default_topology
 from .network import CONV_DTYPE, CVUGCN
 from .training import pair_batches, precompute_coarse
 
@@ -138,7 +137,7 @@ def evaluate(samples, cameras, model: CVUGCN, topo=None, batch_size=256,
     Samples whose triangulation fails are skipped and listed. Ground truth
     is read here and nowhere else.
     """
-    topo = topo or model.topo or default_topology()
+    topo = topo or model.topo
     require_ground_truth(samples)
     coarse, skipped = precompute_coarse(samples, cameras, mode=tri_mode)
     J = topo.n_joints

@@ -62,7 +62,8 @@ state and the checkpoints stay float64, as do the centring and scaling
 of the input. Evaluation, the validation loss and refine, which never
 sweep, open forward-only tapes (record=False); only a training step's
 tape records. A plain autodiff.Tape() runs the whole network in float64,
-which is what the finite-difference gradient checks use.
+which is what the finite-difference gradient checks in tests/gradcheck.py
+use.
 """
 
 from __future__ import annotations
@@ -207,9 +208,6 @@ class ModelWeights:
 
     def __getitem__(self, name):
         return self.arrays[name]
-
-    def copy(self):
-        return ModelWeights({k: v.copy() for k, v in self.arrays.items()})
 
 
 def init_weights(config: NetworkConfig, classes) -> ModelWeights:
@@ -383,7 +381,7 @@ class CVUGCN:
         refined = ad.add(xin, ad.scale(res, 1.0 / COORD_SCALE))
         return split_views(refined, J)
 
-    def refine_batch(self, tape, x1_mm, x2_mm, params=None):
+    def refine_batch(self, tape, x1_mm, x2_mm):
         """Refine B stacked coarse poses per view, each (B*J, 3) in mm.
 
         The pair enters as one leaf of per-sample 2J-node blocks
@@ -392,8 +390,7 @@ class CVUGCN:
         gradient collection.
         """
         xin = coarse_pair_leaf(tape, x1_mm, x2_mm, self.topo.n_joints)
-        if params is None:
-            params = self.param_leaves(tape)
+        params = self.param_leaves(tape)
         X1, X2 = self.refine_from_leaf(xin, params)
         return X1, X2, params
 

@@ -37,9 +37,9 @@ def _circle(x, y, r, color):
     return f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{r}" fill="{color}"/>'
 
 
-def _text(x, y, s, size=11, color="#202020"):
+def _text(x, y, s, size=11):
     return (f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}" '
-            f'font-family="sans-serif" fill="{color}">{escape(s)}</text>')
+            f'font-family="sans-serif" fill="#202020">{escape(s)}</text>')
 
 
 def _fit(points_list, x0, y0):
@@ -58,19 +58,14 @@ def _fit(points_list, x0, y0):
     return to_panel
 
 
-def _skeleton_2d(parts, pts2, topo, to_panel, color, dot=0.0, dash=None):
+def _skeleton_2d(parts, pts2, topo, to_panel, color, dash=None):
     for parent, child in topo.bones:
         x1, y1 = to_panel(pts2[parent])
         x2, y2 = to_panel(pts2[child])
         parts.append(_line(x1, y1, x2, y2, color, dash=dash))
-    if dot:
-        for p in pts2:
-            x, y = to_panel(p)
-            parts.append(_circle(x, y, dot, color))
 
 
-def render_sample(sample, cameras, topo=None, coarse=None, refined=None,
-                  title=None):
+def render_sample(sample, cameras, topo=None, coarse=None, refined=None):
     """One SVG figure for a dataset sample.
 
     coarse and refined, when given, hold the sample's two camera-frame
@@ -87,8 +82,7 @@ def render_sample(sample, cameras, topo=None, coarse=None, refined=None,
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
              f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
              f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>']
-    head = title or f"sample {sample.sample_id}"
-    parts.append(_text(10, 16, head, size=13))
+    parts.append(_text(10, 16, f"sample {sample.sample_id}", size=13))
 
     # pixel-space panels
     for i, v in enumerate(views):

@@ -2,9 +2,12 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from cvpose.cli import main
+from cvpose.graph import default_topology
+from cvpose.network import load_checkpoint
 from cvpose.syndata import file_sha256
 
 
@@ -225,6 +228,29 @@ def test_train_resume_from_checkpoint(tmp_path):
                  "--out-dir", str(second), "--config", str(cfg),
                  "--resume", str(first / "final.ckpt"), "--quiet"]) == 0
     assert (second / "final.ckpt").exists()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 14: a resume without --config trains "
+                          "on TrainConfig() defaults, not the run's settings")
+def test_resume_without_config_trains_with_the_runs_settings(tmp_path):
+    out = run_synth(tmp_path, n=16, sigma=3.0, seed=1)
+    data = ["--data", str(out / "dataset.jsonl"),
+            "--rig", str(out / "rig_assumed.jsonl")]
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs = 3\nbatch_size = 8\nchannels = 8\nseed = 4\n"
+                   "checkpoint_every = 1\n")
+    whole, resumed = tmp_path / "whole", tmp_path / "resumed"
+    assert main(["train", *data, "--out-dir", str(whole), "--config",
+                 str(cfg), "--quiet"]) == 0
+    assert main(["train", *data, "--out-dir", str(resumed), "--resume",
+                 str(whole / "epoch_0001.ckpt"), "--epochs", "3",
+                 "--quiet"]) == 0
+    topo = default_topology()
+    expected = load_checkpoint(whole / "final.ckpt", topo).weights
+    got = load_checkpoint(resumed / "final.ckpt", topo).weights
+    for name, arr in expected.items():
+        assert np.array_equal(got[name], arr), name
 
 
 @pytest.mark.parametrize("extra, code, message", [

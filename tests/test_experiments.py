@@ -190,11 +190,11 @@ def test_format_table_alignment_and_rounding():
     assert len({len(l) for l in lines}) == 1
 
 
-def test_format_table_empty_and_column_selection():
+def test_format_table_empty_and_first_row_columns():
     assert format_table([]) == "(no rows)"
-    rows = [{"a": 1, "b": 2.0}]
-    text = format_table(rows, columns=["b"])
-    assert "a" not in text.splitlines()[0]
+    rows = [{"b": 2.0, "a": 1}, {"b": 0.5, "a": 10}]
+    assert format_table(rows).splitlines() == [
+        "b      a ", "-----  --", "2.000  1 ", "0.500  10"]
 
 
 # -- noise robustness -------------------------------------------------------------

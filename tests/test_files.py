@@ -238,3 +238,88 @@ def test_numpy_is_the_only_runtime_dependency():
     assert {name: packages - allowed for name, packages in seen.items()
             if packages - allowed} == {}
     assert "numpy" in seen["autodiff.py"] and "cvpose" in seen["cli.py"]
+
+
+
+# Definitions in src/cvpose that neither the package nor the benchmark
+# names, kept on purpose, each with its reason.
+UNNAMED_ON_PURPOSE = {
+    "geometry.project": "the tests' reference projection: one camera-frame "
+                        "pose through K, which they build pixels with",
+}
+
+
+def _definitions(tree):
+    """(qualified name, name) of a module's top-level functions and classes
+    and of its classes' methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _names(tree):
+    """Every name a module uses: identifiers, attributes, imported names
+    and their aliases, and string constants shaped like an identifier (the
+    benchmark wraps functions by attribute name)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+            if node.asname:
+                yield node.asname
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            yield node.value
+
+
+def _definitions_and_names(src, benchmarks):
+    """{module.qualified name: name} of every definition in the package at
+    src, and the set of names its modules and benchmarks' non-test modules
+    use."""
+    defined, named = {}, set()
+    modules = [os.path.join(src, n) for n in sorted(os.listdir(src))]
+    modules += [os.path.join(benchmarks, n)
+                for n in sorted(os.listdir(benchmarks))
+                if not n.startswith("test_")]
+    for path in modules:
+        if not path.endswith(".py"):
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        named.update(_names(tree))
+        if os.path.dirname(path) == src:
+            module = os.path.basename(path)[:-3]
+            defined.update((f"{module}.{qual}", name)
+                           for qual, name in _definitions(tree))
+    return defined, named
+
+
+def test_the_package_holds_only_what_runs():
+    """Every top-level function, class and method in src/cvpose is named
+    somewhere in the package or in the benchmark's non-test modules, so
+    code only the tests use lives under tests/. Dunder methods are exempt,
+    and so is each UNNAMED_ON_PURPOSE entry, which must name a definition
+    that exists and is still unnamed, or the list would go stale.
+
+    The check works on names only: a use counts whatever object the name
+    means where it appears. So a method named like an ndarray or dict
+    method (copy, items) passes it even when nothing calls it.
+    """
+    src = os.path.dirname(files.__file__)
+    benchmarks = os.path.join(os.path.dirname(os.path.dirname(src)),
+                              "benchmarks")
+    defined, named = _definitions_and_names(src, benchmarks)
+    unnamed = {qual for qual, name in defined.items()
+               if name not in named
+               and not (name.startswith("__") and name.endswith("__"))}
+    stale = {entry: "now named" if entry in defined else "not defined"
+             for entry in UNNAMED_ON_PURPOSE if entry not in unnamed}
+    assert stale == {}
+    assert sorted(unnamed - set(UNNAMED_ON_PURPOSE)) == []

@@ -66,6 +66,11 @@ def random_cam(rng, cam_id):
     return make_cam(cam_id, K=K, R=R, t=t)
 
 
+def apply(transform, points):
+    """The rigid motion X -> R X + t on (n, 3) row points."""
+    return points @ transform.R.T + transform.t
+
+
 # ---------------------------------------------------------------------------
 # CameraModel / RigidTransform
 
@@ -83,21 +88,25 @@ def test_camera_validation():
 
 def test_camera_center():
     cam = make_cam(R=rot_y(30), t=np.array([1.0, 2.0, 3.0]))
-    c = cam.center()
+    c = -cam.R.T @ cam.t
     assert np.allclose(cam.R @ c + cam.t, 0.0, atol=1e-12)
 
 
 def test_rigid_transform_compose_inverse():
+    # Relative transforms compose (c0 -> c1 -> c2 is c0 -> c2), the reverse
+    # pair inverts, and a camera's transform to itself is the identity.
     rng = np.random.default_rng(7)
     for _ in range(20):
-        a = RigidTransform(rot_y(rng.uniform(-90, 90)), rng.uniform(-5, 5, 3))
-        b = RigidTransform(rot_x(rng.uniform(-90, 90)), rng.uniform(-5, 5, 3))
+        c0, c1, c2 = (random_cam(rng, f"c{i}") for i in range(3))
+        a, b = relative_transform(c1, c2), relative_transform(c0, c1)
         pts = rng.uniform(-10, 10, size=(6, 3))
         ab = RigidTransform(a.R @ b.R, a.R @ b.t + a.t)
-        assert np.allclose(ab.apply(pts), a.apply(b.apply(pts)), atol=1e-9)
-        assert np.allclose(a.inverse().apply(a.apply(pts)), pts, atol=1e-9)
-    ident = RigidTransform(np.eye(3), np.zeros(3))
-    assert np.allclose(ident.apply(pts), pts)
+        assert np.allclose(apply(ab, pts), apply(a, apply(b, pts)), atol=1e-9)
+        assert np.allclose(apply(ab, pts),
+                           apply(relative_transform(c0, c2), pts), atol=1e-9)
+        assert np.allclose(apply(relative_transform(c2, c1), apply(a, pts)),
+                           pts, atol=1e-9)
+    assert np.allclose(apply(relative_transform(c1, c1), pts), pts, atol=1e-9)
 
 
 def test_relative_transform_roundtrip():
@@ -109,9 +118,9 @@ def test_relative_transform_roundtrip():
         X1 = X_world @ c1.R.T + c1.t
         X2 = X_world @ c2.R.T + c2.t
         rel = relative_transform(c1, c2)
-        assert np.allclose(rel.apply(X1), X2, atol=1e-9)
+        assert np.allclose(apply(rel, X1), X2, atol=1e-9)
         back = relative_transform(c2, c1)
-        assert np.allclose(back.apply(rel.apply(X1)), X1, atol=1e-9)
+        assert np.allclose(apply(back, apply(rel, X1)), X1, atol=1e-9)
 
 
 def test_project_applies_intrinsics_only():
@@ -214,7 +223,7 @@ def test_triangulate_single_mode_maps_view1_solution():
     u2 = project(c2, Pose3D(X2, "cam2"))
     p1s, p2s = triangulate_pose(u1, u2, c1, c2, mode="single")
     rel = relative_transform(c1, c2)
-    assert np.array_equal(p2s.joints, rel.apply(p1s.joints))
+    assert np.array_equal(p2s.joints, apply(rel, p1s.joints))
     assert np.abs(p2s.joints - X2).max() < 1e-6
 
 
@@ -265,14 +274,14 @@ def test_triangulation_noise_close_to_reprojection_optimum():
         X = X.reshape(1, 3)
         r1 = project(c1, Pose3D(X, "cam1")).joints[0] - u1
         rel = relative_transform(c1, c2)
-        r2 = project(c2, Pose3D(rel.apply(X), "cam2")).joints[0] - u2
+        r2 = project(c2, Pose3D(apply(rel, X), "cam2")).joints[0] - u2
         return np.concatenate([r1, r2])
 
     for _ in range(10):
         X_true = rng.uniform(-300, 300, 3) + np.array([0.0, 0.0, 3000.0])
         u1 = project(c1, Pose3D(X_true.reshape(1, 3), "cam1")).joints[0]
         rel = relative_transform(c1, c2)
-        u2 = project(c2, Pose3D(rel.apply(X_true.reshape(1, 3)), "cam2")).joints[0]
+        u2 = project(c2, Pose3D(apply(rel, X_true.reshape(1, 3)), "cam2")).joints[0]
         u1n = u1 + rng.normal(0, 2.0, 2)
         u2n = u2 + rng.normal(0, 2.0, 2)
         X_dlt = triangulate_pose(Pose2D(u1n[None], "cam1"),

@@ -150,8 +150,8 @@ def test_graph_levels_structure():
     topo = default_topology()
     gl = build_graph_levels(topo)
     assert [ks.n_nodes for ks in gl.levels] == [34, 12, 2]
-    assert gl.group_names == ("torso", "head", "left_arm", "right_arm",
-                              "left_leg", "right_leg")
+    assert tuple(name for name, _ in default_pool_groups(topo)) == (
+        "torso", "head", "left_arm", "right_arm", "left_leg", "right_leg")
     # Torso links to every other group; arms and legs mirror each other.
     k1 = gl.levels[1].kernels[1]
     torso = 0

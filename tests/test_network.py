@@ -27,6 +27,8 @@ from cvpose.network import (
     weight_shapes,
 )
 
+from gradcheck import grad_check
+
 
 def small_config(**kw):
     base = dict(channels=8, init_seed=0)
@@ -348,7 +350,7 @@ def test_refining_callers_open_float32_tapes(monkeypatch):
         X1, X2 = model.refine_from_leaf(leaves[0], model.param_leaves(tape))
         return ad.reduce_sum(ad.add(ad.norm_rows(X1), ad.norm_rows(X2)))
 
-    assert conv_dtypes(lambda: ad.grad_check(
+    assert conv_dtypes(lambda: grad_check(
         build, [np.vstack([x, x])], n_samples=1)) == {(F64, True)}
     # The 3 -> C lift and the spatial residual unit in one node, then one
     # residual unit per U-stage.
@@ -373,7 +375,7 @@ def test_forward_gradients_against_finite_differences():
         X1, X2 = model.refine_from_leaf(leaves[-1], params)
         return ad.reduce_sum(ad.add(ad.norm_rows(X1), ad.norm_rows(X2)))
 
-    report = ad.grad_check(build, arrays + [xin], n_samples=3, tol=1e-4, rng=0)
+    report = grad_check(build, arrays + [xin], n_samples=3, tol=1e-4, rng=0)
     assert report.ok, f"max rel err {report.max_rel_err:.2e}"
 
 
@@ -415,7 +417,7 @@ def test_input_gradients_at_mm_scale_over_every_coordinate():
         X1, X2 = model.refine_from_leaf(leaves[0], model.param_leaves(tape))
         return ad.reduce_sum(ad.add(ad.norm_rows(X1), ad.norm_rows(X2)))
 
-    report = ad.grad_check(build, [xin], n_samples=xin.size, tol=1e-4, rng=0)
+    report = grad_check(build, [xin], n_samples=xin.size, tol=1e-4, rng=0)
     assert len(report.rows) == 102
     assert report.ok, (f"max rel err {report.max_rel_err:.2e} at "
                        f"{[r.index for r in report.failures()]}")
@@ -441,12 +443,12 @@ def test_batched_gradients_against_finite_differences():
         return ad.reduce_sum(ad.add(ad.matmul(w, ad.norm_rows(X1)),
                                     ad.matmul(w, ad.norm_rows(X2))))
 
-    report = ad.grad_check(
+    report = grad_check(
         lambda t, p: loss(t, p[-1], dict(zip(names, p[:-1]))),
         [model.weights[n] for n in names] + [xin], n_samples=3, rng=0)
     assert report.ok, f"weights: max rel err {report.max_rel_err:.2e}"
     # The input is in mm around 3000: grad_check's step scales with it.
-    report = ad.grad_check(
+    report = grad_check(
         lambda t, p: loss(t, p[0], model.param_leaves(t)), [xin],
         n_samples=12, rng=0)
     assert report.ok, f"input: max rel err {report.max_rel_err:.2e}"
@@ -822,13 +824,15 @@ def test_param_leaves_carry_weight_names():
     cfg = small_config()
     model = CVUGCN(default_topology(), cfg)
     tape = ad.Tape()
-    params = model.param_leaves(tape)
+    rng = np.random.default_rng(6)
+    before = {k: v.copy() for k, v in model.weights.items()}
+    _, _, params = model.refine_batch(tape, rand_coarse(rng, 1),
+                                      rand_coarse(rng, 1))
+    assert tape.nodes[0].op == "coarse"
     assert [v.op for v in params.values()] == [
         f"param:{name}" for name in FULL_SHAPES]
-    rng = np.random.default_rng(6)
-    before = model.weights.copy()
-    model.refine_batch(tape, rand_coarse(rng, 1), rand_coarse(rng, 1), params)
-    assert tape.nodes[len(params)].op == "coarse"
+    assert [v.op for v in tape.nodes[1:1 + len(params)]] == [
+        f"param:{name}" for name in FULL_SHAPES]
     # A forward copies no weight: each leaf is a read-only view of the
     # model's array, which stays writable for the optimizer's in-place
     # step once the tape is released.
@@ -1081,10 +1085,3 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
     assert path.read_bytes() == original
     assert load_checkpoint(path, topo).step == 1
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
-
-
-def test_model_weights_copy_independent():
-    a = CVUGCN(default_topology(), small_config()).weights
-    b = a.copy()
-    b.arrays["head"][0, 0] = 99.0
-    assert a["head"][0, 0] == 0.0

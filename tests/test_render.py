@@ -34,9 +34,8 @@ def test_render_sample_draws_all_layers():
     coarse, _ = precompute_coarse([sample], assumed)
     x1, x2 = coarse.poses[0]
     svg = render_sample(sample, rig, topo, coarse=(x1, x2),
-                        refined=(x1 + 1.0, x2 + 1.0), title="check")
+                        refined=(x1 + 1.0, x2 + 1.0))
     ET.fromstring(svg)
-    assert "check" in svg
     # every legend entry has a drawn counterpart
     for label in ("detections", "clean 2d", "gt", "coarse", "refined"):
         assert label in svg

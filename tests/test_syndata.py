@@ -23,13 +23,13 @@ def test_default_rig_geometry():
     cams = default_rig()
     assert [c.cam_id for c in cams] == ["cam1", "cam2"]
     for cam in cams:
-        assert np.linalg.norm(cam.center()) == pytest.approx(3000.0)
+        assert np.linalg.norm(-cam.R.T @ cam.t) == pytest.approx(3000.0)
         # aimed at the origin: it projects to the principal point
         px = project(cam, Pose3D(np.zeros((1, 3)), frame_id="world")
                      if False else Pose3D((np.zeros(3) @ cam.R.T + cam.t)[None],
                                           frame_id=cam.cam_id)).joints[0]
         assert np.allclose(px, [500.0, 500.0], atol=1e-9)
-    c1, c2 = cams[0].center(), cams[1].center()
+    c1, c2 = (-cam.R.T @ cam.t for cam in cams)
     cos = c1 @ c2 / (np.linalg.norm(c1) * np.linalg.norm(c2))
     assert np.degrees(np.arccos(cos)) == pytest.approx(60.0, abs=1e-9)
 
@@ -38,8 +38,8 @@ def test_rig_relative_transform_matches_centers():
     cams = default_rig()
     rel = relative_transform(cams[1], cams[0])
     # view-2 origin maps to cam2's center expressed in cam1 coordinates
-    c2_in_1 = cams[0].R @ cams[1].center() + cams[0].t
-    assert np.allclose(rel.apply(np.zeros((1, 3)))[0], c2_in_1, atol=1e-9)
+    c2_in_1 = cams[0].R @ (-cams[1].R.T @ cams[1].t) + cams[0].t
+    assert np.allclose(np.zeros(3) @ rel.R.T + rel.t, c2_in_1, atol=1e-9)
 
 
 def test_template_is_symmetric():
