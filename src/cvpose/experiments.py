@@ -37,7 +37,7 @@ from .graph import default_topology
 from .metrics import (_refine_batches, evaluate, mean_or_nan, p_mpjpe_rows,
                       require_ground_truth)
 from .network import CVUGCN
-from .training import (CoarsePoses, TrainConfig, precompute_coarse,
+from .training import (AmsGrad, CoarsePoses, TrainConfig, precompute_coarse,
                        train_epochs)
 
 
@@ -81,9 +81,10 @@ def ablation_study(train_samples, test_samples, cameras,
     rows = []
     for name, model in models.items():
         if name != "no_refine":
+            optimizer = AmsGrad({k: v.shape for k, v in model.weights.items()})
             for epoch, lr, stats in train_epochs(
-                    model, config.optimizer(model.weights), train_samples,
-                    coarse, cameras, config, []):
+                    model, optimizer, train_samples, coarse, cameras, config,
+                    []):
                 if progress is not None:
                     progress(name, epoch, stats, lr)
         report = evaluate(test_samples, cameras, model, topo,

@@ -126,7 +126,7 @@ def require_ground_truth(samples):
                 f"sample {s.sample_id} carries no ground truth")
 
 
-def evaluate(samples, cameras, model: CVUGCN, topo=None, batch_size=256,
+def evaluate(samples, cameras, model: CVUGCN, topo, batch_size=256,
              tri_mode="dual") -> EvalReport:
     """Score triangulated and refined poses against per-view ground truth.
 
@@ -137,7 +137,6 @@ def evaluate(samples, cameras, model: CVUGCN, topo=None, batch_size=256,
     Samples whose triangulation fails are skipped and listed. Ground truth
     is read here and nowhere else.
     """
-    topo = topo or model.topo
     require_ground_truth(samples)
     coarse, skipped = precompute_coarse(samples, cameras, mode=tri_mode)
     J = topo.n_joints

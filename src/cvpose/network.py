@@ -407,20 +407,20 @@ class CVUGCN:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints, ckpt-v3: five UTF-8 header lines (`ckpt-v3`, `topology <fp>`,
-# `config <json>`, `step <n>` in ASCII digits, `train <json>`), then per
-# array the line `array <tag> <rows> <cols>` and exactly rows*cols*8 bytes
-# of little-endian float64, C order (tags `weight:<name>`, then
-# `opt:<kind>:<name>`, named as weight_shapes names them).
+# Checkpoints, ckpt-v4: four UTF-8 header lines (`ckpt-v4`, `topology <fp>`,
+# `config <json>`, `train <json>`), then per array the line
+# `array <tag> <rows> <cols>` and exactly rows*cols*8 bytes of
+# little-endian float64, C order (tags `weight:<name>`, then
+# `opt:<kind>:<name>`, named as weight_shapes names them). The train
+# object is training.fit's progress: its loss history and nothing else.
 
-CKPT_SCHEMA = "ckpt-v3"
+CKPT_SCHEMA = "ckpt-v4"
 
 
 @dataclass
 class Checkpoint:
     config: NetworkConfig
     weights: ModelWeights
-    step: int
     opt_state: dict       # kind -> {name: array}, e.g. "m", "v", "vhat"
     train_state: dict     # JSON-compatible training progress
 
@@ -431,17 +431,14 @@ def _write_array(fh, tag, arr):
 
 
 def save_checkpoint(path, topo, config: NetworkConfig, weights: ModelWeights,
-                    step: int, opt_state=None, train_state=None):
+                    opt_state, train_state):
     """Write a checkpoint through files.atomic_write: a failed or
     interrupted write leaves any previous checkpoint at `path` intact and
     no partial file behind."""
-    opt_state = opt_state or {}
-    train_state = train_state or {}
     with atomic_write(path, binary=True) as fh:
         fh.write(f"{CKPT_SCHEMA}\n"
                  f"topology {topology_fingerprint(topo)}\n"
                  f"config {config.to_json()}\n"
-                 f"step {int(step)}\n"
                  f"train {json.dumps(train_state, sort_keys=True)}\n"
                  .encode())
         for name, arr in weights.items():
@@ -452,7 +449,7 @@ def save_checkpoint(path, topo, config: NetworkConfig, weights: ModelWeights,
 
 
 def load_checkpoint(path, topo) -> Checkpoint:
-    """Read a ckpt-v3 checkpoint of the unmasked model; the topology
+    """Read a ckpt-v4 checkpoint of the unmasked model; the topology
     fingerprint must match `topo`."""
     def fail(i, msg):
         raise SchemaError(f"line {i + 1}: {msg}", line=i + 1)
@@ -462,7 +459,7 @@ def load_checkpoint(path, topo) -> Checkpoint:
         if fh.readline() != f"{CKPT_SCHEMA}\n".encode():
             fail(0, f"expected header {CKPT_SCHEMA!r}")
         fields = {}
-        for i, key in enumerate(("topology", "config", "step", "train"), 1):
+        for i, key in enumerate(("topology", "config", "train"), 1):
             raw = fh.readline()
             if not raw.startswith(f"{key} ".encode()) or raw[-1:] != b"\n":
                 fail(i, f"expected {key!r} line")
@@ -476,10 +473,6 @@ def load_checkpoint(path, topo) -> Checkpoint:
             raise SchemaError(f"bad checkpoint metadata: {exc}")
         except SchemaError as exc:   # a key or value the config cannot hold
             fail(2, str(exc))
-        if not re.fullmatch(rb"[0-9]+", fields["step"]):
-            fail(3, f"step must be a non-negative integer, got "
-                    f"{fields['step']!r}")
-        step = int(fields["step"])
 
         # Own writable buffers: AmsGrad updates loaded arrays in place.
         arrays = {}
@@ -525,5 +518,5 @@ def load_checkpoint(path, topo) -> Checkpoint:
             opt_state.setdefault(kind, {})[name] = arr
         else:
             raise SchemaError(f"unknown array {tag}")
-    return Checkpoint(config=config, weights=ModelWeights(weights), step=step,
+    return Checkpoint(config=config, weights=ModelWeights(weights),
                       opt_state=opt_state, train_state=train_state)

@@ -12,7 +12,6 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .files import atomic_write
-from .graph import default_topology
 
 PANEL = 300.0
 MARGIN = 18.0
@@ -65,7 +64,7 @@ def _skeleton_2d(parts, pts2, topo, to_panel, color, dash=None):
         parts.append(_line(x1, y1, x2, y2, color, dash=dash))
 
 
-def render_sample(sample, cameras, topo=None, coarse=None, refined=None):
+def render_sample(sample, cameras, topo, coarse=None, refined=None):
     """One SVG figure for a dataset sample.
 
     coarse and refined, when given, hold the sample's two camera-frame
@@ -73,7 +72,6 @@ def render_sample(sample, cameras, topo=None, coarse=None, refined=None):
     of `CoarsePoses.poses`, or an (X1, X2) pair. Ground truth is drawn
     when present.
     """
-    topo = topo or default_topology()
     by_id = {c.cam_id: c for c in cameras}
     views = list(sample.pair)
     n_panels = len(views) * 2

@@ -80,10 +80,6 @@ class TrainConfig:
     def network(self) -> NetworkConfig:
         return NetworkConfig(channels=self.channels, init_seed=self.init_seed)
 
-    def optimizer(self, weights) -> AmsGrad:
-        """A fresh AmsGrad for these weights."""
-        return AmsGrad({k: v.shape for k, v in weights.items()})
-
 
 def save_train_config(path, config: TrainConfig):
     with atomic_write(path) as fh:
@@ -169,6 +165,10 @@ class AmsGrad:
         return {"m": dict(self.m), "v": dict(self.v), "vhat": dict(self.vhat)}
 
     def load_state(self, state):
+        unknown = state.keys() - {"m", "v", "vhat"}
+        if unknown:
+            raise SchemaError(f"optimizer state has unknown kind "
+                              f"{min(unknown)!r}")
         for kind in ("m", "v", "vhat"):
             if kind not in state:
                 raise SchemaError(f"optimizer state lacks {kind!r}")
@@ -463,41 +463,28 @@ class TrainResult:
     skipped_train: list = field(default_factory=list)
 
 
-def _resume_state(state):
-    """(loss history, best monitored loss) from a checkpoint's training
-    state, a JSON object with a non-negative integer next_epoch equal to
-    the length of loss_history, a list of numbers, a best_val that is null
-    or a number, and no other key. A number is a JSON one, as fit writes them: NaN and
-    the infinities are not (RFC 8259). Anything else raises SchemaError
-    naming the key."""
+def _resume_history(state):
+    """The loss history in a checkpoint's training state: a JSON object
+    whose one key, loss_history, is a list of numbers, JSON ones as fit
+    writes them (NaN and the infinities are not, RFC 8259). A missing or
+    malformed loss_history, or any other key, raises SchemaError naming
+    the key."""
     if not isinstance(state, dict):
         raise SchemaError(f"checkpoint training state must be a JSON "
                           f"object, got {state!r}")
-    for key in ("next_epoch", "loss_history"):
-        if key not in state:
-            raise SchemaError(f"checkpoint lacks training state {key!r}; "
-                              "it cannot resume a run")
-    unknown = state.keys() - {"next_epoch", "loss_history", "best_val"}
+    if "loss_history" not in state:
+        raise SchemaError("checkpoint lacks training state 'loss_history'; "
+                          "it cannot resume a run")
+    unknown = state.keys() - {"loss_history"}
     if unknown:
         raise SchemaError(f"checkpoint training state has unknown key "
                           f"{min(unknown)!r}")
-    next_epoch, history = state["next_epoch"], state["loss_history"]
-    best_val = state.get("best_val")
-    if type(next_epoch) is not int or next_epoch < 0:   # not a bool either
-        raise SchemaError(f"checkpoint training state 'next_epoch' must be a "
-                          f"non-negative integer, got {next_epoch!r}")
+    history = state["loss_history"]
     if not (isinstance(history, list)
             and all(map(is_finite_number, history))):
         raise SchemaError("checkpoint training state 'loss_history' must be "
                           "a list of numbers")
-    if best_val is not None and not is_finite_number(best_val):
-        raise SchemaError(f"checkpoint training state 'best_val' must be "
-                          f"null or a number, got {best_val!r}")
-    if next_epoch != len(history):
-        raise SchemaError(f"checkpoint resumes at epoch {next_epoch} but "
-                          f"holds {len(history)} epochs of loss history")
-    return ([float(x) for x in history],
-            math.inf if best_val is None else float(best_val))
+    return [float(x) for x in history]
 
 
 def fit(train_samples, val_samples, cameras, config: TrainConfig,
@@ -506,18 +493,19 @@ def fit(train_samples, val_samples, cameras, config: TrainConfig,
 
     The plateau schedule and the best-checkpoint decision monitor the
     validation objective (the training objective when val_samples is
-    empty); best.ckpt is written at each epoch that improves on it, so an
-    interrupted run keeps the best weights it has seen. Resuming from a
-    checkpoint written by this function, in the same out_dir, continues as
-    if the run had never stopped, on the same BLAS thread count (see the
-    module docstring): the run picks up at epoch len(loss_history), and a
-    checkpoint whose next_epoch disagrees, or lies past config.epochs, is
-    rejected before anything in out_dir is written. The result's
-    checkpoints name the files this call wrote and, on a resume that has a
-    best monitored loss, the best.ckpt already in out_dir. An epoch that
-    scores no training sample, or no validation sample, stops the run with
-    NonFiniteLoss (see train_epoch and train_epochs), and no final
-    checkpoint is written.
+    empty); best.ckpt is written at each epoch that strictly improves on
+    it, so an interrupted run keeps the best weights it has seen. Each
+    checkpoint records the monitored loss history and nothing else of the
+    run's progress. Resuming from a checkpoint written by this function, in
+    the same out_dir, continues as if the run had never stopped, on the
+    same BLAS thread count (see the module docstring): the run picks up at
+    epoch len(loss_history) with min(loss_history) as its best, and a
+    checkpoint whose history lies past config.epochs is rejected before
+    anything in out_dir is written. The result's checkpoints name the files
+    this call wrote and, on a resume with a non-empty history, the
+    best.ckpt already in out_dir. An epoch that scores no training sample,
+    or no validation sample, stops the run with NonFiniteLoss (see
+    train_epoch and train_epochs), and no final checkpoint is written.
     """
     topo = topo or default_topology()
     os.makedirs(out_dir, exist_ok=True)
@@ -526,17 +514,17 @@ def fit(train_samples, val_samples, cameras, config: TrainConfig,
     net_cfg = config.network() if ckpt is None else ckpt.config
     model = CVUGCN(topo, net_cfg,
                    weights=None if ckpt is None else ckpt.weights)
-    optimizer = config.optimizer(model.weights)
+    optimizer = AmsGrad({k: v.shape for k, v in model.weights.items()})
     history = []
-    best_val = math.inf
     if ckpt is not None:
         # A checkpoint saved without training progress can seed weights but
         # cannot continue a run; reject it before anything is written.
         optimizer.load_state(ckpt.opt_state)
-        history, best_val = _resume_state(ckpt.train_state)
+        history = _resume_history(ckpt.train_state)
         if len(history) > config.epochs:
             raise CvposeError(f"checkpoint resumes at epoch {len(history)} "
                               f"but the run has only {config.epochs} epochs")
+    best_val = min(history, default=math.inf)
 
     coarse_train, skipped_train = precompute_coarse(
         train_samples, cameras, mode=config.tri_mode)
@@ -552,17 +540,13 @@ def fit(train_samples, val_samples, cameras, config: TrainConfig,
     paths = {}
     # A resumed run's best so far was written before it stopped.
     best_path = os.path.join(out_dir, "best.ckpt")
-    if not math.isinf(best_val) and os.path.exists(best_path):
+    if history and os.path.exists(best_path):
         paths["best"] = best_path
 
-    def train_state():
-        return {"next_epoch": len(history), "loss_history": list(history),
-                "best_val": None if math.isinf(best_val) else best_val}
-
-    def save(name, weights, opt_state, state):
+    def save(name):
         paths[name] = os.path.join(out_dir, f"{name}.ckpt")
-        save_checkpoint(paths[name], topo, net_cfg, weights,
-                        state["next_epoch"], opt_state, state)
+        save_checkpoint(paths[name], topo, net_cfg, model.weights,
+                        optimizer.state(), {"loss_history": history})
 
     try:
         for epoch, lr, stats in train_epochs(
@@ -572,16 +556,15 @@ def fit(train_samples, val_samples, cameras, config: TrainConfig,
             log.flush()
             if history[-1] < best_val:
                 best_val = history[-1]
-                save("best", model.weights, optimizer.state(), train_state())
+                save("best")
             if config.checkpoint_every and (epoch + 1) % config.checkpoint_every == 0:
-                save(f"epoch_{epoch + 1:04d}", model.weights,
-                     optimizer.state(), train_state())
+                save(f"epoch_{epoch + 1:04d}")
             if progress is not None:
                 progress(epoch, stats, lr, history[-1])
     finally:
         log.close()
 
-    save("final", model.weights, optimizer.state(), train_state())
+    save("final")
     return TrainResult(weights=model.weights, history=history,
                        best_val=best_val, network=net_cfg, checkpoints=paths,
                        skipped_train=skipped_train)

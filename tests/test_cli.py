@@ -362,7 +362,8 @@ def test_train_resume_without_training_state_exits_1(tmp_path, capsys):
     net = NetworkConfig(channels=8)
     ckpt = tmp_path / "w.ckpt"
     save_checkpoint(ckpt, default_topology(), net,
-                    CVUGCN(default_topology(), net).weights, step=0)
+                    CVUGCN(default_topology(), net).weights, opt_state={},
+                    train_state={})
     code = main(["train", "--data", str(out / "dataset.jsonl"),
                  "--rig", str(out / "rig_assumed.jsonl"),
                  "--out-dir", str(tmp_path / "run"), "--epochs", "1",
@@ -373,30 +374,25 @@ def test_train_resume_without_training_state_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("train_state, message", [
-    ("next_epoch loss_history", "must be a JSON object"),
-    ({"next_epoch": "x", "loss_history": []},
-     "'next_epoch' must be a non-negative integer, got 'x'"),
-    ({"next_epoch": -1, "loss_history": []}, "'next_epoch' must be a non-neg"),
-    ({"next_epoch": True, "loss_history": [1.0]}, "'next_epoch' must be a"),
-    ({"next_epoch": 1.0, "loss_history": [1.0]}, "'next_epoch' must be a"),
-    ({"next_epoch": 0, "loss_history": 5},
+    ("loss_history", "must be a JSON object"),
+    ([[1.0]], "must be a JSON object, got [[1.0]]"),
+    ({"loss_history": 5}, "'loss_history' must be a list of numbers"),
+    ({"loss_history": None}, "'loss_history' must be a list of numbers"),
+    ({"loss_history": ["1.0"]}, "'loss_history' must be a"),
+    ({"loss_history": [True]}, "'loss_history' must be a"),
+    # An int past float64's range, which float() cannot take.
+    ({"loss_history": [10 ** 400]}, "'loss_history' must be a"),
+    # fit never writes NaN or an infinity, and the best loss a resumed run
+    # starts from is the history's least.
+    ({"loss_history": [1.0, math.nan]},
      "'loss_history' must be a list of numbers"),
-    ({"next_epoch": 1, "loss_history": ["1.0"]}, "'loss_history' must be a"),
-    ({"next_epoch": 1, "loss_history": [1.0], "best_val": "x"},
-     "'best_val' must be null or a number, got 'x'"),
-    # fit never writes NaN or an infinity. A run resumed with a NaN
-    # best_val never wrote best.ckpt again and reported a best loss of nan.
-    ({"next_epoch": 2, "loss_history": [1.0, math.nan]},
-     "'loss_history' must be a list of numbers"),
-    ({"next_epoch": 1, "loss_history": [-math.inf]},
-     "'loss_history' must be a list of numbers"),
-    ({"next_epoch": 1, "loss_history": [1.0], "best_val": math.nan},
-     "'best_val' must be null or a number, got nan"),
-    ({"next_epoch": 1, "loss_history": [1.0], "best_val": math.inf},
-     "'best_val' must be null or a number, got inf"),
-    # A misspelled best_val loaded as no best at all.
-    ({"next_epoch": 1, "loss_history": [1.0], "bestval": 0.5},
-     "has unknown key 'bestval'"),
+    ({"loss_history": [-math.inf]}, "'loss_history' must be a list of numbers"),
+    # ckpt-v3 kept the epoch count and the best loss beside the history;
+    # a v4 train object that still holds either is refused by name.
+    ({"next_epoch": 1, "loss_history": [1.0]},
+     "has unknown key 'next_epoch'"),
+    ({"best_val": 1.0, "loss_history": [1.0]}, "has unknown key 'best_val'"),
+    ({"loss_history": [1.0], "bestval": 0.5}, "has unknown key 'bestval'"),
 ])
 def test_train_resume_with_malformed_training_state_exits_1(
         tmp_path, capsys, train_state, message):
@@ -408,7 +404,7 @@ def test_train_resume_with_malformed_training_state_exits_1(
     weights = CVUGCN(default_topology(), net).weights
     opt = AmsGrad({k: v.shape for k, v in weights.items()})
     ckpt = tmp_path / "w.ckpt"
-    save_checkpoint(ckpt, default_topology(), net, weights, 0, opt.state(),
+    save_checkpoint(ckpt, default_topology(), net, weights, opt.state(),
                     train_state)
     code = main(["train", "--data", str(out / "dataset.jsonl"),
                  "--rig", str(out / "rig_assumed.jsonl"),
@@ -716,7 +712,8 @@ def test_eval_checkpoint_naming_a_retired_setting_off_its_value_exits_1(
     net = NetworkConfig(channels=8)
     ckpt = tmp_path / "w.ckpt"
     save_checkpoint(ckpt, default_topology(), net,
-                    CVUGCN(default_topology(), net).weights, step=0)
+                    CVUGCN(default_topology(), net).weights, opt_state={},
+                    train_state={})
     ckpt.write_bytes(ckpt.read_bytes().replace(
         b'config {"channels": 8,',
         b'config {"channels": 8, "mgcn_layers_per_stage": -1,', 1))
@@ -749,7 +746,8 @@ def test_eval_checkpoint_with_a_bad_config_line_exits_1(tmp_path, capsys,
     net = NetworkConfig(channels=8)
     ckpt = tmp_path / "w.ckpt"
     save_checkpoint(ckpt, default_topology(), net,
-                    CVUGCN(default_topology(), net).weights, step=0)
+                    CVUGCN(default_topology(), net).weights, opt_state={},
+                    train_state={})
     good = b'config {"channels": 8, "init_seed": 0}'
     assert good in ckpt.read_bytes()
     ckpt.write_bytes(ckpt.read_bytes().replace(good, config, 1))
@@ -871,7 +869,8 @@ def test_json_outputs_write_non_finite_numbers_as_null(tmp_path):
     net = NetworkConfig(channels=8)
     ckpt = tmp_path / "w.ckpt"
     save_checkpoint(ckpt, default_topology(), net,
-                    CVUGCN(default_topology(), net).weights, step=0)
+                    CVUGCN(default_topology(), net).weights, opt_state={},
+                    train_state={})
     inputs = ["--data", str(out / "dataset.jsonl"), "--rig", str(rig),
               "--checkpoint", str(ckpt)]
     report, rows = tmp_path / "report.json", tmp_path / "rows.json"

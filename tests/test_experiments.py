@@ -11,7 +11,8 @@ from cvpose.experiments import (ABLATION_VARIANTS, ablation_study,
 from cvpose.graph import default_topology
 from cvpose.network import CVUGCN, NetworkConfig
 from cvpose.syndata import SyntheticConfig, generate_dataset
-from cvpose.training import TrainConfig, precompute_coarse, train_epochs
+from cvpose.training import (AmsGrad, TrainConfig, precompute_coarse,
+                             train_epochs)
 
 
 def small_train_config(**kw):
@@ -163,8 +164,9 @@ def test_train_model_stops_when_an_epoch_scores_nothing(monkeypatch):
     monkeypatch.setattr(training, "_batch_loss", behind)
     history = []
     with pytest.raises(NonFiniteLoss, match="epoch 0: no sample scored"):
-        for _ in train_epochs(model, cfg.optimizer(model.weights), train,
-                              coarse, assumed, cfg, history):
+        optimizer = AmsGrad({k: v.shape for k, v in model.weights.items()})
+        for _ in train_epochs(model, optimizer, train, coarse, assumed, cfg,
+                              history):
             pass
     assert history == []
 

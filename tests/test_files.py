@@ -44,7 +44,7 @@ WRITERS = {
     "save_checkpoint": lambda path, inputs: save_checkpoint(
         path, default_topology(), NetworkConfig(channels=8),
         CVUGCN(default_topology(), NetworkConfig(channels=8)).weights,
-        step=1),
+        opt_state={}, train_state={"loss_history": []}),
     "train_log": lambda path, inputs: training._open_log(path, 0).close(),
     "save_dataset": lambda path, inputs: save_dataset(path, inputs[0]),
     "save_rig": lambda path, inputs: save_rig(path, inputs[1]),
@@ -58,7 +58,7 @@ WRITERS = {
         n_samples=1, mpjpe_tri_mm=2.0, mpjpe_refined_mm=1.0,
         pmpjpe_tri_mm=1.5, pmpjpe_refined_mm=0.5).save(path),
     "save_svg": lambda path, inputs: save_svg(
-        path, render_sample(inputs[0][0], inputs[1])),
+        path, render_sample(inputs[0][0], inputs[1], default_topology())),
     "study_rows": lambda path, inputs: _print_rows([{"variant": "full"}],
                                                    path),
     "triangulate_out": _triangulate_out,

@@ -202,7 +202,7 @@ def _two_pair_set(n, seed=12):
 
 def test_per_joint_errors_average_to_report_numbers():
     samples, rig, model = _two_pair_set(12)
-    report = evaluate(samples, rig, model, batch_size=5)
+    report = evaluate(samples, rig, model, model.topo, batch_size=5)
     J = model.topo.n_joints
     for per_joint, tri, refined in (
             (report.per_joint_mpjpe_mm, report.mpjpe_tri_mm,
@@ -217,7 +217,7 @@ def test_per_joint_errors_average_to_report_numbers():
 
 def test_per_pair_and_percentile_errors_reduce_per_sample_errors():
     samples, rig, model = _two_pair_set(12)
-    report = evaluate(samples, rig, model, batch_size=5)
+    report = evaluate(samples, rig, model, model.topo, batch_size=5)
     pairs = ["+".join(s.pair) for s in samples]
     assert list(report.per_pair_mm) == list(dict.fromkeys(pairs))
     assert len(report.per_pair_mm) == 2 and report.skipped == []
@@ -264,7 +264,7 @@ def test_evaluate_svd_calls_do_not_scale_with_samples(monkeypatch):
         return real_svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    report = evaluate(samples, rig, model, batch_size=8)
+    report = evaluate(samples, rig, model, model.topo, batch_size=8)
     pairs = {s.pair for s in samples}
     assert len(pairs) == 2 and report.n_samples == 40
     batches = sum(-(-sum(s.pair == p for s in samples) // 8) for p in pairs)

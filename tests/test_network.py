@@ -125,19 +125,18 @@ def test_each_variant_stores_one_panel_per_unit(variant, mask, shapes, count):
 
 
 # A C=8 checkpoint of the state below: 1,784 weights and their m, v and
-# vhat, 8 bytes each (57,088 bytes), after the five header lines and 32
+# vhat, 8 bytes each (57,088 bytes), after the four header lines and 32
 # array lines.
-CKPT_C8_BYTES = 58212
+CKPT_C8_BYTES = 58169
 
 
 def test_c8_checkpoint_holds_the_stored_weights_and_their_state(tmp_path):
     topo, cfg = default_topology(), small_config()
     model = CVUGCN(topo, cfg)
-    opt = training.TrainConfig().optimizer(model.weights)
+    opt = training.AmsGrad({k: v.shape for k, v in model.weights.items()})
     path = tmp_path / "c8.ckpt"
-    save_checkpoint(path, topo, cfg, model.weights, 4, opt.state(),
-                    {"next_epoch": 4, "loss_history": [1.0, 0.5, 0.25, 0.125],
-                     "best_val": 0.125})
+    save_checkpoint(path, topo, cfg, model.weights, opt.state(),
+                    {"loss_history": [1.0, 0.5, 0.25, 0.125]})
     assert path.stat().st_size == CKPT_C8_BYTES
 
 
@@ -869,13 +868,11 @@ def test_checkpoint_roundtrip(tmp_path):
         "v": {n: np.abs(rng.normal(size=a.shape)) for n, a in w.items()},
         "vhat": {n: np.abs(rng.normal(size=a.shape)) for n, a in w.items()},
     }
-    train = {"next_epoch": 12, "loss_history": [3.5, 2.25, 1.0 / 3.0],
-             "best_val": 0.125}
+    train = {"loss_history": [3.5, 2.25, 1.0 / 3.0]}
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, topo, cfg, w, step=12, opt_state=opt, train_state=train)
+    save_checkpoint(path, topo, cfg, w, opt_state=opt, train_state=train)
     ck = load_checkpoint(path, topo)
     assert isinstance(ck, Checkpoint)
-    assert ck.step == 12
     assert ck.config == cfg
     assert ck.train_state == train
     loaded = [(f"weight:{n}", ck.weights[n], a) for n, a in w.items()]
@@ -887,14 +884,14 @@ def test_checkpoint_roundtrip(tmp_path):
         assert got.flags.writeable, tag
     # The file is the text header lines plus 8 bytes per element.
     data = path.read_bytes()
-    header = b"".join(data.splitlines(keepends=True)[:5])
+    header = b"".join(data.splitlines(keepends=True)[:4])
     array_lines = sum(len(f"array {tag} {a.shape[0]} {a.shape[1]}\n")
                       for tag, _, a in loaded)
     assert len(data) == (len(header) + array_lines
                          + 8 * sum(a.size for _, _, a in loaded))
     # Writing twice gives identical bytes.
     path2 = tmp_path / "model2.ckpt"
-    save_checkpoint(path2, topo, cfg, w, step=12, opt_state=opt, train_state=train)
+    save_checkpoint(path2, topo, cfg, w, opt_state=opt, train_state=train)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -921,7 +918,8 @@ def test_checkpoint_topology_mismatch(tmp_path):
     topo = default_topology()
     cfg = small_config()
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, topo, cfg, CVUGCN(topo, cfg).weights, step=0)
+    save_checkpoint(path, topo, cfg, CVUGCN(topo, cfg).weights,
+                    opt_state={}, train_state={})
     from cvpose.graph import SkeletonTopology
     other = SkeletonTopology(("a", "b"), (0, 0), ())
     with pytest.raises(SchemaError):
@@ -932,7 +930,8 @@ def test_checkpoint_corruption(tmp_path):
     topo = default_topology()
     cfg = small_config()
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, topo, cfg, CVUGCN(topo, cfg).weights, step=3)
+    save_checkpoint(path, topo, cfg, CVUGCN(topo, cfg).weights,
+                    opt_state={}, train_state={})
     data = path.read_bytes()
     head = data.index(b"array weight:head 8 3\n")
     cases = {
@@ -940,12 +939,17 @@ def test_checkpoint_corruption(tmp_path):
         "trunc": (data[:-8], "byte %d: array weight:head: truncated" % head),
         # The header is replaced, or is the old text format's.
         "hdr": (b"nope\n" + data[data.index(b"\n") + 1:],
-                "line 1: expected header 'ckpt-v3'"),
-        "v1": (b"ckpt-v1\n" + data[data.index(b"\n") + 1:], "'ckpt-v3'"),
-        # ckpt-v3 is the one format read: ckpt-v2 stored one array per
-        # kernel class.
+                "line 1: expected header 'ckpt-v4'"),
+        "v1": (b"ckpt-v1\n" + data[data.index(b"\n") + 1:], "'ckpt-v4'"),
+        # ckpt-v4 is the one format read: ckpt-v2 stored one array per
+        # kernel class, and ckpt-v3 a step line and a train object that
+        # repeated the epoch count and the best loss.
         "v2": (b"ckpt-v2\n" + data[data.index(b"\n") + 1:],
-               "^line 1: expected header 'ckpt-v3'$"),
+               "^line 1: expected header 'ckpt-v4'$"),
+        "v3": (b"ckpt-v3\n" + b"".join(data.splitlines(True)[1:3])
+               + b'step 2\ntrain {"best_val": 0.5, "loss_history": [1.0, '
+               b'0.5], "next_epoch": 2}\n' + data[data.index(b"array "):],
+               "^line 1: expected header 'ckpt-v4'$"),
         # The weight:head block is dropped entirely.
         "miss": (data[:head], "lacks weight head"),
         # Bytes follow the last array.
@@ -973,26 +977,34 @@ def test_checkpoint_corruption(tmp_path):
 
 
 def _saved_checkpoint(tmp_path):
-    """A small model's checkpoint at step 3: (path, topology, its bytes)."""
+    """A small model's checkpoint: (path, topology, its bytes)."""
     topo = default_topology()
     cfg = small_config()
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, topo, cfg, CVUGCN(topo, cfg).weights, step=3)
+    save_checkpoint(path, topo, cfg, CVUGCN(topo, cfg).weights,
+                    opt_state={}, train_state={"loss_history": [2.0, 1.0]})
     return path, topo, path.read_bytes()
 
 
-@pytest.mark.parametrize("step", [b"-1_0", b"+5", b" 7", b"7 ", b"-3",
-                                  b"1.0", b"", "\u0661\u0662".encode()])
-def test_checkpoint_step_line_is_ascii_digits_only(tmp_path, step):
-    # save_checkpoint writes the step as ASCII digits; int() read `-1_0`
-    # as -10, and `+5`, ` 7` and Arabic-Indic digits as numbers too.
+@pytest.mark.parametrize("edit, line, key", [
+    # ckpt-v3 wrote `step <n>` between the config and train lines, and
+    # nothing read it; a ckpt-v4 header has no such line.
+    (lambda lines: lines[:3] + [b"step 2\n"] + lines[3:], 4, "train"),
+    (lambda lines: lines[:3] + lines[4:], 4, "train"),
+    (lambda lines: [lines[0], lines[2], lines[1], lines[3]], 2, "topology"),
+    (lambda lines: lines[:2] + lines[3:], 3, "config"),
+    (lambda lines: lines[:1] + lines[2:], 2, "topology"),
+], ids=["v3 step line", "no train line", "config before topology",
+        "no config line", "no topology line"])
+def test_checkpoint_header_is_four_lines_in_order(tmp_path, edit, line, key):
     path, topo, data = _saved_checkpoint(tmp_path)
-    path.write_bytes(data.replace(b"\nstep 3\n", b"\nstep " + step + b"\n"))
-    with pytest.raises(SchemaError, match=re.escape(
-            f"line 4: step must be a non-negative integer, got {step!r}")):
+    lines = data.splitlines(keepends=True)
+    head = sum(map(len, lines[:4]))
+    path.write_bytes(b"".join(edit(lines[:4])) + data[head:])
+    with pytest.raises(SchemaError,
+                       match=f"^line {line}: expected '{key}' line$") as exc:
         load_checkpoint(path, topo)
-    path.write_bytes(data.replace(b"\nstep 3\n", b"\nstep 0012\n"))
-    assert load_checkpoint(path, topo).step == 12
+    assert exc.value.line == line
 
 
 @pytest.mark.parametrize("config, message", [
@@ -1011,7 +1023,7 @@ def test_checkpoint_step_line_is_ascii_digits_only(tmp_path, step):
 ])
 def test_checkpoint_config_line_holds_two_settings_in_range(tmp_path, config,
                                                             message):
-    # No ckpt-v3 writer names a setting of an earlier layout, even at its
+    # No ckpt-v4 writer names a setting of an earlier layout, even at its
     # one value. The network's settings have the range a train.cfg holds
     # them to: a checkpoint with init_seed -7 resumed a run whose train.cfg
     # `cvpose train --config` then refused. A missing setting raised a bare
@@ -1031,7 +1043,8 @@ def test_checkpoint_garbage_raises_schema_error(tmp_path):
     topo = default_topology()
     cfg = small_config()
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, topo, cfg, CVUGCN(topo, cfg).weights, step=3)
+    save_checkpoint(path, topo, cfg, CVUGCN(topo, cfg).weights,
+                    opt_state={}, train_state={})
     data = path.read_bytes()
     head = data.index(b"array weight:head 8 3\n")
     blobs = [
@@ -1039,7 +1052,7 @@ def test_checkpoint_garbage_raises_schema_error(tmp_path):
         data[:head] + b"array weight:x a b\n",
         data[:head] + b"array weight:\xff\xfe 8 3\n"
         + data[head + len(b"array weight:head 8 3\n"):],
-        data.replace(b"step 3\n", b"step \xff\n"),
+        data.replace(b"train {", b"train {\xff", 1),
     ]
     for k, blob in enumerate(blobs):
         (tmp_path / f"bad{k}.ckpt").write_bytes(blob)
@@ -1052,12 +1065,14 @@ def test_checkpoint_rejects_non_finite_arrays(tmp_path):
     cfg = small_config()
     w = CVUGCN(topo, cfg).weights
     w.arrays["sgcn.1"][3, 4] = np.nan
-    save_checkpoint(tmp_path / "nan.ckpt", topo, cfg, w, step=1)
+    save_checkpoint(tmp_path / "nan.ckpt", topo, cfg, w, opt_state={},
+                    train_state={})
     with pytest.raises(SchemaError, match=r"weight:sgcn\.1: .*non-finite"):
         load_checkpoint(tmp_path / "nan.ckpt", topo)
     w = CVUGCN(topo, cfg).weights
     opt = {"v": {"head": np.full((8, 3), np.inf)}}
-    save_checkpoint(tmp_path / "inf.ckpt", topo, cfg, w, step=1, opt_state=opt)
+    save_checkpoint(tmp_path / "inf.ckpt", topo, cfg, w, opt_state=opt,
+                    train_state={})
     with pytest.raises(SchemaError, match=r"opt:v:head.*non-finite"):
         load_checkpoint(tmp_path / "inf.ckpt", topo)
 
@@ -1066,7 +1081,8 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
     topo = default_topology()
     cfg = small_config()
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, topo, cfg, CVUGCN(topo, cfg).weights, step=1)
+    save_checkpoint(path, topo, cfg, CVUGCN(topo, cfg).weights,
+                    opt_state={}, train_state={"loss_history": [1.0]})
     original = path.read_bytes()
     real_write = network._write_array
     written = []
@@ -1081,7 +1097,7 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(path, topo, cfg,
                         CVUGCN(topo, small_config(init_seed=1)).weights,
-                        step=2)
+                        opt_state={}, train_state={"loss_history": [1.0, 0.5]})
     assert path.read_bytes() == original
-    assert load_checkpoint(path, topo).step == 1
+    assert load_checkpoint(path, topo).train_state == {"loss_history": [1.0]}
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

@@ -20,7 +20,7 @@ from cvpose import training
 from cvpose.errors import CvposeError
 from cvpose.geometry import Pose3D, load_rig, save_rig
 from cvpose.graph import default_topology
-from cvpose.network import CVUGCN, load_checkpoint
+from cvpose.network import CKPT_SCHEMA, CVUGCN, load_checkpoint
 from cvpose.syndata import (SyntheticConfig, generate_dataset, load_dataset,
                             save_dataset)
 
@@ -108,27 +108,28 @@ def files(tmp_path_factory):
         # and a refined pose, on a float32 tape.
         ckpt = load_checkpoint(path, topo)
         model = CVUGCN(topo, ckpt.config, weights=ckpt.weights)
-        cfg.optimizer(model.weights).load_state(ckpt.opt_state)
-        training._resume_state(ckpt.train_state)
+        training.AmsGrad({k: v.shape for k, v in model.weights.items()}
+                         ).load_state(ckpt.opt_state)
+        training._resume_history(ckpt.train_state)
         model.refine(*poses)
 
     return {
         "dataset": (d / "dataset.jsonl", lambda p: load_dataset(p, topo)),
         "rig": (d / "rig.jsonl", load_rig),
-        "ckpt-v3": (Path(run.checkpoints["final"]), checkpoint),
+        CKPT_SCHEMA: (Path(run.checkpoints["final"]), checkpoint),
         "train.cfg": (d / "train.cfg", training.load_train_config),
         "train_log": (d / "run" / "train_log.csv",
                       lambda p: training._open_log(p, 2).close()),
     }
 
 
-@pytest.mark.parametrize("kind", ["dataset", "rig", "ckpt-v3", "train.cfg",
+@pytest.mark.parametrize("kind", ["dataset", "rig", CKPT_SCHEMA, "train.cfg",
                                   "train_log"])
 def test_mutated_file_loads_or_raises_a_cvpose_error(files, kind, tmp_path):
     original, read = files[kind]
     data = original.read_bytes()
     read(original)   # the unmutated file loads
-    spans = _text_spans(data, kind.startswith("ckpt"))
+    spans = _text_spans(data, kind == CKPT_SCHEMA)
     rng = random.Random(f"mutate {kind}")
     path = tmp_path / original.name
     escapes = []

@@ -8,6 +8,7 @@ from cvpose.syndata import SyntheticConfig, generate_dataset
 from cvpose.training import precompute_coarse
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+TOPO = default_topology()
 
 
 def one_sample(sigma=2.0, include_gt=True, seed=4):
@@ -19,7 +20,7 @@ def one_sample(sigma=2.0, include_gt=True, seed=4):
 
 def test_render_sample_is_well_formed_svg():
     sample, rig, _ = one_sample()
-    svg = render_sample(sample, rig)
+    svg = render_sample(sample, rig, TOPO)
     root = ET.fromstring(svg)
     assert root.tag == f"{SVG_NS}svg"
     tags = {child.tag for child in root.iter()}
@@ -47,7 +48,7 @@ def test_render_sample_draws_all_layers():
 
 def test_render_sample_without_3d_content():
     sample, rig, _ = one_sample(include_gt=False)
-    svg = render_sample(sample, rig)
+    svg = render_sample(sample, rig, TOPO)
     ET.fromstring(svg)
     for v in sample.pair:
         assert f"{v} 3D (no data)" in svg
@@ -55,13 +56,13 @@ def test_render_sample_without_3d_content():
 
 def test_render_default_title_names_the_sample():
     sample, rig, _ = one_sample()
-    svg = render_sample(sample, rig)
+    svg = render_sample(sample, rig, TOPO)
     assert f"sample {sample.sample_id}" in svg
 
 
 def test_save_svg_roundtrip(tmp_path):
     sample, rig, _ = one_sample()
-    svg = render_sample(sample, rig)
+    svg = render_sample(sample, rig, TOPO)
     path = tmp_path / "fig.svg"
     save_svg(path, svg)
     assert path.read_text() == svg + "\n"
@@ -70,4 +71,4 @@ def test_save_svg_roundtrip(tmp_path):
 
 def test_render_is_deterministic():
     sample, rig, _ = one_sample()
-    assert render_sample(sample, rig) == render_sample(sample, rig)
+    assert render_sample(sample, rig, TOPO) == render_sample(sample, rig, TOPO)

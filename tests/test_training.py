@@ -99,6 +99,22 @@ def test_amsgrad_load_state_needs_every_array():
         opt.load_state(state)
 
 
+def test_amsgrad_load_state_refuses_an_unknown_kind(tmp_path):
+    # AmsGrad keeps m, v and vhat and nothing else. A checkpoint holding
+    # opt:momentum:head loaded, and load_state dropped the array unread.
+    topo = default_topology()
+    cfg = small_config()
+    weights = CVUGCN(topo, cfg.network()).weights
+    opt = AmsGrad({k: v.shape for k, v in weights.items()})
+    state = dict(opt.state(), momentum={"head": np.zeros((8, 3))})
+    path = tmp_path / "momentum.ckpt"
+    save_checkpoint(path, topo, cfg.network(), weights, state,
+                    {"loss_history": []})
+    with pytest.raises(SchemaError, match="^optimizer state has unknown kind "
+                                          "'momentum'$"):
+        opt.load_state(load_checkpoint(path, topo).opt_state)
+
+
 # -- learning-rate schedule ---------------------------------------------------
 
 def test_schedule_initial_and_improving():
@@ -461,7 +477,7 @@ def test_fit_runs_the_one_epoch_loop(tmp_path):
     cfg = small_config(epochs=3, batch_size=8)
     result = fit(samples, [], assumed, cfg, out_dir=tmp_path)
     model = CVUGCN(default_topology(), cfg.network())
-    optimizer = cfg.optimizer(model.weights)
+    optimizer = AmsGrad({k: v.shape for k, v in model.weights.items()})
     coarse, _ = precompute_coarse(samples, assumed, mode=cfg.tri_mode)
     history = []
     epochs = [epoch for epoch, _, _ in train_epochs(
@@ -475,20 +491,60 @@ def test_fit_runs_the_one_epoch_loop(tmp_path):
                              history)) == []
 
 
-def test_resume_rejects_next_epoch_that_disagrees_with_history(tmp_path):
+@pytest.mark.parametrize("key, value", [("next_epoch", 2),
+                                        ("best_val", 0.5)])
+def test_resume_refuses_a_v3_progress_key(tmp_path, key, value):
+    # The history is a run's whole progress: it resumes at epoch
+    # len(loss_history) with min(loss_history) as its best, so a copy of
+    # either beside it is refused, before anything in out_dir is written.
     samples, rig, assumed = small_dataset(n=8)
     cfg = small_config(epochs=2, batch_size=8, checkpoint_every=1)
     fit(samples, [], assumed, cfg, out_dir=tmp_path / "run")
     topo = default_topology()
     ckpt = load_checkpoint(tmp_path / "run" / "epoch_0002.ckpt", topo)
-    state = dict(ckpt.train_state, next_epoch=1)
+    assert list(ckpt.train_state) == ["loss_history"]
     bad = tmp_path / "bad.ckpt"
-    save_checkpoint(bad, topo, ckpt.config, ckpt.weights, 1, ckpt.opt_state,
-                    state)
-    with pytest.raises(SchemaError, match="epoch 1 but holds 2 epochs"):
+    save_checkpoint(bad, topo, ckpt.config, ckpt.weights, ckpt.opt_state,
+                    dict(ckpt.train_state, **{key: value}))
+    with pytest.raises(SchemaError, match=f"has unknown key '{key}'"):
         fit(samples, [], assumed, small_config(epochs=4, batch_size=8),
             out_dir=tmp_path / "resumed", resume_from=bad)
     assert list((tmp_path / "resumed").iterdir()) == []
+
+
+@pytest.mark.parametrize("monitored", [0.5, 0.25])
+def test_resume_starts_from_the_least_loss_of_its_history(tmp_path,
+                                                          monkeypatch,
+                                                          monitored):
+    # The history's least loss, 0.5, is not its last. A resumed epoch whose
+    # monitored loss only ties it is no strict improvement: best.ckpt is
+    # neither rewritten nor dropped from the result's checkpoints. One
+    # that beats it writes best.ckpt.
+    samples, rig, assumed = small_dataset(n=8)
+    cfg = small_config(epochs=4, batch_size=8)
+    topo = default_topology()
+    weights = CVUGCN(topo, cfg.network()).weights
+    opt = AmsGrad({k: v.shape for k, v in weights.items()})
+    ckpt = tmp_path / "epoch_0003.ckpt"
+    save_checkpoint(ckpt, topo, cfg.network(), weights, opt.state(),
+                    {"loss_history": [3.0, 0.5, 2.0]})
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "best.ckpt").write_bytes(b"the weights of epoch 1")
+    monkeypatch.setattr(training, "eval_loss", lambda *args: monitored)
+    result = fit(samples, samples[:4], assumed, cfg, out_dir=run,
+                 resume_from=ckpt)
+    history = [3.0, 0.5, 2.0, monitored]
+    assert result.history == history
+    assert result.best_val == min(history)
+    assert result.checkpoints["best"] == str(run / "best.ckpt")
+    assert load_checkpoint(result.checkpoints["final"], topo).train_state == {
+        "loss_history": history}
+    if monitored == 0.5:
+        assert (run / "best.ckpt").read_bytes() == b"the weights of epoch 1"
+    else:
+        assert load_checkpoint(run / "best.ckpt", topo).train_state == {
+            "loss_history": history}
 
 
 def test_resume_needs_optimizer_and_training_state(tmp_path):
@@ -497,7 +553,8 @@ def test_resume_needs_optimizer_and_training_state(tmp_path):
     topo = default_topology()
     weights = CVUGCN(topo, cfg.network()).weights
     bare = tmp_path / "weights_only.ckpt"
-    save_checkpoint(bare, topo, cfg.network(), weights, step=0)
+    save_checkpoint(bare, topo, cfg.network(), weights, opt_state={},
+                    train_state={})
     with pytest.raises(SchemaError, match="lacks 'm'"):
         fit(samples, [], assumed, cfg, out_dir=tmp_path / "a",
             resume_from=bare)
@@ -505,9 +562,10 @@ def test_resume_needs_optimizer_and_training_state(tmp_path):
 
     opt = AmsGrad({k: v.shape for k, v in weights.items()})
     no_progress = tmp_path / "no_progress.ckpt"
-    save_checkpoint(no_progress, topo, cfg.network(), weights, step=0,
-                    opt_state=opt.state())
-    with pytest.raises(SchemaError, match="'next_epoch'"):
+    save_checkpoint(no_progress, topo, cfg.network(), weights,
+                    opt_state=opt.state(), train_state={})
+    with pytest.raises(SchemaError, match="lacks training state "
+                                          "'loss_history'"):
         fit(samples, [], assumed, cfg, out_dir=tmp_path / "b",
             resume_from=no_progress)
     assert list((tmp_path / "b").iterdir()) == []
@@ -529,7 +587,7 @@ def test_resume_keeps_one_log_row_per_epoch(tmp_path):
 
 def test_resume_past_the_best_epoch_keeps_best_checkpoint(tmp_path):
     # The best epoch here is 9. A run stopped after epoch 10 and resumed
-    # from epoch_0011.ckpt never beats the best_val it restores, so a
+    # from epoch_0011.ckpt never beats the best loss it restores, so a
     # best.ckpt written only at the end of a run was never written at all.
     train, _, assumed = small_dataset(n=64, sigma=5.0, seed=9)
     val, _, _ = small_dataset(n=32, sigma=5.0, seed=109)
