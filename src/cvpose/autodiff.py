@@ -42,11 +42,9 @@ residual unit, takes its input only in it. Each reads its kernels in
 conv_dtype from a KernelStack, which holds them in both dtypes, casts its
 weight panels to it, and hands back a conv_dtype result, so on a float32
 tape a chain of convolutions, block_left_matmuls (with or without their
-adds) and adds stays float32 from end to end; numpy promotion brings it
-back to float64 wherever it meets a float64 operand, such as a matmul
-with a float64 weight leaf, whose backward still hands the float32
-operand a float32 gradient. That matmul, the network's head, casts its
-float32 operand to float64 one TILE_ROWS tile at a time, never whole. A
+adds) and adds stays float32 from end to end. residual_graph_conv_head,
+the last unit with the C -> 3 head folded in, casts its conv_dtype input
+to float64 a tile at a time and hands back a float64 result. A
 float64 tape computes everything in float64. The finite-difference
 checks, in tests/gradcheck.py, always run on float64 tapes.
 """
@@ -283,39 +281,6 @@ def scale(a: Value, c: float) -> Value:
         a.grad += c * g
 
     return a.tape._record(c * a.data, "scale", backward)
-
-
-def matmul(a: Value, b: Value) -> Value:
-    """a @ b. When a is not in the promoted dtype (the head's float32 d0
-    times its float64 weight), a is cast and multiplied TILE_ROWS rows at a
-    time, in the product and in d/db, which sums the tiles' products, so
-    neither holds a promoted copy of all of a. Up to TILE_ROWS rows that is
-    one tile, with the bits of the full-height product; above, the sum of
-    the tiles, and the product as BLAS blocks it, may round differently."""
-    tape = _same_tape(a, b)
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatch(
-            f"matmul: inner sizes {a.data.shape} x {b.data.shape}")
-    dt = np.result_type(a.dtype, b.dtype)
-    tiles = ([slice(None)] if a.dtype == dt else
-             [slice(*t) for t in _sample_tiles(a.shape[0], TILE_ROWS)])
-    out = np.empty((a.shape[0], b.shape[1]), dt)
-    for t in tiles:
-        np.matmul(a.data[t].astype(dt, copy=False), b.data, out=out[t])
-
-    def backward(g):
-        # g has the promoted dtype; numpy would multiply a mixed pair
-        # outside BLAS, several times slower than casting first. d/db goes
-        # first, so that a's last promoted tile is gone before d/da exists.
-        for t in tiles:
-            b.grad += a.data[t].astype(dt, copy=False).T @ g[t]
-        # d/da in a's dtype, which becomes a's gradient buffer if it has
-        # none: no full-height temporary in g's dtype, no zero fill.
-        da = g.astype(a.dtype, copy=False) @ b.data.astype(a.dtype,
-                                                           copy=False).T
-        _pass_grad(a, da)
-
-    return tape._record(out, "matmul", backward)
 
 
 def affine_rows(a: Value, M, shift=None) -> Value:
@@ -647,7 +612,9 @@ def residual_graph_conv(h: Value, stack: KernelStack, W: Value) -> Value:
     out = _residual(plan, h.data)
 
     def backward(g):
-        W.grad += _residual_backward(plan, h.data, g)
+        # dW first: `W.grad += ...` would zero-fill W.grad before the scratch.
+        dW = _residual_backward(plan, h.data, g)
+        W.grad += dW
         _pass_grad(h, g)
 
     return plan.tape._record(out, "residual_graph_conv", backward)
@@ -678,13 +645,82 @@ def lift_residual_graph_conv(h: Value, stack: KernelStack, W_lift: Value,
 
     def backward(g):
         a = _lift(lift, h)
-        W_unit.grad += _residual_backward(unit, a, g)
+        dW = _residual_backward(unit, a, g)
+        W_unit.grad += dW
         # The relu's mask, a > 0, as ones and zeros in a, which is not
         # read again.
         g *= np.greater(a, 0.0, out=a)
         _lift_backward(lift, h, g)
 
     return tape._record(out, opname, backward)
+
+
+def residual_graph_conv_head(h: Value, stack: KernelStack, W: Value,
+                             W_head: Value) -> Value:
+    """residual_graph_conv(h, stack, W) @ W_head as one node, by
+    associativity: h W_head + sum_k N_k relu(h) (W_k W_head), so neither
+    the unit's (rows, C) result nor its (rows, K*C) products exist.
+
+    h is in the tape's conv_dtype, or ValueError. Per tile (see _ConvPlan)
+    h's rows are cast into a float64 buffer and multiplied by W_head and,
+    rectified, by V = [W_1 W_head | ... | W_K W_head], whose products are
+    mixed into the float64 (rows, D) result. The backward recomputes the
+    tiles: Q = mix_out^T g, P = sum relu(h)^T Q, dW_k = P_k W_head^T,
+    dW_head = h^T g + sum_k W_k^T P_k and d/dh = g W_head^T + [h > 0]
+    (Q V^T), in float64 tiles, into a conv_dtype array that becomes h's
+    gradient buffer when h has none. NaN passes the relu, and its
+    subgradient at 0 is 0.
+    """
+    opname = "residual_graph_conv_head"
+    plan = _unit_plan(_same_tape(h, W, W_head), h.shape, stack, W, opname)
+    if h.dtype != plan.dt:
+        raise ValueError(f"{opname}: input is {h.dtype}, but the tape's "
+                         f"conv_dtype is {plan.dt}")
+    n, K, C = plan.n, plan.K, plan.C_in
+    if W_head.shape[0] != C:
+        raise ShapeMismatch(f"{opname}: head {W_head.shape}, expected "
+                            f"({C}, D)")
+    D = W_head.shape[1]
+    V = (W.data.reshape(C, K, C) @ W_head.data).reshape(C, K * D)
+    mix_out, mix_out_t = (m[np.dtype(np.float64)]
+                          for m in (stack.mix_out, stack.mix_out_t))
+    tiles = plan.tiles()
+    out = np.empty((plan.rows, D))
+    x_buf = np.empty((tiles[0].stop, C))
+    for t in tiles:
+        x = x_buf[:t.stop - t.start]
+        x[...] = h.data[t]
+        np.matmul(x, W_head.data, out=out[t])
+        np.maximum(x, 0.0, out=x)
+        out[t].reshape(-1, n, D)[...] += np.matmul(
+            mix_out, (x @ V).reshape(-1, n * K, D))
+
+    def backward(g):
+        dh = np.empty(h.shape, plan.dt)
+        P = np.zeros((C, K * D))
+        dW_head = np.zeros((C, D))
+        bufs = np.empty((2, tiles[0].stop, C))
+        for t in tiles:
+            m = t.stop - t.start
+            x, y = bufs[0, :m], bufs[1, :m]
+            x[...] = h.data[t]
+            dW_head += x.T @ g[t]
+            np.maximum(x, 0.0, out=x)
+            Q = np.matmul(mix_out_t, g[t].reshape(-1, n, D)).reshape(m, -1)
+            P += x.T @ Q
+            # The mask h > 0 as ones and zeros, in relu(h)'s buffer.
+            np.greater(x, 0.0, out=x)
+            x *= np.matmul(Q, V.T, out=y)
+            x += np.matmul(g[t], W_head.data.T, out=y)
+            dh[t] = x
+        del bufs, x, y
+        W.grad += (P.reshape(C, K, D) @ W_head.data.T).reshape(C, K * C)
+        dW_head += np.tensordot(W.data.reshape(C, K, C), P.reshape(C, K, D),
+                                axes=([0, 1], [0, 1]))
+        W_head.grad += dW_head
+        _pass_grad(h, dh)
+
+    return plan.tape._record(out, opname, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -42,21 +42,24 @@ resolution). The 3 -> C lift relu(conv(h)) and the residual unit after
 it (sgcn.0 and sgcn.1) are one autodiff.lift_residual_graph_conv node.
 Each later residual unit h + conv(relu(h)), one per U-stage, is one
 autodiff.residual_graph_conv node, which takes h in the tape's
-conv_dtype. Each decoder unpool and its skip add are one
+conv_dtype, but for the last one, mgcn.dec0.0: it feeds only the C -> 3
+head, so the two are one autodiff.residual_graph_conv_head node, which
+folds the head into the unit's weights and never forms the unit's
+(2BJ, C) result. Each decoder unpool and its skip add are one
 autodiff.block_left_matmul_add node, which adds into the encoder
-output's buffer and consumes both of its inputs. A forward records 26
+output's buffer and consumes both of its inputs. A forward records 25
 nodes, 8 of them weight leaves (read-only views of the model's weights,
 not copies), on a tape that records; a forward-only tape keeps none.
 What each node computes and keeps on the tape is set out in autodiff.
 
 Precision: training, evaluation and refine open their tapes with
 conv_dtype=CONV_DTYPE (float32). The trunk, from the 3 -> C lift to the
-head, then runs and is stored in float32: the graph convolutions, the
-relu, the pools and unpools and the skip adds, and their gradients. The
-head's matmul with its float64 weight promotes back to float64, casting
-d0, the trunk's (2BJ, C) float32 output, to float64 TILE_ROWS rows at a
-time, in the product and in the head's gradient (autodiff.matmul): one
-tile, and the bits of a full-height product, up to B = 60. So the
+last unit's input, then runs and is stored in float32: the graph
+convolutions, the relu, the pools and unpools and the skip adds, and
+their gradients. The last unit with the head folded in casts its float32
+input to float64 one tile at a time and multiplies and mixes in float64,
+so the residual it hands back is float64 and a sample's residual moves
+only by float64 rounding with the batch it is refined in. So the
 refined poses, the losses, the weights, their gradients, the optimizer
 state and the checkpoints stay float64, as do the centring and scaling
 of the input. Evaluation, the validation loss and refine, which never
@@ -376,8 +379,9 @@ class CVUGCN:
         e1 = unit(ad.block_left_matmul(pool[0], e0), "mgcn.enc1.0")
         bn = unit(ad.block_left_matmul(pool[1], e1), "mgcn.bottleneck.0")
         d1 = unit(ad.block_left_matmul_add(unpool[1], bn, e1), "mgcn.dec1.0")
-        d0 = unit(ad.block_left_matmul_add(unpool[0], d1, e0), "mgcn.dec0.0")
-        res = ad.matmul(d0, params["head"])
+        res = ad.residual_graph_conv_head(
+            ad.block_left_matmul_add(unpool[0], d1, e0),
+            self._stacks["mgcn.dec0.0"], params["mgcn.dec0.0"], params["head"])
         refined = ad.add(xin, ad.scale(res, 1.0 / COORD_SCALE))
         return split_views(refined, J)
 

@@ -37,6 +37,15 @@ def test_backward_requires_scalar_and_same_tape():
         tape.backward(other.leaf([[1.0]]))
 
 
+def _head(x, W_head):
+    """x @ W_head as the network's head computes it: the last residual unit
+    and the head in one node, with one identity kernel on 1-row blocks
+    and a zero unit weight, so the unit adds nothing."""
+    C = x.shape[1]
+    return ad.residual_graph_conv_head(x, ad.KernelStack([np.eye(1)]),
+                                       x.tape.leaf(np.zeros((C, C))), W_head)
+
+
 def test_simple_chain_gradient():
     # f = (2a + c) b for rows a, c and a column b: df/da = 2b^T,
     # df/dc = b^T, df/db = (2a + c)^T.
@@ -44,7 +53,7 @@ def test_simple_chain_gradient():
     a = tape.leaf([[1.0, -2.0]])
     c = tape.leaf([[3.0, 0.5]])
     b = tape.leaf([[3.0], [0.5]])
-    f = ad.reduce_sum(ad.matmul(ad.add(ad.scale(a, 2.0), c), b))
+    f = ad.reduce_sum(_head(ad.add(ad.scale(a, 2.0), c), b))
     tape.backward(f)
     assert np.allclose(a.grad, 2.0 * b.data.T)
     assert np.allclose(c.grad, b.data.T)
@@ -52,10 +61,11 @@ def test_simple_chain_gradient():
 
 
 def test_grad_accumulates_on_reuse():
-    # a feeds three uses, both matmul operands and the scale: a^2 + 3a.
+    # a feeds three uses, the head's input and weight and the scale:
+    # a^2 + 3a.
     tape = ad.Tape()
     a = tape.leaf([[2.0]])
-    f = ad.reduce_sum(ad.add(ad.matmul(a, a), ad.scale(a, 3.0)))
+    f = ad.reduce_sum(ad.add(_head(a, a), ad.scale(a, 3.0)))
     tape.backward(f)
     assert a.grad[0, 0] == pytest.approx(7.0)
 
@@ -134,7 +144,7 @@ def test_shape_errors():
     with pytest.raises(ShapeMismatch):
         ad.add(a, b)
     with pytest.raises(ShapeMismatch):
-        ad.matmul(a, a)
+        _head(a, a)
     with pytest.raises(ShapeMismatch):
         ad.block_left_matmul(np.ones((2, 4)), a)
     with pytest.raises(ShapeMismatch):
@@ -397,8 +407,8 @@ def test_tape_keeps_conv_dtype_values_and_grads_in_it():
                                tape.leaf(np.eye(2)))
     b = ad.block_left_matmul(np.eye(2), a)
     assert a.data.dtype == b.data.dtype == np.float32
-    # numpy promotion takes a float32 Value back to float64.
-    c = ad.matmul(b, tape.leaf(np.ones((2, 1))))
+    # The head hands a float32 input back in float64.
+    c = _head(b, tape.leaf(np.ones((2, 1))))
     assert c.data.dtype == np.float64
     assert ad.Tape()._record(f32, "x").data.dtype == np.float64
 
@@ -869,7 +879,7 @@ def test_grad_arith_ops():
 
     _check(lambda t, p: ad.reduce_sum(ad.norm_rows(ad.add(p[0], p[1]))), [a, b])
     _check(lambda t, p: ad.reduce_sum(ad.norm_rows(ad.sub(p[0], p[1]))), [a, b])
-    _check(lambda t, p: ad.reduce_sum(ad.matmul(p[0], p[1])), [a, w])
+    _check(lambda t, p: ad.reduce_sum(_head(p[0], p[1])), [a, w])
     _check(lambda t, p: ad.reduce_sum(ad.scale(p[0], -1.7)), [a])
 
 
@@ -921,14 +931,14 @@ def test_grad_graph_conv():
     check([I, N[0], N[2]], 5, 6)            # one class masked
     check([I, N[0], N[1]], 6, 5)
     check([N[1], N[2]], 5, 5)
-    # h also feeds a matmul and the lift's weight panel a second matmul:
-    # both gradients accumulate onto what is already there.
+    # h also feeds a head and the lift's weight panel is a second head's
+    # weight: both gradients accumulate onto what is already there.
     _check(lambda t, p: ad.add(
         ad.reduce_sum(ad.norm_rows(ad.add(
-            ad.matmul(p[0], p[2]),
+            _head(p[0], p[2]),
             ad.lift_residual_graph_conv(p[0], ad.KernelStack([I, N[0]]),
                                         p[1], p[4])))),
-        ad.reduce_sum(ad.norm_rows(ad.matmul(p[3], p[1])))),
+        ad.reduce_sum(ad.norm_rows(_head(p[3], p[1])))),
         [h[:, :5], rng.normal(size=(5, 12)), rng.normal(size=(5, 6)),
          rng.normal(size=(2, 5)), rng.normal(size=(6, 12))])
 
@@ -959,20 +969,23 @@ def test_grad_geometry_ops():
 
 
 def test_grad_composite_expression():
-    # A miniature of the network: kernels, weights, relu, residual, norm.
+    # A miniature of the network: kernels, weights, relu, residual units,
+    # the head folded into the last one, norm.
     rng = np.random.default_rng(15)
     N = rng.normal(size=(4, 4))
     x = rng.normal(size=(2 * 4, 3))
     w1 = rng.normal(size=(3, 8))
     w2 = rng.normal(size=(8, 3))
     u = rng.normal(size=(8, 8)) / 8
+    v = rng.normal(size=(8, 8)) / 8
 
     def build(t, p):
-        h = ad.lift_residual_graph_conv(p[0], ad.KernelStack([N]), p[1], p[3])
-        delta = ad.matmul(h, p[2])
+        stack = ad.KernelStack([N])
+        h = ad.lift_residual_graph_conv(p[0], stack, p[1], p[3])
+        delta = ad.residual_graph_conv_head(h, stack, p[4], p[2])
         return ad.reduce_sum(ad.norm_rows(ad.add(p[0], delta)))
 
-    _check(build, [x, w1, w2, u], tol=1e-4)
+    _check(build, [x, w1, w2, u, v], tol=1e-4)
 
 
 def test_grad_check_reports_structure():
@@ -1007,7 +1020,7 @@ def test_release_frees_graph_but_keeps_held_values():
 def test_release_breaks_reference_cycles():
     tape = ad.Tape()
     a = tape.leaf(np.ones((4, 4)))
-    out = ad.reduce_sum(ad.matmul(a, a))
+    out = ad.reduce_sum(_head(a, a))
     tape.backward(out)
     tape.release()
     # both cycle edges are cut: tape -> Value and closure -> operands
@@ -1015,12 +1028,18 @@ def test_release_breaks_reference_cycles():
     assert out._backward is None and a._backward is None
 
 
+def _unit(a, W):
+    """The residual unit a + relu(a) W: one identity kernel on 1-row
+    blocks."""
+    return ad.residual_graph_conv(a, ad.KernelStack([np.eye(1)]), W)
+
+
 def _swept_chain():
     """A small tape swept once; returns (tape, leaves, held interior Values)."""
     tape = ad.Tape()
     a = tape.leaf(np.ones((3, 2)))
     w = tape.leaf(np.full((2, 2), 0.5))
-    mid = _relu(ad.matmul(a, w))
+    mid = _unit(a, w)
     loss = ad.reduce_sum(ad.norm_rows(ad.add(mid, a)))
     tape.backward(loss)
     return tape, [a, w], [mid, loss]
@@ -1036,14 +1055,14 @@ def test_backward_keeps_leaves_and_their_gradients():
         assert v._backward is None and v._grad is None
     # Values the caller holds keep their data.
     mid, loss = interior
-    assert np.array_equal(mid.data, np.ones((3, 2)))
+    assert np.array_equal(mid.data, np.full((3, 2), 2.0))
     assert loss.data.shape == (1, 1) and loss.data[0, 0] > 0
 
 
 def test_backward_frees_interior_values_nobody_holds():
     tape = ad.Tape()
     a = tape.leaf(np.ones((4, 4)))
-    mid = _relu(ad.matmul(a, a))
+    mid = _unit(a, a)
     gone, gone_data = weakref.ref(mid), weakref.ref(mid.data)
     loss = ad.reduce_sum(mid)
     del mid
@@ -1051,7 +1070,8 @@ def test_backward_frees_interior_values_nobody_holds():
     tape.backward(loss)
     # Freed by refcount alone, without the cyclic collector.
     assert gone() is None and gone_data() is None
-    assert np.array_equal(a.grad, np.full((4, 4), 8.0))
+    # 1 + 4 through the unit's input, 4 through its weight.
+    assert np.array_equal(a.grad, np.full((4, 4), 9.0))
 
 
 def test_tape_sweeps_once():
@@ -1071,11 +1091,11 @@ def test_tape_sweeps_once():
 def test_forward_only_tape_keeps_nothing_and_refuses_a_sweep():
     tape = ad.Tape(record=False)
     a = tape.leaf(np.ones((4, 4)))
-    mid = _relu(ad.matmul(a, a))
+    mid = _unit(a, a)
     loss = ad.reduce_sum(ad.norm_rows(mid))
     assert len(tape) == 0
-    assert np.array_equal(mid.data, np.full((4, 4), 4.0))
-    assert loss.data[0, 0] == 32.0
+    assert np.array_equal(mid.data, np.full((4, 4), 5.0))
+    assert loss.data[0, 0] == 40.0
     assert all(v._backward is None for v in (a, mid, loss))
     # Nothing holds a Value but its caller: no tape, no closure.
     gone, gone_data = weakref.ref(mid), weakref.ref(mid.data)
@@ -1087,47 +1107,88 @@ def test_forward_only_tape_keeps_nothing_and_refuses_a_sweep():
     assert a._grad is None
 
 
-def _weighted_sum(a, w):
-    """sum(a * w) for a constant array w, as a node of its own: a's
-    gradient is w, bit for bit."""
+def _matmul(a, b):
+    """a @ b as a node of its own, with numpy's promotion: the composed
+    reference's head."""
     def backward(g):
-        a.grad += g[0, 0] * w
+        a.grad += g @ b.data.T
+        b.grad += a.data.T @ g
 
-    return a.tape._record(np.array([[np.sum(a.data * w)]]), "weighted_sum",
-                          backward)
+    return a.tape._record(a.data @ b.data, "matmul", backward)
 
 
-@pytest.mark.parametrize("rows, tiles", [(30, 1), (40, 2), (100, 4)])
-def test_matmul_casts_a_float32_operand_a_tile_at_a_time(monkeypatch, rows,
-                                                         tiles):
-    # The head's matmul: a float32 (rows, C) d0 on a float32 tape times a
-    # float64 weight leaf. With TILE_ROWS = 32 its product and d/dhead are
-    # the per-tile products of float64 casts of d0's rows, split as
-    # _sample_tiles splits them, and d/dhead sums them in order; one tile
-    # has the bits of the full-height mixed product.
-    monkeypatch.setattr(ad, "TILE_ROWS", 32)
-    bounds = ad._sample_tiles(rows, ad.TILE_ROWS)
-    assert len(bounds) == tiles
-    rng = np.random.default_rng(6)
-    a32 = rng.normal(size=(rows, 8)).astype(np.float32)
-    w = rng.normal(size=(8, 3))
+# TILE_ROWS = 24 splits n = 4 rows per sample into tiles of 2, 6 and 3
+# samples over the three, one and two kernels of _residual_cases: B=7
+# spans 4, 2 and 3 tiles, the last one short; B=1 is one tile.
+@pytest.mark.parametrize("B", [7, 1])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_head_unit_matches_the_unit_then_the_head(monkeypatch, dtype, B):
+    # residual_graph_conv_head against residual_graph_conv and then a
+    # matmul by the head on two nodes: the value and every gradient within
+    # 1e-12 of the largest entry on a float64 tape, and within F32_TOL on
+    # float32, where the composite rounds the unit's result to float32 and
+    # the fold multiplies in float64. Exact zeros of h meet the relu's
+    # subgradient 0 on both.
+    monkeypatch.setattr(ad, "TILE_ROWS", 24)
+    rng = np.random.default_rng(23)
+    n, C = 4, 5
+    tol = 1e-12 if dtype == np.float64 else F32_TOL
+    for stack, ws in _residual_cases(rng, n, C):
+        h = rng.normal(size=(B * n, C))
+        h[rng.random(h.shape) < 0.2] = 0.0
+        head = rng.normal(size=(C, 3))
+        results = []
+        for fused in (True, False):
+            tape = ad.Tape(conv_dtype=dtype)
+            hv = _trunk_leaf(tape, h)
+            W, Wh = tape.leaf(np.hstack(ws)), tape.leaf(head)
+            if fused:
+                out = ad.residual_graph_conv_head(hv, stack, W, Wh)
+                assert out.op == "residual_graph_conv_head" and len(tape) == 4
+            else:
+                out = _matmul(ad.residual_graph_conv(hv, stack, W), Wh)
+            tape.backward(_mixing_loss(out))
+            results.append([out.data, hv.grad, W.grad, Wh.grad])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype
+            assert np.abs(got - want).max() <= tol * np.abs(want).max()
+        assert results[0][0].dtype == np.float64
+        assert results[0][1].dtype == dtype
+
+
+def test_grad_residual_graph_conv_head(monkeypatch):
+    # The input, panel and head gradients by finite differences, over the
+    # ragged tiles of the test above.
+    monkeypatch.setattr(ad, "TILE_ROWS", 24)
+    rng = np.random.default_rng(24)
+    n, B, C = 4, 7, 5
+    for stack, ws in _residual_cases(rng, n, C):
+        tape = ad.Tape()
+        plan = ad._ConvPlan(tape, (B * n, C), stack,
+                            tape.leaf(np.hstack(ws)), "check")
+        assert len(plan.tiles()) > 1
+        _check(lambda t, p: ad.reduce_sum(ad.norm_rows(
+            ad.residual_graph_conv_head(p[0], stack, p[1], p[2]))),
+            [rng.normal(size=(B * n, C)), np.hstack(ws),
+             rng.normal(size=(C, 3))])
+
+
+def test_residual_graph_conv_head_refuses_bad_operands():
+    # A head whose rows are not the unit's width, a panel that does not
+    # keep the width, and an input off the conv_dtype are refused before
+    # anything is recorded.
     tape = ad.Tape(conv_dtype=np.float32)
-    d0 = tape._record(a32, "d0")
-    head = tape.leaf(w)
-    out = ad.matmul(d0, head)
-    a64 = a32.astype(np.float64)
-    expect = np.concatenate([a64[s:e] @ w for s, e in bounds])
-    assert out.data.dtype == np.float64 and np.array_equal(out.data, expect)
-    assert np.allclose(out.data, a32 @ w, rtol=1e-12, atol=1e-12)
-    if tiles == 1:
-        assert np.array_equal(out.data, a32 @ w)
-    g = rng.normal(size=(rows, 3))
-    tape.backward(_weighted_sum(out, g))   # out's gradient is g
-    dhead = np.zeros((8, 3))
-    for s, e in bounds:
-        dhead += a64[s:e].T @ g[s:e]
-    assert np.array_equal(head.grad, dhead)
-    assert np.allclose(head.grad, a64.T @ g, rtol=1e-12, atol=1e-12)
-    assert d0.grad.dtype == np.float32
-    assert np.array_equal(d0.grad, g.astype(np.float32) @ w.astype(
-        np.float32).T)
+    h = _trunk_leaf(tape, np.ones((8, 3)))
+    stack = ad.KernelStack([np.eye(4)])
+    W, head = tape.leaf(np.eye(3)), tape.leaf(np.ones((3, 3)))
+    with pytest.raises(ShapeMismatch, match=r"residual_graph_conv_head: "
+                       r"head \(2, 3\), expected \(3, D\)"):
+        ad.residual_graph_conv_head(h, stack, W, tape.leaf(np.ones((2, 3))))
+    with pytest.raises(ShapeMismatch, match="residual_graph_conv_head"):
+        ad.residual_graph_conv_head(h, stack, tape.leaf(np.ones((3, 4))),
+                                    head)
+    with pytest.raises(ValueError, match="residual_graph_conv_head: input "
+                       "is float64, but the tape's conv_dtype is float32"):
+        ad.residual_graph_conv_head(tape.leaf(np.ones((8, 3))), stack, W,
+                                    head)
+    assert [v.op for v in tape.nodes if v.op != "leaf"] == ["h"]

@@ -213,9 +213,10 @@ def test_refine_frees_its_forward_without_the_cyclic_collector():
 
 @pytest.mark.parametrize("B", [1, 7, 64])
 def test_forward_only_tape_refines_with_a_recording_tapes_bits(B):
-    # At B=64 the head's 2BJ = 2176 rows cross TILE_ROWS, so its float32
-    # d0 is cast and multiplied in two tiles. A forward-only tape keeps no
-    # node, the weight and input leaves included.
+    # At B=64 the 2BJ = 2176 rows of the last unit, which holds the head,
+    # span several tiles, so it casts and multiplies its float32 input a
+    # tile at a time. A forward-only tape keeps no node, the weight and
+    # input leaves included.
     model = CVUGCN(default_topology(), small_config())
     rng = np.random.default_rng(9)
     model.weights.arrays["head"] = rng.normal(0, 0.05, size=(8, 3))
@@ -313,7 +314,8 @@ def test_refining_callers_open_float32_tapes(monkeypatch):
 
         def _record(self, data, op, backward=None):
             self.conv_nodes += op in ("lift_residual_graph_conv",
-                                      "residual_graph_conv")
+                                      "residual_graph_conv",
+                                      "residual_graph_conv_head")
             return super()._record(data, op, backward)
 
     monkeypatch.setattr(ad, "Tape", RecordingTape)
@@ -352,7 +354,7 @@ def test_refining_callers_open_float32_tapes(monkeypatch):
     assert conv_dtypes(lambda: grad_check(
         build, [np.vstack([x, x])], n_samples=1)) == {(F64, True)}
     # The 3 -> C lift and the spatial residual unit in one node, then one
-    # residual unit per U-stage.
+    # residual unit per U-stage, the last one with the head.
     assert opened[0].conv_nodes == 6
 
 
@@ -436,19 +438,19 @@ def test_batched_gradients_against_finite_differences():
     # Rows weigh unequally, so swapped blocks would change the loss.
     row_w = np.linspace(0.5, 2.0, B * J).reshape(1, -1)
 
-    def loss(tape, xin_leaf, params):
+    def loss(xin_leaf, params):
         X1, X2 = model.refine_from_leaf(xin_leaf, params)
-        w = tape.leaf(row_w)
-        return ad.reduce_sum(ad.add(ad.matmul(w, ad.norm_rows(X1)),
-                                    ad.matmul(w, ad.norm_rows(X2))))
+        return ad.reduce_sum(ad.add(
+            ad.block_left_matmul(row_w, ad.norm_rows(X1)),
+            ad.block_left_matmul(row_w, ad.norm_rows(X2))))
 
     report = grad_check(
-        lambda t, p: loss(t, p[-1], dict(zip(names, p[:-1]))),
+        lambda t, p: loss(p[-1], dict(zip(names, p[:-1]))),
         [model.weights[n] for n in names] + [xin], n_samples=3, rng=0)
     assert report.ok, f"weights: max rel err {report.max_rel_err:.2e}"
     # The input is in mm around 3000: grad_check's step scales with it.
     report = grad_check(
-        lambda t, p: loss(t, p[0], model.param_leaves(t)), [xin],
+        lambda t, p: loss(p[0], model.param_leaves(t)), [xin],
         n_samples=12, rng=0)
     assert report.ok, f"input: max rel err {report.max_rel_err:.2e}"
     assert {r.index[0] // (2 * J) for r in report.rows} == {0, 1}
@@ -479,23 +481,26 @@ def test_default_forward_records_one_node_per_conv():
     # The 3 -> C lift and the spatial residual unit after it are one
     # lift_residual_graph_conv node; every later width-preserving unit is
     # one residual_graph_conv node, with no relu or add of its own; each
-    # decoder unpool and its skip add are one node.
+    # decoder unpool and its skip add are one node; the last unit and the
+    # C -> 3 head are one residual_graph_conv_head node.
     assert ops.count("lift_residual_graph_conv") == 1
     # One residual unit per U-stage.
-    assert ops.count("residual_graph_conv") == len(network.STAGES) == 5
+    assert ops.count("residual_graph_conv") + ops.count(
+        "residual_graph_conv_head") == len(network.STAGES) == 5
+    assert ops.count("residual_graph_conv_head") == 1
     assert ops.count("block_left_matmul_add") == 2
     assert ops.count("block_left_matmul") == 3   # centring, two pools
     assert "relu" not in ops and "graph_conv" not in ops
     assert "graph_conv_relu" not in ops
-    assert len(ops) == 26   # with 8 weight leaves
+    assert len(ops) == 25   # with 8 weight leaves
     assert ops.count("add") == 1   # the residual onto the coarse pose
-    assert "add_n" not in ops and ops.count("matmul") == 1   # the head
+    assert "add_n" not in ops and "matmul" not in ops
 
 
 def test_float32_tape_keeps_the_trunk_in_float32():
     # On a CONV_DTYPE tape every Value from the 3 -> C lift to the head is
-    # float32; the head's matmul with its float64 weight promotes back, so
-    # the refined views, the loss and every weight gradient are float64.
+    # float32; the last unit, with the head folded in, hands back float64,
+    # so the refined views, the loss and every weight gradient are float64.
     # A plain Tape() stays float64 throughout.
     topo = default_topology()
     model = CVUGCN(topo, small_config())
@@ -509,7 +514,8 @@ def test_float32_tape_keeps_the_trunk_in_float32():
         loss = ad.reduce_sum(ad.add(ad.norm_rows(X1), ad.norm_rows(X2)))
         nodes = list(tape.nodes)
         ops = [v.op for v in nodes]
-        lift, head = ops.index("lift_residual_graph_conv"), ops.index("matmul")
+        lift = ops.index("lift_residual_graph_conv")
+        head = ops.index("residual_graph_conv_head")
         trunk = nodes[lift:head]
         assert {v.op for v in trunk} == {
             "lift_residual_graph_conv", "residual_graph_conv",
@@ -533,16 +539,21 @@ def test_float32_tape_keeps_the_trunk_in_float32():
 # tiled path without a residual, and the model stored one (C_in, C) weight
 # per kernel class of each unit, all five classes. The gradients are hashed
 # in that layout (_per_class_grads). Any rewrite of the convolutions must
-# keep these bits, or record why it moves them.
+# keep these bits, or record why it moves them. Re-recorded when the head
+# was folded into the last unit (residual_graph_conv_head), which
+# re-associates its products: on float64 the views moved by at most
+# 4.6e-13 mm and the gradients by 1.0e-15 of their largest entry; on
+# float32, where the fold multiplies in float64 instead of rounding the
+# unit's result to float32, by 3.4e-6 mm and 3.2e-7.
 NETWORK_DIGESTS = {
     ("float64", 1): (
-        "d2fcb709716a066711f89f12e59ce577e0ec8e045a163b13389fb78ff0893f28"),
+        "84c4d89a90ff2f6aa899da1efc941af594b1de6ea14f3d41b291141de40a9b84"),
     ("float64", 7): (
-        "3b511c67af2b3a1c53a4a197e76fbbb08351bc0f640d16737c1d4f3d602e9665"),
+        "fb095997f897d26aa3c94ed07cc5f23ebff1cafcc81ae266e8457da59d6a814c"),
     ("float32", 1): (
-        "86d8e0d3a14a9c2edc5da214eab22f812951ba11431ccfaea1b601a249f844ec"),
+        "4d3ae20722e0923b2796544ddbe79321d4b3afc6925e88fefdc67987ee95e203"),
     ("float32", 7): (
-        "4f2996bb4998846a9d828bc198fd52af8e517c181b989708c963588eb9a5a88a"),
+        "1ba4be9391b78f218acb1b878ccfc04e64f8cbcbfae6aa24e9e2071cf48fa064"),
 }
 
 
@@ -623,7 +634,10 @@ def test_forward_and_backward_memory_stay_bounded():
     # of its weight, and 7.4 while the lift's result and the outputs that
     # the decoder joins consume stayed on the tape; now it holds 4.6 and
     # the sweep adds 3.7 (3.9 while each relu mask was a bool array, cast
-    # as it multiplied a gradient). The sweep added 5.2 while a
+    # as it multiplied a gradient). With the head folded into the last
+    # unit, d0 is never formed: the forward holds 3.7 and the sweep adds
+    # 3.5, below 3.6 because each unit fills its weight's gradient after
+    # its tile scratch is gone, not before. The sweep added 5.2 while a
     # residual unit's backward built d/dh in a fresh full-height array
     # next to g, its own gradient, instead of in g (5.5 while, besides, the
     # head's matmul added a float64 product into a zero-filled gradient).
@@ -637,28 +651,32 @@ def test_forward_and_backward_memory_stay_bounded():
 
 def test_float32_tape_forward_and_backward_memory_stay_bounded():
     # The guard above on a CONV_DTYPE tape, in the same float64 units. The
-    # float32 trunk holds half the bytes: the forward measured 2.8 units
-    # (4.6 on the float64 tape; 4.2 while the lift's result and the
+    # float32 trunk holds half the bytes: the forward measured 2.3 units
+    # (2.8 while the last unit's result d0 was kept for the head's
+    # backward; 4.6 on the float64 tape; 4.2 while the lift's result and the
     # outputs the decoder joins consume stayed on the tape; 6.2 while the
     # lift kept its mixed input and the weight leaves, about 1.8 units at
     # C=32, were copies; 7.8 before the fused lift and unpool-adds) and the
-    # sweep 2.1 (3.7 on the float64 tape; 2.3 while each relu mask was a
+    # sweep 2.2 (2.5 with d0 gone while each unit filled its weight's
+    # gradient before its tile scratch, not after; 2.1 with d0 kept; 3.7 on
+    # the float64 tape; 2.3 while each relu mask was a
     # bool array, cast as it multiplied a gradient; 2.5 while a residual
     # unit built d/dh in a fresh array next to g, 2.8 with the per-kernel
     # full-height backward). What stays is mostly the trunk's float32
-    # arrays: the inputs of mgcn.enc0.0, mgcn.dec0.0 and the head, about
-    # 1.5 units, and the coarser stages' inputs.
+    # arrays: the inputs of mgcn.enc0.0 and mgcn.dec0.0, about 1 unit, and
+    # the coarser stages' inputs.
     forward, sweep, params = _tape_units(network.CONV_DTYPE, 16)
     assert forward <= 3.0, f"forward holds {forward:.2f} units"
     assert sweep <= 2.3, f"backward adds {sweep:.2f} units"
     assert np.abs(params["head"].grad).max() > 0
 
 
-def test_forward_at_the_benchmark_sizes_leaves_at_most_19_mb_on_the_tape():
+def test_forward_at_the_benchmark_sizes_leaves_at_most_14_5_mb_on_the_tape():
     # One float32 forward at B=256, C=128, the benchmark's sizes, by
     # tracemalloc: 30.6 MB while the tape kept the lift's result and the
     # encoder and inner decoder outputs that the decoder joins only read,
-    # 22.7 MB with the joins consuming them; it measures 18.3 MB.
+    # 22.7 MB with the joins consuming them, 18.3 MB while the tape kept
+    # the last unit's 4.46 MB result d0 for the head; it measures 13.9 MB.
     topo = default_topology()
     model = CVUGCN(topo, NetworkConfig(channels=128))
     rng = np.random.default_rng(0)
@@ -673,14 +691,15 @@ def test_forward_at_the_benchmark_sizes_leaves_at_most_19_mb_on_the_tape():
         tracemalloc.stop()
         tape.release()
     mb = (held - base) / 1e6
-    assert mb <= 19.0, f"forward holds {mb:.1f} MB"
+    assert mb <= 14.5, f"forward holds {mb:.1f} MB"
 
 
 def test_forward_only_refine_at_the_benchmark_sizes_peaks_below_11_5_mb():
     # One float32 forward at B=256, C=128 on a forward-only tape, the
     # evaluation's, by tracemalloc: its peak above entry. A recording tape
     # peaks 26.5 MB above entry (it keeps 18.3 MB), or 19.4 MB once the
-    # head casts d0 a tile at a time; a forward-only tape measured 15.0 MB
+    # head casts d0 a tile at a time, or 15.9 MB (it keeps 13.9 MB) with
+    # the head folded into the last unit; a forward-only tape measured 15.0 MB
     # while refine_from_leaf held the lift's result to the end, and now
     # 10.6 MB, about the decoder's last join, its unit's result and tile
     # scratch.
@@ -700,17 +719,21 @@ def test_forward_only_refine_at_the_benchmark_sizes_peaks_below_11_5_mb():
     assert mb <= 11.5, f"forward-only refine peaks {mb:.1f} MB above entry"
 
 
-# (conv_dtype, bound): measured 0.80 and 0.34 units. At B=256 a residual
-# unit's rows span several backward tiles, and it builds d/dh, which it
-# hands to h as its gradient buffer, in g, its own gradient: it adds only
-# tile scratch. A residual unit that built d/dh in a fresh full-height
-# array next to g peaked at 1.11 on float64. On float32 the head's matmul
-# multiplies d/dhead from a float64 copy of d0 one TILE_ROWS tile at a
-# time; from a float64 copy of all of d0 it peaked at 0.80 (a float32
-# d/dhead measured 0.44). A sweep that mixed g and multiplied by each
-# kernel at full height, with relu(h) and its mask full height too, added
-# 3.96 and 1.87; one whose head matmul added a float64 g @ head^T into a
-# zero-filled gradient added 1.83 and 1.39.
+# (conv_dtype, bound): measured 0.94 and 0.44 units (0.80 and 0.34 while
+# the tape kept d0, which the folded head no longer forms: the forward
+# holds a unit or half a unit less, so the same sweep rises further above
+# it). The peak is the last unit's, which holds the head: its d/dh, a
+# full-height conv_dtype array handed to h as its gradient buffer, and
+# float64 tiles. At B=256 a residual unit's rows span several backward
+# tiles, and it builds d/dh, which it hands to h as its gradient buffer,
+# in g, its own gradient: it adds only tile scratch. A residual unit that
+# built d/dh in a fresh full-height array next to g peaked at 1.11 on
+# float64. While the head was a matmul of its own, from a float64 copy
+# of all of d0 it peaked at 0.80 on float32 (a float32 d/dhead measured
+# 0.44). A sweep that mixed g and multiplied by each kernel at full
+# height, with relu(h) and its mask full height too, added 3.96 and 1.87;
+# one whose head matmul added a float64 g @ head^T into a zero-filled
+# gradient added 1.83 and 1.39.
 @pytest.mark.parametrize("conv_dtype, bound", [
     (np.float64, 1.0), (np.float32, 0.45)])
 def test_backward_sweep_stays_tile_sized(conv_dtype, bound):
@@ -719,44 +742,56 @@ def test_backward_sweep_stays_tile_sized(conv_dtype, bound):
     assert np.abs(params["head"].grad).max() > 0
 
 
-# (conv_dtype, bound): measured 1.10 and 0.64 units.
+# (conv_dtype, bound): measured 1.17 and 0.67 units; the forward's peak
+# above entry, its float64 result included, 0.17 on both.
 @pytest.mark.parametrize("conv_dtype, bound", [
     (np.float64, 1.25), (np.float32, 0.75)])
-def test_head_matmul_backward_holds_its_d0_gradient_and_a_tile(conv_dtype,
-                                                               bound):
-    # The head's matmul(d0, head) at B=256, C=32, alone on a tape, in the
-    # units above: d0 is a conv_dtype array, the head a float64 leaf. Its
-    # backward holds one full-height array, d/dd0, made in d0's dtype and
-    # handed to d0 as its gradient buffer: a unit on float64, half a unit
-    # on float32. On a float32 tape d/dhead is multiplied from float64
-    # copies of TILE_ROWS rows of d0 at a time, gone before d/dd0 exists;
-    # a float64 copy of all of d0 rose 1.10 there too. Adding a float64
-    # g @ head^T into a zero-filled gradient rose 2.0 and 1.5.
-    B, J, C = 256, default_topology().n_joints, 32
+def test_head_unit_holds_its_input_gradient_and_tiles(conv_dtype, bound):
+    # The last unit with the head folded in (residual_graph_conv_head) at
+    # B=256, C=32, alone on a tape, in the units above: h is a conv_dtype
+    # array, the panel and the head float64 leaves. Its forward holds
+    # only its (2BJ, 3) float64 result and float64 tiles of h. Its
+    # backward holds one full-height array, d/dh, made in h's dtype and
+    # handed to h as its gradient buffer: a unit on float64, half a unit
+    # on float32, and two float64 tiles. The head as a matmul of d0 of its
+    # own rose 1.10 and 0.64 with a float64 copy of a tile of d0.
+    topo = default_topology()
+    B, J, C = 256, topo.n_joints, 32
     unit = 2 * B * J * C * 8
+    model = CVUGCN(topo, small_config(channels=C))
     rng = np.random.default_rng(0)
     tape = ad.Tape(conv_dtype=conv_dtype)
-    d0 = tape._record(rng.normal(size=(2 * B * J, C)).astype(conv_dtype),
-                      "d0")
+    h = tape._record(rng.normal(size=(2 * B * J, C)).astype(conv_dtype),
+                     "h")
+    W = tape.leaf(model.weights["mgcn.dec0.0"])
     head = tape.leaf(rng.normal(size=(C, 3)))
-    loss = ad.reduce_sum(ad.norm_rows(ad.matmul(d0, head)))
     tracemalloc.start()
     try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = ad.residual_graph_conv_head(h, model._stacks["mgcn.dec0.0"],
+                                          W, head)
+        forward = (tracemalloc.get_traced_memory()[1] - base) / unit
+        loss = ad.reduce_sum(ad.norm_rows(res))
         held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
         tape.backward(loss)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert forward <= 0.2, f"head unit forward peaks {forward:.2f} units"
     rise = (peak - held) / unit
-    assert rise <= bound, f"head backward adds {rise:.2f} units"
-    assert d0.grad.dtype == conv_dtype and np.abs(head.grad).max() > 0
+    assert rise <= bound, f"head unit backward adds {rise:.2f} units"
+    assert h.grad.dtype == conv_dtype and res.dtype == np.float64
+    assert np.abs(head.grad).max() > 0 and np.abs(W.grad).max() > 0
 
 
-# (conv_dtype, B, bound): measured 2.08, 0.03, 0.98 and 0.03 units. At
+# (conv_dtype, B, bound): measured 1.66, 0.16, 0.74 and 0.03 units (2.08,
+# 0.03, 0.98 and 0.03 while the tape kept d0 for a head of its own). At
 # B=256 a conv's rows span several tiles and its scratch is a few tiles'
-# worth (it was 2.62 and 1.13 units of full-height scratch), and the
-# head casts d0 one TILE_ROWS tile at a time (a float64 copy of all of
-# d0 measured 0.69 on float32); at B=16 a tile holds half a conv's rows
+# worth (it was 2.62 and 1.13 units of full-height scratch), and the last
+# unit, which holds the head, casts h one TILE_ROWS // K tile at a time
+# (a float64 copy of all of d0 measured 0.69 on float32); at B=16 a tile
+# holds half a conv's rows
 # or all of them. There the residual unit's relu(h) is built in the rows
 # of the output it becomes, which pays for the forward's weight panel: a
 # separate relu tile buffer next to the panel measured 2.92 units on

@@ -682,21 +682,23 @@ def test_nonfinite_loss_stops_before_weight_update(monkeypatch):
                           "non-finite weight gradient, not the unit whose "
                           "values overflowed")
 def test_nonfinite_loss_names_the_unit_that_overflowed():
-    # Weights of 1e154 in mgcn.dec0.0 overflow that unit's output; the
-    # error must point there, not at the first unit of the network. The
-    # overflow warnings are silenced so that the NonFiniteLoss, not a
-    # RuntimeWarning turned error, ends the epoch.
+    # Weights of 1e154 in mgcn.dec1.0 overflow that unit's output; the
+    # error must point there, not at the first unit of the network. (In
+    # mgcn.dec0.0, which holds the zero-initialized head, they would meet
+    # it as W_k @ head = 0 and overflow nothing.) The overflow warnings
+    # are silenced so that the NonFiniteLoss, not a RuntimeWarning turned
+    # error, ends the epoch.
     samples, _, assumed = small_dataset(n=32, seed=3, sigma=5.0)
     cfg = small_config(epochs=1, batch_size=32)
     model = CVUGCN(default_topology(), cfg.network())
-    model.weights.arrays["mgcn.dec0.0"][:, :cfg.channels] = 1e154
+    model.weights.arrays["mgcn.dec1.0"][:, :cfg.channels] = 1e154
     coarse, _ = precompute_coarse(samples, assumed)
     optimizer = AmsGrad({k: v.shape for k, v in model.weights.items()})
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteLoss) as exc:
             train_epoch(samples, coarse, assumed, model, optimizer, 1e-3,
                         cfg, 0)
-    assert "mgcn.dec0.0" in str(exc.value)
+    assert "mgcn.dec1.0" in str(exc.value)
 
 
 def test_eval_loss_is_side_effect_free(tmp_path):
