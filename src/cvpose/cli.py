@@ -54,6 +54,9 @@ def _int(key):
 
 CONFIG_HELP = "key = value file with these keys only: " + ", ".join(
     f.name for f in dataclasses.fields(TrainConfig))
+MODE_HELP = ("where view 2's coarse pose comes from: dual, on camera 2's own "
+             "ray; single, view 1's pose moved into camera 2's frame. The "
+             "two agree up to rounding")
 
 
 def _at_least_0(name):
@@ -322,7 +325,8 @@ def build_parser():
     sp = sub.add_parser("triangulate", help="coarse poses from 2D detections")
     sp.add_argument("--data", required=True)
     sp.add_argument("--rig", required=True)
-    sp.add_argument("--mode", choices=TRI_MODES, default="dual")
+    sp.add_argument("--mode", choices=TRI_MODES, default="dual",
+                    help=MODE_HELP)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_triangulate)
 
@@ -343,7 +347,8 @@ def build_parser():
     sp.add_argument("--data", required=True)
     sp.add_argument("--rig", required=True)
     sp.add_argument("--checkpoint", required=True)
-    sp.add_argument("--mode", choices=TRI_MODES, default="dual")
+    sp.add_argument("--mode", choices=TRI_MODES, default="dual",
+                    help=MODE_HELP)
     sp.add_argument("--report")
     sp.set_defaults(func=cmd_eval)
 
@@ -374,7 +379,8 @@ def build_parser():
     sp.add_argument("--sample-id")
     sp.add_argument("--index", type=_int("index"), default=0)
     sp.add_argument("--checkpoint")
-    sp.add_argument("--mode", choices=TRI_MODES, default="dual")
+    sp.add_argument("--mode", choices=TRI_MODES, default="dual",
+                    help=MODE_HELP)
     sp.set_defaults(func=cmd_render)
 
     return p

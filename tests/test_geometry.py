@@ -258,8 +258,9 @@ def test_triangulate_shape_mismatch():
 
 
 def test_triangulation_noise_close_to_reprojection_optimum():
-    # With pixel noise the linear solution should land near the nonlinear
-    # reprojection-error minimum (oracle via least squares).
+    # With pixel noise the triangulated point is the nonlinear
+    # reprojection-error minimum (oracle via least squares run to its
+    # tolerance floor).
     scipy_opt = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(23)
     K = np.array([[1146.0, 0.0, 500.0], [0.0, 1146.0, 500.0], [0.0, 0.0, 1.0]])
@@ -284,145 +285,216 @@ def test_triangulation_noise_close_to_reprojection_optimum():
         u2 = project(c2, Pose3D(apply(rel, X_true.reshape(1, 3)), "cam2")).joints[0]
         u1n = u1 + rng.normal(0, 2.0, 2)
         u2n = u2 + rng.normal(0, 2.0, 2)
-        X_dlt = triangulate_pose(Pose2D(u1n[None], "cam1"),
+        X_tri = triangulate_pose(Pose2D(u1n[None], "cam1"),
                                  Pose2D(u2n[None], "cam2"), c1, c2)[0].joints[0]
-        sol = scipy_opt.least_squares(reproj_resid, X_dlt, args=(u1n, u2n))
-        # DLT is not the reprojection optimum but must land close to it.
-        assert np.linalg.norm(X_dlt - sol.x) < 5.0  # mm
-        assert np.linalg.norm(X_dlt - X_true) < 50.0
+        sol = scipy_opt.least_squares(reproj_resid, X_tri, args=(u1n, u2n),
+                                      xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        assert np.linalg.norm(X_tri - sol.x) < 1e-6  # mm
+        assert np.linalg.norm(X_tri - X_true) < 50.0
 
 
 # ---------------------------------------------------------------------------
-# The Jacobi DLT solve, against numpy's LAPACK SVD as the reference
+# The optimal two-view solve
 
 
-def lapack_dlt(A):
-    """The DLT solve with `np.linalg.svd`: same gap and w rules."""
-    _, sig, vt = np.linalg.svd(A)
-    x = vt[:, 3, :]
-    gap = (sig[:, 2] - sig[:, 3]) / np.maximum(sig[:, 0], 1.0)
-    w = x[:, 3]
-    bad_w = np.abs(w) <= 1e-12 * np.maximum(1.0, np.abs(x[:, :3]).max(axis=1))
-    pts = x[:, :3] / np.where(bad_w, 1.0, w)[:, None]
-    return pts, (gap < geometry.SIGMA_GAP_EPS) | bad_w
+def noisy_pair(rng, n_joints=12, sigma=5.0):
+    """Two random cameras, often on a short baseline, and noisy pixels of
+    joints about 4 m in front of the world origin."""
+    cams = [random_cam(rng, "cam1"), random_cam(rng, "cam2")]
+    X = rng.uniform(-400, 400, size=(n_joints, 3)) + np.array([0, 0, 4000.0])
+    u = [project(c, Pose3D(X @ c.R.T + c.t, c.cam_id)).joints
+         + rng.normal(0, sigma, (n_joints, 2)) for c in cams]
+    return cams, u
 
 
-def pair_systems(cam_a, cam_b, u_a, u_b):
-    """Both orderings' DLT systems of one camera pair's pixels."""
-    n_a = geometry._normalized_coords(cam_a.K, u_a)
-    n_b = geometry._normalized_coords(cam_b.K, u_b)
-    return np.concatenate([
-        geometry._dlt_systems(n_a, n_b, relative_transform(cam_a, cam_b)),
-        geometry._dlt_systems(n_b, n_a, relative_transform(cam_b, cam_a))])
+def mp_optimum(mpmath, cam1, cam2, u1, u2, X0):
+    """The point in cam1's and in cam2's frame that minimizes the summed
+    squared pixel reprojection error of (u1, u2): Gauss-Newton in 40
+    digits from X0 until its step is below 1e-30 mm."""
+    rel = relative_transform(cam1, cam2)
+    with mpmath.workdps(40):
+        views = [(mpmath.matrix(c.K.tolist()), mpmath.matrix(R.tolist()),
+                  mpmath.matrix(t.tolist()), [mpmath.mpf(float(v)) for v in u])
+                 for c, R, t, u in ((cam1, np.eye(3), np.zeros(3), u1),
+                                    (cam2, rel.R, rel.t, u2))]
+        X = mpmath.matrix([mpmath.mpf(float(v)) for v in X0])
+        for _ in range(60):
+            r, J = [], []
+            for K, R, t, u in views:
+                h, A = K * (R * X + t), K * R
+                for i in range(2):
+                    r.append(h[i] / h[2] - u[i])
+                    J.append([(A[i, k] * h[2] - h[i] * A[2, k]) / h[2] ** 2
+                              for k in range(3)])
+            r, J = mpmath.matrix(r), mpmath.matrix(J)
+            step = mpmath.lu_solve(J.T * J, J.T * r)
+            X -= step
+            if mpmath.norm(step) < mpmath.mpf(10) ** -30:
+                break
+        else:
+            raise AssertionError("Gauss-Newton did not settle")
+        R, t = views[1][1], views[1][2]
+        return (np.array([float(v) for v in X]),
+                np.array([float(v) for v in R * X + t]))
 
 
-def test_dlt_solve_matches_lapack():
+def test_triangulation_is_the_reprojection_optimum():
+    # Short random baselines turn a pixel error into up to ~100 mm of depth
+    # per pixel; both modes' poses stay within 1e-9 mm of the optimum.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(32)
+    for _ in range(4):
+        cams, u = noisy_pair(rng)
+        for mode in ("dual", "single"):
+            X1, X2, errors = triangulate_stack(u[0][None], u[1][None], *cams,
+                                               mode=mode)
+            assert errors == [None]
+            for j in range(len(u[0])):
+                want1, want2 = mp_optimum(mpmath, *cams, u[0][j], u[1][j],
+                                          X1[0, j])
+                assert np.linalg.norm(X1[0, j] - want1) < 1e-9   # mm
+                assert np.linalg.norm(X2[0, j] - want2) < 1e-9   # mm
+
+
+def test_dual_and_single_modes_agree():
+    rng = np.random.default_rng(35)
+    for _ in range(10):
+        cams, u = noisy_pair(rng, n_joints=17)
+        dual = triangulate_stack(u[0][None], u[1][None], *cams, mode="dual")
+        single = triangulate_stack(u[0][None], u[1][None], *cams,
+                                   mode="single")
+        assert dual[2] == single[2] == [None]
+        assert np.array_equal(dual[0], single[0])
+        assert np.abs(dual[1] - single[1]).max() < 1e-9   # mm
+
+
+def epipole(cam_a, cam_b):
+    """Pixel of cam_b's centre in cam_a's image."""
+    rel = relative_transform(cam_b, cam_a)
+    h = cam_a.K @ rel.t
+    return h[:2] / h[2]
+
+
+def test_triangulation_of_a_substack_matches_the_full_stack():
     # Noisy synthetic poses on all three pairs of a three-camera rig,
-    # triangulated with a miscalibrated copy of it.
-    cfg = SyntheticConfig(n_samples=9, seed=31, sigma_px=5.0,
+    # triangulated with a miscalibrated copy of it; one sample's joint is
+    # moved onto an epipole and another's behind a camera, so failures are
+    # stacked too.
+    cfg = SyntheticConfig(n_samples=60, seed=31, sigma_px=5.0,
                           perturb_rot_deg=2.0, perturb_trans_mm=20.0)
     samples, _, rig = generate_dataset(
         cfg, cameras=default_rig(n_cameras=3),
         pairs=[("cam1", "cam2"), ("cam1", "cam3"), ("cam2", "cam3")])
     by_id = {c.cam_id: c for c in rig}
-    A = np.concatenate([
-        pair_systems(by_id[a], by_id[b], s.joints_2d[a], s.joints_2d[b])
-        for s in samples for a, b in [s.pair]])
-    pts, failure = geometry._solve_dlt(A)
-    want, degenerate = lapack_dlt(A)
-    assert not degenerate.any()
-    assert not failure.any()
-    assert np.linalg.norm(pts - want, axis=1).max() < 1e-9    # mm
-    # A system's result does not depend on what it is stacked with.
-    for idx in (slice(0, 1), slice(7, 30), np.arange(3, len(A), 11)):
-        sub_pts, sub_failure = geometry._solve_dlt(A[idx])
-        assert np.array_equal(sub_pts, pts[idx])
-        assert np.array_equal(sub_failure, failure[idx])
+    for a, b in [("cam1", "cam2"), ("cam1", "cam3"), ("cam2", "cam3")]:
+        batch = [s for s in samples if s.pair == (a, b)]
+        u1 = np.stack([s.joints_2d[a] for s in batch])
+        u2 = np.stack([s.joints_2d[b] for s in batch])
+        u1[3, 5] = epipole(by_id[a], by_id[b])
+        behind = np.array([100.0, 50.0, -2000.0])       # in cam a's frame
+        rel = relative_transform(by_id[a], by_id[b])
+        for u, K, X in ((u1, by_id[a].K, behind),
+                        (u2, by_id[b].K, rel.R @ behind + rel.t)):
+            u[7, 2] = (K @ X)[:2] / (K @ X)[2]
+        for mode in ("dual", "single"):
+            X1, X2, errors = triangulate_stack(u1, u2, by_id[a], by_id[b],
+                                               mode=mode)
+            assert errors[3].joint == 5
+            assert isinstance(errors[7], NonPositiveDepth)
+            assert errors[7].joint == 2
+            for idx in (slice(0, 1), slice(3, 4), slice(5, 17),
+                        np.arange(1, len(batch), 3)):
+                sub = triangulate_stack(u1[idx], u2[idx], by_id[a], by_id[b],
+                                        mode=mode)
+                assert np.array_equal(sub[0], X1[idx])
+                assert np.array_equal(sub[1], X2[idx])
+                assert ([repr(e) for e in sub[2]]
+                        == [repr(e) for e in np.array(errors, object)[idx]])
 
 
-def test_dlt_solve_is_accurate_where_lapack_is_not():
-    # Short random baselines: LAPACK's null vectors are off by about
-    # eps * sigma_1 / sigma_3 * |X|, over 1e-9 mm here. On the systems where
-    # the two solves disagree most, a 40-digit SVD says which one is right.
-    mpmath = pytest.importorskip("mpmath")
-    rng = np.random.default_rng(32)
-    stacks = []
-    for _ in range(4):
-        cams = [random_cam(rng, "cam1"), random_cam(rng, "cam2")]
-        X = rng.uniform(-400, 400, size=(12, 3)) + np.array([0, 0, 4000.0])
-        u = [project(c, Pose3D(X @ c.R.T + c.t, c.cam_id)).joints
-             + rng.normal(0, 5.0, (12, 2)) for c in cams]
-        stacks.append(pair_systems(*cams, *u))
-    A = np.concatenate(stacks)
-    pts, _ = geometry._solve_dlt(A)
-    want, _ = lapack_dlt(A)
-    worst = np.argsort(-np.linalg.norm(pts - want, axis=1))[:6]
-    with mpmath.workdps(40):
-        for i in worst:
-            _, _, V = mpmath.svd_r(mpmath.matrix(A[i].tolist()))
-            exact = np.array([float(V[3, k] / V[3, 3]) for k in range(3)])
-            assert np.linalg.norm(pts[i] - exact) < 1e-10          # mm
-            assert np.linalg.norm(want[i] - exact) > 1e-10
+def test_degenerate_joints_are_flagged_by_name():
+    # Each degenerate joint is reported with its index, and no guard
+    # divides by zero on the way (an error state of "raise" would throw).
+    rng = np.random.default_rng(36)
+    cams, u = noisy_pair(rng, n_joints=4, sigma=0.0)
+    with np.errstate(all="raise"):
+        for mode in ("dual", "single"):
+            # A detection at its view's epipole sees the other camera's
+            # centre: the point is on the baseline, at depth 0 in the other
+            # view. At both epipoles the correction is undefined.
+            for at_both in (False, True):
+                u1, u2 = u[0].copy(), u[1].copy()
+                u1[2] = epipole(cams[0], cams[1])
+                if at_both:
+                    u2[2] = epipole(cams[1], cams[0])
+                _, _, errors = triangulate_stack(u1[None], u2[None], *cams,
+                                                 mode=mode)
+                assert isinstance(errors[0], DegenerateGeometry if at_both
+                                  else NonPositiveDepth)
+                assert errors[0].joint == 2
+            # A point at infinity: both views see one world direction, and
+            # the rays, parallel up to rounding, meet at no finite depth.
+            u1, u2 = u[0].copy(), u[1].copy()
+            for pixels, cam in ((u1, cams[0]), (u2, cams[1])):
+                h = cam.K @ cam.R @ np.array([0.3, -0.2, 1.0])
+                pixels[1] = h[:2] / h[2]
+            _, _, errors = triangulate_stack(u1[None], u2[None], *cams,
+                                             mode=mode)
+            assert isinstance(errors[0], DegenerateGeometry)
+            assert errors[0].joint == 1
+            assert "parallel" in str(errors[0])
+            # Rays through the same normalized point of two cameras with
+            # one orientation are exactly parallel.
+            cam1 = make_cam("cam1")
+            cam2 = make_cam("cam2", t=np.array([-1.0, 0.0, 0.0]))
+            u1 = np.array([[0.1, 0.05], [-0.3, 0.2], [0.4, -0.1]])
+            u2 = u1 - np.array([[0.0, 0.0], [0.0, 0.0], [0.2, 0.0]])
+            with pytest.raises(DegenerateGeometry,
+                               match="joint 0: corrected rays are parallel"):
+                triangulate_pose(Pose2D(u1, "cam1"), Pose2D(u2, "cam2"),
+                                 cam1, cam2, mode=mode)
+            # Two cameras in one place: every sample is degenerate.
+            _, _, errors = triangulate_stack(
+                np.stack([u1, u1]), np.stack([u1, u1]), cam1,
+                make_cam("cam2", R=rot_y(10.0)), mode=mode)
+            assert [str(e) for e in errors] == [
+                "camera baseline is numerically zero"] * 2
 
 
-def test_dlt_solve_flags_what_lapack_flags():
-    rng = np.random.default_rng(33)
-    cams = [random_cam(rng, "cam1"), random_cam(rng, "cam2")]
-    X = rng.uniform(-400, 400, size=(6, 3)) + np.array([0, 0, 4000.0])
-    good = pair_systems(*cams, *(
-        project(c, Pose3D(X @ c.R.T + c.t, c.cam_id)).joints for c in cams))
-    # Rank 2: sigma_3 = sigma_4 = 0.
-    rank2 = rng.normal(size=(3, 4, 2)) @ rng.normal(size=(3, 2, 4))
-    # Equal nonzero sigma_3 and sigma_4.
-    U, _ = np.linalg.qr(rng.normal(size=(2, 4, 4)))
-    V, _ = np.linalg.qr(rng.normal(size=(2, 4, 4)))
-    tied = U * np.array([3.0, 2.0, 1.0, 1.0]) @ V
-    # Parallel rays (same direction, sideways baseline) meet at infinity:
-    # rank 3, but the null vector has w = 0.
-    n = np.array([[0.1, 0.05], [-0.3, 0.2]])
-    at_infinity = geometry._dlt_systems(
-        n, n, relative_transform(make_cam("cam1"),
-                                 make_cam("cam2", t=np.array([-1.0, 0.0, 0.0]))))
-    A = np.concatenate([good, rank2, tied, at_infinity])
-    _, failure = geometry._solve_dlt(A)
-    _, degenerate = lapack_dlt(A)
-    expect = np.arange(len(A)) >= len(good)
-    assert np.array_equal(degenerate, expect)
-    assert np.array_equal(failure, np.where(expect, 1, 0))
+def test_a_nan_never_passes_as_a_solved_joint():
+    # Detections of 1e200 px and beyond overflow the correction; such
+    # joints are flagged, and every sample reported solved is finite.
+    rng = np.random.default_rng(37)
+    cams, u = noisy_pair(rng, n_joints=6)
+    u1 = np.repeat(u[0][None], 6, axis=0)
+    u2 = np.repeat(u[1][None], 6, axis=0)
+    for n, scale in enumerate((1.0, 1e150, 1e200, 1e250, 1e300, 1e305)):
+        u1[n, n % 6] *= scale
+        u2[n, (n + 1) % 6] *= scale
+    with np.errstate(all="ignore"):
+        X1, X2, errors = triangulate_stack(u1, u2, *cams)
+    assert errors[0] is None
+    assert all(isinstance(e, DegenerateGeometry) for e in errors[2:])
+    for n, err in enumerate(errors):
+        if err is None:
+            assert np.isfinite(X1[n]).all() and np.isfinite(X2[n]).all()
 
 
-@pytest.mark.parametrize("spread, degenerate", [(1e12, False), (1e100, True)])
-def test_dlt_solve_takes_badly_scaled_columns(spread, degenerate):
-    # Column k is scaled by spread**((3 - k) / 3), so sigma_3 / sigma_1 is
-    # about spread**(-2/3): above SIGMA_GAP_EPS at 1e12, far below it at
-    # 1e100. An overflow or a division by zero would raise here as well as
-    # under the test run's warning filter.
-    rng = np.random.default_rng(34)
-    A = rng.normal(size=(32, 4, 4)) * spread ** (np.arange(3, -1, -1) / 3.0)
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        pts, failure = geometry._solve_dlt(A)
-    want, flagged = lapack_dlt(A)
-    assert (flagged == degenerate).all()
-    assert np.array_equal(failure, np.where(flagged, 1, 0))
-    if not degenerate:
-        # LAPACK's null vector is good to about eps * sigma_1 / sigma_3 = 2e-8.
-        assert np.abs(pts - want).max() < 1e-6
-
-
-def test_unconverged_dlt_is_reported_with_its_joint(monkeypatch):
-    monkeypatch.setattr(geometry, "JACOBI_SWEEPS", 1)
-    cam1 = make_cam("cam1")
-    cam2 = make_cam("cam2", t=np.array([-1.0, 0.0, 0.0]))
-    u1 = Pose2D([[0.1, 0.05], [0.2, -0.1]], "cam1")
-    u2 = Pose2D([[-0.4, 0.05], [-0.3, -0.1]], "cam2")
-    with pytest.raises(DegenerateGeometry,
-                       match="joint 0: .*did not converge in 1 sweeps") as exc:
-        triangulate_pose(u1, u2, cam1, cam2)
-    assert exc.value.joint == 0
-    _, _, errors = triangulate_stack(u1.joints[None], u2.joints[None],
-                                     cam1, cam2, mode="single")
-    assert isinstance(errors[0], DegenerateGeometry)
-    assert errors[0].joint == 0
+@pytest.mark.parametrize("scale", [1e-150, 1e-8, 1e8, 1e150])
+def test_triangulation_takes_badly_scaled_pixels(scale):
+    # Focal lengths, principal points and detections all scaled alike: the
+    # conditioned coordinates do not change, so neither do the poses, and
+    # nothing overflows, underflows or divides by zero.
+    rng = np.random.default_rng(38)
+    cams, u = noisy_pair(rng, n_joints=17)
+    X1, X2, errors = triangulate_stack(u[0][None], u[1][None], *cams)
+    scaled = [make_cam(c.cam_id, K=np.diag([scale, scale, 1.0]) @ c.K,
+                       R=c.R, t=c.t) for c in cams]
+    with np.errstate(all="raise"):
+        Y1, Y2, errs = triangulate_stack(u[0][None] * scale,
+                                         u[1][None] * scale, *scaled)
+    assert errors == errs == [None]
+    assert np.abs(Y1 - X1).max() < 1e-9 and np.abs(Y2 - X2).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------

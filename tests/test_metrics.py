@@ -252,9 +252,9 @@ def test_per_pair_and_percentile_errors_reduce_per_sample_errors():
 
 
 def test_evaluate_svd_calls_do_not_scale_with_samples(monkeypatch):
-    # Triangulation solves its DLT stacks without np.linalg.svd, so the only
-    # calls are the Procrustes alignments: two per refined batch (the
-    # triangulated and the refined stack). A per-pose loop would make 80.
+    # Triangulation calls no np.linalg.svd, so the only calls are the
+    # Procrustes alignments: two per refined batch (the triangulated and
+    # the refined stack). A per-pose loop would make 80.
     samples, rig, model = _two_pair_set(40)
     calls = []
     real_svd = np.linalg.svd

@@ -586,14 +586,14 @@ def test_resume_keeps_one_log_row_per_epoch(tmp_path):
 
 
 def test_resume_past_the_best_epoch_keeps_best_checkpoint(tmp_path):
-    # The best epoch here is 9. A run stopped after epoch 10 and resumed
+    # The best epoch here is 10. A run stopped after epoch 10 and resumed
     # from epoch_0011.ckpt never beats the best loss it restores, so a
     # best.ckpt written only at the end of a run was never written at all.
     train, _, assumed = small_dataset(n=64, sigma=5.0, seed=9)
     val, _, _ = small_dataset(n=32, sigma=5.0, seed=109)
     cfg = small_config(epochs=12, batch_size=16, checkpoint_every=1, seed=9)
     full = fit(train, val, assumed, cfg, out_dir=tmp_path / "full")
-    assert min(full.history) == full.history[9] < min(full.history[10:])
+    assert min(full.history) == full.history[10] < min(full.history[11:])
 
     def stop_after_epoch_10(epoch, stats, lr, monitored):
         if epoch == 10:
